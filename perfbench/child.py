@@ -5,9 +5,10 @@
 MODE is `import` (time `import roundlab.cli` and stop), `run` (call
 `cli.main(args)`) or `trace` (the same, with the layer wrappers of
 `spans.py` installed). The report goes to stdout as the CLI prints it; the
-exit code is the CLI's. META receives a JSON object with the import time,
-the exit code and the peak RSS of this process and its pool workers; in
-`trace` mode the spans go to META's prefix with `.npz` and `.json`.
+exit code is the CLI's. META receives a JSON object with the import time
+and its window on the monotonic clock, the exit code and the peak RSS of
+this process and its pool workers; in `trace` mode the spans go to META's
+prefix with `.npz` and `.json`.
 """
 
 import json
@@ -24,7 +25,10 @@ def main() -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     start = time.perf_counter()
     from roundlab import cli
-    meta = {"import_s": time.perf_counter() - start}
+    end = time.perf_counter()
+    # perf_counter is the system-wide monotonic clock, so the harness can
+    # take out any pause that falls inside this window
+    meta = {"import_s": end - start, "import_window": [start, end]}
     rc = 0
     if mode != "import":
         entry = cli.main

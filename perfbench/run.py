@@ -11,6 +11,23 @@ whole units (see `workloads.py`) until `--seconds` of request wall time
 have been measured; every report is checked, and a failed check counts as
 a failed request.
 
+Times are reported at a fixed reference machine speed. On a small shared
+host the speed the benchmark gets drifts by a fifth or more over seconds
+to minutes, in CPU time as much as in wall time, so raw wall times of the
+same code spread wider between runs than any useful bound, and the two
+vCPUs do not always slow down together. The harness therefore times a
+fixed pure-Python loop (the speed probe) every `SAMPLE_EVERY_S` while a
+child runs: it notes the CPUs the child and its pool workers are running
+on, stops the child's process group with SIGSTOP, times the loop pinned
+to each of those CPUs and resumes the group with SIGCONT. The probe never
+runs beside the child, so nothing the program does changes it; the paused
+time is taken out of the child's wall time. Each child's times are then
+scaled by `PROBE_NOMINAL_S` over the mean of its probe samples, so a
+change to the program moves scaled times exactly as it moves wall times.
+Traced runs are not paused, because the pauses would land inside spans;
+their children are probed once, on every CPU, after they exit. The
+unscaled metrics and the probe samples are in the detail line.
+
 With `--trace 0` the last stdout line holds the end-to-end metrics. With
 `--trace 1` the run executes exactly one unit with the layer wrappers of
 `spans.py` installed, so its counts repeat exactly for a seed, and the last
@@ -43,8 +60,13 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 CHILD = HERE / "child.py"
 
-SETUP_REPEATS = 5
+SETUP_REPEATS = 2
 REQUEST_TIMEOUT_S = 100
+# the speed probe: one sample times PROBE_LOOPS runs of a fixed loop on
+# each CPU probed; one run takes PROBE_NOMINAL_S at the reference speed
+PROBE_LOOPS = 3
+PROBE_NOMINAL_S = 0.0075
+SAMPLE_EVERY_S = 0.3
 
 END_TO_END = {
     "requests_per_s": "1/s",
@@ -101,6 +123,97 @@ class Outcome:
     body: str | None = None
     maxrss_kib: int = 0
     import_s: float | None = None
+    # scales the child's times to the reference speed
+    speed: float = 1.0
+    probes: list = field(default_factory=list)
+
+    @property
+    def scaled_latency_s(self) -> float:
+        return self.latency_s * self.speed
+
+    @property
+    def scaled_import_s(self) -> float | None:
+        return None if self.import_s is None else self.import_s * self.speed
+
+
+def probe_s(cpus) -> float:
+    """One speed sample: the mean time of a fixed pure-Python loop, run
+    pinned to each of `cpus` in turn."""
+    allowed = os.sched_getaffinity(0)
+    times = []
+    try:
+        for cpu in sorted(cpus):
+            os.sched_setaffinity(0, {cpu})
+            start = time.perf_counter()
+            for _ in range(PROBE_LOOPS):
+                acc, table = 0, {}
+                for i in range(60_000):
+                    acc += i * i % 7
+                    table[i & 255] = acc
+            times.append((time.perf_counter() - start) / PROBE_LOOPS)
+    finally:
+        # children inherit the affinity of the harness
+        os.sched_setaffinity(0, allowed)
+    return statistics.fmean(times)
+
+
+def _running_cpus(pid: int) -> set:
+    """CPUs on which the child or one of its own children (the pool
+    workers) is running; empty if none is."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as fh:
+            pids = [pid, *map(int, fh.read().split())]
+    except OSError:
+        return set()
+    cpus = set()
+    for each in pids:
+        try:
+            with open(f"/proc/{each}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        # fields after the command name: state first, CPU 37th
+        fields = stat[stat.rindex(")") + 2:].split()
+        if fields[0] == "R":
+            cpus.add(int(fields[36]))
+    return cpus
+
+
+@dataclass
+class Child:
+    wall_s: float  # spawn to exit, paused time taken out
+    rc: int | None
+    out: str
+    err: str
+    probes: list
+    pauses: list  # (start, end) perf_counter times the group was stopped
+
+    @property
+    def speed(self) -> float:
+        return PROBE_NOMINAL_S / statistics.fmean(self.probes)
+
+    def paused_within(self, start: float, end: float) -> float:
+        return sum(max(0.0, min(end, b) - max(start, a))
+                   for a, b in self.pauses)
+
+
+def _paused_probe(proc: subprocess.Popen, pauses: list) -> float:
+    """Stop the child's process group, take a speed sample on the CPUs it
+    was running on (all CPUs if it was not running), resume it."""
+    start = time.perf_counter()
+    cpus = _running_cpus(proc.pid) or os.sched_getaffinity(0)
+    try:
+        os.killpg(proc.pid, signal.SIGSTOP)
+    except ProcessLookupError:
+        return probe_s(cpus)
+    try:
+        return probe_s(cpus)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGCONT)
+        except ProcessLookupError:
+            pass
+        pauses.append((start, time.perf_counter()))
 
 
 def _kill_group(proc: subprocess.Popen) -> None:
@@ -111,45 +224,62 @@ def _kill_group(proc: subprocess.Popen) -> None:
     proc.wait()
 
 
-def spawn(mode: str, argv: list, meta: Path) -> tuple:
-    """Run one child to completion; returns (wall s, exit code, stdout,
-    stderr). The child leads its own process group so a timeout also ends
-    its pool workers."""
+def spawn(mode: str, argv: list, meta: Path, sample: bool = True) -> Child:
+    """Run one child to completion, taking speed samples every
+    `SAMPLE_EVERY_S` during it if `sample`, and on every CPU after it
+    if it got none. The child leads its own process group, so the pauses
+    and a timeout reach its pool workers too."""
     cmd = [sys.executable, str(CHILD), str(meta), mode, *argv]
+    probes, pauses = [], []
     start = time.perf_counter()
+    deadline = start + REQUEST_TIMEOUT_S
     proc = subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True,
                             start_new_session=True)
+    out, err = None, "timed out"
     try:
-        out, err = proc.communicate(timeout=REQUEST_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
+        while out is None and time.perf_counter() < deadline:
+            wait = SAMPLE_EVERY_S if sample else REQUEST_TIMEOUT_S
+            try:
+                out, err = proc.communicate(timeout=wait)
+            except subprocess.TimeoutExpired:
+                probes.append(_paused_probe(proc, pauses))
+    finally:
+        wall = time.perf_counter() - start - sum(b - a for a, b in pauses)
+        # a crashed or timed-out child may leave pool workers behind
         _kill_group(proc)
-        return time.perf_counter() - start, None, "", "timed out"
-    wall = time.perf_counter() - start
-    # a crashed child may leave pool workers behind
-    _kill_group(proc)
-    return wall, proc.returncode, out, err
+    if not probes:
+        probes.append(probe_s(os.sched_getaffinity(0)))
+    rc = None if out is None else proc.returncode
+    return Child(wall, rc, out or "", err, probes, pauses)
+
+
+def _import_s(child: Child, info: dict) -> float:
+    """The child's own import time, with any pause inside it taken out."""
+    return info["import_s"] - child.paused_within(*info["import_window"])
 
 
 def execute(req, mode: str, workdir: Path, tag,
             argv: list | None = None) -> Outcome:
     meta = workdir / f"req-{tag}.json"
-    wall, rc, out, err = spawn(mode, argv or req.argv, meta)
-    res = Outcome(req.label, wall)
-    if rc != req.expect_rc:
-        tail = err.strip().splitlines()[-1:] or [""]
-        res.problems.append(f"exit {rc}, want {req.expect_rc}: {tail[0]}")
+    child = spawn(mode, argv or req.argv, meta, sample=mode == "run")
+    res = Outcome(req.label, child.wall_s, speed=child.speed,
+                  probes=child.probes)
+    if child.rc != req.expect_rc:
+        tail = child.err.strip().splitlines()[-1:] or [""]
+        res.problems.append(
+            f"exit {child.rc}, want {req.expect_rc}: {tail[0]}")
         return res
     try:
         info = json.loads(meta.read_text(encoding="utf-8"))
-        body = json.loads(out)
+        body = json.loads(child.out)
     except (OSError, ValueError) as exc:
         res.problems.append(f"unreadable output: {exc}")
         return res
     body.pop("wall_time_s", None)
     res.body = json.dumps(body, sort_keys=True, separators=(",", ":"))
     res.maxrss_kib = info["maxrss_kib"]
-    res.import_s = info["import_s"]
+    res.import_s = _import_s(child, info)
     try:
         res.problems.extend(req.check(body))
     except (KeyError, TypeError, ValueError) as exc:
@@ -157,16 +287,19 @@ def execute(req, mode: str, workdir: Path, tag,
     return res
 
 
-def measure_setup(workdir: Path, repeats: int) -> list:
-    """Times to import roundlab.cli in fresh interpreters."""
-    times = []
+def measure_setup(workdir: Path, repeats: int) -> tuple:
+    """Times to import roundlab.cli in fresh interpreters, as (raw,
+    scaled to the reference speed)."""
+    raw, scaled = [], []
     for i in range(repeats):
         meta = workdir / f"import-{i}.json"
-        _, rc, _, err = spawn("import", [], meta)
-        if rc != 0:
-            raise RuntimeError(f"import roundlab.cli failed: {err.strip()}")
-        times.append(json.loads(meta.read_text())["import_s"])
-    return times
+        child = spawn("import", [], meta)
+        if child.rc != 0:
+            raise RuntimeError(
+                f"import roundlab.cli failed: {child.err.strip()}")
+        raw.append(_import_s(child, json.loads(meta.read_text())))
+        scaled.append(raw[-1] * child.speed)
+    return raw, scaled
 
 
 def tail_latency(latencies: list) -> tuple:
@@ -222,7 +355,7 @@ def run_workload(workload, seed: int, seconds: float, trace: bool,
     mode = "trace" if trace else "run"
     with tempfile.TemporaryDirectory(prefix=".perfbench-", dir=".") as tmp:
         workdir = Path(tmp)
-        imports = measure_setup(workdir, setup_repeats)
+        imports, scaled_imports = measure_setup(workdir, setup_repeats)
         units = workload.units(Random(seed), workdir)
         outcomes, totals = [], Counter()
         measured = 0.0
@@ -256,29 +389,38 @@ def run_workload(workload, seed: int, seconds: float, trace: bool,
             reruns.append({"argv": argv, "identical": identical,
                            "latency_s": again.latency_s})
 
-    latencies = [o.latency_s for _, o in outcomes]
     failed = [o for _, o in outcomes if o.problems]
     attempted = len(outcomes)
-    if trace:
-        # traced over untraced requests_per_s, on the re-run request
-        totals["tracing_overhead"] = reruns[0]["latency_s"] / first.latency_s
-        metrics = {name: {"value": totals[name], "unit": unit}
-                   for name, unit in PER_LAYER.items()}
-    else:
+
+    def end_to_end(latencies, imports):
         tail, percentile = tail_latency(latencies)
-        metrics = {
-            "requests_per_s": (attempted - len(failed)) / measured,
+        return {
+            "requests_per_s": (attempted - len(failed)) / sum(latencies),
             "latency_p50_s": statistics.median(latencies),
             "latency_tail_s": tail,
             # every request pays the import too, so its time is one more
             # sample of the set-up cost
-            "setup_s": statistics.median(
-                imports + [o.import_s for _, o in outcomes
-                           if o.import_s is not None]),
+            "setup_s": statistics.median(imports),
             "peak_rss_mib": max(o.maxrss_kib for _, o in outcomes) / 1024,
-        }
+        }, percentile
+
+    if trace:
+        # traced over untraced requests_per_s, on the re-run request; from
+        # wall times, since only the untraced child is probed while it runs
+        totals["tracing_overhead"] = reruns[0]["latency_s"] / first.latency_s
+        metrics = {name: {"value": totals[name], "unit": unit}
+                   for name, unit in PER_LAYER.items()}
+    else:
+        scaled, percentile = end_to_end(
+            [o.scaled_latency_s for _, o in outcomes],
+            scaled_imports + [o.scaled_import_s for _, o in outcomes
+                              if o.import_s is not None])
+        raw, _ = end_to_end(
+            [o.latency_s for _, o in outcomes],
+            imports + [o.import_s for _, o in outcomes
+                       if o.import_s is not None])
         metrics = {k: {"value": v, "unit": END_TO_END[k]}
-                   for k, v in metrics.items()}
+                   for k, v in scaled.items()}
     detail = {
         "workload": workload.name,
         "trace": trace,
@@ -286,13 +428,17 @@ def run_workload(workload, seed: int, seconds: float, trace: bool,
         "measured_s": measured,
         "error_rate": len(failed) / attempted,
         "determinism": reruns,
+        "probe_nominal_s": PROBE_NOMINAL_S,
         "requests": [{"label": o.label, "latency_s": o.latency_s,
+                      "scaled_latency_s": o.scaled_latency_s,
+                      "probe_s": o.probes,
                       "ok": not o.problems} for _, o in outcomes],
         "problems": [f"{o.label}: {p}" for o in failed for p in o.problems],
     }
     if not trace:
         detail["latency_tail"] = {"percentile": percentile,
                                   "samples": attempted}
+        detail["unscaled_metrics"] = raw
     result = {"correct": not failed, "attempted": attempted,
               "failed": len(failed), "metrics": metrics}
     return result, detail

@@ -3,6 +3,7 @@
 Each workload is a closed loop with one client: the next request starts
 when the previous one has exited. A workload yields units of requests; a
 run measures whole units. A unit is one request, except on
+`roundness-scan`, where it is a pair of relabellings, and on
 `exact-census`, where it is the whole seed-shuffled cycle, so every run
 measures the same mix.
 """
@@ -119,19 +120,25 @@ def _roundness_units(rng, workdir):
     # the run-to-run spread wider than any useful bound. Every request
     # scans a seeded relabelling of one space instead: the roundness and
     # the bisection path stay fixed, while the input and the point where
-    # each violating probe stops change with the seed.
+    # each violating probe stops change with the seed. That point still
+    # moves the work of one request by about 8%. A relabelling and its
+    # reverse, whose violations sit at the other end of the scan order,
+    # together spread half as much, so a unit is such a pair.
     base = random_rational_metric_space(ROUNDNESS_POINTS, 0).dist
     n = 0
     while True:
         perm = list(range(ROUNDNESS_POINTS))
         rng.shuffle(perm)
-        path = workdir / f"space-{n}.csv"
-        n += 1
-        write_space_csv(FiniteMetricSpace.from_rows(
-            [[base[i][j] for j in perm] for i in perm]), path)
-        yield [Request("roundness", [
-            "gr", "estimate", "--input", str(path), "--max-size", "3",
-            "--tol", str(ROUNDNESS_TOL)], 0, _roundness_check(path))]
+        unit = []
+        for labels in (perm, [ROUNDNESS_POINTS - 1 - i for i in perm]):
+            path = workdir / f"space-{n}.csv"
+            n += 1
+            write_space_csv(FiniteMetricSpace.from_rows(
+                [[base[i][j] for j in labels] for i in labels]), path)
+            unit.append(Request("roundness", [
+                "gr", "estimate", "--input", str(path), "--max-size", "3",
+                "--tol", str(ROUNDNESS_TOL)], 0, _roundness_check(path)))
+        yield unit
 
 
 def _check_incidences(body: dict) -> list[str]:
