@@ -453,16 +453,58 @@ class SparsePairBatch:
         return self.supports.shape[0]
 
 
+def _sorted_subsets(c: int, s: int, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """(k, s) int64 array of independent, sorted, uniform s-subsets of
+    range(c); see `sample_pairs_sparse` for the algorithm.
+
+    Membership is checked against each row's earlier picks, so no (k, c)
+    array exists until a drawn complement is turned into the subset, where
+    c < 2s makes the mask smaller than the output. Where rows are no more
+    than the drawn coordinates, the vectorised steps cost more than one
+    native draw per row, which is used instead.
+    """
+    if s == c:
+        return np.tile(np.arange(c, dtype=np.int64), (k, 1))
+    e = min(s, c - s)
+    if k <= e:
+        out = np.empty((k, s), dtype=np.int64)
+        for i in range(k):
+            out[i] = np.sort(rng.choice(c, size=s, replace=False))
+        return out
+    # picks[i] is pick i of every row: the membership test compares whole
+    # contiguous rows, and int32 halves the bytes it reads
+    dtype = np.int32 if c <= np.iinfo(np.int32).max else np.int64
+    picks = np.empty((e, k), dtype=dtype)
+    for i, j in enumerate(range(c - e, c)):
+        t = rng.integers(0, j + 1, size=k, dtype=dtype)
+        t[(picks[:i] == t).any(axis=0)] = j
+        picks[i] = t
+    if e == s:
+        return np.sort(picks.T, axis=1).astype(np.int64)
+    keep = np.ones((k, c), dtype=bool)
+    keep[np.arange(k)[:, None], picks.T] = False
+    return np.nonzero(keep)[1].reshape(k, s)
+
+
 def sample_pairs_sparse(space: ProductCycleSpace, cls: PairClass, k: int,
                         rng: np.random.Generator) -> SparsePairBatch:
     """Uniform class sample: support uniform over coordinate subsets, shared
     values uniform (omitted), x-values uniform, orientation uniform over the
-    w directions. Uniformity over the class follows by direct counting."""
+    w directions. Uniformity over the class follows by direct counting.
+
+    Supports, drawn first, use Floyd's algorithm (Bentley and Floyd, CACM
+    30(9), 1987) for all rows at once. It draws e = min(s, c - s)
+    coordinates: the support, or its complement when s > c/2. Step
+    j = c-e, ..., c-1 draws t uniform on [0, j] and adds t, or j when t was
+    already drawn. By induction on j every e-subset of range(j + 1) is
+    equally likely after step j, because each arises from exactly e of the
+    (j + 1) * C(j, e - 1) equally likely (earlier picks, t) outcomes. So each
+    row's drawn set, and hence its complement, is an exactly uniform subset
+    of range(c). When s == c nothing is drawn."""
     cls.validate_for(space)
     c, u, s = space.coords, space.units, cls.support
-    supports = np.empty((k, s), dtype=np.int64)
-    for i in range(k):
-        supports[i] = np.sort(rng.choice(c, size=s, replace=False))
+    supports = _sorted_subsets(c, s, k, rng)
     x_vals = rng.integers(0, u, size=(k, s), dtype=np.int64)
     if cls.orientations(space) == 2:
         signs = rng.integers(0, 2, size=(k, s), dtype=np.int64) * 2 - 1

@@ -25,14 +25,6 @@ class DistanceOracle(Protocol):
     def distance(self, a: int, b: int) -> Number: ...
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """Explicit point set with an exact rational distance matrix.

@@ -190,44 +190,37 @@ def _slice_counts(total: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(MC_SLICES)]
 
 
-def _mc_slice_stats(args) -> tuple[float, float, int]:
-    emap, cls, p, k, seed, idx = args
-    if k == 0:
-        return (0.0, 0.0, 0)
+def _mc_slice_values(emap, cls: PairClass, k: int, seed: int, idx: int):
+    """Image distances of slice `idx` of a seeded sample, one array per
+    chunk of at most a million entries; k rows in all."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(MC_SLICES)[idx])
-    space = emap.space
     rows_per_chunk = max(1, 1_000_000 // cls.support)
-    total = 0.0
-    total_sq = 0.0
     done = 0
     while done < k:
         m = min(rows_per_chunk, k - done)
-        batch = sample_pairs_sparse(space, cls, m, rng)
-        vals = emap.image_distance_batch(batch)
+        yield emap.image_distance_batch(
+            sample_pairs_sparse(emap.space, cls, m, rng))
+        done += m
+
+
+def _mc_slice_stats(args) -> tuple[float, float, int]:
+    emap, cls, p, k, seed, idx = args
+    total = 0.0
+    total_sq = 0.0
+    for vals in _mc_slice_values(emap, cls, k, seed, idx):
         if p != 1.0:
             vals = vals ** p if p != 0.0 else (vals > 0).astype(np.float64)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
-        done += m
     return (total, total_sq, k)
 
 
 def _mc_slice_extremes(args) -> tuple[float, float, int]:
     emap, cls, k, seed, idx = args
-    if k == 0:
-        return (math.inf, -math.inf, 0)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(MC_SLICES)[idx])
-    space = emap.space
-    rows_per_chunk = max(1, 1_000_000 // cls.support)
     lo, hi = math.inf, -math.inf
-    done = 0
-    while done < k:
-        m = min(rows_per_chunk, k - done)
-        batch = sample_pairs_sparse(space, cls, m, rng)
-        vals = emap.image_distance_batch(batch)
+    for vals in _mc_slice_values(emap, cls, k, seed, idx):
         lo = min(lo, float(vals.min()))
         hi = max(hi, float(vals.max()))
-        done += m
     return (lo, hi, k)
 
 
@@ -321,6 +314,17 @@ def _check_declared(emap, p: float) -> bool:
     return False
 
 
+def _margin(hi: LevelAverage, lo: LevelAverage, factor: float,
+            ctx: NumericContext) -> tuple[float, float, bool]:
+    """(margin, stderr, holds) for hi.mean >= factor * lo.mean: the margin
+    holds unless it falls below three standard errors plus the context's
+    relative tolerance. Exact averages carry no stderr and count as 0."""
+    margin = hi.mean - factor * lo.mean
+    se = math.sqrt((hi.stderr or 0.0) ** 2 + (factor * (lo.stderr or 0.0)) ** 2)
+    scale = max(abs(hi.mean), abs(factor * lo.mean), 1.0)
+    return margin, se, bool(margin >= -(3.0 * se + ctx.rel_tol * scale))
+
+
 def verify_step_inequality(emap, scls: SimplexClass, p: float,
                          mode: str = "exact", budget: int = 2_000_000,
                          samples: int = 100_000, seed: int = 0,
@@ -336,13 +340,7 @@ def verify_step_inequality(emap, scls: SimplexClass, p: float,
     edge = level_average(emap, scls.edge_class(), p, mode, budget,
                          samples, 2 * seed + 1, workers)
     factor = 1.0 - 1.0 / scls.families
-    margin = conn.mean - factor * edge.mean
-    se = 0.0
-    if mode == "mc":
-        se = math.sqrt((conn.stderr or 0.0) ** 2
-                       + (factor * (edge.stderr or 0.0)) ** 2)
-    scale = max(abs(conn.mean), abs(factor * edge.mean), 1.0)
-    holds = margin >= -(3.0 * se + ctx.rel_tol * scale)
+    margin, se, holds = _margin(conn, edge, factor, ctx)
     return StepReport(scls, p, conn, edge, factor, margin, se, holds, assumed)
 
 
@@ -415,30 +413,20 @@ def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
     factor = 1.0 - 1.0 / r
     steps = []
     for i, scls in enumerate(scls_chain):
-        conn, edge = averages[i], averages[i + 1]
-        margin = conn.mean - factor * edge.mean
-        se = 0.0
-        if mode == "mc":
-            se = math.sqrt((conn.stderr or 0.0) ** 2
-                           + (factor * (edge.stderr or 0.0)) ** 2)
-        scale = max(abs(conn.mean), abs(factor * edge.mean), 1.0)
+        margin, se, holds = _margin(averages[i], averages[i + 1], factor, ctx)
         steps.append({
             "delta": scls.delta,
             "support": scls.support,
             "margin": margin,
             "stderr": se,
-            "holds": bool(margin >= -(3.0 * se + ctx.rel_tol * scale)),
+            "holds": holds,
             "assumed_roundness": assumed,
         })
     factor_total = factor ** levels
-    first, last = averages[0], averages[-1]
-    cum_margin = first.mean - factor_total * last.mean
-    cum_se = math.sqrt((first.stderr or 0.0) ** 2
-                       + (factor_total * (last.stderr or 0.0)) ** 2)
-    scale = max(abs(first.mean), abs(factor_total * last.mean), 1.0)
-    cum_holds = cum_margin >= -(3.0 * cum_se + ctx.rel_tol * scale)
+    cum_margin, cum_se, cum_holds = _margin(averages[0], averages[-1],
+                                            factor_total, ctx)
     return ChainReport(start, levels, p, averages, steps, factor_total,
-                       cum_margin, cum_se, bool(cum_holds))
+                       cum_margin, cum_se, cum_holds)
 
 
 @dataclass

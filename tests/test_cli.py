@@ -353,9 +353,20 @@ def test_out_flag_writes_file(tmp_path, c4_csv, capsys):
     assert saved["command"] == "validate"
 
 
+def suite_env():
+    """The caller's environment with the directory holding the roundlab
+    this suite imported put first on PYTHONPATH, so a child interpreter
+    imports the same package however the suite found it."""
+    src = str(Path(roundlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "roundlab.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=suite_env())
     assert proc.returncode == 0
     assert proc.stdout.strip()
 
@@ -378,14 +389,10 @@ def test_console_script():
     entry = load_toml(pyproject)["project"]["scripts"]["roundlab"]
     assert entry == "roundlab.cli:main"
 
-    src = str(Path(roundlab.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     module, _, func = entry.partition(":")
     wrapper = (f"import sys\nfrom {module} import {func}\n"
                f"sys.argv[0] = 'roundlab'\nsys.exit({func}())\n")
-    runs = [([sys.executable, "-c", wrapper, *argv], env)]
+    runs = [([sys.executable, "-c", wrapper, *argv], suite_env())]
     installed = shutil.which("roundlab")
     if installed:
         runs.append(([installed, *argv], None))

@@ -1,5 +1,7 @@
 """Cycle products: classes, the simplex builder, transport, and counting."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
                              stage_pair_class, stage_range_warnings,
                              stage_simplex_class, stage_space,
                              sample_pairs_sparse, transport_pair)
+from roundlab.obstruction import CircleEmbeddingMap, verify_chain_inequality
 
 
 def mk(coords, units, quantum=Fraction(1)):
@@ -150,6 +153,90 @@ def test_sample_pairs_sparse_deterministic_and_in_class():
     assert np.all(d == cls.delta)
     for row in a.supports:
         assert len(set(row.tolist())) == cls.support
+
+
+# (coords, support, rows per call): small support, complement (s > c/2),
+# s == c, and the per-row draw (rows <= min(s, c - s))
+SUBSET_CASES = [(7, 2, 4200), (7, 5, 4200), (5, 5, 50), (8, 4, 4)]
+
+
+def draw_supports(coords, support, rows, total, seed):
+    space = mk(coords, 8)
+    cls = PairClass(1, support)
+    rng = np.random.default_rng(seed)
+    return np.concatenate([sample_pairs_sparse(space, cls, rows, rng).supports
+                           for _ in range(total // rows)])
+
+
+@pytest.mark.parametrize("coords,support,rows", SUBSET_CASES)
+def test_sample_supports_sorted_distinct_in_range(coords, support, rows):
+    sup = draw_supports(coords, support, rows, 4 * rows, 1)
+    assert sup.shape == (4 * rows, support)
+    assert sup.dtype == np.int64
+    assert np.all(np.diff(sup, axis=1) > 0)
+    assert sup.min() >= 0 and sup.max() < coords
+
+
+@pytest.mark.parametrize("coords,support,rows", SUBSET_CASES)
+def test_sample_supports_repeat_per_seed(coords, support, rows):
+    space = mk(coords, 8)
+    cls = PairClass(3, support)
+    a = sample_pairs_sparse(space, cls, rows, np.random.default_rng(9))
+    b = sample_pairs_sparse(space, cls, rows, np.random.default_rng(9))
+    for field in ("supports", "x_vals", "y_vals"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+@pytest.mark.parametrize("coords,support,rows", SUBSET_CASES)
+def test_sample_supports_uniform_chi_square(coords, support, rows):
+    subsets = list(itertools.combinations(range(coords), support))
+    index = {sub: i for i, sub in enumerate(subsets)}
+    total = 200 * len(subsets)
+    sup = draw_supports(coords, support, rows, total, 17)
+    observed = np.bincount([index[tuple(r)] for r in sup.tolist()],
+                           minlength=len(subsets))
+    assert observed.sum() == total
+    if len(subsets) == 1:
+        return
+    expected = total / len(subsets)
+    chi2 = float(((observed - expected) ** 2).sum() / expected)
+    # Wilson-Hilferty upper 0.1% point of chi-square with df degrees
+    df = len(subsets) - 1
+    h = 2.0 / (9.0 * df)
+    assert chi2 < df * (1.0 - h + 3.09 * math.sqrt(h)) ** 3
+
+
+def test_chain_report_frozen_at_seed():
+    # recorded before supports were drawn for all rows at once; built-in
+    # maps send a whole class to one distance, so the report cannot move
+    space = ProductCycleSpace(8, CycleSpace(32, Fraction(1)))
+    rep = verify_chain_inequality(CircleEmbeddingMap(space),
+                                  SimplexClass(1, 4, 2), 2, 2.0,
+                                  mode="mc", samples=3000, seed=11)
+    assert rep.to_dict() == {
+        "start_delta": 1, "start_support": 4, "families": 2, "levels": 2,
+        "p": 2.0,
+        "averages": [
+            {"delta": 1, "support": 8, "p": 2.0, "mean": 7.974330912359689,
+             "count": 3000, "mode": "mc", "stderr": 0.0, "seed": 1441},
+            {"delta": 2, "support": 4, "p": 2.0, "mean": 15.79543729226653,
+             "count": 3000, "mode": "mc", "stderr": 0.0, "seed": 1442},
+            {"delta": 4, "support": 2, "p": 2.0, "mean": 30.388518513657065,
+             "count": 3000, "mode": "mc", "stderr": 1.4388522578688849e-08,
+             "seed": 1443},
+        ],
+        "steps": [
+            {"delta": 1, "support": 4, "margin": 0.07661226622642392,
+             "stderr": 0.0, "holds": True, "assumed_roundness": False},
+            {"delta": 2, "support": 2, "margin": 0.6011780354379983,
+             "stderr": 7.194261289344424e-09, "holds": True,
+             "assumed_roundness": False},
+        ],
+        "factor_total": 0.25,
+        "cumulative_margin": 0.37720128394542307,
+        "cumulative_stderr": 3.597130644672212e-09,
+        "cumulative_holds": True,
+    }
 
 
 # ---------------------------------------------------------------------------
