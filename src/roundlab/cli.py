@@ -271,11 +271,13 @@ def _cmd_obstruct_step(args) -> int:
     space = _resolve_space(args)
     scls = _resolve_simplex_class(args)
     emap = resolve_builtin_map(args.map, space)
+    start = time.perf_counter()
     rep = verify_step_inequality(
         emap, scls, args.p, mode=args.mode, budget=args.budget,
         samples=args.samples, seed=args.seed, workers=args.workers)
+    wall = time.perf_counter() - start
     _print_report(args, "obstruct step", vars_params(args), rep.to_dict(),
-                  {"seed": args.seed})
+                  {"seed": args.seed}, wall)
     return 0 if rep.holds else 2
 
 
@@ -283,12 +285,14 @@ def _cmd_obstruct_chain(args) -> int:
     space = _resolve_space(args)
     scls = _resolve_simplex_class(args)
     emap = resolve_builtin_map(args.map, space)
+    start = time.perf_counter()
     rep = verify_chain_inequality(
         emap, scls, args.levels, args.p, mode=args.mode, budget=args.budget,
         samples=args.samples, seed=args.seed, workers=args.workers)
+    wall = time.perf_counter() - start
     ok = rep.cumulative_holds and all(s["holds"] for s in rep.steps)
     _print_report(args, "obstruct chain", vars_params(args), rep.to_dict(),
-                  {"seed": args.seed})
+                  {"seed": args.seed}, wall)
     return 0 if ok else 2
 
 

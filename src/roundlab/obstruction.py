@@ -51,13 +51,28 @@ def euler_factors(ns) -> np.ndarray:
 
 
 class _CycleMapBase:
-    """Shared per-coordinate plumbing for maps out of a product of cycles."""
+    """Shared per-coordinate plumbing for maps out of a product of cycles.
+
+    Subclass images read only the per-coordinate cyclic differences, which
+    are exactly delta on every pair of a (delta, support) class."""
 
     space: ProductCycleSpace
 
     def _cyc_quanta(self, batch: SparsePairBatch) -> np.ndarray:
         diff = np.abs(batch.x_vals - batch.y_vals)
         return np.minimum(diff, self.space.units - diff)
+
+    def class_distance(self, cls: PairClass) -> float:
+        """The image distance shared by every pair of `cls`, computed by
+        `image_distance_batch` on one canonical row (zero point, late
+        support), so it equals each row of a sampled batch bit for bit."""
+        cls.validate_for(self.space)
+        c, s = self.space.coords, cls.support
+        row = SparsePairBatch(self.space, cls,
+                              np.arange(c - s, c, dtype=np.int64)[None, :],
+                              np.zeros((1, s), dtype=np.int64),
+                              np.full((1, s), cls.delta, dtype=np.int64))
+        return float(self.image_distance_batch(row)[0])
 
 
 @dataclass(frozen=True)
@@ -190,24 +205,42 @@ def _slice_counts(total: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(MC_SLICES)]
 
 
-def _mc_slice_values(emap, cls: PairClass, k: int, seed: int, idx: int):
+def _mc_slice_values(emap, cls: PairClass, k: int, seed: int, idx: int,
+                     dist: Optional[float]):
     """Image distances of slice `idx` of a seeded sample, one array per
-    chunk of at most a million entries; k rows in all."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(MC_SLICES)[idx])
+    chunk of at most a million entries; k rows in all. A known class
+    distance `dist` fills the same chunks without drawing any pair."""
     rows_per_chunk = max(1, 1_000_000 // cls.support)
-    done = 0
-    while done < k:
-        m = min(rows_per_chunk, k - done)
+    sizes = [min(rows_per_chunk, k - done)
+             for done in range(0, k, rows_per_chunk)]
+    if dist is not None:
+        for m in sizes:
+            yield np.full(m, dist)
+        return
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(MC_SLICES)[idx])
+    for m in sizes:
         yield emap.image_distance_batch(
             sample_pairs_sparse(emap.space, cls, m, rng))
-        done += m
+
+
+def _mc_slices(fn, emap, cls: PairClass, samples: int, seed: int,
+               workers: int, *extra) -> list:
+    """`fn` over the 16 seeded slices of a capped class sample, each given
+    (emap, cls, rows, seed, slice index, class distance, *extra). The class
+    distance is the map's `class_distance` when it declares one, else
+    None; a known distance costs microseconds, so no pool starts for it."""
+    declared = getattr(emap, "class_distance", None)
+    dist = None if declared is None else declared(cls)
+    rows = _slice_counts(_capped_samples(samples, cls.support))
+    args = [(emap, cls, k, seed, i, dist, *extra) for i, k in enumerate(rows)]
+    return run_partitions(fn, args, workers if dist is None else 1)
 
 
 def _mc_slice_stats(args) -> tuple[float, float, int]:
-    emap, cls, p, k, seed, idx = args
+    emap, cls, k, seed, idx, dist, p = args
     total = 0.0
     total_sq = 0.0
-    for vals in _mc_slice_values(emap, cls, k, seed, idx):
+    for vals in _mc_slice_values(emap, cls, k, seed, idx, dist):
         if p != 1.0:
             vals = vals ** p if p != 0.0 else (vals > 0).astype(np.float64)
         total += float(vals.sum())
@@ -216,9 +249,9 @@ def _mc_slice_stats(args) -> tuple[float, float, int]:
 
 
 def _mc_slice_extremes(args) -> tuple[float, float, int]:
-    emap, cls, k, seed, idx = args
+    emap, cls, k, seed, idx, dist = args
     lo, hi = math.inf, -math.inf
-    for vals in _mc_slice_values(emap, cls, k, seed, idx):
+    for vals in _mc_slice_values(emap, cls, k, seed, idx, dist):
         lo = min(lo, float(vals.min()))
         hi = max(hi, float(vals.max()))
     return (lo, hi, k)
@@ -233,6 +266,9 @@ def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
     samples in 16 fixed seeded slices so the result is identical for any
     worker count. Oversized supports shrink the sample count to keep the
     materialized entries bounded; the count field reports what was used.
+    A map that declares `class_distance` (every built-in map) has one image
+    distance per class: mc mode then reads that constant in process and
+    draws no pairs, and returns exactly what drawing would.
     """
     space = emap.space
     cls.validate_for(space)
@@ -248,10 +284,7 @@ def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
         return LevelAverage(cls, p, acc / total, total, "exact")
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
-    used = _capped_samples(samples, cls.support)
-    args = [(emap, cls, p, k, seed, i)
-            for i, k in enumerate(_slice_counts(used))]
-    parts = run_partitions(_mc_slice_stats, args, workers)
+    parts = _mc_slices(_mc_slice_stats, emap, cls, samples, seed, workers, p)
     n = sum(k for _, _, k in parts)
     total = math.fsum(s for s, _, _ in parts)
     total_sq = math.fsum(q for _, q, _ in parts)
@@ -263,13 +296,11 @@ def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
 
 def class_extremes(emap, cls: PairClass, samples: int = 100_000,
                    seed: int = 0, workers: int = 1) -> tuple[float, float, int]:
-    """(inf, sup, samples_used) of image distances over a sampled class."""
+    """(inf, sup, samples_used) of image distances over a sampled class;
+    a declared `class_distance` replaces the draws, as in `level_average`."""
     space = emap.space
     cls.validate_for(space)
-    used = _capped_samples(samples, cls.support)
-    args = [(emap, cls, k, seed, i)
-            for i, k in enumerate(_slice_counts(used))]
-    parts = run_partitions(_mc_slice_extremes, args, workers)
+    parts = _mc_slices(_mc_slice_extremes, emap, cls, samples, seed, workers)
     lo = min(p[0] for p in parts)
     hi = max(p[1] for p in parts)
     return lo, hi, sum(p[2] for p in parts)

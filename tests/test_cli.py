@@ -1,5 +1,6 @@
 """End-to-end command line runs: exit codes, report bodies, determinism."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -198,6 +199,29 @@ def test_obstruct_chain_exit_codes(capsys):
     assert doc["results"]["cumulative_holds"] is True
     code2, doc2, _ = run(base + ["--map", "builtin:identity"], capsys)
     assert code2 == 2
+
+
+@pytest.mark.parametrize("argv, results_sha256", [
+    (["obstruct", "chain", "--coords", "8", "--units", "32", "--delta", "1",
+      "--support", "4", "--size", "2", "--levels", "2", "--p", "2",
+      "--mode", "mc", "--samples", "2000", "--seed", "3"],
+     "08fdece6aa5fd8320d3f333061bf400070f777c09becee73737bb45874962adb"),
+    (["obstruct", "step", "--coords", "4", "--units", "8", "--delta", "1",
+      "--support", "2", "--size", "2", "--p", "2", "--mode", "mc",
+      "--samples", "2000", "--seed", "5"],
+     "33728d3dee7f88e4fca5e9d9333ef8dcea124680b137b808e6fc0373eecf17fb"),
+], ids=["chain", "step"])
+def test_obstruct_chain_step_wall_time_outside_body(argv, results_sha256,
+                                                    capsys):
+    code, doc, _ = run(argv + ["--map", "builtin:circle"], capsys)
+    assert code == 0
+    assert doc["wall_time_s"] >= 0
+    assert set(doc) == {"schema", "command", "params", "results",
+                        "provenance", "wall_time_s"}
+    # results digests recorded when these commands printed no wall time
+    # and Monte Carlo mode still drew pairs for built-in maps
+    text = json.dumps(doc["results"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == results_sha256
 
 
 # ---------------------------------------------------------------------------

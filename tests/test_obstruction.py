@@ -1,13 +1,17 @@
 """Averaged comparison steps, chains, and the two obstruction reports."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from roundlab import obstruction, parallel
 from roundlab.cyclic import (BudgetExceeded, CycleSpace, PairClass,
-                             ProductCycleSpace, SimplexClass)
+                             ProductCycleSpace, SimplexClass,
+                             sample_pairs_sparse, stage_pair_class,
+                             stage_space)
 from roundlab.metric import empirical_moduli
 from roundlab.obstruction import (ENTRY_CAP, MC_SLICES, CircleEmbeddingMap,
                                   ConstantMap, IdentityMap, SnowflakeMap,
@@ -127,6 +131,100 @@ def test_class_extremes_constant_class():
     lo, hi, used = class_extremes(emap, PairClass(1, 4), samples=2000, seed=1)
     assert lo == pytest.approx(hi)
     assert used == 2000
+
+
+def builtin_maps(space):
+    return [IdentityMap(space), CircleEmbeddingMap(space),
+            SnowflakeMap(space, 0.5), SnowflakeMap(space, 1 / 3),
+            ConstantMap(space)]
+
+
+@pytest.mark.parametrize("space, cls, rows", [
+    (small_space(), PairClass(1, 2), 500),            # two orientations
+    (small_space(), PairClass(3, 3), 500),
+    (small_space(), PairClass(4, 2), 500),            # antipodal: 2*delta == units
+    (small_space(), PairClass(1, 4), 500),            # support == coords
+    (small_space(), PairClass(4, 4), 500),
+    (ProductCycleSpace(300, CycleSpace(6, Fraction(1, 3))),
+     PairClass(2, 129), 300),
+    (stage_space(6), stage_pair_class(6, -4, 5), 128),  # uniform fine, n=4
+], ids=["c4-d1-s2", "c4-d3-s3", "antipodal", "full-support",
+        "antipodal-full", "c300-s129", "uniform-fine-n4"])
+def test_class_distance_equals_every_sampled_row(space, cls, rows):
+    batch = sample_pairs_sparse(space, cls, rows, np.random.default_rng(7))
+    for emap in builtin_maps(space):
+        dist = emap.class_distance(cls)
+        vals = emap.image_distance_batch(batch)
+        assert type(dist) is float
+        assert vals.shape == (rows,)
+        assert np.all(vals == dist), type(emap).__name__
+
+
+@dataclass(frozen=True)
+class SampledMap:
+    """Delegates image distances to `inner` but declares no
+    `class_distance`, so averages through it draw pairs. A nonzero `skew`
+    adds the first sampled x-value times skew, which varies inside a
+    class."""
+
+    inner: object
+    skew: float = 0.0
+
+    @property
+    def space(self):
+        return self.inner.space
+
+    def image_distance_batch(self, batch):
+        vals = self.inner.image_distance_batch(batch)
+        return vals + self.skew * batch.x_vals[:, 0] if self.skew else vals
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sampled_path_matches_declared_class_distance(workers):
+    space = small_space()
+    for emap in builtin_maps(space):
+        sampled = SampledMap(emap)
+        for cls in (PairClass(1, 3), PairClass(4, 2)):
+            for p in (0.0, 0.5, 1.0, 2.0):
+                assert level_average(sampled, cls, p, mode="mc", samples=3000,
+                                     seed=9, workers=workers) == \
+                    level_average(emap, cls, p, mode="mc", samples=3000,
+                                  seed=9, workers=workers)
+            assert class_extremes(sampled, cls, samples=3000, seed=9,
+                                  workers=workers) == \
+                class_extremes(emap, cls, samples=3000, seed=9,
+                               workers=workers)
+
+
+def test_declared_class_distance_draws_nothing_and_starts_no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no pair draw or pool expected")
+
+    monkeypatch.setattr(obstruction, "sample_pairs_sparse", refuse)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
+    emap = CircleEmbeddingMap(small_space())
+    avg = level_average(emap, PairClass(1, 3), 2.0, mode="mc", samples=4000,
+                        seed=9, workers=2)
+    assert avg.count == 4000
+    assert class_extremes(emap, PairClass(1, 3), samples=4000, seed=9,
+                          workers=2)[2] == 4000
+    with pytest.raises(AssertionError):
+        level_average(SampledMap(emap), PairClass(1, 3), 2.0, mode="mc",
+                      samples=4000, seed=9, workers=1)
+
+
+def test_sampled_path_worker_independent():
+    emap = SampledMap(IdentityMap(small_space()), skew=0.25)
+    cls = PairClass(1, 3)
+    a = level_average(emap, cls, 1.0, mode="mc", samples=4000, seed=9, workers=1)
+    b = level_average(emap, cls, 1.0, mode="mc", samples=4000, seed=9, workers=3)
+    assert a == b
+    assert a.stderr > 1e-3  # the skew really varies inside the class
+    lo, hi, used = class_extremes(emap, cls, samples=4000, seed=9, workers=1)
+    assert (lo, hi, used) == class_extremes(emap, cls, samples=4000, seed=9,
+                                            workers=3)
+    assert lo < hi
+    assert used == 4000
 
 
 # ---------------------------------------------------------------------------
