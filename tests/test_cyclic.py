@@ -353,7 +353,7 @@ def test_completion_counts_pair_independent():
 
 
 def test_incidences_r4_general():
-    # exercises the general recursive counter, not the compiled r=2 path
+    # exercises the general recursive counter, not the r=2 kernels
     space = mk(8, 8)
     inc = count_incidences(space, SimplexClass(1, 2, 4), budget=None)
     r = 4

@@ -1,124 +1,57 @@
-"""Backend parity: the compiled kernels must agree with the pure ones."""
+"""The hot-loop kernels: census, class partners, r=2 counts, gap scan."""
 
-import random
+import itertools
 
 import pytest
 
-from roundlab import _pykernels as pk
-
-ck = pytest.importorskip("roundlab._ckernels")
-
-BACKENDS = (pk, ck)
-
-
-def test_backend_tags():
-    assert pk.BACKEND == "pure"
-    assert ck.BACKEND == "compiled"
-
-
-@pytest.mark.parametrize("coords,units", [(2, 4), (3, 6), (4, 8), (2, 12), (1, 2)])
-def test_pair_census_parity(coords, units):
-    counts_p, un_p = pk.pair_census(coords, units)
-    counts_c, un_c = ck.pair_census(coords, units)
-    assert counts_p == counts_c
-    assert un_p == un_c
-    for v in counts_c.values():
-        assert type(v) is int
-    assert type(un_c) is int
+from roundlab import kernels
 
 
 def test_pair_census_conservation():
     # classified pairs + unclassified pairs = all unordered pairs
     coords, units = 4, 8
-    counts, unclassified = ck.pair_census(coords, units)
+    counts, unclassified = kernels.pair_census(coords, units)
     total = units ** coords
     assert sum(counts.values()) + unclassified == total * (total - 1) // 2
+    for v in counts.values():
+        assert type(v) is int
+    assert type(unclassified) is int
 
 
 @pytest.mark.parametrize("delta,support", [(1, 2), (4, 3), (2, 1), (3, 4)])
-def test_class_partners_parity(delta, support):
+def test_class_partners_deterministic(delta, support):
     pt = (1, 2, 3, 0)
-    assert (pk.class_partners(4, 8, delta, support, pt)
-            == ck.class_partners(4, 8, delta, support, pt))
+    first = kernels.class_partners(4, 8, delta, support, pt)
+    assert kernels.class_partners(4, 8, delta, support, pt) == first
+    # exactly the points that form a class pair with pt, each once
+    assert len(set(first)) == len(first)
+    brute = {y for y in itertools.product(range(8), repeat=4)
+             if kernels.is_class_pair(4, 8, delta, support, pt, y)}
+    assert set(first) == brute
 
 
-def test_is_class_pair_parity():
-    rng = random.Random(11)
-    for _ in range(500):
-        x = tuple(rng.randrange(8) for _ in range(4))
-        y = tuple(rng.randrange(8) for _ in range(4))
-        for delta, support in [(1, 2), (2, 2), (4, 1), (3, 4)]:
-            assert (pk.is_class_pair(4, 8, delta, support, x, y)
-                    == ck.is_class_pair(4, 8, delta, support, x, y))
-
-
-@pytest.mark.parametrize("role", [True, False])
-def test_completion_count_parity(role):
-    zero = (0, 0, 0, 0)
-    cls_delta, cls_support = (2, 2) if role else (2, 2)
-    anchor_delta = 2 * 1 if role else 2 * 1
-    # role True anchors an edge-class pair, False a connecting-class pair
-    if role:
-        partners = pk.class_partners(4, 8, 2, 2, zero)
-    else:
-        partners = pk.class_partners(4, 8, 1, 4, zero)
-    for other in partners[:6]:
-        assert (pk.completion_count_r2(4, 8, 1, 2, zero, other, role)
-                == ck.completion_count_r2(4, 8, 1, 2, zero, other, role))
-
-
-def test_simplex_count_parity_and_value():
-    a = pk.simplex_count_r2(4, 8, 1, 2)
-    b = ck.simplex_count_r2(4, 8, 1, 2)
-    assert a == b == 49152
-    assert type(b) is int
-
-
-def _random_dp(n, seed, integral):
-    rng = random.Random(seed)
-    dp = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = float(rng.randrange(1, 30)) if integral else rng.random() * 4 + 0.5
-            dp[i][j] = dp[j][i] = v
-    return dp
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_min_gap_scan_parity_integral(seed):
-    # integer-valued dp: sums are exact, results must match bitwise
-    dp = _random_dp(7, seed, integral=True)
-    assert pk.min_gap_scan(dp, 4, 1e-12) == ck.min_gap_scan(dp, 4, 1e-12)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_min_gap_scan_parity_float(seed):
-    dp = _random_dp(6, 100 + seed, integral=False)
-    wp, gp, sp = pk.min_gap_scan(dp, 3, 1e-12)
-    wc, gc, sc = ck.min_gap_scan(dp, 3, 1e-12)
-    assert wp == wc
-    assert sp == sc
-    assert gp == pytest.approx(gc, abs=1e-13)
+def test_simplex_count_value():
+    n = kernels.simplex_count_r2(4, 8, 1, 2)
+    assert n == 49152
+    assert type(n) is int
 
 
 def test_min_gap_scan_no_violation():
     # the 4-cycle at p=1 has gap exactly 0 on the diagonal configuration
     d = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
     dp = [[float(v) for v in row] for row in d]
-    for impl in BACKENDS:
-        witness, min_gap, scanned = impl.min_gap_scan(dp, 3, 1e-12)
-        assert witness is None
-        assert min_gap == 0.0
-        assert scanned == 55 + 210  # cwr(4,2) and cwr(4,3) family pairs
+    witness, min_gap, scanned = kernels.min_gap_scan(dp, 3, 1e-12)
+    assert witness is None
+    assert min_gap == 0.0
+    assert scanned == 55 + 210  # cwr(4,2) and cwr(4,3) family pairs
 
 
 def test_min_gap_scan_finds_first_violation():
-    # squared 4-cycle distances violate at p=1; both backends agree on the
-    # first witness in canonical order and stop at the same scan count
+    # squared 4-cycle distances violate at p=1; the scan stops at the first
+    # witness in canonical order
     d = [[0, 1, 4, 1], [1, 0, 1, 4], [4, 1, 0, 1], [1, 4, 1, 0]]
     dp = [[float(v) for v in row] for row in d]
-    results = {impl.BACKEND: impl.min_gap_scan(dp, 2, 1e-12) for impl in BACKENDS}
-    assert results["pure"] == results["compiled"]
-    witness, min_gap, scanned = results["pure"]
+    witness, min_gap, scanned = kernels.min_gap_scan(dp, 2, 1e-12)
     assert witness == ((0, 2), (1, 3))
     assert min_gap == 4.0 * 1.0 - (4.0 + 4.0)
+    assert scanned == 10 + 9 + 5  # stops at families 2 and 6 of cwr(4,2)
