@@ -19,12 +19,11 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .cyclic import DoubleSimplex
-from .parallel import run_partitions
+from .parallel import run_partitions, slice_counts, slice_rng
 
 GroupVector = tuple[int, ...]
 
 ENUM_LIMIT = 300_000
-MC_SLICES = 16
 
 
 class CutoffExceeded(Exception):
@@ -343,7 +342,7 @@ def _mstar_slice(args):
     n, variant, k, seed, idx = args
     if k == 0:
         return (0, 0, [], 0)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(MC_SLICES)[idx])
+    rng = slice_rng(seed, idx)
     coords = n ** n
     period = n ** n
     u = rng.integers(1, period + 1, size=(k, coords), dtype=np.int64)
@@ -375,9 +374,8 @@ def verify_mstar_isometry(n: int, mode: str = "exhaustive",
         return MStarReport(n, variant, mode, len(iu), count, mism, maxw)
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    base, extra = divmod(budget, MC_SLICES)
-    args = [(n, variant, base + (1 if i < extra else 0), seed, i)
-            for i in range(MC_SLICES)]
+    args = [(n, variant, k, seed, i)
+            for i, k in enumerate(slice_counts(budget))]
     parts = run_partitions(_mstar_slice, args, workers)
     pairs = sum(p[0] for p in parts)
     count = sum(p[1] for p in parts)

@@ -22,9 +22,8 @@ from .cyclic import (BudgetExceeded, PairClass, ProductCycleSpace,
                      sample_pairs_sparse)
 from .metric import ModulusEnvelope
 from .numerics import DEFAULT_CONTEXT, NumericContext
-from .parallel import run_partitions
+from .parallel import MC_SLICES, run_partitions, slice_counts, slice_rng
 
-MC_SLICES = 16
 ENTRY_CAP = 64_000_000
 
 
@@ -200,11 +199,6 @@ def _capped_samples(samples: int, support: int) -> int:
     return max(MC_SLICES, min(samples, max(1, ENTRY_CAP // support)))
 
 
-def _slice_counts(total: int) -> list[int]:
-    base, extra = divmod(total, MC_SLICES)
-    return [base + (1 if i < extra else 0) for i in range(MC_SLICES)]
-
-
 def _mc_slice_values(emap, cls: PairClass, k: int, seed: int, idx: int,
                      dist: Optional[float]):
     """Image distances of slice `idx` of a seeded sample, one array per
@@ -217,7 +211,7 @@ def _mc_slice_values(emap, cls: PairClass, k: int, seed: int, idx: int,
         for m in sizes:
             yield np.full(m, dist)
         return
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(MC_SLICES)[idx])
+    rng = slice_rng(seed, idx)
     for m in sizes:
         yield emap.image_distance_batch(
             sample_pairs_sparse(emap.space, cls, m, rng))
@@ -231,7 +225,7 @@ def _mc_slices(fn, emap, cls: PairClass, samples: int, seed: int,
     None; a known distance costs microseconds, so no pool starts for it."""
     declared = getattr(emap, "class_distance", None)
     dist = None if declared is None else declared(cls)
-    rows = _slice_counts(_capped_samples(samples, cls.support))
+    rows = slice_counts(_capped_samples(samples, cls.support))
     args = [(emap, cls, k, seed, i, dist, *extra) for i, k in enumerate(rows)]
     return run_partitions(fn, args, workers if dist is None else 1)
 

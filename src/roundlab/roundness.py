@@ -330,9 +330,13 @@ def estimate_roundness(space, max_size: int = 3,
     Exhaustive probes certify both bracket ends; search probes certify only
     the upper end (a failed search is not a proof), which the `certified`
     flag records. Witnesses found at higher exponents warm-start lower ones.
+    The tolerance and p_cap must be finite and positive.
     """
     if mode not in ("exhaustive", "search"):
         raise ValueError("mode must be 'exhaustive' or 'search'")
+    for name, value in (("p_tolerance", p_tolerance), ("p_cap", p_cap)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     probes: list = []
     flags: list = []
 
@@ -367,6 +371,10 @@ def estimate_roundness(space, max_size: int = 3,
         est.upper, est.witness, est.witness_p = p_cap, wit, p_cap
         while est.upper - est.lower > p_tolerance:
             mid = (est.lower + est.upper) / 2
+            if not est.lower < mid < est.upper:
+                # adjacent floats: the bracket cannot narrow any further
+                flags.append("tolerance below float resolution")
+                break
             w = probe(mid, est.witness)
             if w is not None:
                 est.upper, est.witness, est.witness_p = mid, w, mid

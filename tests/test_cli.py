@@ -74,6 +74,17 @@ def test_gr_estimate_cycle(c4_csv, capsys):
     assert "wall_time_s" in doc
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--tol", "0"), ("--tol", "nan"), ("--p-cap", "inf"), ("--p-cap", "-1"),
+])
+def test_gr_estimate_rejects_bad_tol_and_cap(c4_csv, capsys, flag, value):
+    code, doc, err = run(["gr", "estimate", "--input", c4_csv, flag, value],
+                         capsys)
+    assert code == 1
+    assert doc is None
+    assert err.startswith("error: ") and "finite and positive" in err
+
+
 def test_gr_estimate_deterministic(c4_csv, capsys):
     main(["gr", "estimate", "--input", c4_csv, "--search", "--seed", "5"])
     first = capsys.readouterr().out

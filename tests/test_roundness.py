@@ -159,3 +159,22 @@ def test_estimate_search_mode_on_product_space():
 def test_estimate_rejects_bad_mode():
     with pytest.raises(ValueError):
         estimate_roundness(C4, mode="annealing")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"p_tolerance": 0.0}, {"p_tolerance": -1e-3}, {"p_tolerance": math.nan},
+    {"p_tolerance": math.inf}, {"p_cap": math.inf}, {"p_cap": -1.0},
+    {"p_cap": 0.0}, {"p_cap": math.nan},
+])
+def test_estimate_rejects_bad_tolerance_and_cap(kwargs):
+    # a zero tolerance would bisect forever; an infinite cap would report
+    # lower=inf as certified, a negative one lower=-1
+    with pytest.raises(ValueError, match="finite and positive"):
+        estimate_roundness(C4, max_size=2, **kwargs)
+
+
+def test_estimate_tolerance_below_float_resolution_stops():
+    est = estimate_roundness(C4, max_size=2, p_tolerance=1e-300)
+    assert "tolerance below float resolution" in est.flags
+    assert est.certified
+    assert est.lower < est.upper == math.nextafter(est.lower, math.inf)
