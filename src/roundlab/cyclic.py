@@ -573,30 +573,26 @@ class IncidenceCounts:
 
 
 def completion_counts(space: ProductCycleSpace, scls: SimplexClass,
-                      pair: tuple, role_edge: bool,
-                      budget: int | None = None) -> int:
+                      pair: tuple, role_edge: bool) -> int:
     """Simplices containing `pair` as a within-family edge (role_edge) or as
     a connecting line. The count is pair-independent within a class."""
     cls = scls.edge_class() if role_edge else scls.conn_class()
     a, b = pair
     if not is_pair(space, a, b, cls):
         raise ValueError("anchored pair is not in the required class")
-    if scls.families == 2:
-        return kernels.completion_count_r2(
-            space.coords, space.units, scls.delta, scls.support,
-            tuple(a), tuple(b), role_edge)
-    return _completion_count_general(space, scls, tuple(a), tuple(b), role_edge, budget)
+    return kernels.completion_count(space.coords, space.units, scls.delta,
+                                    scls.support, scls.families,
+                                    tuple(a), tuple(b), role_edge)
 
 
 def count_incidences(space: ProductCycleSpace, scls: SimplexClass,
                      budget: int | None = 10 ** 8) -> IncidenceCounts:
-    """Exhaustive incidence census for a simplex class.
+    """Exact incidence census for a simplex class.
 
     S counts class simplices with the family swap identified; K and L anchor
-    the lexicographically smallest class pairs. Counting uses translation
-    invariance: the number of family pairs whose first family contains a
-    given point is position-independent, so one anchored enumeration scales
-    to the whole space exactly.
+    the lexicographically smallest class pairs. All three come from the
+    coordinate-column DP; K and L are counted with their own anchors, not
+    derived from S, so the double-counting identities stay checks.
     """
     scls.validate_for(space)
     edge, conn = scls.edge_class(), scls.conn_class()
@@ -608,86 +604,9 @@ def count_incidences(space: ProductCycleSpace, scls: SimplexClass,
     if budget is not None and est ** (r // 2) > budget:
         raise BudgetExceeded(
             f"estimated {est ** (r // 2)} expansions, budget {budget}", required=est)
-    if r == 2:
-        s_count = kernels.simplex_count_r2(space.coords, space.units,
-                                           scls.delta, scls.support)
-    else:
-        s_count = _simplex_count_general(space, scls)
+    s_count = kernels.simplex_count(space.coords, space.units,
+                                    scls.delta, scls.support, r)
     k_count = completion_counts(space, scls, canonical_class_pair(space, edge), True)
     l_count = completion_counts(space, scls, canonical_class_pair(space, conn), False)
     return IncidenceCounts(scls.delta, scls.support, r,
                            n_edge, n_conn, k_count, l_count, s_count)
-
-
-def _partners(space: ProductCycleSpace, cls: PairClass, point: CyclePoint) -> list[CyclePoint]:
-    return kernels.class_partners(space.coords, space.units, cls.delta,
-                                  cls.support, point)
-
-
-def _mutual(space: ProductCycleSpace, cls: PairClass, cands: list[CyclePoint],
-            fixed: CyclePoint) -> list[CyclePoint]:
-    return [p for p in cands if is_pair(space, p, fixed, cls)]
-
-
-def _extend_family(space: ProductCycleSpace, cls: PairClass, members: list[CyclePoint],
-                   cands: list[CyclePoint], need: int) -> Iterator[tuple[CyclePoint, ...]]:
-    """Ascending completions of `members` by `need` candidates.
-
-    Invariant: every candidate is already class-related to every member, so
-    each recursion only refilters against the newly chosen point.
-    """
-    if need == 0:
-        yield tuple(members)
-        return
-    for i, p in enumerate(cands):
-        yield from _extend_family(space, cls, members + [p],
-                                  [q for q in cands[i + 1:] if is_pair(space, q, p, cls)],
-                                  need - 1)
-
-
-def _y_families(space: ProductCycleSpace, scls: SimplexClass,
-                xs: tuple[CyclePoint, ...]) -> Iterator[tuple[CyclePoint, ...]]:
-    edge, conn = scls.edge_class(), scls.conn_class()
-    cands = _partners(space, conn, xs[0])
-    for x in xs[1:]:
-        cands = _mutual(space, conn, cands, x)
-    cands.sort()
-    yield from _extend_family(space, edge, [], cands, scls.families)
-
-
-def _simplex_count_general(space: ProductCycleSpace, scls: SimplexClass) -> int:
-    """Anchored-at-origin simplex count for any family size."""
-    edge = scls.edge_class()
-    zero = (0,) * space.coords
-    anchored = 0
-    ecands = sorted(_partners(space, edge, zero))
-    for xs in _extend_family(space, edge, [zero], ecands, scls.families - 1):
-        for _ys in _y_families(space, scls, xs):
-            anchored += 1
-    total = anchored * space.size
-    if total % (2 * scls.families) != 0:
-        raise ArithmeticError("anchored simplex total not divisible by 2r")
-    return total // (2 * scls.families)
-
-
-def _completion_count_general(space: ProductCycleSpace, scls: SimplexClass,
-                              a: CyclePoint, b: CyclePoint, role_edge: bool,
-                              budget: int | None) -> int:
-    edge, conn = scls.edge_class(), scls.conn_class()
-    count = 0
-    if role_edge:
-        ecands = sorted(p for p in _partners(space, edge, a)
-                        if is_pair(space, p, b, edge))
-        base = sorted([a, b])
-        for xs in _extend_family(space, edge, base, ecands, scls.families - 2):
-            for _ys in _y_families(space, scls, xs):
-                count += 1
-        return count
-    ecands_a = sorted(p for p in _partners(space, edge, a)
-                      if is_pair(space, p, b, conn))
-    for xs in _extend_family(space, edge, [a], ecands_a, scls.families - 1):
-        ycands = sorted(p for p in _partners(space, edge, b)
-                        if all(is_pair(space, p, x, conn) for x in xs))
-        for _ys in _extend_family(space, edge, [b], ycands, scls.families - 1):
-            count += 1
-    return count

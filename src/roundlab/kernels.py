@@ -1,9 +1,14 @@
 """Computational kernels, Python and numpy.
 
 Points are tuples of residues, classes are (delta, support) in quanta. These
-are the hot loops: the full-space difference census, the r=2 simplex
+are the hot loops: the full-space difference census, the simplex and
 completion counts, and the exhaustive roundness gap scan. BACKEND names the
 implementation in report provenance.
+
+Simplex and completion counts, for every family size r, are one exact
+integer DP over coordinate columns: class membership is decided coordinate
+by coordinate, so a 2r-point configuration is a sequence of columns, each
+mattering only through which of its point pairs differ.
 
 The gap scan is vectorised with numpy but keeps the summation order of a
 scalar loop, so every gap, and with it every violation decision, is
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -94,52 +100,116 @@ def is_class_pair(coords: int, units: int, delta: int, support: int, x, y) -> bo
     return s == support
 
 
-def completion_count_r2(coords: int, units: int, delta: int, support: int,
-                        a, b, role_edge: bool) -> int:
-    """Completions of an anchored pair into an r=2 class double simplex.
+def _columns(units: int, checks, partner: int | None, offset: int):
+    """Admissible columns as (packed increment, count): point 0 at 0, point
+    `partner` (if any) at `offset`, every other value drawn from point 0's
+    offsets {0, +-d}, so the cost does not depend on `units`. checks[k]
+    lists (earlier point, field increment, allowed distance) for point k."""
+    n = len(checks)
+    table: dict[int, int] = {}
+    vals = [0] * n
 
-    role_edge: the pair is one whole family (count the partner families);
-    otherwise it straddles the families (count the two missing points).
-    Edge class is (2*delta, support), connecting class (delta, 2*support).
-    """
-    e_delta, e_sup = 2 * delta, support
-    c_delta, c_sup = delta, 2 * support
-    if role_edge:
-        cands = [y for y in class_partners(coords, units, c_delta, c_sup, a)
-                 if is_class_pair(coords, units, c_delta, c_sup, b, y)]
-        n = 0
-        for i, y1 in enumerate(cands):
-            for y2 in cands[i + 1:]:
-                if is_class_pair(coords, units, e_delta, e_sup, y1, y2):
-                    n += 1
-        return n
-    x2s = [x2 for x2 in class_partners(coords, units, e_delta, e_sup, a)
-           if is_class_pair(coords, units, c_delta, c_sup, x2, b)]
-    y2s = [y2 for y2 in class_partners(coords, units, e_delta, e_sup, b)
-           if is_class_pair(coords, units, c_delta, c_sup, y2, a)]
-    n = 0
-    for x2 in x2s:
-        for y2 in y2s:
-            if is_class_pair(coords, units, c_delta, c_sup, x2, y2):
-                n += 1
-    return n
+    def extend(k: int, inc: int) -> None:
+        if k == n:
+            table[inc] = table.get(inc, 0) + 1
+            return
+        d = checks[k][0][2]
+        for v in ({offset % units} if k == partner else {0, d, units - d}):
+            m = inc
+            for i, bit, dist in checks[k]:
+                diff = (v - vals[i]) % units
+                if diff == 0:
+                    continue
+                if diff != dist and diff != units - dist:
+                    break
+                m += bit
+            else:
+                vals[k] = v
+                extend(k + 1, m)
+
+    extend(1, 0)
+    return list(table.items())
 
 
-def simplex_count_r2(coords: int, units: int, delta: int, support: int) -> int:
-    """Number of r=2 class double simplices, X/Y swap identified.
+def _anchored_count(coords: int, units: int, delta: int, support: int,
+                    families: int, groups, partner: int | None = None) -> int:
+    """Ordered class configurations: points 0..r-1 form one family and
+    r..2r-1 the other, point 0 at the origin, and `partner` at `offset` in
+    each of the `columns` of every (offset, columns) group. Pairs inside a
+    family differ by 2*delta in exactly `support` columns, pairs across by
+    delta in support*r. The state packs per-pair counts, one field each,
+    started at guard - 1 - target: a count past its target sets its guard
+    bit, and adding remaining + 1 to every field sets all guard bits only
+    while every target is still reachable."""
+    r = families
+    pairs = list(itertools.combinations(range(2 * r), 2))
+    width = (coords + 1).bit_length() + 1
+    top = 1 << (width - 1)
+    ones = sum(1 << (f * width) for f in range(len(pairs)))
+    guard = top * ones
+    start = guard - ones
+    checks = [[] for _ in range(2 * r)]
+    for f, (i, k) in enumerate(pairs):
+        same = (i < r) == (k < r)
+        start -= (support if same else support * r) << (f * width)
+        checks[k].append((i, 1 << (f * width), 2 * delta if same else delta))
+    cur = {start: 1}
+    left = coords
+    for offset, columns in groups:
+        moves = _columns(units, checks, partner, offset)
+        for _ in range(columns):
+            left -= 1
+            need = (left + 1) * ones
+            nxt: dict[int, int] = {}
+            for state, cnt in cur.items():
+                for inc, n in moves:
+                    new = state + inc
+                    if not new & guard and (new + need) & guard == guard:
+                        nxt[new] = nxt.get(new, 0) + cnt * n
+            cur = nxt
+    return cur.get(guard - ones, 0)
 
-    Anchors one family at the origin and scales by translation invariance:
-    summing #{(X,Y): v in X} over all v counts each ordered family pair twice
-    (once per member of X), and the per-v count is translation-constant.
-    """
-    zero = (0,) * coords
-    anchored = 0
-    for x2 in class_partners(coords, units, 2 * delta, support, zero):
-        anchored += completion_count_r2(coords, units, delta, support, zero, x2, True)
-    total = anchored * units ** coords
-    if total % 4 != 0:
-        raise ArithmeticError("anchored simplex total not divisible by 2r")
-    return total // 4
+
+def _exact_quotient(total: int, divisor: int) -> int:
+    q, rem = divmod(total, divisor)
+    if rem:
+        raise ArithmeticError(f"ordered count {total} not divisible by {divisor}")
+    return q
+
+
+def simplex_count(coords: int, units: int, delta: int, support: int,
+                  families: int) -> int:
+    """Class double simplices with r = `families` points per family, X/Y
+    swap identified: by translation invariance the anchored ordered count
+    times units^coords, over the 2 * r!^2 orderings of each simplex."""
+    anchored = _anchored_count(coords, units, delta, support, families,
+                               [(0, coords)])
+    return _exact_quotient(anchored * units ** coords,
+                           2 * math.factorial(families) ** 2)
+
+
+def completion_count(coords: int, units: int, delta: int, support: int,
+                     families: int, a, b, role_edge: bool) -> int:
+    """Simplices containing the class pair (a, b) as a within-family edge
+    (role_edge: b is point 1, (r-2)! * r! orderings) or as a connecting
+    line (b is point r, (r-1)!^2 orderings); a is point 0, and columns are
+    grouped by b's offset from a."""
+    r = families
+    groups = Counter((y - x) % units for x, y in zip(a, b))
+    ordered = _anchored_count(coords, units, delta, support, r,
+                              sorted(groups.items()), 1 if role_edge else r)
+    f = math.factorial
+    return _exact_quotient(ordered, f(r - 2) * f(r) if role_edge else f(r - 1) ** 2)
+
+
+# The r=2 names exist only because the benchmark harness traces them by
+# name; a benchmark change retires them.
+def completion_count_r2(coords, units, delta, support, a, b, role_edge):
+    return completion_count(coords, units, delta, support, 2, a, b, role_edge)
+
+
+def simplex_count_r2(coords, units, delta, support):
+    return simplex_count(coords, units, delta, support, 2)
 
 
 def min_gap_scan(dp, max_size: int, rel_tol: float):

@@ -9,6 +9,7 @@ Both consume the per-class averaging primitives defined here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,9 +18,9 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from .cyclic import (BudgetExceeded, PairClass, ProductCycleSpace,
-                     SimplexClass, SparsePairBatch, count_pairs_closed,
-                     enumerate_pairs, stage_pair_class, stage_space,
-                     sample_pairs_sparse)
+                     SimplexClass, SparsePairBatch, canonical_class_pair,
+                     count_pairs_closed, enumerate_pairs, stage_pair_class,
+                     stage_space, sample_pairs_sparse)
 from .metric import ModulusEnvelope
 from .numerics import DEFAULT_CONTEXT, NumericContext
 from .parallel import MC_SLICES, run_partitions, slice_counts, slice_rng
@@ -100,7 +101,7 @@ class CircleEmbeddingMap(_CycleMapBase):
     declared_roundness: Optional[float] = 2.0
     name: ClassVar[str] = "circle"
 
-    @property
+    @functools.cached_property
     def radius(self) -> float:
         return float(self.space.units * self.space.quantum) / (2.0 * math.pi)
 
@@ -262,7 +263,9 @@ def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
     materialized entries bounded; the count field reports what was used.
     A map that declares `class_distance` (every built-in map) has one image
     distance per class: mc mode then reads that constant in process and
-    draws no pairs, and returns exactly what drawing would.
+    draws no pairs, and returns exactly what drawing would; exact mode
+    reads `image_distance` on one pair and rounds the class total once,
+    which is what `fsum` over the enumerated pairs returns.
     """
     space = emap.space
     cls.validate_for(space)
@@ -271,10 +274,16 @@ def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
         if total > budget:
             raise BudgetExceeded(
                 f"class holds {total} pairs, budget {budget}", required=total)
-        acc = math.fsum(
-            float(emap.image_distance(x, y)) ** p if p != 0.0
-            else (1.0 if emap.image_distance(x, y) > 0 else 0.0)
-            for x, y in enumerate_pairs(space, cls, budget))
+
+        def term(d) -> float:
+            return float(d) ** p if p != 0.0 else (1.0 if d > 0 else 0.0)
+
+        if getattr(emap, "class_distance", None) is not None:
+            acc = float(Fraction(term(emap.image_distance(
+                *canonical_class_pair(space, cls)))) * total)
+        else:
+            acc = math.fsum(term(emap.image_distance(x, y))
+                            for x, y in enumerate_pairs(space, cls, budget))
         return LevelAverage(cls, p, acc / total, total, "exact")
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")

@@ -38,6 +38,8 @@ from roundlab.spaces import (cycle_graph_space, equilateral_space,
 from roundlab.zspace import (certify_corrected, find_triangle_violation,
                              scan_triangle_violations)
 
+from oracles import enumerated_level_means
+
 
 RESULTS: list[str] = []
 
@@ -135,6 +137,13 @@ def test_criterion_04_single_step():
     ident = verify_step_inequality(IdentityMap(space), scls, 0.1, mode="exact")
     assert ident.holds
     assert math.isclose(ident.margin, 0.46411326873185343, abs_tol=1e-12)
+    # exact mode reads the class distance in closed form; enumerating every
+    # pair of both classes must give the same means bit for bit
+    for emap, rep in ((CircleEmbeddingMap(space), circle),
+                      (IdentityMap(space), ident)):
+        for avg in (rep.conn, rep.edge):
+            assert avg.mean == enumerated_level_means([emap], avg.cls,
+                                                      [rep.p])[0][rep.p]
 
 
 @criterion(5, "averaged chain holds within 3 standard errors at scale", 600)

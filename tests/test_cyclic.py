@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,8 @@ from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
                              stage_simplex_class, stage_space,
                              sample_pairs_sparse, transport_pair)
 from roundlab.obstruction import CircleEmbeddingMap, verify_chain_inequality
+
+from oracles import reference_completion_count, reference_simplex_count
 
 
 def mk(coords, units, quantum=Fraction(1)):
@@ -352,8 +355,55 @@ def test_completion_counts_pair_independent():
     assert ls == [6, 6, 6]
 
 
+R2_CLASSES = [(4, 8, 1, 1), (4, 8, 1, 2), (3, 8, 1, 1), (5, 8, 1, 2),
+              (6, 12, 1, 2), (4, 4, 1, 1), (4, 4, 1, 2), (6, 8, 2, 1)]
+
+
+@pytest.mark.parametrize("coords,units,delta,support", R2_CLASSES,
+                         ids=[str(c) for c in R2_CLASSES])
+def test_incidences_match_enumeration_r2(coords, units, delta, support):
+    # (4, 4, 1, *) and (6, 8, 2, 1) have antipodal edge classes
+    space = mk(coords, units)
+    scls = SimplexClass(delta, support, 2)
+    inc = count_incidences(space, scls, budget=None)
+    edge, conn = scls.edge_class(), scls.conn_class()
+    assert inc.s_count == reference_simplex_count(space, scls)
+    assert inc.k_count == reference_completion_count(
+        space, scls, *canonical_class_pair(space, edge), True)
+    assert inc.l_count == reference_completion_count(
+        space, scls, *canonical_class_pair(space, conn), False)
+
+
+def mixed_sign_pair(space, cls):
+    """A class pair whose differing coordinates alternate +delta, -delta."""
+    x = tuple(range(space.coords))
+    y = list(x)
+    for c in range(cls.support):
+        y[c] = (y[c] + (cls.delta if c % 2 == 0 else -cls.delta)) % space.units
+    return x, tuple(y)
+
+
+@pytest.mark.parametrize("coords,units,delta,support,families", [
+    (4, 8, 1, 2, 2), (6, 8, 2, 1, 2), (4, 4, 1, 2, 2), (8, 8, 1, 2, 4)])
+def test_completion_counts_match_enumeration(coords, units, delta, support,
+                                             families):
+    # translated pairs, and reflected ones whose partner sits at -delta
+    space = mk(coords, units)
+    scls = SimplexClass(delta, support, families)
+    for role_edge, cls in ((True, scls.edge_class()), (False, scls.conn_class())):
+        pairs = [canonical_class_pair(space, cls, i) for i in (0, 1, 3)]
+        pairs += [(b, a) for a, b in pairs[:2]] + [mixed_sign_pair(space, cls)]
+        want = reference_completion_count(space, scls, *pairs[0], role_edge)
+        for a, b in pairs:
+            assert completion_counts(space, scls, (a, b), role_edge) == want
+            if families == 2:
+                assert reference_completion_count(space, scls, a, b,
+                                                  role_edge) == want
+
+
 def test_incidences_r4_general():
-    # exercises the general recursive counter, not the r=2 kernels
+    # the enumerated S takes seconds here, so only K and L are checked
+    # against the oracle, in test_completion_counts_match_enumeration
     space = mk(8, 8)
     inc = count_incidences(space, SimplexClass(1, 2, 4), budget=None)
     r = 4
@@ -361,6 +411,18 @@ def test_incidences_r4_general():
     assert inc.s_count * r * r == inc.n_conn_class * inc.l_count
     assert (inc.s_count, inc.k_count, inc.l_count) == (526133493760, 6720, 3920)
     assert inc.ratio_identity_holds()
+
+
+def test_incidences_scale_with_units():
+    # column values come from offsets of earlier points, never from a scan
+    # of range(units): a 1024-unit cycle costs what a 16-unit one does
+    scls = SimplexClass(1, 2, 2)
+    small = count_incidences(mk(8, 16), scls, budget=None)
+    t0 = time.perf_counter()
+    large = count_incidences(mk(8, 1024), scls, budget=None)
+    assert time.perf_counter() - t0 < 0.5
+    assert (large.k_count, large.l_count) == (small.k_count, small.l_count)
+    assert large.s_count == small.s_count * (1024 // 16) ** 8
 
 
 def test_incidences_budget_guard():

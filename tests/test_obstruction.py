@@ -10,7 +10,7 @@ import pytest
 from roundlab import obstruction, parallel
 from roundlab.cyclic import (BudgetExceeded, CycleSpace, PairClass,
                              ProductCycleSpace, SimplexClass,
-                             sample_pairs_sparse, stage_pair_class,
+                             count_pairs_closed, sample_pairs_sparse, stage_pair_class,
                              stage_space)
 from roundlab.metric import empirical_moduli
 from roundlab.obstruction import (ENTRY_CAP, MC_SLICES, CircleEmbeddingMap,
@@ -22,6 +22,8 @@ from roundlab.obstruction import (ENTRY_CAP, MC_SLICES, CircleEmbeddingMap,
                                   resolve_builtin_map,
                                   uniform_obstruction_report,
                                   verify_chain_inequality, verify_step_inequality)
+
+from oracles import enumerated_level_means
 
 
 def small_space():
@@ -123,6 +125,54 @@ def test_level_average_budget():
     emap = IdentityMap(space)
     with pytest.raises(BudgetExceeded):
         level_average(emap, PairClass(1, 2), 1.0, mode="exact", budget=100)
+
+
+@pytest.mark.parametrize("coords,units", [(3, 6), (4, 4), (4, 8), (3, 8)])
+def test_level_average_exact_closed_form_matches_enumeration(coords, units):
+    space = ProductCycleSpace(coords, CycleSpace(units))
+    ps = (0.0, 0.5, 1.0, 2.0)
+    for delta in range(1, units // 2 + 1):
+        for support in range(1, coords + 1):
+            cls = PairClass(delta, support)
+            emaps = (IdentityMap(space), CircleEmbeddingMap(space),
+                     SnowflakeMap(space, 0.5), ConstantMap(space))
+            for emap, want in zip(emaps, enumerated_level_means(emaps, cls, ps)):
+                for p in ps:
+                    avg = level_average(emap, cls, p, mode="exact")
+                    assert avg.mean == want[p], (type(emap).__name__, cls, p)
+                    assert avg.count == count_pairs_closed(space, cls)
+
+
+@dataclass(frozen=True)
+class PairwiseMap:
+    """Delegates `image_distance` to `inner` but declares no
+    `class_distance`, so exact averages through it enumerate the class."""
+
+    inner: object
+
+    @property
+    def space(self):
+        return self.inner.space
+
+    def image_distance(self, x, y):
+        return self.inner.image_distance(x, y)
+
+
+def test_level_average_exact_enumerates_undeclared_maps(monkeypatch):
+    emap = CircleEmbeddingMap(ProductCycleSpace(3, CycleSpace(6)))
+    cls = PairClass(1, 2)
+    calls = []
+    enumerate_pairs = obstruction.enumerate_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_pairs(*args)
+
+    monkeypatch.setattr(obstruction, "enumerate_pairs", counted)
+    for p in (0.0, 2.0):
+        assert level_average(PairwiseMap(emap), cls, p, mode="exact") == \
+            level_average(emap, cls, p, mode="exact")
+    assert len(calls) == 2
 
 
 def test_class_extremes_constant_class():

@@ -2,6 +2,7 @@
 
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,3 +25,14 @@ def test_no_tracked_file_is_ignored():
     res = git("ls-files", "-ci", "--exclude-standard")
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == []
+
+
+def test_benchmark_layers_exist():
+    # the benchmark harness wraps its traced layers by name; a renamed or
+    # deleted layer function must fail here, not only in the benchmark
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import spans; "
+            "spans.install(spans.Tracer())")
+    res = subprocess.run([sys.executable, "-c", code, str(ROOT / "src"),
+                          str(ROOT / "perfbench")],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
