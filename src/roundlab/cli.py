@@ -108,15 +108,26 @@ def _resolve_space(args) -> ProductCycleSpace:
     return ProductCycleSpace(args.coords, CycleSpace(args.units, args.quantum))
 
 
+def _resolve_stage_class(args, stage_class):
+    """The class given in stage form by --n, --t and --m, announced on
+    stderr with its range warnings; None when neither --t nor --m is set."""
+    if args.t is None and args.m is None:
+        return None
+    if args.n is None or args.t is None or args.m is None:
+        raise ValueError("stage form needs --n, --t and --m together")
+    cls = stage_class(args.n, args.t, args.m)
+    shape = f"delta={cls.delta} support={cls.support}"
+    if isinstance(cls, SimplexClass):
+        shape += f" families={cls.families}"
+    print(f"stage form: (t={args.t}, m={args.m}) -> {shape}", file=sys.stderr)
+    for w in stage_range_warnings(args.n, args.t, args.m):
+        print(f"warning: {w}", file=sys.stderr)
+    return cls
+
+
 def _resolve_pair_class(args) -> PairClass:
-    if args.t is not None or args.m is not None:
-        if args.n is None or args.t is None or args.m is None:
-            raise ValueError("stage form needs --n, --t and --m together")
-        cls = stage_pair_class(args.n, args.t, args.m)
-        print(f"stage form: (t={args.t}, m={args.m}) -> delta={cls.delta} "
-              f"support={cls.support}", file=sys.stderr)
-        for w in stage_range_warnings(args.n, args.t, args.m):
-            print(f"warning: {w}", file=sys.stderr)
+    cls = _resolve_stage_class(args, stage_pair_class)
+    if cls is not None:
         return cls
     if args.delta is None or args.support is None:
         raise ValueError("give --delta and --support, or stage form --t/--m")
@@ -124,15 +135,8 @@ def _resolve_pair_class(args) -> PairClass:
 
 
 def _resolve_simplex_class(args) -> SimplexClass:
-    if args.t is not None or args.m is not None:
-        if args.n is None or args.t is None or args.m is None:
-            raise ValueError("stage form needs --n, --t and --m together")
-        scls = stage_simplex_class(args.n, args.t, args.m)
-        print(f"stage form: (t={args.t}, m={args.m}) -> delta={scls.delta} "
-              f"support={scls.support} families={scls.families}",
-              file=sys.stderr)
-        for w in stage_range_warnings(args.n, args.t, args.m):
-            print(f"warning: {w}", file=sys.stderr)
+    scls = _resolve_stage_class(args, stage_simplex_class)
+    if scls is not None:
         return scls
     if args.delta is None or args.support is None or args.size is None:
         raise ValueError(
@@ -413,10 +417,11 @@ def build_parser() -> _Parser:
     p.add_argument("--max-size", type=int, default=3)
     p.add_argument("--tol", type=float, default=1e-3,
                    help="bracket width in the exponent")
-    p.add_argument("--exhaustive", action="store_true", default=False,
-                   help="scan all configurations (default)")
-    p.add_argument("--search", action="store_true", default=False,
-                   help="seeded greedy search instead of full scans")
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--exhaustive", action="store_true", default=False,
+                     help="scan all configurations (default)")
+    how.add_argument("--search", action="store_true", default=False,
+                     help="seeded greedy search instead of full scans")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--p-cap", type=float, default=16.0)
@@ -445,7 +450,8 @@ def build_parser() -> _Parser:
     p = cnt.add_parser("incidences", help="simplex/pair incidence identities")
     _add_space_args(p)
     _add_class_args(p, simplex=True)
-    p.add_argument("--budget", type=int, default=10 ** 8)
+    p.add_argument("--budget", type=int, default=10 ** 8,
+                   help="max column transitions per counting DP")
     _add_out(p)
     p.set_defaults(func=_cmd_counts_incidences)
 

@@ -18,18 +18,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import kernels
+from .kernels import BudgetExceeded
 
 CyclePoint = tuple[int, ...]
 
 _NUMPY_THRESHOLD = 1024
-
-
-class BudgetExceeded(Exception):
-    """Raised when an enumeration would exceed the caller's budget."""
-
-    def __init__(self, message: str, required: int | None = None):
-        super().__init__(message)
-        self.required = required
 
 
 def cyclic_distance(units: int, a: int, b: int) -> int:
@@ -435,11 +428,11 @@ def enumerate_pairs(space: ProductCycleSpace, cls: PairClass,
 
 @dataclass(frozen=True)
 class SparsePairBatch:
-    """Sampled class pairs, differing coordinates only.
+    """Class pairs, differing coordinates only.
 
     Agreeing coordinates are never materialized: every bundled map is
     invariant to them (they contribute zero to any per-coordinate image
-    factor). Maps that do depend on them must use dense sampling.
+    factor), so a map that depends on them cannot be evaluated on a batch.
     """
 
     space: ProductCycleSpace
@@ -453,58 +446,20 @@ class SparsePairBatch:
         return self.supports.shape[0]
 
 
-def _sorted_subsets(c: int, s: int, k: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """(k, s) int64 array of independent, sorted, uniform s-subsets of
-    range(c); see `sample_pairs_sparse` for the algorithm.
-
-    Membership is checked against each row's earlier picks, so no (k, c)
-    array exists until a drawn complement is turned into the subset, where
-    c < 2s makes the mask smaller than the output. Where rows are no more
-    than the drawn coordinates, the vectorised steps cost more than one
-    native draw per row, which is used instead.
-    """
-    if s == c:
-        return np.tile(np.arange(c, dtype=np.int64), (k, 1))
-    e = min(s, c - s)
-    if k <= e:
-        out = np.empty((k, s), dtype=np.int64)
-        for i in range(k):
-            out[i] = np.sort(rng.choice(c, size=s, replace=False))
-        return out
-    # picks[i] is pick i of every row: the membership test compares whole
-    # contiguous rows, and int32 halves the bytes it reads
-    dtype = np.int32 if c <= np.iinfo(np.int32).max else np.int64
-    picks = np.empty((e, k), dtype=dtype)
-    for i, j in enumerate(range(c - e, c)):
-        t = rng.integers(0, j + 1, size=k, dtype=dtype)
-        t[(picks[:i] == t).any(axis=0)] = j
-        picks[i] = t
-    if e == s:
-        return np.sort(picks.T, axis=1).astype(np.int64)
-    keep = np.ones((k, c), dtype=bool)
-    keep[np.arange(k)[:, None], picks.T] = False
-    return np.nonzero(keep)[1].reshape(k, s)
-
-
 def sample_pairs_sparse(space: ProductCycleSpace, cls: PairClass, k: int,
                         rng: np.random.Generator) -> SparsePairBatch:
     """Uniform class sample: support uniform over coordinate subsets, shared
     values uniform (omitted), x-values uniform, orientation uniform over the
     w directions. Uniformity over the class follows by direct counting.
 
-    Supports, drawn first, use Floyd's algorithm (Bentley and Floyd, CACM
-    30(9), 1987) for all rows at once. It draws e = min(s, c - s)
-    coordinates: the support, or its complement when s > c/2. Step
-    j = c-e, ..., c-1 draws t uniform on [0, j] and adds t, or j when t was
-    already drawn. By induction on j every e-subset of range(j + 1) is
-    equally likely after step j, because each arises from exactly e of the
-    (j + 1) * C(j, e - 1) equally likely (earlier picks, t) outcomes. So each
-    row's drawn set, and hence its complement, is an exactly uniform subset
-    of range(c). When s == c nothing is drawn."""
+    No report draws pairs: Monte Carlo averages read a map's declared
+    `class_distance`. This is the reference sampler that `class_distance`
+    is checked against on classes too large to enumerate."""
     cls.validate_for(space)
     c, u, s = space.coords, space.units, cls.support
-    supports = _sorted_subsets(c, s, k, rng)
+    supports = np.empty((k, s), dtype=np.int64)
+    for i in range(k):
+        supports[i] = np.sort(rng.choice(c, size=s, replace=False))
     x_vals = rng.integers(0, u, size=(k, s), dtype=np.int64)
     if cls.orientations(space) == 2:
         signs = rng.integers(0, 2, size=(k, s), dtype=np.int64) * 2 - 1
@@ -512,22 +467,6 @@ def sample_pairs_sparse(space: ProductCycleSpace, cls: PairClass, k: int,
         signs = np.ones((k, s), dtype=np.int64)
     y_vals = (x_vals + signs * cls.delta) % u
     return SparsePairBatch(space, cls, supports, x_vals, y_vals)
-
-
-def sample_pair_dense(space: ProductCycleSpace, cls: PairClass,
-                      rng: np.random.Generator) -> tuple[CyclePoint, CyclePoint]:
-    """One uniform class pair with all coordinates materialized."""
-    cls.validate_for(space)
-    c, u, s = space.coords, space.units, cls.support
-    support = np.sort(rng.choice(c, size=s, replace=False))
-    x = rng.integers(0, u, size=c, dtype=np.int64)
-    y = x.copy()
-    if cls.orientations(space) == 2:
-        signs = rng.integers(0, 2, size=s, dtype=np.int64) * 2 - 1
-    else:
-        signs = np.ones(s, dtype=np.int64)
-    y[support] = (y[support] + signs * cls.delta) % u
-    return tuple(int(v) for v in x), tuple(int(v) for v in y)
 
 
 def canonical_class_pair(space: ProductCycleSpace, cls: PairClass,
@@ -573,16 +512,18 @@ class IncidenceCounts:
 
 
 def completion_counts(space: ProductCycleSpace, scls: SimplexClass,
-                      pair: tuple, role_edge: bool) -> int:
+                      pair: tuple, role_edge: bool,
+                      budget: int | None = None) -> int:
     """Simplices containing `pair` as a within-family edge (role_edge) or as
-    a connecting line. The count is pair-independent within a class."""
+    a connecting line. The count is pair-independent within a class; its
+    DP raises BudgetExceeded past `budget` column transitions."""
     cls = scls.edge_class() if role_edge else scls.conn_class()
     a, b = pair
     if not is_pair(space, a, b, cls):
         raise ValueError("anchored pair is not in the required class")
     return kernels.completion_count(space.coords, space.units, scls.delta,
                                     scls.support, scls.families,
-                                    tuple(a), tuple(b), role_edge)
+                                    tuple(a), tuple(b), role_edge, budget)
 
 
 def count_incidences(space: ProductCycleSpace, scls: SimplexClass,
@@ -592,21 +533,20 @@ def count_incidences(space: ProductCycleSpace, scls: SimplexClass,
     S counts class simplices with the family swap identified; K and L anchor
     the lexicographically smallest class pairs. All three come from the
     coordinate-column DP; K and L are counted with their own anchors, not
-    derived from S, so the double-counting identities stay checks.
+    derived from S, so the double-counting identities stay checks. Each of
+    the three DPs raises BudgetExceeded before its column transitions
+    pass `budget`.
     """
     scls.validate_for(space)
     edge, conn = scls.edge_class(), scls.conn_class()
     n_edge = count_pairs_closed(space, edge)
     n_conn = count_pairs_closed(space, conn)
     r = scls.families
-    est = (math.comb(space.coords, edge.support) * edge.orientations(space) ** edge.support *
-           math.comb(space.coords, conn.support) * conn.orientations(space) ** conn.support)
-    if budget is not None and est ** (r // 2) > budget:
-        raise BudgetExceeded(
-            f"estimated {est ** (r // 2)} expansions, budget {budget}", required=est)
     s_count = kernels.simplex_count(space.coords, space.units,
-                                    scls.delta, scls.support, r)
-    k_count = completion_counts(space, scls, canonical_class_pair(space, edge), True)
-    l_count = completion_counts(space, scls, canonical_class_pair(space, conn), False)
+                                    scls.delta, scls.support, r, budget)
+    k_count = completion_counts(space, scls, canonical_class_pair(space, edge),
+                                True, budget)
+    l_count = completion_counts(space, scls, canonical_class_pair(space, conn),
+                                False, budget)
     return IncidenceCounts(scls.delta, scls.support, r,
                            n_edge, n_conn, k_count, l_count, s_count)

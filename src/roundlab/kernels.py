@@ -36,6 +36,16 @@ BACKEND = "pure"
 GAP_BLOCK = 65_536
 
 
+class BudgetExceeded(Exception):
+    """Raised when an enumeration or count would exceed the caller's
+    budget. It lives here, not in `cyclic`, because `cyclic` imports this
+    module and the counting DP raises it."""
+
+    def __init__(self, message: str, required: int | None = None):
+        super().__init__(message)
+        self.required = required
+
+
 def pair_census(coords: int, units: int) -> tuple[dict, int]:
     """Census of unordered point pairs by (delta, support) difference class.
 
@@ -132,7 +142,8 @@ def _columns(units: int, checks, partner: int | None, offset: int):
 
 
 def _anchored_count(coords: int, units: int, delta: int, support: int,
-                    families: int, groups, partner: int | None = None) -> int:
+                    families: int, groups, partner: int | None = None,
+                    budget: int | None = None) -> int:
     """Ordered class configurations: points 0..r-1 form one family and
     r..2r-1 the other, point 0 at the origin, and `partner` at `offset` in
     each of the `columns` of every (offset, columns) group. Pairs inside a
@@ -140,7 +151,11 @@ def _anchored_count(coords: int, units: int, delta: int, support: int,
     delta in support*r. The state packs per-pair counts, one field each,
     started at guard - 1 - target: a count past its target sets its guard
     bit, and adding remaining + 1 to every field sets all guard bits only
-    while every target is still reachable."""
+    while every target is still reachable.
+
+    The work is len(states) * len(moves) transitions per column; the
+    count raises BudgetExceeded before a column that would take the
+    total past `budget`."""
     r = families
     pairs = list(itertools.combinations(range(2 * r), 2))
     width = (coords + 1).bit_length() + 1
@@ -155,9 +170,15 @@ def _anchored_count(coords: int, units: int, delta: int, support: int,
         checks[k].append((i, 1 << (f * width), 2 * delta if same else delta))
     cur = {start: 1}
     left = coords
+    work = 0
     for offset, columns in groups:
         moves = _columns(units, checks, partner, offset)
         for _ in range(columns):
+            work += len(cur) * len(moves)
+            if budget is not None and work > budget:
+                raise BudgetExceeded(
+                    f"counting DP needs more than {budget} column "
+                    f"transitions (at least {work})")
             left -= 1
             need = (left + 1) * ones
             nxt: dict[int, int] = {}
@@ -178,18 +199,19 @@ def _exact_quotient(total: int, divisor: int) -> int:
 
 
 def simplex_count(coords: int, units: int, delta: int, support: int,
-                  families: int) -> int:
+                  families: int, budget: int | None = None) -> int:
     """Class double simplices with r = `families` points per family, X/Y
     swap identified: by translation invariance the anchored ordered count
     times units^coords, over the 2 * r!^2 orderings of each simplex."""
     anchored = _anchored_count(coords, units, delta, support, families,
-                               [(0, coords)])
+                               [(0, coords)], budget=budget)
     return _exact_quotient(anchored * units ** coords,
                            2 * math.factorial(families) ** 2)
 
 
 def completion_count(coords: int, units: int, delta: int, support: int,
-                     families: int, a, b, role_edge: bool) -> int:
+                     families: int, a, b, role_edge: bool,
+                     budget: int | None = None) -> int:
     """Simplices containing the class pair (a, b) as a within-family edge
     (role_edge: b is point 1, (r-2)! * r! orderings) or as a connecting
     line (b is point r, (r-1)!^2 orderings); a is point 0, and columns are
@@ -197,7 +219,8 @@ def completion_count(coords: int, units: int, delta: int, support: int,
     r = families
     groups = Counter((y - x) % units for x, y in zip(a, b))
     ordered = _anchored_count(coords, units, delta, support, r,
-                              sorted(groups.items()), 1 if role_edge else r)
+                              sorted(groups.items()), 1 if role_edge else r,
+                              budget)
     f = math.factorial
     return _exact_quotient(ordered, f(r - 2) * f(r) if role_edge else f(r - 1) ** 2)
 

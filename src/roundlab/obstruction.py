@@ -13,17 +13,19 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .cyclic import (BudgetExceeded, PairClass, ProductCycleSpace,
                      SimplexClass, SparsePairBatch, canonical_class_pair,
                      count_pairs_closed, enumerate_pairs, stage_pair_class,
-                     stage_space, sample_pairs_sparse)
+                     stage_space)
+# bound here only because the benchmark harness traces it by this name
+from .cyclic import sample_pairs_sparse  # noqa: F401
 from .metric import ModulusEnvelope
 from .numerics import DEFAULT_CONTEXT, NumericContext
-from .parallel import MC_SLICES, run_partitions, slice_counts, slice_rng
+from .parallel import MC_SLICES, run_partitions, slice_counts
 
 ENTRY_CAP = 64_000_000
 
@@ -196,46 +198,32 @@ class LevelAverage:
         }
 
 
+# ENTRY_CAP, the 16 slices and the chunks of at most a million entries fix
+# `count` and the float summation order of `mean` and `stderr` in reports.
 def _capped_samples(samples: int, support: int) -> int:
     return max(MC_SLICES, min(samples, max(1, ENTRY_CAP // support)))
 
 
-def _mc_slice_values(emap, cls: PairClass, k: int, seed: int, idx: int,
-                     dist: Optional[float]):
-    """Image distances of slice `idx` of a seeded sample, one array per
-    chunk of at most a million entries; k rows in all. A known class
-    distance `dist` fills the same chunks without drawing any pair."""
-    rows_per_chunk = max(1, 1_000_000 // cls.support)
-    sizes = [min(rows_per_chunk, k - done)
-             for done in range(0, k, rows_per_chunk)]
-    if dist is not None:
-        for m in sizes:
-            yield np.full(m, dist)
-        return
-    rng = slice_rng(seed, idx)
-    for m in sizes:
-        yield emap.image_distance_batch(
-            sample_pairs_sparse(emap.space, cls, m, rng))
-
-
-def _mc_slices(fn, emap, cls: PairClass, samples: int, seed: int,
-               workers: int, *extra) -> list:
-    """`fn` over the 16 seeded slices of a capped class sample, each given
-    (emap, cls, rows, seed, slice index, class distance, *extra). The class
-    distance is the map's `class_distance` when it declares one, else
-    None; a known distance costs microseconds, so no pool starts for it."""
+def _declared_distance(emap, cls: PairClass) -> float:
+    """The map's one image distance on `cls`; Monte Carlo averages read it
+    instead of drawing pairs."""
     declared = getattr(emap, "class_distance", None)
-    dist = None if declared is None else declared(cls)
-    rows = slice_counts(_capped_samples(samples, cls.support))
-    args = [(emap, cls, k, seed, i, dist, *extra) for i, k in enumerate(rows)]
-    return run_partitions(fn, args, workers if dist is None else 1)
+    if declared is None:
+        raise ValueError(
+            f"{type(emap).__name__} declares no class_distance; Monte Carlo "
+            "mode needs one, exact mode does not")
+    return declared(cls)
 
 
 def _mc_slice_stats(args) -> tuple[float, float, int]:
-    emap, cls, k, seed, idx, dist, p = args
+    """(sum, sum of squares, k) of k copies of d^p for one slice, added
+    in chunks of at most a million entries."""
+    support, k, dist, p = args
+    rows_per_chunk = max(1, 1_000_000 // support)
     total = 0.0
     total_sq = 0.0
-    for vals in _mc_slice_values(emap, cls, k, seed, idx, dist):
+    for done in range(0, k, rows_per_chunk):
+        vals = np.full(min(rows_per_chunk, k - done), dist)
         if p != 1.0:
             vals = vals ** p if p != 0.0 else (vals > 0).astype(np.float64)
         total += float(vals.sum())
@@ -243,29 +231,20 @@ def _mc_slice_stats(args) -> tuple[float, float, int]:
     return (total, total_sq, k)
 
 
-def _mc_slice_extremes(args) -> tuple[float, float, int]:
-    emap, cls, k, seed, idx, dist = args
-    lo, hi = math.inf, -math.inf
-    for vals in _mc_slice_values(emap, cls, k, seed, idx, dist):
-        lo = min(lo, float(vals.min()))
-        hi = max(hi, float(vals.max()))
-    return (lo, hi, k)
-
-
 def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
                   budget: int = 2_000_000, samples: int = 100_000,
-                  seed: int = 0, workers: int = 1) -> LevelAverage:
+                  seed: int = 0) -> LevelAverage:
     """Average of image distance^p over one pair class.
 
-    Exact mode enumerates the class (budgeted); mc mode draws the requested
-    samples in 16 fixed seeded slices so the result is identical for any
-    worker count. Oversized supports shrink the sample count to keep the
-    materialized entries bounded; the count field reports what was used.
-    A map that declares `class_distance` (every built-in map) has one image
-    distance per class: mc mode then reads that constant in process and
-    draws no pairs, and returns exactly what drawing would; exact mode
-    reads `image_distance` on one pair and rounds the class total once,
-    which is what `fsum` over the enumerated pairs returns.
+    Exact mode enumerates the class (budgeted); a map that declares
+    `class_distance` (every built-in map) has one image distance per
+    class, so exact mode reads `image_distance` on one pair and rounds the
+    class total once, which is what `fsum` over the enumerated pairs
+    returns. Mc mode needs a declared `class_distance` and raises
+    ValueError without one: it reports a seeded sample of that constant
+    in 16 fixed slices, with oversized supports shrinking the sample
+    count to keep entries bounded; the count field reports what was used.
+    No pair is drawn and no pool starts.
     """
     space = emap.space
     cls.validate_for(space)
@@ -287,7 +266,11 @@ def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
         return LevelAverage(cls, p, acc / total, total, "exact")
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
-    parts = _mc_slices(_mc_slice_stats, emap, cls, samples, seed, workers, p)
+    dist = _declared_distance(emap, cls)
+    rows = slice_counts(_capped_samples(samples, cls.support))
+    # in process; the benchmark harness counts partitions through this name
+    parts = run_partitions(_mc_slice_stats,
+                           [(cls.support, k, dist, p) for k in rows])
     n = sum(k for _, _, k in parts)
     total = math.fsum(s for s, _, _ in parts)
     total_sq = math.fsum(q for _, q, _ in parts)
@@ -298,15 +281,14 @@ def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
 
 
 def class_extremes(emap, cls: PairClass, samples: int = 100_000,
-                   seed: int = 0, workers: int = 1) -> tuple[float, float, int]:
-    """(inf, sup, samples_used) of image distances over a sampled class;
-    a declared `class_distance` replaces the draws, as in `level_average`."""
-    space = emap.space
-    cls.validate_for(space)
-    parts = _mc_slices(_mc_slice_extremes, emap, cls, samples, seed, workers)
-    lo = min(p[0] for p in parts)
-    hi = max(p[1] for p in parts)
-    return lo, hi, sum(p[2] for p in parts)
+                   seed: int = 0) -> tuple[float, float, int]:
+    """(inf, sup, samples_used) of image distances over a seeded class
+    sample: both ends are the map's declared `class_distance` (ValueError
+    without one), and samples_used is the capped count `level_average`
+    reports. The seed cannot change the result."""
+    cls.validate_for(emap.space)
+    dist = _declared_distance(emap, cls)
+    return dist, dist, _capped_samples(samples, cls.support)
 
 
 @dataclass
@@ -366,13 +348,14 @@ def verify_step_inequality(emap, scls: SimplexClass, p: float,
                          ctx: NumericContext = DEFAULT_CONTEXT) -> StepReport:
     """Averaged comparison for one simplex class: the connecting-class mean
     of image distance^p must be at least (1 - 1/r) times the edge-class
-    mean, whenever the map really has roundness >= p."""
+    mean, whenever the map really has roundness >= p. `workers` is
+    accepted for the command line's sake: no pool is started."""
     scls.validate_for(emap.space)
     assumed = _check_declared(emap, p)
     conn = level_average(emap, scls.conn_class(), p, mode, budget,
-                         samples, 2 * seed, workers)
+                         samples, 2 * seed)
     edge = level_average(emap, scls.edge_class(), p, mode, budget,
-                         samples, 2 * seed + 1, workers)
+                         samples, 2 * seed + 1)
     factor = 1.0 - 1.0 / scls.families
     margin, se, holds = _margin(conn, edge, factor, ctx)
     return StepReport(scls, p, conn, edge, factor, margin, se, holds, assumed)
@@ -431,7 +414,8 @@ def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
 
     Pair levels are the connecting classes of each simplex class plus the
     last edge class; each level average is computed once and shared by the
-    two steps that look at it."""
+    two steps that look at it. `workers` is accepted for the command
+    line's sake: no pool is started."""
     scls_chain = chain_classes(start, levels)
     for scls in scls_chain:
         scls.validate_for(emap.space)
@@ -439,8 +423,7 @@ def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
     pair_levels = [s.conn_class() for s in scls_chain]
     pair_levels.append(scls_chain[-1].edge_class())
     averages = [
-        level_average(emap, cls, p, mode, budget, samples, seed * 131 + i,
-                      workers)
+        level_average(emap, cls, p, mode, budget, samples, seed * 131 + i)
         for i, cls in enumerate(pair_levels)
     ]
     r = start.families
@@ -574,7 +557,9 @@ def uniform_obstruction_report(map_spec, ladder: Sequence[int], p: float,
 
     Depth n works in the block of size n + 2, comparing the fine class
     (delta halved n times, support raised to n + 1) against the coarse
-    class. A map builder or builtin spec receives each block's space.
+    class. A map builder or builtin spec receives each block's space; the
+    map must declare `class_distance`. `workers` is accepted for the
+    command line's sake: no pool is started.
     """
     entries = []
     factor = 1.0 if math.isinf(p) else math.exp(-1.0 / p)
@@ -592,10 +577,9 @@ def uniform_obstruction_report(map_spec, ladder: Sequence[int], p: float,
         _check_declared(emap, p if not math.isinf(p) else 0.0)
         fine = stage_pair_class(block, -n, n + 1)
         coarse = stage_pair_class(block, 0, 1)
-        _, sup_fine, used_f = class_extremes(emap, fine, samples,
-                                             2 * seed, workers)
+        _, sup_fine, used_f = class_extremes(emap, fine, samples, 2 * seed)
         inf_coarse, _, used_c = class_extremes(emap, coarse, samples,
-                                               2 * seed + 1, workers)
+                                               2 * seed + 1)
         bound = factor * inf_coarse
         scale = max(sup_fine, bound, 1.0)
         holds = sup_fine >= bound - ctx.rel_tol * scale

@@ -93,8 +93,35 @@ def test_gr_estimate_deterministic(c4_csv, capsys):
     assert strip_wall(first) == strip_wall(second)
 
 
+def test_gr_estimate_modes_exclusive(c4_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gr", "estimate", "--input", c4_csv, "--exhaustive", "--search"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
 # ---------------------------------------------------------------------------
 # simplex and counts
+
+@pytest.mark.parametrize("argv,code,err_lines", [
+    (["counts", "pairs", "--n", "2", "--t", "1", "--m", "0"], 0,
+     ["stage form: n=2 -> coords=4 units=16 quantum=1/4",
+      "stage form: (t=1, m=0) -> delta=8 support=1",
+      "warning: m = 0 outside the studied range 0 < m <= 2"]),
+    (["counts", "incidences", "--n", "2", "--t", "-1", "--m", "1"], 0,
+     ["stage form: n=2 -> coords=4 units=16 quantum=1/4",
+      "stage form: (t=-1, m=1) -> delta=2 support=2 families=2"]),
+    (["counts", "pairs", "--n", "2", "--t", "0"], 1,
+     ["stage form: n=2 -> coords=4 units=16 quantum=1/4",
+      "error: stage form needs --n, --t and --m together"]),
+], ids=["pair-m-range", "simplex", "pair-partial"])
+def test_stage_form_messages(argv, code, err_lines, capsys):
+    got, _, err = run(argv, capsys)
+    assert got == code
+    assert err.splitlines() == err_lines
+
 
 def test_simplex_build_stage_form(capsys):
     code, doc, err = run(["simplex", "build", "--n", "2", "--t", "0",

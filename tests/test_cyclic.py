@@ -158,8 +158,8 @@ def test_sample_pairs_sparse_deterministic_and_in_class():
         assert len(set(row.tolist())) == cls.support
 
 
-# (coords, support, rows per call): small support, complement (s > c/2),
-# s == c, and the per-row draw (rows <= min(s, c - s))
+# (coords, support, rows per call): small support, support above half
+# the coordinates, s == c, and fewer rows per call than support
 SUBSET_CASES = [(7, 2, 4200), (7, 5, 4200), (5, 5, 50), (8, 4, 4)]
 
 
@@ -300,10 +300,15 @@ def test_transport_preserves_class_and_distances():
     space = mk(4, 8)
     cls = PairClass(2, 2)
     rng = np.random.default_rng(3)
-    from roundlab.cyclic import sample_pair_dense
+    pairs = list(enumerate_pairs(space, cls, budget=None))
+
+    def draw():
+        x, y = pairs[rng.integers(len(pairs))]
+        return (x, y) if rng.integers(2) else (y, x)
+
     for _ in range(20):
-        a = sample_pair_dense(space, cls, rng)
-        b = sample_pair_dense(space, cls, rng)
+        a = draw()
+        b = draw()
         iso = transport_pair(space, a, b, cls)
         assert iso.apply(a[0]) == b[0]
         assert iso.apply(a[1]) == b[1]
@@ -428,6 +433,17 @@ def test_incidences_scale_with_units():
 def test_incidences_budget_guard():
     with pytest.raises(BudgetExceeded):
         count_incidences(mk(8, 8), SimplexClass(1, 2, 4), budget=1000)
+
+
+def test_incidences_budget_bounds_dp_work():
+    # the simplex DP of this class takes 104,048 column transitions, and
+    # those of K and L fewer
+    scls = SimplexClass(1, 2, 4)
+    with pytest.raises(BudgetExceeded, match="column transitions"):
+        count_incidences(mk(8, 8), scls, budget=10 ** 5)
+    inc = count_incidences(mk(8, 8), scls, budget=10 ** 6)
+    assert (inc.s_count, inc.k_count, inc.l_count) == (526133493760, 6720, 3920)
+    assert count_incidences(mk(8, 8), scls) == inc
 
 
 # ---------------------------------------------------------------------------

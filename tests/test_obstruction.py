@@ -110,16 +110,6 @@ def test_level_average_mc_matches_exact():
     assert mc.count == 20_000
 
 
-def test_level_average_mc_worker_independent():
-    space = small_space()
-    emap = IdentityMap(space)
-    cls = PairClass(1, 3)
-    a = level_average(emap, cls, 1.0, mode="mc", samples=4000, seed=9, workers=1)
-    b = level_average(emap, cls, 1.0, mode="mc", samples=4000, seed=9, workers=4)
-    assert a.mean == b.mean
-    assert a.stderr == b.stderr
-
-
 def test_level_average_budget():
     space = small_space()
     emap = IdentityMap(space)
@@ -146,7 +136,8 @@ def test_level_average_exact_closed_form_matches_enumeration(coords, units):
 @dataclass(frozen=True)
 class PairwiseMap:
     """Delegates `image_distance` to `inner` but declares no
-    `class_distance`, so exact averages through it enumerate the class."""
+    `class_distance`, so exact averages through it enumerate the class
+    and Monte Carlo averages refuse it."""
 
     inner: object
 
@@ -210,40 +201,13 @@ def test_class_distance_equals_every_sampled_row(space, cls, rows):
         assert np.all(vals == dist), type(emap).__name__
 
 
-@dataclass(frozen=True)
-class SampledMap:
-    """Delegates image distances to `inner` but declares no
-    `class_distance`, so averages through it draw pairs. A nonzero `skew`
-    adds the first sampled x-value times skew, which varies inside a
-    class."""
-
-    inner: object
-    skew: float = 0.0
-
-    @property
-    def space(self):
-        return self.inner.space
-
-    def image_distance_batch(self, batch):
-        vals = self.inner.image_distance_batch(batch)
-        return vals + self.skew * batch.x_vals[:, 0] if self.skew else vals
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sampled_path_matches_declared_class_distance(workers):
-    space = small_space()
-    for emap in builtin_maps(space):
-        sampled = SampledMap(emap)
-        for cls in (PairClass(1, 3), PairClass(4, 2)):
-            for p in (0.0, 0.5, 1.0, 2.0):
-                assert level_average(sampled, cls, p, mode="mc", samples=3000,
-                                     seed=9, workers=workers) == \
-                    level_average(emap, cls, p, mode="mc", samples=3000,
-                                  seed=9, workers=workers)
-            assert class_extremes(sampled, cls, samples=3000, seed=9,
-                                  workers=workers) == \
-                class_extremes(emap, cls, samples=3000, seed=9,
-                               workers=workers)
+def test_mc_needs_declared_class_distance():
+    emap = PairwiseMap(CircleEmbeddingMap(small_space()))
+    cls = PairClass(1, 3)
+    with pytest.raises(ValueError, match="class_distance"):
+        level_average(emap, cls, 2.0, mode="mc", samples=4000, seed=9)
+    with pytest.raises(ValueError, match="class_distance"):
+        class_extremes(emap, cls, samples=4000, seed=9)
 
 
 def test_declared_class_distance_draws_nothing_and_starts_no_pool(monkeypatch):
@@ -252,29 +216,17 @@ def test_declared_class_distance_draws_nothing_and_starts_no_pool(monkeypatch):
 
     monkeypatch.setattr(obstruction, "sample_pairs_sparse", refuse)
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
-    emap = CircleEmbeddingMap(small_space())
-    avg = level_average(emap, PairClass(1, 3), 2.0, mode="mc", samples=4000,
-                        seed=9, workers=2)
-    assert avg.count == 4000
-    assert class_extremes(emap, PairClass(1, 3), samples=4000, seed=9,
-                          workers=2)[2] == 4000
-    with pytest.raises(AssertionError):
-        level_average(SampledMap(emap), PairClass(1, 3), 2.0, mode="mc",
-                      samples=4000, seed=9, workers=1)
-
-
-def test_sampled_path_worker_independent():
-    emap = SampledMap(IdentityMap(small_space()), skew=0.25)
-    cls = PairClass(1, 3)
-    a = level_average(emap, cls, 1.0, mode="mc", samples=4000, seed=9, workers=1)
-    b = level_average(emap, cls, 1.0, mode="mc", samples=4000, seed=9, workers=3)
-    assert a == b
-    assert a.stderr > 1e-3  # the skew really varies inside the class
-    lo, hi, used = class_extremes(emap, cls, samples=4000, seed=9, workers=1)
-    assert (lo, hi, used) == class_extremes(emap, cls, samples=4000, seed=9,
-                                            workers=3)
-    assert lo < hi
-    assert used == 4000
+    emap = CircleEmbeddingMap(ProductCycleSpace(8, CycleSpace(32)))
+    step = verify_step_inequality(emap, SimplexClass(1, 2, 2), 2.0,
+                                  mode="mc", samples=4000, seed=9, workers=2)
+    assert step.conn.count == step.edge.count == 4000
+    chain = verify_chain_inequality(emap, SimplexClass(1, 4, 2), 2, 2.0,
+                                    mode="mc", samples=4000, seed=9,
+                                    workers=2)
+    assert [a.count for a in chain.averages] == [4000] * 3
+    rep = uniform_obstruction_report("builtin:circle", [2], 2.0,
+                                     samples=4000, seed=9, workers=2)
+    assert rep.entries[0]["samples_fine"] == 4000
 
 
 # ---------------------------------------------------------------------------
