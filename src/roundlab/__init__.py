@@ -1,27 +1,54 @@
 """Verification laboratory for generalized roundness of cyclic-product
 spaces: counting identities, obstruction reports, injection builders, and
-Cayley-graph checks, all backed by exact arithmetic where it matters."""
+Cayley-graph checks, all backed by exact arithmetic where it matters.
+
+Public names are imported from their submodule on first access, so
+`import roundlab` loads no submodule and a command pays only for the code
+it runs."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex, Isometry,
-                     PairClass, ProductCycleSpace, SimplexClass,
-                     build_simplex, count_incidences, count_pairs_closed,
-                     enumerate_pairs, is_pair, is_simplex, stage_pair_class,
-                     stage_simplex_class, stage_space, transport_pair)
-from .metric import (FiniteMetricSpace, ModulusEnvelope, empirical_moduli,
-                     snowflake, validate_metric)
-from .roundness import (GapResult, RoundnessEstimate, estimate_roundness,
-                        find_violation_exhaustive, find_violation_search,
-                        simplex_gap)
-from .obstruction import (CircleEmbeddingMap, IdentityMap, euler_factor,
-                          coarse_obstruction_report, level_average,
-                          uniform_obstruction_report, verify_chain_inequality,
-                          verify_step_inequality)
-from .zspace import ZPoint, ball_census, certify_corrected, zeta
-from .inject import (build_ballchain_injection, build_ell0_injection,
-                     build_ellp_injection, verify_injection)
-from .cayley import (FamilyGenerators, cayley_roundness_upper,
-                     verify_mstar_isometry, word_distance)
+_EXPORTS = {
+    "cyclic": ("BudgetExceeded", "CycleSpace", "DoubleSimplex", "Isometry",
+               "PairClass", "ProductCycleSpace", "SimplexClass",
+               "build_simplex", "count_incidences", "count_pairs_closed",
+               "enumerate_pairs", "is_pair", "is_simplex", "stage_pair_class",
+               "stage_simplex_class", "stage_space", "transport_pair"),
+    "metric": ("FiniteMetricSpace", "ModulusEnvelope", "empirical_moduli",
+               "snowflake", "validate_metric"),
+    "roundness": ("GapResult", "RoundnessEstimate", "estimate_roundness",
+                  "find_violation_exhaustive", "find_violation_search",
+                  "simplex_gap"),
+    "obstruction": ("CircleEmbeddingMap", "IdentityMap", "euler_factor",
+                    "coarse_obstruction_report", "level_average",
+                    "uniform_obstruction_report", "verify_chain_inequality",
+                    "verify_step_inequality"),
+    "zspace": ("ZPoint", "ball_census", "certify_corrected", "zeta"),
+    "inject": ("build_ballchain_injection", "build_ell0_injection",
+               "build_ellp_injection", "verify_injection"),
+    "cayley": ("FamilyGenerators", "cayley_roundness_upper",
+               "verify_mstar_isometry", "word_distance"),
+    # helper submodules, public because the modules above import them
+    "kernels": (), "numerics": (), "parallel": (),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items()
+           for name in (module, *names)}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

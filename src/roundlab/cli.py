@@ -13,27 +13,21 @@ import sys
 import time
 from fractions import Fraction
 
+# Module level binds only what the counting and roundness commands share,
+# including the names perfbench/spans.py patches on this module
+# (count_incidences, enumerate_pairs, estimate_roundness, read_space_csv).
+# The other handlers import what they run (obstruction, metric, inject,
+# zspace, cayley), so a command loads numpy or mpmath only if its
+# computation does.
 from . import __version__, kernels
-from .cayley import (FamilyGenerators, block_projection_check,
-                     cayley_roundness_upper, standard_basis_generators,
-                     verify_mstar_isometry)
 from .cyclic import (BudgetExceeded, CycleSpace, PairClass,
                      ProductCycleSpace, SimplexClass, build_simplex,
                      count_incidences, count_pairs_closed, enumerate_pairs,
                      is_simplex, stage_pair_class, stage_range_warnings,
                      stage_simplex_class, stage_space)
-from .inject import (InjectionTable, build_ballchain_injection,
-                     build_ell0_injection, build_ellp_injection,
-                     load_ballchain_target, verify_injection)
-from .metric import empirical_moduli, validate_metric
-from .obstruction import (coarse_obstruction_report, resolve_builtin_map,
-                          uniform_obstruction_report, verify_chain_inequality,
-                          verify_step_inequality)
 from .report import Report
 from .roundness import estimate_roundness
 from .spaces import read_space_csv
-from .zspace import (ZPoint, ball_census, certify_corrected,
-                     scan_triangle_violations)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,6 +139,8 @@ def _resolve_simplex_class(args) -> SimplexClass:
 
 
 def _cmd_validate(args) -> int:
+    from .metric import validate_metric
+
     space = read_space_csv(args.input, checked=False)
     rep = validate_metric(space, budget=args.budget)
     _print_report(args, "validate",
@@ -237,6 +233,8 @@ def _cmd_counts_incidences(args) -> int:
 
 
 def _load_moduli(path):
+    from .metric import empirical_moduli
+
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     samples = data["samples"] if isinstance(data, dict) else data
@@ -250,6 +248,8 @@ def _load_moduli(path):
 
 
 def _cmd_obstruct_coarse(args) -> int:
+    from .obstruction import coarse_obstruction_report
+
     moduli = _load_moduli(args.moduli)
     rep = coarse_obstruction_report(moduli, args.p)
     _print_report(args, "obstruct coarse",
@@ -258,6 +258,8 @@ def _cmd_obstruct_coarse(args) -> int:
 
 
 def _cmd_obstruct_uniform(args) -> int:
+    from .obstruction import uniform_obstruction_report
+
     ladder = _parse_int_list(args.n_ladder)
     start = time.perf_counter()
     rep = uniform_obstruction_report(
@@ -272,6 +274,8 @@ def _cmd_obstruct_uniform(args) -> int:
 
 
 def _cmd_obstruct_step(args) -> int:
+    from .obstruction import resolve_builtin_map, verify_step_inequality
+
     space = _resolve_space(args)
     scls = _resolve_simplex_class(args)
     emap = resolve_builtin_map(args.map, space)
@@ -286,6 +290,8 @@ def _cmd_obstruct_step(args) -> int:
 
 
 def _cmd_obstruct_chain(args) -> int:
+    from .obstruction import resolve_builtin_map, verify_chain_inequality
+
     space = _resolve_space(args)
     scls = _resolve_simplex_class(args)
     emap = resolve_builtin_map(args.map, space)
@@ -301,6 +307,8 @@ def _cmd_obstruct_chain(args) -> int:
 
 
 def _cmd_zspace_validate(args) -> int:
+    from .zspace import certify_corrected, scan_triangle_violations
+
     violations = scan_triangle_violations(args.variant, args.block_bound)
     results = {
         "variant": args.variant,
@@ -316,6 +324,8 @@ def _cmd_zspace_validate(args) -> int:
 
 
 def _cmd_zspace_ball(args) -> int:
+    from .zspace import ZPoint, ball_census
+
     if args.center:
         with open(args.center, "r", encoding="utf-8") as fh:
             center = ZPoint.from_json_dict(json.load(fh))
@@ -328,6 +338,10 @@ def _cmd_zspace_ball(args) -> int:
 
 
 def _cmd_inject_build(args) -> int:
+    from .inject import (build_ballchain_injection, build_ell0_injection,
+                         build_ellp_injection, load_ballchain_target,
+                         verify_injection)
+
     space = read_space_csv(args.input)
     target = args.target
     if target == "ell0":
@@ -353,6 +367,8 @@ def _cmd_inject_build(args) -> int:
 
 
 def _cmd_inject_verify(args) -> int:
+    from .inject import InjectionTable, verify_injection
+
     with open(args.map, "r", encoding="utf-8") as fh:
         table, space = InjectionTable.from_json_dict(json.load(fh))
     if args.input:
@@ -365,6 +381,8 @@ def _cmd_inject_verify(args) -> int:
 
 
 def _cmd_cayley_verify(args) -> int:
+    from .cayley import verify_mstar_isometry
+
     start = time.perf_counter()
     rep = verify_mstar_isometry(
         args.n, mode=args.mode, variant=args.variant, budget=args.budget,
@@ -376,6 +394,9 @@ def _cmd_cayley_verify(args) -> int:
 
 
 def _cmd_cayley_roundness(args) -> int:
+    from .cayley import (FamilyGenerators, cayley_roundness_upper,
+                         standard_basis_generators)
+
     if args.standard_basis:
         gens = standard_basis_generators(args.dim)
     else:
@@ -390,6 +411,8 @@ def _cmd_cayley_roundness(args) -> int:
 
 
 def _cmd_cayley_projection(args) -> int:
+    from .cayley import block_projection_check
+
     rep = block_projection_check(
         _parse_int_list(args.dims), _parse_int_list(args.jumps),
         args.radius, args.variant)

@@ -13,12 +13,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import kernels
 from .kernels import BudgetExceeded
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CyclePoint = tuple[int, ...]
 
@@ -118,6 +119,8 @@ def sup_distance(space: ProductCycleSpace, x: Sequence[int], y: Sequence[int]) -
 
 
 def _profile_np(space: ProductCycleSpace, x: Sequence[int], y: Sequence[int]) -> np.ndarray:
+    import numpy as np
+
     ax = np.asarray(x, dtype=np.int64)
     ay = np.asarray(y, dtype=np.int64)
     d = np.abs(ax - ay)
@@ -279,7 +282,7 @@ def is_pair(space: ProductCycleSpace, x: Sequence[int], y: Sequence[int],
     if space.coords > _NUMPY_THRESHOLD:
         prof = _profile_np(space, x, y)
         nz = prof[prof != 0]
-        return nz.size == cls.support and bool(np.all(nz == cls.delta))
+        return nz.size == cls.support and bool((nz == cls.delta).all())
     return kernels.is_class_pair(space.coords, space.units, cls.delta, cls.support,
                                  tuple(x), tuple(y))
 
@@ -455,6 +458,8 @@ def sample_pairs_sparse(space: ProductCycleSpace, cls: PairClass, k: int,
     No report draws pairs: Monte Carlo averages read a map's declared
     `class_distance`. This is the reference sampler that `class_distance`
     is checked against on classes too large to enumerate."""
+    import numpy as np
+
     cls.validate_for(space)
     c, u, s = space.coords, space.units, cls.support
     supports = np.empty((k, s), dtype=np.int64)

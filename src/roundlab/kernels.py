@@ -29,8 +29,6 @@ import itertools
 import math
 from collections import Counter
 
-import numpy as np
-
 BACKEND = "pure"
 # gaps computed per block of the exhaustive scan; about 0.5 MiB per array
 GAP_BLOCK = 65_536
@@ -249,6 +247,8 @@ def min_gap_scan(dp, max_size: int, rel_tol: float):
     gap is built from elementwise adds in the fixed order given in the
     module docstring, so it is the same float a scalar loop would get.
     """
+    import numpy as np
+
     npts = len(dp)
     d = np.asarray(dp, dtype=np.float64).reshape(npts, npts)
     # cross sums read dp[v][u] for v in the second family and u in the
@@ -301,6 +301,8 @@ def min_gap_scan(dp, max_size: int, rel_tol: float):
 def _fold_min(min_gap: float, gaps) -> float:
     """Running minimum as `gap < min_gap` keeps it: NaN gaps never replace
     a number, and a NaN first gap is never replaced."""
+    import numpy as np
+
     if math.isnan(min_gap):
         return min_gap
     return float(np.fmin(min_gap, np.fmin.reduce(gaps, axis=None)))

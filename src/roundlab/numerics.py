@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 Number = Union[int, Fraction, float]
 
@@ -27,6 +28,8 @@ class NumericContext:
     rel_tol: float = DEFAULT_REL_TOL
 
     def workprec(self, factor: int = 1):
+        import mpmath
+
         return mpmath.workprec(self.precision_bits * factor)
 
 
@@ -48,6 +51,8 @@ def dpow(d: Number, p: float) -> Number:
 
 
 def to_mpf(d: Number) -> mpmath.mpf:
+    import mpmath
+
     if isinstance(d, Fraction):
         return mpmath.mpf(d.numerator) / d.denominator
     return mpmath.mpf(d)
@@ -55,6 +60,8 @@ def to_mpf(d: Number) -> mpmath.mpf:
 
 def dpow_mp(d: Number, p: float) -> mpmath.mpf:
     """mpmath twin of dpow; precision comes from the ambient mpmath context."""
+    import mpmath
+
     if d == 0:
         return mpmath.mpf(0)
     if p == 0:

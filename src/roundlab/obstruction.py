@@ -13,9 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar, Optional, Sequence
 
 from .cyclic import (BudgetExceeded, PairClass, ProductCycleSpace,
                      SimplexClass, SparsePairBatch, canonical_class_pair,
@@ -26,6 +24,9 @@ from .cyclic import sample_pairs_sparse  # noqa: F401
 from .metric import ModulusEnvelope
 from .numerics import DEFAULT_CONTEXT, NumericContext
 from .parallel import MC_SLICES, run_partitions, slice_counts
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENTRY_CAP = 64_000_000
 
@@ -46,6 +47,8 @@ def euler_factor_exact(n: int) -> Fraction:
 
 
 def euler_factors(ns) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(ns, dtype=np.float64)
     if np.any(arr < 0):
         raise ValueError("n must be nonnegative")
@@ -61,6 +64,8 @@ class _CycleMapBase:
     space: ProductCycleSpace
 
     def _cyc_quanta(self, batch: SparsePairBatch) -> np.ndarray:
+        import numpy as np
+
         diff = np.abs(batch.x_vals - batch.y_vals)
         return np.minimum(diff, self.space.units - diff)
 
@@ -68,6 +73,8 @@ class _CycleMapBase:
         """The image distance shared by every pair of `cls`, computed by
         `image_distance_batch` on one canonical row (zero point, late
         support), so it equals each row of a sampled batch bit for bit."""
+        import numpy as np
+
         cls.validate_for(self.space)
         c, s = self.space.coords, cls.support
         row = SparsePairBatch(self.space, cls,
@@ -90,7 +97,7 @@ class IdentityMap(_CycleMapBase):
 
     def image_distance_batch(self, batch: SparsePairBatch) -> np.ndarray:
         quanta = self._cyc_quanta(batch).max(axis=1)
-        return quanta.astype(np.float64) * float(self.space.quantum)
+        return quanta.astype(float) * float(self.space.quantum)
 
 
 @dataclass(frozen=True)
@@ -120,6 +127,8 @@ class CircleEmbeddingMap(_CycleMapBase):
         return math.sqrt(total)
 
     def image_distance_batch(self, batch: SparsePairBatch) -> np.ndarray:
+        import numpy as np
+
         quanta = self._cyc_quanta(batch)
         chord = 2.0 * self.radius * np.sin(np.pi * quanta / self.space.units)
         return np.sqrt((chord * chord).sum(axis=1))
@@ -158,6 +167,8 @@ class ConstantMap(_CycleMapBase):
         return 0.0
 
     def image_distance_batch(self, batch: SparsePairBatch) -> np.ndarray:
+        import numpy as np
+
         return np.zeros(batch.count, dtype=np.float64)
 
 
@@ -218,6 +229,8 @@ def _declared_distance(emap, cls: PairClass) -> float:
 def _mc_slice_stats(args) -> tuple[float, float, int]:
     """(sum, sum of squares, k) of k copies of d^p for one slice, added
     in chunks of at most a million entries."""
+    import numpy as np
+
     support, k, dist, p = args
     rows_per_chunk = max(1, 1_000_000 // support)
     total = 0.0
@@ -320,6 +333,13 @@ class StepReport:
         }
 
 
+def _check_exponent(p: float) -> None:
+    """Averaged comparisons take p >= 0; at p = 0 they compare the shares
+    of class pairs the map keeps apart (d^0 = 1 for d > 0, 0**0 = 0)."""
+    if p < 0:
+        raise ValueError(f"p must be nonnegative, got {p}")
+
+
 def _check_declared(emap, p: float) -> bool:
     declared = emap.declared_roundness
     if declared is None:
@@ -350,6 +370,7 @@ def verify_step_inequality(emap, scls: SimplexClass, p: float,
     of image distance^p must be at least (1 - 1/r) times the edge-class
     mean, whenever the map really has roundness >= p. `workers` is
     accepted for the command line's sake: no pool is started."""
+    _check_exponent(p)
     scls.validate_for(emap.space)
     assumed = _check_declared(emap, p)
     conn = level_average(emap, scls.conn_class(), p, mode, budget,
@@ -416,6 +437,7 @@ def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
     last edge class; each level average is computed once and shared by the
     two steps that look at it. `workers` is accepted for the command
     line's sake: no pool is started."""
+    _check_exponent(p)
     scls_chain = chain_classes(start, levels)
     for scls in scls_chain:
         scls.validate_for(emap.space)
@@ -561,6 +583,8 @@ def uniform_obstruction_report(map_spec, ladder: Sequence[int], p: float,
     map must declare `class_distance`. `workers` is accepted for the
     command line's sake: no pool is started.
     """
+    if p <= 0:
+        raise ValueError(f"p must be positive (inf allowed), got {p}")
     entries = []
     factor = 1.0 if math.isinf(p) else math.exp(-1.0 / p)
     eps = None

@@ -10,9 +10,10 @@ its own generator, for the same reason.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MC_SLICES = 16
 
@@ -26,6 +27,8 @@ def slice_counts(total: int) -> list[int]:
 
 def slice_rng(seed: int, idx: int) -> np.random.Generator:
     """The generator of slice `idx` of a sample seeded with `seed`."""
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(MC_SLICES)[idx])
 
 

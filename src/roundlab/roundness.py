@@ -18,12 +18,10 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Optional, Sequence
 
-import mpmath
-
 from . import kernels
 from .cyclic import BudgetExceeded, DoubleSimplex, ProductCycleSpace
 from .numerics import (DEFAULT_CONTEXT, Number, NumericContext, dpow,
-                       dpow_mp, is_violation, to_mpf)
+                       dpow_mp, is_violation)
 
 
 @dataclass(frozen=True)
@@ -81,6 +79,8 @@ def certify_violation(space, ds: DoubleSimplex, p,
     g = simplex_gap(space, ds, p)
     if g.exact:
         return g.gap < 0
+    import mpmath
+
     within, cross = _pair_distances(space, ds)
     with mpmath.workprec(2 * ctx.precision_bits):
         lhs = mpmath.fsum(dpow_mp(d, p) for d in within)

@@ -239,6 +239,48 @@ def test_obstruct_chain_exit_codes(capsys):
     assert code2 == 2
 
 
+_STEP_ARGS = ["--map", "builtin:circle", "--coords", "4", "--units", "8",
+              "--delta", "1", "--support", "2", "--size", "2"]
+_CHAIN_ARGS = ["--map", "builtin:circle", "--coords", "8", "--units", "32",
+               "--delta", "1", "--support", "4", "--size", "2",
+               "--levels", "2", "--samples", "2000"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["uniform", "--map", "builtin:identity", "--n-ladder", "2",
+      "--p", "0"], "p must be positive"),
+    (["uniform", "--map", "builtin:identity", "--n-ladder", "2",
+      "--p", "-2"], "p must be positive"),
+    (["step", *_STEP_ARGS, "--p", "-1"], "p must be nonnegative"),
+    (["chain", *_CHAIN_ARGS, "--p", "-1"], "p must be nonnegative"),
+], ids=["uniform-zero", "uniform-negative", "step-negative",
+        "chain-negative"])
+def test_obstruct_rejects_meaningless_p(argv, message, capsys):
+    code, doc, err = run(["obstruct", *argv], capsys)
+    assert code == 1
+    assert doc is None
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["uniform", "--map", "builtin:identity", "--n-ladder", "2",
+      "--p", "inf", "--samples", "1000"], 2),
+    (["step", *_STEP_ARGS, "--p", "0"], 0),
+    (["chain", *_CHAIN_ARGS, "--p", "0"], 0),
+], ids=["uniform-inf", "step-zero", "chain-zero"])
+def test_obstruct_accepts_limit_p(argv, want, capsys):
+    code, doc, _ = run(["obstruct", *argv], capsys)
+    assert code == want
+    assert doc["command"] == f"obstruct {argv[0]}"
+
+
+def test_uniform_obstruction_report_rejects_zero_p():
+    from roundlab.obstruction import uniform_obstruction_report
+
+    with pytest.raises(ValueError, match="p must be positive"):
+        uniform_obstruction_report("builtin:identity", [2], 0.0)
+
+
 @pytest.mark.parametrize("argv, results_sha256", [
     (["obstruct", "chain", "--coords", "8", "--units", "32", "--delta", "1",
       "--support", "4", "--size", "2", "--levels", "2", "--p", "2",

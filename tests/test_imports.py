@@ -1,0 +1,111 @@
+"""Each command loads only the code it runs.
+
+Commands run in fresh interpreters, since the suite itself has imported
+everything; after each one the child lists `sys.modules`.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import roundlab
+from test_cli import suite_env
+
+# roundlab.__all__ as it stood when the package imported every submodule
+SEED_ALL = [
+    "BudgetExceeded", "CircleEmbeddingMap", "CycleSpace", "DoubleSimplex",
+    "FamilyGenerators", "FiniteMetricSpace", "GapResult", "IdentityMap",
+    "Isometry", "ModulusEnvelope", "PairClass", "ProductCycleSpace",
+    "RoundnessEstimate", "SimplexClass", "ZPoint", "ball_census",
+    "build_ballchain_injection", "build_ell0_injection",
+    "build_ellp_injection", "build_simplex", "cayley",
+    "cayley_roundness_upper", "certify_corrected",
+    "coarse_obstruction_report", "count_incidences", "count_pairs_closed",
+    "cyclic", "empirical_moduli", "enumerate_pairs", "estimate_roundness",
+    "euler_factor", "find_violation_exhaustive", "find_violation_search",
+    "inject", "is_pair", "is_simplex", "kernels", "level_average", "metric",
+    "numerics", "obstruction", "parallel", "roundness", "simplex_gap",
+    "snowflake", "stage_pair_class", "stage_simplex_class", "stage_space",
+    "transport_pair", "uniform_obstruction_report", "validate_metric",
+    "verify_chain_inequality", "verify_injection", "verify_mstar_isometry",
+    "verify_step_inequality", "word_distance", "zeta", "zspace",
+]
+
+# runs the command given on its own command line, report to --out, then
+# prints the exit code and the loaded module names
+_CHILD = """
+import json, sys
+from roundlab.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+"""
+
+_SPACE_4 = ["--coords", "4", "--units", "8", "--delta", "1", "--support", "2"]
+_SPACE_8 = ["--coords", "8", "--units", "8", "--delta", "1", "--support", "2"]
+
+COUNTS = {
+    "incidences-r2": ["counts", "incidences", *_SPACE_8, "--size", "2"],
+    "incidences-r4": ["counts", "incidences", *_SPACE_8, "--size", "4",
+                      "--budget", str(10 ** 12)],
+    "pairs-enumerated": ["counts", "pairs", *_SPACE_4,
+                         "--enumerate-budget", str(10 ** 6)],
+}
+STEPS = {
+    f"step-{name}": ["obstruct", "step", "--map", f"builtin:{name}",
+                     *_SPACE_4, "--size", "2", "--p", "2", "--mode", "exact"]
+    for name in ("identity", "circle", "snowflake:1/2", "constant")
+}
+
+
+def loaded_after(argv, tmp_path) -> tuple[int, set]:
+    out = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv,
+                           "--out", str(out)],
+                          capture_output=True, text=True, env=suite_env())
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert json.loads(out.read_text())["command"] == " ".join(argv[:2])
+    return result["rc"], set(result["modules"])
+
+
+@pytest.mark.parametrize("argv", [*COUNTS.values(), *STEPS.values()],
+                         ids=[*COUNTS, *STEPS])
+def test_exact_commands_load_neither_numpy_nor_mpmath(argv, tmp_path):
+    rc, modules = loaded_after(argv, tmp_path)
+    # the identity step fails at p=2 (exit 2), as in test_cli
+    assert rc == (2 if "builtin:identity" in argv else 0)
+    assert "numpy" not in modules
+    assert "mpmath" not in modules
+    if argv[0] == "counts":
+        assert "roundlab.obstruction" not in modules
+        assert "concurrent.futures.process" not in modules
+
+
+def test_import_roundlab_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, roundlab\n"
+         "print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=suite_env())
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout)
+    assert [m for m in modules if m.startswith("roundlab.")] == []
+    assert "numpy" not in modules and "mpmath" not in modules
+
+
+def test_public_names_unchanged_and_resolve():
+    assert roundlab.__all__ == SEED_ALL
+    for name in roundlab.__all__:
+        value = getattr(roundlab, name)
+        if name in roundlab._EXPORTS:
+            assert value is importlib.import_module(f"roundlab.{name}")
+        else:
+            assert value is getattr(
+                importlib.import_module(f"roundlab.{roundlab._ORIGIN[name]}"),
+                name)
+    assert set(roundlab.__all__) <= set(dir(roundlab))
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        roundlab.nonesuch
