@@ -4,7 +4,10 @@ Two report families: `coarse` turns a modulus envelope into a growth
 contradiction (alpha^p / e must exceed 1 for some doubling scale), and
 `uniform` compares the supremum of image distances over a fine pair class
 against e^(-1/p) times the infimum over a coarse one, per ladder entry.
-Both consume the per-class averaging primitives defined here.
+Both consume the per-class averaging primitives defined here. Every
+built-in map sends a whole (delta, support) class to one image distance,
+so Monte Carlo mode reports that distance in closed form and samples
+nothing.
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ from .cyclic import (BudgetExceeded, PairClass, ProductCycleSpace,
 from .cyclic import sample_pairs_sparse  # noqa: F401
 from .metric import ModulusEnvelope
 from .numerics import DEFAULT_CONTEXT, NumericContext
-from .parallel import MC_SLICES, run_partitions, slice_counts
+# bound here only because the benchmark harness traces it by this name
+from .parallel import run_partitions  # noqa: F401
 
 if TYPE_CHECKING:
     import numpy as np
-
-ENTRY_CAP = 64_000_000
 
 
 def euler_factor(n: int) -> float:
@@ -69,6 +71,13 @@ class _CycleMapBase:
         diff = np.abs(batch.x_vals - batch.y_vals)
         return np.minimum(diff, self.space.units - diff)
 
+    def _sup_distances(self, batch: SparsePairBatch) -> np.ndarray:
+        """Sup distance of each row, correctly rounded: the integer
+        quanta times the quantum's numerator, divided once."""
+        q = self.space.quantum
+        quanta = self._cyc_quanta(batch).max(axis=1)
+        return quanta * q.numerator / q.denominator
+
     def class_distance(self, cls: PairClass) -> float:
         """The image distance shared by every pair of `cls`, computed by
         `image_distance_batch` on one canonical row (zero point, late
@@ -96,8 +105,7 @@ class IdentityMap(_CycleMapBase):
         return float(self.space.distance(x, y))
 
     def image_distance_batch(self, batch: SparsePairBatch) -> np.ndarray:
-        quanta = self._cyc_quanta(batch).max(axis=1)
-        return quanta.astype(float) * float(self.space.quantum)
+        return self._sup_distances(batch)
 
 
 @dataclass(frozen=True)
@@ -151,8 +159,7 @@ class SnowflakeMap(_CycleMapBase):
         return float(self.space.distance(x, y)) ** self.alpha
 
     def image_distance_batch(self, batch: SparsePairBatch) -> np.ndarray:
-        quanta = self._cyc_quanta(batch).max(axis=1)
-        return (quanta * float(self.space.quantum)) ** self.alpha
+        return self._sup_distances(batch) ** self.alpha
 
 
 @dataclass(frozen=True)
@@ -193,8 +200,6 @@ class LevelAverage:
     mean: float
     count: int
     mode: str
-    stderr: Optional[float] = None
-    seed: Optional[int] = None
 
     def to_dict(self) -> dict:
         return {
@@ -204,15 +209,18 @@ class LevelAverage:
             "mean": self.mean,
             "count": self.count,
             "mode": self.mode,
-            "stderr": self.stderr,
-            "seed": self.seed,
         }
 
 
-# ENTRY_CAP, the 16 slices and the chunks of at most a million entries fix
-# `count` and the float summation order of `mean` and `stderr` in reports.
-def _capped_samples(samples: int, support: int) -> int:
-    return max(MC_SLICES, min(samples, max(1, ENTRY_CAP // support)))
+def _term(d, p: float) -> float:
+    """One pair's share of a level average: d^p, and at p = 0 the
+    indicator of d > 0 (so 0**0 counts 0)."""
+    return float(d) ** p if p != 0.0 else (1.0 if d > 0 else 0.0)
+
+
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
 
 
 def _declared_distance(emap, cls: PairClass) -> float:
@@ -226,27 +234,9 @@ def _declared_distance(emap, cls: PairClass) -> float:
     return declared(cls)
 
 
-def _mc_slice_stats(args) -> tuple[float, float, int]:
-    """(sum, sum of squares, k) of k copies of d^p for one slice, added
-    in chunks of at most a million entries."""
-    import numpy as np
-
-    support, k, dist, p = args
-    rows_per_chunk = max(1, 1_000_000 // support)
-    total = 0.0
-    total_sq = 0.0
-    for done in range(0, k, rows_per_chunk):
-        vals = np.full(min(rows_per_chunk, k - done), dist)
-        if p != 1.0:
-            vals = vals ** p if p != 0.0 else (vals > 0).astype(np.float64)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-    return (total, total_sq, k)
-
-
 def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
-                  budget: int = 2_000_000, samples: int = 100_000,
-                  seed: int = 0) -> LevelAverage:
+                  budget: int = 2_000_000,
+                  samples: int = 100_000) -> LevelAverage:
     """Average of image distance^p over one pair class.
 
     Exact mode enumerates the class (budgeted); a map that declares
@@ -254,10 +244,9 @@ def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
     class, so exact mode reads `image_distance` on one pair and rounds the
     class total once, which is what `fsum` over the enumerated pairs
     returns. Mc mode needs a declared `class_distance` and raises
-    ValueError without one: it reports a seeded sample of that constant
-    in 16 fixed slices, with oversized supports shrinking the sample
-    count to keep entries bounded; the count field reports what was used.
-    No pair is drawn and no pool starts.
+    ValueError without one: the average of any sample of the class is
+    that distance to the power p, so the mean is exactly that and the
+    count is `samples` (at least 1). No pair is drawn and no pool starts.
     """
     space = emap.space
     cls.validate_for(space)
@@ -266,42 +255,30 @@ def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
         if total > budget:
             raise BudgetExceeded(
                 f"class holds {total} pairs, budget {budget}", required=total)
-
-        def term(d) -> float:
-            return float(d) ** p if p != 0.0 else (1.0 if d > 0 else 0.0)
-
         if getattr(emap, "class_distance", None) is not None:
-            acc = float(Fraction(term(emap.image_distance(
-                *canonical_class_pair(space, cls)))) * total)
+            acc = float(Fraction(_term(emap.image_distance(
+                *canonical_class_pair(space, cls)), p)) * total)
         else:
-            acc = math.fsum(term(emap.image_distance(x, y))
+            acc = math.fsum(_term(emap.image_distance(x, y), p)
                             for x, y in enumerate_pairs(space, cls, budget))
         return LevelAverage(cls, p, acc / total, total, "exact")
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
-    dist = _declared_distance(emap, cls)
-    rows = slice_counts(_capped_samples(samples, cls.support))
-    # in process; the benchmark harness counts partitions through this name
-    parts = run_partitions(_mc_slice_stats,
-                           [(cls.support, k, dist, p) for k in rows])
-    n = sum(k for _, _, k in parts)
-    total = math.fsum(s for s, _, _ in parts)
-    total_sq = math.fsum(q for _, q, _ in parts)
-    mean = total / n
-    var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
-    return LevelAverage(cls, p, mean, n, "mc",
-                        stderr=math.sqrt(var / n), seed=seed)
+    _check_samples(samples)
+    return LevelAverage(cls, p, _term(_declared_distance(emap, cls), p),
+                        samples, "mc")
 
 
-def class_extremes(emap, cls: PairClass, samples: int = 100_000,
-                   seed: int = 0) -> tuple[float, float, int]:
-    """(inf, sup, samples_used) of image distances over a seeded class
-    sample: both ends are the map's declared `class_distance` (ValueError
-    without one), and samples_used is the capped count `level_average`
-    reports. The seed cannot change the result."""
+def class_extremes(emap, cls: PairClass,
+                   samples: int = 100_000) -> tuple[float, float, int]:
+    """(inf, sup, samples) of image distances over a sample of the class:
+    both ends are the map's declared `class_distance` (ValueError without
+    one), and the count is `samples` (at least 1), as `level_average`
+    reports it."""
     cls.validate_for(emap.space)
+    _check_samples(samples)
     dist = _declared_distance(emap, cls)
-    return dist, dist, _capped_samples(samples, cls.support)
+    return dist, dist, samples
 
 
 @dataclass
@@ -312,7 +289,6 @@ class StepReport:
     edge: LevelAverage
     factor: float
     margin: float
-    stderr_margin: float
     holds: bool
     assumed_roundness: bool
 
@@ -326,7 +302,6 @@ class StepReport:
             "edge": self.edge.to_dict(),
             "factor": self.factor,
             "margin": self.margin,
-            "stderr_margin": self.stderr_margin,
             "holds": self.holds,
             "assumed_roundness": self.assumed_roundness,
             "inequality": "conn_mean >= (1 - 1/r) * edge_mean",
@@ -334,8 +309,11 @@ class StepReport:
 
 
 def _check_exponent(p: float) -> None:
-    """Averaged comparisons take p >= 0; at p = 0 they compare the shares
-    of class pairs the map keeps apart (d^0 = 1 for d > 0, 0**0 = 0)."""
+    """Averaged comparisons take a finite p >= 0; at p = 0 they compare
+    the shares of class pairs the map keeps apart (d^0 = 1 for d > 0,
+    0**0 = 0)."""
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
 
@@ -350,15 +328,13 @@ def _check_declared(emap, p: float) -> bool:
     return False
 
 
-def _margin(hi: LevelAverage, lo: LevelAverage, factor: float,
-            ctx: NumericContext) -> tuple[float, float, bool]:
-    """(margin, stderr, holds) for hi.mean >= factor * lo.mean: the margin
-    holds unless it falls below three standard errors plus the context's
-    relative tolerance. Exact averages carry no stderr and count as 0."""
-    margin = hi.mean - factor * lo.mean
-    se = math.sqrt((hi.stderr or 0.0) ** 2 + (factor * (lo.stderr or 0.0)) ** 2)
-    scale = max(abs(hi.mean), abs(factor * lo.mean), 1.0)
-    return margin, se, bool(margin >= -(3.0 * se + ctx.rel_tol * scale))
+def _margin(hi: float, lo: float, factor: float,
+            ctx: NumericContext) -> tuple[float, bool]:
+    """(margin, holds) for hi >= factor * lo: the margin holds unless it
+    falls below the context's relative tolerance."""
+    margin = hi - factor * lo
+    scale = max(abs(hi), abs(factor * lo), 1.0)
+    return margin, bool(margin >= -(ctx.rel_tol * scale))
 
 
 def verify_step_inequality(emap, scls: SimplexClass, p: float,
@@ -368,18 +344,17 @@ def verify_step_inequality(emap, scls: SimplexClass, p: float,
                          ctx: NumericContext = DEFAULT_CONTEXT) -> StepReport:
     """Averaged comparison for one simplex class: the connecting-class mean
     of image distance^p must be at least (1 - 1/r) times the edge-class
-    mean, whenever the map really has roundness >= p. `workers` is
-    accepted for the command line's sake: no pool is started."""
+    mean, whenever the map really has roundness >= p. `seed` and `workers`
+    are accepted for the command line's sake: nothing is sampled and no
+    pool is started."""
     _check_exponent(p)
     scls.validate_for(emap.space)
     assumed = _check_declared(emap, p)
-    conn = level_average(emap, scls.conn_class(), p, mode, budget,
-                         samples, 2 * seed)
-    edge = level_average(emap, scls.edge_class(), p, mode, budget,
-                         samples, 2 * seed + 1)
+    conn = level_average(emap, scls.conn_class(), p, mode, budget, samples)
+    edge = level_average(emap, scls.edge_class(), p, mode, budget, samples)
     factor = 1.0 - 1.0 / scls.families
-    margin, se, holds = _margin(conn, edge, factor, ctx)
-    return StepReport(scls, p, conn, edge, factor, margin, se, holds, assumed)
+    margin, holds = _margin(conn.mean, edge.mean, factor, ctx)
+    return StepReport(scls, p, conn, edge, factor, margin, holds, assumed)
 
 
 @dataclass
@@ -391,7 +366,6 @@ class ChainReport:
     steps: list
     factor_total: float
     cumulative_margin: float
-    cumulative_stderr: float
     cumulative_holds: bool
 
     def to_dict(self) -> dict:
@@ -405,7 +379,6 @@ class ChainReport:
             "steps": self.steps,
             "factor_total": self.factor_total,
             "cumulative_margin": self.cumulative_margin,
-            "cumulative_stderr": self.cumulative_stderr,
             "cumulative_holds": self.cumulative_holds,
         }
 
@@ -435,8 +408,8 @@ def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
 
     Pair levels are the connecting classes of each simplex class plus the
     last edge class; each level average is computed once and shared by the
-    two steps that look at it. `workers` is accepted for the command
-    line's sake: no pool is started."""
+    two steps that look at it. `seed` and `workers` are accepted for the
+    command line's sake: nothing is sampled and no pool is started."""
     _check_exponent(p)
     scls_chain = chain_classes(start, levels)
     for scls in scls_chain:
@@ -444,28 +417,26 @@ def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
     assumed = _check_declared(emap, p)
     pair_levels = [s.conn_class() for s in scls_chain]
     pair_levels.append(scls_chain[-1].edge_class())
-    averages = [
-        level_average(emap, cls, p, mode, budget, samples, seed * 131 + i)
-        for i, cls in enumerate(pair_levels)
-    ]
+    averages = [level_average(emap, cls, p, mode, budget, samples)
+                for cls in pair_levels]
     r = start.families
     factor = 1.0 - 1.0 / r
     steps = []
     for i, scls in enumerate(scls_chain):
-        margin, se, holds = _margin(averages[i], averages[i + 1], factor, ctx)
+        margin, holds = _margin(averages[i].mean, averages[i + 1].mean,
+                                factor, ctx)
         steps.append({
             "delta": scls.delta,
             "support": scls.support,
             "margin": margin,
-            "stderr": se,
             "holds": holds,
             "assumed_roundness": assumed,
         })
     factor_total = factor ** levels
-    cum_margin, cum_se, cum_holds = _margin(averages[0], averages[-1],
-                                            factor_total, ctx)
+    cum_margin, cum_holds = _margin(averages[0].mean, averages[-1].mean,
+                                    factor_total, ctx)
     return ChainReport(start, levels, p, averages, steps, factor_total,
-                       cum_margin, cum_se, cum_holds)
+                       cum_margin, cum_holds)
 
 
 @dataclass
@@ -580,11 +551,12 @@ def uniform_obstruction_report(map_spec, ladder: Sequence[int], p: float,
     Depth n works in the block of size n + 2, comparing the fine class
     (delta halved n times, support raised to n + 1) against the coarse
     class. A map builder or builtin spec receives each block's space; the
-    map must declare `class_distance`. `workers` is accepted for the
-    command line's sake: no pool is started.
+    map must declare `class_distance`. `seed` and `workers` are accepted
+    for the command line's sake: nothing is sampled and no pool is started.
     """
     if p <= 0:
         raise ValueError(f"p must be positive (inf allowed), got {p}")
+    _check_samples(samples)
     entries = []
     factor = 1.0 if math.isinf(p) else math.exp(-1.0 / p)
     eps = None
@@ -601,12 +573,9 @@ def uniform_obstruction_report(map_spec, ladder: Sequence[int], p: float,
         _check_declared(emap, p if not math.isinf(p) else 0.0)
         fine = stage_pair_class(block, -n, n + 1)
         coarse = stage_pair_class(block, 0, 1)
-        _, sup_fine, used_f = class_extremes(emap, fine, samples, 2 * seed)
-        inf_coarse, _, used_c = class_extremes(emap, coarse, samples,
-                                               2 * seed + 1)
-        bound = factor * inf_coarse
-        scale = max(sup_fine, bound, 1.0)
-        holds = sup_fine >= bound - ctx.rel_tol * scale
+        _, sup_fine, used_f = class_extremes(emap, fine, samples)
+        inf_coarse, _, used_c = class_extremes(emap, coarse, samples)
+        margin, holds = _margin(sup_fine, inf_coarse, factor, ctx)
         entries.append({
             "n": n,
             "block": block,
@@ -619,9 +588,9 @@ def uniform_obstruction_report(map_spec, ladder: Sequence[int], p: float,
             "sup_fine": sup_fine,
             "inf_coarse": inf_coarse,
             "factor": factor,
-            "bound": bound,
-            "holds": bool(holds),
-            "margin": sup_fine - bound,
+            "bound": factor * inf_coarse,
+            "holds": holds,
+            "margin": margin,
         })
         eps = inf_coarse if eps is None else min(eps, inf_coarse)
         if inf_coarse <= 0:

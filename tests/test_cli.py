@@ -52,7 +52,7 @@ def test_validate_ok(c4_csv, capsys):
     code, doc, _ = run(["validate", "--input", c4_csv], capsys)
     assert code == 0
     assert doc["results"]["ok"] is True
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["command"] == "validate"
 
 
@@ -253,8 +253,16 @@ _CHAIN_ARGS = ["--map", "builtin:circle", "--coords", "8", "--units", "32",
       "--p", "-2"], "p must be positive"),
     (["step", *_STEP_ARGS, "--p", "-1"], "p must be nonnegative"),
     (["chain", *_CHAIN_ARGS, "--p", "-1"], "p must be nonnegative"),
+    (["step", *_STEP_ARGS, "--p", "inf", "--mode", "exact"],
+     "p must be finite"),
+    (["step", *_STEP_ARGS, "--p", "inf", "--mode", "mc"], "p must be finite"),
+    (["chain", *_CHAIN_ARGS, "--p", "inf", "--mode", "exact"],
+     "p must be finite"),
+    (["chain", *_CHAIN_ARGS, "--p", "inf", "--mode", "mc"],
+     "p must be finite"),
 ], ids=["uniform-zero", "uniform-negative", "step-negative",
-        "chain-negative"])
+        "chain-negative", "step-exact-inf", "step-mc-inf", "chain-exact-inf",
+        "chain-mc-inf"])
 def test_obstruct_rejects_meaningless_p(argv, message, capsys):
     code, doc, err = run(["obstruct", *argv], capsys)
     assert code == 1
@@ -274,6 +282,34 @@ def test_obstruct_accepts_limit_p(argv, want, capsys):
     assert doc["command"] == f"obstruct {argv[0]}"
 
 
+@pytest.mark.parametrize("argv", [
+    ["uniform", "--map", "builtin:identity", "--n-ladder", "2", "--p", "2"],
+    ["step", *_STEP_ARGS, "--p", "2", "--mode", "mc"],
+    ["chain", *_CHAIN_ARGS[:-2], "--p", "2", "--mode", "mc"],
+], ids=["uniform", "step", "chain"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_obstruct_rejects_sample_count_below_one(argv, samples, capsys):
+    code, doc, err = run(["obstruct", *argv, "--samples", samples], capsys)
+    assert code == 1
+    assert doc is None
+    assert err.startswith("error: samples must be at least 1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["uniform", "--map", "builtin:identity", "--n-ladder", "2,4", "--p", "2",
+     "--samples", "500"],
+    ["step", *_STEP_ARGS, "--p", "2", "--mode", "mc", "--samples", "500"],
+    ["chain", *_CHAIN_ARGS, "--p", "2", "--mode", "mc"],
+], ids=["uniform", "step", "chain"])
+def test_obstruct_results_ignore_seed(argv, capsys):
+    # nothing is sampled: the seed reaches params and provenance only
+    docs = [run(["obstruct", *argv, "--seed", seed], capsys)[1]
+            for seed in ("3", "91")]
+    assert docs[0]["results"] == docs[1]["results"]
+    assert docs[0]["provenance"]["seed"] == 3
+    assert docs[1]["provenance"]["seed"] == 91
+
+
 def test_uniform_obstruction_report_rejects_zero_p():
     from roundlab.obstruction import uniform_obstruction_report
 
@@ -285,11 +321,11 @@ def test_uniform_obstruction_report_rejects_zero_p():
     (["obstruct", "chain", "--coords", "8", "--units", "32", "--delta", "1",
       "--support", "4", "--size", "2", "--levels", "2", "--p", "2",
       "--mode", "mc", "--samples", "2000", "--seed", "3"],
-     "08fdece6aa5fd8320d3f333061bf400070f777c09becee73737bb45874962adb"),
+     "c2039b268e617c08c6b763ee74f8cb5c915f054cb81ec546f245e0c823b8ad95"),
     (["obstruct", "step", "--coords", "4", "--units", "8", "--delta", "1",
       "--support", "2", "--size", "2", "--p", "2", "--mode", "mc",
       "--samples", "2000", "--seed", "5"],
-     "33728d3dee7f88e4fca5e9d9333ef8dcea124680b137b808e6fc0373eecf17fb"),
+     "b1c2018d7b24b8b5db00dd9263e472d253a27236cb1b18ed8a822a0260f07a10"),
 ], ids=["chain", "step"])
 def test_obstruct_chain_step_wall_time_outside_body(argv, results_sha256,
                                                     capsys):
@@ -298,8 +334,8 @@ def test_obstruct_chain_step_wall_time_outside_body(argv, results_sha256,
     assert doc["wall_time_s"] >= 0
     assert set(doc) == {"schema", "command", "params", "results",
                         "provenance", "wall_time_s"}
-    # results digests recorded when these commands printed no wall time
-    # and Monte Carlo mode still drew pairs for built-in maps
+    # results digests recorded at schema 2, when Monte Carlo mode began
+    # reporting each class distance to the power p in closed form
     text = json.dumps(doc["results"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == results_sha256
 

@@ -210,34 +210,33 @@ def test_sample_supports_uniform_chi_square(coords, support, rows):
 
 
 def test_chain_report_frozen_at_seed():
-    # recorded before supports were drawn for all rows at once; built-in
-    # maps send a whole class to one distance, so the report cannot move
+    # built-in maps send a whole class to one distance, so each Monte Carlo
+    # level mean is that distance to the power p, whatever the seed
     space = ProductCycleSpace(8, CycleSpace(32, Fraction(1)))
-    rep = verify_chain_inequality(CircleEmbeddingMap(space),
-                                  SimplexClass(1, 4, 2), 2, 2.0,
+    emap = CircleEmbeddingMap(space)
+    rep = verify_chain_inequality(emap, SimplexClass(1, 4, 2), 2, 2.0,
                                   mode="mc", samples=3000, seed=11)
+    levels = [(1, 8), (2, 4), (4, 2)]
+    means = [emap.class_distance(PairClass(d, s)) ** 2.0 for d, s in levels]
+    # the sampled means recorded before the closed form, within their noise
+    assert means == pytest.approx(
+        [7.974330912359689, 15.79543729226653, 30.388518513657065], rel=1e-15)
     assert rep.to_dict() == {
         "start_delta": 1, "start_support": 4, "families": 2, "levels": 2,
         "p": 2.0,
         "averages": [
-            {"delta": 1, "support": 8, "p": 2.0, "mean": 7.974330912359689,
-             "count": 3000, "mode": "mc", "stderr": 0.0, "seed": 1441},
-            {"delta": 2, "support": 4, "p": 2.0, "mean": 15.79543729226653,
-             "count": 3000, "mode": "mc", "stderr": 0.0, "seed": 1442},
-            {"delta": 4, "support": 2, "p": 2.0, "mean": 30.388518513657065,
-             "count": 3000, "mode": "mc", "stderr": 1.4388522578688849e-08,
-             "seed": 1443},
+            {"delta": d, "support": s, "p": 2.0, "mean": mean,
+             "count": 3000, "mode": "mc"}
+            for (d, s), mean in zip(levels, means)
         ],
         "steps": [
-            {"delta": 1, "support": 4, "margin": 0.07661226622642392,
-             "stderr": 0.0, "holds": True, "assumed_roundness": False},
-            {"delta": 2, "support": 2, "margin": 0.6011780354379983,
-             "stderr": 7.194261289344424e-09, "holds": True,
-             "assumed_roundness": False},
+            {"delta": 1, "support": 4, "margin": means[0] - 0.5 * means[1],
+             "holds": True, "assumed_roundness": False},
+            {"delta": 2, "support": 2, "margin": means[1] - 0.5 * means[2],
+             "holds": True, "assumed_roundness": False},
         ],
         "factor_total": 0.25,
-        "cumulative_margin": 0.37720128394542307,
-        "cumulative_stderr": 3.597130644672212e-09,
+        "cumulative_margin": means[0] - 0.25 * means[2],
         "cumulative_holds": True,
     }
 

@@ -13,9 +13,8 @@ from roundlab.cyclic import (BudgetExceeded, CycleSpace, PairClass,
                              count_pairs_closed, sample_pairs_sparse, stage_pair_class,
                              stage_space)
 from roundlab.metric import empirical_moduli
-from roundlab.obstruction import (ENTRY_CAP, MC_SLICES, CircleEmbeddingMap,
-                                  ConstantMap, IdentityMap, SnowflakeMap,
-                                  _capped_samples, chain_classes,
+from roundlab.obstruction import (CircleEmbeddingMap, ConstantMap,
+                                  IdentityMap, SnowflakeMap, chain_classes,
                                   class_extremes, coarse_obstruction_report,
                                   euler_factor, euler_factor_exact,
                                   euler_factors, level_average,
@@ -80,12 +79,6 @@ def test_circle_map_chord_geometry():
     assert d == pytest.approx(math.sqrt(2) * emap.chord(1))
 
 
-def test_capped_samples():
-    assert _capped_samples(100, 1) == 100
-    assert _capped_samples(10, 1) == MC_SLICES
-    assert _capped_samples(10 ** 9, 2 ** 21) == ENTRY_CAP // 2 ** 21
-
-
 # ---------------------------------------------------------------------------
 # level averages
 
@@ -95,7 +88,10 @@ def test_level_average_exact_identity():
     avg = level_average(emap, PairClass(2, 2), 2.0, mode="exact")
     assert avg.mean == pytest.approx(4.0)  # constant distance 2, squared
     assert avg.count == 49152
-    assert avg.stderr is None
+    # an exact average reports no sampling statistic
+    assert avg.to_dict() == {"delta": 2, "support": 2, "p": 2.0,
+                             "mean": avg.mean, "count": 49152,
+                             "mode": "exact"}
 
 
 def test_level_average_mc_matches_exact():
@@ -103,11 +99,41 @@ def test_level_average_mc_matches_exact():
     emap = CircleEmbeddingMap(space)
     cls = PairClass(1, 2)
     exact = level_average(emap, cls, 2.0, mode="exact")
-    mc = level_average(emap, cls, 2.0, mode="mc", samples=20_000, seed=3)
-    # class-constant distance: the MC mean is exact up to float noise
-    assert mc.mean == pytest.approx(exact.mean, rel=1e-9)
-    assert mc.stderr < 1e-9
+    mc = level_average(emap, cls, 2.0, mode="mc", samples=20_000)
+    # class-constant distance: the MC mean is that distance squared, and
+    # the exact mean is its class total rounded once over the class size
+    assert mc.mean == emap.class_distance(cls) ** 2.0
+    assert mc.mean == pytest.approx(exact.mean, rel=1e-15)
     assert mc.count == 20_000
+
+
+def test_level_average_mc_closed_form():
+    space = small_space()
+    cls = PairClass(3, 2)
+    for emap in builtin_maps(space):
+        dist = emap.class_distance(cls)
+        for p in (0.0, 0.5, 1.0, 2.0):
+            avg = level_average(emap, cls, p, mode="mc", samples=7)
+            want = (1.0 if dist > 0 else 0.0) if p == 0.0 else dist ** p
+            assert avg.mean == want, (type(emap).__name__, p)
+            assert avg.count == 7
+            assert avg.to_dict()["mode"] == "mc"
+
+
+def test_sample_count_must_be_positive():
+    emap = CircleEmbeddingMap(small_space())
+    cls = PairClass(1, 2)
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            level_average(emap, cls, 2.0, mode="mc", samples=samples)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            class_extremes(emap, cls, samples=samples)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            uniform_obstruction_report("builtin:circle", [2], 2.0,
+                                       samples=samples)
+    # one sample is the smallest count, reported as given
+    assert level_average(emap, cls, 2.0, mode="mc", samples=1).count == 1
+    assert class_extremes(emap, cls, samples=1)[2] == 1
 
 
 def test_level_average_budget():
@@ -169,8 +195,8 @@ def test_level_average_exact_enumerates_undeclared_maps(monkeypatch):
 def test_class_extremes_constant_class():
     space = small_space()
     emap = CircleEmbeddingMap(space)
-    lo, hi, used = class_extremes(emap, PairClass(1, 4), samples=2000, seed=1)
-    assert lo == pytest.approx(hi)
+    lo, hi, used = class_extremes(emap, PairClass(1, 4), samples=2000)
+    assert lo == hi == emap.class_distance(PairClass(1, 4))
     assert used == 2000
 
 
@@ -199,15 +225,19 @@ def test_class_distance_equals_every_sampled_row(space, cls, rows):
         assert type(dist) is float
         assert vals.shape == (rows,)
         assert np.all(vals == dist), type(emap).__name__
+    # the sup distance of a class is delta quanta, rounded once to float
+    want = float(space.quantum * cls.delta)
+    assert IdentityMap(space).class_distance(cls) == want
+    assert SnowflakeMap(space, 0.5).class_distance(cls) == want ** 0.5
 
 
 def test_mc_needs_declared_class_distance():
     emap = PairwiseMap(CircleEmbeddingMap(small_space()))
     cls = PairClass(1, 3)
     with pytest.raises(ValueError, match="class_distance"):
-        level_average(emap, cls, 2.0, mode="mc", samples=4000, seed=9)
+        level_average(emap, cls, 2.0, mode="mc", samples=4000)
     with pytest.raises(ValueError, match="class_distance"):
-        class_extremes(emap, cls, samples=4000, seed=9)
+        class_extremes(emap, cls, samples=4000)
 
 
 def test_declared_class_distance_draws_nothing_and_starts_no_pool(monkeypatch):
@@ -375,6 +405,11 @@ def test_uniform_identity_fails_as_predicted():
     e = rep.entries[0]
     assert e["sup_fine"] == 0.25  # 2^-n exactly, distances class constant
     assert e["inf_coarse"] == 1.0
+    # deeper rungs stay exact: the sup distance of a class is rounded once
+    deep = uniform_obstruction_report("builtin:identity", [2, 4], 2.0,
+                                      samples=2000).entries[1]
+    assert (deep["sup_fine"], deep["inf_coarse"]) == (0.0625, 1.0)
+    assert deep["margin"] == 0.0625 - math.exp(-0.5)
     assert e["bound"] == pytest.approx(math.exp(-0.5))
     assert not e["holds"]
     assert rep.obstruction_found
