@@ -6,8 +6,9 @@ contradiction (alpha^p / e must exceed 1 for some doubling scale), and
 against e^(-1/p) times the infimum over a coarse one, per ladder entry.
 Both consume the per-class averaging primitives defined here. Every
 built-in map sends a whole (delta, support) class to one image distance,
-so Monte Carlo mode reports that distance in closed form and samples
-nothing.
+its `class_distance`: a pure-Python closed form that exact mode, Monte
+Carlo mode and `uniform` all read, so no report samples a pair or loads
+numpy.
 """
 
 from __future__ import annotations
@@ -19,18 +20,26 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, ClassVar, Optional, Sequence
 
 from .cyclic import (BudgetExceeded, PairClass, ProductCycleSpace,
-                     SimplexClass, SparsePairBatch, canonical_class_pair,
+                     SimplexClass, SparsePairBatch,
                      count_pairs_closed, enumerate_pairs, stage_pair_class,
                      stage_space)
 # bound here only because the benchmark harness traces it by this name
 from .cyclic import sample_pairs_sparse  # noqa: F401
 from .metric import ModulusEnvelope
 from .numerics import DEFAULT_CONTEXT, NumericContext
-# bound here only because the benchmark harness traces it by this name
-from .parallel import run_partitions  # noqa: F401
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+def __getattr__(name: str):
+    # `run_partitions` is looked up here only by the benchmark harness,
+    # which traces it by this name; binding it lazily keeps the process
+    # pool module out of every obstruct run
+    if name == "run_partitions":
+        from .parallel import run_partitions
+        return run_partitions
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def euler_factor(n: int) -> float:
@@ -79,18 +88,12 @@ class _CycleMapBase:
         return quanta * q.numerator / q.denominator
 
     def class_distance(self, cls: PairClass) -> float:
-        """The image distance shared by every pair of `cls`, computed by
-        `image_distance_batch` on one canonical row (zero point, late
-        support), so it equals each row of a sampled batch bit for bit."""
-        import numpy as np
-
+        """The image distance shared by every pair of `cls`, from (delta,
+        support) alone: every pair differs by delta quanta in exactly
+        `support` coordinates. It equals `image_distance` on each class
+        pair bit for bit, and builds no point or batch."""
         cls.validate_for(self.space)
-        c, s = self.space.coords, cls.support
-        row = SparsePairBatch(self.space, cls,
-                              np.arange(c - s, c, dtype=np.int64)[None, :],
-                              np.zeros((1, s), dtype=np.int64),
-                              np.full((1, s), cls.delta, dtype=np.int64))
-        return float(self.image_distance_batch(row)[0])
+        return self._class_distance(cls.delta, cls.support)
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,9 @@ class IdentityMap(_CycleMapBase):
 
     def image_distance(self, x, y) -> float:
         return float(self.space.distance(x, y))
+
+    def _class_distance(self, delta: int, support: int) -> float:
+        return float(self.space.quantum * delta)
 
     def image_distance_batch(self, batch: SparsePairBatch) -> np.ndarray:
         return self._sup_distances(batch)
@@ -127,12 +133,19 @@ class CircleEmbeddingMap(_CycleMapBase):
 
     def image_distance(self, x, y) -> float:
         u = self.space.units
-        total = 0.0
+        squares = []
         for a, b in zip(x, y):
             d = abs(a - b)
-            c = self.chord(min(d, u - d))
-            total += c * c
-        return math.sqrt(total)
+            if d:  # agreeing coordinates add an exact 0.0
+                c = self.chord(min(d, u - d))
+                squares.append(c * c)
+        return math.sqrt(math.fsum(squares))
+
+    def _class_distance(self, delta: int, support: int) -> float:
+        # the fsum of `support` equal rounded squares is their product,
+        # rounded once, so this matches `image_distance` bit for bit
+        c = self.chord(delta)
+        return math.sqrt(support * (c * c))
 
     def image_distance_batch(self, batch: SparsePairBatch) -> np.ndarray:
         import numpy as np
@@ -158,6 +171,9 @@ class SnowflakeMap(_CycleMapBase):
     def image_distance(self, x, y) -> float:
         return float(self.space.distance(x, y)) ** self.alpha
 
+    def _class_distance(self, delta: int, support: int) -> float:
+        return float(self.space.quantum * delta) ** self.alpha
+
     def image_distance_batch(self, batch: SparsePairBatch) -> np.ndarray:
         return self._sup_distances(batch) ** self.alpha
 
@@ -171,6 +187,9 @@ class ConstantMap(_CycleMapBase):
     name: ClassVar[str] = "constant"
 
     def image_distance(self, x, y) -> float:
+        return 0.0
+
+    def _class_distance(self, delta: int, support: int) -> float:
         return 0.0
 
     def image_distance_batch(self, batch: SparsePairBatch) -> np.ndarray:
@@ -241,12 +260,13 @@ def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
 
     Exact mode enumerates the class (budgeted); a map that declares
     `class_distance` (every built-in map) has one image distance per
-    class, so exact mode reads `image_distance` on one pair and rounds the
-    class total once, which is what `fsum` over the enumerated pairs
-    returns. Mc mode needs a declared `class_distance` and raises
-    ValueError without one: the average of any sample of the class is
-    that distance to the power p, so the mean is exactly that and the
-    count is `samples` (at least 1). No pair is drawn and no pool starts.
+    class, so exact mode reads that distance and rounds the class total
+    once, which is what `fsum` over the enumerated pairs returns. Mc mode
+    needs a declared `class_distance` and raises ValueError without one:
+    the average of any sample of the class is that distance to the power
+    p, so the mean is exactly that and the count is `samples` (at least
+    1). Both modes read the same number; no pair is drawn, no pool starts
+    and numpy is not loaded.
     """
     space = emap.space
     cls.validate_for(space)
@@ -256,8 +276,7 @@ def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
             raise BudgetExceeded(
                 f"class holds {total} pairs, budget {budget}", required=total)
         if getattr(emap, "class_distance", None) is not None:
-            acc = float(Fraction(_term(emap.image_distance(
-                *canonical_class_pair(space, cls)), p)) * total)
+            acc = float(Fraction(_term(emap.class_distance(cls), p)) * total)
         else:
             acc = math.fsum(_term(emap.image_distance(x, y), p)
                             for x, y in enumerate_pairs(space, cls, budget))
@@ -554,7 +573,7 @@ def uniform_obstruction_report(map_spec, ladder: Sequence[int], p: float,
     map must declare `class_distance`. `seed` and `workers` are accepted
     for the command line's sake: nothing is sampled and no pool is started.
     """
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"p must be positive (inf allowed), got {p}")
     _check_samples(samples)
     entries = []

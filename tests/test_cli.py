@@ -52,7 +52,7 @@ def test_validate_ok(c4_csv, capsys):
     code, doc, _ = run(["validate", "--input", c4_csv], capsys)
     assert code == 0
     assert doc["results"]["ok"] is True
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert doc["command"] == "validate"
 
 

@@ -58,6 +58,19 @@ STEPS = {
                      *_SPACE_4, "--size", "2", "--p", "2", "--mode", "exact"]
     for name in ("identity", "circle", "snowflake:1/2", "constant")
 }
+# Monte Carlo mode and uniform read the same closed-form class distance
+OBSTRUCT_MC = {
+    "step-mc": ["obstruct", "step", "--map", "builtin:circle", *_SPACE_4,
+                "--size", "2", "--p", "2", "--mode", "mc"],
+    # the README chain
+    "chain-mc": ["obstruct", "chain", "--map", "builtin:circle", "--n", "4",
+                 "--delta", "1", "--support", "64", "--size", "4",
+                 "--levels", "4", "--p", "2", "--mode", "mc",
+                 "--samples", "100000", "--seed", "7"],
+    **{f"uniform-{name}": ["obstruct", "uniform", "--map", f"builtin:{name}",
+                           "--n-ladder", "2,4", "--p", "2"]
+       for name in ("identity", "circle")},
+}
 
 
 def loaded_after(argv, tmp_path) -> tuple[int, set]:
@@ -71,17 +84,38 @@ def loaded_after(argv, tmp_path) -> tuple[int, set]:
     return result["rc"], set(result["modules"])
 
 
+def assert_no_heavy_imports(modules: set) -> None:
+    assert "numpy" not in modules
+    assert "mpmath" not in modules
+    # no command here starts a process pool, so none loads its module
+    assert "concurrent.futures.process" not in modules
+
+
 @pytest.mark.parametrize("argv", [*COUNTS.values(), *STEPS.values()],
                          ids=[*COUNTS, *STEPS])
 def test_exact_commands_load_neither_numpy_nor_mpmath(argv, tmp_path):
     rc, modules = loaded_after(argv, tmp_path)
     # the identity step fails at p=2 (exit 2), as in test_cli
     assert rc == (2 if "builtin:identity" in argv else 0)
-    assert "numpy" not in modules
-    assert "mpmath" not in modules
+    assert_no_heavy_imports(modules)
     if argv[0] == "counts":
         assert "roundlab.obstruction" not in modules
-        assert "concurrent.futures.process" not in modules
+
+
+@pytest.mark.parametrize("argv", OBSTRUCT_MC.values(), ids=OBSTRUCT_MC)
+def test_mc_and_uniform_load_neither_numpy_nor_pool(argv, tmp_path):
+    rc, modules = loaded_after(argv, tmp_path)
+    # the identity map has no uniform embedding: an obstruction, exit 2
+    assert rc == (2 if "builtin:identity" in argv else 0)
+    assert_no_heavy_imports(modules)
+
+
+def test_run_partitions_resolves_on_lookup():
+    from roundlab import obstruction, parallel
+
+    assert obstruction.run_partitions is parallel.run_partitions
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        obstruction.nonesuch
 
 
 def test_import_roundlab_loads_no_submodule():

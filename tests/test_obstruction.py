@@ -151,7 +151,8 @@ def test_level_average_exact_closed_form_matches_enumeration(coords, units):
         for support in range(1, coords + 1):
             cls = PairClass(delta, support)
             emaps = (IdentityMap(space), CircleEmbeddingMap(space),
-                     SnowflakeMap(space, 0.5), ConstantMap(space))
+                     SnowflakeMap(space, 0.5), SnowflakeMap(space, 1 / 3),
+                     ConstantMap(space))
             for emap, want in zip(emaps, enumerated_level_means(emaps, cls, ps)):
                 for p in ps:
                     avg = level_average(emap, cls, p, mode="exact")
@@ -218,17 +219,44 @@ def builtin_maps(space):
 ], ids=["c4-d1-s2", "c4-d3-s3", "antipodal", "full-support",
         "antipodal-full", "c300-s129", "uniform-fine-n4"])
 def test_class_distance_equals_every_sampled_row(space, cls, rows):
-    batch = sample_pairs_sparse(space, cls, rows, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    batch = sample_pairs_sparse(space, cls, rows, rng)
+    # each sampled row as a full pair: random shared coordinates, the
+    # row's residues on its support
+    pairs = []
+    for i in range(rows):
+        x = rng.integers(0, space.units, space.coords)
+        y = x.copy()
+        x[batch.supports[i]] = batch.x_vals[i]
+        y[batch.supports[i]] = batch.y_vals[i]
+        pairs.append((tuple(x.tolist()), tuple(y.tolist())))
     for emap in builtin_maps(space):
+        name = type(emap).__name__
         dist = emap.class_distance(cls)
-        vals = emap.image_distance_batch(batch)
         assert type(dist) is float
+        assert all(emap.image_distance(x, y) == dist for x, y in pairs), name
+        # the numpy twin is no definition: it may sum or raise to a power
+        # in another order, within an ulp or two
+        vals = emap.image_distance_batch(batch)
         assert vals.shape == (rows,)
-        assert np.all(vals == dist), type(emap).__name__
+        assert np.all(np.abs(vals - dist) <= 2 * math.ulp(dist)), name
     # the sup distance of a class is delta quanta, rounded once to float
     want = float(space.quantum * cls.delta)
     assert IdentityMap(space).class_distance(cls) == want
     assert SnowflakeMap(space, 0.5).class_distance(cls) == want ** 0.5
+
+
+def test_class_distance_builds_no_batch(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no batch expected")
+
+    monkeypatch.setattr(obstruction, "SparsePairBatch", refuse)
+    space = stage_space(6)
+    cls = stage_pair_class(6, -4, 5)
+    for emap in builtin_maps(space):
+        assert emap.class_distance(cls) >= 0.0
+        with pytest.raises(ValueError, match="exceeds"):
+            emap.class_distance(PairClass(space.units, 1))
 
 
 def test_mc_needs_declared_class_distance():
@@ -431,6 +459,11 @@ def test_uniform_p_infinite_factor_one():
     assert rep.entries[0]["factor"] == 1.0
     assert rep.to_dict()["p_infinite"] is True
     assert rep.obstruction_found
+
+
+def test_uniform_rejects_nan_p():
+    with pytest.raises(ValueError, match="p must be positive"):
+        uniform_obstruction_report("builtin:circle", [2], float("nan"))
 
 
 def test_uniform_ladder_validation():
