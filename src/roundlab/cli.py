@@ -188,8 +188,8 @@ def _cmd_simplex_build(args) -> int:
 
 
 def vars_params(args) -> dict:
-    # worker count never changes results (sampling is slice-merged), so it
-    # stays out of the report body to keep equal-seed runs byte-identical
+    # the worker count never changes a result, so it stays out of the
+    # report body and runs that differ only in --workers stay byte-identical
     skip = {"func", "out", "command", "sub", "workers"}
     return {k: (str(v) if isinstance(v, Fraction) else v)
             for k, v in vars(args).items()
@@ -262,9 +262,8 @@ def _cmd_obstruct_uniform(args) -> int:
 
     ladder = _parse_int_list(args.n_ladder)
     start = time.perf_counter()
-    rep = uniform_obstruction_report(
-        args.map, ladder, args.p, samples=args.samples, seed=args.seed,
-        workers=args.workers)
+    rep = uniform_obstruction_report(args.map, ladder, args.p,
+                                     samples=args.samples)
     wall = time.perf_counter() - start
     params = {"map": args.map, "n_ladder": ladder, "p": args.p,
               "samples": args.samples, "seed": args.seed}
@@ -280,9 +279,8 @@ def _cmd_obstruct_step(args) -> int:
     scls = _resolve_simplex_class(args)
     emap = resolve_builtin_map(args.map, space)
     start = time.perf_counter()
-    rep = verify_step_inequality(
-        emap, scls, args.p, mode=args.mode, budget=args.budget,
-        samples=args.samples, seed=args.seed, workers=args.workers)
+    rep = verify_step_inequality(emap, scls, args.p, mode=args.mode,
+                                 samples=args.samples)
     wall = time.perf_counter() - start
     _print_report(args, "obstruct step", vars_params(args), rep.to_dict(),
                   {"seed": args.seed}, wall)
@@ -296,9 +294,8 @@ def _cmd_obstruct_chain(args) -> int:
     scls = _resolve_simplex_class(args)
     emap = resolve_builtin_map(args.map, space)
     start = time.perf_counter()
-    rep = verify_chain_inequality(
-        emap, scls, args.levels, args.p, mode=args.mode, budget=args.budget,
-        samples=args.samples, seed=args.seed, workers=args.workers)
+    rep = verify_chain_inequality(emap, scls, args.levels, args.p,
+                                  mode=args.mode, samples=args.samples)
     wall = time.perf_counter() - start
     ok = rep.cumulative_holds and all(s["holds"] for s in rep.steps)
     _print_report(args, "obstruct chain", vars_params(args), rep.to_dict(),
@@ -502,7 +499,6 @@ def build_parser() -> _Parser:
     p.add_argument("--map", required=True)
     p.add_argument("--p", type=_parse_p, required=True)
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--workers", type=int, default=1)
@@ -515,7 +511,6 @@ def build_parser() -> _Parser:
     p.add_argument("--map", required=True)
     p.add_argument("--p", type=_parse_p, required=True)
     p.add_argument("--mode", choices=("exact", "mc"), default="mc")
-    p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--workers", type=int, default=1)

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, ClassVar, Optional, Sequence
 
-from .cyclic import (BudgetExceeded, PairClass, ProductCycleSpace,
-                     SimplexClass, SparsePairBatch,
+from .cyclic import (PairClass, ProductCycleSpace, SimplexClass,
+                     SparsePairBatch,
                      count_pairs_closed, enumerate_pairs, stage_pair_class,
                      stage_space)
 # bound here only because the benchmark harness traces it by this name
 from .cyclic import sample_pairs_sparse  # noqa: F401
 from .metric import ModulusEnvelope
-from .numerics import DEFAULT_CONTEXT, NumericContext
+from .numerics import DEFAULT_CONTEXT, NumericContext, dpow
 
 if TYPE_CHECKING:
     import numpy as np
@@ -231,12 +231,6 @@ class LevelAverage:
         }
 
 
-def _term(d, p: float) -> float:
-    """One pair's share of a level average: d^p, and at p = 0 the
-    indicator of d > 0 (so 0**0 counts 0)."""
-    return float(d) ** p if p != 0.0 else (1.0 if d > 0 else 0.0)
-
-
 def _check_samples(samples: int) -> None:
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -256,36 +250,33 @@ def _declared_distance(emap, cls: PairClass) -> float:
 def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
                   budget: int = 2_000_000,
                   samples: int = 100_000) -> LevelAverage:
-    """Average of image distance^p over one pair class.
+    """Average of image distance^p over one pair class, d^p counting
+    0**0 as 0 (`numerics.dpow`).
 
-    Exact mode enumerates the class (budgeted); a map that declares
-    `class_distance` (every built-in map) has one image distance per
-    class, so exact mode reads that distance and rounds the class total
-    once, which is what `fsum` over the enumerated pairs returns. Mc mode
-    needs a declared `class_distance` and raises ValueError without one:
-    the average of any sample of the class is that distance to the power
-    p, so the mean is exactly that and the count is `samples` (at least
-    1). Both modes read the same number; no pair is drawn, no pool starts
-    and numpy is not loaded.
+    A map that declares `class_distance` d (every built-in map) sends the
+    whole class to d, so in both modes the mean is d^p itself: no pair is
+    enumerated or drawn, no budget applies, no pool starts and numpy is
+    not loaded. `count` is the class size in exact mode and `samples` (at
+    least 1) in mc mode. A map that declares no class distance is
+    enumerated in exact mode under `enumerate_pairs`' budget, and
+    `statistics.mean` rounds the exact mean once, so a class-constant
+    map gives d^p bit for bit either way; mc mode raises ValueError on it.
     """
     space = emap.space
     cls.validate_for(space)
-    if mode == "exact":
-        total = count_pairs_closed(space, cls)
-        if total > budget:
-            raise BudgetExceeded(
-                f"class holds {total} pairs, budget {budget}", required=total)
-        if getattr(emap, "class_distance", None) is not None:
-            acc = float(Fraction(_term(emap.class_distance(cls), p)) * total)
-        else:
-            acc = math.fsum(_term(emap.image_distance(x, y), p)
-                            for x, y in enumerate_pairs(space, cls, budget))
-        return LevelAverage(cls, p, acc / total, total, "exact")
-    if mode != "mc":
+    if mode not in ("exact", "mc"):
         raise ValueError("mode must be 'exact' or 'mc'")
-    _check_samples(samples)
-    return LevelAverage(cls, p, _term(_declared_distance(emap, cls), p),
-                        samples, "mc")
+    if mode == "mc":
+        _check_samples(samples)
+    if mode == "exact" and getattr(emap, "class_distance", None) is None:
+        from statistics import mean
+
+        value = mean(float(dpow(emap.image_distance(x, y), p))
+                     for x, y in enumerate_pairs(space, cls, budget))
+    else:
+        value = float(dpow(_declared_distance(emap, cls), p))
+    count = count_pairs_closed(space, cls) if mode == "exact" else samples
+    return LevelAverage(cls, p, value, count, mode)
 
 
 def class_extremes(emap, cls: PairClass,
@@ -357,23 +348,21 @@ def _margin(hi: float, lo: float, factor: float,
 
 
 def verify_step_inequality(emap, scls: SimplexClass, p: float,
-                         mode: str = "exact", budget: int = 2_000_000,
-                         samples: int = 100_000, seed: int = 0,
-                         workers: int = 1,
-                         ctx: NumericContext = DEFAULT_CONTEXT) -> StepReport:
+                           mode: str = "exact", budget: int = 2_000_000,
+                           samples: int = 100_000,
+                           ctx: NumericContext = DEFAULT_CONTEXT
+                           ) -> StepReport:
     """Averaged comparison for one simplex class: the connecting-class mean
     of image distance^p must be at least (1 - 1/r) times the edge-class
-    mean, whenever the map really has roundness >= p. `seed` and `workers`
-    are accepted for the command line's sake: nothing is sampled and no
-    pool is started."""
-    _check_exponent(p)
-    scls.validate_for(emap.space)
-    assumed = _check_declared(emap, p)
-    conn = level_average(emap, scls.conn_class(), p, mode, budget, samples)
-    edge = level_average(emap, scls.edge_class(), p, mode, budget, samples)
-    factor = 1.0 - 1.0 / scls.families
-    margin, holds = _margin(conn.mean, edge.mean, factor, ctx)
-    return StepReport(scls, p, conn, edge, factor, margin, holds, assumed)
+    mean, whenever the map really has roundness >= p. This is the
+    one-level chain of `verify_chain_inequality`, read as a step."""
+    chain = verify_chain_inequality(emap, scls, 1, p, mode, budget, samples,
+                                    ctx)
+    conn, edge = chain.averages
+    step = chain.steps[0]
+    return StepReport(scls, p, conn, edge, chain.factor_total,
+                      step["margin"], step["holds"],
+                      step["assumed_roundness"])
 
 
 @dataclass
@@ -419,16 +408,15 @@ def chain_classes(start: SimplexClass, levels: int) -> list[SimplexClass]:
 
 
 def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
-                          mode: str = "mc", budget: int = 2_000_000,
-                          samples: int = 100_000, seed: int = 0,
-                          workers: int = 1,
-                          ctx: NumericContext = DEFAULT_CONTEXT) -> ChainReport:
+                            mode: str = "mc", budget: int = 2_000_000,
+                            samples: int = 100_000,
+                            ctx: NumericContext = DEFAULT_CONTEXT
+                            ) -> ChainReport:
     """Run the averaged comparison down a chain of simplex classes.
 
     Pair levels are the connecting classes of each simplex class plus the
     last edge class; each level average is computed once and shared by the
-    two steps that look at it. `seed` and `workers` are accepted for the
-    command line's sake: nothing is sampled and no pool is started."""
+    two steps that look at it."""
     _check_exponent(p)
     scls_chain = chain_classes(start, levels)
     for scls in scls_chain:
@@ -561,8 +549,7 @@ class UniformObstructionReport:
 
 
 def uniform_obstruction_report(map_spec, ladder: Sequence[int], p: float,
-                               samples: int = 100_000, seed: int = 0,
-                               workers: int = 1,
+                               samples: int = 100_000,
                                ctx: NumericContext = DEFAULT_CONTEXT
                                ) -> UniformObstructionReport:
     """Uniform-embedding audit along a ladder of even depths n.
@@ -570,8 +557,7 @@ def uniform_obstruction_report(map_spec, ladder: Sequence[int], p: float,
     Depth n works in the block of size n + 2, comparing the fine class
     (delta halved n times, support raised to n + 1) against the coarse
     class. A map builder or builtin spec receives each block's space; the
-    map must declare `class_distance`. `seed` and `workers` are accepted
-    for the command line's sake: nothing is sampled and no pool is started.
+    map must declare `class_distance`.
     """
     if not p > 0:
         raise ValueError(f"p must be positive (inf allowed), got {p}")

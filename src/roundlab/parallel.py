@@ -3,8 +3,9 @@
 Work is split into fixed partitions before any worker starts, and results
 merge in partition order, so outputs never depend on the worker count.
 Worker functions must be module-level and their arguments picklable.
-Seeded sampling splits its draws into MC_SLICES fixed slices, each with
-its own generator, for the same reason.
+`cayley verify --mode sampled`, the one command that still samples,
+splits its draws into MC_SLICES fixed slices, each with its own
+generator, for the same reason.
 """
 
 from __future__ import annotations

@@ -124,12 +124,6 @@ def find_violation_exhaustive(space, max_size: int, p,
     return ds
 
 
-def index_sampler(space) -> Callable:
-    def sample(rng: random.Random):
-        return rng.randrange(space.size)
-    return sample
-
-
 def product_point_sampler(space: ProductCycleSpace) -> Callable:
     def sample(rng: random.Random):
         return tuple(rng.randrange(space.units) for _ in range(space.coords))
@@ -205,29 +199,30 @@ class _GapState:
 def find_violation_search(space, max_size: int, p,
                           budget: int = 20000,
                           seed: int = 0,
-                          sampler: Callable | None = None,
-                          mutator: Callable | None = None,
                           initial: Sequence[DoubleSimplex] = (),
                           ctx: NumericContext = DEFAULT_CONTEXT
                           ) -> Optional[DoubleSimplex]:
     """Seeded greedy descent on the gap with restarts.
 
     Moves: mutate a point in place, resample it fresh, or clone a family
-    member and mutate the copy. Warm starts in `initial` are tried first
-    and searched at full family size. A miss proves nothing; any hit is
-    certified before being returned.
+    member and mutate the copy. Points of a product of cycles mutate by one
+    coordinate step; points of any other space are indices, and a mutation
+    resamples one. Warm starts in `initial` are tried first and searched at
+    full family size. A miss proves nothing; any hit is certified before
+    being returned.
     """
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
     rng = random.Random(seed)
-    if sampler is None:
-        if isinstance(space, ProductCycleSpace):
-            sampler = product_point_sampler(space)
-            mutator = mutator or product_point_mutator(space)
-        else:
-            sampler = index_sampler(space)
-    if mutator is None:
-        mutator = lambda point, _rng: sampler(_rng)
+    if isinstance(space, ProductCycleSpace):
+        sampler = product_point_sampler(space)
+        mutator = product_point_mutator(space)
+    else:
+        def sampler(rng: random.Random):
+            return rng.randrange(space.size)
+
+        def mutator(point, rng: random.Random):
+            return sampler(rng)
 
     cache: dict = {}
 
@@ -321,8 +316,6 @@ def estimate_roundness(space, max_size: int = 3,
                        budget: int | None = None,
                        seed: int = 0,
                        p_cap: float = 16.0,
-                       sampler: Callable | None = None,
-                       mutator: Callable | None = None,
                        ctx: NumericContext = DEFAULT_CONTEXT
                        ) -> RoundnessEstimate:
     """Bracket the roundness by bisection on the violation predicate.
@@ -348,8 +341,7 @@ def estimate_roundness(space, max_size: int = 3,
             w = find_violation_search(
                 space, max_size, p,
                 budget=budget or 20000,
-                seed=seed + len(probes), sampler=sampler, mutator=mutator,
-                initial=init, ctx=ctx)
+                seed=seed + len(probes), initial=init, ctx=ctx)
         probes.append({"p": p, "violation": w is not None})
         return w
 

@@ -2,12 +2,10 @@
 
 The recursive simplex enumerator below is the counter `count_incidences`
 and `completion_counts` used before the coordinate-column DP replaced it;
-`enumerated_level_mean` is the exact level mean as it was before the
-closed form for maps that declare `class_distance`. Both are slow and only
-run on small classes.
+`enumerated_level_terms` evaluates a level average's term on every class
+pair, which the closed form for maps that declare `class_distance` must
+match. Both are slow and only run on small classes.
 """
-
-import math
 
 from roundlab import kernels
 from roundlab.cyclic import enumerate_pairs, is_pair
@@ -80,17 +78,17 @@ def reference_completion_count(space, scls, a, b, role_edge):
     return count
 
 
-def enumerated_level_means(emaps, cls, ps):
-    """Exact level means of image distance^p over every class pair, one
-    {p: mean} per map, p = 0 counting nonzero distances: the fsum over
-    `enumerate_pairs` that exact mode ran for every map. The class is
-    enumerated once, and each map's distances are shared by all exponents."""
+def enumerated_level_terms(emaps, cls, ps):
+    """The distinct values of image distance^p over every class pair, one
+    {p: set} per map, p = 0 counting nonzero distances. A level mean equals
+    its set's one element exactly when every pair's term matches it bit for
+    bit. The class is enumerated once, and each map's distances are shared
+    by all exponents."""
     pairs = list(enumerate_pairs(emaps[0].space, cls, budget=None))
     out = []
     for emap in emaps:
         dists = [emap.image_distance(x, y) for x, y in pairs]
-        out.append({p: math.fsum(float(d) ** p if p != 0.0
-                                 else (1.0 if d > 0 else 0.0)
-                                 for d in dists) / len(dists)
+        out.append({p: {float(d) ** p if p != 0.0 else (1.0 if d > 0 else 0.0)
+                        for d in dists}
                     for p in ps})
     return out

@@ -5,7 +5,9 @@ them in a terminal-summary section after the run.  Every criterion also
 enforces its stated runtime budget.
 """
 
+import contextlib
 import functools
+import io
 import math
 import time
 from fractions import Fraction
@@ -13,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from roundlab import kernels
+from roundlab.cli import main
 from roundlab.cayley import (FamilyGenerators, block_projection_check,
                              cayley_roundness_upper,
                              standard_basis_generators, verify_mstar_isometry)
@@ -30,15 +33,14 @@ from roundlab.obstruction import (CircleEmbeddingMap, IdentityMap,
                                   euler_factors, verify_chain_inequality,
                                   verify_step_inequality)
 from roundlab.report import Report
-from roundlab.roundness import (estimate_roundness, find_violation_exhaustive,
-                                product_point_mutator, product_point_sampler)
+from roundlab.roundness import estimate_roundness, find_violation_exhaustive
 from roundlab.spaces import (cycle_graph_space, equilateral_space,
                              planar_points_space,
                              random_rational_metric_space)
 from roundlab.zspace import (certify_corrected, find_triangle_violation,
                              scan_triangle_violations)
 
-from oracles import enumerated_level_means
+from oracles import enumerated_level_terms
 
 
 RESULTS: list[str] = []
@@ -137,13 +139,13 @@ def test_criterion_04_single_step():
     ident = verify_step_inequality(IdentityMap(space), scls, 0.1, mode="exact")
     assert ident.holds
     assert math.isclose(ident.margin, 0.46411326873185343, abs_tol=1e-12)
-    # exact mode reads the class distance in closed form; enumerating every
-    # pair of both classes must give the same means bit for bit
+    # exact mode reads the class distance in closed form; every pair of
+    # both classes, enumerated, must have the mean as its term bit for bit
     for emap, rep in ((CircleEmbeddingMap(space), circle),
                       (IdentityMap(space), ident)):
         for avg in (rep.conn, rep.edge):
-            assert avg.mean == enumerated_level_means([emap], avg.cls,
-                                                      [rep.p])[0][rep.p]
+            terms = enumerated_level_terms([emap], avg.cls, [rep.p])[0]
+            assert terms[rep.p] == {avg.mean}
 
 
 @criterion(5, "averaged chain holds at scale, each level in closed form", 600)
@@ -152,7 +154,7 @@ def test_criterion_05_chain_at_scale():
     assert (space.coords, space.units) == (256, 65536)
     emap = CircleEmbeddingMap(space)
     rep = verify_chain_inequality(emap, SimplexClass(1, 64, 4), 4, 2.0,
-                                  mode="mc", samples=100_000, seed=7)
+                                  mode="mc", samples=100_000)
     assert len(rep.steps) == 4
     assert all(step["holds"] for step in rep.steps)
     assert rep.cumulative_holds
@@ -268,22 +270,25 @@ def test_criterion_11_determinism():
         return Report(command, {"seed": "fixed"}, results,
                       {"backend": kernels.BACKEND}).body_json()
 
-    def chain_run(workers):
-        rep = verify_chain_inequality(
-            CircleEmbeddingMap(stage_space(4)), SimplexClass(1, 64, 4), 4,
-            2.0, mode="mc", samples=100_000, seed=7, workers=workers)
-        return body("chain", rep.to_dict())
+    def cli_run(argv, want_code):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == want_code
+        return [line for line in out.getvalue().splitlines()
+                if '"wall_time_s"' not in line]
 
-    assert chain_run(1) == chain_run(1) == chain_run(8)
+    chain = ["obstruct", "chain", "--map", "builtin:circle", "--n", "4",
+             "--delta", "1", "--support", "64", "--size", "4", "--levels",
+             "4", "--p", "2", "--mode", "mc", "--samples", "100000",
+             "--seed", "7", "--workers"]
+    assert (cli_run(chain + ["1"], 0) == cli_run(chain + ["1"], 0)
+            == cli_run(chain + ["8"], 0))
 
-    from roundlab.obstruction import uniform_obstruction_report
-    def uniform_run(workers):
-        rep = uniform_obstruction_report("builtin:identity", [2, 4], 2.0,
-                                         samples=20_000, seed=11,
-                                         workers=workers)
-        return body("uniform", rep.to_dict())
-
-    assert uniform_run(1) == uniform_run(1) == uniform_run(8)
+    uniform = ["obstruct", "uniform", "--map", "builtin:identity",
+               "--n-ladder", "2,4", "--p", "2", "--samples", "20000",
+               "--seed", "11", "--workers"]
+    assert (cli_run(uniform + ["1"], 2) == cli_run(uniform + ["1"], 2)
+            == cli_run(uniform + ["8"], 2))
 
     def cayley_run(workers):
         rep = verify_mstar_isometry(4, mode="sampled", budget=10_000,
@@ -295,9 +300,7 @@ def test_criterion_11_determinism():
     def search_run():
         space = ProductCycleSpace(6, CycleSpace(8))
         est = estimate_roundness(space, max_size=2, p_tolerance=1e-2,
-                                 mode="search", budget=4000, seed=3,
-                                 sampler=product_point_sampler(space),
-                                 mutator=product_point_mutator(space))
+                                 mode="search", budget=4000, seed=3)
         return body("estimate", est.to_dict())
 
     assert search_run() == search_run()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import roundlab
-from roundlab.cli import main
+from roundlab.cli import build_parser, main
 from roundlab.metric import FiniteMetricSpace
 from roundlab.spaces import cycle_graph_space, write_space_csv
 
@@ -52,7 +53,7 @@ def test_validate_ok(c4_csv, capsys):
     code, doc, _ = run(["validate", "--input", c4_csv], capsys)
     assert code == 0
     assert doc["results"]["ok"] is True
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
     assert doc["command"] == "validate"
 
 
@@ -225,6 +226,24 @@ def test_obstruct_step_exit_codes(capsys):
     code2, doc2, _ = run(base + ["--map", "builtin:identity"], capsys)
     assert code2 == 2
     assert doc2["results"]["holds"] is False
+
+
+def test_obstruct_step_exact_reads_class_distance_at_any_class_size(capsys):
+    from roundlab.cyclic import CycleSpace, PairClass, ProductCycleSpace
+    from roundlab.obstruction import CircleEmbeddingMap
+
+    # far past any enumeration budget: exact mode reads the class distance
+    code, doc, _ = run(["obstruct", "step", "--map", "builtin:circle",
+                        "--coords", "8", "--units", "16", "--delta", "1",
+                        "--support", "2", "--size", "2", "--p", "2",
+                        "--mode", "exact"], capsys)
+    assert code == 0
+    conn = doc["results"]["conn"]
+    assert conn["count"] == 2405181685760
+    emap = CircleEmbeddingMap(ProductCycleSpace(8, CycleSpace(16)))
+    dist = emap.class_distance(PairClass(conn["delta"], conn["support"]))
+    assert conn["mean"] == dist ** 2
+    assert "budget" not in doc["params"]
 
 
 def test_obstruct_chain_exit_codes(capsys):
@@ -475,6 +494,41 @@ def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc2:
         main(["frobnicate"])
     assert exc2.value.code == 1
+
+
+def readme_commands():
+    """Every `roundlab ...` command in README's sh blocks, continuation
+    lines joined, as argument lists without the program name."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands, in_sh, line = [], False, ""
+    for raw in text.splitlines():
+        if raw.startswith("```"):
+            in_sh = raw == "```sh"
+            continue
+        if not in_sh:
+            continue
+        line += raw
+        if line.endswith("\\"):
+            line = line[:-1]
+            continue
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["roundlab"]:
+            commands.append(words[1:])
+        line = ""
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 10
+    assert ["obstruct", "step"] in [argv[:2] for argv in commands]
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: roundlab "
+                        f"{shlex.join(argv)}")
 
 
 def test_missing_file_exits_1(capsys):

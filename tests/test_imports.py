@@ -87,6 +87,9 @@ def loaded_after(argv, tmp_path) -> tuple[int, set]:
 def assert_no_heavy_imports(modules: set) -> None:
     assert "numpy" not in modules
     assert "mpmath" not in modules
+    # exact averages import it only to enumerate maps without a class
+    # distance, which no command takes
+    assert "statistics" not in modules
     # no command here starts a process pool, so none loads its module
     assert "concurrent.futures.process" not in modules
 

@@ -13,6 +13,7 @@ from roundlab.cyclic import (BudgetExceeded, CycleSpace, PairClass,
                              count_pairs_closed, sample_pairs_sparse, stage_pair_class,
                              stage_space)
 from roundlab.metric import empirical_moduli
+from roundlab.numerics import dpow
 from roundlab.obstruction import (CircleEmbeddingMap, ConstantMap,
                                   IdentityMap, SnowflakeMap, chain_classes,
                                   class_extremes, coarse_obstruction_report,
@@ -22,7 +23,7 @@ from roundlab.obstruction import (CircleEmbeddingMap, ConstantMap,
                                   uniform_obstruction_report,
                                   verify_chain_inequality, verify_step_inequality)
 
-from oracles import enumerated_level_means
+from oracles import enumerated_level_terms
 
 
 def small_space():
@@ -100,11 +101,21 @@ def test_level_average_mc_matches_exact():
     cls = PairClass(1, 2)
     exact = level_average(emap, cls, 2.0, mode="exact")
     mc = level_average(emap, cls, 2.0, mode="mc", samples=20_000)
-    # class-constant distance: the MC mean is that distance squared, and
-    # the exact mean is its class total rounded once over the class size
-    assert mc.mean == emap.class_distance(cls) ** 2.0
-    assert mc.mean == pytest.approx(exact.mean, rel=1e-15)
+    # class-constant distance: both modes read that distance squared
+    assert mc.mean == exact.mean == emap.class_distance(cls) ** 2.0
     assert mc.count == 20_000
+    assert exact.count == count_pairs_closed(space, cls)
+
+
+def test_level_average_exact_mean_is_not_rounded_twice():
+    # every one of the 49,152 edge pairs has d^2 = 6.484555753109616;
+    # rounding their total before dividing by the count gives the float
+    # below it
+    emap = CircleEmbeddingMap(small_space())
+    edge = SimplexClass(1, 2, 2).edge_class()
+    avg = level_average(emap, edge, 2.0, mode="exact")
+    assert avg.count == 49152
+    assert avg.mean == emap.class_distance(edge) ** 2 == 6.484555753109616
 
 
 def test_level_average_mc_closed_form():
@@ -137,10 +148,14 @@ def test_sample_count_must_be_positive():
 
 
 def test_level_average_budget():
-    space = small_space()
-    emap = IdentityMap(space)
+    # the budget gates enumeration, so it binds only on a map without a
+    # declared class distance
+    emap = IdentityMap(small_space())
+    cls = PairClass(1, 2)
     with pytest.raises(BudgetExceeded):
-        level_average(emap, PairClass(1, 2), 1.0, mode="exact", budget=100)
+        level_average(PairwiseMap(emap), cls, 1.0, mode="exact", budget=100)
+    avg = level_average(emap, cls, 1.0, mode="exact", budget=100)
+    assert avg.count == count_pairs_closed(emap.space, cls) > 100
 
 
 @pytest.mark.parametrize("coords,units", [(3, 6), (4, 4), (4, 8), (3, 8)])
@@ -153,11 +168,16 @@ def test_level_average_exact_closed_form_matches_enumeration(coords, units):
             emaps = (IdentityMap(space), CircleEmbeddingMap(space),
                      SnowflakeMap(space, 0.5), SnowflakeMap(space, 1 / 3),
                      ConstantMap(space))
-            for emap, want in zip(emaps, enumerated_level_means(emaps, cls, ps)):
+            for emap, terms in zip(emaps, enumerated_level_terms(emaps, cls, ps)):
                 for p in ps:
                     avg = level_average(emap, cls, p, mode="exact")
-                    assert avg.mean == want[p], (type(emap).__name__, cls, p)
+                    where = (type(emap).__name__, cls, p)
+                    # every pair's term equals the mean bit for bit
+                    assert terms[p] == {avg.mean}, where
                     assert avg.count == count_pairs_closed(space, cls)
+                    mc = level_average(emap, cls, p, mode="mc", samples=3)
+                    assert mc.mean == avg.mean == \
+                        float(dpow(emap.class_distance(cls), p)), where
 
 
 @dataclass(frozen=True)
@@ -276,14 +296,13 @@ def test_declared_class_distance_draws_nothing_and_starts_no_pool(monkeypatch):
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
     emap = CircleEmbeddingMap(ProductCycleSpace(8, CycleSpace(32)))
     step = verify_step_inequality(emap, SimplexClass(1, 2, 2), 2.0,
-                                  mode="mc", samples=4000, seed=9, workers=2)
+                                  mode="mc", samples=4000)
     assert step.conn.count == step.edge.count == 4000
     chain = verify_chain_inequality(emap, SimplexClass(1, 4, 2), 2, 2.0,
-                                    mode="mc", samples=4000, seed=9,
-                                    workers=2)
+                                    mode="mc", samples=4000)
     assert [a.count for a in chain.averages] == [4000] * 3
     rep = uniform_obstruction_report("builtin:circle", [2], 2.0,
-                                     samples=4000, seed=9, workers=2)
+                                     samples=4000)
     assert rep.entries[0]["samples_fine"] == 4000
 
 
@@ -350,7 +369,7 @@ def test_chain_circle_holds():
     space = ProductCycleSpace(8, CycleSpace(32, Fraction(1)))
     emap = CircleEmbeddingMap(space)
     rep = verify_chain_inequality(emap, SimplexClass(1, 4, 2), 2, 2.0,
-                                mode="mc", samples=3000, seed=11)
+                                mode="mc", samples=3000)
     assert all(s["holds"] for s in rep.steps)
     assert rep.cumulative_holds
     assert rep.factor_total == pytest.approx(0.25)
@@ -361,20 +380,9 @@ def test_chain_identity_fails():
     space = ProductCycleSpace(8, CycleSpace(32, Fraction(1)))
     emap = IdentityMap(space)
     rep = verify_chain_inequality(emap, SimplexClass(1, 4, 2), 2, 2.0,
-                                mode="mc", samples=3000, seed=11)
+                                mode="mc", samples=3000)
     assert not any(s["holds"] for s in rep.steps)
     assert not rep.cumulative_holds
-
-
-def test_chain_worker_independent():
-    space = ProductCycleSpace(8, CycleSpace(32, Fraction(1)))
-    emap = CircleEmbeddingMap(space)
-    a = verify_chain_inequality(emap, SimplexClass(1, 4, 2), 2, 2.0,
-                              mode="mc", samples=2000, seed=4, workers=1)
-    b = verify_chain_inequality(emap, SimplexClass(1, 4, 2), 2, 2.0,
-                              mode="mc", samples=2000, seed=4, workers=3)
-    assert [s["margin"] for s in a.steps] == [s["margin"] for s in b.steps]
-    assert a.cumulative_margin == b.cumulative_margin
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +437,7 @@ def test_coarse_p_validation():
 
 def test_uniform_identity_fails_as_predicted():
     rep = uniform_obstruction_report("builtin:identity", [2], 2.0,
-                                     samples=2000, seed=5)
+                                     samples=2000)
     e = rep.entries[0]
     assert e["sup_fine"] == 0.25  # 2^-n exactly, distances class constant
     assert e["inf_coarse"] == 1.0
@@ -447,7 +455,7 @@ def test_uniform_identity_fails_as_predicted():
 
 def test_uniform_constant_map_degenerate():
     rep = uniform_obstruction_report("builtin:constant", [2], 2.0,
-                                     samples=1000, seed=5)
+                                     samples=1000)
     assert not rep.obstruction_found
     assert "collapses" in rep.conclusion
     assert rep.entries[0]["inf_coarse"] == 0.0
@@ -455,7 +463,7 @@ def test_uniform_constant_map_degenerate():
 
 def test_uniform_p_infinite_factor_one():
     rep = uniform_obstruction_report("builtin:identity", [2], math.inf,
-                                     samples=1000, seed=5)
+                                     samples=1000)
     assert rep.entries[0]["factor"] == 1.0
     assert rep.to_dict()["p_infinite"] is True
     assert rep.obstruction_found
@@ -471,11 +479,3 @@ def test_uniform_ladder_validation():
         uniform_obstruction_report("builtin:identity", [3], 2.0, samples=64)
     with pytest.raises(ValueError):
         uniform_obstruction_report("builtin:identity", [0], 2.0, samples=64)
-
-
-def test_uniform_deterministic_and_worker_independent():
-    a = uniform_obstruction_report("builtin:identity", [2], 2.0,
-                                   samples=1000, seed=6, workers=1)
-    b = uniform_obstruction_report("builtin:identity", [2], 2.0,
-                                   samples=1000, seed=6, workers=4)
-    assert a.entries == b.entries

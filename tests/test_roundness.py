@@ -11,8 +11,7 @@ from roundlab.metric import snowflake
 from roundlab.roundness import (certify_violation, estimate_roundness,
                                 exhaustive_config_count,
                                 find_violation_exhaustive,
-                                find_violation_search, product_point_mutator,
-                                product_point_sampler, simplex_gap)
+                                find_violation_search, simplex_gap)
 from roundlab.spaces import (cycle_graph_space, equilateral_space,
                              planar_points_space, random_rational_metric_space)
 
@@ -125,9 +124,7 @@ def test_search_finds_planted_violation():
     # diagonal configurations violate above p=1 in any even cycle product
     space = ProductCycleSpace(16, CycleSpace(16, Fraction(1)))
     ds = find_violation_search(
-        space, 2, 3.0, budget=100_000, seed=5,
-        sampler=product_point_sampler(space),
-        mutator=product_point_mutator(space))
+        space, 2, 3.0, budget=100_000, seed=5)
     assert ds is not None
     assert certify_violation(space, ds, 3.0)
 
