@@ -183,7 +183,8 @@ def _cmd_simplex_build(args) -> int:
         "ys": [list(y) for y in ds.ys],
         "verified": verified,
     }
-    _print_report(args, "simplex build", vars_params(args), results)
+    _print_report(args, "simplex build", _class_params(args, space, scls),
+                  results)
     return 0
 
 
@@ -194,6 +195,19 @@ def vars_params(args) -> dict:
     return {k: (str(v) if isinstance(v, Fraction) else v)
             for k, v in vars(args).items()
             if k not in skip and not callable(v)}
+
+
+def _class_params(args, space: ProductCycleSpace, cls) -> dict:
+    """vars_params with the space and class the run resolved, so a
+    stage-form run records what it computed on; --n, --t and --m stay as
+    given."""
+    params = vars_params(args)
+    params.update(coords=space.coords, units=space.units,
+                  quantum=str(space.quantum), delta=cls.delta,
+                  support=cls.support)
+    if isinstance(cls, SimplexClass):
+        params["size"] = cls.families
+    return params
 
 
 def _cmd_counts_pairs(args) -> int:
@@ -209,7 +223,8 @@ def _cmd_counts_pairs(args) -> int:
         if seen != closed:
             raise ArithmeticError(
                 f"enumeration found {seen} pairs, closed form {closed}")
-    _print_report(args, "counts pairs", vars_params(args), results)
+    _print_report(args, "counts pairs", _class_params(args, space, cls),
+                  results)
     return 0
 
 
@@ -228,7 +243,8 @@ def _cmd_counts_incidences(args) -> int:
         "conn_identity": "S*r^2 == N_conn*L",
         "ratio_identity_holds": inc.ratio_identity_holds(),
     }
-    _print_report(args, "counts incidences", vars_params(args), results)
+    _print_report(args, "counts incidences",
+                  _class_params(args, space, scls), results)
     return 0
 
 
@@ -282,8 +298,8 @@ def _cmd_obstruct_step(args) -> int:
     rep = verify_step_inequality(emap, scls, args.p, mode=args.mode,
                                  samples=args.samples)
     wall = time.perf_counter() - start
-    _print_report(args, "obstruct step", vars_params(args), rep.to_dict(),
-                  {"seed": args.seed}, wall)
+    _print_report(args, "obstruct step", _class_params(args, space, scls),
+                  rep.to_dict(), {"seed": args.seed}, wall)
     return 0 if rep.holds else 2
 
 
@@ -298,8 +314,8 @@ def _cmd_obstruct_chain(args) -> int:
                                   mode=args.mode, samples=args.samples)
     wall = time.perf_counter() - start
     ok = rep.cumulative_holds and all(s["holds"] for s in rep.steps)
-    _print_report(args, "obstruct chain", vars_params(args), rep.to_dict(),
-                  {"seed": args.seed}, wall)
+    _print_report(args, "obstruct chain", _class_params(args, space, scls),
+                  rep.to_dict(), {"seed": args.seed}, wall)
     return 0 if ok else 2
 
 

@@ -23,8 +23,6 @@ if TYPE_CHECKING:
 
 CyclePoint = tuple[int, ...]
 
-_NUMPY_THRESHOLD = 1024
-
 
 def cyclic_distance(units: int, a: int, b: int) -> int:
     """min(|a-b|, units-|a-b|) for residues 0 <= a, b < units."""
@@ -89,9 +87,6 @@ class ProductCycleSpace:
     def iter_points(self) -> Iterator[CyclePoint]:
         return itertools.product(range(self.units), repeat=self.coords)
 
-    def random_point(self, rng: np.random.Generator) -> CyclePoint:
-        return tuple(int(v) for v in rng.integers(0, self.units, self.coords))
-
     def distance_quanta(self, x: Sequence[int], y: Sequence[int]) -> int:
         return sup_distance(self, x, y)
 
@@ -104,8 +99,6 @@ def sup_distance(space: ProductCycleSpace, x: Sequence[int], y: Sequence[int]) -
     if len(x) != len(y) or len(x) != space.coords:
         raise ValueError("point length mismatch")
     u = space.units
-    if space.coords > _NUMPY_THRESHOLD:
-        return int(_profile_np(space, x, y).max(initial=0))
     best = 0
     for a, b in zip(x, y):
         d = a - b
@@ -116,15 +109,6 @@ def sup_distance(space: ProductCycleSpace, x: Sequence[int], y: Sequence[int]) -
         if d > best:
             best = d
     return best
-
-
-def _profile_np(space: ProductCycleSpace, x: Sequence[int], y: Sequence[int]) -> np.ndarray:
-    import numpy as np
-
-    ax = np.asarray(x, dtype=np.int64)
-    ay = np.asarray(y, dtype=np.int64)
-    d = np.abs(ax - ay)
-    return np.minimum(d, space.units - d)
 
 
 @dataclass(frozen=True)
@@ -279,10 +263,6 @@ def is_pair(space: ProductCycleSpace, x: Sequence[int], y: Sequence[int],
     cls.validate_for(space)
     if len(x) != space.coords or len(y) != space.coords:
         raise ValueError("point length mismatch")
-    if space.coords > _NUMPY_THRESHOLD:
-        prof = _profile_np(space, x, y)
-        nz = prof[prof != 0]
-        return nz.size == cls.support and bool((nz == cls.delta).all())
     return kernels.is_class_pair(space.coords, space.units, cls.delta, cls.support,
                                  tuple(x), tuple(y))
 

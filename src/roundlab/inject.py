@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .metric import FiniteMetricSpace
-from .numerics import DEFAULT_CONTEXT, Number, NumericContext, rational_pow
+from .numerics import REL_TOL, Number, rational_pow
 
 LEVEL_HUNT_CAP = 1_000_000
 
@@ -404,7 +404,7 @@ class InjectionReport:
         }
 
 
-def resolve_modulus(spec: str, ctx: NumericContext = DEFAULT_CONTEXT):
+def resolve_modulus(spec: str):
     """`identity` or `root:p` (t -> t^(1/p))."""
     if spec == "identity":
         return lambda t: t, "identity"
@@ -415,7 +415,7 @@ def resolve_modulus(spec: str, ctx: NumericContext = DEFAULT_CONTEXT):
 
         def mod(t):
             if isinstance(t, (int, Fraction)):
-                return rational_pow(Fraction(t), 1 / p, ctx)
+                return rational_pow(Fraction(t), 1 / p)
             return float(t) ** float(1 / p)
         return mod, spec
     raise ValueError(f"unknown modulus {spec!r}")
@@ -427,15 +427,15 @@ def default_modulus_for(table: InjectionTable) -> str:
     return "identity"
 
 
-def verify_injection(space, table: InjectionTable, modulus: str | None = None,
-                     ctx: NumericContext = DEFAULT_CONTEXT) -> InjectionReport:
+def verify_injection(space, table: InjectionTable,
+                     modulus: str | None = None) -> InjectionReport:
     """Check distinctness of images and the Lipschitz bound
     image_distance <= modulus(domain_distance) on every pair."""
     if len(table.images) != space.size:
         raise ValueError("image count does not match the space")
     if modulus is None:
         modulus = default_modulus_for(table)
-    mod_fn, mod_name = resolve_modulus(modulus, ctx)
+    mod_fn, mod_name = resolve_modulus(modulus)
     if table.target == "ell0":
         img_dist = ell0_distance
         convention = None
@@ -482,8 +482,7 @@ def verify_injection(space, table: InjectionTable, modulus: str | None = None,
             if worst is None or ratio > worst:
                 worst, worst_pair = ratio, (i, j)
             if (isinstance(ratio, Fraction) and ratio > 1) or (
-                    isinstance(ratio, float)
-                    and ratio > 1.0 + ctx.rel_tol):
+                    isinstance(ratio, float) and ratio > 1.0 + REL_TOL):
                 violations.append({"pair": [i, j], "ratio": float(ratio)})
     return InjectionReport(table.target, injective, duplicate, worst,
                            worst_pair, violations, checked, mod_name,

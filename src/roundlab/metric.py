@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Protocol, Sequence, runtime_checkable
 
-from .numerics import DEFAULT_CONTEXT, Number, NumericContext, rational_pow
+from .numerics import Number, rational_pow
 
 
 @runtime_checkable
@@ -168,7 +168,6 @@ class SnowflakeOracle:
 
     base: object
     alpha: Fraction
-    ctx: NumericContext = DEFAULT_CONTEXT
     triangle_guaranteed: bool = True
 
     @property
@@ -182,17 +181,17 @@ class SnowflakeOracle:
     def distance(self, a: int, b: int) -> Number:
         d = self.base.distance(a, b)
         if isinstance(d, Fraction):
-            return rational_pow(d, self.alpha, self.ctx)
+            return rational_pow(d, self.alpha)
         if isinstance(d, int):
-            return rational_pow(Fraction(d), self.alpha, self.ctx)
+            return rational_pow(Fraction(d), self.alpha)
         return float(d) ** float(self.alpha)
 
 
-def snowflake(space, alpha, ctx: NumericContext = DEFAULT_CONTEXT) -> SnowflakeOracle:
+def snowflake(space, alpha) -> SnowflakeOracle:
     alpha = Fraction(alpha)
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
-    return SnowflakeOracle(space, alpha, ctx)
+    return SnowflakeOracle(space, alpha)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
@@ -12,28 +11,11 @@ if TYPE_CHECKING:
 
 Number = Union[int, Fraction, float]
 
-DEFAULT_REL_TOL = 1e-12
-DEFAULT_PRECISION_BITS = 80
-
-
-@dataclass(frozen=True)
-class NumericContext:
-    """Evaluation policy for the inexact corners of the arithmetic.
-
-    precision_bits drives mpmath evaluations (fractional powers, witness
-    certification); rel_tol scales every inequality threshold.
-    """
-
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    rel_tol: float = DEFAULT_REL_TOL
-
-    def workprec(self, factor: int = 1):
-        import mpmath
-
-        return mpmath.workprec(self.precision_bits * factor)
-
-
-DEFAULT_CONTEXT = NumericContext()
+# relative tolerance of every inexact inequality (`is_violation`)
+REL_TOL = 1e-12
+# mpmath working precision of inexact fractional powers; witness
+# certification re-sums at twice this
+PRECISION_BITS = 80
 
 
 def dpow(d: Number, p: float) -> Number:
@@ -69,14 +51,15 @@ def dpow_mp(d: Number, p: float) -> mpmath.mpf:
     return to_mpf(d) ** to_mpf(p)
 
 
-def is_violation(gap: Number, scale: Number, rel_tol: float = DEFAULT_REL_TOL) -> bool:
-    """Negative gap beyond tolerance. Exact gaps compare against exact zero;
-
-    gap = 0 counts as a non-violation (the inequality is non-strict).
-    """
+def is_violation(gap, scale) -> bool:
+    """The one rule that decides an inequality `gap >= 0`: exact gaps
+    compare against exact zero, any other gap violates only below
+    -REL_TOL * max(scale, 1). gap = 0 is no violation (the inequality is
+    non-strict). scale keeps its type, so an mpmath gap and scale compare
+    at the ambient mpmath precision."""
     if isinstance(gap, (int, Fraction)):
         return gap < 0
-    return gap < -rel_tol * max(float(scale), 1.0)
+    return gap < -REL_TOL * max(scale, 1)
 
 
 def exact_int_root(x: int, k: int) -> int | None:
@@ -109,10 +92,13 @@ def exact_rational_pow(d: Fraction, alpha: Fraction) -> Fraction | None:
     return Fraction(rn, rd)
 
 
-def rational_pow(d: Fraction, alpha: Fraction, ctx: NumericContext = DEFAULT_CONTEXT) -> Number:
-    """d**alpha: exact Fraction when the root is exact, declared-precision float otherwise."""
+def rational_pow(d: Fraction, alpha: Fraction) -> Number:
+    """d**alpha: exact Fraction when the root is exact, else a float
+    evaluated at PRECISION_BITS."""
     exact = exact_rational_pow(d, alpha)
     if exact is not None:
         return exact
-    with ctx.workprec():
+    import mpmath
+
+    with mpmath.workprec(PRECISION_BITS):
         return float(to_mpf(d) ** to_mpf(Fraction(alpha)))

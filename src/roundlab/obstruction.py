@@ -26,7 +26,7 @@ from .cyclic import (PairClass, ProductCycleSpace, SimplexClass,
 # bound here only because the benchmark harness traces it by this name
 from .cyclic import sample_pairs_sparse  # noqa: F401
 from .metric import ModulusEnvelope
-from .numerics import DEFAULT_CONTEXT, NumericContext, dpow
+from .numerics import dpow, is_violation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -338,26 +338,21 @@ def _check_declared(emap, p: float) -> bool:
     return False
 
 
-def _margin(hi: float, lo: float, factor: float,
-            ctx: NumericContext) -> tuple[float, bool]:
-    """(margin, holds) for hi >= factor * lo: the margin holds unless it
-    falls below the context's relative tolerance."""
+def _margin(hi: float, lo: float, factor: float) -> tuple[float, bool]:
+    """(margin, holds) for hi >= factor * lo, decided by
+    `numerics.is_violation`."""
     margin = hi - factor * lo
-    scale = max(abs(hi), abs(factor * lo), 1.0)
-    return margin, bool(margin >= -(ctx.rel_tol * scale))
+    return margin, not is_violation(margin, max(abs(hi), abs(factor * lo)))
 
 
 def verify_step_inequality(emap, scls: SimplexClass, p: float,
                            mode: str = "exact", budget: int = 2_000_000,
-                           samples: int = 100_000,
-                           ctx: NumericContext = DEFAULT_CONTEXT
-                           ) -> StepReport:
+                           samples: int = 100_000) -> StepReport:
     """Averaged comparison for one simplex class: the connecting-class mean
     of image distance^p must be at least (1 - 1/r) times the edge-class
     mean, whenever the map really has roundness >= p. This is the
     one-level chain of `verify_chain_inequality`, read as a step."""
-    chain = verify_chain_inequality(emap, scls, 1, p, mode, budget, samples,
-                                    ctx)
+    chain = verify_chain_inequality(emap, scls, 1, p, mode, budget, samples)
     conn, edge = chain.averages
     step = chain.steps[0]
     return StepReport(scls, p, conn, edge, chain.factor_total,
@@ -409,9 +404,7 @@ def chain_classes(start: SimplexClass, levels: int) -> list[SimplexClass]:
 
 def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
                             mode: str = "mc", budget: int = 2_000_000,
-                            samples: int = 100_000,
-                            ctx: NumericContext = DEFAULT_CONTEXT
-                            ) -> ChainReport:
+                            samples: int = 100_000) -> ChainReport:
     """Run the averaged comparison down a chain of simplex classes.
 
     Pair levels are the connecting classes of each simplex class plus the
@@ -431,7 +424,7 @@ def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
     steps = []
     for i, scls in enumerate(scls_chain):
         margin, holds = _margin(averages[i].mean, averages[i + 1].mean,
-                                factor, ctx)
+                                factor)
         steps.append({
             "delta": scls.delta,
             "support": scls.support,
@@ -441,7 +434,7 @@ def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
         })
     factor_total = factor ** levels
     cum_margin, cum_holds = _margin(averages[0].mean, averages[-1].mean,
-                                    factor_total, ctx)
+                                    factor_total)
     return ChainReport(start, levels, p, averages, steps, factor_total,
                        cum_margin, cum_holds)
 
@@ -549,8 +542,7 @@ class UniformObstructionReport:
 
 
 def uniform_obstruction_report(map_spec, ladder: Sequence[int], p: float,
-                               samples: int = 100_000,
-                               ctx: NumericContext = DEFAULT_CONTEXT
+                               samples: int = 100_000
                                ) -> UniformObstructionReport:
     """Uniform-embedding audit along a ladder of even depths n.
 
@@ -580,7 +572,7 @@ def uniform_obstruction_report(map_spec, ladder: Sequence[int], p: float,
         coarse = stage_pair_class(block, 0, 1)
         _, sup_fine, used_f = class_extremes(emap, fine, samples)
         inf_coarse, _, used_c = class_extremes(emap, coarse, samples)
-        margin, holds = _margin(sup_fine, inf_coarse, factor, ctx)
+        margin, holds = _margin(sup_fine, inf_coarse, factor)
         entries.append({
             "n": n,
             "block": block,

@@ -20,8 +20,8 @@ from typing import Callable, Optional, Sequence
 
 from . import kernels
 from .cyclic import BudgetExceeded, DoubleSimplex, ProductCycleSpace
-from .numerics import (DEFAULT_CONTEXT, Number, NumericContext, dpow,
-                       dpow_mp, is_violation)
+from .numerics import (PRECISION_BITS, REL_TOL, Number, dpow, dpow_mp,
+                       is_violation)
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,8 @@ class GapResult:
     def gap(self) -> Number:
         return self.rhs - self.lhs
 
-    def is_violation(self, rel_tol: float = DEFAULT_CONTEXT.rel_tol) -> bool:
-        scale = max(self.lhs, self.rhs)
-        return is_violation(self.gap, scale, rel_tol)
+    def is_violation(self) -> bool:
+        return is_violation(self.gap, max(self.lhs, self.rhs))
 
 
 def _pair_distances(space, ds: DoubleSimplex):
@@ -52,42 +51,45 @@ def _pair_distances(space, ds: DoubleSimplex):
     return within, cross
 
 
+def _exact_gap(within, cross, p) -> Optional[GapResult]:
+    """The gap in Fractions when every distance is rational and p a
+    nonnegative integer, else None."""
+    if not (p == int(p) and p >= 0
+            and all(isinstance(d, (int, Fraction)) for d in within + cross)):
+        return None
+    lhs = sum(dpow(d, int(p)) for d in within)
+    rhs = sum(dpow(d, int(p)) for d in cross)
+    return GapResult(int(p), Fraction(lhs), Fraction(rhs), True)
+
+
 def simplex_gap(space, ds: DoubleSimplex, p) -> GapResult:
     """Exact Fractions when every distance is rational and p a nonnegative
     integer; float accumulation otherwise."""
     within, cross = _pair_distances(space, ds)
-    exact = (
-        p == int(p) and p >= 0
-        and all(isinstance(d, (int, Fraction)) for d in within + cross)
-    )
-    if exact:
-        lhs = sum(dpow(d, int(p)) for d in within)
-        rhs = sum(dpow(d, int(p)) for d in cross)
-        return GapResult(int(p), Fraction(lhs), Fraction(rhs), True)
+    exact = _exact_gap(within, cross, p)
+    if exact is not None:
+        return exact
     lhs = math.fsum(float(dpow(d, p)) for d in within)
     rhs = math.fsum(float(dpow(d, p)) for d in cross)
     return GapResult(p, lhs, rhs, False)
 
 
-def certify_violation(space, ds: DoubleSimplex, p,
-                      ctx: NumericContext = DEFAULT_CONTEXT) -> bool:
+def certify_violation(space, ds: DoubleSimplex, p) -> bool:
     """Recompute the gap independently and re-test the violation.
 
     Rational distances with integer p settle the question exactly; all
-    other cases are re-summed in mpmath at twice the context precision.
+    other cases are re-summed in mpmath at twice PRECISION_BITS.
     """
-    g = simplex_gap(space, ds, p)
-    if g.exact:
-        return g.gap < 0
+    within, cross = _pair_distances(space, ds)
+    exact = _exact_gap(within, cross, p)
+    if exact is not None:
+        return exact.is_violation()
     import mpmath
 
-    within, cross = _pair_distances(space, ds)
-    with mpmath.workprec(2 * ctx.precision_bits):
+    with mpmath.workprec(2 * PRECISION_BITS):
         lhs = mpmath.fsum(dpow_mp(d, p) for d in within)
         rhs = mpmath.fsum(dpow_mp(d, p) for d in cross)
-        gap = rhs - lhs
-        scale = max(lhs, rhs, mpmath.mpf(1))
-        return gap < -ctx.rel_tol * scale
+        return is_violation(rhs - lhs, max(lhs, rhs))
 
 
 def exhaustive_config_count(n_points: int, max_size: int) -> int:
@@ -99,8 +101,7 @@ def exhaustive_config_count(n_points: int, max_size: int) -> int:
 
 
 def find_violation_exhaustive(space, max_size: int, p,
-                              budget: int | None = None,
-                              ctx: NumericContext = DEFAULT_CONTEXT
+                              budget: int | None = None
                               ) -> Optional[DoubleSimplex]:
     """First violating double simplex over all index multisets of sizes
     2..max_size, or None. Witnesses are certified before being returned."""
@@ -114,11 +115,11 @@ def find_violation_exhaustive(space, max_size: int, p,
                 f"exhaustive scan needs {need} configurations", need)
     dp = [[float(dpow(space.distance(i, j), p)) for j in range(n)]
           for i in range(n)]
-    witness, _, _ = kernels.min_gap_scan(dp, max_size, ctx.rel_tol)
+    witness, _, _ = kernels.min_gap_scan(dp, max_size, REL_TOL)
     if witness is None:
         return None
     ds = DoubleSimplex(tuple(witness[0]), tuple(witness[1]))
-    if not certify_violation(space, ds, p, ctx):
+    if not certify_violation(space, ds, p):
         raise ArithmeticError(
             f"scan witness failed recertification at p={p}; raise precision")
     return ds
@@ -168,9 +169,8 @@ class _GapState:
     def gap(self) -> float:
         return self.rhs - self.lhs
 
-    @property
-    def scale(self) -> float:
-        return max(self.lhs, self.rhs, 1.0)
+    def violating(self) -> bool:
+        return is_violation(self.gap, max(self.lhs, self.rhs))
 
     def replace(self, fam_idx: int, slot: int, point):
         dp = self.dp
@@ -199,8 +199,7 @@ class _GapState:
 def find_violation_search(space, max_size: int, p,
                           budget: int = 20000,
                           seed: int = 0,
-                          initial: Sequence[DoubleSimplex] = (),
-                          ctx: NumericContext = DEFAULT_CONTEXT
+                          initial: Sequence[DoubleSimplex] = ()
                           ) -> Optional[DoubleSimplex]:
     """Seeded greedy descent on the gap with restarts.
 
@@ -237,9 +236,6 @@ def find_violation_search(space, max_size: int, p,
     evals = 0
     plateau_limit = 60
 
-    def violating(state: _GapState) -> bool:
-        return state.gap < -ctx.rel_tol * state.scale
-
     warm = list(initial)
     while evals < budget:
         if warm:
@@ -253,9 +249,9 @@ def find_violation_search(space, max_size: int, p,
         evals += 1
         plateau = 0
         while evals < budget and plateau <= plateau_limit:
-            if violating(state):
+            if state.violating():
                 ds = state.simplex()
-                if certify_violation(space, ds, p, ctx):
+                if certify_violation(space, ds, p):
                     return ds
                 plateau += 1
             fam_idx = rng.randrange(2)
@@ -315,8 +311,7 @@ def estimate_roundness(space, max_size: int = 3,
                        mode: str = "exhaustive",
                        budget: int | None = None,
                        seed: int = 0,
-                       p_cap: float = 16.0,
-                       ctx: NumericContext = DEFAULT_CONTEXT
+                       p_cap: float = 16.0
                        ) -> RoundnessEstimate:
     """Bracket the roundness by bisection on the violation predicate.
 
@@ -335,13 +330,13 @@ def estimate_roundness(space, max_size: int = 3,
 
     def probe(p: float, warm: Optional[DoubleSimplex]):
         if mode == "exhaustive":
-            w = find_violation_exhaustive(space, max_size, p, budget, ctx)
+            w = find_violation_exhaustive(space, max_size, p, budget)
         else:
             init = () if warm is None else (warm,)
             w = find_violation_search(
                 space, max_size, p,
                 budget=budget or 20000,
-                seed=seed + len(probes), initial=init, ctx=ctx)
+                seed=seed + len(probes), initial=init)
         probes.append({"p": p, "violation": w is not None})
         return w
 

@@ -53,7 +53,7 @@ def test_validate_ok(c4_csv, capsys):
     code, doc, _ = run(["validate", "--input", c4_csv], capsys)
     assert code == 0
     assert doc["results"]["ok"] is True
-    assert doc["schema"] == 4
+    assert doc["schema"] == 5
     assert doc["command"] == "validate"
 
 
@@ -170,6 +170,40 @@ def test_counts_incidences_frozen(capsys):
     assert res["simplices_per_edge_pair"] == 2
     assert res["simplices_per_conn_pair"] == 6
     assert res["ratio_identity_holds"] is True
+
+
+_STAGE_PAIRS = ["counts", "pairs", "--n", "4", "--t", "0", "--m", "1"]
+_EXPLICIT_PAIRS = ["counts", "pairs", "--coords", "256", "--units", "65536",
+                   "--quantum", "1/256", "--delta", "256", "--support", "4"]
+# the README chain
+_STAGE_CHAIN = ["obstruct", "chain", "--map", "builtin:circle", "--n", "4",
+                "--delta", "1", "--support", "64", "--size", "4",
+                "--levels", "4", "--p", "2", "--mode", "mc",
+                "--samples", "100000", "--seed", "7"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    (_STAGE_PAIRS, {"n": 4, "t": 0, "m": 1, "coords": 256, "units": 65536,
+                    "quantum": "1/256", "delta": 256, "support": 4}),
+    (_STAGE_CHAIN, {"n": 4, "t": None, "m": None, "coords": 256,
+                    "units": 65536, "quantum": "1/256", "delta": 1,
+                    "support": 64, "size": 4}),
+], ids=["counts-pairs", "chain-mc"])
+def test_stage_form_params_record_the_resolved_space(argv, want, capsys):
+    # n, t and m as given; the space and class as the run resolved them
+    code, doc, _ = run(argv, capsys)
+    assert code == 0
+    assert {k: doc["params"][k] for k in want} == want
+
+
+def test_stage_form_params_match_the_explicit_run(capsys):
+    _, stage, _ = run(_STAGE_PAIRS, capsys)
+    _, explicit, _ = run(_EXPLICIT_PAIRS, capsys)
+    assert stage["results"] == explicit["results"]
+    for flag in ("n", "t", "m"):
+        assert explicit["params"].pop(flag) is None
+        stage["params"].pop(flag)
+    assert stage["params"] == explicit["params"]
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +563,33 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"README command does not parse: roundlab "
                         f"{shlex.join(argv)}")
+
+
+def readme_python_blocks() -> list[str]:
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks, block = [], None
+    for raw in text.splitlines():
+        if block is None:
+            if raw == "```python":
+                block = []
+        elif raw.startswith("```"):
+            blocks.append("\n".join(block) + "\n")
+            block = None
+        else:
+            block.append(raw)
+    return blocks
+
+
+def test_readme_python_example_runs():
+    # the API example runs as written, in an interpreter that has
+    # imported nothing yet
+    blocks = readme_python_blocks()
+    assert len(blocks) == 1
+    proc = subprocess.run([sys.executable, "-c", blocks[0]],
+                          capture_output=True, text=True, env=suite_env())
+    assert proc.returncode == 0, proc.stderr
+    lower, upper = map(float, proc.stdout.split())
+    assert lower <= 1.0 <= upper and upper - lower <= 1e-3
 
 
 def test_missing_file_exits_1(capsys):

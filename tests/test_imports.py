@@ -113,6 +113,30 @@ def test_mc_and_uniform_load_neither_numpy_nor_pool(argv, tmp_path):
     assert_no_heavy_imports(modules)
 
 
+# builds and checks a stage-form simplex on 46,656 coordinates, past any
+# size where an array path could pay for its import, then measures one
+# connecting distance and prints the loaded module names
+_WIDE_SIMPLEX = """
+import json, sys
+from roundlab.cyclic import (build_simplex, is_simplex, stage_simplex_class,
+                             stage_space)
+space = stage_space(6)
+scls = stage_simplex_class(6, 0, 1)
+ds = build_simplex(space, scls)
+assert space.coords == 46656
+assert is_simplex(space, ds, scls)
+assert space.distance_quanta(ds.xs[0], ds.ys[0]) == scls.delta
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_wide_simplex_check_loads_no_numpy():
+    proc = subprocess.run([sys.executable, "-c", _WIDE_SIMPLEX],
+                          capture_output=True, text=True, env=suite_env())
+    assert proc.returncode == 0, proc.stderr
+    assert_no_heavy_imports(set(json.loads(proc.stdout)))
+
+
 def test_run_partitions_resolves_on_lookup():
     from roundlab import obstruction, parallel
 
