@@ -253,14 +253,21 @@ def _load_moduli(path):
 
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    samples = data["samples"] if isinstance(data, dict) else data
-    def conv(v):
-        if isinstance(v, str):
-            return Fraction(v)
-        if isinstance(v, int):
-            return Fraction(v)
-        return float(v)
-    return empirical_moduli([(conv(d), conv(i)) for d, i in samples])
+    if isinstance(data, dict):
+        if "samples" not in data:
+            raise ValueError("moduli file lacks 'samples'")
+        data = data["samples"]
+    if not isinstance(data, list):
+        raise ValueError("moduli samples must be a list")
+    samples = []
+    for k, sample in enumerate(data):
+        if not (isinstance(sample, list) and len(sample) == 2
+                and all(isinstance(v, (str, int, float)) for v in sample)):
+            raise ValueError(f"moduli sample {k} is not a "
+                             f"[distance, image] pair: {sample!r}")
+        samples.append(tuple(v if isinstance(v, float) else Fraction(v)
+                             for v in sample))
+    return empirical_moduli(samples)
 
 
 def _cmd_obstruct_coarse(args) -> int:
@@ -351,21 +358,10 @@ def _cmd_zspace_ball(args) -> int:
 
 
 def _cmd_inject_build(args) -> int:
-    from .inject import (build_ballchain_injection, build_ell0_injection,
-                         build_ellp_injection, load_ballchain_target,
-                         verify_injection)
+    from .inject import build_injection, verify_injection
 
     space = read_space_csv(args.input)
-    target = args.target
-    if target == "ell0":
-        table = build_ell0_injection(space)
-    elif target.startswith("ellp:"):
-        table = build_ellp_injection(space, Fraction(target.split(":", 1)[1]))
-    elif target.startswith("ballchain:"):
-        table = build_ballchain_injection(
-            space, load_ballchain_target(target.split(":", 1)[1]))
-    else:
-        raise ValueError(f"unknown target {target!r}")
+    table = build_injection(space, args.target)
     rep = verify_injection(space, table, modulus=args.modulus)
     payload = table.to_json_dict(space)
     if args.map_out:
@@ -558,7 +554,7 @@ def build_parser() -> _Parser:
     p = inj.add_parser("build", help="build an injection table")
     p.add_argument("--input", required=True)
     p.add_argument("--target", required=True,
-                   help="ell0 | ellp:p | ballchain:intervals|cauchy|file.json")
+                   help="ell0 | ellp:p | ballchain:intervals|cauchy")
     p.add_argument("--map-out", dest="map_out", default=None,
                    help="write the injection table JSON here")
     p.add_argument("--modulus", default=None,

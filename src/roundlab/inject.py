@@ -2,7 +2,7 @@
 
 Every builder keys off the gap g_x of a point (its least positive distance)
 and the level kappa(x) = min{n >= 1 : 2^(1-n) <= g_x}. The exclusion sets
-A_n = {x : 2^(1-n) > g_x} shrink as n grows and empty out at the top level,
+A_n = {x : kappa(x) > n} shrink as n grows and empty out at the top level,
 which is what makes the coordinate tables injective. Image distances then
 telescope over levels >= kappa(x, y), giving the 2^(1-kappa) <= max(g) <= d
 bound that each verifier re-checks pair by pair in exact arithmetic where
@@ -11,16 +11,13 @@ possible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from .metric import FiniteMetricSpace
 from .numerics import REL_TOL, Number, rational_pow
-
-LEVEL_HUNT_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -43,23 +40,27 @@ class SeqVector:
         return dict(self.entries)
 
 
+def _level_deltas(a: SeqVector, b: SeqVector):
+    """|a_n - b_n| on the levels n where the two sequences differ, in
+    level order."""
+    ad, bd = a.as_dict(), b.as_dict()
+    for n in sorted(set(ad) | set(bd)):
+        delta = abs(ad.get(n, 0) - bd.get(n, 0))
+        if delta != 0:
+            yield n, delta
+
+
 def ell0_distance(a: SeqVector, b: SeqVector) -> Number:
     """sum over levels of 2^-n * |delta_n| / (1 + |delta_n|); exact for
     rational values."""
-    ad, bd = a.as_dict(), b.as_dict()
-    exact = True
     terms = []
-    for n in sorted(set(ad) | set(bd)):
-        delta = abs(ad.get(n, 0) - bd.get(n, 0))
-        if delta == 0:
-            continue
+    for n, delta in _level_deltas(a, b):
         if isinstance(delta, (int, Fraction)):
             delta = Fraction(delta)
             terms.append(Fraction(1, 2 ** n) * delta / (1 + delta))
         else:
-            exact = False
             terms.append(2.0 ** (-n) * delta / (1.0 + delta))
-    if exact:
+    if all(isinstance(t, Fraction) for t in terms):
         return sum(terms, Fraction(0))
     return math.fsum(float(t) for t in terms)
 
@@ -74,14 +75,9 @@ def ellp_distance(a: SeqVector, b: SeqVector, p) -> Number:
     p = Fraction(p)
     if p <= 0:
         raise ValueError("p must be positive")
-    ad, bd = a.as_dict(), b.as_dict()
     terms = []
-    for n in sorted(set(ad) | set(bd)):
-        av, bv = ad.get(n, 0), bd.get(n, 0)
-        delta = abs(av - bv)
-        if delta == 0:
-            continue
-        if isinstance(delta, Fraction) or isinstance(delta, int):
+    for _, delta in _level_deltas(a, b):
+        if isinstance(delta, (int, Fraction)):
             terms.append(rational_pow(Fraction(delta), p))
         else:
             terms.append(float(delta) ** float(p))
@@ -99,79 +95,57 @@ def ellp_distance(a: SeqVector, b: SeqVector, p) -> Number:
 
 
 def point_gaps(space) -> list:
-    """Least positive distance from each point; empty-minded on singletons."""
+    """Least positive distance from each point; None on singletons."""
     n = space.size
-    out = []
-    for i in range(n):
-        best = None
-        for j in range(n):
-            if j == i:
-                continue
-            d = space.distance(i, j)
-            if d > 0 and (best is None or d < best):
-                best = d
-        out.append(best)
-    return out
+    return [min((d for j in range(n)
+                 if j != i and (d := space.distance(i, j)) > 0), default=None)
+            for i in range(n)]
+
+
+def _ceil_inverse(g) -> int:
+    """ceil(1/g) for a positive gap, from its exact fraction a/b."""
+    if g is None or g <= 0:
+        raise ValueError("gap must be positive")
+    g = Fraction(g)
+    return -(-g.denominator // g.numerator)
 
 
 def gap_level(g) -> int:
-    """min n >= 1 with 2^(1-n) <= g."""
-    if g is None or g <= 0:
-        raise ValueError("gap must be positive")
-    n = 1
-    threshold = Fraction(1)  # 2^(1-n) at n = 1
-    while threshold > g:
-        n += 1
-        threshold /= 2
-        if n > LEVEL_HUNT_CAP:
-            raise ValueError("gap too small: level hunt exceeded cap")
-    return n
+    """min n >= 1 with 2^(1-n) <= g, i.e. 2^(n-1) >= ceil(1/g)."""
+    return (_ceil_inverse(g) - 1).bit_length() + 1
+
+
+def ballchain_level(g) -> int:
+    """min n >= 1 with 1/n <= g: the first ball no wider than the gap
+    (ball 1 for a point without a gap)."""
+    return 1 if g is None else _ceil_inverse(g)
 
 
 @dataclass(frozen=True)
 class LevelStructure:
-    """Per-point gaps and levels plus the shrinking exclusion sets."""
+    """Per-point gaps and levels, and at each level n the enumeration index
+    of every point outside A_n (a point without an index lies in A_n)."""
 
     gaps: tuple
     kappas: tuple
     levels: int
-    a_sets: tuple
     h_index: tuple
-    dyadic_boundary: tuple
     warning: Optional[str] = None
-
-    def kappa(self, x: int, y: int) -> int:
-        if x == y:
-            return self.kappas[x]
-        return min(self.kappas[x], self.kappas[y])
 
 
 def build_level_structure(space) -> LevelStructure:
     n = space.size
     if n == 1:
-        return LevelStructure((None,), (0,), 0, (), (), (),
+        return LevelStructure((None,), (0,), 0, (),
                               warning="single point: no gaps, trivial structure")
     gaps = point_gaps(space)
     kappas = tuple(gap_level(g) for g in gaps)
     top = max(kappas)
-    a_sets = []
-    h_index = []
-    for lvl in range(1, top + 1):
-        threshold = Fraction(2, 2 ** lvl)  # 2^(1-lvl)
-        a_set = frozenset(i for i in range(n) if threshold > gaps[i])
-        a_sets.append(a_set)
-        idx = {}
-        j = 1
-        for i in range(n):
-            if i not in a_set:
-                idx[i] = j
-                j += 1
-        h_index.append(idx)
-    dyadic = tuple(i for i in range(n)
-                   if isinstance(gaps[i], (int, Fraction))
-                   and Fraction(gaps[i]) == Fraction(2, 2 ** kappas[i]))
-    return LevelStructure(tuple(gaps), kappas, top, tuple(a_sets),
-                          tuple(h_index), dyadic)
+    h_index = tuple(
+        {i: j for j, i in enumerate(
+            (i for i in range(n) if kappas[i] <= lvl), 1)}
+        for lvl in range(1, top + 1))
+    return LevelStructure(tuple(gaps), kappas, top, h_index)
 
 
 @dataclass
@@ -181,7 +155,6 @@ class InjectionTable:
     labels: tuple
     p: Optional[Fraction] = None
     descriptor: Optional[str] = None
-    structure: Optional[LevelStructure] = None
     warnings: list = field(default_factory=list)
 
     def to_json_dict(self, space: Optional[FiniteMetricSpace] = None) -> dict:
@@ -212,44 +185,64 @@ class InjectionTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> tuple["InjectionTable", Optional[FiniteMetricSpace]]:
+        """Decode a table and its embedded domain (None without one);
+        malformed input raises ValueError naming the missing key or the
+        bad entry."""
         def dec(v):
-            return Fraction(v) if isinstance(v, str) else v
+            if isinstance(v, str):
+                return Fraction(v)
+            if isinstance(v, (int, float)):
+                return v
+            raise TypeError(f"{v!r} is not a number")
 
+        if not isinstance(data, dict):
+            raise ValueError("injection table is not a JSON object")
+        for key in ("target", "images"):
+            if key not in data:
+                raise ValueError(f"injection table lacks {key!r}")
         target = data["target"]
-        if target in ("ell0", "ellp"):
-            images = [SeqVector(tuple((int(n), dec(v)) for n, v in img))
-                      for img in data["images"]]
-        else:
-            images = [dec(img) for img in data["images"]]
-        table = cls(
-            target, images, tuple(data.get("labels", ())),
-            p=Fraction(data["p"]) if "p" in data else None,
-            descriptor=data.get("descriptor"),
-            warnings=list(data.get("warnings", ())),
-        )
-        space = None
-        if "domain" in data:
-            space = FiniteMetricSpace.from_rows(
-                [[Fraction(v) for v in row] for row in data["domain"]],
-                labels=table.labels)
+        try:
+            if target in ("ell0", "ellp"):
+                images = [SeqVector(tuple((int(n), dec(v)) for n, v in img))
+                          for img in data["images"]]
+            else:
+                images = [dec(img) for img in data["images"]]
+            table = cls(
+                target, images, tuple(data.get("labels", ())),
+                p=Fraction(data["p"]) if "p" in data else None,
+                descriptor=data.get("descriptor"),
+                warnings=list(data.get("warnings", ())),
+            )
+            space = None
+            if "domain" in data:
+                space = FiniteMetricSpace.from_rows(
+                    [[Fraction(v) for v in row] for row in data["domain"]],
+                    labels=table.labels)
+        except TypeError as exc:
+            raise ValueError(f"malformed injection table: {exc}") from None
         return table, space
+
+
+def _labels(space) -> tuple:
+    return tuple(getattr(space, "labels",
+                         tuple(str(i) for i in range(space.size))))
+
+
+def _level_table(space, target: str, value, p=None) -> InjectionTable:
+    """Coordinate n of x is value(n, j) for its enumeration index j outside
+    A_n, and absent inside."""
+    st = build_level_structure(space)
+    images = [SeqVector(tuple((lvl, value(lvl, idx[i]))
+                              for lvl, idx in enumerate(st.h_index, 1)
+                              if i in idx))
+              for i in range(space.size)]
+    return InjectionTable(target, images, _labels(space), p=p,
+                          warnings=[st.warning] if st.warning else [])
 
 
 def build_ell0_injection(space) -> InjectionTable:
     """Coordinate n of x is its enumeration index outside A_n (0 inside)."""
-    st = build_level_structure(space)
-    labels = getattr(space, "labels", tuple(str(i) for i in range(space.size)))
-    images = []
-    for i in range(space.size):
-        entries = []
-        for lvl in range(1, st.levels + 1):
-            if i not in st.a_sets[lvl - 1]:
-                entries.append((lvl, Fraction(st.h_index[lvl - 1][i])))
-        images.append(SeqVector(tuple(entries)))
-    table = InjectionTable("ell0", images, tuple(labels), structure=st)
-    if st.warning:
-        table.warnings.append(st.warning)
-    return table
+    return _level_table(space, "ell0", lambda lvl, j: Fraction(j))
 
 
 def build_ellp_injection(space, p) -> InjectionTable:
@@ -258,54 +251,30 @@ def build_ellp_injection(space, p) -> InjectionTable:
     p = Fraction(p)
     if p <= 0:
         raise ValueError("p must be positive")
-    st = build_level_structure(space)
-    labels = getattr(space, "labels", tuple(str(i) for i in range(space.size)))
-    images = []
-    for i in range(space.size):
-        entries = []
-        for lvl in range(1, st.levels + 1):
-            if i not in st.a_sets[lvl - 1]:
-                j = st.h_index[lvl - 1][i]
-                scale = rational_pow(Fraction(1, 2 ** lvl), 1 / p)
-                val = scale * (1 - Fraction(1, 2 ** j))
-                entries.append((lvl, val))
-        images.append(SeqVector(tuple(entries)))
-    table = InjectionTable("ellp", images, tuple(labels), p=p, structure=st)
-    if st.warning:
-        table.warnings.append(st.warning)
-    return table
+    return _level_table(
+        space, "ellp",
+        lambda lvl, j: (rational_pow(Fraction(1, 2 ** lvl), 1 / p)
+                        * (1 - Fraction(1, 2 ** j))),
+        p=p)
 
 
 @dataclass(frozen=True)
 class BallChainTarget:
-    """Nested-ball allocation scheme: diameters(n) gives the nonincreasing
-    ball diameter t_n, allocator(n, j) the j-th fresh candidate inside ball
-    n (None when exhausted), metric the target distance."""
+    """Nested balls of diameter 1/n on the line: ball n offers the
+    candidates 1/(n + shift), 1/(n + shift + 1), ..."""
 
     name: str
-    diameters: Callable[[int], Fraction]
-    allocator: Callable[[int, int], Optional[Fraction]]
-    metric: Callable[[Fraction, Fraction], Fraction]
+    shift: int
 
 
 def interval_chain_target() -> BallChainTarget:
-    """Open intervals (0, 1/n) on the line; candidates 1/(n + j)."""
-    return BallChainTarget(
-        "intervals",
-        diameters=lambda n: Fraction(1, n),
-        allocator=lambda n, j: Fraction(1, n + j),
-        metric=lambda a, b: abs(a - b),
-    )
+    """Open intervals (0, 1/n) on the line; candidates 1/(n + j), j >= 1."""
+    return BallChainTarget("intervals", 1)
 
 
 def cauchy_sequence_target() -> BallChainTarget:
     """Tails of the sequence 1/k: ball n holds {1/k : k >= n}."""
-    return BallChainTarget(
-        "cauchy",
-        diameters=lambda n: Fraction(1, n),
-        allocator=lambda n, j: Fraction(1, n + j - 1),
-        metric=lambda a, b: abs(a - b),
-    )
+    return BallChainTarget("cauchy", 0)
 
 
 BALLCHAIN_TARGETS = {
@@ -314,58 +283,35 @@ BALLCHAIN_TARGETS = {
 }
 
 
-def load_ballchain_target(spec: str) -> BallChainTarget:
-    """`intervals`, `cauchy`, or a JSON file naming one via {"kind": ...}."""
-    if spec in BALLCHAIN_TARGETS:
-        return BALLCHAIN_TARGETS[spec]()
-    with open(spec, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    kind = data.get("kind")
-    if kind not in BALLCHAIN_TARGETS:
-        raise ValueError(f"unknown ballchain kind {kind!r}")
-    return BALLCHAIN_TARGETS[kind]()
-
-
 def build_ballchain_injection(space, target: BallChainTarget) -> InjectionTable:
     """Place each point in the first ball no wider than its gap, taking the
     first unused candidate; a global used-set keeps images distinct across
     levels."""
-    labels = getattr(space, "labels", tuple(str(i) for i in range(space.size)))
     st = build_level_structure(space)
     used = set()
     images = []
-    warnings = []
-    if st.warning:
-        warnings.append(st.warning)
-    for i in range(space.size):
-        g = st.gaps[i]
-        if g is None:
-            lvl = 1
-        else:
-            lvl = 1
-            prev = target.diameters(1)
-            while target.diameters(lvl) > g:
-                lvl += 1
-                t = target.diameters(lvl)
-                if t > prev:
-                    raise ValueError(
-                        f"diameters increase at level {lvl}: not a chain")
-                prev = t
-                if lvl > LEVEL_HUNT_CAP:
-                    raise ValueError("no ball small enough for the gap")
-        j = 1
-        while True:
-            cand = target.allocator(lvl, j)
-            if cand is None:
-                raise ValueError(
-                    f"ball {lvl} exhausted after {j - 1} candidates")
-            if cand not in used:
-                break
-            j += 1
-        used.add(cand)
-        images.append(cand)
-    return InjectionTable("ballchain", images, tuple(labels),
-                          descriptor=target.name, warnings=warnings)
+    for g in st.gaps:
+        k = ballchain_level(g) + target.shift
+        while k in used:
+            k += 1
+        used.add(k)
+        images.append(Fraction(1, k))
+    return InjectionTable("ballchain", images, _labels(space),
+                          descriptor=target.name,
+                          warnings=[st.warning] if st.warning else [])
+
+
+def build_injection(space, spec: str) -> InjectionTable:
+    """The table a target spec names: `ell0`, `ellp:P` or
+    `ballchain:intervals|cauchy`."""
+    kind, _, arg = spec.partition(":")
+    if spec == "ell0":
+        return build_ell0_injection(space)
+    if kind == "ellp" and arg:
+        return build_ellp_injection(space, Fraction(arg))
+    if kind == "ballchain" and arg in BALLCHAIN_TARGETS:
+        return build_ballchain_injection(space, BALLCHAIN_TARGETS[arg]())
+    raise ValueError(f"unknown target {spec!r}")
 
 
 @dataclass

@@ -1,42 +1,29 @@
-"""Exact-arithmetic finite metric spaces, distance oracles, transforms, and
-empirical embedding moduli."""
+"""Exact-arithmetic finite metric spaces, the metric-axiom audit, the
+snowflake transform, and empirical embedding moduli."""
 
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 from .numerics import Number, rational_pow
-
-
-@runtime_checkable
-class DistanceOracle(Protocol):
-    """Finite point set addressed by indices 0..size-1.
-
-    distance is symmetric, non-negative, and zero exactly on equal handles;
-    implementations declare via `triangle_guaranteed` whether the triangle
-    inequality is promised or must be audited.
-    """
-
-    size: int
-
-    def distance(self, a: int, b: int) -> Number: ...
 
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """Explicit point set with an exact rational distance matrix.
 
-    The default constructor validates all metric axioms eagerly, the
-    triangle inequality included; `unchecked` exists for deliberately
-    non-metric data that still needs to be held and audited.
+    The default constructor audits all metric axioms eagerly with
+    `validate_metric`, the triangle inequality included; `unchecked` exists
+    for deliberately non-metric data that still needs to be held and
+    audited.
     """
 
     dist: tuple[tuple[Fraction, ...], ...]
     labels: tuple[str, ...] = ()
-    triangle_guaranteed: bool = True
     _skip_checks: bool = field(default=False, repr=False)
 
     def __post_init__(self):
@@ -47,25 +34,18 @@ class FiniteMetricSpace:
             raise ValueError("labels length must match matrix size")
         if self._skip_checks:
             return
-        for i in range(n):
-            if len(self.dist[i]) != n:
-                raise ValueError("distance matrix must be square")
-            if self.dist[i][i] != 0:
-                raise ValueError(f"dist[{i}][{i}] must be 0")
-            for j in range(i + 1, n):
-                if self.dist[i][j] != self.dist[j][i]:
-                    raise ValueError(f"dist[{i}][{j}] not symmetric")
-                if self.dist[i][j] <= 0:
-                    raise ValueError(f"dist[{i}][{j}] must be positive")
-        for i in range(n):
-            for j in range(i + 1, n):
-                dij = self.dist[i][j]
-                for k in range(n):
-                    if k == i or k == j:
-                        continue
-                    if dij > self.dist[i][k] + self.dist[k][j]:
-                        raise ValueError(
-                            f"triangle inequality fails at ({i},{j},{k})")
+        if any(len(row) != n for row in self.dist):
+            raise ValueError("distance matrix must be square")
+        rep = validate_metric(self)
+        for axiom, ok in (("identity", rep.identity_ok),
+                          ("symmetry", rep.symmetry_ok),
+                          ("positivity", rep.positivity_ok)):
+            if not ok:
+                raise ValueError(f"distance matrix fails {axiom}")
+        if rep.violations:
+            v = rep.violations[0]
+            raise ValueError("triangle inequality fails at "
+                             f"({v['x']},{v['z']},{v['y']})")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], labels: Sequence[str] = ()) -> "FiniteMetricSpace":
@@ -74,9 +54,9 @@ class FiniteMetricSpace:
 
     @classmethod
     def unchecked(cls, rows: Sequence[Sequence], labels: Sequence[str] = ()) -> "FiniteMetricSpace":
-        """Hold possibly non-metric data; triangle_guaranteed is cleared."""
+        """Hold possibly non-metric data without auditing it."""
         dist = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        return cls(dist, tuple(labels), triangle_guaranteed=False, _skip_checks=True)
+        return cls(dist, tuple(labels), _skip_checks=True)
 
     @property
     def size(self) -> int:
@@ -119,42 +99,23 @@ def validate_metric(space, budget: int | None = None) -> ValidationReport:
     n = getattr(space, "size", None)
     if n is None:
         raise TypeError("oracle lacks an enumerator (no size)")
-    symmetry_ok = True
-    identity_ok = True
-    positivity_ok = True
-    for i in range(n):
-        if space.distance(i, i) != 0:
-            identity_ok = False
-        for j in range(i + 1, n):
-            dij = space.distance(i, j)
-            if dij != space.distance(j, i):
-                symmetry_ok = False
-            if dij <= 0:
-                positivity_ok = False
+    d = [[space.distance(i, j) for j in range(n)] for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    identity_ok = all(d[i][i] == 0 for i in range(n))
+    symmetry_ok = all(d[i][j] == d[j][i] for i, j in pairs)
+    positivity_ok = all(d[i][j] > 0 for i, j in pairs)
     violations = []
     checked = 0
     total = n * (n - 1) * (n - 2) // 2
-    exhausted_budget = False
-    for i in range(n):
-        if exhausted_budget:
-            break
-        for j in range(i + 1, n):
-            if exhausted_budget:
-                break
-            dij = space.distance(i, j)
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if budget is not None and checked >= budget:
-                    exhausted_budget = True
-                    break
-                checked += 1
-                detour = space.distance(i, k) + space.distance(k, j)
-                if dij > detour:
-                    violations.append({
-                        "x": i, "y": k, "z": j,
-                        "slack": dij - detour,
-                    })
+    triples = ((i, j, k) for i, j in pairs for k in range(n)
+               if k != i and k != j)
+    for i, j, k in itertools.islice(
+            triples, None if budget is None else max(budget, 0)):
+        checked += 1
+        detour = d[i][k] + d[k][j]
+        if d[i][j] > detour:
+            violations.append({"x": i, "y": k, "z": j,
+                               "slack": d[i][j] - detour})
     exhaustive = checked == total
     ok = symmetry_ok and identity_ok and positivity_ok and not violations
     return ValidationReport(ok, symmetry_ok, identity_ok, positivity_ok,
@@ -168,7 +129,6 @@ class SnowflakeOracle:
 
     base: object
     alpha: Fraction
-    triangle_guaranteed: bool = True
 
     @property
     def size(self) -> int:

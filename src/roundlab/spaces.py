@@ -84,7 +84,6 @@ class PlanarPoints:
     """Euclidean distances between integer grid points, as floats."""
 
     coords: tuple[tuple[int, int], ...]
-    triangle_guaranteed: bool = True
 
     @property
     def size(self) -> int:

@@ -96,13 +96,23 @@ class ZPoint:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ZPoint":
-        block = int(data["block"])
-        if "residues" in data:
-            vals = data["residues"]
-            if len(vals) != block_coords(block):
-                raise ValueError("dense residue list has wrong length")
-            return cls.make(block, {i: v for i, v in enumerate(vals) if v})
-        return cls.make(block, {int(k): v for k, v in data["sparse"].items()})
+        """Decode a point; malformed input raises ValueError naming the
+        missing key or the bad entry."""
+        if not isinstance(data, dict) or "block" not in data:
+            raise ValueError("ZPoint lacks 'block'")
+        if "residues" not in data and "sparse" not in data:
+            raise ValueError("ZPoint lacks 'residues' or 'sparse'")
+        try:
+            block = int(data["block"])
+            if "residues" in data:
+                vals = data["residues"]
+                if len(vals) != block_coords(block):
+                    raise ValueError("dense residue list has wrong length")
+                return cls.make(block, {i: v for i, v in enumerate(vals) if v})
+            return cls.make(block,
+                            {int(k): v for k, v in data["sparse"].items()})
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed ZPoint: {exc}") from None
 
 
 def block_distance(x: ZPoint, y: ZPoint) -> Fraction:

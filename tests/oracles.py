@@ -4,8 +4,12 @@ The recursive simplex enumerator below is the counter `count_incidences`
 and `completion_counts` used before the coordinate-column DP replaced it;
 `enumerated_level_terms` evaluates a level average's term on every class
 pair, which the closed form for maps that declare `class_distance` must
-match. Both are slow and only run on small classes.
+match. Both are slow and only run on small classes. The level hunts at the
+end walk the thresholds one level at a time, which is what the closed-form
+`gap_level` and `ballchain_level` replace.
 """
+
+from fractions import Fraction
 
 from roundlab import kernels
 from roundlab.cyclic import enumerate_pairs, is_pair
@@ -92,3 +96,19 @@ def enumerated_level_terms(emaps, cls, ps):
                         for d in dists}
                     for p in ps})
     return out
+
+
+def hunted_gap_level(g):
+    """min n >= 1 with 2^(1-n) <= g, by halving a threshold from 1."""
+    n, threshold = 1, Fraction(1)
+    while threshold > g:
+        n, threshold = n + 1, threshold / 2
+    return n
+
+
+def hunted_ballchain_level(g):
+    """min n >= 1 with 1/n <= g, by walking the ball diameters 1/n."""
+    n = 1
+    while Fraction(1, n) > g:
+        n += 1
+    return n

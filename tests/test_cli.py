@@ -15,7 +15,8 @@ import pytest
 import roundlab
 from roundlab.cli import build_parser, main
 from roundlab.metric import FiniteMetricSpace
-from roundlab.spaces import cycle_graph_space, write_space_csv
+from roundlab.spaces import (cycle_graph_space, random_rational_metric_space,
+                             write_space_csv)
 
 
 def run(argv, capsys):
@@ -469,6 +470,62 @@ def test_inject_build_bad_target(c4_csv, capsys):
                         "hilbert"], capsys)
     assert code == 1
     assert "unknown target" in err
+
+
+@pytest.mark.parametrize("target, results_sha256", [
+    ("ell0", "29f03f9535f287b08ba419172e9a1094c5a30c924a473d420da5573972aa6fb8"),
+    ("ellp:1/2",
+     "3757388ed69f26d9327e73f6dca6bc88642c78e0661d95ca984031a6187832a3"),
+    ("ellp:1", "9c3a5387e52239a7ff01e1951ea202b00f70cb705b13acbd227cf63fb519195f"),
+    ("ellp:2", "8fb80c653774a8601c53ba80f29a99c5e71ed5b3b961c345e76acce795d7f911"),
+    ("ballchain:intervals",
+     "8477063885e2175b2267e9a30df8f221304f7abf666ea8d3d2303dc94c402908"),
+    ("ballchain:cauchy",
+     "0dda23debc279da8fded68edcd0778cd796274af69351330fee6d336e720b130"),
+])
+def test_inject_build_results_frozen(target, results_sha256, tmp_path,
+                                     capsys):
+    # digests recorded before the builders shared one level walk and
+    # computed their levels in closed form
+    path = tmp_path / "r20.csv"
+    write_space_csv(random_rational_metric_space(20, 0), str(path))
+    code, doc, _ = run(["inject", "build", "--input", str(path),
+                        "--target", target], capsys)
+    assert code == 0
+    text = json.dumps(doc["results"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == results_sha256
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["inject", "verify", "--map"], {"target": "ell0"}, "lacks 'images'"),
+    (["inject", "verify", "--map"], [1, 2], "not a JSON object"),
+    (["inject", "verify", "--map"], {"target": "ell0", "images": [5]},
+     "malformed injection table"),
+    (["inject", "verify", "--map"],
+     {"target": "ballchain", "images": [[1]]}, "malformed injection table"),
+    (["zspace", "ball", "--block", "2", "--radius", "1/2", "--center"],
+     {"block": 2}, "lacks 'residues' or 'sparse'"),
+    (["zspace", "ball", "--block", "2", "--radius", "1/2", "--center"],
+     {"sparse": {}}, "lacks 'block'"),
+    (["obstruct", "coarse", "--p", "1", "--moduli"], {"samplez": []},
+     "lacks 'samples'"),
+    (["obstruct", "coarse", "--p", "1", "--moduli"], [1, 2],
+     "sample 0 is not a"),
+    (["obstruct", "coarse", "--p", "1", "--moduli"], [[None, 1]],
+     "sample 0 is not a"),
+], ids=["map-no-images", "map-list", "map-bad-image", "map-bad-ballchain",
+        "center-no-residues", "center-no-block", "moduli-no-samples",
+        "moduli-flat-list", "moduli-null"])
+def test_malformed_json_input_is_an_error(argv, payload, message, tmp_path,
+                                          capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, doc, err = run(argv + [str(path)], capsys)
+    assert code == 1
+    assert doc is None
+    assert err.startswith("error:")
+    assert message in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,8 @@ def loaded_after(argv, tmp_path) -> tuple[int, set]:
                           capture_output=True, text=True, env=suite_env())
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert json.loads(out.read_text())["command"] == " ".join(argv[:2])
+    command = json.loads(out.read_text())["command"].split()
+    assert argv[:len(command)] == command
     return result["rc"], set(result["modules"])
 
 
@@ -110,6 +111,36 @@ def test_mc_and_uniform_load_neither_numpy_nor_pool(argv, tmp_path):
     rc, modules = loaded_after(argv, tmp_path)
     # the identity map has no uniform embedding: an obstruction, exit 2
     assert rc == (2 if "builtin:identity" in argv else 0)
+    assert_no_heavy_imports(modules)
+
+
+# the other commands README lists as loading neither library; {space} is
+# the 4-cycle and {map} its ell0 table with the domain embedded
+LIGHT = {
+    "validate": ["validate", "--input", "{space}"],
+    "simplex-build": ["simplex", "build", "--n", "4", "--t", "0", "--m", "1"],
+    "zspace-validate": ["zspace", "validate", "--variant", "corrected"],
+    "zspace-ball": ["zspace", "ball", "--block", "2", "--radius", "1/2"],
+    **{f"inject-build-{target}": ["inject", "build", "--input", "{space}",
+                                  "--target", target]
+       for target in ("ell0", "ellp:1", "ballchain:intervals",
+                      "ballchain:cauchy")},
+    "inject-verify": ["inject", "verify", "--map", "{map}"],
+}
+
+
+@pytest.mark.parametrize("argv", LIGHT.values(), ids=LIGHT)
+def test_light_commands_load_neither_numpy_nor_mpmath(argv, tmp_path):
+    from roundlab.inject import build_ell0_injection
+    from roundlab.spaces import cycle_graph_space, write_space_csv
+
+    space = cycle_graph_space(4)
+    paths = {"space": tmp_path / "c4.csv", "map": tmp_path / "map.json"}
+    write_space_csv(space, str(paths["space"]))
+    paths["map"].write_text(
+        json.dumps(build_ell0_injection(space).to_json_dict(space)))
+    rc, modules = loaded_after([a.format(**paths) for a in argv], tmp_path)
+    assert rc == 0
     assert_no_heavy_imports(modules)
 
 

@@ -1,19 +1,21 @@
 """Level structures, the three injection builders, and the pairwise verifier."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from roundlab.inject import (BallChainTarget, SeqVector,
+from oracles import hunted_ballchain_level, hunted_gap_level
+from roundlab.inject import (SeqVector, ballchain_level,
                              build_ballchain_injection, build_ell0_injection,
-                             build_ellp_injection, build_level_structure,
-                             cauchy_sequence_target, default_modulus_for,
-                             ell0_distance, ellp_convention, ellp_distance,
-                             gap_level, interval_chain_target,
-                             load_ballchain_target, point_gaps,
+                             build_ellp_injection, build_injection,
+                             build_level_structure, cauchy_sequence_target,
+                             default_modulus_for, ell0_distance,
+                             ellp_convention, ellp_distance, gap_level,
+                             interval_chain_target, point_gaps,
                              resolve_modulus, verify_injection, InjectionTable)
-from roundlab.spaces import (cycle_graph_space, equilateral_space,
-                             random_rational_metric_space, two_point_space)
+from roundlab.spaces import (cycle_graph_space, random_rational_metric_space,
+                             two_point_space)
 
 
 def test_seqvector_validation():
@@ -59,22 +61,56 @@ def test_gap_level():
 
 
 def test_level_structure_shrinks_and_empties():
-    space = random_rational_metric_space(12, seed=5)
-    st = build_level_structure(space)
-    assert st.levels == max(st.kappas)
-    for earlier, later in zip(st.a_sets, st.a_sets[1:]):
-        assert later <= earlier
-    assert st.a_sets[-1] == frozenset()
-    gaps = point_gaps(space)
-    assert list(st.gaps) == gaps
-    assert all(Fraction(2, 2 ** k) <= g for k, g in zip(st.kappas, gaps))
+    # seed 5 puts every point on level 1; seed 1 spreads them over four
+    for seed, levels in ((5, 1), (1, 4)):
+        space = random_rational_metric_space(12, seed=seed)
+        st = build_level_structure(space)
+        assert st.levels == max(st.kappas) == len(st.h_index) == levels
+        # A_n is the set of points without an index at level n
+        excluded = [set(range(space.size)) - set(idx) for idx in st.h_index]
+        for earlier, later in zip(excluded, excluded[1:]):
+            assert later <= earlier
+        assert excluded[-1] == set()
+        for lvl, idx in enumerate(st.h_index, 1):
+            assert sorted(idx) == [i for i in range(space.size)
+                                   if Fraction(2, 2 ** lvl) <= st.gaps[i]]
+            assert sorted(idx.values()) == list(range(1, len(idx) + 1))
+        gaps = point_gaps(space)
+        assert list(st.gaps) == gaps
+        assert all(Fraction(2, 2 ** k) <= g for k, g in zip(st.kappas, gaps))
 
 
-def test_dyadic_boundary_flags():
-    st1 = build_level_structure(two_point_space(Fraction(1, 2)))
-    assert st1.dyadic_boundary == (0, 1)  # 1/2 = 2^(1-2) exactly
-    st2 = build_level_structure(two_point_space(Fraction(1, 3)))
-    assert st2.dyadic_boundary == ()
+def _boundary_gaps(lowest: int, ns):
+    """Exact powers of two from 2^lowest to 2^8 and their neighbours on
+    either side, as Fractions and floats, then the same around each 1/n."""
+    gaps = []
+    for t in [Fraction(2) ** e for e in range(lowest, 9)] + [
+            Fraction(1, n) for n in ns]:
+        gaps += [t, t * Fraction(999, 1000), t * Fraction(1001, 1000),
+                 float(t), math.nextafter(float(t), 0),
+                 math.nextafter(float(t), math.inf)]
+    return gaps + [Fraction(3, 7), 0.3, Fraction(10 ** 9, 3)]
+
+
+# the ball-chain hunt takes 1/g steps, so its gaps stay above 2^-12
+@pytest.mark.parametrize("level, hunted, gaps", [
+    (gap_level, hunted_gap_level, _boundary_gaps(-60, (3, 7, 10 ** 7))),
+    (ballchain_level, hunted_ballchain_level,
+     _boundary_gaps(-12, (3, 7, 10, 1000))),
+], ids=["gap", "ballchain"])
+def test_closed_form_levels_match_hunt(level, hunted, gaps):
+    for g in gaps:
+        assert level(g) == hunted(g), g
+
+
+def test_closed_form_levels_need_no_cap():
+    # far past any level a step-by-step hunt could reach
+    assert gap_level(Fraction(1, 2 ** 2_000_000)) == 2_000_001
+    assert ballchain_level(Fraction(1, 10 ** 7)) == 10 ** 7
+    assert ballchain_level(Fraction(2, 10 ** 7 + 1)) == 5 * 10 ** 6 + 1
+    assert ballchain_level(None) == 1
+    with pytest.raises(ValueError):
+        ballchain_level(0)
 
 
 def test_single_point_warning():
@@ -163,32 +199,30 @@ def test_ballchain_candidates_fit_their_ball():
     assert table.descriptor == "intervals"
 
 
-def test_ballchain_rejects_increasing_diameters():
-    bad = BallChainTarget("bad", diameters=lambda n: Fraction(n),
-                          allocator=lambda n, j: Fraction(1, n + j),
-                          metric=lambda a, b: abs(a - b))
-    with pytest.raises(ValueError):
-        build_ballchain_injection(two_point_space(Fraction(1, 4)), bad)
+@pytest.mark.parametrize("target", [interval_chain_target(),
+                                    cauchy_sequence_target()],
+                         ids=lambda t: t.name)
+def test_ballchain_below_a_millionth(target):
+    # a gap of 10^-7 puts both points in ball 10^7
+    space = two_point_space(Fraction(1, 10 ** 7))
+    table = build_ballchain_injection(space, target)
+    first = 10 ** 7 + target.shift
+    assert table.images == [Fraction(1, first), Fraction(1, first + 1)]
+    rep = verify_injection(space, table)
+    assert rep.ok
 
 
-def test_ballchain_exhaustion():
-    tight = BallChainTarget(
-        "tight", diameters=lambda n: Fraction(1, n),
-        allocator=lambda n, j: Fraction(1, n + j) if j <= 2 else None,
-        metric=lambda a, b: abs(a - b))
-    with pytest.raises(ValueError):
-        build_ballchain_injection(equilateral_space(3, Fraction(1)), tight)
-
-
-def test_load_ballchain_target(tmp_path):
-    assert load_ballchain_target("intervals").name == "intervals"
-    spec = tmp_path / "target.json"
-    spec.write_text('{"kind": "cauchy"}')
-    assert load_ballchain_target(str(spec)).name == "cauchy"
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"kind": "moebius"}')
-    with pytest.raises(ValueError):
-        load_ballchain_target(str(bad))
+def test_load_ballchain_target():
+    space = cycle_graph_space(4)
+    for name in ("intervals", "cauchy"):
+        table = build_injection(space, f"ballchain:{name}")
+        assert table.target == "ballchain" and table.descriptor == name
+    assert build_injection(space, "ell0").target == "ell0"
+    assert build_injection(space, "ellp:1/2").p == Fraction(1, 2)
+    for spec in ("ballchain:moebius", "ballchain:target.json", "ellp:",
+                 "ellp", "ell1", "hilbert"):
+        with pytest.raises(ValueError, match="unknown target"):
+            build_injection(space, spec)
 
 
 # ---------------------------------------------------------------------------

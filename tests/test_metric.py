@@ -23,10 +23,25 @@ def test_constructor_validates_eagerly():
         FiniteMetricSpace.from_rows([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 1], [1]], "must be square"),
+    ([[1, 2], [2, 0]], "fails identity"),
+    ([[0, 1], [2, 0]], "fails symmetry"),
+    ([[0, -1], [-1, 0]], "fails positivity"),
+    ([[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+     r"triangle inequality fails at \(0,2,1\)"),
+])
+def test_constructor_names_first_failed_axiom(rows, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteMetricSpace.from_rows(rows)
+
+
 def test_unchecked_holds_non_metric_data():
-    space = FiniteMetricSpace.unchecked([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+    rows = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
+    space = FiniteMetricSpace.unchecked(rows)
     assert space.size == 3
-    assert not space.triangle_guaranteed
+    with pytest.raises(ValueError, match="triangle"):
+        FiniteMetricSpace.from_rows(rows)
     rep = validate_metric(space)
     assert not rep.ok
     assert rep.symmetry_ok and rep.identity_ok and rep.positivity_ok
