@@ -16,22 +16,34 @@ bit-identical to that loop's. Each sum is a chain of elementwise IEEE adds
 starting from 0.0, never a BLAS product or a reassociating reduction:
 
 - within[X] adds d^p(x_i, x_j) over the pairs i < j in lexicographic order;
-- cs[X, v] adds d^p(v, x) over the members x of X in order;
-- rhs adds cs[X, y] over the members y of Y in order, and
+- cs[v, X] adds d^p(v, x) over the members x of X in order;
+- rhs adds cs[y, X] over the members y of Y in order, and
   lhs = within[X] + within[Y];
 - scale is lhs if lhs > rhs else rhs, floored at 1.0, and (X, Y) violates
   when rhs - lhs < -rel_tol * scale.
+
+Two shortcuts leave every float and decision as they are:
+
+- rhs is the sum over Y's first n-1 members, plus cs[last member]. The
+  left-to-right sum passes through that partial sum, and families with
+  the same first n-1 members share it, so it is built once per prefix.
+- Only gaps below -rel_tol are tested, since scale >= 1 puts every
+  threshold at or below -rel_tol. A gap below zero has rhs < lhs, because
+  a correctly rounded fl(rhs - lhs) keeps the sign of rhs - lhs (a gap of
+  -inf, too, needs rhs < lhs), so there the scale is max(lhs, 1).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 
 BACKEND = "pure"
-# gaps computed per block of the exhaustive scan; about 0.5 MiB per array
-GAP_BLOCK = 65_536
+# gaps computed per block of the exhaustive scan; at 0.25 MiB per array
+# the two block arrays stay in a core's L2 cache
+GAP_BLOCK = 32_768
 
 
 class BudgetExceeded(Exception):
@@ -233,76 +245,113 @@ def simplex_count_r2(coords, units, delta, support):
     return simplex_count(coords, units, delta, support, 2)
 
 
+@functools.lru_cache(maxsize=8)
+def _family_index(npts: int, n: int):
+    """The p-independent index of the size-n families on npts points, read
+    by every probe of one space: the members of each family in canonical
+    order as an [n, m] array, the (n-1)-prefix families as an [n-1, q]
+    array, and for each family the index of its prefix. Canonical order
+    lists a prefix's families together, last member ascending from the
+    prefix's last member, so prefix k has npts - pre[-1, k] families."""
+    import numpy as np
+
+    def members(k):
+        count = math.comb(npts + k - 1, k)
+        flat = np.fromiter(itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(npts), k)),
+            dtype=np.intp, count=count * k)
+        return np.ascontiguousarray(flat.reshape(count, k).T)
+
+    fam, pre = members(n), members(n - 1)
+    prefix = np.repeat(np.arange(pre.shape[1]), npts - pre[-1])
+    for a in (fam, pre, prefix):
+        a.flags.writeable = False
+    return fam, pre, prefix
+
+
 def min_gap_scan(dp, max_size: int, rel_tol: float):
     """Scan all double simplices (multiset families, sizes 2..max_size).
 
-    dp is a symmetric matrix of d**p values. Canonical order: family size
-    ascending from 2, then both families in combinations_with_replacement
-    order with the second family starting at the first (swap-symmetric
-    dedup). Returns (first violating (xs, ys) or None, minimum gap seen,
-    configs scanned); stops at the first violation.
+    dp is the matrix of d**p values and rel_tol >= 0. Canonical
+    order: family size ascending from 2, then both families in
+    combinations_with_replacement order with the second family starting at
+    the first (swap-symmetric dedup). Returns (first violating (xs, ys) or
+    None, minimum gap seen, configs scanned); stops at the first violation.
 
-    Rows of first families are taken in blocks of at most GAP_BLOCK gaps
-    against every second family at or after the block's first row. Each
-    gap is built from elementwise adds in the fixed order given in the
-    module docstring, so it is the same float a scalar loop would get.
+    First families X are taken in blocks of at most GAP_BLOCK gaps against
+    every second family Y at or after the block's first X, held as a
+    [Y, X] array so that every gather copies whole rows. Each gap is built
+    in the order given in the module docstring, so it is the same float a
+    scalar loop would get. The violation test runs only on blocks whose
+    smallest gap is below -rel_tol, on those gaps, and the first hit is
+    the first in (X, Y) order, the loop's.
     """
     import numpy as np
 
+    if rel_tol < 0:
+        raise ValueError("rel_tol must be nonnegative")
     npts = len(dp)
     d = np.asarray(dp, dtype=np.float64).reshape(npts, npts)
-    # cross sums read dp[v][u] for v in the second family and u in the
-    # first: row u of the transpose holds that column
-    dt = np.ascontiguousarray(d.T)
     min_gap = None
     scanned = 0
     for n in range(2, max_size + 1):
-        families = list(itertools.combinations_with_replacement(range(npts), n))
-        m = len(families)
-        if m == 0:
-            continue
-        fam = np.array(families, dtype=np.intp).T.copy()
+        fam, pre, prefix = _family_index(npts, n)
+        m = fam.shape[1]
+        last = fam[-1]
         within = np.zeros(m)
         for i in range(n):
             for j in range(i + 1, n):
                 within += d[fam[i], fam[j]]
+        # a block holds at most max(GAP_BLOCK, m) gaps
+        size = max(GAP_BLOCK, m)
+        gap_buf, lhs_buf = np.empty(size), np.empty(size)
         x0 = 0
         while x0 < m:
             cols = m - x0
             x1 = min(m, x0 + max(1, GAP_BLOCK // cols))
             rows = x1 - x0
-            cs = np.zeros((rows, npts))
+            cs = np.zeros((npts, rows))
             for k in range(n):
-                cs += dt[fam[k, x0:x1]]
-            rhs = np.zeros((rows, cols))
-            for k in range(n):
-                rhs += cs.take(fam[k, x0:], axis=1)
-            lhs = within[x0:x1, None] + within[x0:]
-            gap = rhs - lhs
+                cs += d.take(fam[k, x0:x1], axis=1)
+            partial = np.zeros((pre.shape[1], rows))
+            for k in range(n - 1):
+                partial += cs.take(pre[k], axis=0)
+            gap = gap_buf[:cols * rows].reshape(cols, rows)
+            lhs = lhs_buf[:cols * rows].reshape(cols, rows)
+            # rhs = partial[prefix] + cs[last member], the lhs buffer
+            # holding the cs rows; mode="clip" (the indices are in range)
+            # spares take's buffered copy of `out`
+            partial.take(prefix[x0:], axis=0, out=gap, mode="clip")
+            cs.take(last[x0:], axis=0, out=lhs, mode="clip")
+            gap += lhs
+            np.add(within[x0:, None], within[x0:x1], out=lhs)
+            gap -= lhs
             # pairs with the second family before the first are not scanned
-            gap[:, :rows][np.tri(rows, rows, -1, dtype=bool)] = np.nan
+            gap[:rows][~np.tri(rows, rows, dtype=bool)] = np.nan
+            # the running minimum as `gap < min_gap` keeps it: NaN gaps
+            # never replace a number, and a NaN first gap is never replaced
             if min_gap is None:
                 min_gap = float(gap[0, 0])
-            scale = np.where(lhs > rhs, lhs, rhs)
-            scale = np.where(scale < 1.0, 1.0, scale)
-            hit = gap < -rel_tol * scale
-            if hit.any():
-                r, c = divmod(int(np.argmax(hit)), cols)
-                seen = np.concatenate((gap[:r].ravel(), gap[r, :c + 1]))
-                scanned += r * cols - r * (r - 1) // 2 + c - r + 1
-                min_gap = _fold_min(min_gap, seen)
-                return (families[x0 + r], families[x0 + c]), min_gap, scanned
+            low = np.fmin.reduce(gap, axis=None)
+            if low < -rel_tol:
+                ys, xs = np.nonzero(gap < -rel_tol)
+                # a negative gap has rhs < lhs: the scale is max(lhs, 1)
+                hit = gap[ys, xs] < -rel_tol * np.maximum(lhs[ys, xs], 1.0)
+                if hit.any():
+                    ys, xs = ys[hit], xs[hit]
+                    first = np.lexsort((ys, xs))[0]
+                    r, c = int(xs[first]), int(ys[first])
+                    seen = np.concatenate((gap[:, :r].ravel(), gap[:c + 1, r]))
+                    scanned += r * cols - r * (r - 1) // 2 + c - r + 1
+                    low = np.fmin.reduce(seen)
+                    if low < min_gap:
+                        min_gap = float(low)
+                    return ((tuple(fam[:, x0 + r].tolist()),
+                             tuple(fam[:, x0 + c].tolist())),
+                            min_gap, scanned)
             scanned += rows * cols - rows * (rows - 1) // 2
-            min_gap = _fold_min(min_gap, gap)
+            if low < min_gap:
+                min_gap = float(low)
             x0 = x1
     return None, min_gap, scanned
 
-
-def _fold_min(min_gap: float, gaps) -> float:
-    """Running minimum as `gap < min_gap` keeps it: NaN gaps never replace
-    a number, and a NaN first gap is never replaced."""
-    import numpy as np
-
-    if math.isnan(min_gap):
-        return min_gap
-    return float(np.fmin(min_gap, np.fmin.reduce(gaps, axis=None)))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -74,6 +75,38 @@ def test_gr_estimate_cycle(c4_csv, capsys):
     assert res["certified"] is True
     assert doc["provenance"]["backend"] == "pure"
     assert "wall_time_s" in doc
+
+
+def _relabelled(space, seed):
+    labels = list(range(space.size))
+    random.Random(seed).shuffle(labels)
+    return FiniteMetricSpace.from_rows([[space.dist[i][j] for j in labels]
+                                        for i in labels])
+
+
+@pytest.mark.parametrize("space, argv, results_sha256", [
+    (lambda: random_rational_metric_space(20, 0),
+     ["--max-size", "3", "--tol", "1e-3"],
+     "753370f2e6594a272c4d05f5e2e15f9ce1fdacf3d8416c8a8c40da2630713a44"),
+    (lambda: _relabelled(random_rational_metric_space(20, 0), 7),
+     ["--max-size", "3", "--tol", "1e-3"],
+     "8061240b9375247c5ce80e497f312c8fec16b7fd5df18a9de8c715a18e1b1800"),
+    (lambda: random_rational_metric_space(10, 1), ["--max-size", "4"],
+     "56435d514f19f334ebef9dc3ea6113c8f67a8aa2c66857fd7e87d8bef652066d"),
+    (lambda: cycle_graph_space(5), [],
+     "cef2ae739ef864412083d5e651cfaf1d9d5b2d64378c831607ee83088e5e9758"),
+], ids=["r20", "r20-relabelled", "r10-size4", "c5"])
+def test_gr_estimate_results_frozen(space, argv, results_sha256, tmp_path,
+                                    capsys):
+    # digests recorded before the gap scan gathered rows and shared
+    # prefix sums
+    path = tmp_path / "space.csv"
+    write_space_csv(space(), str(path))
+    code, doc, _ = run(["gr", "estimate", "--input", str(path), *argv],
+                       capsys)
+    assert code == 0
+    text = json.dumps(doc["results"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == results_sha256
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -14,6 +14,7 @@ from roundlab.inject import (SeqVector, ballchain_level,
                              ellp_convention, ellp_distance, gap_level,
                              interval_chain_target, point_gaps,
                              resolve_modulus, verify_injection, InjectionTable)
+from roundlab.numerics import REL_TOL
 from roundlab.spaces import (cycle_graph_space, random_rational_metric_space,
                              two_point_space)
 
@@ -245,6 +246,36 @@ def test_verifier_catches_expansion():
     rep = verify_injection(space, table)
     assert rep.violations
     assert rep.violations[0]["pair"] == [0, 1]
+    assert not rep.ok
+
+
+def _ballchain_pair(images, d):
+    """Verify a hand-built two-point ball-chain table at domain distance d."""
+    table = InjectionTable(target="ballchain", images=list(images),
+                           labels=("a", "b"))
+    return verify_injection(two_point_space(d), table)
+
+
+def test_verifier_float_ratio_boundary():
+    # float ratios fail only beyond 1 + REL_TOL: the boundary passes and
+    # the next float up fails
+    edge = 1.0 + REL_TOL
+    rep = _ballchain_pair([0.0, edge], Fraction(1))
+    assert rep.worst_ratio == edge and rep.ok and not rep.violations
+    above = math.nextafter(edge, math.inf)
+    rep = _ballchain_pair([0.0, above], Fraction(1))
+    assert rep.worst_ratio == above and not rep.ok
+    assert rep.violations == [{"pair": [0, 1], "ratio": above}]
+
+
+def test_verifier_fraction_ratio_is_exact():
+    # a Fraction ratio of 1 passes, and any Fraction above 1 fails, with no
+    # tolerance
+    rep = _ballchain_pair([Fraction(0), Fraction(1, 3)], Fraction(1, 3))
+    assert rep.worst_ratio == 1 and type(rep.worst_ratio) is Fraction
+    assert rep.ok
+    rep = _ballchain_pair([Fraction(0), Fraction(10 ** 12 + 1, 10 ** 12)],
+                          Fraction(1))
     assert not rep.ok
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -154,6 +155,91 @@ def test_min_gap_scan_nan_gaps_like_the_loop():
     assert min_gap == 0.0 and scanned == 6 + 10
     witness, min_gap, _ = assert_same_scan([[inf, 1.0], [1.0, 0.0]], 3, 1e-12)
     assert math.isnan(min_gap)
+
+
+def _gap_block_of(npts, n, x_index):
+    """First family of the block holding first family `x_index`, stepping
+    through the size-n blocks as the scan does."""
+    m = math.comb(npts + n - 1, n)
+    x0 = 0
+    while True:
+        x1 = min(m, x0 + max(1, kernels.GAP_BLOCK // (m - x0)))
+        if x_index < x1:
+            return x0
+        x0 = x1
+
+
+@pytest.mark.parametrize("block", [1, 37, 500])
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_min_gap_scan_matches_reference_across_blocks(block, monkeypatch):
+    # the cases above each fit one default block; small blocks split every
+    # scan, including the inf/NaN matrices, into many
+    monkeypatch.setattr(kernels, "GAP_BLOCK", block)
+    inf = float("inf")
+    for dp in ([[0.0, inf], [inf, 0.0]], [[inf, 1.0], [1.0, 0.0]]):
+        assert_same_scan(dp, 3, 1e-12)
+    # a negative diagonal e puts the first gap at 2e: on the threshold
+    # -rel_tol, and past it; the scan reads any matrix as the loop does, so
+    # asymmetric ones tell the scanned pairs from their swaps
+    for e in (-0.05, math.nextafter(-0.05, -inf), -0.075):
+        assert_same_scan([[e, 1.0], [1.0, 0.0]], 3, 0.1)
+    rng = random.Random(block)
+    for npts in (3, 4, 5, 6):
+        dp = [[rng.choice((0.0, 0.5, 1.0, 2.0, 3.0)) for _ in range(npts)]
+              for _ in range(npts)]
+        for rel_tol in (1e-12, 0.1):
+            assert_same_scan(dp, 3, rel_tol)
+    # at rel_tol 0.1 the (6, 6) space keeps a tolerated gap below the
+    # first violating one, earlier in the block
+    for npts, seed, p in ((5, 5, 2.5), (6, 0, 2.0), (6, 0, 3.0), (6, 6, 2.5),
+                          (7, 4, 2.0), (8, 0, 1.5)):
+        dp = dp_matrix(random_rational_metric_space(npts, seed), p)
+        for max_size in (2, 3):
+            for rel_tol in (1e-12, 0.0, 0.1):
+                assert_same_scan(dp, max_size, rel_tol)
+
+
+def test_min_gap_scan_first_violation_inside_a_later_block(monkeypatch):
+    # the first violation sits in the second block, and neither its first
+    # family is the block's first nor its second family is: the first hit
+    # of a block is taken in (X, Y) order wherever it lies in the block
+    monkeypatch.setattr(kernels, "GAP_BLOCK", 500)
+    dp = dp_matrix(random_rational_metric_space(6, 0), 2.0)
+    witness, _, scanned = assert_same_scan(dp, 3, 1e-12)
+    families = list(itertools.combinations_with_replacement(range(6), 3))
+    xi, yi = families.index(witness[0]), families.index(witness[1])
+    x0 = _gap_block_of(6, 3, xi)
+    assert x0 > 0 and xi > x0 and yi > x0
+    assert witness == ((0, 3, 5), (4, 4, 4)) and scanned == 1083
+
+
+def test_min_gap_scan_rejects_negative_tolerance():
+    with pytest.raises(ValueError, match="nonnegative"):
+        kernels.min_gap_scan([[0.0, 1.0], [1.0, 0.0]], 2, -1e-12)
+
+
+def test_min_gap_scan_counts_per_probe_frozen(monkeypatch):
+    # configs scanned by each bisection probe of the 20-point space,
+    # recorded before the scan gathered rows and shared prefix sums; one
+    # more scan of 20 points reuses the cached family index
+    scans = []
+    scan = kernels.min_gap_scan
+
+    def recording(*args):
+        result = scan(*args)
+        scans.append(result[2])
+        return result
+
+    monkeypatch.setattr(kernels, "min_gap_scan", recording)
+    space = random_rational_metric_space(20, 0)
+    estimate_roundness(space, max_size=3, p_tolerance=1e-3)
+    clean = exhaustive_config_count(20, 3)
+    assert clean == 1208725
+    assert scans == [clean, 30, 30, 64, 273, 187614, clean, clean, clean,
+                     407362, clean, 519915, clean, 519915, clean, clean]
+    misses = kernels._family_index.cache_info().misses
+    scan(dp_matrix(space, 1.0), 3, 1e-12)
+    assert kernels._family_index.cache_info().misses == misses
 
 
 def test_min_gap_scan_clean_scans_everything():
