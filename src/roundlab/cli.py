@@ -13,12 +13,14 @@ import sys
 import time
 from fractions import Fraction
 
-# Module level binds only what the counting and roundness commands share,
-# including the names perfbench/spans.py patches on this module
-# (count_incidences, enumerate_pairs, estimate_roundness, read_space_csv).
-# The other handlers import what they run (obstruction, metric, inject,
-# zspace, cayley), so a command loads numpy or mpmath only if its
-# computation does.
+# Module level binds what every command shares: the counting code
+# (cyclic, kernels) and the report writer. `read_space_csv` and
+# `estimate_roundness` resolve on lookup (`__getattr__` below), so
+# `spaces`, and through it `metric`, load only in the handlers that read a
+# space file (`validate`, `gr estimate`, `inject`), and `roundness` only in
+# `gr estimate`. The other handlers import what they run (obstruction,
+# metric, zspace, inject, cayley), so a command loads numpy or mpmath only
+# if its computation does.
 from . import __version__, kernels
 from .cyclic import (BudgetExceeded, CycleSpace, PairClass,
                      ProductCycleSpace, SimplexClass, build_simplex,
@@ -26,8 +28,22 @@ from .cyclic import (BudgetExceeded, CycleSpace, PairClass,
                      is_simplex, stage_pair_class, stage_range_warnings,
                      stage_simplex_class, stage_space)
 from .report import Report
-from .roundness import estimate_roundness
-from .spaces import read_space_csv
+
+# perfbench/spans.py patches count_incidences, enumerate_pairs,
+# estimate_roundness and read_space_csv on this module by name; handlers
+# call the two lazy ones through the module object, so a patched wrapper
+# is what runs
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name == "estimate_roundness":
+        from .roundness import estimate_roundness
+        return estimate_roundness
+    if name == "read_space_csv":
+        from .spaces import read_space_csv
+        return read_space_csv
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,7 +157,7 @@ def _resolve_simplex_class(args) -> SimplexClass:
 def _cmd_validate(args) -> int:
     from .metric import validate_metric
 
-    space = read_space_csv(args.input, checked=False)
+    space = _module.read_space_csv(args.input, checked=False)
     rep = validate_metric(space, budget=args.budget)
     _print_report(args, "validate",
                   {"input": args.input, "budget": args.budget},
@@ -150,10 +166,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gr_estimate(args) -> int:
-    space = read_space_csv(args.input, checked=not args.unchecked)
+    space = _module.read_space_csv(args.input, checked=not args.unchecked)
     mode = "search" if args.search else "exhaustive"
     start = time.perf_counter()
-    est = estimate_roundness(
+    est = _module.estimate_roundness(
         space, max_size=args.max_size, p_tolerance=args.tol, mode=mode,
         budget=args.budget, seed=args.seed, p_cap=args.p_cap)
     wall = time.perf_counter() - start
@@ -360,7 +376,7 @@ def _cmd_zspace_ball(args) -> int:
 def _cmd_inject_build(args) -> int:
     from .inject import build_injection, verify_injection
 
-    space = read_space_csv(args.input)
+    space = _module.read_space_csv(args.input)
     table = build_injection(space, args.target)
     rep = verify_injection(space, table, modulus=args.modulus)
     payload = table.to_json_dict(space)
@@ -381,7 +397,7 @@ def _cmd_inject_verify(args) -> int:
     with open(args.map, "r", encoding="utf-8") as fh:
         table, space = InjectionTable.from_json_dict(json.load(fh))
     if args.input:
-        space = read_space_csv(args.input)
+        space = _module.read_space_csv(args.input)
     if space is None:
         raise ValueError("map file has no embedded domain; pass --input")
     rep = verify_injection(space, table, modulus=args.modulus)
@@ -429,22 +445,13 @@ def _cmd_cayley_projection(args) -> int:
     return 0 if rep.ok else 2
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="roundlab",
-                     description="generalized roundness verification lab")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="audit metric axioms of a space file")
+def _validate_args(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--budget", type=int, default=None,
                    help="max triangle triples to check")
-    _add_out(p)
-    p.set_defaults(func=_cmd_validate)
 
-    gr = sub.add_parser("gr", help="generalized roundness").add_subparsers(
-        dest="sub", required=True)
-    p = gr.add_parser("estimate", help="bracket the roundness by bisection")
+
+def _gr_estimate_args(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--max-size", type=int, default=3)
     p.add_argument("--tol", type=float, default=1e-3,
@@ -459,99 +466,84 @@ def build_parser() -> _Parser:
     p.add_argument("--p-cap", type=float, default=16.0)
     p.add_argument("--unchecked", action="store_true",
                    help="skip axiom validation of the input")
-    _add_out(p)
-    p.set_defaults(func=_cmd_gr_estimate)
 
-    sx = sub.add_parser("simplex", help="class simplices").add_subparsers(
-        dest="sub", required=True)
-    p = sx.add_parser("build", help="construct and verify a class simplex")
+
+def _simplex_build_args(p) -> None:
     _add_space_args(p)
     _add_class_args(p, simplex=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_simplex_build)
 
-    cnt = sub.add_parser("counts", help="exact census").add_subparsers(
-        dest="sub", required=True)
-    p = cnt.add_parser("pairs", help="closed-form class pair count")
+
+def _counts_pairs_args(p) -> None:
     _add_space_args(p)
     _add_class_args(p, simplex=False)
     p.add_argument("--enumerate-budget", type=int, default=None,
                    help="cross-check by enumeration up to this budget")
-    _add_out(p)
-    p.set_defaults(func=_cmd_counts_pairs)
-    p = cnt.add_parser("incidences", help="simplex/pair incidence identities")
+
+
+def _counts_incidences_args(p) -> None:
     _add_space_args(p)
     _add_class_args(p, simplex=True)
     p.add_argument("--budget", type=int, default=10 ** 8,
                    help="max column transitions per counting DP")
-    _add_out(p)
-    p.set_defaults(func=_cmd_counts_incidences)
 
-    ob = sub.add_parser("obstruct", help="embedding obstruction reports"
-                        ).add_subparsers(dest="sub", required=True)
-    p = ob.add_parser("coarse", help="growth obstruction from a modulus table")
+
+def _obstruct_coarse_args(p) -> None:
     p.add_argument("--moduli", required=True,
                    help="JSON file of [distance, image] samples")
     p.add_argument("--p", type=_parse_p, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_obstruct_coarse)
-    p = ob.add_parser("uniform", help="fine/coarse class comparison ladder")
+
+
+def _add_sampling_args(p) -> None:
+    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--workers", type=int, default=1)
+
+
+def _obstruct_uniform_args(p) -> None:
     p.add_argument("--map", required=True,
                    help="builtin:identity|circle|snowflake:a|constant")
     p.add_argument("--n-ladder", required=True, help="even depths, e.g. 2,4,6")
     p.add_argument("--p", type=_parse_p, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=1)
-    _add_out(p)
-    p.set_defaults(func=_cmd_obstruct_uniform)
-    p = ob.add_parser("step", help="one averaged-comparison step")
+    _add_sampling_args(p)
+
+
+def _obstruct_step_args(p) -> None:
     _add_space_args(p)
     _add_class_args(p, simplex=True)
     p.add_argument("--map", required=True)
     p.add_argument("--p", type=_parse_p, required=True)
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=1)
-    _add_out(p)
-    p.set_defaults(func=_cmd_obstruct_step)
-    p = ob.add_parser("chain", help="averaged comparisons down a class chain")
+    _add_sampling_args(p)
+
+
+def _obstruct_chain_args(p) -> None:
     _add_space_args(p)
     _add_class_args(p, simplex=True)
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--p", type=_parse_p, required=True)
     p.add_argument("--mode", choices=("exact", "mc"), default="mc")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=1)
-    _add_out(p)
-    p.set_defaults(func=_cmd_obstruct_chain)
+    _add_sampling_args(p)
 
-    zs = sub.add_parser("zspace", help="disjoint block unions"
-                        ).add_subparsers(dest="sub", required=True)
-    p = zs.add_parser("validate", help="triangle audit of a zeta variant")
+
+def _zspace_validate_args(p) -> None:
     p.add_argument("--variant", choices=("literal", "corrected"),
                    required=True)
     p.add_argument("--block-bound", type=int, default=8)
     p.add_argument("--all", action="store_true",
                    help="report every violation, not just the first")
-    _add_out(p)
-    p.set_defaults(func=_cmd_zspace_validate)
-    p = zs.add_parser("ball", help="ball census around a point")
+
+
+def _zspace_ball_args(p) -> None:
     p.add_argument("--block", type=int, required=True)
     p.add_argument("--center", help="ZPoint JSON file (default: zero point)")
     p.add_argument("--radius", required=True, help="rational radius")
     p.add_argument("--variant", choices=("literal", "corrected"),
                    default="corrected")
     p.add_argument("--block-bound", type=int, default=8)
-    _add_out(p)
-    p.set_defaults(func=_cmd_zspace_ball)
 
-    inj = sub.add_parser("inject", help="Lipschitz injections"
-                         ).add_subparsers(dest="sub", required=True)
-    p = inj.add_parser("build", help="build an injection table")
+
+def _inject_build_args(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--target", required=True,
                    help="ell0 | ellp:p | ballchain:intervals|cauchy")
@@ -559,19 +551,16 @@ def build_parser() -> _Parser:
                    help="write the injection table JSON here")
     p.add_argument("--modulus", default=None,
                    help="identity | root:p (default inferred from target)")
-    _add_out(p)
-    p.set_defaults(func=_cmd_inject_build)
-    p = inj.add_parser("verify", help="re-check an injection table")
+
+
+def _inject_verify_args(p) -> None:
     p.add_argument("--map", required=True)
     p.add_argument("--input", default=None,
                    help="space file overriding the embedded domain")
     p.add_argument("--modulus", default=None)
-    _add_out(p)
-    p.set_defaults(func=_cmd_inject_verify)
 
-    cay = sub.add_parser("cayley", help="Cayley graph checks"
-                         ).add_subparsers(dest="sub", required=True)
-    p = cay.add_parser("verify", help="cyclic sup metric vs word metric")
+
+def _cayley_verify_args(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sampled"),
                    default="exhaustive")
@@ -580,9 +569,9 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)
-    _add_out(p)
-    p.set_defaults(func=_cmd_cayley_verify)
-    p = cay.add_parser("roundness", help="diagonal-configuration upper bound")
+
+
+def _cayley_roundness_args(p) -> None:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--jump", type=int, default=None)
     p.add_argument("--variant", choices=("merged", "literal"),
@@ -592,23 +581,125 @@ def build_parser() -> _Parser:
     p.add_argument("--g", required=True, help="comma-separated generator")
     p.add_argument("--h", required=True, help="comma-separated generator")
     p.add_argument("--cutoff", type=int, default=8)
-    _add_out(p)
-    p.set_defaults(func=_cmd_cayley_roundness)
-    p = cay.add_parser("projection", help="block-projection consistency")
+
+
+def _cayley_projection_args(p) -> None:
     p.add_argument("--dims", default="2,2")
     p.add_argument("--jumps", default="3,8")
     p.add_argument("--radius", type=int, default=3)
     p.add_argument("--variant", choices=("literal", "merged"),
                    default="literal")
-    _add_out(p)
-    p.set_defaults(func=_cmd_cayley_projection)
 
+
+# The command tree. A leaf is (help, handler, adds its options; every leaf
+# also takes --out); a top-level word maps to a leaf or to (help, {word:
+# leaf}) for a command family.
+COMMANDS = {
+    "validate": ("audit metric axioms of a space file", _cmd_validate,
+                 _validate_args),
+    "gr": ("generalized roundness", {
+        "estimate": ("bracket the roundness by bisection", _cmd_gr_estimate,
+                     _gr_estimate_args),
+    }),
+    "simplex": ("class simplices", {
+        "build": ("construct and verify a class simplex", _cmd_simplex_build,
+                  _simplex_build_args),
+    }),
+    "counts": ("exact census", {
+        "pairs": ("closed-form class pair count", _cmd_counts_pairs,
+                  _counts_pairs_args),
+        "incidences": ("simplex/pair incidence identities",
+                       _cmd_counts_incidences, _counts_incidences_args),
+    }),
+    "obstruct": ("embedding obstruction reports", {
+        "coarse": ("growth obstruction from a modulus table",
+                   _cmd_obstruct_coarse, _obstruct_coarse_args),
+        "uniform": ("fine/coarse class comparison ladder",
+                    _cmd_obstruct_uniform, _obstruct_uniform_args),
+        "step": ("one averaged-comparison step", _cmd_obstruct_step,
+                 _obstruct_step_args),
+        "chain": ("averaged comparisons down a class chain",
+                  _cmd_obstruct_chain, _obstruct_chain_args),
+    }),
+    "zspace": ("disjoint block unions", {
+        "validate": ("triangle audit of a zeta variant", _cmd_zspace_validate,
+                     _zspace_validate_args),
+        "ball": ("ball census around a point", _cmd_zspace_ball,
+                 _zspace_ball_args),
+    }),
+    "inject": ("Lipschitz injections", {
+        "build": ("build an injection table", _cmd_inject_build,
+                  _inject_build_args),
+        "verify": ("re-check an injection table", _cmd_inject_verify,
+                   _inject_verify_args),
+    }),
+    "cayley": ("Cayley graph checks", {
+        "verify": ("cyclic sup metric vs word metric", _cmd_cayley_verify,
+                   _cayley_verify_args),
+        "roundness": ("diagonal-configuration upper bound",
+                      _cmd_cayley_roundness, _cayley_roundness_args),
+        "projection": ("block-projection consistency",
+                       _cmd_cayley_projection, _cayley_projection_args),
+    }),
+}
+
+
+def _add_leaf(sub, word: str, leaf) -> None:
+    help_text, handler, add_args = leaf
+    p = sub.add_parser(word, help=help_text)
+    add_args(p)
+    _add_out(p)
+    p.set_defaults(func=handler)
+
+
+def build_parser(path=()) -> _Parser:
+    """The parser of every command; given `path`, the words of one command
+    (such as ("gr", "estimate")), the same tree holding that command alone.
+    Both print the same usage and errors for that command, so only help
+    and unknown words need the full tree."""
+    parser = _Parser(prog="roundlab",
+                     description="generalized roundness verification lab")
+    parser.add_argument("--version", action="version", version=__version__)
+    # the top level reports unrecognized arguments under its usage line;
+    # a tree holding one command spells out the full command list there
+    # (argparse's own rendering of it), so that line matches the full tree's
+    metavar = "{" + ",".join(COMMANDS) + "}" if path else None
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for word, entry in COMMANDS.items():
+        if path and word != path[0]:
+            continue
+        if not isinstance(entry[1], dict):
+            _add_leaf(sub, word, entry)
+            continue
+        help_text, leaves = entry
+        group = sub.add_parser(word, help=help_text).add_subparsers(
+            dest="sub", required=True)
+        for name, leaf in leaves.items():
+            if len(path) < 2 or name == path[1]:
+                _add_leaf(group, name, leaf)
     return parser
 
 
+def command_path(argv) -> tuple:
+    """The words at the head of `argv` that name one command, or () when
+    they name none or `argv` asks for help: those requests go to the full
+    tree, whose help text and choice errors list every command."""
+    if not argv or "-h" in argv or "--help" in argv:
+        return ()
+    entry = COMMANDS.get(argv[0])
+    if entry is None:
+        return ()
+    if not isinstance(entry[1], dict):
+        return (argv[0],)
+    if len(argv) > 1 and argv[1] in entry[1]:
+        return (argv[0], argv[1])
+    return ()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(command_path(argv)).parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -25,11 +25,12 @@ from .cyclic import (PairClass, ProductCycleSpace, SimplexClass,
                      stage_space)
 # bound here only because the benchmark harness traces it by this name
 from .cyclic import sample_pairs_sparse  # noqa: F401
-from .metric import ModulusEnvelope
 from .numerics import dpow, is_violation
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .metric import ModulusEnvelope
 
 
 def __getattr__(name: str):

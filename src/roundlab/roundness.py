@@ -100,6 +100,25 @@ def exhaustive_config_count(n_points: int, max_size: int) -> int:
     return total
 
 
+def distance_power_matrix(space, p) -> list[list[float]]:
+    """float(dpow(d(i, j), p)) for every ordered pair of points, with one
+    `dpow` per unordered pair: the mirror entry reuses it wherever d(j, i)
+    equals d(i, j) in value and type, which is where `dpow` is bound to
+    agree (an asymmetric input still gets its own power)."""
+    n = space.size
+    dist = [[space.distance(i, j) for j in range(n)] for i in range(n)]
+    dp = [[0.0] * n for _ in range(n)]
+    for i, row in enumerate(dist):
+        out = dp[i]
+        for j in range(i, n):
+            d = row[j]
+            out[j] = value = float(dpow(d, p))
+            mirror = dist[j][i]
+            dp[j][i] = (value if mirror == d and type(mirror) is type(d)
+                        else float(dpow(mirror, p)))
+    return dp
+
+
 def find_violation_exhaustive(space, max_size: int, p,
                               budget: int | None = None
                               ) -> Optional[DoubleSimplex]:
@@ -113,8 +132,7 @@ def find_violation_exhaustive(space, max_size: int, p,
         if need > budget:
             raise BudgetExceeded(
                 f"exhaustive scan needs {need} configurations", need)
-    dp = [[float(dpow(space.distance(i, j), p)) for j in range(n)]
-          for i in range(n)]
+    dp = distance_power_matrix(space, p)
     witness, _, _ = kernels.min_gap_scan(dp, max_size, REL_TOL)
     if witness is None:
         return None

@@ -4,15 +4,18 @@ The recursive simplex enumerator below is the counter `count_incidences`
 and `completion_counts` used before the coordinate-column DP replaced it;
 `enumerated_level_terms` evaluates a level average's term on every class
 pair, which the closed form for maps that declare `class_distance` must
-match. Both are slow and only run on small classes. The level hunts at the
-end walk the thresholds one level at a time, which is what the closed-form
-`gap_level` and `ballchain_level` replace.
+match. Both are slow and only run on small classes. The level hunts walk
+the thresholds one level at a time, which is what the closed-form
+`gap_level` and `ballchain_level` replace. The power matrix at the end
+takes one `dpow` per ordered pair, where the scan's builder takes one per
+unordered pair.
 """
 
 from fractions import Fraction
 
 from roundlab import kernels
 from roundlab.cyclic import enumerate_pairs, is_pair
+from roundlab.numerics import dpow
 
 
 def _partners(space, cls, point):
@@ -112,3 +115,11 @@ def hunted_ballchain_level(g):
     while Fraction(1, n) > g:
         n += 1
     return n
+
+
+def reference_power_matrix(space, p):
+    """float(dpow(d(i, j), p)) with one `dpow` per ordered pair, the
+    builder `distance_power_matrix` replaced."""
+    n = space.size
+    return [[float(dpow(space.distance(i, j), p)) for j in range(n)]
+            for i in range(n)]

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import roundlab
-from roundlab.cli import build_parser, main
+from roundlab.cli import COMMANDS, build_parser, command_path, main
 from roundlab.metric import FiniteMetricSpace
 from roundlab.spaces import (cycle_graph_space, random_rational_metric_space,
                              write_space_csv)
@@ -653,6 +653,108 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"README command does not parse: roundlab "
                         f"{shlex.join(argv)}")
+
+
+# ---------------------------------------------------------------------------
+# the one-command parser: main builds only the command argv names
+
+def command_paths():
+    """(), every top-level word, and every command family's words."""
+    paths = [()]
+    for word, entry in COMMANDS.items():
+        paths.append((word,))
+        if isinstance(entry[1], dict):
+            paths.extend((word, name) for name in entry[1])
+    return paths
+
+
+def exit_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+def test_command_paths_name_every_command(capsys):
+    leaves = [path for path in command_paths()
+              if path and command_path(list(path)) == path]
+    assert len(leaves) == 16
+    assert ("validate",) in leaves and ("obstruct", "chain") in leaves
+    assert command_path(["obstruct"]) == ()
+    assert command_path(["obstruct", "chain", "-h"]) == ()
+    # a one-command parser holds that command alone
+    chain_only = build_parser(("obstruct", "chain")).parse_args
+    for sibling in (["obstruct", "step", "--map", "x", "--p", "2"],
+                    ["validate", "--input", "x"]):
+        assert exit_outcome(chain_only, sibling, capsys)[0] == 1
+
+
+@pytest.mark.parametrize("path", command_paths(),
+                         ids=lambda path: "-".join(path) or "top")
+def test_help_is_the_full_trees(path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [*path, "-h"]
+    full = exit_outcome(build_parser().parse_args, argv, capsys)
+    assert full[0] == 0 and full[1].startswith("usage: roundlab")
+    assert exit_outcome(main, argv, capsys) == full
+    # a leaf's help needs nothing else of the tree either
+    if path and command_path(list(path)) == path:
+        assert exit_outcome(build_parser(path).parse_args, argv,
+                            capsys) == full
+
+
+# exit code, stdout and stderr at the parent commit, whose main built the
+# full tree for every request (COLUMNS=80)
+_TOP_USAGE = ("usage: roundlab [-h] [--version]\n"
+              "                {validate,gr,simplex,counts,obstruct,zspace,"
+              "inject,cayley} ...\n")
+PARSE_ERRORS = {
+    "version": (["--version"], 0, "0.1.0\n", ""),
+    "unknown-command": (
+        ["frobnicate"], 1, "", _TOP_USAGE
+        + "roundlab: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'validate', 'gr', 'simplex', 'counts', 'obstruct', "
+        "'zspace', 'inject', 'cayley')\n"),
+    "unknown-subcommand": (
+        ["gr", "nope"], 1, "",
+        "usage: roundlab gr [-h] {estimate} ...\n"
+        "roundlab gr: error: argument sub: invalid choice: 'nope' "
+        "(choose from 'estimate')\n"),
+    "missing-required": (
+        ["gr", "estimate"], 1, "",
+        "usage: roundlab gr estimate [-h] --input INPUT "
+        "[--max-size MAX_SIZE]\n"
+        "                            [--tol TOL] [--exhaustive | --search]\n"
+        "                            [--budget BUDGET] [--seed SEED] "
+        "[--p-cap P_CAP]\n"
+        "                            [--unchecked] [--out OUT]\n"
+        "roundlab gr estimate: error: the following arguments are required: "
+        "--input\n"),
+    # reported by the top level under its usage line, which lists every
+    # command although this request takes the one-command path
+    "unrecognized": (
+        ["counts", "pairs", "--n", "4", "--bogus"], 1, "",
+        _TOP_USAGE + "roundlab: error: unrecognized arguments: --bogus\n"),
+}
+
+
+@pytest.mark.parametrize("argv, code, out, err", PARSE_ERRORS.values(),
+                         ids=PARSE_ERRORS)
+def test_parse_exits_match_the_full_tree(argv, code, out, err, capsys,
+                                         monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert exit_outcome(main, argv, capsys) == (code, out, err)
+    assert exit_outcome(build_parser().parse_args, argv, capsys) \
+        == (code, out, err)
+
+
+def test_readme_commands_parse_on_mains_path():
+    for argv in readme_commands():
+        path = command_path(argv)
+        assert path == tuple(argv[:len(path)]) and path, argv
+        assert (vars(build_parser(path).parse_args(argv))
+                == vars(build_parser().parse_args(argv)))
 
 
 def readme_python_blocks() -> list[str]:

@@ -85,6 +85,17 @@ def loaded_after(argv, tmp_path) -> tuple[int, set]:
     return result["rc"], set(result["modules"])
 
 
+# what `gr estimate` loads to read and scan a space file (`validate` and
+# `inject` load the last two)
+SPACE_FILE_MODULES = {"roundlab.roundness", "roundlab.spaces",
+                      "roundlab.metric"}
+
+# `import roundlab.cli` loads these and no other roundlab module: the
+# counting code every exact command shares and the report writer
+CLI_IMPORT_MODULES = ["roundlab", "roundlab.cli", "roundlab.cyclic",
+                      "roundlab.kernels", "roundlab.report"]
+
+
 def assert_no_heavy_imports(modules: set) -> None:
     assert "numpy" not in modules
     assert "mpmath" not in modules
@@ -102,6 +113,7 @@ def test_exact_commands_load_neither_numpy_nor_mpmath(argv, tmp_path):
     # the identity step fails at p=2 (exit 2), as in test_cli
     assert rc == (2 if "builtin:identity" in argv else 0)
     assert_no_heavy_imports(modules)
+    assert not modules & SPACE_FILE_MODULES
     if argv[0] == "counts":
         assert "roundlab.obstruction" not in modules
 
@@ -112,6 +124,7 @@ def test_mc_and_uniform_load_neither_numpy_nor_pool(argv, tmp_path):
     # the identity map has no uniform embedding: an obstruction, exit 2
     assert rc == (2 if "builtin:identity" in argv else 0)
     assert_no_heavy_imports(modules)
+    assert not modules & SPACE_FILE_MODULES
 
 
 # the other commands README lists as loading neither library; {space} is
@@ -144,6 +157,30 @@ def test_light_commands_load_neither_numpy_nor_mpmath(argv, tmp_path):
     assert_no_heavy_imports(modules)
 
 
+def test_gr_estimate_loads_roundness_and_spaces(tmp_path):
+    from roundlab.spaces import cycle_graph_space, write_space_csv
+
+    path = tmp_path / "c4.csv"
+    write_space_csv(cycle_graph_space(4), str(path))
+    rc, modules = loaded_after(["gr", "estimate", "--input", str(path)],
+                               tmp_path)
+    assert rc == 0
+    assert SPACE_FILE_MODULES <= modules
+
+
+def test_import_cli_loads_only_the_shared_modules():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, roundlab.cli\n"
+         "print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=suite_env())
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout)
+    assert [m for m in modules if m.startswith("roundlab")] \
+        == CLI_IMPORT_MODULES
+    assert_no_heavy_imports(set(modules))
+
+
 # builds and checks a stage-form simplex on 46,656 coordinates, past any
 # size where an array path could pay for its import, then measures one
 # connecting distance and prints the loaded module names
@@ -174,6 +211,41 @@ def test_run_partitions_resolves_on_lookup():
     assert obstruction.run_partitions is parallel.run_partitions
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
         obstruction.nonesuch
+
+
+def test_cli_space_file_names_resolve_on_lookup():
+    from roundlab import cli, roundness, spaces
+
+    assert cli.estimate_roundness is roundness.estimate_roundness
+    assert cli.read_space_csv is spaces.read_space_csv
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        cli.nonesuch
+
+
+def test_patched_cli_space_file_names_are_what_gr_estimate_calls(
+        tmp_path, monkeypatch, capsys):
+    # the benchmark's tracer wraps both names on the cli module; its
+    # spans exist only if the handler calls the wrappers
+    from roundlab import cli
+    from roundlab.spaces import cycle_graph_space, write_space_csv
+
+    path = tmp_path / "c4.csv"
+    write_space_csv(cycle_graph_space(4), str(path))
+    calls = []
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    spy("read_space_csv")
+    spy("estimate_roundness")
+    assert cli.main(["gr", "estimate", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "gr estimate"
+    assert calls == ["read_space_csv", "estimate_roundness"]
 
 
 def test_import_roundlab_loads_no_submodule():

@@ -1,14 +1,18 @@
 """Gap evaluation, violation hunts, and the roundness bisection."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import reference_power_matrix
+from roundlab import roundness
 from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
                              ProductCycleSpace)
-from roundlab.metric import snowflake
-from roundlab.roundness import (certify_violation, estimate_roundness,
+from roundlab.metric import FiniteMetricSpace, snowflake
+from roundlab.roundness import (certify_violation, distance_power_matrix,
+                                estimate_roundness,
                                 exhaustive_config_count,
                                 find_violation_exhaustive,
                                 find_violation_search, simplex_gap)
@@ -69,6 +73,77 @@ def test_find_violation_exhaustive():
     with pytest.raises(BudgetExceeded) as exc:
         find_violation_exhaustive(C4, 3, 1.2, budget=10)
     assert exc.value.required == 265
+
+
+def _asymmetric_unchecked(n, seed):
+    """Unaudited rationals: about half the mirror entries differ, some
+    entries and a diagonal are nonzero where a metric has 0, one is 0."""
+    rng = random.Random(seed)
+    rows = [[Fraction(rng.randint(0, 9), rng.randint(1, 4))
+             for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < 0.5:
+                rows[i][j] = rows[j][i]
+    rows[1][2] = Fraction(0)
+    return FiniteMetricSpace.unchecked(rows)
+
+
+class _MixedTypes:
+    """Three points. One distance is the Fraction 1/3 one way and its float
+    the other, which are unequal; the others are 1/2 as a Fraction and a
+    float, and 3 as a Fraction and an int, equal in value but not in type.
+    Each of the three mirror entries gets its own power."""
+
+    size = 3
+    _dist = ((0, Fraction(1, 3), Fraction(1, 2)),
+             (1 / 3, 0, Fraction(3)),
+             (0.5, 3, 0))
+
+    def distance(self, a, b):
+        return self._dist[a][b]
+
+
+POWER_SPACES = {
+    "checked": lambda: random_rational_metric_space(9, 3),
+    "asymmetric": lambda: _asymmetric_unchecked(7, 5),
+    "planar-floats": lambda: planar_points_space(6, 2),
+    "mixed-types": _MixedTypes,
+}
+
+
+@pytest.mark.parametrize("p", [0, 0.5, 1, 2, 16])
+@pytest.mark.parametrize("make", POWER_SPACES.values(), ids=POWER_SPACES)
+def test_power_matrix_matches_one_dpow_per_ordered_pair(make, p):
+    space = make()
+    assert (repr(distance_power_matrix(space, p))
+            == repr(reference_power_matrix(space, p)))
+
+
+@pytest.mark.parametrize("make, extra", [
+    (lambda: random_rational_metric_space(20, 0), 0),
+    (lambda: _asymmetric_unchecked(7, 5), None),
+    (_MixedTypes, 3),
+], ids=["r20", "asymmetric", "mixed-types"])
+def test_power_matrix_takes_one_dpow_per_unordered_pair(make, extra,
+                                                        monkeypatch):
+    space = make()
+    n = space.size
+    if extra is None:
+        extra = sum(space.distance(i, j) != space.distance(j, i)
+                    for i in range(n) for j in range(i))
+        assert 0 < extra < n * (n - 1) // 2
+    calls, dpow = [], roundness.dpow
+
+    def counting_dpow(d, p):
+        calls.append(d)
+        return dpow(d, p)
+
+    monkeypatch.setattr(roundness, "dpow", counting_dpow)
+    distance_power_matrix(space, 1.5)
+    # n diagonal entries, one per unordered pair, one more per mirror
+    # entry that differs
+    assert len(calls) == n * (n + 1) // 2 + extra
 
 
 def test_monotonicity_of_violations():
