@@ -4,22 +4,35 @@ The generator families pair unit moves with jumps of size J on each
 coordinate. The merged family {0, +-1, +-J}^dim lets one step mix units
 and jumps across coordinates, and its word metric matches the sup of
 per-coordinate costs; the literal family (all-jump or all-unit steps)
-does not, and the verifier pins down where the two disagree against the
-cyclic product it is meant to model. Word distances come from an exact
-per-coordinate exchange argument, cross-checked against BFS in tests.
+does not. Word distances come from an exact per-coordinate exchange
+argument, cross-checked against BFS in tests.
+
+`verify_mstar_isometry` compares the word metric with the cyclic sup
+metric of (Z_P)^C, P = C = n^n and J = P - 1, by scanning coordinate
+values instead of point pairs. Both metrics see a pair only through its
+difference w = v - u, whose coordinates lie in -(P-1)..P-1, and only
+through the values |w_c|, in any order, with zero coordinates costing 0.
+- merged: the word distance is max_c phi(|w_c|), phi(a) = min_b
+  (b + |a - J*b|), and the cyclic one is max_c psi(|w_c|), psi(a) =
+  min(a, P - a). If phi = psi on a = 0..P-1, the two maxima agree on
+  every pair; if phi(a) != psi(a), the pair u = (1, ..., 1), v = u + a*e_1
+  tells them apart. So the P-value scan is a proof for all P^(2C) pairs.
+- literal: the word distance min_k (k + max_c min_{b <= k} |a_c - J*b|)
+  is not a max of per-coordinate terms, so no one-coordinate scan decides
+  it. The check scans the P^2 patterns (|w_0|, |w_1|): each mismatch
+  there is a real pair, but a clean scan says nothing about pairs whose
+  difference has wider support.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .cyclic import DoubleSimplex
-from .parallel import run_partitions, slice_counts, slice_rng
 
 GroupVector = tuple[int, ...]
 
@@ -284,104 +297,63 @@ class MStarSpace:
             best = max(best, min(d, p - d))
         return best
 
-    def iter_points(self):
-        return itertools.product(range(1, self.period + 1),
-                                 repeat=self.coords)
-
 
 @dataclass
 class MStarReport:
     n: int
     variant: str
-    mode: str
-    pairs_checked: int
+    support: int
+    values_scanned: int
     mismatch_count: int
     mismatches: list
     max_word_distance: int
-    seed: Optional[int] = None
 
     @property
     def ok(self) -> bool:
         return self.mismatch_count == 0
 
     def to_dict(self) -> dict:
+        covers = ("every pair" if self.support == 1 else
+                  f"pairs whose difference has at most {self.support} "
+                  "nonzero coordinates")
         return {
             "n": self.n,
             "variant": self.variant,
-            "mode": self.mode,
-            "pairs_checked": self.pairs_checked,
+            "support": self.support,
+            "values_scanned": self.values_scanned,
+            "covers": covers,
             "mismatch_count": self.mismatch_count,
             "mismatches": self.mismatches,
             "max_word_distance": self.max_word_distance,
-            "seed": self.seed,
             "ok": self.ok,
         }
 
 
-def _mstar_compare(points_u: np.ndarray, points_v: np.ndarray, n: int,
-                   variant: str, cap: int = 20):
-    period = n ** n
-    jump = period - 1
-    diffs = points_v - points_u
-    word = family_word_distances(diffs, jump, variant)
-    ad = np.abs(diffs)
-    cyc = np.minimum(ad, period - ad).max(axis=1)
-    bad = np.nonzero(word != cyc)[0]
-    mism = []
-    for k in bad[:cap]:
-        mism.append({
-            "u": [int(x) for x in points_u[k]],
-            "v": [int(x) for x in points_v[k]],
-            "cyclic": int(cyc[k]),
-            "word": int(word[k]),
-        })
-    return len(bad), mism, int(word.max(initial=0))
-
-
-def _mstar_slice(args):
-    n, variant, k, seed, idx = args
-    if k == 0:
-        return (0, 0, [], 0)
-    rng = slice_rng(seed, idx)
-    coords = n ** n
-    period = n ** n
-    u = rng.integers(1, period + 1, size=(k, coords), dtype=np.int64)
-    v = rng.integers(1, period + 1, size=(k, coords), dtype=np.int64)
-    count, mism, maxw = _mstar_compare(u, v, n, variant)
-    return (k, count, mism, maxw)
-
-
-def verify_mstar_isometry(n: int, mode: str = "exhaustive",
-                          variant: str = "merged", budget: int = 10_000,
-                          seed: int = 1, workers: int = 1) -> MStarReport:
-    """Compare the cyclic sup metric against the Cayley word metric of the
-    chosen family, pair by pair.
-
-    Exhaustive mode enumerates all unordered point pairs (available up to
-    n = 2, where there are 32640); sampled mode draws the budgeted number
-    of ordered pairs in 16 fixed seeded slices.
-    """
+def verify_mstar_isometry(n: int, variant: str = "merged") -> MStarReport:
+    """Compare the cyclic sup metric of MStarSpace(n) with the word metric
+    of the chosen family by the coordinate scan in the module docstring:
+    the P values of |w_0| for merged, the P^2 patterns (|w_0|, |w_1|) for
+    literal. Mismatches list the first 20 patterns in lexicographic order.
+    A scan of more than ENUM_LIMIT patterns is refused before anything is
+    allocated."""
     space = MStarSpace(n)
-    if mode == "exhaustive":
-        total_points = space.period ** space.coords
-        if total_points > 4096:
-            raise ValueError(
-                f"exhaustive mode infeasible: {total_points} points; "
-                "use mode='sampled'")
-        pts = np.array(list(space.iter_points()), dtype=np.int64)
-        iu, iv = np.triu_indices(len(pts), k=1)
-        count, mism, maxw = _mstar_compare(pts[iu], pts[iv], n, variant)
-        return MStarReport(n, variant, mode, len(iu), count, mism, maxw)
-    if mode != "sampled":
-        raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    args = [(n, variant, k, seed, i)
-            for i, k in enumerate(slice_counts(budget))]
-    parts = run_partitions(_mstar_slice, args, workers)
-    pairs = sum(p[0] for p in parts)
-    count = sum(p[1] for p in parts)
-    mism = [m for p in parts for m in p[2]][:20]
-    maxw = max(p[3] for p in parts)
-    return MStarReport(n, variant, "sampled", pairs, count, mism, maxw, seed)
+    if variant not in ("merged", "literal"):
+        raise ValueError(f"unknown variant {variant!r}")
+    support = 1 if variant == "merged" else 2
+    period = space.period
+    size = period ** support
+    if size > ENUM_LIMIT:
+        raise ValueError(
+            f"{variant} scan of {size} difference patterns at n = {n} "
+            f"exceeds the limit of {ENUM_LIMIT}")
+    patterns = np.indices((period,) * support).reshape(support, -1).T
+    word = family_word_distances(patterns, space.jump, variant)
+    cyc = np.minimum(patterns, period - patterns).max(axis=1)
+    bad = np.nonzero(word != cyc)[0]
+    mism = [{"abs_diff": patterns[k].tolist(), "cyclic": int(cyc[k]),
+             "word": int(word[k])} for k in bad[:20]]
+    return MStarReport(n, variant, support, size, len(bad), mism,
+                       int(word.max()))
 
 
 def projection_generators(dims: Sequence[int], jumps: Sequence[int],

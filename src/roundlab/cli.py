@@ -205,8 +205,8 @@ def _cmd_simplex_build(args) -> int:
 
 
 def vars_params(args) -> dict:
-    # the worker count never changes a result, so it stays out of the
-    # report body and runs that differ only in --workers stay byte-identical
+    # the obstruct commands accept --workers and no computation reads it,
+    # so it stays out of the report body
     skip = {"func", "out", "command", "sub", "workers"}
     return {k: (str(v) if isinstance(v, Fraction) else v)
             for k, v in vars(args).items()
@@ -409,12 +409,10 @@ def _cmd_cayley_verify(args) -> int:
     from .cayley import verify_mstar_isometry
 
     start = time.perf_counter()
-    rep = verify_mstar_isometry(
-        args.n, mode=args.mode, variant=args.variant, budget=args.budget,
-        seed=args.seed, workers=args.workers)
+    rep = verify_mstar_isometry(args.n, variant=args.variant)
     wall = time.perf_counter() - start
     _print_report(args, "cayley verify", vars_params(args), rep.to_dict(),
-                  {"seed": args.seed}, wall)
+                  wall_time=wall)
     return 0 if rep.ok else 2
 
 
@@ -562,13 +560,8 @@ def _inject_verify_args(p) -> None:
 
 def _cayley_verify_args(p) -> None:
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("exhaustive", "sampled"),
-                   default="exhaustive")
     p.add_argument("--variant", choices=("merged", "literal"),
                    default="merged")
-    p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
 
 
 def _cayley_roundness_args(p) -> None:

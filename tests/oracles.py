@@ -8,9 +8,12 @@ match. Both are slow and only run on small classes. The level hunts walk
 the thresholds one level at a time, which is what the closed-form
 `gap_level` and `ballchain_level` replace. The power matrix at the end
 takes one `dpow` per ordered pair, where the scan's builder takes one per
-unordered pair.
+unordered pair. The cyclic-product pair enumeration compares the two
+metrics on every point pair, which `verify_mstar_isometry` decides by a
+scan of coordinate values.
 """
 
+import itertools
 from fractions import Fraction
 
 from roundlab import kernels
@@ -123,3 +126,26 @@ def reference_power_matrix(space, p):
     n = space.size
     return [[float(dpow(space.distance(i, j), p)) for j in range(n)]
             for i in range(n)]
+
+
+def enumerated_mstar_pairs(n, variant):
+    """Every unordered point pair (u, v) of MStarSpace(n) with its word and
+    cyclic distance, as arrays u, v, word, cyclic: the pair comparison
+    `verify_mstar_isometry` made before the coordinate scan. Only n = 2
+    (256 points, 32,640 pairs) is small enough."""
+    import numpy as np
+
+    from roundlab.cayley import MStarSpace, family_word_distances
+
+    space = MStarSpace(n)
+    if space.period ** space.coords > 4096:
+        raise ValueError(f"MStarSpace({n}) is too large to enumerate")
+    pts = np.array(list(itertools.product(range(1, space.period + 1),
+                                          repeat=space.coords)),
+                   dtype=np.int64)
+    iu, iv = np.triu_indices(len(pts), k=1)
+    u, v = pts[iu], pts[iv]
+    word = family_word_distances(v - u, space.jump, variant)
+    ad = np.abs(v - u)
+    cyc = np.minimum(ad, space.period - ad).max(axis=1)
+    return u, v, word, cyc

@@ -40,7 +40,7 @@ from roundlab.spaces import (cycle_graph_space, equilateral_space,
 from roundlab.zspace import (certify_corrected, find_triangle_violation,
                              scan_triangle_violations)
 
-from oracles import enumerated_level_terms
+from oracles import enumerated_level_terms, enumerated_mstar_pairs
 
 
 RESULTS: list[str] = []
@@ -245,13 +245,12 @@ def build_verify_ballchain(space, target):
 
 @criterion(10, "word metrics, roundness probes, and block projections", 900)
 def test_criterion_10_cayley():
-    exh = verify_mstar_isometry(2, mode="exhaustive", variant="merged")
-    assert exh.pairs_checked == 32640
-    assert exh.mismatch_count == 0
-
-    sam = verify_mstar_isometry(4, mode="sampled", budget=10_000, seed=1)
-    assert sam.pairs_checked == 10_000
-    assert sam.mismatch_count == 0
+    # each merged scan is a proof for every pair of (Z_P)^P, P = n^n
+    for n, values in ((2, 4), (4, 256), (6, 46_656)):
+        proof = verify_mstar_isometry(n, variant="merged")
+        assert proof.values_scanned == values
+        assert proof.mismatch_count == 0
+        assert proof.max_word_distance == values // 2
 
     z2 = cayley_roundness_upper(standard_basis_generators(2), (1, 0), (0, 1))
     assert z2.critical_p == 1.0 and z2.canonical
@@ -290,12 +289,22 @@ def test_criterion_11_determinism():
     assert (cli_run(uniform + ["1"], 2) == cli_run(uniform + ["1"], 2)
             == cli_run(uniform + ["8"], 2))
 
-    def cayley_run(workers):
-        rep = verify_mstar_isometry(4, mode="sampled", budget=10_000,
-                                    seed=1, workers=workers)
-        return body("cayley", rep.to_dict())
+    def cayley_run():
+        return body("cayley", verify_mstar_isometry(4).to_dict())
 
-    assert cayley_run(1) == cayley_run(1) == cayley_run(8)
+    assert cayley_run() == cayley_run()
+
+    # the scan's verdict and witnesses agree with every pair at n = 2
+    for variant in ("merged", "literal"):
+        u, v, word, cyc = enumerated_mstar_pairs(2, variant)
+        bad = word != cyc
+        rep = verify_mstar_isometry(2, variant=variant)
+        assert rep.ok == (not bad.any())
+        mismatched = {(tuple(a), tuple(b))
+                      for a, b in zip(u[bad].tolist(), v[bad].tolist())}
+        for m in rep.mismatches:
+            a0, a1 = m["abs_diff"]
+            assert ((1, 1, 1, 1), (1 + a0, 1 + a1, 1, 1)) in mismatched
 
     def search_run():
         space = ProductCycleSpace(6, CycleSpace(8))

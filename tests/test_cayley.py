@@ -1,15 +1,20 @@
 """Word metrics, the cyclic-product comparison, roundness probes, and the
 block projection check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from roundlab import cayley
 from roundlab.cayley import (CutoffExceeded, ExplicitGenerators,
-                             FamilyGenerators, MStarSpace, bfs_ball,
-                             block_projection_check, cayley_roundness_upper,
-                             family_word_distances, projection_generators,
-                             standard_basis_generators, verify_mstar_isometry,
-                             word_distance)
+                             FamilyGenerators, MStarSpace, _bfs_distance,
+                             bfs_ball, block_projection_check,
+                             cayley_roundness_upper, family_word_distances,
+                             projection_generators, standard_basis_generators,
+                             verify_mstar_isometry, word_distance)
+
+from oracles import enumerated_mstar_pairs
 
 
 def test_family_validation():
@@ -106,40 +111,122 @@ def test_mstar_space_shape():
 
 
 def test_mstar_merged_exhaustive_clean():
-    rep = verify_mstar_isometry(2, mode="exhaustive", variant="merged")
+    rep = verify_mstar_isometry(2, "merged")
     assert rep.ok
-    assert rep.pairs_checked == 32640
+    assert rep.values_scanned == 4
     assert rep.mismatch_count == 0
     assert rep.max_word_distance == 2
+    assert rep.to_dict()["covers"] == "every pair"
 
 
 def test_mstar_literal_exhaustive_fails():
-    rep = verify_mstar_isometry(2, mode="exhaustive", variant="literal")
+    rep = verify_mstar_isometry(2, "literal")
     assert not rep.ok
-    assert rep.mismatch_count == 4848
-    first = rep.mismatches[0]
-    assert first == {"u": [1, 1, 1, 1], "v": [1, 1, 2, 4],
-                     "cyclic": 1, "word": 2}
-    assert len(rep.mismatches) <= 20
+    assert rep.values_scanned == 16
+    assert rep.mismatch_count == 2
+    assert rep.max_word_distance == 2
+    assert rep.mismatches == [
+        {"abs_diff": [1, 3], "cyclic": 1, "word": 2},
+        {"abs_diff": [3, 1], "cyclic": 1, "word": 2}]
+    assert rep.to_dict()["covers"] == (
+        "pairs whose difference has at most 2 nonzero coordinates")
 
 
-def test_mstar_exhaustive_infeasible_for_n4():
+@pytest.mark.parametrize("variant, n, scanned, mismatches, max_word, first", [
+    ("merged", 4, 256, 0, 128, None),
+    ("merged", 6, 46_656, 0, 23_328, None),
+    ("literal", 4, 65_536, 16_256, 128, [1, 255]),
+])
+def test_mstar_scan_pinned(variant, n, scanned, mismatches, max_word, first):
+    rep = verify_mstar_isometry(n, variant)
+    assert rep.values_scanned == scanned
+    assert rep.mismatch_count == mismatches
+    assert rep.max_word_distance == max_word
+    assert len(rep.mismatches) == min(mismatches, 20)
+    if first is not None:
+        assert rep.mismatches[0]["abs_diff"] == first
+    diffs = [m["abs_diff"] for m in rep.mismatches]
+    assert diffs == sorted(diffs)
+
+
+def test_mstar_scan_over_enum_limit_refused(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no scan expected")
+
+    monkeypatch.setattr(cayley, "family_word_distances", refuse)
+    for n, variant, size in ((8, "merged", 8 ** 8), (6, "literal", 6 ** 12)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"scan of {size} "):
+                verify_mstar_isometry(n, variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (n, variant, peak)
+    with pytest.raises(ValueError, match="unknown variant"):
+        verify_mstar_isometry(2, "jitter")
     with pytest.raises(ValueError):
-        verify_mstar_isometry(4, mode="exhaustive")
-    with pytest.raises(ValueError):
-        verify_mstar_isometry(2, mode="jitter")
+        verify_mstar_isometry(3)
 
 
-def test_mstar_sampled_clean_and_deterministic():
-    a = verify_mstar_isometry(4, mode="sampled", budget=2000, seed=3)
+def test_mstar_proof_clean_and_deterministic():
+    a = verify_mstar_isometry(4)
     assert a.ok
-    assert a.pairs_checked == 2000
-    b = verify_mstar_isometry(4, mode="sampled", budget=2000, seed=3,
-                              workers=2)
-    assert a.to_dict() == b.to_dict()
-    c = verify_mstar_isometry(2, mode="sampled", variant="literal",
-                              budget=2000, seed=3)
-    assert not c.ok  # sampling finds the literal mismatches quickly
+    assert a.values_scanned == 256
+    assert a.to_dict() == verify_mstar_isometry(4).to_dict()
+    c = verify_mstar_isometry(4, variant="literal")
+    assert not c.ok
+    assert c.to_dict() == verify_mstar_isometry(4, variant="literal").to_dict()
+
+
+def _abs_pattern(diff):
+    """|diff| on its nonzero coordinates, padded to two and sorted, or None
+    when more than two coordinates differ."""
+    nonzero = [abs(int(x)) for x in diff if x]
+    if len(nonzero) > 2:
+        return None
+    return tuple(sorted(nonzero + [0] * (2 - len(nonzero))))
+
+
+@pytest.mark.parametrize("variant", ["merged", "literal"])
+def test_mstar_scan_agrees_with_pair_enumeration(variant):
+    u, v, word, cyc = enumerated_mstar_pairs(2, variant)
+    assert len(u) == 32_640
+    bad = word != cyc
+    rep = verify_mstar_isometry(2, variant)
+    assert rep.ok == (not bad.any())
+    assert rep.mismatch_count == len(rep.mismatches)
+    mismatched = {(tuple(a), tuple(b))
+                  for a, b in zip(u[bad].tolist(), v[bad].tolist())}
+    # each witness, expanded into a full pair, is an enumerated mismatch
+    for m in rep.mismatches:
+        a0, a1 = m["abs_diff"]
+        assert ((1, 1, 1, 1), (1 + a0, 1 + a1, 1, 1)) in mismatched
+    # and every enumerated mismatch of support <= 2 is a witness up to
+    # signs and coordinate order
+    enumerated = {_abs_pattern(d) for d in (v[bad] - u[bad]).tolist()}
+    enumerated.discard(None)
+    assert enumerated == {tuple(sorted(m["abs_diff"])) for m in rep.mismatches}
+    if variant == "merged":
+        assert rep.max_word_distance == int(word.max())
+
+
+def test_mstar_scan_values_match_bfs():
+    space = MStarSpace(2)
+    merged = ExplicitGenerators.make(
+        4, FamilyGenerators(4, 3, "merged").enumerate())
+    for a in range(space.period):
+        cyclic = space.distance((1, 1, 1, 1), (1 + a, 1, 1, 1))
+        assert _bfs_distance((a, 0, 0, 0), merged, 4) == cyclic
+    literal = ExplicitGenerators.make(
+        4, FamilyGenerators(4, 3, "literal").enumerate())
+    rep = verify_mstar_isometry(2, "literal")
+    assert rep.mismatches
+    for m in rep.mismatches:
+        a0, a1 = m["abs_diff"]
+        assert _bfs_distance((a0, a1, 0, 0), literal, 4) == m["word"]
+        assert space.distance((1, 1, 1, 1), (1 + a0, 1 + a1, 1, 1)) \
+            == m["cyclic"]
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_validate_ok(c4_csv, capsys):
     code, doc, _ = run(["validate", "--input", c4_csv], capsys)
     assert code == 0
     assert doc["results"]["ok"] is True
-    assert doc["schema"] == 5
+    assert doc["schema"] == 6
     assert doc["command"] == "validate"
 
 
@@ -567,22 +567,54 @@ def test_malformed_json_input_is_an_error(argv, payload, message, tmp_path,
 def test_cayley_verify_exit_codes(capsys):
     code, doc, _ = run(["cayley", "verify", "--n", "2"], capsys)
     assert code == 0
-    assert doc["results"]["pairs_checked"] == 32640
+    assert doc["results"]["values_scanned"] == 4
+    assert doc["results"]["covers"] == "every pair"
     code2, doc2, _ = run(["cayley", "verify", "--n", "2", "--variant",
                           "literal"], capsys)
     assert code2 == 2
-    assert doc2["results"]["mismatch_count"] == 4848
+    assert doc2["results"]["mismatch_count"] == 2
+    code3, doc3, _ = run(["cayley", "verify", "--n", "4", "--variant",
+                          "literal"], capsys)
+    assert code3 == 2
+    assert doc3["results"]["mismatch_count"] == 16_256
+    code4, doc4, _ = run(["cayley", "verify", "--n", "6"], capsys)
+    assert code4 == 0
+    assert doc4["results"]["values_scanned"] == 46_656
+    assert doc4["results"]["covers"] == "every pair"
+    assert doc4["wall_time_s"] < 1.0
 
 
-def test_cayley_verify_sampled_worker_byte_identical(capsys):
-    argv = ["cayley", "verify", "--n", "4", "--mode", "sampled",
-            "--budget", "2000", "--seed", "3"]
-    code1 = main(argv + ["--workers", "1"])
+@pytest.mark.parametrize("argv, size", [
+    (["--n", "8"], 8 ** 8),
+    (["--n", "6", "--variant", "literal"], 6 ** 12),
+], ids=["merged-n8", "literal-n6"])
+def test_cayley_verify_refuses_scans_over_the_limit(argv, size, capsys):
+    code, doc, err = run(["cayley", "verify", *argv], capsys)
+    assert code == 1
+    assert doc is None
+    assert f"scan of {size} difference patterns" in err
+
+
+def test_cayley_verify_proof_byte_identical(capsys):
+    argv = ["cayley", "verify", "--n", "4"]
+    code1 = main(argv)
     first = capsys.readouterr().out
-    code2 = main(argv + ["--workers", "2"])
+    code2 = main(argv)
     second = capsys.readouterr().out
     assert code1 == code2 == 0
     assert strip_wall(first) == strip_wall(second)
+    assert json.loads(first)["schema"] == 6
+
+
+def test_cayley_verify_takes_no_sampling_options(capsys):
+    code, usage, _ = exit_outcome(main, ["cayley", "verify", "-h"], capsys)
+    assert code == 0
+    for option in ("--mode", "--budget", "--seed", "--workers"):
+        assert option not in usage
+        code, _, err = exit_outcome(
+            main, ["cayley", "verify", "--n", "2", option, "1"], capsys)
+        assert code == 1
+        assert f"unrecognized arguments: {option} 1" in err
 
 
 def test_cayley_roundness_cli(capsys):

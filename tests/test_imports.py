@@ -127,6 +127,17 @@ def test_mc_and_uniform_load_neither_numpy_nor_pool(argv, tmp_path):
     assert not modules & SPACE_FILE_MODULES
 
 
+@pytest.mark.parametrize("variant, rc", [("merged", 0), ("literal", 2)])
+def test_cayley_verify_loads_no_pool(variant, rc, tmp_path):
+    got, modules = loaded_after(["cayley", "verify", "--n", "4",
+                                 "--variant", variant], tmp_path)
+    assert got == rc
+    assert "numpy" in modules
+    assert "roundlab.parallel" not in modules
+    assert "concurrent.futures.process" not in modules
+    assert not modules & SPACE_FILE_MODULES
+
+
 # the other commands README lists as loading neither library; {space} is
 # the 4-cycle and {map} its ell0 table with the domain embedded
 LIGHT = {

@@ -41,7 +41,7 @@ def test_body_excludes_wall_time():
     rep = Report("demo", {"a": 1}, {"ok": True}, {"version": "x"}, 1.25)
     body = rep.body()
     assert "wall_time_s" not in body
-    assert body["schema"] == 5
+    assert body["schema"] == 6
     full = json.loads(rep.to_json())
     assert full["wall_time_s"] == 1.25
     assert {k: v for k, v in full.items() if k != "wall_time_s"} == body
