@@ -19,8 +19,7 @@ _EXPORTS = {
     "metric": ("FiniteMetricSpace", "ModulusEnvelope", "empirical_moduli",
                "snowflake", "validate_metric"),
     "roundness": ("GapResult", "RoundnessEstimate", "estimate_roundness",
-                  "find_violation_exhaustive", "find_violation_search",
-                  "simplex_gap"),
+                  "find_violation_exhaustive", "simplex_gap"),
     "obstruction": ("CircleEmbeddingMap", "IdentityMap", "euler_factor",
                     "coarse_obstruction_report", "level_average",
                     "uniform_obstruction_report", "verify_chain_inequality",

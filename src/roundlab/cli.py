@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -81,8 +82,13 @@ def _print_report(args, command: str, params: dict, results: dict,
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader stopped early, its choice: the exit code keeps the
+        # verdict, and with stdout on devnull the final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _add_out(p) -> None:
@@ -167,17 +173,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_gr_estimate(args) -> int:
     space = _module.read_space_csv(args.input, checked=not args.unchecked)
-    mode = "search" if args.search else "exhaustive"
     start = time.perf_counter()
     est = _module.estimate_roundness(
-        space, max_size=args.max_size, p_tolerance=args.tol, mode=mode,
-        budget=args.budget, seed=args.seed, p_cap=args.p_cap)
+        space, max_size=args.max_size, p_tolerance=args.tol,
+        budget=args.budget, p_cap=args.p_cap)
     wall = time.perf_counter() - start
     params = {"input": args.input, "max_size": args.max_size,
-              "tol": args.tol, "mode": mode, "budget": args.budget,
-              "seed": args.seed, "p_cap": args.p_cap}
-    _print_report(args, "gr estimate", params, est.to_dict(),
-                  {"seed": args.seed}, wall)
+              "tol": args.tol, "budget": args.budget, "p_cap": args.p_cap}
+    _print_report(args, "gr estimate", params, est.to_dict(), wall_time=wall)
     return 0
 
 
@@ -454,13 +457,7 @@ def _gr_estimate_args(p) -> None:
     p.add_argument("--max-size", type=int, default=3)
     p.add_argument("--tol", type=float, default=1e-3,
                    help="bracket width in the exponent")
-    how = p.add_mutually_exclusive_group()
-    how.add_argument("--exhaustive", action="store_true", default=False,
-                     help="scan all configurations (default)")
-    how.add_argument("--search", action="store_true", default=False,
-                     help="seeded greedy search instead of full scans")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--p-cap", type=float, default=16.0)
     p.add_argument("--unchecked", action="store_true",
                    help="skip axiom validation of the input")

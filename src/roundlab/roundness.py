@@ -1,4 +1,4 @@
-"""Generalized roundness: double-simplex gaps, violation hunts, bisection.
+"""Generalized roundness: double-simplex gaps, violation probes, bisection.
 
 A double simplex (x_1..x_r; y_1..y_r) violates at exponent p when
 
@@ -11,12 +11,13 @@ at 0, which is what makes bisection sound.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from . import kernels
 from .cyclic import BudgetExceeded, DoubleSimplex, ProductCycleSpace
@@ -143,154 +144,93 @@ def find_violation_exhaustive(space, max_size: int, p,
     return ds
 
 
-def product_point_sampler(space: ProductCycleSpace) -> Callable:
-    def sample(rng: random.Random):
-        return tuple(rng.randrange(space.units) for _ in range(space.coords))
-    return sample
+@functools.lru_cache(maxsize=2)
+def _intervals(bits: int):
+    """An mpmath interval context of its own at `bits` of precision, so no
+    probe sets the precision of the shared `mpmath.iv`."""
+    from mpmath.ctx_iv import MPIntervalContext
+
+    iv = MPIntervalContext()
+    iv.prec = bits
+    return iv
 
 
-def product_point_mutator(space: ProductCycleSpace) -> Callable:
-    steps = (1, -1, space.units // 2)
-
-    def mutate(point, rng: random.Random):
-        c = rng.randrange(space.coords)
-        step = rng.choice(steps)
-        out = list(point)
-        out[c] = (out[c] + step) % space.units
-        return tuple(out)
-    return mutate
-
-
-class _GapState:
-    """Running lhs/rhs sums for one configuration, with O(r) point swaps."""
-
-    def __init__(self, dp: Callable, xs: Sequence, ys: Sequence):
-        self.dp = dp
-        self.fams = [list(xs), list(ys)]
-        self._recompute()
-
-    def _recompute(self):
-        dp = self.dp
-        lhs = 0.0
-        for fam in self.fams:
-            r = len(fam)
-            for i in range(r):
-                for j in range(i + 1, r):
-                    lhs += dp(fam[i], fam[j])
-        rhs = 0.0
-        for x in self.fams[0]:
-            for y in self.fams[1]:
-                rhs += dp(x, y)
-        self.lhs, self.rhs = lhs, rhs
-
-    @property
-    def gap(self) -> float:
-        return self.rhs - self.lhs
-
-    def violating(self) -> bool:
-        return is_violation(self.gap, max(self.lhs, self.rhs))
-
-    def replace(self, fam_idx: int, slot: int, point):
-        dp = self.dp
-        fam = self.fams[fam_idx]
-        other = self.fams[1 - fam_idx]
-        old = fam[slot]
-        for j, q in enumerate(fam):
-            if j != slot:
-                self.lhs += dp(point, q) - dp(old, q)
-        for q in other:
-            self.rhs += dp(point, q) - dp(old, q)
-        fam[slot] = point
-        return old
-
-    def snapshot(self):
-        return (self.lhs, self.rhs)
-
-    def restore(self, snap, fam_idx: int, slot: int, old):
-        self.lhs, self.rhs = snap
-        self.fams[fam_idx][slot] = old
-
-    def simplex(self) -> DoubleSimplex:
-        return DoubleSimplex(tuple(self.fams[0]), tuple(self.fams[1]))
+@functools.lru_cache(maxsize=8)
+def _character_products(units: int, coords: int, bits: int) -> tuple:
+    """For each nontrivial folded frequency multiset xi in {0..units/2}
+    (combinations_with_replacement order), the intervals prod_i D_k(xi_i),
+    k = 1..units/2, of `bits` bits. D_k is one cycle's character sum over
+    |g| < k: sin(pi(2k-1)v/units) / sin(pi v/units), and 2k - 1 at v = 0."""
+    iv, half = _intervals(bits), units // 2
+    kernel = [[iv.sin(iv.pi * (2 * k - 1) * v / units)
+               / iv.sin(iv.pi * v / units) if v else iv.mpf(2 * k - 1)
+               for v in range(half + 1)] for k in range(1, half + 1)]
+    chars = itertools.combinations_with_replacement(range(half + 1), coords)
+    next(chars)  # the trivial character
+    return tuple((xi, tuple(math.prod(row[v] for v in xi) for row in kernel))
+                 for xi in chars)
 
 
-def find_violation_search(space, max_size: int, p,
-                          budget: int = 20000,
-                          seed: int = 0,
-                          initial: Sequence[DoubleSimplex] = ()
-                          ) -> Optional[DoubleSimplex]:
-    """Seeded greedy descent on the gap with restarts.
+def _eigenvalue_vanishes(units: int, xi: tuple, p) -> bool:
+    """Whether the eigenvalue at xi is exactly 0, decided only at integer
+    p. With zeta = exp(2 pi i / units), D_k(v) sums zeta^(v g) over
+    |g| < k, so the eigenvalue is a(zeta) for an integer polynomial a
+    modulo x^units - 1, and its Galois conjugates are the a(zeta^j) with
+    gcd(j, units) = 1. It is 0 exactly when sum_j |a(zeta^j)|^2, that is
+    sum_{s,t} a_s a_t c(s - t), is, where each Ramanujan sum c(m), the sum
+    of cos(2 pi j m / units) over those j, is an integer that rounding its
+    float sum gets exactly (the error is below units * 2^-50)."""
+    if p != int(p):
+        return False
+    a = [0] * units
+    for k in range(1, units // 2 + 1):
+        prod = [1] + [0] * (units - 1)
+        for v in xi:
+            prod = [sum(prod[(e - v * g) % units] for g in range(1 - k, k))
+                    for e in range(units)]
+        w = k ** int(p) - (k - 1) ** int(p) if k > 1 else 1
+        a = [t + w * c for t, c in zip(a, prod)]
+    c = [round(math.fsum(math.cos(2 * math.pi * (j * m % units) / units)
+                         for j in range(units) if math.gcd(j, units) == 1))
+         for m in range(units)]
+    return not sum(a[s] * a[t] * c[s - t] for s in range(units)
+                   for t in range(units))
 
-    Moves: mutate a point in place, resample it fresh, or clone a family
-    member and mutate the copy. Points of a product of cycles mutate by one
-    coordinate step; points of any other space are indices, and a mutation
-    resamples one. Warm starts in `initial` are tried first and searched at
-    full family size. A miss proves nothing; any hit is certified before
-    being returned.
+
+def find_violation_characters(space: ProductCycleSpace, p,
+                              budget: int | None = None
+                              ) -> Optional[tuple]:
+    """The first nontrivial character of a cycle product whose eigenvalue
+    in [d(x, y)^p] is positive, as its folded frequency multiset, or None.
+
+    The sup metric is translation invariant, so the characters diagonalise
+    [d(x, y)^p] and the nontrivial ones span the sum-zero vectors: no
+    double simplex of any size violates at p exactly when every nontrivial
+    eigenvalue is <= 0 (Schoenberg). With quantum q, d^p is q^p sum_k w_k
+    [d >= kq], w_k = k^p - (k-1)^p and 0^p = 0 as in dpow, so the
+    eigenvalue at xi is -q^p sum_k w_k prod_i D_k(xi_i), evaluated as an
+    interval at PRECISION_BITS. One that straddles 0 with none positive
+    must be proven 0 (`_eigenvalue_vanishes`), else ArithmeticError. Over
+    `budget` characters raise BudgetExceeded before any is built.
     """
-    if max_size < 2:
-        raise ValueError("max_size must be at least 2")
-    rng = random.Random(seed)
-    if isinstance(space, ProductCycleSpace):
-        sampler = product_point_sampler(space)
-        mutator = product_point_mutator(space)
-    else:
-        def sampler(rng: random.Random):
-            return rng.randrange(space.size)
-
-        def mutator(point, rng: random.Random):
-            return sampler(rng)
-
-    cache: dict = {}
-
-    def dp(a, b) -> float:
-        key = (a, b) if a <= b else (b, a)
-        val = cache.get(key)
-        if val is None:
-            val = float(dpow(space.distance(a, b), p))
-            cache[key] = val
-        return val
-
-    evals = 0
-    plateau_limit = 60
-
-    warm = list(initial)
-    while evals < budget:
-        if warm:
-            start = warm.pop(0)
-            xs, ys = list(start.xs), list(start.ys)
-        else:
-            r = rng.randint(2, max_size)
-            xs = [sampler(rng) for _ in range(r)]
-            ys = [sampler(rng) for _ in range(r)]
-        state = _GapState(dp, xs, ys)
-        evals += 1
-        plateau = 0
-        while evals < budget and plateau <= plateau_limit:
-            if state.violating():
-                ds = state.simplex()
-                if certify_violation(space, ds, p):
-                    return ds
-                plateau += 1
-            fam_idx = rng.randrange(2)
-            fam = state.fams[fam_idx]
-            slot = rng.randrange(len(fam))
-            kind = rng.randrange(3)
-            if kind == 0:
-                newpt = mutator(fam[slot], rng)
-            elif kind == 1:
-                newpt = sampler(rng)
-            else:
-                newpt = mutator(fam[rng.randrange(len(fam))], rng)
-            snap = state.snapshot()
-            before = state.gap
-            old = state.replace(fam_idx, slot, newpt)
-            evals += 1
-            if state.gap < before:
-                plateau = 0
-            else:
-                state.restore(snap, fam_idx, slot, old)
-                plateau += 1
+    units, coords = space.units, space.coords
+    need = comb(units // 2 + coords, coords) - 1
+    if budget is not None and need > budget:
+        raise BudgetExceeded(f"character probe needs {need} characters", need)
+    iv = _intervals(PRECISION_BITS)
+    pw = [iv.mpf(k) ** iv.mpf(p) for k in range(1, units // 2 + 1)]
+    weights = [pw[0]] + [b - a for a, b in zip(pw, pw[1:])]
+    undecided = []
+    for xi, prods in _character_products(units, coords, PRECISION_BITS):
+        lam = -sum(w * d for w, d in zip(weights, prods))
+        if lam.a > 0:
+            return xi
+        if lam.b > 0:
+            undecided.append(xi)
+    for xi in undecided:
+        if not _eigenvalue_vanishes(units, xi, p):
+            raise ArithmeticError(f"eigenvalue at character {list(xi)} "
+                                  f"undecided at p={p}; raise precision")
     return None
 
 
@@ -298,25 +238,33 @@ def find_violation_search(space, max_size: int, p,
 class RoundnessEstimate:
     lower: float
     upper: float
-    witness: Optional[DoubleSimplex]
+    # a double simplex, or on a cycle product a character's folded
+    # frequency multiset
+    witness: Optional[DoubleSimplex | tuple]
     witness_p: Optional[float]
     certified: bool
-    search_mode: str
-    max_simplex_size: int
+    covers: str
+    max_simplex_size: Optional[int]
     p_cap: float
     probes: list = field(default_factory=list)
     flags: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
+        if self.witness is None:
+            witness = None
+        elif isinstance(self.witness, DoubleSimplex):
+            witness = {"xs": list(self.witness.xs),
+                       "ys": list(self.witness.ys)}
+        else:
+            witness = {"character": list(self.witness)}
         return {
             "lower": self.lower,
             "upper": None if math.isinf(self.upper) else self.upper,
             "unbounded": math.isinf(self.upper),
-            "witness": None if self.witness is None else {
-                "xs": list(self.witness.xs), "ys": list(self.witness.ys)},
+            "witness": witness,
             "witness_p": self.witness_p,
             "certified": self.certified,
-            "search_mode": self.search_mode,
+            "covers": self.covers,
             "max_simplex_size": self.max_simplex_size,
             "p_cap": self.p_cap,
             "probes": self.probes,
@@ -326,49 +274,45 @@ class RoundnessEstimate:
 
 def estimate_roundness(space, max_size: int = 3,
                        p_tolerance: float = 1e-3,
-                       mode: str = "exhaustive",
                        budget: int | None = None,
-                       seed: int = 0,
                        p_cap: float = 16.0
                        ) -> RoundnessEstimate:
     """Bracket the roundness by bisection on the violation predicate.
 
-    Exhaustive probes certify both bracket ends; search probes certify only
-    the upper end (a failed search is not a proof), which the `certified`
-    flag records. Witnesses found at higher exponents warm-start lower ones.
-    The tolerance and p_cap must be finite and positive.
+    A cycle product is probed through its characters, which covers every
+    double simplex (max_size is not read); any other space by the
+    exhaustive scan of families up to max_size points, which `covers`
+    records. Both ends are certified for what `covers` names. `budget`
+    caps the characters or scanned configurations of each probe. The
+    tolerance and p_cap must be finite and positive.
     """
-    if mode not in ("exhaustive", "search"):
-        raise ValueError("mode must be 'exhaustive' or 'search'")
     for name, value in (("p_tolerance", p_tolerance), ("p_cap", p_cap)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
     probes: list = []
     flags: list = []
+    if isinstance(space, ProductCycleSpace):
+        covers, size = "every double simplex", None
+    else:
+        covers = f"double simplices with at most {max_size} points per family"
+        size = max_size
 
-    def probe(p: float, warm: Optional[DoubleSimplex]):
-        if mode == "exhaustive":
-            w = find_violation_exhaustive(space, max_size, p, budget)
-        else:
-            init = () if warm is None else (warm,)
-            w = find_violation_search(
-                space, max_size, p,
-                budget=budget or 20000,
-                seed=seed + len(probes), initial=init)
+    def probe(p: float):
+        w = (find_violation_characters(space, p, budget) if size is None
+             else find_violation_exhaustive(space, max_size, p, budget))
         probes.append({"p": p, "violation": w is not None})
         return w
 
-    certified = mode == "exhaustive"
-    est = RoundnessEstimate(0.0, math.inf, None, None, certified, mode,
-                            max_size, p_cap, probes, flags)
+    est = RoundnessEstimate(0.0, math.inf, None, None, True, covers, size,
+                            p_cap, probes, flags)
     try:
-        w0 = probe(0.0, None)
+        w0 = probe(0.0)
         if w0 is not None:
             flags.append("violation at p=0")
             est.lower, est.upper = 0.0, 0.0
             est.witness, est.witness_p = w0, 0.0
             return est
-        wit = probe(p_cap, None)
+        wit = probe(p_cap)
         if wit is None:
             flags.append("no violation up to p_cap")
             est.lower = p_cap
@@ -380,7 +324,7 @@ def estimate_roundness(space, max_size: int = 3,
                 # adjacent floats: the bracket cannot narrow any further
                 flags.append("tolerance below float resolution")
                 break
-            w = probe(mid, est.witness)
+            w = probe(mid)
             if w is not None:
                 est.upper, est.witness, est.witness_p = mid, w, mid
             else:

@@ -10,10 +10,12 @@ the thresholds one level at a time, which is what the closed-form
 takes one `dpow` per ordered pair, where the scan's builder takes one per
 unordered pair. The cyclic-product pair enumeration compares the two
 metrics on every point pair, which `verify_mstar_isometry` decides by a
-scan of coordinate values.
+scan of coordinate values. The dense spectra of small cycle products
+decide what the character probe reads from closed forms.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from roundlab import kernels
@@ -149,3 +151,57 @@ def enumerated_mstar_pairs(n, variant):
     ad = np.abs(v - u)
     cyc = np.minimum(ad, space.period - ad).max(axis=1)
     return u, v, word, cyc
+
+
+def _product_power_matrix(space, p):
+    """The points of a cycle product (itertools.product order) and the
+    float matrix [d(x, y)^p] in quanta, 0^p = 0 as in dpow; at most 512
+    points."""
+    import numpy as np
+
+    units = space.units
+    if space.size > 512:
+        raise ValueError(f"{space.size} points are too many for a dense matrix")
+    pts = np.array(list(itertools.product(range(units), repeat=space.coords)))
+    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    d = np.minimum(diff, units - diff).max(axis=2).astype(float)
+    return pts, np.where(d > 0, d ** p, 0.0)
+
+
+def dense_product_bracket(space, p_tolerance, p_cap=16.0):
+    """The roundness bracket of a cycle product by the bisection of
+    `estimate_roundness`, with each probe decided by `eigvalsh`: p
+    violates when the matrix [d(x, y)^p], projected on the sum-zero
+    vectors, has an eigenvalue above 1e-9 times its largest entry. This is
+    the dense check that the character probe replaces by closed forms."""
+    import numpy as np
+
+    def violates(p):
+        _, dp = _product_power_matrix(space, p)
+        n = len(dp)
+        proj = np.eye(n) - 1.0 / n
+        return np.linalg.eigvalsh(proj @ dp @ proj)[-1] > 1e-9 * dp.max()
+
+    if violates(0.0):
+        return 0.0, 0.0
+    if not violates(p_cap):
+        return p_cap, math.inf
+    lower, upper = 0.0, p_cap
+    while upper - lower > p_tolerance:
+        mid = (lower + upper) / 2
+        if violates(mid):
+            upper = mid
+        else:
+            lower = mid
+    return lower, upper
+
+
+def character_quotient(space, xi, p):
+    """v^T D v / v^T v for D = [d(x, y)^p] and v = cos(2 pi <xi, x> / units),
+    the real part of the character with frequencies xi: the eigenvalue the
+    character probe assigns to xi, in quanta."""
+    import numpy as np
+
+    pts, dp = _product_power_matrix(space, p)
+    v = np.cos(2 * np.pi * (pts @ np.array(xi)) / space.units)
+    return float(v @ dp @ v / (v @ v))

@@ -306,10 +306,12 @@ def test_criterion_11_determinism():
             a0, a1 = m["abs_diff"]
             assert ((1, 1, 1, 1), (1 + a0, 1 + a1, 1, 1)) in mismatched
 
-    def search_run():
+    # a cycle product is probed through its characters: certified, and
+    # around the exact roundness 1.6849e-4
+    def character_run():
         space = ProductCycleSpace(6, CycleSpace(8))
-        est = estimate_roundness(space, max_size=2, p_tolerance=1e-2,
-                                 mode="search", budget=4000, seed=3)
+        est = estimate_roundness(space, p_tolerance=1e-6)
+        assert est.certified and est.lower <= 1.6849e-4 <= est.upper
         return body("estimate", est.to_dict())
 
-    assert search_run() == search_run()
+    assert character_run() == character_run()

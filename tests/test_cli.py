@@ -55,7 +55,7 @@ def test_validate_ok(c4_csv, capsys):
     code, doc, _ = run(["validate", "--input", c4_csv], capsys)
     assert code == 0
     assert doc["results"]["ok"] is True
-    assert doc["schema"] == 6
+    assert doc["schema"] == 7
     assert doc["command"] == "validate"
 
 
@@ -99,13 +99,19 @@ def _relabelled(space, seed):
 def test_gr_estimate_results_frozen(space, argv, results_sha256, tmp_path,
                                     capsys):
     # digests recorded before the gap scan gathered rows and shared
-    # prefix sums
+    # prefix sums, at schema 6, whose results held `search_mode` where
+    # schema 7 holds `covers`
     path = tmp_path / "space.csv"
     write_space_csv(space(), str(path))
     code, doc, _ = run(["gr", "estimate", "--input", str(path), *argv],
                        capsys)
     assert code == 0
-    text = json.dumps(doc["results"], sort_keys=True, separators=(",", ":"))
+    results = doc["results"]
+    max_size = results["max_simplex_size"]
+    assert results.pop("covers") == (f"double simplices with at most "
+                                     f"{max_size} points per family")
+    results["search_mode"] = "exhaustive"
+    text = json.dumps(results, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == results_sha256
 
 
@@ -121,20 +127,28 @@ def test_gr_estimate_rejects_bad_tol_and_cap(c4_csv, capsys, flag, value):
 
 
 def test_gr_estimate_deterministic(c4_csv, capsys):
-    main(["gr", "estimate", "--input", c4_csv, "--search", "--seed", "5"])
+    main(["gr", "estimate", "--input", c4_csv])
     first = capsys.readouterr().out
-    main(["gr", "estimate", "--input", c4_csv, "--search", "--seed", "5"])
+    main(["gr", "estimate", "--input", c4_csv])
     second = capsys.readouterr().out
     assert strip_wall(first) == strip_wall(second)
+    doc = json.loads(first)
+    assert set(doc["params"]) == {"input", "max_size", "tol", "budget",
+                                  "p_cap"}
+    assert "seed" not in doc["provenance"]
+    assert doc["results"]["covers"] == ("double simplices with at most 3 "
+                                        "points per family")
 
 
 def test_gr_estimate_modes_exclusive(c4_csv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gr", "estimate", "--input", c4_csv, "--exhaustive", "--search"])
-    assert exc.value.code == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "not allowed with argument" in err
+    # the scan is the one probe of a listed space, so no option picks one
+    for extra in (["--search"], ["--exhaustive"], ["--seed", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["gr", "estimate", "--input", c4_csv, *extra])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +598,35 @@ def test_cayley_verify_exit_codes(capsys):
     assert doc4["wall_time_s"] < 1.0
 
 
+class _CutPipe:
+    """A stdout whose reader has gone, as after `| head -c 1`: every write
+    raises BrokenPipeError. fileno() is a scratch file's descriptor."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fh.fileno()
+
+
+def test_cut_pipe_keeps_the_verdict(tmp_path, capsys, monkeypatch):
+    # the reader chose to stop: the literal mismatch still exits 2, nothing
+    # reaches stderr, and stdout's descriptor now writes to devnull
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _CutPipe(fh))
+        code = main(["cayley", "verify", "--n", "4", "--variant", "literal"])
+        with open(os.devnull) as null:
+            assert os.path.sameopenfile(fh.fileno(), null.fileno())
+    assert code == 2
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv, size", [
     (["--n", "8"], 8 ** 8),
     (["--n", "6", "--variant", "literal"], 6 ** 12),
@@ -603,7 +646,7 @@ def test_cayley_verify_proof_byte_identical(capsys):
     second = capsys.readouterr().out
     assert code1 == code2 == 0
     assert strip_wall(first) == strip_wall(second)
-    assert json.loads(first)["schema"] == 6
+    assert json.loads(first)["schema"] == 7
 
 
 def test_cayley_verify_takes_no_sampling_options(capsys):
@@ -753,12 +796,12 @@ PARSE_ERRORS = {
         "usage: roundlab gr [-h] {estimate} ...\n"
         "roundlab gr: error: argument sub: invalid choice: 'nope' "
         "(choose from 'estimate')\n"),
+    # gr estimate's options as of schema 7
     "missing-required": (
         ["gr", "estimate"], 1, "",
         "usage: roundlab gr estimate [-h] --input INPUT "
         "[--max-size MAX_SIZE]\n"
-        "                            [--tol TOL] [--exhaustive | --search]\n"
-        "                            [--budget BUDGET] [--seed SEED] "
+        "                            [--tol TOL] [--budget BUDGET] "
         "[--p-cap P_CAP]\n"
         "                            [--unchecked] [--out OUT]\n"
         "roundlab gr estimate: error: the following arguments are required: "

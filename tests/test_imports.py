@@ -14,7 +14,8 @@ import pytest
 import roundlab
 from test_cli import suite_env
 
-# roundlab.__all__ as it stood when the package imported every submodule
+# roundlab.__all__ as it stood when the package imported every submodule,
+# less find_violation_search, which went with the greedy search
 SEED_ALL = [
     "BudgetExceeded", "CircleEmbeddingMap", "CycleSpace", "DoubleSimplex",
     "FamilyGenerators", "FiniteMetricSpace", "GapResult", "IdentityMap",
@@ -25,10 +26,10 @@ SEED_ALL = [
     "cayley_roundness_upper", "certify_corrected",
     "coarse_obstruction_report", "count_incidences", "count_pairs_closed",
     "cyclic", "empirical_moduli", "enumerate_pairs", "estimate_roundness",
-    "euler_factor", "find_violation_exhaustive", "find_violation_search",
-    "inject", "is_pair", "is_simplex", "kernels", "level_average", "metric",
-    "numerics", "obstruction", "parallel", "roundness", "simplex_gap",
-    "snowflake", "stage_pair_class", "stage_simplex_class", "stage_space",
+    "euler_factor", "find_violation_exhaustive", "inject", "is_pair",
+    "is_simplex", "kernels", "level_average", "metric", "numerics",
+    "obstruction", "parallel", "roundness", "simplex_gap", "snowflake",
+    "stage_pair_class", "stage_simplex_class", "stage_space",
     "transport_pair", "uniform_obstruction_report", "validate_metric",
     "verify_chain_inequality", "verify_injection", "verify_mstar_isometry",
     "verify_step_inequality", "word_distance", "zeta", "zspace",
@@ -177,6 +178,23 @@ def test_gr_estimate_loads_roundness_and_spaces(tmp_path):
                                tmp_path)
     assert rc == 0
     assert SPACE_FILE_MODULES <= modules
+
+
+def test_product_estimate_loads_no_numpy():
+    # the character probe is pure Python and mpmath intervals
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "from roundlab import CycleSpace, ProductCycleSpace, "
+         "estimate_roundness\n"
+         "est = estimate_roundness(ProductCycleSpace(3, CycleSpace(8)))\n"
+         "assert est.certified, est\n"
+         "print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=suite_env())
+    assert proc.returncode == 0, proc.stderr
+    modules = set(json.loads(proc.stdout))
+    assert "roundlab.roundness" in modules and "mpmath" in modules
+    assert "numpy" not in modules
 
 
 def test_import_cli_loads_only_the_shared_modules():

@@ -36,3 +36,14 @@ def test_benchmark_layers_exist():
                           str(ROOT / "perfbench")],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+def test_readme_names_current_schema():
+    # README states the schema of the report bodies; a bump must update it
+    import re
+
+    from roundlab.report import SCHEMA_VERSION
+
+    stated = re.findall(r"Report bodies are at schema (\d+)",
+                        (ROOT / "README.md").read_text())
+    assert stated == [str(SCHEMA_VERSION)]

@@ -1,21 +1,23 @@
-"""Gap evaluation, violation hunts, and the roundness bisection."""
+"""Gap evaluation, violation probes, and the roundness bisection."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import reference_power_matrix
+from oracles import (character_quotient, dense_product_bracket,
+                     reference_power_matrix)
 from roundlab import roundness
 from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
-                             ProductCycleSpace)
+                             ProductCycleSpace, stage_space)
 from roundlab.metric import FiniteMetricSpace, snowflake
 from roundlab.roundness import (certify_violation, distance_power_matrix,
                                 estimate_roundness,
                                 exhaustive_config_count,
-                                find_violation_exhaustive,
-                                find_violation_search, simplex_gap)
+                                find_violation_characters,
+                                find_violation_exhaustive, simplex_gap)
 from roundlab.spaces import (cycle_graph_space, equilateral_space,
                              planar_points_space, random_rational_metric_space)
 
@@ -196,41 +198,104 @@ def test_estimate_budget_partial_results():
 
 
 def test_search_finds_planted_violation():
-    # diagonal configurations violate above p=1 in any even cycle product
-    space = ProductCycleSpace(16, CycleSpace(16, Fraction(1)))
-    ds = find_violation_search(
-        space, 2, 3.0, budget=100_000, seed=5)
-    assert ds is not None
-    assert certify_violation(space, ds, 3.0)
-
-
-def test_search_warm_start_reuses_witness():
-    from roundlab.cyclic import SimplexClass, build_simplex
-    space = ProductCycleSpace(16, CycleSpace(16, Fraction(1)))
-    planted = build_simplex(space, SimplexClass(1, 2, 2))
-    assert certify_violation(space, planted, 2.0)
-    # a warm start that already violates is returned before any local move
-    ds = find_violation_search(space, 2, 2.0, budget=50, seed=0,
-                               initial=(planted,))
-    assert ds == planted
+    # (Z_16)^2 violates at p = 3: the character the probe names must have
+    # a positive eigenvalue in the dense matrix, and a budget one character
+    # short is refused before any is built
+    space = ProductCycleSpace(2, CycleSpace(16))
+    with pytest.raises(BudgetExceeded) as exc:
+        find_violation_characters(space, 3.0, budget=43)
+    assert exc.value.required == 44
+    xi = find_violation_characters(space, 3.0, budget=44)
+    assert xi is not None
+    assert character_quotient(space, xi, 3.0) > 1.0
 
 
 def test_estimate_search_mode_on_product_space():
+    # acceptance 11's space: the characters certify a bracket for every
+    # family size, around the exact value 1.6849e-4
     space = ProductCycleSpace(6, CycleSpace(8, Fraction(1)))
-    est = estimate_roundness(space, max_size=2, mode="search",
-                             budget=30_000, seed=2, p_tolerance=0.05,
-                             p_cap=8.0)
-    assert not est.certified  # search can never certify the lower end
-    assert est.upper <= 8.0
-    assert est.witness is not None
-    assert certify_violation(space, est.witness, est.witness_p)
-    # sup-metric products violate somewhere above 1
-    assert 1.0 <= est.upper
+    est = estimate_roundness(space, p_tolerance=1e-6)
+    assert est.certified
+    assert est.covers == "every double simplex"
+    assert est.max_simplex_size is None
+    assert est.lower <= 1.6849e-4 <= est.upper
+    assert est.upper - est.lower <= 1e-6
+    assert est.witness_p == est.upper
+    doc = est.to_dict()
+    assert doc["witness"] == {"character": list(est.witness)}
+    assert doc["max_simplex_size"] is None
 
 
-def test_estimate_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        estimate_roundness(C4, mode="annealing")
+@pytest.mark.parametrize("units, coords",
+                         [(4, 2), (8, 2), (6, 2), (4, 3), (6, 3)])
+def test_character_bracket_equals_dense_spectrum(units, coords):
+    space = ProductCycleSpace(coords, CycleSpace(units))
+    est = estimate_roundness(space, p_tolerance=1e-3)
+    assert est.certified
+    assert (est.lower, est.upper) == dense_product_bracket(space, 1e-3)
+
+
+@pytest.mark.parametrize("units", [4, 6, 8])
+@pytest.mark.parametrize("coords", [1, 2])
+@pytest.mark.parametrize("p", [1, 2])
+def test_exact_zero_eigenvalues_match_dense(units, coords, p):
+    # at integer p an eigenvalue can be exactly 0 (every even frequency of
+    # a cycle at p = 1); those, and only those, are proven 0
+    space = ProductCycleSpace(coords, CycleSpace(units))
+    chars = itertools.combinations_with_replacement(range(units // 2 + 1),
+                                                    coords)
+    next(chars)  # the trivial character
+    for xi in chars:
+        vanishes = roundness._eigenvalue_vanishes(units, xi, p)
+        assert vanishes == (abs(character_quotient(space, xi, p)) < 1e-9)
+    assert not roundness._eigenvalue_vanishes(units, (0,) * (coords - 1)
+                                              + (2,), 1.5)
+
+
+def test_undecided_eigenvalue_raises(monkeypatch):
+    # at 8 bits the eigenvalue near the root of (Z_4)^2 straddles 0, and a
+    # fractional p cannot be decided exactly
+    monkeypatch.setattr(roundness, "PRECISION_BITS", 8)
+    with pytest.raises(ArithmeticError, match="undecided"):
+        find_violation_characters(ProductCycleSpace(2, CycleSpace(4)),
+                                  math.log2(4 / 3))
+
+
+def test_z4_products_closed_form():
+    # roundness of (Z_4)^c is log2(1 + 3^(1-c)), which falls to 2e-14 at
+    # c = 30: the probe is clean just below it and violates just above
+    for c in range(1, 31):
+        space = ProductCycleSpace(c, CycleSpace(4))
+        q = math.log1p(3.0 ** (1 - c)) / math.log(2)
+        assert find_violation_characters(space, q * (1 - 1e-6)) is None
+        assert find_violation_characters(space, q * (1 + 1e-6)) is not None
+
+
+def test_character_bracket_below_listed_scan():
+    # the scan covers families of at most 3 points, the characters all
+    product = ProductCycleSpace(2, CycleSpace(4))
+    points = list(product.iter_points())
+    listed = FiniteMetricSpace.from_rows(
+        [[product.distance(x, y) for y in points] for x in points])
+    chars = estimate_roundness(product)
+    scan = estimate_roundness(listed, max_size=3)
+    assert chars.certified and scan.certified
+    assert chars.lower <= scan.lower and chars.upper <= scan.upper
+
+
+def test_product_roundness_falls_with_coordinates():
+    # the paper's mechanism: the sup-metric blocks (Z_u)^c lose roundness
+    # as c grows, and the stage-2 block (Z_16)^4 lies below 1e-3
+    for units, top in ((4, 6), (8, 6), (16, 4)):
+        ests = [estimate_roundness(ProductCycleSpace(c, CycleSpace(units)),
+                                   p_tolerance=1e-6)
+                for c in range(1, top + 1)]
+        assert all(e.certified for e in ests)
+        assert all(b.upper < a.lower for a, b in zip(ests, ests[1:]))
+    stage = estimate_roundness(stage_space(2), p_tolerance=1e-7)
+    assert stage.certified
+    assert stage.upper < 1e-3
+    assert stage.upper - stage.lower <= 1e-7
 
 
 @pytest.mark.parametrize("kwargs", [
