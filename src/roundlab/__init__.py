@@ -51,3 +51,29 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *__all__})
+
+
+class Record:
+    """Value semantics for a record class: equality, hash and repr over the
+    fields its `__slots__` names. Records are plain classes with explicit
+    constructors because generating them at import (the standard library's
+    record decorator `exec`s every method and imports `inspect`) would add
+    about 1 ms per class, plus 12 ms, to the start-up of every request."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"

@@ -27,11 +27,11 @@ through the values |w_c|, in any order, with zero coordinates costing 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import Record
 from .cyclic import DoubleSimplex
 
 GroupVector = tuple[int, ...]
@@ -52,25 +52,25 @@ def _check_vector(v: Sequence[int], dim: int) -> GroupVector:
     return vec
 
 
-@dataclass(frozen=True)
-class FamilyGenerators:
+class FamilyGenerators(Record):
     """Structured symmetric generator family on Z^dim.
 
     literal: nonzero vectors with entries all in {0, +-jump} or all in
     {0, +-1}. merged: nonzero vectors with entries in {0, +-1, +-jump}.
     """
 
-    dim: int
-    jump: int
-    variant: str = "merged"
+    __slots__ = ("dim", "jump", "variant")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, jump: int, variant: str = "merged"):
+        if dim < 1:
             raise ValueError("dim must be positive")
-        if self.jump < 2:
+        if jump < 2:
             raise ValueError("jump must be at least 2")
-        if self.variant not in ("literal", "merged"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+        if variant not in ("literal", "merged"):
+            raise ValueError(f"unknown variant {variant!r}")
+        self.dim = dim
+        self.jump = jump
+        self.variant = variant
 
     def contains(self, v: Sequence[int]) -> bool:
         vec = _check_vector(v, self.dim)
@@ -107,20 +107,20 @@ class FamilyGenerators:
         return out
 
 
-@dataclass(frozen=True)
-class ExplicitGenerators:
+class ExplicitGenerators(Record):
     """Explicit symmetric set of nonzero vectors."""
 
-    dim: int
-    vectors: frozenset
+    __slots__ = ("dim", "vectors")
 
-    def __post_init__(self):
-        for v in self.vectors:
-            vec = _check_vector(v, self.dim)
+    def __init__(self, dim: int, vectors: frozenset):
+        for v in vectors:
+            vec = _check_vector(v, dim)
             if not any(vec):
                 raise ValueError("generators must be nonzero")
-            if tuple(-x for x in vec) not in self.vectors:
+            if tuple(-x for x in vec) not in vectors:
                 raise ValueError(f"{vec} present without its inverse")
+        self.dim = dim
+        self.vectors = vectors
 
     @classmethod
     def make(cls, dim: int, vectors: Iterable[Sequence[int]]) -> "ExplicitGenerators":
@@ -258,16 +258,16 @@ def bfs_ball(gens: Iterable[Sequence[int]], radius: int) -> dict:
     return dist
 
 
-@dataclass(frozen=True)
-class MStarSpace:
+class MStarSpace(Record):
     """Product of n^n cycles of length n^n with 1-based residues; distances
     are the sup of cyclic coordinate distances, in whole quanta."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 2 or self.n % 2:
+    def __init__(self, n: int):
+        if n < 2 or n % 2:
             raise ValueError("n must be even and >= 2")
+        self.n = n
 
     @property
     def coords(self) -> int:
@@ -298,15 +298,20 @@ class MStarSpace:
         return best
 
 
-@dataclass
 class MStarReport:
-    n: int
-    variant: str
-    support: int
-    values_scanned: int
-    mismatch_count: int
-    mismatches: list
-    max_word_distance: int
+    __slots__ = ("n", "variant", "support", "values_scanned",
+                 "mismatch_count", "mismatches", "max_word_distance")
+
+    def __init__(self, n: int, variant: str, support: int,
+                 values_scanned: int, mismatch_count: int, mismatches: list,
+                 max_word_distance: int):
+        self.n = n
+        self.variant = variant
+        self.support = support
+        self.values_scanned = values_scanned
+        self.mismatch_count = mismatch_count
+        self.mismatches = mismatches
+        self.max_word_distance = max_word_distance
 
     @property
     def ok(self) -> bool:
@@ -383,16 +388,21 @@ def projection_generators(dims: Sequence[int], jumps: Sequence[int],
     return sorted(out)
 
 
-@dataclass
 class ProjectionReport:
-    dims: tuple
-    jumps: tuple
-    variant: str
-    radius: int
-    states_full: int
-    block_reports: list
-    mismatch_count: int
-    mismatches: list
+    __slots__ = ("dims", "jumps", "variant", "radius", "states_full",
+                 "block_reports", "mismatch_count", "mismatches")
+
+    def __init__(self, dims: tuple, jumps: tuple, variant: str, radius: int,
+                 states_full: int, block_reports: list, mismatch_count: int,
+                 mismatches: list):
+        self.dims = dims
+        self.jumps = jumps
+        self.variant = variant
+        self.radius = radius
+        self.states_full = states_full
+        self.block_reports = block_reports
+        self.mismatch_count = mismatch_count
+        self.mismatches = mismatches
 
     @property
     def ok(self) -> bool:
@@ -461,16 +471,21 @@ def block_projection_check(dims: Sequence[int] = (2, 2),
                             blocks, len(mismatches), mismatches[:20])
 
 
-@dataclass
 class CayleyRoundnessReport:
-    g: GroupVector
-    h: GroupVector
-    edges: tuple
-    conns: tuple
-    critical_p: float
-    gap_at_2: float
-    witness: DoubleSimplex
-    canonical: bool
+    __slots__ = ("g", "h", "edges", "conns", "critical_p", "gap_at_2",
+                 "witness", "canonical")
+
+    def __init__(self, g: GroupVector, h: GroupVector, edges: tuple,
+                 conns: tuple, critical_p: float, gap_at_2: float,
+                 witness: DoubleSimplex, canonical: bool):
+        self.g = g
+        self.h = h
+        self.edges = edges
+        self.conns = conns
+        self.critical_p = critical_p
+        self.gap_at_2 = gap_at_2
+        self.witness = witness
+        self.canonical = canonical
 
     def to_dict(self) -> dict:
         return {

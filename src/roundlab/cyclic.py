@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from . import kernels
+from . import Record, kernels
 from .kernels import BudgetExceeded
 
 if TYPE_CHECKING:
@@ -34,18 +33,18 @@ def cyclic_distance(units: int, a: int, b: int) -> int:
     return d if 2 * d <= units else units - d
 
 
-@dataclass(frozen=True)
-class CycleSpace:
+class CycleSpace(Record):
     """Discrete circle: residues 0..units-1, distance = shorter arc in quanta."""
 
-    units: int
-    quantum: Fraction = Fraction(1)
+    __slots__ = ("units", "quantum")
 
-    def __post_init__(self):
-        if self.units < 2 or self.units % 2 != 0:
+    def __init__(self, units: int, quantum: Fraction = Fraction(1)):
+        if units < 2 or units % 2 != 0:
             raise ValueError("units must be a positive even integer")
-        if self.quantum <= 0:
+        if quantum <= 0:
             raise ValueError("quantum must be positive")
+        self.units = units
+        self.quantum = quantum
 
     def distance_quanta(self, a: int, b: int) -> int:
         return cyclic_distance(self.units, a, b)
@@ -54,16 +53,16 @@ class CycleSpace:
         return self.quantum * self.distance_quanta(a, b)
 
 
-@dataclass(frozen=True)
-class ProductCycleSpace:
+class ProductCycleSpace(Record):
     """coords independent copies of one cycle under the sup metric."""
 
-    coords: int
-    cycle: CycleSpace
+    __slots__ = ("coords", "cycle")
 
-    def __post_init__(self):
-        if self.coords < 1:
+    def __init__(self, coords: int, cycle: CycleSpace):
+        if coords < 1:
             raise ValueError("coords must be >= 1")
+        self.coords = coords
+        self.cycle = cycle
 
     @property
     def units(self) -> int:
@@ -111,18 +110,18 @@ def sup_distance(space: ProductCycleSpace, x: Sequence[int], y: Sequence[int]) -
     return best
 
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(Record):
     """Point pairs differing in exactly `support` coords, each by `delta` quanta."""
 
-    delta: int
-    support: int
+    __slots__ = ("delta", "support")
 
-    def __post_init__(self):
-        if self.delta < 1:
+    def __init__(self, delta: int, support: int):
+        if delta < 1:
             raise ValueError("delta must be >= 1")
-        if self.support < 1:
+        if support < 1:
             raise ValueError("support must be >= 1")
+        self.delta = delta
+        self.support = support
 
     def validate_for(self, space: ProductCycleSpace) -> None:
         if 2 * self.delta > space.units:
@@ -135,20 +134,20 @@ class PairClass:
         return 1 if 2 * self.delta == space.units else 2
 
 
-@dataclass(frozen=True)
-class SimplexClass:
+class SimplexClass(Record):
     """Double simplices of `families` points per side: edges are
     (2*delta, support)-pairs, connecting lines (delta, support*families)-pairs."""
 
-    delta: int
-    support: int
-    families: int
+    __slots__ = ("delta", "support", "families")
 
-    def __post_init__(self):
-        if self.families < 2 or self.families % 2 != 0:
+    def __init__(self, delta: int, support: int, families: int):
+        if families < 2 or families % 2 != 0:
             raise ValueError("families must be an even integer >= 2")
-        if self.delta < 1 or self.support < 1:
+        if delta < 1 or support < 1:
             raise ValueError("delta and support must be >= 1")
+        self.delta = delta
+        self.support = support
+        self.families = families
 
     def edge_class(self) -> PairClass:
         return PairClass(2 * self.delta, self.support)
@@ -161,32 +160,35 @@ class SimplexClass:
         self.conn_class().validate_for(space)
 
 
-@dataclass(frozen=True)
-class DoubleSimplex:
+class DoubleSimplex(Record):
     """Two equal-size families of points; repetition permitted."""
 
-    xs: tuple
-    ys: tuple
+    __slots__ = ("xs", "ys")
 
-    def __post_init__(self):
-        if len(self.xs) != len(self.ys):
+    def __init__(self, xs: tuple, ys: tuple):
+        if len(xs) != len(ys):
             raise ValueError("families must have equal size")
-        if len(self.xs) < 2:
+        if len(xs) < 2:
             raise ValueError("families must have >= 2 members")
+        self.xs = xs
+        self.ys = ys
 
     @property
     def r(self) -> int:
         return len(self.xs)
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(Record):
     """Sup-metric self-map: out[i] = rot[i] +/- z[perm[i]] (mod units)."""
 
-    perm: tuple[int, ...]
-    rot: tuple[int, ...]
-    reflect: tuple[bool, ...]
-    units: int
+    __slots__ = ("perm", "rot", "reflect", "units")
+
+    def __init__(self, perm: tuple[int, ...], rot: tuple[int, ...],
+                 reflect: tuple[bool, ...], units: int):
+        self.perm = perm
+        self.rot = rot
+        self.reflect = reflect
+        self.units = units
 
     def apply(self, z: Sequence[int]) -> CyclePoint:
         u = self.units
@@ -409,20 +411,26 @@ def enumerate_pairs(space: ProductCycleSpace, cls: PairClass,
     return generate()
 
 
-@dataclass(frozen=True)
-class SparsePairBatch:
+class SparsePairBatch(Record):
     """Class pairs, differing coordinates only.
 
     Agreeing coordinates are never materialized: every bundled map is
     invariant to them (they contribute zero to any per-coordinate image
     factor), so a map that depends on them cannot be evaluated on a batch.
+    `supports` holds the (k, s) coordinate indices, `x_vals` and `y_vals`
+    the (k, s) residues.
     """
 
-    space: ProductCycleSpace
-    cls: PairClass
-    supports: np.ndarray  # (k, s) coordinate indices
-    x_vals: np.ndarray    # (k, s) residues
-    y_vals: np.ndarray    # (k, s) residues
+    __slots__ = ("space", "cls", "supports", "x_vals", "y_vals")
+
+    def __init__(self, space: ProductCycleSpace, cls: PairClass,
+                 supports: np.ndarray, x_vals: np.ndarray,
+                 y_vals: np.ndarray):
+        self.space = space
+        self.cls = cls
+        self.supports = supports
+        self.x_vals = x_vals
+        self.y_vals = y_vals
 
     @property
     def count(self) -> int:
@@ -468,26 +476,29 @@ def canonical_class_pair(space: ProductCycleSpace, cls: PairClass,
     return x, tuple(y)
 
 
-@dataclass(frozen=True)
-class IncidenceCounts:
+class IncidenceCounts(Record):
     """Simplex/pair incidence census; both double-counting identities are
     enforced at construction."""
 
-    delta: int
-    support: int
-    families: int
-    n_edge_class: int
-    n_conn_class: int
-    k_count: int
-    l_count: int
-    s_count: int
+    __slots__ = ("delta", "support", "families", "n_edge_class",
+                 "n_conn_class", "k_count", "l_count", "s_count")
 
-    def __post_init__(self):
-        r = self.families
-        if self.s_count * r * (r - 1) != self.n_edge_class * self.k_count:
+    def __init__(self, delta: int, support: int, families: int,
+                 n_edge_class: int, n_conn_class: int, k_count: int,
+                 l_count: int, s_count: int):
+        r = families
+        if s_count * r * (r - 1) != n_edge_class * k_count:
             raise ArithmeticError("edge double-counting identity failed")
-        if self.s_count * r * r != self.n_conn_class * self.l_count:
+        if s_count * r * r != n_conn_class * l_count:
             raise ArithmeticError("connecting double-counting identity failed")
+        self.delta = delta
+        self.support = support
+        self.families = families
+        self.n_edge_class = n_edge_class
+        self.n_conn_class = n_conn_class
+        self.k_count = k_count
+        self.l_count = l_count
+        self.s_count = s_count
 
     def ratio_identity_holds(self) -> bool:
         """L/K = (r/(r-1)) * N_edge/N_conn, as exact rationals."""

@@ -12,29 +12,29 @@ possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from . import Record
 from .metric import FiniteMetricSpace
 from .numerics import REL_TOL, Number, rational_pow
 
 
-@dataclass(frozen=True)
-class SeqVector:
+class SeqVector(Record):
     """Sparse sequence: (level, value) entries, levels strictly increasing,
     values nonzero."""
 
-    entries: tuple = ()
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple = ()):
         last = 0
-        for idx, val in self.entries:
+        for idx, val in entries:
             if idx <= last:
                 raise ValueError("levels must be strictly increasing")
             if val == 0:
                 raise ValueError("values must be nonzero")
             last = idx
+        self.entries = entries
 
     def as_dict(self) -> dict:
         return dict(self.entries)
@@ -121,16 +121,19 @@ def ballchain_level(g) -> int:
     return 1 if g is None else _ceil_inverse(g)
 
 
-@dataclass(frozen=True)
-class LevelStructure:
+class LevelStructure(Record):
     """Per-point gaps and levels, and at each level n the enumeration index
     of every point outside A_n (a point without an index lies in A_n)."""
 
-    gaps: tuple
-    kappas: tuple
-    levels: int
-    h_index: tuple
-    warning: Optional[str] = None
+    __slots__ = ("gaps", "kappas", "levels", "h_index", "warning")
+
+    def __init__(self, gaps: tuple, kappas: tuple, levels: int,
+                 h_index: tuple, warning: Optional[str] = None):
+        self.gaps = gaps
+        self.kappas = kappas
+        self.levels = levels
+        self.h_index = h_index
+        self.warning = warning
 
 
 def build_level_structure(space) -> LevelStructure:
@@ -148,14 +151,19 @@ def build_level_structure(space) -> LevelStructure:
     return LevelStructure(tuple(gaps), kappas, top, h_index)
 
 
-@dataclass
 class InjectionTable:
-    target: str
-    images: list
-    labels: tuple
-    p: Optional[Fraction] = None
-    descriptor: Optional[str] = None
-    warnings: list = field(default_factory=list)
+    __slots__ = ("target", "images", "labels", "p", "descriptor", "warnings")
+
+    def __init__(self, target: str, images: list, labels: tuple,
+                 p: Optional[Fraction] = None,
+                 descriptor: Optional[str] = None,
+                 warnings: Optional[list] = None):
+        self.target = target
+        self.images = images
+        self.labels = labels
+        self.p = p
+        self.descriptor = descriptor
+        self.warnings = [] if warnings is None else warnings
 
     def to_json_dict(self, space: Optional[FiniteMetricSpace] = None) -> dict:
         def enc(v):
@@ -258,13 +266,15 @@ def build_ellp_injection(space, p) -> InjectionTable:
         p=p)
 
 
-@dataclass(frozen=True)
-class BallChainTarget:
+class BallChainTarget(Record):
     """Nested balls of diameter 1/n on the line: ball n offers the
     candidates 1/(n + shift), 1/(n + shift + 1), ..."""
 
-    name: str
-    shift: int
+    __slots__ = ("name", "shift")
+
+    def __init__(self, name: str, shift: int):
+        self.name = name
+        self.shift = shift
 
 
 def interval_chain_target() -> BallChainTarget:
@@ -314,17 +324,25 @@ def build_injection(space, spec: str) -> InjectionTable:
     raise ValueError(f"unknown target {spec!r}")
 
 
-@dataclass
 class InjectionReport:
-    target: str
-    injective: bool
-    duplicate_pair: Optional[tuple]
-    worst_ratio: Optional[Number]
-    worst_pair: Optional[tuple]
-    violations: list
-    checked_pairs: int
-    modulus: str
-    convention: Optional[str] = None
+    __slots__ = ("target", "injective", "duplicate_pair", "worst_ratio",
+                 "worst_pair", "violations", "checked_pairs", "modulus",
+                 "convention")
+
+    def __init__(self, target: str, injective: bool,
+                 duplicate_pair: Optional[tuple],
+                 worst_ratio: Optional[Number], worst_pair: Optional[tuple],
+                 violations: list, checked_pairs: int, modulus: str,
+                 convention: Optional[str] = None):
+        self.target = target
+        self.injective = injective
+        self.duplicate_pair = duplicate_pair
+        self.worst_ratio = worst_ratio
+        self.worst_pair = worst_pair
+        self.violations = violations
+        self.checked_pairs = checked_pairs
+        self.modulus = modulus
+        self.convention = convention
 
     @property
     def ok(self) -> bool:

@@ -5,15 +5,14 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from . import Record
 from .numerics import Number, rational_pow
 
 
-@dataclass(frozen=True)
-class FiniteMetricSpace:
+class FiniteMetricSpace(Record):
     """Explicit point set with an exact rational distance matrix.
 
     The default constructor audits all metric axioms eagerly with
@@ -22,19 +21,18 @@ class FiniteMetricSpace:
     audited.
     """
 
-    dist: tuple[tuple[Fraction, ...], ...]
-    labels: tuple[str, ...] = ()
-    _skip_checks: bool = field(default=False, repr=False)
+    __slots__ = ("dist", "labels")
 
-    def __post_init__(self):
-        n = len(self.dist)
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(str(i) for i in range(n)))
+    def __init__(self, dist: tuple[tuple[Fraction, ...], ...],
+                 labels: tuple[str, ...] = (), _skip_checks: bool = False):
+        n = len(dist)
+        self.dist = dist
+        self.labels = labels or tuple(str(i) for i in range(n))
         if len(self.labels) != n:
             raise ValueError("labels length must match matrix size")
-        if self._skip_checks:
+        if _skip_checks:
             return
-        if any(len(row) != n for row in self.dist):
+        if any(len(row) != n for row in dist):
             raise ValueError("distance matrix must be square")
         rep = validate_metric(self)
         for axiom, ok in (("identity", rep.identity_ok),
@@ -66,15 +64,20 @@ class FiniteMetricSpace:
         return self.dist[a][b]
 
 
-@dataclass
 class ValidationReport:
-    ok: bool
-    symmetry_ok: bool
-    identity_ok: bool
-    positivity_ok: bool
-    violations: list
-    checked_triples: int
-    exhaustive: bool
+    __slots__ = ("ok", "symmetry_ok", "identity_ok", "positivity_ok",
+                 "violations", "checked_triples", "exhaustive")
+
+    def __init__(self, ok: bool, symmetry_ok: bool, identity_ok: bool,
+                 positivity_ok: bool, violations: list,
+                 checked_triples: int, exhaustive: bool):
+        self.ok = ok
+        self.symmetry_ok = symmetry_ok
+        self.identity_ok = identity_ok
+        self.positivity_ok = positivity_ok
+        self.violations = violations
+        self.checked_triples = checked_triples
+        self.exhaustive = exhaustive
 
     def to_dict(self) -> dict:
         return {
@@ -122,13 +125,15 @@ def validate_metric(space, budget: int | None = None) -> ValidationReport:
                             violations, checked, exhaustive)
 
 
-@dataclass(frozen=True)
-class SnowflakeOracle:
+class SnowflakeOracle(Record):
     """Distances raised to a power alpha in (0, 1]; still a metric by
     concavity. Exact where the root is exact, declared-precision otherwise."""
 
-    base: object
-    alpha: Fraction
+    __slots__ = ("base", "alpha")
+
+    def __init__(self, base: object, alpha: Fraction):
+        self.base = base
+        self.alpha = alpha
 
     @property
     def size(self) -> int:
@@ -154,8 +159,7 @@ def snowflake(space, alpha) -> SnowflakeOracle:
     return SnowflakeOracle(space, alpha)
 
 
-@dataclass(frozen=True)
-class ModulusEnvelope:
+class ModulusEnvelope(Record):
     """Tightest non-decreasing envelopes around (domain, image) samples.
 
     rho1 is the largest non-decreasing function below all samples (suffix
@@ -163,10 +167,14 @@ class ModulusEnvelope:
     (prefix maximum); both are right-continuous step functions.
     """
 
-    domains: tuple
-    images: tuple
-    suffix_min: tuple
-    prefix_max: tuple
+    __slots__ = ("domains", "images", "suffix_min", "prefix_max")
+
+    def __init__(self, domains: tuple, images: tuple, suffix_min: tuple,
+                 prefix_max: tuple):
+        self.domains = domains
+        self.images = images
+        self.suffix_min = suffix_min
+        self.prefix_max = prefix_max
 
     def rho1(self, t) -> Number | None:
         """min image over samples with domain >= t; None beyond the data."""

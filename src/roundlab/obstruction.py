@@ -13,12 +13,11 @@ numpy.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, ClassVar, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
+from . import Record
 from .cyclic import (PairClass, ProductCycleSpace, SimplexClass,
                      SparsePairBatch,
                      count_pairs_closed, enumerate_pairs, stage_pair_class,
@@ -67,13 +66,13 @@ def euler_factors(ns) -> np.ndarray:
     return np.exp(arr * np.log1p(-1.0 / (arr + 2.0)))
 
 
-class _CycleMapBase:
+class _CycleMapBase(Record):
     """Shared per-coordinate plumbing for maps out of a product of cycles.
 
     Subclass images read only the per-coordinate cyclic differences, which
     are exactly delta on every pair of a (delta, support) class."""
 
-    space: ProductCycleSpace
+    __slots__ = ()
 
     def _cyc_quanta(self, batch: SparsePairBatch) -> np.ndarray:
         import numpy as np
@@ -97,13 +96,16 @@ class _CycleMapBase:
         return self._class_distance(cls.delta, cls.support)
 
 
-@dataclass(frozen=True)
 class IdentityMap(_CycleMapBase):
     """Identity into the space's own sup metric."""
 
-    space: ProductCycleSpace
-    declared_roundness: Optional[float] = None
-    name: ClassVar[str] = "identity"
+    __slots__ = ("space", "declared_roundness")
+    name = "identity"
+
+    def __init__(self, space: ProductCycleSpace,
+                 declared_roundness: Optional[float] = None):
+        self.space = space
+        self.declared_roundness = declared_roundness
 
     def image_distance(self, x, y) -> float:
         return float(self.space.distance(x, y))
@@ -115,19 +117,19 @@ class IdentityMap(_CycleMapBase):
         return self._sup_distances(batch)
 
 
-@dataclass(frozen=True)
 class CircleEmbeddingMap(_CycleMapBase):
     """Each coordinate to a circle of matching circumference in the plane;
     coordinates combine in l2. Image distances depend only on per-coordinate
     residue differences, so class pairs land at a single distance."""
 
-    space: ProductCycleSpace
-    declared_roundness: Optional[float] = 2.0
-    name: ClassVar[str] = "circle"
+    __slots__ = ("space", "declared_roundness", "radius")
+    name = "circle"
 
-    @functools.cached_property
-    def radius(self) -> float:
-        return float(self.space.units * self.space.quantum) / (2.0 * math.pi)
+    def __init__(self, space: ProductCycleSpace,
+                 declared_roundness: Optional[float] = 2.0):
+        self.space = space
+        self.declared_roundness = declared_roundness
+        self.radius = float(space.units * space.quantum) / (2.0 * math.pi)
 
     def chord(self, quanta) -> float:
         return 2.0 * self.radius * math.sin(math.pi * float(quanta) / self.space.units)
@@ -156,18 +158,19 @@ class CircleEmbeddingMap(_CycleMapBase):
         return np.sqrt((chord * chord).sum(axis=1))
 
 
-@dataclass(frozen=True)
 class SnowflakeMap(_CycleMapBase):
     """Sup distance raised to alpha in (0, 1]."""
 
-    space: ProductCycleSpace
-    alpha: float
-    declared_roundness: Optional[float] = None
-    name: ClassVar[str] = "snowflake"
+    __slots__ = ("space", "alpha", "declared_roundness")
+    name = "snowflake"
 
-    def __post_init__(self):
-        if not (0 < self.alpha <= 1):
+    def __init__(self, space: ProductCycleSpace, alpha: float,
+                 declared_roundness: Optional[float] = None):
+        if not (0 < alpha <= 1):
             raise ValueError("alpha must lie in (0, 1]")
+        self.space = space
+        self.alpha = alpha
+        self.declared_roundness = declared_roundness
 
     def image_distance(self, x, y) -> float:
         return float(self.space.distance(x, y)) ** self.alpha
@@ -179,13 +182,16 @@ class SnowflakeMap(_CycleMapBase):
         return self._sup_distances(batch) ** self.alpha
 
 
-@dataclass(frozen=True)
 class ConstantMap(_CycleMapBase):
     """Collapses everything to a point; never yields an obstruction."""
 
-    space: ProductCycleSpace
-    declared_roundness: Optional[float] = math.inf
-    name: ClassVar[str] = "constant"
+    __slots__ = ("space", "declared_roundness")
+    name = "constant"
+
+    def __init__(self, space: ProductCycleSpace,
+                 declared_roundness: Optional[float] = math.inf):
+        self.space = space
+        self.declared_roundness = declared_roundness
 
     def image_distance(self, x, y) -> float:
         return 0.0
@@ -213,13 +219,16 @@ def resolve_builtin_map(spec: str, space: ProductCycleSpace):
     raise ValueError(f"unknown builtin map {spec!r}")
 
 
-@dataclass(frozen=True)
-class LevelAverage:
-    cls: PairClass
-    p: float
-    mean: float
-    count: int
-    mode: str
+class LevelAverage(Record):
+    __slots__ = ("cls", "p", "mean", "count", "mode")
+
+    def __init__(self, cls: PairClass, p: float, mean: float, count: int,
+                 mode: str):
+        self.cls = cls
+        self.p = p
+        self.mean = mean
+        self.count = count
+        self.mode = mode
 
     def to_dict(self) -> dict:
         return {
@@ -292,16 +301,21 @@ def class_extremes(emap, cls: PairClass,
     return dist, dist, samples
 
 
-@dataclass
 class StepReport:
-    simplex_class: SimplexClass
-    p: float
-    conn: LevelAverage
-    edge: LevelAverage
-    factor: float
-    margin: float
-    holds: bool
-    assumed_roundness: bool
+    __slots__ = ("simplex_class", "p", "conn", "edge", "factor", "margin",
+                 "holds", "assumed_roundness")
+
+    def __init__(self, simplex_class: SimplexClass, p: float,
+                 conn: LevelAverage, edge: LevelAverage, factor: float,
+                 margin: float, holds: bool, assumed_roundness: bool):
+        self.simplex_class = simplex_class
+        self.p = p
+        self.conn = conn
+        self.edge = edge
+        self.factor = factor
+        self.margin = margin
+        self.holds = holds
+        self.assumed_roundness = assumed_roundness
 
     def to_dict(self) -> dict:
         return {
@@ -361,16 +375,21 @@ def verify_step_inequality(emap, scls: SimplexClass, p: float,
                       step["assumed_roundness"])
 
 
-@dataclass
 class ChainReport:
-    start: SimplexClass
-    levels: int
-    p: float
-    averages: list
-    steps: list
-    factor_total: float
-    cumulative_margin: float
-    cumulative_holds: bool
+    __slots__ = ("start", "levels", "p", "averages", "steps", "factor_total",
+                 "cumulative_margin", "cumulative_holds")
+
+    def __init__(self, start: SimplexClass, levels: int, p: float,
+                 averages: list, steps: list, factor_total: float,
+                 cumulative_margin: float, cumulative_holds: bool):
+        self.start = start
+        self.levels = levels
+        self.p = p
+        self.averages = averages
+        self.steps = steps
+        self.factor_total = factor_total
+        self.cumulative_margin = cumulative_margin
+        self.cumulative_holds = cumulative_holds
 
     def to_dict(self) -> dict:
         return {
@@ -440,17 +459,23 @@ def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
                        cum_margin, cum_holds)
 
 
-@dataclass
 class CoarseObstructionReport:
-    p: float
-    found: bool
-    n: Optional[int]
-    alpha: Optional[float]
-    alpha_exact: Optional[str]
-    margin: Optional[float]
-    odd_n_warning: bool
-    binding_constraint: Optional[str]
-    scanned: list
+    __slots__ = ("p", "found", "n", "alpha", "alpha_exact", "margin",
+                 "odd_n_warning", "binding_constraint", "scanned")
+
+    def __init__(self, p: float, found: bool, n: Optional[int],
+                 alpha: Optional[float], alpha_exact: Optional[str],
+                 margin: Optional[float], odd_n_warning: bool,
+                 binding_constraint: Optional[str], scanned: list):
+        self.p = p
+        self.found = found
+        self.n = n
+        self.alpha = alpha
+        self.alpha_exact = alpha_exact
+        self.margin = margin
+        self.odd_n_warning = odd_n_warning
+        self.binding_constraint = binding_constraint
+        self.scanned = scanned
 
     def to_dict(self) -> dict:
         return {
@@ -517,15 +542,21 @@ def coarse_obstruction_report(moduli: ModulusEnvelope, p: float,
                                    binding, scanned)
 
 
-@dataclass
 class UniformObstructionReport:
-    map_name: str
-    p: float
-    entries: list
-    epsilon_observed: Optional[float]
-    first_violation_n: Optional[int]
-    obstruction_found: bool
-    conclusion: str
+    __slots__ = ("map_name", "p", "entries", "epsilon_observed",
+                 "first_violation_n", "obstruction_found", "conclusion")
+
+    def __init__(self, map_name: str, p: float, entries: list,
+                 epsilon_observed: Optional[float],
+                 first_violation_n: Optional[int], obstruction_found: bool,
+                 conclusion: str):
+        self.map_name = map_name
+        self.p = p
+        self.entries = entries
+        self.epsilon_observed = epsilon_observed
+        self.first_violation_n = first_violation_n
+        self.obstruction_found = obstruction_found
+        self.conclusion = conclusion
 
     def to_dict(self) -> dict:
         return {

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
 
 SCHEMA_VERSION = 7
 
@@ -46,13 +44,17 @@ def sanitize(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-@dataclass
 class Report:
-    command: str
-    params: dict
-    results: dict
-    provenance: dict = field(default_factory=dict)
-    wall_time_s: float | None = None
+    __slots__ = ("command", "params", "results", "provenance", "wall_time_s")
+
+    def __init__(self, command: str, params: dict, results: dict,
+                 provenance: dict | None = None,
+                 wall_time_s: float | None = None):
+        self.command = command
+        self.params = params
+        self.results = results
+        self.provenance = {} if provenance is None else provenance
+        self.wall_time_s = wall_time_s
 
     def body(self) -> dict:
         return {

@@ -14,23 +14,24 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from . import kernels
+from . import Record, kernels
 from .cyclic import BudgetExceeded, DoubleSimplex, ProductCycleSpace
 from .numerics import (PRECISION_BITS, REL_TOL, Number, dpow, dpow_mp,
                        is_violation)
 
 
-@dataclass(frozen=True)
-class GapResult:
-    p: Number
-    lhs: Number
-    rhs: Number
-    exact: bool
+class GapResult(Record):
+    __slots__ = ("p", "lhs", "rhs", "exact")
+
+    def __init__(self, p: Number, lhs: Number, rhs: Number, exact: bool):
+        self.p = p
+        self.lhs = lhs
+        self.rhs = rhs
+        self.exact = exact
 
     @property
     def gap(self) -> Number:
@@ -133,6 +134,13 @@ def find_violation_exhaustive(space, max_size: int, p,
         if need > budget:
             raise BudgetExceeded(
                 f"exhaustive scan needs {need} configurations", need)
+    if p == 0 and all(space.distance(i, j) != 0
+                      for i in range(n) for j in range(n) if i != j):
+        # D^0 is all ones off the diagonal, so with c the signed member
+        # counts, twice every gap is sum_k (1 - D^0_kk) c_k^2 plus the
+        # diagonal entries of the members: an integer >= 0, exact in
+        # floats, never a violation (|c|^2 / 2 on a zero diagonal)
+        return None
     dp = distance_power_matrix(space, p)
     witness, _, _ = kernels.min_gap_scan(dp, max_size, REL_TOL)
     if witness is None:
@@ -234,20 +242,28 @@ def find_violation_characters(space: ProductCycleSpace, p,
     return None
 
 
-@dataclass
 class RoundnessEstimate:
-    lower: float
-    upper: float
-    # a double simplex, or on a cycle product a character's folded
-    # frequency multiset
-    witness: Optional[DoubleSimplex | tuple]
-    witness_p: Optional[float]
-    certified: bool
-    covers: str
-    max_simplex_size: Optional[int]
-    p_cap: float
-    probes: list = field(default_factory=list)
-    flags: list = field(default_factory=list)
+    __slots__ = ("lower", "upper", "witness", "witness_p", "certified",
+                 "covers", "max_simplex_size", "p_cap", "probes", "flags")
+
+    def __init__(self, lower: float, upper: float,
+                 witness: Optional[DoubleSimplex | tuple],
+                 witness_p: Optional[float], certified: bool, covers: str,
+                 max_simplex_size: Optional[int], p_cap: float,
+                 probes: Optional[list] = None,
+                 flags: Optional[list] = None):
+        self.lower = lower
+        self.upper = upper
+        # a double simplex, or on a cycle product a character's folded
+        # frequency multiset
+        self.witness = witness
+        self.witness_p = witness_p
+        self.certified = certified
+        self.covers = covers
+        self.max_simplex_size = max_simplex_size
+        self.p_cap = p_cap
+        self.probes = [] if probes is None else probes
+        self.flags = [] if flags is None else flags
 
     def to_dict(self) -> dict:
         if self.witness is None:

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import Record
 from .metric import FiniteMetricSpace
 
 
@@ -79,11 +79,13 @@ def path_graph_space(k: int) -> FiniteMetricSpace:
     return FiniteMetricSpace.from_rows(rows)
 
 
-@dataclass(frozen=True)
-class PlanarPoints:
+class PlanarPoints(Record):
     """Euclidean distances between integer grid points, as floats."""
 
-    coords: tuple[tuple[int, int], ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[tuple[int, int], ...]):
+        self.coords = coords
 
     @property
     def size(self) -> int:

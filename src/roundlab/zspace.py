@@ -11,9 +11,10 @@ block); the corrected one survives an exact extremal case analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
+
+from . import Record
 
 VARIANTS = ("literal", "corrected")
 DENSE_COORD_LIMIT = 4096
@@ -41,22 +42,20 @@ def _check_block(n: int) -> None:
         raise ValueError(f"block size must be even and >= 2, got {n}")
 
 
-@dataclass(frozen=True)
-class ZPoint:
+class ZPoint(Record):
     """Point of one block, nonzero residues only.
 
     Dense blocks are huge (block 8 has 16777216 coordinates), so points
     hold a sparse {coordinate: residue} map; missing coordinates are 0.
     """
 
-    block: int
-    residues: tuple = ()
+    __slots__ = ("block", "residues")
 
-    def __post_init__(self):
-        _check_block(self.block)
-        c, u = block_coords(self.block), block_units(self.block)
+    def __init__(self, block: int, residues: tuple = ()):
+        _check_block(block)
+        c, u = block_coords(block), block_units(block)
         seen = set()
-        for coord, val in self.residues:
+        for coord, val in residues:
             if not (0 <= coord < c):
                 raise ValueError(f"coordinate {coord} out of range")
             if not (0 < val < u):
@@ -64,6 +63,8 @@ class ZPoint:
             if coord in seen:
                 raise ValueError(f"coordinate {coord} repeated")
             seen.add(coord)
+        self.block = block
+        self.residues = residues
 
     @classmethod
     def make(cls, block: int, residues: dict | None = None) -> "ZPoint":
@@ -143,14 +144,17 @@ def zeta(x: ZPoint, y: ZPoint, variant: str = "corrected") -> Fraction:
     return cross_distance(x.block, y.block, variant)
 
 
-@dataclass(frozen=True)
-class TriangleViolation:
-    kind: str
-    x: ZPoint
-    y: ZPoint
-    z: ZPoint
-    lhs: Fraction
-    rhs: Fraction
+class TriangleViolation(Record):
+    __slots__ = ("kind", "x", "y", "z", "lhs", "rhs")
+
+    def __init__(self, kind: str, x: ZPoint, y: ZPoint, z: ZPoint,
+                 lhs: Fraction, rhs: Fraction):
+        self.kind = kind
+        self.x = x
+        self.y = y
+        self.z = z
+        self.lhs = lhs
+        self.rhs = rhs
 
     @property
     def slack(self) -> Fraction:
@@ -218,12 +222,15 @@ def find_triangle_violation(variant: str, block_bound: int) -> Optional[Triangle
     return hits[0] if hits else None
 
 
-@dataclass
 class CorrectedCertificate:
-    block_bound: int
-    checked_cases: int
-    violations: list
-    ok: bool
+    __slots__ = ("block_bound", "checked_cases", "violations", "ok")
+
+    def __init__(self, block_bound: int, checked_cases: int, violations: list,
+                 ok: bool):
+        self.block_bound = block_bound
+        self.checked_cases = checked_cases
+        self.violations = violations
+        self.ok = ok
 
     def to_dict(self) -> dict:
         return {
@@ -271,12 +278,15 @@ def certify_corrected(block_bound: int) -> CorrectedCertificate:
     return CorrectedCertificate(block_bound, checked, bad, not bad)
 
 
-@dataclass
 class BallCensusEntry:
-    block: int
-    count: Optional[int]
-    count_log10: float
-    formula: str
+    __slots__ = ("block", "count", "count_log10", "formula")
+
+    def __init__(self, block: int, count: Optional[int], count_log10: float,
+                 formula: str):
+        self.block = block
+        self.count = count
+        self.count_log10 = count_log10
+        self.formula = formula
 
     def to_dict(self) -> dict:
         return {
@@ -287,15 +297,20 @@ class BallCensusEntry:
         }
 
 
-@dataclass
 class BallCensus:
-    center: ZPoint
-    radius: Fraction
-    variant: str
-    block_bound: int
-    entries: list
-    total: Optional[int]
-    total_log10: float
+    __slots__ = ("center", "radius", "variant", "block_bound", "entries",
+                 "total", "total_log10")
+
+    def __init__(self, center: ZPoint, radius: Fraction, variant: str,
+                 block_bound: int, entries: list, total: Optional[int],
+                 total_log10: float):
+        self.center = center
+        self.radius = radius
+        self.variant = variant
+        self.block_bound = block_bound
+        self.entries = entries
+        self.total = total
+        self.total_log10 = total_log10
 
     def to_dict(self) -> dict:
         return {

@@ -441,6 +441,53 @@ def test_obstruct_chain_step_wall_time_outside_body(argv, results_sha256,
     assert hashlib.sha256(text.encode()).hexdigest() == results_sha256
 
 
+_SPACE_4 = ["--coords", "4", "--units", "8", "--delta", "1", "--support", "2"]
+_SPACE_8 = ["--coords", "8", "--units", "8", "--delta", "1", "--support", "2"]
+
+
+@pytest.mark.parametrize("argv, code, results_sha256", [
+    (["counts", "incidences", *_SPACE_8, "--size", "2"], 0,
+     "693edb6f6d2525682805cccec15c7da4f7281f815c3280a33741eb86dc212630"),
+    (["counts", "incidences", *_SPACE_8, "--size", "4",
+      "--budget", str(10 ** 12)], 0,
+     "ffd74482fc62eba02259c12a485108b83992a2b7e00b94e3a72d2f787d7481cf"),
+    (["counts", "pairs", *_SPACE_4, "--enumerate-budget", str(10 ** 6)], 0,
+     "c9413001dec059e9f3a6ce02d4f62b75fc8941d3cc8b2481036200b66e643d79"),
+    (["obstruct", "uniform", "--map", "builtin:identity", "--n-ladder", "2,4",
+      "--p", "2", "--seed", "3"], 2,
+     "6742764c0f86ab9cb17acbf73d9b0a58000d18cd6d339cbc394caeb7da57d898"),
+    (["obstruct", "uniform", "--map", "builtin:circle", "--n-ladder", "2,4",
+      "--p", "2"], 0,
+     "b88ac69c45cade495abd43651689a11d8b20aebfa5fc773f6dca131b69d98e3a"),
+    (["obstruct", "coarse", "--moduli", "{moduli}", "--p", "1"], 2,
+     "aee70c77c34ca70159b0a66b4bcfc4aa434c819c1b81d4ac05bfe7ae6afc565d"),
+    (["validate", "--input", "{space}"], 0,
+     "faa2b469548e9179276fcb2f4a331a13051c1b7ef4bc178b4d3f661350153bad"),
+    (["validate", "--input", "{broken}"], 2,
+     "603a49ae4d7ecaf99b6a7be0815e1faddaa56dd5791ea97798e3f8fb4ea3fd56"),
+    (["zspace", "validate", "--variant", "corrected"], 0,
+     "4c8ed7464136a34f46061a9423819fe1c203b9fdf12e0675edf0d58a10ca2115"),
+    (["zspace", "ball", "--block", "2", "--radius", "1/2"], 0,
+     "ebd0fc2da2657d18c198e5025f036186c6b415fadd7a2de674671a1d619ec586"),
+    (["cayley", "verify", "--n", "4"], 0,
+     "2937439274942d3e567c19c3e0c280ae34711e601ccbb95a7dd56f8db0afe2d8"),
+], ids=["incidences-r2", "incidences-r4", "pairs-enumerated",
+        "uniform-identity", "uniform-circle", "coarse", "validate-r20",
+        "validate-broken", "zspace-validate", "zspace-ball", "cayley-verify"])
+def test_results_frozen(argv, code, results_sha256, growth_moduli,
+                        broken_csv, tmp_path, capsys):
+    # digests recorded at schema 7, before the record classes were
+    # written out by hand instead of generated by `dataclasses`
+    space = tmp_path / "r20.csv"
+    write_space_csv(random_rational_metric_space(20, 0), str(space))
+    files = {"moduli": growth_moduli, "space": str(space),
+             "broken": broken_csv}
+    got, doc, _ = run([a.format(**files) for a in argv], capsys)
+    assert got == code
+    text = json.dumps(doc["results"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == results_sha256
+
+
 # ---------------------------------------------------------------------------
 # zspace commands
 

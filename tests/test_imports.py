@@ -105,6 +105,8 @@ def assert_no_heavy_imports(modules: set) -> None:
     assert "statistics" not in modules
     # no command here starts a process pool, so none loads its module
     assert "concurrent.futures.process" not in modules
+    # records are plain classes: no request pays for generating them
+    assert "dataclasses" not in modules
 
 
 @pytest.mark.parametrize("argv", [*COUNTS.values(), *STEPS.values()],
@@ -136,6 +138,7 @@ def test_cayley_verify_loads_no_pool(variant, rc, tmp_path):
     assert "numpy" in modules
     assert "roundlab.parallel" not in modules
     assert "concurrent.futures.process" not in modules
+    assert "dataclasses" not in modules
     assert not modules & SPACE_FILE_MODULES
 
 
@@ -178,6 +181,7 @@ def test_gr_estimate_loads_roundness_and_spaces(tmp_path):
                                tmp_path)
     assert rc == 0
     assert SPACE_FILE_MODULES <= modules
+    assert "dataclasses" not in modules
 
 
 def test_product_estimate_loads_no_numpy():
@@ -208,6 +212,8 @@ def test_import_cli_loads_only_the_shared_modules():
     assert [m for m in modules if m.startswith("roundlab")] \
         == CLI_IMPORT_MODULES
     assert_no_heavy_imports(set(modules))
+    # nor what generated records would pull in
+    assert "inspect" not in modules
 
 
 # builds and checks a stage-form simplex on 46,656 coordinates, past any

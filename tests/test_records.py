@@ -1,0 +1,129 @@
+"""Value semantics of the record types that are compared and hashed."""
+
+import copy
+from fractions import Fraction
+
+import pytest
+
+from roundlab.cayley import ExplicitGenerators, FamilyGenerators, MStarSpace
+from roundlab.cyclic import (CycleSpace, DoubleSimplex, IncidenceCounts,
+                             Isometry, PairClass, ProductCycleSpace,
+                             SimplexClass)
+from roundlab.inject import BallChainTarget, LevelStructure, SeqVector
+from roundlab.metric import FiniteMetricSpace, ModulusEnvelope, SnowflakeOracle
+from roundlab.obstruction import (CircleEmbeddingMap, ConstantMap,
+                                  IdentityMap, LevelAverage, SnowflakeMap)
+from roundlab.roundness import GapResult
+from roundlab.spaces import PlanarPoints
+from roundlab.zspace import TriangleViolation, ZPoint
+
+F = Fraction
+C8 = CycleSpace(8)
+SPACE = ProductCycleSpace(3, C8)
+PATH3 = tuple(tuple(F(abs(i - j)) for j in range(3)) for i in range(3))
+
+# type: (constructor arguments, (argument index, a different value),
+# [(bad arguments, exception, message)]); the errors are those the
+# constructor raised when these types were frozen dataclasses
+RECORDS = {
+    CycleSpace: ((8, F(1, 2)), (1, F(1, 4)), [
+        ((7,), ValueError, "units must be a positive even integer"),
+        ((0,), ValueError, "units must be a positive even integer"),
+        ((8, F(0)), ValueError, "quantum must be positive")]),
+    ProductCycleSpace: ((3, C8), (1, CycleSpace(6)), [
+        ((0, C8), ValueError, "coords must be >= 1")]),
+    PairClass: ((1, 2), (1, 3), [
+        ((0, 2), ValueError, "delta must be >= 1"),
+        ((1, 0), ValueError, "support must be >= 1")]),
+    SimplexClass: ((1, 2, 4), (2, 2), [
+        ((1, 2, 3), ValueError, "families must be an even integer >= 2"),
+        ((1, 0, 2), ValueError, "delta and support must be >= 1")]),
+    DoubleSimplex: (((0, 2), (1, 3)), (1, (1, 2)), [
+        (((0, 2), (1,)), ValueError, "families must have equal size"),
+        (((0,), (1,)), ValueError, "families must have >= 2 members")]),
+    Isometry: (((1, 0), (0, 3), (False, True), 8), (2, (True, True)), []),
+    IncidenceCounts: ((1, 1, 2, 4, 8, 1, 1, 2), (0, 2), [
+        ((1, 1, 2, 4, 4, 1, 1, 3), ArithmeticError,
+         "edge double-counting identity failed"),
+        ((1, 1, 2, 4, 4, 1, 1, 2), ArithmeticError,
+         "connecting double-counting identity failed")]),
+    FiniteMetricSpace: ((PATH3, ("a", "b", "c")), (1, ("a", "b", "d")), [
+        ((PATH3, ("a",)), ValueError, "labels length must match"),
+        ((((F(0), F(1)), (F(1),)),), ValueError, "must be square"),
+        ((((F(1), F(1)), (F(1), F(0))),), ValueError, "fails identity"),
+        ((((F(0), F(1)), (F(2), F(0))),), ValueError, "fails symmetry"),
+        ((((F(0), F(0)), (F(0), F(0))),), ValueError, "fails positivity"),
+        ((((F(0), F(1), F(3)), (F(1), F(0), F(1)), (F(3), F(1), F(0))),),
+         ValueError, r"triangle inequality fails at \(0,2,1\)")]),
+    SnowflakeOracle: ((C8, F(1, 2)), (1, F(1, 3)), []),
+    ModulusEnvelope: (((1, 2), (1, 3), (1, 3), (1, 3)), (3, (2, 3)), []),
+    IdentityMap: ((SPACE,), (0, ProductCycleSpace(4, C8)), []),
+    CircleEmbeddingMap: ((SPACE, 2.0), (1, 3.0), []),
+    SnowflakeMap: ((SPACE, 0.5), (1, 0.25), [
+        ((SPACE, 0.0), ValueError, r"alpha must lie in \(0, 1\]"),
+        ((SPACE, 1.5), ValueError, r"alpha must lie in \(0, 1\]")]),
+    ConstantMap: ((SPACE,), (0, ProductCycleSpace(4, C8)), []),
+    LevelAverage: ((PairClass(1, 2), 2.0, 1.5, 10, "mc"), (4, "exact"), []),
+    GapResult: ((2, F(8), F(4), True), (2, F(5)), []),
+    PlanarPoints: ((((0, 0), (3, 4)),), (0, ((0, 0), (1, 1))), []),
+    ZPoint: ((2, ((0, 1), (3, 2))), (1, ((0, 1),)), [
+        ((3,), ValueError, "block size must be even"),
+        ((2, ((4, 1),)), ValueError, "coordinate 4 out of range"),
+        ((2, ((0, 0),)), ValueError, "residue 0 out of range or zero"),
+        ((2, ((0, 1), (0, 2))), ValueError, "coordinate 0 repeated")]),
+    TriangleViolation: (("cross_detour", ZPoint(2), ZPoint(4), ZPoint(6),
+                         F(3), F(2)), (5, F(1)), []),
+    SeqVector: ((((1, F(1, 2)), (3, 1)),), (0, ((1, 1),)), [
+        ((((2, 1), (2, 1)),), ValueError,
+         "levels must be strictly increasing"),
+        ((((1, 0),),), ValueError, "values must be nonzero")]),
+    LevelStructure: (((F(1), F(1, 2)), (1, 2), 2, (), None), (4, "a warning"),
+                     []),
+    BallChainTarget: (("intervals", 1), (1, 0), []),
+    FamilyGenerators: ((2, 3, "literal"), (2, "merged"), [
+        ((0, 3), ValueError, "dim must be positive"),
+        ((2, 1), ValueError, "jump must be at least 2"),
+        ((2, 3, "other"), ValueError, "unknown variant 'other'")]),
+    ExplicitGenerators: ((1, frozenset({(1,), (-1,)})),
+                         (1, frozenset({(2,), (-2,)})), [
+        ((1, frozenset({(0,)})), ValueError, "generators must be nonzero"),
+        ((1, frozenset({(1,)})), ValueError,
+         r"\(1,\) present without its inverse"),
+        ((1, frozenset({(1, 1), (-1, -1)})), ValueError,
+         "vector has length 2, expected 1")]),
+    MStarSpace: ((4,), (0, 2), [
+        ((3,), ValueError, "n must be even and >= 2"),
+        ((0,), ValueError, "n must be even and >= 2")]),
+}
+
+
+@pytest.mark.parametrize("cls, args, change, errors",
+                         [(cls, *case) for cls, case in RECORDS.items()],
+                         ids=[cls.__name__ for cls in RECORDS])
+def test_record_value_semantics(cls, args, change, errors):
+    a, b = cls(*args), cls(*copy.deepcopy(args))
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # another type with the same fields never compares equal
+    assert a != args and a != object()
+    index, value = change
+    changed = list(args)
+    changed[index] = value
+    other = cls(*changed)
+    assert other != a and a != other
+    for bad, exc, message in errors:
+        with pytest.raises(exc, match=message):
+            cls(*bad)
+
+
+def test_record_repr_names_the_fields():
+    assert repr(PairClass(1, 2)) == "PairClass(delta=1, support=2)"
+    assert repr(CycleSpace(8, F(1, 2))) == \
+        "CycleSpace(units=8, quantum=Fraction(1, 2))"
+
+
+def test_unchecked_space_equals_checked_space_on_the_same_matrix():
+    # the audit flag is a constructor switch, not a field
+    assert FiniteMetricSpace(PATH3) == FiniteMetricSpace.unchecked(PATH3)
+    assert FiniteMetricSpace(PATH3).labels == ("0", "1", "2")

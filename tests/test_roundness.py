@@ -77,6 +77,43 @@ def test_find_violation_exhaustive():
     assert exc.value.required == 265
 
 
+@pytest.mark.parametrize("space", [
+    C4, cycle_graph_space(5), random_rational_metric_space(8, 2),
+    random_rational_metric_space(20, 0),
+], ids=["c4", "c5", "r8", "r20"])
+def test_zero_probe_scans_nothing(space, monkeypatch):
+    # off the diagonal D^0 is all ones, so no gap is negative at p = 0
+    scan = roundness.kernels.min_gap_scan
+    assert scan(distance_power_matrix(space, 0.0), 3, 1e-12)[0] is None
+    calls = []
+
+    def spy(dp, max_size, rel_tol):
+        calls.append(dp)
+        return scan(dp, max_size, rel_tol)
+
+    monkeypatch.setattr(roundness.kernels, "min_gap_scan", spy)
+    assert find_violation_exhaustive(space, 3, 0.0) is None
+    assert calls == []
+    est = estimate_roundness(space, max_size=3)
+    assert est.probes[0] == {"p": 0.0, "violation": False}
+    assert len(calls) == len(est.probes) - 1
+    # the budget is still checked before the probe returns
+    with pytest.raises(BudgetExceeded):
+        find_violation_exhaustive(space, 3, 0.0, budget=10)
+
+
+def test_zero_probe_scans_a_space_with_zero_distances():
+    # d(a, b) = d(b, c) = 0 and d(a, c) = 1: X = {a, c}, Y = {b, b} has
+    # gap 0 - 1 at p = 0
+    space = FiniteMetricSpace.unchecked([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+    assert simplex_gap(space, DoubleSimplex((0, 2), (1, 1)), 0).gap == -1
+    ds = find_violation_exhaustive(space, 3, 0.0)
+    assert ds is not None and certify_violation(space, ds, 0.0)
+    est = estimate_roundness(space, max_size=3)
+    assert est.flags == ["violation at p=0"]
+    assert (est.lower, est.upper, est.witness_p) == (0.0, 0.0, 0.0)
+
+
 def _asymmetric_unchecked(n, seed):
     """Unaudited rationals: about half the mirror entries differ, some
     entries and a diagonal are nonzero where a metric has 0, one is 0."""
