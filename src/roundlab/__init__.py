@@ -4,11 +4,14 @@ Cayley-graph checks, all backed by exact arithmetic where it matters.
 
 Public names are imported from their submodule on first access, so
 `import roundlab` loads no submodule and a command pays only for the code
-it runs."""
+it runs. The few names every layer shares (`Record`, `BudgetExceeded`,
+`BACKEND`) are defined here, which every submodule loads anyway."""
 
 import importlib
 
 __version__ = "0.1.0"
+# the kernels' implementation, named in every report's provenance
+BACKEND = "pure"
 
 _EXPORTS = {
     "cyclic": ("BudgetExceeded", "CycleSpace", "DoubleSimplex", "Isometry",
@@ -51,6 +54,15 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *__all__})
+
+
+class BudgetExceeded(Exception):
+    """Raised when an enumeration or count would exceed the caller's
+    budget."""
+
+    def __init__(self, message: str, required: int | None = None):
+        super().__init__(message)
+        self.required = required
 
 
 class Record:

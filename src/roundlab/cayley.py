@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import Record
-from .cyclic import DoubleSimplex
+from .cycles import DoubleSimplex
 
 GroupVector = tuple[int, ...]
 

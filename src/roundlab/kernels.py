@@ -40,20 +40,13 @@ import itertools
 import math
 from collections import Counter
 
-BACKEND = "pure"
+# both defined in the package, where the modules that raise or report them
+# without running a kernel find them too
+from . import BACKEND, BudgetExceeded  # noqa: F401
+
 # gaps computed per block of the exhaustive scan; at 0.25 MiB per array
 # the two block arrays stay in a core's L2 cache
 GAP_BLOCK = 32_768
-
-
-class BudgetExceeded(Exception):
-    """Raised when an enumeration or count would exceed the caller's
-    budget. It lives here, not in `cyclic`, because `cyclic` imports this
-    module and the counting DP raises it."""
-
-    def __init__(self, message: str, required: int | None = None):
-        super().__init__(message)
-        self.required = required
 
 
 def pair_census(coords: int, units: int) -> tuple[dict, int]:

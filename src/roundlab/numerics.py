@@ -14,7 +14,7 @@ Number = Union[int, Fraction, float]
 # relative tolerance of every inexact inequality (`is_violation`)
 REL_TOL = 1e-12
 # mpmath working precision of inexact fractional powers; witness
-# certification re-sums at twice this
+# certification re-sums at no less than twice this
 PRECISION_BITS = 80
 
 
@@ -40,26 +40,16 @@ def to_mpf(d: Number) -> mpmath.mpf:
     return mpmath.mpf(d)
 
 
-def dpow_mp(d: Number, p: float) -> mpmath.mpf:
-    """mpmath twin of dpow; precision comes from the ambient mpmath context."""
-    import mpmath
-
-    if d == 0:
-        return mpmath.mpf(0)
-    if p == 0:
-        return mpmath.mpf(1)
-    return to_mpf(d) ** to_mpf(p)
-
-
 def is_violation(gap, scale) -> bool:
     """The one rule that decides an inequality `gap >= 0`: exact gaps
     compare against exact zero, any other gap violates only below
     -REL_TOL * max(scale, 1). gap = 0 is no violation (the inequality is
-    non-strict). scale keeps its type, so an mpmath gap and scale compare
-    at the ambient mpmath precision."""
+    non-strict). REL_TOL is converted to the gap's type and scale keeps
+    its own, so a Decimal or mpmath gap and scale compare at the ambient
+    precision of their context."""
     if isinstance(gap, (int, Fraction)):
         return gap < 0
-    return gap < -REL_TOL * max(scale, 1)
+    return gap < -type(gap)(REL_TOL) * max(scale, 1)
 
 
 def exact_int_root(x: int, k: int) -> int | None:

@@ -14,14 +14,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from . import Record, kernels
-from .cyclic import BudgetExceeded, DoubleSimplex, ProductCycleSpace
-from .numerics import (PRECISION_BITS, REL_TOL, Number, dpow, dpow_mp,
-                       is_violation)
+from . import BudgetExceeded, Record
+from .cycles import DoubleSimplex, ProductCycleSpace
+from .numerics import PRECISION_BITS, REL_TOL, Number, dpow, is_violation
+
+# significant digits of witness certification: at least twice
+# PRECISION_BITS bits
+CERTIFY_DIGITS = math.ceil(2 * PRECISION_BITS * math.log10(2))
 
 
 class GapResult(Record):
@@ -76,21 +80,34 @@ def simplex_gap(space, ds: DoubleSimplex, p) -> GapResult:
     return GapResult(p, lhs, rhs, False)
 
 
+def _dpow_decimal(d: Number, p) -> Decimal:
+    """dpow in the ambient decimal context, with its 0**0 = 0 convention."""
+    if d == 0:
+        return Decimal(0)
+    if p == 0:
+        return Decimal(1)
+    if isinstance(d, Fraction):
+        base = Decimal(d.numerator) / d.denominator
+    else:
+        base = Decimal(d)
+    return base ** Decimal(p)
+
+
 def certify_violation(space, ds: DoubleSimplex, p) -> bool:
     """Recompute the gap independently and re-test the violation.
 
     Rational distances with integer p settle the question exactly; all
-    other cases are re-summed in mpmath at twice PRECISION_BITS.
+    other cases are re-summed in decimal at CERTIFY_DIGITS significant
+    digits, no less than twice PRECISION_BITS.
     """
     within, cross = _pair_distances(space, ds)
     exact = _exact_gap(within, cross, p)
     if exact is not None:
         return exact.is_violation()
-    import mpmath
-
-    with mpmath.workprec(2 * PRECISION_BITS):
-        lhs = mpmath.fsum(dpow_mp(d, p) for d in within)
-        rhs = mpmath.fsum(dpow_mp(d, p) for d in cross)
+    with localcontext() as ctx:
+        ctx.prec = CERTIFY_DIGITS
+        lhs = sum(_dpow_decimal(d, p) for d in within)
+        rhs = sum(_dpow_decimal(d, p) for d in cross)
         return is_violation(rhs - lhs, max(lhs, rhs))
 
 
@@ -106,18 +123,30 @@ def distance_power_matrix(space, p) -> list[list[float]]:
     """float(dpow(d(i, j), p)) for every ordered pair of points, with one
     `dpow` per unordered pair: the mirror entry reuses it wherever d(j, i)
     equals d(i, j) in value and type, which is where `dpow` is bound to
-    agree (an asymmetric input still gets its own power)."""
+    agree (an asymmetric input still gets its own power). A negative
+    distance (an unchecked space) at fractional p has no real power and
+    raises ValueError naming its pair."""
     n = space.size
     dist = [[space.distance(i, j) for j in range(n)] for i in range(n)]
     dp = [[0.0] * n for _ in range(n)]
-    for i, row in enumerate(dist):
-        out = dp[i]
-        for j in range(i, n):
-            d = row[j]
-            out[j] = value = float(dpow(d, p))
-            mirror = dist[j][i]
-            dp[j][i] = (value if mirror == d and type(mirror) is type(d)
-                        else float(dpow(mirror, p)))
+    try:
+        for i, row in enumerate(dist):
+            out = dp[i]
+            for j in range(i, n):
+                d = row[j]
+                out[j] = value = float(dpow(d, p))
+                mirror = dist[j][i]
+                dp[j][i] = (value if mirror == d and type(mirror) is type(d)
+                            else float(dpow(mirror, p)))
+    except TypeError:
+        # float() refuses the complex power of a negative base
+        negative = next(((i, j) for i, row in enumerate(dist)
+                         for j, d in enumerate(row) if d < 0), None)
+        if negative is None:
+            raise
+        i, j = negative
+        raise ValueError(f"distance between points {i} and {j} is negative "
+                         f"({dist[i][j]}): no real power at p={p}") from None
     return dp
 
 
@@ -141,6 +170,8 @@ def find_violation_exhaustive(space, max_size: int, p,
         # diagonal entries of the members: an integer >= 0, exact in
         # floats, never a violation (|c|^2 / 2 on a zero diagonal)
         return None
+    from . import kernels
+
     dp = distance_power_matrix(space, p)
     witness, _, _ = kernels.min_gap_scan(dp, max_size, REL_TOL)
     if witness is None:

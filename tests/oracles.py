@@ -11,7 +11,9 @@ takes one `dpow` per ordered pair, where the scan's builder takes one per
 unordered pair. The cyclic-product pair enumeration compares the two
 metrics on every point pair, which `verify_mstar_isometry` decides by a
 scan of coordinate values. The dense spectra of small cycle products
-decide what the character probe reads from closed forms.
+decide what the character probe reads from closed forms. The mpmath
+re-sum of a witness at 160 bits is the certifier that the decimal one
+replaced.
 """
 
 import itertools
@@ -20,7 +22,8 @@ from fractions import Fraction
 
 from roundlab import kernels
 from roundlab.cyclic import enumerate_pairs, is_pair
-from roundlab.numerics import dpow
+from roundlab.numerics import PRECISION_BITS, REL_TOL, dpow, to_mpf
+from roundlab.roundness import _exact_gap, _pair_distances
 
 
 def _partners(space, cls, point):
@@ -128,6 +131,30 @@ def reference_power_matrix(space, p):
     n = space.size
     return [[float(dpow(space.distance(i, j), p)) for j in range(n)]
             for i in range(n)]
+
+
+def mpmath_certify_violation(space, ds, p):
+    """`certify_violation` as it re-summed in mpmath at twice
+    PRECISION_BITS: exact for rational distances at integer p, else an
+    inexact gap that violates below -REL_TOL * max(scale, 1)."""
+    import mpmath
+
+    within, cross = _pair_distances(space, ds)
+    exact = _exact_gap(within, cross, p)
+    if exact is not None:
+        return exact.is_violation()
+
+    def power(d):
+        if d == 0:
+            return mpmath.mpf(0)
+        if p == 0:
+            return mpmath.mpf(1)
+        return to_mpf(d) ** to_mpf(p)
+
+    with mpmath.workprec(2 * PRECISION_BITS):
+        lhs = mpmath.fsum(power(d) for d in within)
+        rhs = mpmath.fsum(power(d) for d in cross)
+        return rhs - lhs < -REL_TOL * max(lhs, rhs, 1)
 
 
 def enumerated_mstar_pairs(n, variant):

@@ -126,6 +126,19 @@ def test_gr_estimate_rejects_bad_tol_and_cap(c4_csv, capsys, flag, value):
     assert err.startswith("error: ") and "finite and positive" in err
 
 
+def test_gr_estimate_unchecked_negative_distance_is_an_error(tmp_path,
+                                                             capsys):
+    # d(0, 1) = -1 has no real power at the first fractional probe
+    path = tmp_path / "negative.csv"
+    path.write_text("3\n0 -1 2\n-1 0 1\n2 1 0\n")
+    code, doc, err = run(["gr", "estimate", "--unchecked",
+                          "--input", str(path)], capsys)
+    assert code == 1
+    assert doc is None
+    assert err == ("error: distance between points 0 and 1 is negative "
+                   "(-1): no real power at p=2.5\n")
+
+
 def test_gr_estimate_deterministic(c4_csv, capsys):
     main(["gr", "estimate", "--input", c4_csv])
     first = capsys.readouterr().out

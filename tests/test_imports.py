@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import roundlab
+from roundlab.cli import COMMANDS
 from test_cli import suite_env
 
 # roundlab.__all__ as it stood when the package imported every submodule,
@@ -74,6 +75,13 @@ OBSTRUCT_MC = {
 }
 
 
+def family_module(words) -> str:
+    """The command module of the family that holds the command `words`."""
+    entry = COMMANDS[words[0]]
+    leaf = entry[1][words[1]] if isinstance(entry[1], dict) else entry
+    return f"roundlab.cli_{leaf[1]}"
+
+
 def loaded_after(argv, tmp_path) -> tuple[int, set]:
     out = tmp_path / "report.json"
     proc = subprocess.run([sys.executable, "-c", _CHILD, *argv,
@@ -83,7 +91,11 @@ def loaded_after(argv, tmp_path) -> tuple[int, set]:
     result = json.loads(proc.stdout)
     command = json.loads(out.read_text())["command"].split()
     assert argv[:len(command)] == command
-    return result["rc"], set(result["modules"])
+    modules = set(result["modules"])
+    # the command's own family module and no other
+    assert {m for m in modules if m.startswith("roundlab.cli_")} \
+        == {family_module(command)}
+    return result["rc"], modules
 
 
 # what `gr estimate` loads to read and scan a space file (`validate` and
@@ -92,9 +104,11 @@ SPACE_FILE_MODULES = {"roundlab.roundness", "roundlab.spaces",
                       "roundlab.metric"}
 
 # `import roundlab.cli` loads these and no other roundlab module: the
-# counting code every exact command shares and the report writer
-CLI_IMPORT_MODULES = ["roundlab", "roundlab.cli", "roundlab.cyclic",
-                      "roundlab.kernels", "roundlab.report"]
+# dispatcher and the report writer
+CLI_IMPORT_MODULES = ["roundlab", "roundlab.cli", "roundlab.report"]
+
+# the census and its kernels, which no obstruct command runs
+CENSUS_MODULES = {"roundlab.cyclic", "roundlab.kernels"}
 
 
 def assert_no_heavy_imports(modules: set) -> None:
@@ -119,6 +133,8 @@ def test_exact_commands_load_neither_numpy_nor_mpmath(argv, tmp_path):
     assert not modules & SPACE_FILE_MODULES
     if argv[0] == "counts":
         assert "roundlab.obstruction" not in modules
+    else:
+        assert not modules & CENSUS_MODULES
 
 
 @pytest.mark.parametrize("argv", OBSTRUCT_MC.values(), ids=OBSTRUCT_MC)
@@ -128,6 +144,7 @@ def test_mc_and_uniform_load_neither_numpy_nor_pool(argv, tmp_path):
     assert rc == (2 if "builtin:identity" in argv else 0)
     assert_no_heavy_imports(modules)
     assert not modules & SPACE_FILE_MODULES
+    assert not modules & CENSUS_MODULES
 
 
 @pytest.mark.parametrize("variant, rc", [("merged", 0), ("literal", 2)])
@@ -182,6 +199,10 @@ def test_gr_estimate_loads_roundness_and_spaces(tmp_path):
     assert rc == 0
     assert SPACE_FILE_MODULES <= modules
     assert "dataclasses" not in modules
+    # the witnesses above p = 1 are certified at fractional p, in decimal
+    assert "mpmath" not in modules
+    assert "numpy" in modules and "roundlab.kernels" in modules
+    assert "roundlab.cyclic" not in modules
 
 
 def test_product_estimate_loads_no_numpy():
@@ -241,20 +262,34 @@ def test_wide_simplex_check_loads_no_numpy():
 
 
 def test_run_partitions_resolves_on_lookup():
-    from roundlab import obstruction, parallel
+    from roundlab import cyclic, obstruction, parallel
 
     assert obstruction.run_partitions is parallel.run_partitions
+    assert obstruction.enumerate_pairs is cyclic.enumerate_pairs
+    assert obstruction.sample_pairs_sparse is cyclic.sample_pairs_sparse
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
         obstruction.nonesuch
 
 
 def test_cli_space_file_names_resolve_on_lookup():
-    from roundlab import cli, roundness, spaces
+    from roundlab import cli, cyclic, roundness, spaces
 
     assert cli.estimate_roundness is roundness.estimate_roundness
     assert cli.read_space_csv is spaces.read_space_csv
+    assert cli.count_incidences is cyclic.count_incidences
+    assert cli.enumerate_pairs is cyclic.enumerate_pairs
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
         cli.nonesuch
+
+
+def spy_on(monkeypatch, owner, name, calls):
+    """Replace `owner.name` by a wrapper that records `name` per call."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
 
 
 def test_patched_cli_space_file_names_are_what_gr_estimate_calls(
@@ -267,20 +302,48 @@ def test_patched_cli_space_file_names_are_what_gr_estimate_calls(
     path = tmp_path / "c4.csv"
     write_space_csv(cycle_graph_space(4), str(path))
     calls = []
-
-    def spy(name):
-        real = getattr(cli, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(cli, name, wrapper)
-
-    spy("read_space_csv")
-    spy("estimate_roundness")
+    spy_on(monkeypatch, cli, "read_space_csv", calls)
+    spy_on(monkeypatch, cli, "estimate_roundness", calls)
     assert cli.main(["gr", "estimate", "--input", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["command"] == "gr estimate"
     assert calls == ["read_space_csv", "estimate_roundness"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (COUNTS["incidences-r2"], "count_incidences"),
+    (COUNTS["pairs-enumerated"], "enumerate_pairs"),
+], ids=["incidences", "pairs-enumerated"])
+def test_patched_cli_census_names_are_what_counts_calls(argv, name,
+                                                        monkeypatch, capsys):
+    # the tracer wraps both names on the cli module too
+    from roundlab import cli
+
+    calls = []
+    spy_on(monkeypatch, cli, name, calls)
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["command"] \
+        == " ".join(argv[:2])
+    assert calls == [name]
+
+
+def test_patched_obstruction_enumerate_pairs_is_what_exact_mode_calls(
+        monkeypatch):
+    # an exact average of a map without a class distance enumerates the
+    # class through the obstruction module, where the tracer wraps it
+    from roundlab import obstruction
+    from roundlab.cycles import CycleSpace, PairClass, ProductCycleSpace
+
+    class Pairwise:
+        def __init__(self, inner):
+            self.space = inner.space
+            self.image_distance = inner.image_distance
+
+    calls = []
+    spy_on(monkeypatch, obstruction, "enumerate_pairs", calls)
+    emap = obstruction.IdentityMap(ProductCycleSpace(2, CycleSpace(4)))
+    avg = obstruction.level_average(Pairwise(emap), PairClass(1, 1), 1.0)
+    assert avg.mean == emap.class_distance(PairClass(1, 1))
+    assert calls == ["enumerate_pairs"]
 
 
 def test_import_roundlab_loads_no_submodule():

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import mpmath_certify_violation
 from roundlab.cyclic import DoubleSimplex
 from roundlab.numerics import REL_TOL, is_violation
 from roundlab.obstruction import _margin
@@ -61,7 +62,7 @@ def test_margin_boundary():
 class _OneDistanceSpace:
     """Four points where d(0, 1) = within and every other distance is
     0.0: for the double simplex (0, 1; 2, 3) at p = 1 the gap is -within,
-    summed in mpmath because the distances are floats."""
+    re-summed in decimal because the distances are floats."""
 
     def __init__(self, within: float):
         self.within = within
@@ -76,6 +77,18 @@ def test_certify_violation_mpmath_boundary():
         space = _OneDistanceSpace(-gap)
         assert certify_violation(space, ds, 1) is violates
         assert certify_violation(space, ds, 1.0) is violates
+
+
+def test_certify_violation_matches_mpmath_reference_on_the_boundary():
+    # the decimal re-sum and the 160-bit mpmath one agree on the threshold
+    # and one ulp either side, at integer and fractional p
+    ds = DoubleSimplex((0, 1), (2, 3))
+    for gap, violates in FLOORED:
+        space = _OneDistanceSpace(-gap)
+        for p in (1, 1.0, 1.5):
+            assert certify_violation(space, ds, p) \
+                is mpmath_certify_violation(space, ds, p)
+        assert mpmath_certify_violation(space, ds, 1.0) is violates
 
 
 def test_is_violation_keeps_mpmath_precision():

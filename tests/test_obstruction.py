@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from roundlab import obstruction, parallel
+from roundlab import cyclic, obstruction, parallel
 from roundlab.cyclic import (BudgetExceeded, CycleSpace, PairClass,
                              ProductCycleSpace, SimplexClass,
                              count_pairs_closed, sample_pairs_sparse, stage_pair_class,
@@ -270,7 +270,11 @@ def test_class_distance_builds_no_batch(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no batch expected")
 
-    monkeypatch.setattr(obstruction, "SparsePairBatch", refuse)
+    # a batch is built only in the census module, by its class or its
+    # sampler, which obstruction resolves there on lookup
+    monkeypatch.setattr(cyclic, "SparsePairBatch", refuse)
+    monkeypatch.setattr(cyclic, "sample_pairs_sparse", refuse)
+    monkeypatch.setattr(obstruction, "sample_pairs_sparse", refuse)
     space = stage_space(6)
     cls = stage_pair_class(6, -4, 5)
     for emap in builtin_maps(space):

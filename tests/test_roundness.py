@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import (character_quotient, dense_product_bracket,
-                     reference_power_matrix)
-from roundlab import roundness
+                     mpmath_certify_violation, reference_power_matrix)
+from roundlab import kernels, roundness
 from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
                              ProductCycleSpace, stage_space)
 from roundlab.metric import FiniteMetricSpace, snowflake
@@ -64,6 +64,34 @@ def test_certify_violation_paths():
     assert not certify_violation(C4, DIAG, 0.5)
 
 
+@pytest.mark.parametrize("n, seed, max_size", [
+    (6, 3, 3), (8, 2, 3), (10, 1, 4), (20, 0, 3),
+], ids=["r6", "r8", "r10-size4", "r20"])
+def test_decimal_certifier_matches_mpmath_reference(n, seed, max_size,
+                                                    monkeypatch):
+    # every witness the bisection certifies, re-tested at every fractional
+    # probe of the run, where the distances are rational and the sums
+    # inexact: both certifiers give one verdict
+    space = random_rational_metric_space(n, seed)
+    witnesses = []
+
+    def collect(space, ds, p):
+        witnesses.append(ds)
+        return certify_violation(space, ds, p)
+
+    monkeypatch.setattr(roundness, "certify_violation", collect)
+    est = estimate_roundness(space, max_size=max_size)
+    ps = [probe["p"] for probe in est.probes if probe["p"] != int(probe["p"])]
+    assert witnesses and ps
+    verdicts = []
+    for ds in witnesses:
+        for p in ps:
+            verdict = certify_violation(space, ds, p)
+            assert verdict is mpmath_certify_violation(space, ds, p), (ds, p)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
 def test_exhaustive_config_count():
     # sizes 2..3 on 4 points: 55 + 210
     assert exhaustive_config_count(4, 3) == 265
@@ -83,7 +111,7 @@ def test_find_violation_exhaustive():
 ], ids=["c4", "c5", "r8", "r20"])
 def test_zero_probe_scans_nothing(space, monkeypatch):
     # off the diagonal D^0 is all ones, so no gap is negative at p = 0
-    scan = roundness.kernels.min_gap_scan
+    scan = kernels.min_gap_scan
     assert scan(distance_power_matrix(space, 0.0), 3, 1e-12)[0] is None
     calls = []
 
@@ -91,7 +119,8 @@ def test_zero_probe_scans_nothing(space, monkeypatch):
         calls.append(dp)
         return scan(dp, max_size, rel_tol)
 
-    monkeypatch.setattr(roundness.kernels, "min_gap_scan", spy)
+    # the probe calls the scan through the kernels module
+    monkeypatch.setattr(kernels, "min_gap_scan", spy)
     assert find_violation_exhaustive(space, 3, 0.0) is None
     assert calls == []
     est = estimate_roundness(space, max_size=3)
