@@ -31,7 +31,7 @@ _EXPORTS = {
     "inject": ("build_ballchain_injection", "build_ell0_injection",
                "build_ellp_injection", "verify_injection"),
     "cayley": ("FamilyGenerators", "cayley_roundness_upper",
-               "verify_mstar_isometry", "word_distance"),
+               "verify_mstar_isometry"),
     # helper submodules, public because the modules above import them
     "kernels": (), "numerics": (), "parallel": (),
 }

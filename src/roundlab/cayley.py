@@ -27,7 +27,7 @@ through the values |w_c|, in any order, with zero coordinates costing 0.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -37,12 +37,6 @@ from .cycles import DoubleSimplex
 GroupVector = tuple[int, ...]
 
 ENUM_LIMIT = 300_000
-
-
-class CutoffExceeded(Exception):
-    def __init__(self, message: str, lower_bound: int):
-        super().__init__(message)
-        self.lower_bound = lower_bound
 
 
 def _check_vector(v: Sequence[int], dim: int) -> GroupVector:
@@ -98,11 +92,10 @@ class FamilyGenerators(Record):
                 if any(vec):
                     out.append(vec)
             return out
-        seen = set()
+        # with jump >= 2 the two entry sets share only the zero vector
         for entries in ((-j, 0, j), (-1, 0, 1)):
             for vec in itertools.product(entries, repeat=self.dim):
-                if any(vec) and vec not in seen:
-                    seen.add(vec)
+                if any(vec):
                     out.append(vec)
         return out
 
@@ -178,54 +171,6 @@ def family_word_distances(diffs: np.ndarray, jump: int, variant: str) -> np.ndar
         residual = np.minimum(residual, np.abs(a - k2 * jump))
         best = np.minimum(best, k2 + residual.max(axis=1))
     return best
-
-
-def _bfs_distance(target: GroupVector, gens: ExplicitGenerators,
-                  cutoff: int) -> Optional[int]:
-    if not any(target):
-        return 0
-    dim = gens.dim
-    moves = gens.enumerate()
-    zero = tuple([0] * dim)
-    seen = {zero}
-    frontier = [zero]
-    for depth in range(1, cutoff + 1):
-        nxt = []
-        for v in frontier:
-            for m in moves:
-                w = tuple(a + b for a, b in zip(v, m))
-                if w == target:
-                    return depth
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-        if not frontier:
-            break
-    return None
-
-
-def word_distance(u: Sequence[int], v: Sequence[int], gens: GeneratorSet,
-                  cutoff: Optional[int] = None) -> int:
-    """Cayley distance between u and v; translation-invariant, so only the
-    difference matters. Family sets solve exactly; explicit sets BFS under
-    a cutoff (default 16) and raise CutoffExceeded with the best lower
-    bound known when the search space runs out."""
-    diff = tuple(b - a for a, b in zip(_check_vector(u, gens.dim),
-                                       _check_vector(v, gens.dim)))
-    if isinstance(gens, FamilyGenerators):
-        d = int(family_word_distances(
-            np.array([diff], dtype=np.int64), gens.jump, gens.variant)[0])
-        if cutoff is not None and d > cutoff:
-            raise CutoffExceeded(
-                f"distance {d} exceeds cutoff {cutoff}", lower_bound=d)
-        return d
-    cut = 16 if cutoff is None else cutoff
-    d = _bfs_distance(diff, gens, cut)
-    if d is None:
-        raise CutoffExceeded(
-            f"no word of length <= {cut} reaches {diff}", lower_bound=cut + 1)
-    return d
 
 
 def bfs_ball(gens: Iterable[Sequence[int]], radius: int) -> dict:
@@ -502,21 +447,14 @@ class CayleyRoundnessReport:
         }
 
 
-def _config_gap(edges: Sequence[int], conns: Sequence[int], p: float) -> float:
-    rhs = sum(c ** p for c in conns)
-    lhs = sum(e ** p for e in edges)
-    return rhs - lhs
-
-
 def cayley_roundness_upper(gens: GeneratorSet, g: Sequence[int],
-                           h: Sequence[int], cutoff: int = 8
-                           ) -> CayleyRoundnessReport:
+                           h: Sequence[int]) -> CayleyRoundnessReport:
     """Upper bound from the diagonal configuration {0, g+h} vs {g, h}.
 
     Needs g, h generators with g+h and g-h outside the set (and g != -h,
     g != h); then both family sides sit at distance 2 while the four
-    connecting distances are 1, so exponents above the critical value
-    violate the roundness inequality.
+    connecting distances are 1, so exponents above 1 violate the
+    roundness inequality: 2 * 2^p > 4 * 1^p exactly when p > 1.
     """
     dim = gens.dim
     g = _check_vector(g, dim)
@@ -535,29 +473,9 @@ def cayley_roundness_upper(gens: GeneratorSet, g: Sequence[int],
         raise ValueError("g+h is a generator: the configuration degenerates")
     if gens.contains(diff):
         raise ValueError("g-h is a generator: the configuration degenerates")
+    # every set here is symmetric, so 0, g, g+h, h is a 4-cycle with sides 1;
+    # g+h and g-h are nonzero non-generators, so both diagonals are 2
     zero = tuple([0] * dim)
-    edges = (word_distance(zero, gh, gens, cutoff),
-             word_distance(g, h, gens, cutoff))
-    conns = (word_distance(zero, g, gens, cutoff),
-             word_distance(zero, h, gens, cutoff),
-             word_distance(gh, g, gens, cutoff),
-             word_distance(gh, h, gens, cutoff))
-    canonical = edges == (2, 2) and conns == (1, 1, 1, 1)
-    if canonical:
-        critical = 1.0
-    else:
-        lo, hi = 0.0, 64.0
-        if _config_gap(edges, conns, lo) < 0:
-            critical = 0.0
-        else:
-            for _ in range(80):
-                mid = (lo + hi) / 2
-                if _config_gap(edges, conns, mid) < 0:
-                    hi = mid
-                else:
-                    lo = mid
-            critical = (lo + hi) / 2
     witness = DoubleSimplex((zero, gh), (g, h))
-    return CayleyRoundnessReport(
-        g, h, edges, conns, critical,
-        _config_gap(edges, conns, 2.0), witness, canonical)
+    return CayleyRoundnessReport(g, h, (2, 2), (1, 1, 1, 1), 1.0, -4.0,
+                                 witness, True)

@@ -48,7 +48,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    # argparse reports only ValueError and TypeError as usage errors
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_int_list(text: str) -> list[int]:

@@ -64,7 +64,7 @@ def _cmd_cayley_roundness(args) -> int:
         gens = FamilyGenerators(args.dim, args.jump, args.variant)
     g = tuple(_parse_int_list(args.g))
     h = tuple(_parse_int_list(args.h))
-    rep = cayley_roundness_upper(gens, g, h, cutoff=args.cutoff)
+    rep = cayley_roundness_upper(gens, g, h)
     _print_report(args, "cayley roundness", vars_params(args), rep.to_dict())
     return 0
 
@@ -111,7 +111,6 @@ def _cayley_roundness_args(p) -> None:
                    help="use the +-e_i generators instead of a jump family")
     p.add_argument("--g", required=True, help="comma-separated generator")
     p.add_argument("--h", required=True, help="comma-separated generator")
-    p.add_argument("--cutoff", type=int, default=8)
 
 
 def _cayley_projection_args(p) -> None:

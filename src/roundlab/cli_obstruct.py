@@ -10,14 +10,17 @@ import time
 from fractions import Fraction
 
 from .cli import (_add_class_args, _add_space_args, _class_params,
-                  _parse_int_list, _print_report, _resolve_simplex_class,
-                  _resolve_space)
+                  _parse_fraction, _parse_int_list, _print_report,
+                  _resolve_simplex_class, _resolve_space)
 
 
 def _parse_p(text: str) -> float:
     if text.lower() in ("inf", "infinity"):
         return math.inf
-    return float(Fraction(text))
+    try:
+        return float(_parse_fraction(text))
+    except OverflowError:
+        raise ValueError(f"{text!r} is beyond the float range") from None
 
 
 def _load_moduli(path):

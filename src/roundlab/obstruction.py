@@ -590,6 +590,8 @@ def uniform_obstruction_report(map_spec, ladder: Sequence[int], p: float,
     if not p > 0:
         raise ValueError(f"p must be positive (inf allowed), got {p}")
     _check_samples(samples)
+    if not ladder:
+        raise ValueError("the n ladder is empty: give at least one depth")
     entries = []
     factor = 1.0 if math.isinf(p) else math.exp(-1.0 / p)
     eps = None

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from roundlab import cayley
-from roundlab.cayley import (CutoffExceeded, ExplicitGenerators,
-                             FamilyGenerators, MStarSpace, _bfs_distance,
-                             bfs_ball, block_projection_check,
+from roundlab.cayley import (ExplicitGenerators, FamilyGenerators,
+                             MStarSpace, bfs_ball, block_projection_check,
                              cayley_roundness_upper, family_word_distances,
                              projection_generators, standard_basis_generators,
-                             verify_mstar_isometry, word_distance)
+                             verify_mstar_isometry)
 
 from oracles import enumerated_mstar_pairs
 
@@ -54,20 +53,16 @@ def test_explicit_generator_validation():
 
 
 def test_word_distance_explicit_bfs():
-    gens = standard_basis_generators(2)
-    assert word_distance((0, 0), (2, 3), gens) == 5
-    assert word_distance((1, 1), (1, 1), gens) == 0
-    with pytest.raises(CutoffExceeded) as exc:
-        word_distance((0, 0), (2, 3), gens, cutoff=3)
-    assert exc.value.lower_bound == 4
+    ball = bfs_ball(standard_basis_generators(2).enumerate(), 5)
+    assert ball[(2, 3)] == 5
+    assert ball[(0, 0)] == 0
+    assert (3, 3) not in ball  # six steps away, past the radius
 
 
-def test_word_distance_family_cutoff():
-    gens = FamilyGenerators(1, 5, "merged")
-    assert word_distance((0,), (7,), gens) == 3  # jump 5 plus two units
-    with pytest.raises(CutoffExceeded) as exc:
-        word_distance((0,), (50,), gens, cutoff=5)
-    assert exc.value.lower_bound == 10
+def test_word_distance_family_solver():
+    # jump 5 plus two units
+    assert family_word_distances([[7]], 5, "merged").tolist() == [3]
+    assert family_word_distances([[50]], 5, "merged").tolist() == [10]
 
 
 @pytest.mark.parametrize("variant", ["merged", "literal"])
@@ -213,18 +208,17 @@ def test_mstar_scan_agrees_with_pair_enumeration(variant):
 
 def test_mstar_scan_values_match_bfs():
     space = MStarSpace(2)
-    merged = ExplicitGenerators.make(
-        4, FamilyGenerators(4, 3, "merged").enumerate())
+    # every distance here is at most 2, so a radius-2 ball holds them all
+    merged = bfs_ball(FamilyGenerators(4, 3, "merged").enumerate(), 2)
     for a in range(space.period):
         cyclic = space.distance((1, 1, 1, 1), (1 + a, 1, 1, 1))
-        assert _bfs_distance((a, 0, 0, 0), merged, 4) == cyclic
-    literal = ExplicitGenerators.make(
-        4, FamilyGenerators(4, 3, "literal").enumerate())
+        assert merged.get((a, 0, 0, 0)) == cyclic
+    literal = bfs_ball(FamilyGenerators(4, 3, "literal").enumerate(), 2)
     rep = verify_mstar_isometry(2, "literal")
     assert rep.mismatches
     for m in rep.mismatches:
         a0, a1 = m["abs_diff"]
-        assert _bfs_distance((a0, a1, 0, 0), literal, 4) == m["word"]
+        assert literal.get((a0, a1, 0, 0)) == m["word"]
         assert space.distance((1, 1, 1, 1), (1 + a0, 1 + a1, 1, 1)) \
             == m["cyclic"]
 
@@ -252,6 +246,57 @@ def test_roundness_probe_dim4():
     assert rep.gap_at_2 == -4.0
     d = rep.to_dict()
     assert d["statement"].startswith("roundness")
+
+
+# (generator set, admissible (g, h) pairs): the standard basis in
+# dimensions 1-3, the jump families in dimensions 1-2 with jumps 2, 3, 5
+_ROUNDNESS_SETS = {
+    **{f"basis-{dim}": (standard_basis_generators(dim), admitted)
+       for dim, admitted in ((1, 0), (2, 8), (3, 24))},
+    **{f"{variant}-{dim}-{jump}": (FamilyGenerators(dim, jump, variant),
+                                   admitted)
+       for variant, table in (
+           ("merged", {(1, 2): 0, (1, 3): 8, (1, 5): 8,
+                       (2, 2): 72, (2, 3): 368, (2, 5): 368}),
+           ("literal", {(1, 2): 0, (1, 3): 8, (1, 5): 8,
+                        (2, 2): 72, (2, 3): 144, (2, 5): 144}))
+       for (dim, jump), admitted in table.items()},
+}
+
+
+@pytest.mark.parametrize("gens, admissible", _ROUNDNESS_SETS.values(),
+                         ids=_ROUNDNESS_SETS)
+def test_roundness_closed_form_matches_bfs(gens, admissible):
+    # the report's distances, read off a radius-2 ball instead; a pair the
+    # probe refuses must break one of its stated conditions
+    listed = gens.enumerate()
+    ball = bfs_ball(listed, 2)
+    admitted = 0
+    for g in listed:
+        for h in listed:
+            gh = tuple(a + b for a, b in zip(g, h))
+            hg = tuple(b - a for a, b in zip(g, h))
+            try:
+                rep = cayley_roundness_upper(gens, g, h)
+            except ValueError:
+                assert (g == h or not any(gh) or gens.contains(gh)
+                        or gens.contains(hg))
+                continue
+            admitted += 1
+            # d(0, g+h), d(g, h); then d(0, g), d(0, h), d(g+h, g), d(g+h, h)
+            edges = (ball.get(gh), ball.get(hg))
+            conns = (ball.get(g), ball.get(h), ball.get(tuple(-x for x in h)),
+                     ball.get(tuple(-x for x in g)))
+            assert edges == (2, 2) and conns == (1, 1, 1, 1), (g, h)
+            assert (rep.edges, rep.conns) == (edges, conns)
+            d = rep.to_dict()
+            assert d["edge_distances"] == [2, 2]
+            assert d["conn_distances"] == [1, 1, 1, 1]
+            assert (d["critical_p"], d["gap_at_2"], d["canonical"]) \
+                == (1.0, -4.0, True)
+            assert d["witness"] == {"xs": [[0] * gens.dim, list(gh)],
+                                    "ys": [list(g), list(h)]}
+    assert admitted == admissible
 
 
 def test_roundness_probe_degeneracies():

@@ -1,5 +1,6 @@
 """End-to-end command line runs: exit codes, report bodies, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -55,7 +56,7 @@ def test_validate_ok(c4_csv, capsys):
     code, doc, _ = run(["validate", "--input", c4_csv], capsys)
     assert code == 0
     assert doc["results"]["ok"] is True
-    assert doc["schema"] == 7
+    assert doc["schema"] == 8
     assert doc["command"] == "validate"
 
 
@@ -431,6 +432,68 @@ def test_uniform_obstruction_report_rejects_zero_p():
         uniform_obstruction_report("builtin:identity", [2], 0.0)
 
 
+@pytest.mark.parametrize("ladder", ["", ","], ids=["empty", "comma"])
+def test_obstruct_uniform_refuses_an_empty_ladder(ladder, capsys):
+    from roundlab.obstruction import uniform_obstruction_report
+
+    with pytest.raises(ValueError, match="ladder is empty"):
+        uniform_obstruction_report("builtin:identity", [], 2.0)
+    code, doc, err = run(["obstruct", "uniform", "--map", "builtin:identity",
+                          "--n-ladder", ladder, "--p", "2"], capsys)
+    assert code == 1
+    assert doc is None
+    assert err == "error: the n ladder is empty: give at least one depth\n"
+
+
+@pytest.mark.parametrize("argv, option, converter", [
+    (["counts", "pairs", "--coords", "2", "--units", "4", "--delta", "1",
+      "--support", "1", "--quantum", "1/0"], "--quantum", "_parse_fraction"),
+    (["obstruct", "step", *_STEP_ARGS, "--p", "1/0"], "--p", "_parse_p"),
+    (["obstruct", "uniform", "--map", "builtin:identity", "--n-ladder", "2",
+      "--p", "1e400"], "--p", "_parse_p"),
+], ids=["quantum-zero-denominator", "p-zero-denominator", "p-overflow"])
+def test_malformed_number_is_a_usage_error(argv, option, converter, capsys):
+    code, out, err = exit_outcome(main, argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"usage: roundlab {argv[0]} {argv[1]} ")
+    assert err.endswith(f"error: argument {option}: invalid {converter} "
+                        f"value: {argv[-1]!r}\n")
+    assert "Traceback" not in err
+
+
+def _leaf_parsers(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _leaf_parsers(child)
+            return
+    yield parser
+
+
+def test_every_converter_fails_as_a_usage_error():
+    # argparse turns only these into usage errors; anything else a type=
+    # callable raises escapes as a traceback
+    usage_errors = (ValueError, TypeError, argparse.ArgumentTypeError)
+    leaves = list(_leaf_parsers(build_parser()))
+    assert len(leaves) == 16
+    seen = set()
+    for leaf in leaves:
+        for action in leaf._actions:
+            if action.type is None:
+                continue
+            seen.add(getattr(action.type, "__name__", repr(action.type)))
+            for text in ("1/0", "abc", "", "1e400", "0/0"):
+                try:
+                    action.type(text)
+                except usage_errors:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"{leaf.prog} {action.option_strings}: "
+                                f"{text!r} raised {exc!r}")
+    assert {"_parse_fraction", "_parse_p", "int", "float"} <= seen
+
+
 @pytest.mark.parametrize("argv, results_sha256", [
     (["obstruct", "chain", "--coords", "8", "--units", "32", "--delta", "1",
       "--support", "4", "--size", "2", "--levels", "2", "--p", "2",
@@ -706,7 +769,7 @@ def test_cayley_verify_proof_byte_identical(capsys):
     second = capsys.readouterr().out
     assert code1 == code2 == 0
     assert strip_wall(first) == strip_wall(second)
-    assert json.loads(first)["schema"] == 7
+    assert json.loads(first)["schema"] == 8
 
 
 def test_cayley_verify_takes_no_sampling_options(capsys):
@@ -727,6 +790,18 @@ def test_cayley_roundness_cli(capsys):
     assert code == 0
     assert doc["results"]["critical_p"] == 1.0
     assert doc["results"]["gap_at_2"] == -4.0
+
+
+def test_cayley_roundness_takes_no_cutoff(capsys):
+    code, usage, _ = exit_outcome(main, ["cayley", "roundness", "--help"],
+                                  capsys)
+    assert code == 0
+    assert "--cutoff" not in usage
+    code, _, err = exit_outcome(
+        main, ["cayley", "roundness", "--dim", "2", "--standard-basis",
+               "--g", "1,0", "--h", "0,1", "--cutoff", "8"], capsys)
+    assert code == 1
+    assert "unrecognized arguments: --cutoff 8" in err
 
 
 def test_cayley_roundness_needs_generators(capsys):
@@ -951,6 +1026,16 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=suite_env())
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_package_entry_point():
+    # the invocation README names
+    proc = subprocess.run([sys.executable, "-m", "roundlab", "cayley",
+                           "roundness", "--dim", "2", "--standard-basis",
+                           "--g=-1,0", "--h", "0,1"],
+                          capture_output=True, text=True, env=suite_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["g"] == [-1, 0]
 
 
 def load_toml(path):

@@ -33,7 +33,7 @@ SEED_ALL = [
     "stage_pair_class", "stage_simplex_class", "stage_space",
     "transport_pair", "uniform_obstruction_report", "validate_metric",
     "verify_chain_inequality", "verify_injection", "verify_mstar_isometry",
-    "verify_step_inequality", "word_distance", "zeta", "zspace",
+    "verify_step_inequality", "zeta", "zspace",
 ]
 
 # runs the command given on its own command line, report to --out, then
