@@ -133,6 +133,8 @@ GeneratorSet = Union[FamilyGenerators, ExplicitGenerators]
 
 
 def standard_basis_generators(dim: int) -> ExplicitGenerators:
+    if dim < 1:
+        raise ValueError("dim must be positive")
     vecs = []
     for i in range(dim):
         e = [0] * dim

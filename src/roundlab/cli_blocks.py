@@ -57,6 +57,8 @@ def _cmd_cayley_roundness(args) -> int:
                          standard_basis_generators)
 
     if args.standard_basis:
+        if args.jump is not None:
+            raise ValueError("give --jump or --standard-basis, not both")
         gens = standard_basis_generators(args.dim)
     else:
         if args.jump is None:

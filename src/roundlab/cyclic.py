@@ -11,6 +11,7 @@ only this module of the two loads.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -170,23 +171,30 @@ def enumerate_pairs(space: ProductCycleSpace, cls: PairClass,
     offs = (delta,) if 2 * delta == u else (delta, u - delta)
 
     def generate():
+        # The two points first differ at the lead coordinate of the
+        # support, so x < y exactly when that coordinate grows without
+        # wrapping: only those offsets are built there. The x values of a
+        # support and their y values are the same for every support set;
+        # a point lays out (shared values + support values) by position.
+        wrap = [[(v + off) % u for off in offs] for v in range(u)]
+        grow = [[v + off for off in offs if v + off < u] for v in range(u)]
+        table = []
+        for xv in itertools.product(range(u), repeat=s):
+            yvs = list(itertools.product(grow[xv[0]],
+                                         *(wrap[v] for v in xv[1:])))
+            if yvs:
+                table.append((xv, yvs))
         for combo in itertools.combinations(range(c), s):
             rest = [i for i in range(c) if i not in combo]
+            slot = {i: k for k, i in enumerate(rest + list(combo))}
+            # one index makes itemgetter return a bare value
+            point = (operator.itemgetter(*(slot[i] for i in range(c)))
+                     if c > 1 else tuple)
             for shared in itertools.product(range(u), repeat=c - s):
-                base = [0] * c
-                for i, val in zip(rest, shared):
-                    base[i] = val
-                for xs_vals in itertools.product(range(u), repeat=s):
-                    for i, val in zip(combo, xs_vals):
-                        base[i] = val
-                    tx = tuple(base)
-                    for signs in itertools.product(offs, repeat=s):
-                        y = list(tx)
-                        for i, off in zip(combo, signs):
-                            y[i] = (y[i] + off) % u
-                        ty = tuple(y)
-                        if tx < ty:
-                            yield tx, ty
+                for xv, yvs in table:
+                    x = point(shared + xv)
+                    for yv in yvs:
+                        yield x, point(shared + yv)
 
     return generate()
 

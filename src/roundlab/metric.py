@@ -4,7 +4,7 @@ snowflake transform, and empirical embedding moduli."""
 from __future__ import annotations
 
 import bisect
-import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -95,9 +95,12 @@ def validate_metric(space, budget: int | None = None) -> ValidationReport:
     """Audit metric axioms on any enumerable oracle.
 
     A violation (x, y, z) means dist(x, z) > dist(x, y) + dist(y, z), checked
-    in exact arithmetic when distances are rational. The triple scan runs in
-    canonical (x, z, y) order and stops at the budget; `exhaustive` reports
-    whether it covered everything.
+    in exact arithmetic when distances are rational: when every distance
+    is an int or a Fraction, the triangles are compared on integers over
+    the common denominator, and a violation's `slack` is then taken from
+    the distances themselves. The triple scan runs in canonical (x, z, y)
+    order and stops at the budget; `exhaustive` reports whether it covered
+    everything.
     """
     n = getattr(space, "size", None)
     if n is None:
@@ -107,18 +110,25 @@ def validate_metric(space, budget: int | None = None) -> ValidationReport:
     identity_ok = all(d[i][i] == 0 for i in range(n))
     symmetry_ok = all(d[i][j] == d[j][i] for i, j in pairs)
     positivity_ok = all(d[i][j] > 0 for i, j in pairs)
+    m = d
+    if all(isinstance(v, (int, Fraction)) for row in d for v in row):
+        den = math.lcm(*(v.denominator for row in d for v in row))
+        m = [[v.numerator * (den // v.denominator) for v in row] for row in d]
+    cols = list(zip(*m))
     violations = []
     checked = 0
     total = n * (n - 1) * (n - 2) // 2
-    triples = ((i, j, k) for i, j in pairs for k in range(n)
-               if k != i and k != j)
-    for i, j, k in itertools.islice(
-            triples, None if budget is None else max(budget, 0)):
-        checked += 1
-        detour = d[i][k] + d[k][j]
-        if d[i][j] > detour:
-            violations.append({"x": i, "y": k, "z": j,
-                               "slack": d[i][j] - detour})
+    limit = total if budget is None else min(max(budget, 0), total)
+    for i, j in pairs:
+        if checked == limit:
+            break
+        ks = [k for k in range(n) if k != i and k != j][:limit - checked]
+        checked += len(ks)
+        dij, row, col = m[i][j], m[i], cols[j]
+        for k in ks:
+            if dij > row[k] + col[k]:
+                violations.append({"x": i, "y": k, "z": j,
+                                   "slack": d[i][j] - (d[i][k] + d[k][j])})
     exhaustive = checked == total
     ok = symmetry_ok and identity_ok and positivity_ok and not violations
     return ValidationReport(ok, symmetry_ok, identity_ok, positivity_ok,

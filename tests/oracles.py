@@ -1,26 +1,29 @@
 """Enumerating oracles for quantities the package computes in closed form.
 
-The recursive simplex enumerator below is the counter `count_incidences`
-and `completion_counts` used before the coordinate-column DP replaced it;
-`enumerated_level_terms` evaluates a level average's term on every class
-pair, which the closed form for maps that declare `class_distance` must
-match. Both are slow and only run on small classes. The level hunts walk
-the thresholds one level at a time, which is what the closed-form
-`gap_level` and `ballchain_level` replace. The power matrix at the end
+The single-pass column DP is the one `kernels._anchored_count` ran before
+its count met in the middle. The recursive simplex enumerator below is the
+counter `count_incidences` and `completion_counts` used before the
+coordinate-column DP replaced it; `enumerated_level_terms` evaluates a
+level average's term on every class pair, which the closed form for maps
+that declare `class_distance` must match. Both are slow and only run on
+small classes. The level hunts walk the thresholds one level at a time,
+which is what the closed-form `gap_level` and `ballchain_level` replace. The power matrix at the end
 takes one `dpow` per ordered pair, where the scan's builder takes one per
 unordered pair. The cyclic-product pair enumeration compares the two
 metrics on every point pair, which `verify_mstar_isometry` decides by a
 scan of coordinate values. The dense spectra of small cycle products
 decide what the character probe reads from closed forms. The mpmath
 re-sum of a witness at 160 bits is the certifier that the decimal one
-replaced.
+replaced. The triangle audit on the distances themselves is the one
+`validate_metric` ran before it compared integers over the common
+denominator.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from roundlab import kernels
+from roundlab import BudgetExceeded, kernels
 from roundlab.cyclic import enumerate_pairs, is_pair
 from roundlab.numerics import PRECISION_BITS, REL_TOL, dpow, to_mpf
 from roundlab.roundness import _exact_gap, _pair_distances
@@ -29,6 +32,46 @@ from roundlab.roundness import _exact_gap, _pair_distances
 def _partners(space, cls, point):
     return kernels.class_partners(space.coords, space.units, cls.delta,
                                   cls.support, point)
+
+
+def reference_anchored_count(coords, units, delta, support, families, groups,
+                             partner=None, budget=None):
+    """`kernels._anchored_count` as one pass over every column, before the
+    count met in the middle: the same packed per-pair counts and pruning,
+    and the same budget rule on its own (larger) work."""
+    r = families
+    pairs = list(itertools.combinations(range(2 * r), 2))
+    width = (coords + 1).bit_length() + 1
+    top = 1 << (width - 1)
+    ones = sum(1 << (f * width) for f in range(len(pairs)))
+    guard = top * ones
+    start = guard - ones
+    checks = [[] for _ in range(2 * r)]
+    for f, (i, k) in enumerate(pairs):
+        same = (i < r) == (k < r)
+        start -= (support if same else support * r) << (f * width)
+        checks[k].append((i, 1 << (f * width), 2 * delta if same else delta))
+    cur = {start: 1}
+    left = coords
+    work = 0
+    for offset, columns in groups:
+        moves = kernels._columns(units, checks, partner, offset)
+        for _ in range(columns):
+            work += len(cur) * len(moves)
+            if budget is not None and work > budget:
+                raise BudgetExceeded(
+                    f"counting DP needs more than {budget} column "
+                    f"transitions (at least {work})")
+            left -= 1
+            need = (left + 1) * ones
+            nxt = {}
+            for state, cnt in cur.items():
+                for inc, n in moves:
+                    new = state + inc
+                    if not new & guard and (new + need) & guard == guard:
+                        nxt[new] = nxt.get(new, 0) + cnt * n
+            cur = nxt
+    return cur.get(guard - ones, 0)
 
 
 def _extend_family(space, cls, members, cands, need):
@@ -123,6 +166,34 @@ def hunted_ballchain_level(g):
     while Fraction(1, n) > g:
         n += 1
     return n
+
+
+def reference_validate_metric(space, budget=None):
+    """`validate_metric` as it compared every triangle on the distances
+    themselves (Fractions, for a rational space), as a report dict."""
+    n = space.size
+    d = [[space.distance(i, j) for j in range(n)] for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    identity_ok = all(d[i][i] == 0 for i in range(n))
+    symmetry_ok = all(d[i][j] == d[j][i] for i, j in pairs)
+    positivity_ok = all(d[i][j] > 0 for i, j in pairs)
+    violations = []
+    checked = 0
+    total = n * (n - 1) * (n - 2) // 2
+    triples = ((i, j, k) for i, j in pairs for k in range(n)
+               if k != i and k != j)
+    for i, j, k in itertools.islice(
+            triples, None if budget is None else max(budget, 0)):
+        checked += 1
+        detour = d[i][k] + d[k][j]
+        if d[i][j] > detour:
+            violations.append({"x": i, "y": k, "z": j,
+                               "slack": d[i][j] - detour})
+    return {"ok": (symmetry_ok and identity_ok and positivity_ok
+                   and not violations),
+            "symmetry_ok": symmetry_ok, "identity_ok": identity_ok,
+            "positivity_ok": positivity_ok, "violations": violations,
+            "checked_triples": checked, "exhaustive": checked == total}
 
 
 def reference_power_matrix(space, p):

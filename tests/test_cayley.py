@@ -50,6 +50,10 @@ def test_explicit_generator_validation():
     assert gens.count() == 4
     assert gens.contains((0, -1))
     assert not gens.contains((1, 1))
+    # a nonpositive dim is refused as FamilyGenerators refuses it
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dim must be positive"):
+            standard_basis_generators(dim)
 
 
 def test_word_distance_explicit_bfs():

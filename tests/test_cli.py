@@ -811,6 +811,22 @@ def test_cayley_roundness_needs_generators(capsys):
     assert "--jump" in err
 
 
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_cayley_roundness_refuses_nonpositive_dim(dim, capsys):
+    code, _, err = run(["cayley", "roundness", f"--dim={dim}",
+                        "--standard-basis", "--g=", "--h="], capsys)
+    assert code == 1
+    assert "error: dim must be positive" in err
+
+
+def test_cayley_roundness_refuses_jump_with_standard_basis(capsys):
+    code, _, err = run(["cayley", "roundness", "--dim", "2", "--jump", "3",
+                        "--standard-basis", "--g", "1,0", "--h", "0,1"],
+                       capsys)
+    assert code == 1
+    assert "error: give --jump or --standard-basis, not both" in err
+
+
 def test_cayley_projection_cli(capsys):
     code, doc, _ = run(["cayley", "projection"], capsys)
     assert code == 0

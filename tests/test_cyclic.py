@@ -1,8 +1,10 @@
 """Cycle products: classes, the simplex builder, transport, and counting."""
 
+import hashlib
 import itertools
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,8 @@ from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
                              sample_pairs_sparse, transport_pair)
 from roundlab.obstruction import CircleEmbeddingMap, verify_chain_inequality
 
-from oracles import reference_completion_count, reference_simplex_count
+from oracles import (reference_anchored_count, reference_completion_count,
+                     reference_simplex_count)
 
 
 def mk(coords, units, quantum=Fraction(1)):
@@ -131,6 +134,42 @@ def test_enumerate_budget():
     with pytest.raises(BudgetExceeded) as exc:
         list(enumerate_pairs(space, PairClass(1, 2), budget=100))
     assert exc.value.required == 49152
+
+
+# sha256 of repr(list(enumerate_pairs(...))), recorded while the
+# enumeration still built both orientations of every pair and dropped one
+ENUMERATION_DIGESTS = {
+    (4, 8, 1, 2): "a0697e570e42a8514f53fd79114b4e0e5c4e2d1919aab8cfced3cdf855f0f002",
+    (4, 4, 1, 2): "9243266d7180cc969ac8623e84a158cf3f04f5ddc7f016509c8cdd8d272401c2",
+    (3, 6, 3, 1): "5fcf4e8672bf69eee00eb7d59e7f70f83c3c99716221c5f1dbafc4e12962700e",
+    (4, 8, 4, 2): "4f689c90ff1c3aec5a46f1554936f14568c5614ad18df9bb77e76b3a09464056",
+    (1, 8, 1, 1): "a42b11eecafa742e8bb4c52b01d143fbb050f9a0a0a6582bf7bfac6b9d8d6b80",
+    (2, 2, 1, 1): "0f419ebdc8c55328d29818df5dded26e661ed0e833f87983ffe462c8cc1de6c5",
+    (3, 8, 1, 1): "2ae60f134c91cf43e0c7152aee379041e16678775cff6fb1bda2d43a9a2740b7",
+}
+
+
+@pytest.mark.parametrize("key", list(ENUMERATION_DIGESTS),
+                         ids=[str(k) for k in ENUMERATION_DIGESTS])
+def test_enumerate_sequence_frozen(key):
+    # the antipodal classes (4, 4, 1, 2), (3, 6, 3, 1), (4, 8, 4, 2) and
+    # (2, 2, 1, 1) have a single offset, and (1, 8, 1, 1) a single
+    # coordinate
+    coords, units, delta, support = key
+    pairs = list(enumerate_pairs(mk(coords, units), PairClass(delta, support),
+                                 budget=None))
+    assert len(pairs) == count_pairs_closed(mk(coords, units),
+                                            PairClass(delta, support))
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+    assert digest == ENUMERATION_DIGESTS[key]
+
+
+def test_enumerate_budget_refused_at_call():
+    # the refusal comes from the call, before anything is iterated
+    with pytest.raises(BudgetExceeded, match="49152 pairs, budget 49151"):
+        enumerate_pairs(mk(4, 8), PairClass(1, 2), budget=49151)
+    assert sum(1 for _ in enumerate_pairs(mk(4, 8), PairClass(1, 2),
+                                          budget=49152)) == 49152
 
 
 def test_canonical_pairs_distinct_and_in_class():
@@ -405,6 +444,91 @@ def test_completion_counts_match_enumeration(coords, units, delta, support,
                                                   role_edge) == want
 
 
+def anchored_groups(space, pair):
+    """The (offset, columns) groups `completion_count` gives the DP."""
+    a, b = pair
+    return sorted(Counter((y - x) % space.units for x, y in zip(a, b)).items())
+
+
+def assert_split_dp_matches_reference(coords, units, delta, support,
+                                      families, pairs_by_role=None):
+    """The meet-in-the-middle DP against the single-pass one: S's groups,
+    and K's and L's for every given anchor (canonical ones by default)."""
+    space = mk(coords, units)
+    scls = SimplexClass(delta, support, families)
+    if pairs_by_role is None:
+        pairs_by_role = {
+            True: [canonical_class_pair(space, scls.edge_class())],
+            False: [canonical_class_pair(space, scls.conn_class())]}
+    cases = [([(0, coords)], None)]
+    for role_edge, pairs in pairs_by_role.items():
+        cases += [(anchored_groups(space, pair), 1 if role_edge else families)
+                  for pair in pairs]
+    for groups, partner in cases:
+        args = (coords, units, delta, support, families, groups, partner)
+        assert (kernels._anchored_count(*args)
+                == reference_anchored_count(*args)), (groups, partner)
+    return cases
+
+
+@pytest.mark.parametrize("coords,units,delta,support", R2_CLASSES,
+                         ids=[str(c) for c in R2_CLASSES])
+def test_split_dp_matches_single_pass_r2(coords, units, delta, support):
+    assert_split_dp_matches_reference(coords, units, delta, support, 2)
+
+
+@pytest.mark.parametrize("coords,units", [(8, 8), (12, 16)])
+def test_split_dp_matches_single_pass_r4(coords, units):
+    assert_split_dp_matches_reference(coords, units, 1, 2, 4)
+
+
+@pytest.mark.parametrize("coords,units,delta,support,families", [
+    (4, 8, 1, 2, 2), (6, 8, 2, 1, 2), (4, 4, 1, 2, 2), (8, 8, 1, 2, 4)])
+def test_split_dp_matches_single_pass_on_moved_anchors(coords, units, delta,
+                                                       support, families):
+    # the anchors of test_completion_counts_match_enumeration: translated,
+    # reflected and mixed-sign pairs
+    space = mk(coords, units)
+    scls = SimplexClass(delta, support, families)
+    pairs_by_role = {}
+    for role_edge, cls in ((True, scls.edge_class()),
+                           (False, scls.conn_class())):
+        pairs = [canonical_class_pair(space, cls, i) for i in (0, 1, 3)]
+        pairs += [(b, a) for a, b in pairs[:2]] + [mixed_sign_pair(space, cls)]
+        pairs_by_role[role_edge] = pairs
+    assert_split_dp_matches_reference(coords, units, delta, support,
+                                      families, pairs_by_role)
+
+
+def straddles(groups, coords):
+    """True when a group has columns on both sides of the DP's split."""
+    mid, end = (coords + 1) // 2, 0
+    for _, columns in groups:
+        if end < mid < end + columns:
+            return True
+        end += columns
+    return False
+
+
+@pytest.mark.parametrize("coords,units,delta,support,families", [
+    (7, 8, 1, 2, 2), (8, 8, 1, 2, 2), (9, 16, 2, 3, 2), (8, 16, 1, 2, 4),
+    (9, 16, 1, 2, 4)])
+def test_split_dp_matches_single_pass_across_the_split(coords, units, delta,
+                                                       support, families):
+    # odd and even column counts; the canonical K anchor's zero group and
+    # the mixed-sign anchors' groups run across the split column
+    space = mk(coords, units)
+    scls = SimplexClass(delta, support, families)
+    pairs_by_role = {
+        role_edge: [canonical_class_pair(space, cls),
+                    mixed_sign_pair(space, cls)]
+        for role_edge, cls in ((True, scls.edge_class()),
+                               (False, scls.conn_class()))}
+    cases = assert_split_dp_matches_reference(coords, units, delta, support,
+                                              families, pairs_by_role)
+    assert any(straddles(groups, coords) for groups, _ in cases)
+
+
 def test_incidences_r4_general():
     # the enumerated S takes seconds here, so only K and L are checked
     # against the oracle, in test_completion_counts_match_enumeration
@@ -435,12 +559,12 @@ def test_incidences_budget_guard():
 
 
 def test_incidences_budget_bounds_dp_work():
-    # the simplex DP of this class takes 104,048 column transitions, and
-    # those of K and L fewer
+    # the simplex DP of this class takes 10,720 column transitions, and
+    # those of K and L (4,760 and 10,050) fewer
     scls = SimplexClass(1, 2, 4)
     with pytest.raises(BudgetExceeded, match="column transitions"):
-        count_incidences(mk(8, 8), scls, budget=10 ** 5)
-    inc = count_incidences(mk(8, 8), scls, budget=10 ** 6)
+        count_incidences(mk(8, 8), scls, budget=10 ** 4)
+    inc = count_incidences(mk(8, 8), scls, budget=2 * 10 ** 4)
     assert (inc.s_count, inc.k_count, inc.l_count) == (526133493760, 6720, 3920)
     assert count_incidences(mk(8, 8), scls) == inc
 

@@ -1,5 +1,6 @@
 """Metric axioms, validation reports, the snowflake transform, moduli."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from roundlab.metric import (FiniteMetricSpace, ModulusEnvelope,
                              empirical_moduli, snowflake, validate_metric)
 from roundlab.spaces import cycle_graph_space, random_rational_metric_space
+
+from oracles import reference_validate_metric
 
 
 def test_constructor_validates_eagerly():
@@ -95,6 +98,58 @@ def test_snowflake_alpha_range():
 def test_snowflake_preserves_metric():
     space = random_rational_metric_space(7, seed=2)
     assert validate_metric(snowflake(space, Fraction(1, 2))).ok
+
+
+class _Oracle:
+    """A matrix as a bare oracle: entries keep their type (an unchecked
+    space would make every entry a Fraction)."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.size = len(rows)
+
+    def distance(self, a, b):
+        return self.rows[a][b]
+
+
+def _random_rows(rng, n, kind):
+    def entry():
+        num = rng.randint(-3, 12)
+        if kind == "int":
+            return num
+        if kind == "float":
+            return num / rng.choice((1, 2, 3, 7))
+        frac = Fraction(num, rng.randint(1, 9))
+        return frac if kind == "fraction" or rng.random() < 0.5 else num
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.5:  # symmetric, zero diagonal: a possible metric
+        for i in range(n):
+            rows[i][i] = 0
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed", "float"])
+def test_validate_matches_the_distance_path(kind):
+    # reports, violations and their slack (type included) on random
+    # matrices, asymmetric and negative ones among them, with and without
+    # budgets; integer and Fraction entries are compared over a common
+    # denominator, float ones as they are
+    rng = random.Random(kind)
+    total = 0
+    for trial in range(120):
+        n = rng.randint(0, 7)
+        rows = _random_rows(rng, n, kind)
+        for space in (_Oracle(rows), FiniteMetricSpace.unchecked(rows)):
+            for budget in (None, -2, 0, 1, rng.randint(0, 120), 10 ** 6):
+                got = validate_metric(space, budget).to_dict()
+                want = reference_validate_metric(space, budget)
+                assert got == want
+                assert [type(v["slack"]) for v in got["violations"]] == \
+                    [type(v["slack"]) for v in want["violations"]]
+                total += len(got["violations"])
+    assert total > 0
 
 
 def test_empirical_moduli_envelopes():
