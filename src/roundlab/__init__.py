@@ -66,13 +66,36 @@ class BudgetExceeded(Exception):
 
 
 class Record:
-    """Value semantics for a record class: equality, hash and repr over the
-    fields its `__slots__` names. Records are plain classes with explicit
-    constructors because generating them at import (the standard library's
-    record decorator `exec`s every method and imports `inspect`) would add
-    about 1 ms per class, plus 12 ms, to the start-up of every request."""
+    """Value semantics for a record class: a constructor, equality, hash and
+    repr over the fields its `__slots__` names, in that order. A class whose
+    constructor checks, derives or defaults a value writes its own.
+
+    Records are plain classes, not generated ones, because generating them
+    at import (the standard library's record decorator `exec`s every method
+    and imports `inspect`) would add about 1 ms per class, plus 12 ms, to
+    the start-up of every request."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} "
+                            f"fields but {len(args)} were given")
+        for name, value in zip(names, args):
+            setattr(self, name, value)
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(
+                    f"{type(self).__name__} has no field {name!r}")
+            if names.index(name) < len(args):
+                raise TypeError(
+                    f"{type(self).__name__} got field {name!r} twice")
+            setattr(self, name, value)
+        missing = [name for name in names[len(args):] if name not in kwargs]
+        if missing:
+            raise TypeError(f"{type(self).__name__} is missing field(s) "
+                            f"{', '.join(map(repr, missing))}")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -27,12 +27,14 @@ through the values |w_c|, in any order, with zero coordinates costing 0.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence, Union
-
-import numpy as np
+import operator
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from . import Record
 from .cycles import DoubleSimplex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GroupVector = tuple[int, ...]
 
@@ -154,6 +156,8 @@ def family_word_distances(diffs: np.ndarray, jump: int, variant: str) -> np.ndar
     shed min_{|b| <= k2} |w_c - jump*b| to units, so the distance is
     min over k2 of (k2 + max_c residual_c(k2)).
     """
+    import numpy as np
+
     a = np.abs(np.asarray(diffs, dtype=np.int64))
     if a.ndim != 2:
         raise ValueError("diffs must be a 2d batch")
@@ -176,32 +180,20 @@ def family_word_distances(diffs: np.ndarray, jump: int, variant: str) -> np.ndar
 
 
 def bfs_ball(gens: Iterable[Sequence[int]], radius: int) -> dict:
-    """Distances from the origin out to the radius, frontier-expanded in
-    numpy chunks. Returns {vector: distance}."""
-    moves = np.asarray(list(gens), dtype=np.int64)
-    if moves.ndim != 2 or moves.shape[0] == 0:
+    """Distances from the origin out to the radius. Returns {vector:
+    distance}; each depth holds the sums v + g over the last depth and the
+    generators that no earlier depth reached, in sorted order."""
+    moves = [tuple(map(int, g)) for g in gens]
+    if not moves or any(len(g) != len(moves[0]) for g in moves):
         raise ValueError("need a nonempty list of generator vectors")
-    dim = moves.shape[1]
-    zero = tuple([0] * dim)
-    dist = {zero: 0}
-    frontier = np.zeros((1, dim), dtype=np.int64)
-    chunk_rows = max(1, 2_000_000 // moves.shape[0])
+    dist = {(0,) * len(moves[0]): 0}
+    frontier = list(dist)
     for depth in range(1, radius + 1):
-        pieces = []
-        for lo in range(0, frontier.shape[0], chunk_rows):
-            part = frontier[lo:lo + chunk_rows]
-            cand = (part[:, None, :] + moves[None, :, :]).reshape(-1, dim)
-            pieces.append(np.unique(cand, axis=0))
-        cand = np.unique(np.concatenate(pieces), axis=0)
-        fresh = []
-        for row in cand.tolist():
-            t = tuple(row)
-            if t not in dist:
-                dist[t] = depth
-                fresh.append(t)
-        if not fresh:
+        frontier = sorted({tuple(map(operator.add, v, g))
+                           for v in frontier for g in moves} - dist.keys())
+        if not frontier:
             break
-        frontier = np.asarray(fresh, dtype=np.int64)
+        dist.update(dict.fromkeys(frontier, depth))
     return dist
 
 
@@ -245,20 +237,9 @@ class MStarSpace(Record):
         return best
 
 
-class MStarReport:
+class MStarReport(Record):
     __slots__ = ("n", "variant", "support", "values_scanned",
                  "mismatch_count", "mismatches", "max_word_distance")
-
-    def __init__(self, n: int, variant: str, support: int,
-                 values_scanned: int, mismatch_count: int, mismatches: list,
-                 max_word_distance: int):
-        self.n = n
-        self.variant = variant
-        self.support = support
-        self.values_scanned = values_scanned
-        self.mismatch_count = mismatch_count
-        self.mismatches = mismatches
-        self.max_word_distance = max_word_distance
 
     @property
     def ok(self) -> bool:
@@ -298,6 +279,8 @@ def verify_mstar_isometry(n: int, variant: str = "merged") -> MStarReport:
         raise ValueError(
             f"{variant} scan of {size} difference patterns at n = {n} "
             f"exceeds the limit of {ENUM_LIMIT}")
+    import numpy as np
+
     patterns = np.indices((period,) * support).reshape(support, -1).T
     word = family_word_distances(patterns, space.jump, variant)
     cyc = np.minimum(patterns, period - patterns).max(axis=1)
@@ -335,21 +318,9 @@ def projection_generators(dims: Sequence[int], jumps: Sequence[int],
     return sorted(out)
 
 
-class ProjectionReport:
+class ProjectionReport(Record):
     __slots__ = ("dims", "jumps", "variant", "radius", "states_full",
                  "block_reports", "mismatch_count", "mismatches")
-
-    def __init__(self, dims: tuple, jumps: tuple, variant: str, radius: int,
-                 states_full: int, block_reports: list, mismatch_count: int,
-                 mismatches: list):
-        self.dims = dims
-        self.jumps = jumps
-        self.variant = variant
-        self.radius = radius
-        self.states_full = states_full
-        self.block_reports = block_reports
-        self.mismatch_count = mismatch_count
-        self.mismatches = mismatches
 
     @property
     def ok(self) -> bool:
@@ -418,21 +389,9 @@ def block_projection_check(dims: Sequence[int] = (2, 2),
                             blocks, len(mismatches), mismatches[:20])
 
 
-class CayleyRoundnessReport:
+class CayleyRoundnessReport(Record):
     __slots__ = ("g", "h", "edges", "conns", "critical_p", "gap_at_2",
                  "witness", "canonical")
-
-    def __init__(self, g: GroupVector, h: GroupVector, edges: tuple,
-                 conns: tuple, critical_p: float, gap_at_2: float,
-                 witness: DoubleSimplex, canonical: bool):
-        self.g = g
-        self.h = h
-        self.edges = edges
-        self.conns = conns
-        self.critical_p = critical_p
-        self.gap_at_2 = gap_at_2
-        self.witness = witness
-        self.canonical = canonical
 
     def to_dict(self) -> dict:
         return {

@@ -33,6 +33,9 @@ def _cmd_zspace_ball(args) -> int:
     if args.center:
         with open(args.center, "r", encoding="utf-8") as fh:
             center = ZPoint.from_json_dict(json.load(fh))
+        if center.block != args.block:
+            raise ValueError(f"--center is a point of block {center.block}, "
+                             f"not of --block {args.block}")
     else:
         center = ZPoint.zero(args.block)
     census = ball_census(center, Fraction(args.radius), args.variant,
@@ -59,11 +62,15 @@ def _cmd_cayley_roundness(args) -> int:
     if args.standard_basis:
         if args.jump is not None:
             raise ValueError("give --jump or --standard-basis, not both")
-        gens = standard_basis_generators(args.dim)
-    else:
-        if args.jump is None:
-            raise ValueError("give --jump, or --standard-basis")
-        gens = FamilyGenerators(args.dim, args.jump, args.variant)
+        if args.variant is not None:
+            raise ValueError("give --variant or --standard-basis, not both")
+    elif args.jump is None:
+        raise ValueError("give --jump, or --standard-basis")
+    # a family defaults to merged, and the params name it for the standard
+    # basis too
+    args.variant = args.variant or "merged"
+    gens = (standard_basis_generators(args.dim) if args.standard_basis
+            else FamilyGenerators(args.dim, args.jump, args.variant))
     g = tuple(_parse_int_list(args.g))
     h = tuple(_parse_int_list(args.h))
     rep = cayley_roundness_upper(gens, g, h)
@@ -107,8 +114,8 @@ def _cayley_verify_args(p) -> None:
 def _cayley_roundness_args(p) -> None:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--jump", type=int, default=None)
-    p.add_argument("--variant", choices=("merged", "literal"),
-                   default="merged")
+    # no default, so --standard-basis can refuse it; a family reads merged
+    p.add_argument("--variant", choices=("merged", "literal"))
     p.add_argument("--standard-basis", action="store_true",
                    help="use the +-e_i generators instead of a jump family")
     p.add_argument("--g", required=True, help="comma-separated generator")

@@ -37,7 +37,8 @@ def _load_moduli(path):
     samples = []
     for k, sample in enumerate(data):
         if not (isinstance(sample, list) and len(sample) == 2
-                and all(isinstance(v, (str, int, float)) for v in sample)):
+                and all(isinstance(v, (str, int, float))
+                        and not isinstance(v, bool) for v in sample)):
             raise ValueError(f"moduli sample {k} is not a "
                              f"[distance, image] pair: {sample!r}")
         samples.append(tuple(v if isinstance(v, float) else Fraction(v)

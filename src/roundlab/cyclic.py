@@ -32,13 +32,6 @@ class Isometry(Record):
 
     __slots__ = ("perm", "rot", "reflect", "units")
 
-    def __init__(self, perm: tuple[int, ...], rot: tuple[int, ...],
-                 reflect: tuple[bool, ...], units: int):
-        self.perm = perm
-        self.rot = rot
-        self.reflect = reflect
-        self.units = units
-
     def apply(self, z: Sequence[int]) -> CyclePoint:
         u = self.units
         return tuple(
@@ -210,15 +203,6 @@ class SparsePairBatch(Record):
     """
 
     __slots__ = ("space", "cls", "supports", "x_vals", "y_vals")
-
-    def __init__(self, space: ProductCycleSpace, cls: PairClass,
-                 supports: np.ndarray, x_vals: np.ndarray,
-                 y_vals: np.ndarray):
-        self.space = space
-        self.cls = cls
-        self.supports = supports
-        self.x_vals = x_vals
-        self.y_vals = y_vals
 
     @property
     def count(self) -> int:

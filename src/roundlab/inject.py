@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import Record
 from .metric import FiniteMetricSpace
-from .numerics import REL_TOL, Number, rational_pow
+from .numerics import REL_TOL, Number, json_int, rational_pow
 
 
 class SeqVector(Record):
@@ -196,12 +196,12 @@ class InjectionTable:
         """Decode a table and its embedded domain (None without one);
         malformed input raises ValueError naming the missing key or the
         bad entry."""
-        def dec(v):
+        def dec(v, entry: str):
             if isinstance(v, str):
                 return Fraction(v)
-            if isinstance(v, (int, float)):
+            if isinstance(v, (int, float)) and not isinstance(v, bool):
                 return v
-            raise TypeError(f"{v!r} is not a number")
+            raise TypeError(f"{entry} is not a number: {v!r}")
 
         if not isinstance(data, dict):
             raise ValueError("injection table is not a JSON object")
@@ -211,20 +211,24 @@ class InjectionTable:
         target = data["target"]
         try:
             if target in ("ell0", "ellp"):
-                images = [SeqVector(tuple((int(n), dec(v)) for n, v in img))
-                          for img in data["images"]]
+                images = [SeqVector(tuple(
+                    (json_int(n, f"image {i} level"), dec(v, f"image {i}"))
+                    for n, v in img))
+                    for i, img in enumerate(data["images"])]
             else:
-                images = [dec(img) for img in data["images"]]
+                images = [dec(img, f"image {i}")
+                          for i, img in enumerate(data["images"])]
             table = cls(
                 target, images, tuple(data.get("labels", ())),
-                p=Fraction(data["p"]) if "p" in data else None,
+                p=Fraction(dec(data["p"], "p")) if "p" in data else None,
                 descriptor=data.get("descriptor"),
                 warnings=list(data.get("warnings", ())),
             )
             space = None
             if "domain" in data:
                 space = FiniteMetricSpace.from_rows(
-                    [[Fraction(v) for v in row] for row in data["domain"]],
+                    [[Fraction(dec(v, f"domain row {i}")) for v in row]
+                     for i, row in enumerate(data["domain"])],
                     labels=table.labels)
         except TypeError as exc:
             raise ValueError(f"malformed injection table: {exc}") from None
@@ -271,10 +275,6 @@ class BallChainTarget(Record):
     candidates 1/(n + shift), 1/(n + shift + 1), ..."""
 
     __slots__ = ("name", "shift")
-
-    def __init__(self, name: str, shift: int):
-        self.name = name
-        self.shift = shift
 
 
 def interval_chain_target() -> BallChainTarget:

@@ -64,31 +64,12 @@ class FiniteMetricSpace(Record):
         return self.dist[a][b]
 
 
-class ValidationReport:
+class ValidationReport(Record):
     __slots__ = ("ok", "symmetry_ok", "identity_ok", "positivity_ok",
                  "violations", "checked_triples", "exhaustive")
 
-    def __init__(self, ok: bool, symmetry_ok: bool, identity_ok: bool,
-                 positivity_ok: bool, violations: list,
-                 checked_triples: int, exhaustive: bool):
-        self.ok = ok
-        self.symmetry_ok = symmetry_ok
-        self.identity_ok = identity_ok
-        self.positivity_ok = positivity_ok
-        self.violations = violations
-        self.checked_triples = checked_triples
-        self.exhaustive = exhaustive
-
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "symmetry_ok": self.symmetry_ok,
-            "identity_ok": self.identity_ok,
-            "positivity_ok": self.positivity_ok,
-            "violations": self.violations,
-            "checked_triples": self.checked_triples,
-            "exhaustive": self.exhaustive,
-        }
+        return dict(zip(self.__slots__, self._values()))
 
 
 def validate_metric(space, budget: int | None = None) -> ValidationReport:
@@ -141,10 +122,6 @@ class SnowflakeOracle(Record):
 
     __slots__ = ("base", "alpha")
 
-    def __init__(self, base: object, alpha: Fraction):
-        self.base = base
-        self.alpha = alpha
-
     @property
     def size(self) -> int:
         return self.base.size
@@ -178,13 +155,6 @@ class ModulusEnvelope(Record):
     """
 
     __slots__ = ("domains", "images", "suffix_min", "prefix_max")
-
-    def __init__(self, domains: tuple, images: tuple, suffix_min: tuple,
-                 prefix_max: tuple):
-        self.domains = domains
-        self.images = images
-        self.suffix_min = suffix_min
-        self.prefix_max = prefix_max
 
     def rho1(self, t) -> Number | None:
         """min image over samples with domain >= t; None beyond the data."""

@@ -18,6 +18,15 @@ REL_TOL = 1e-12
 PRECISION_BITS = 80
 
 
+def json_int(value, entry: str) -> int:
+    """`value` if it is an integer; a float (4.0 as well as 1.5) or a
+    boolean read from JSON is refused with ValueError naming `entry`, not
+    rounded."""
+    if type(value) is not int:
+        raise ValueError(f"{entry} must be an integer, got {value!r}")
+    return value
+
+
 def dpow(d: Number, p: float) -> Number:
     """d**p with the counting convention 0**0 = 0 and d**0 = 1 for d > 0.
 

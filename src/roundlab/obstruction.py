@@ -226,14 +226,6 @@ def resolve_builtin_map(spec: str, space: ProductCycleSpace):
 class LevelAverage(Record):
     __slots__ = ("cls", "p", "mean", "count", "mode")
 
-    def __init__(self, cls: PairClass, p: float, mean: float, count: int,
-                 mode: str):
-        self.cls = cls
-        self.p = p
-        self.mean = mean
-        self.count = count
-        self.mode = mode
-
     def to_dict(self) -> dict:
         return {
             "delta": self.cls.delta,
@@ -305,21 +297,9 @@ def class_extremes(emap, cls: PairClass,
     return dist, dist, samples
 
 
-class StepReport:
+class StepReport(Record):
     __slots__ = ("simplex_class", "p", "conn", "edge", "factor", "margin",
                  "holds", "assumed_roundness")
-
-    def __init__(self, simplex_class: SimplexClass, p: float,
-                 conn: LevelAverage, edge: LevelAverage, factor: float,
-                 margin: float, holds: bool, assumed_roundness: bool):
-        self.simplex_class = simplex_class
-        self.p = p
-        self.conn = conn
-        self.edge = edge
-        self.factor = factor
-        self.margin = margin
-        self.holds = holds
-        self.assumed_roundness = assumed_roundness
 
     def to_dict(self) -> dict:
         return {
@@ -379,21 +359,9 @@ def verify_step_inequality(emap, scls: SimplexClass, p: float,
                       step["assumed_roundness"])
 
 
-class ChainReport:
+class ChainReport(Record):
     __slots__ = ("start", "levels", "p", "averages", "steps", "factor_total",
                  "cumulative_margin", "cumulative_holds")
-
-    def __init__(self, start: SimplexClass, levels: int, p: float,
-                 averages: list, steps: list, factor_total: float,
-                 cumulative_margin: float, cumulative_holds: bool):
-        self.start = start
-        self.levels = levels
-        self.p = p
-        self.averages = averages
-        self.steps = steps
-        self.factor_total = factor_total
-        self.cumulative_margin = cumulative_margin
-        self.cumulative_holds = cumulative_holds
 
     def to_dict(self) -> dict:
         return {
@@ -463,23 +431,9 @@ def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
                        cum_margin, cum_holds)
 
 
-class CoarseObstructionReport:
+class CoarseObstructionReport(Record):
     __slots__ = ("p", "found", "n", "alpha", "alpha_exact", "margin",
                  "odd_n_warning", "binding_constraint", "scanned")
-
-    def __init__(self, p: float, found: bool, n: Optional[int],
-                 alpha: Optional[float], alpha_exact: Optional[str],
-                 margin: Optional[float], odd_n_warning: bool,
-                 binding_constraint: Optional[str], scanned: list):
-        self.p = p
-        self.found = found
-        self.n = n
-        self.alpha = alpha
-        self.alpha_exact = alpha_exact
-        self.margin = margin
-        self.odd_n_warning = odd_n_warning
-        self.binding_constraint = binding_constraint
-        self.scanned = scanned
 
     def to_dict(self) -> dict:
         return {
@@ -546,21 +500,9 @@ def coarse_obstruction_report(moduli: ModulusEnvelope, p: float,
                                    binding, scanned)
 
 
-class UniformObstructionReport:
+class UniformObstructionReport(Record):
     __slots__ = ("map_name", "p", "entries", "epsilon_observed",
                  "first_violation_n", "obstruction_found", "conclusion")
-
-    def __init__(self, map_name: str, p: float, entries: list,
-                 epsilon_observed: Optional[float],
-                 first_violation_n: Optional[int], obstruction_found: bool,
-                 conclusion: str):
-        self.map_name = map_name
-        self.p = p
-        self.entries = entries
-        self.epsilon_observed = epsilon_observed
-        self.first_violation_n = first_violation_n
-        self.obstruction_found = obstruction_found
-        self.conclusion = conclusion
 
     def to_dict(self) -> dict:
         return {

@@ -31,12 +31,6 @@ CERTIFY_DIGITS = math.ceil(2 * PRECISION_BITS * math.log10(2))
 class GapResult(Record):
     __slots__ = ("p", "lhs", "rhs", "exact")
 
-    def __init__(self, p: Number, lhs: Number, rhs: Number, exact: bool):
-        self.p = p
-        self.lhs = lhs
-        self.rhs = rhs
-        self.exact = exact
-
     @property
     def gap(self) -> Number:
         return self.rhs - self.lhs

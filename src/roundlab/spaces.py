@@ -84,9 +84,6 @@ class PlanarPoints(Record):
 
     __slots__ = ("coords",)
 
-    def __init__(self, coords: tuple[tuple[int, int], ...]):
-        self.coords = coords
-
     @property
     def size(self) -> int:
         return len(self.coords)

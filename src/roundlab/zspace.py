@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import Record
+from .numerics import json_int
 
 VARIANTS = ("literal", "corrected")
 DENSE_COORD_LIMIT = 4096
@@ -98,22 +99,34 @@ class ZPoint(Record):
     @classmethod
     def from_json_dict(cls, data: dict) -> "ZPoint":
         """Decode a point; malformed input raises ValueError naming the
-        missing key or the bad entry."""
+        missing key or the bad entry. The block and the residues must be
+        integers and sparse coordinates integers or decimal strings:
+        nothing is rounded."""
         if not isinstance(data, dict) or "block" not in data:
             raise ValueError("ZPoint lacks 'block'")
         if "residues" not in data and "sparse" not in data:
             raise ValueError("ZPoint lacks 'residues' or 'sparse'")
+        block = json_int(data["block"], "ZPoint block")
         try:
-            block = int(data["block"])
             if "residues" in data:
                 vals = data["residues"]
                 if len(vals) != block_coords(block):
                     raise ValueError("dense residue list has wrong length")
-                return cls.make(block, {i: v for i, v in enumerate(vals) if v})
-            return cls.make(block,
-                            {int(k): v for k, v in data["sparse"].items()})
+                items = enumerate(vals)
+            else:
+                items = ((_sparse_coordinate(k), v)
+                         for k, v in data["sparse"].items())
+            return cls.make(block, {
+                k: json_int(v, f"ZPoint residue at coordinate {k}")
+                for k, v in items})
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed ZPoint: {exc}") from None
+
+
+def _sparse_coordinate(key) -> int:
+    if isinstance(key, str) and key.isascii() and key.isdigit():
+        return int(key)
+    return json_int(key, "ZPoint sparse coordinate")
 
 
 def block_distance(x: ZPoint, y: ZPoint) -> Fraction:
@@ -146,15 +159,6 @@ def zeta(x: ZPoint, y: ZPoint, variant: str = "corrected") -> Fraction:
 
 class TriangleViolation(Record):
     __slots__ = ("kind", "x", "y", "z", "lhs", "rhs")
-
-    def __init__(self, kind: str, x: ZPoint, y: ZPoint, z: ZPoint,
-                 lhs: Fraction, rhs: Fraction):
-        self.kind = kind
-        self.x = x
-        self.y = y
-        self.z = z
-        self.lhs = lhs
-        self.rhs = rhs
 
     @property
     def slack(self) -> Fraction:
@@ -222,15 +226,8 @@ def find_triangle_violation(variant: str, block_bound: int) -> Optional[Triangle
     return hits[0] if hits else None
 
 
-class CorrectedCertificate:
+class CorrectedCertificate(Record):
     __slots__ = ("block_bound", "checked_cases", "violations", "ok")
-
-    def __init__(self, block_bound: int, checked_cases: int, violations: list,
-                 ok: bool):
-        self.block_bound = block_bound
-        self.checked_cases = checked_cases
-        self.violations = violations
-        self.ok = ok
 
     def to_dict(self) -> dict:
         return {
@@ -278,39 +275,16 @@ def certify_corrected(block_bound: int) -> CorrectedCertificate:
     return CorrectedCertificate(block_bound, checked, bad, not bad)
 
 
-class BallCensusEntry:
+class BallCensusEntry(Record):
     __slots__ = ("block", "count", "count_log10", "formula")
 
-    def __init__(self, block: int, count: Optional[int], count_log10: float,
-                 formula: str):
-        self.block = block
-        self.count = count
-        self.count_log10 = count_log10
-        self.formula = formula
-
     def to_dict(self) -> dict:
-        return {
-            "block": self.block,
-            "count": self.count,
-            "count_log10": self.count_log10,
-            "formula": self.formula,
-        }
+        return dict(zip(self.__slots__, self._values()))
 
 
-class BallCensus:
+class BallCensus(Record):
     __slots__ = ("center", "radius", "variant", "block_bound", "entries",
                  "total", "total_log10")
-
-    def __init__(self, center: ZPoint, radius: Fraction, variant: str,
-                 block_bound: int, entries: list, total: Optional[int],
-                 total_log10: float):
-        self.center = center
-        self.radius = radius
-        self.variant = variant
-        self.block_bound = block_bound
-        self.entries = entries
-        self.total = total
-        self.total_log10 = total_log10
 
     def to_dict(self) -> dict:
         return {

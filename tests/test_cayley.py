@@ -1,6 +1,7 @@
 """Word metrics, the cyclic-product comparison, roundness probes, and the
 block projection check."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -90,8 +91,33 @@ def test_bfs_ball_diamond():
     ball = bfs_ball(standard_basis_generators(2).enumerate(), 2)
     assert len(ball) == 13
     assert ball[(1, 1)] == 2
-    with pytest.raises(ValueError):
-        bfs_ball([], 2)
+    for gens in ([], [(1, 0), (1,)]):
+        with pytest.raises(ValueError, match="nonempty list"):
+            bfs_ball(gens, 2)
+
+
+# sha256 of repr(list(bfs_ball(...).items())), recorded when the search ran
+# on numpy: each depth in sorted order, distances and order both pinned
+_BFS_DIGESTS = {
+    "basis-2-r5": (standard_basis_generators(2), 5, 61,
+                   "a865704090deff81deb4cdb48180c295"
+                   "a21c3532547db0be1d777e5e88b90944"),
+    "literal-3-4-r3": (FamilyGenerators(3, 4, "literal"), 3, 5061,
+                       "aaa83ccd9c7a898af3ee5effc1906fa2"
+                       "231182196e7eccdb259e8327d71ebe10"),
+    "merged-3-4-r3": (FamilyGenerators(3, 4, "merged"), 3, 9261,
+                      "43cc69f6ac1d1a9e4253883695ac144c"
+                      "2e817e63ce65a67c527e1407bc324b7b"),
+}
+
+
+@pytest.mark.parametrize("gens, radius, size, digest", _BFS_DIGESTS.values(),
+                         ids=_BFS_DIGESTS)
+def test_bfs_ball_order_frozen(gens, radius, size, digest):
+    ball = bfs_ball(gens.enumerate(), radius)
+    assert len(ball) == size
+    text = repr(list(ball.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

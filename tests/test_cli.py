@@ -17,8 +17,8 @@ import pytest
 import roundlab
 from roundlab.cli import COMMANDS, build_parser, command_path, main
 from roundlab.metric import FiniteMetricSpace
-from roundlab.spaces import (cycle_graph_space, random_rational_metric_space,
-                             write_space_csv)
+from roundlab.spaces import (cycle_graph_space, equilateral_space,
+                             random_rational_metric_space, write_space_csv)
 
 
 def run(argv, capsys):
@@ -594,6 +594,22 @@ def test_zspace_ball(capsys):
     assert doc["results"]["radius"] == "1/2"
 
 
+def test_zspace_ball_refuses_a_center_from_another_block(tmp_path, capsys):
+    from roundlab.zspace import ZPoint
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(ZPoint.make(4, {0: 1}).to_json_dict()))
+    argv = ["zspace", "ball", "--radius", "1/4", "--center", str(path)]
+    code, doc, err = run(argv + ["--block", "2"], capsys)
+    assert code == 1
+    assert doc is None
+    assert err.startswith("error:")
+    assert "block 4" in err and "--block 2" in err
+    code, doc, _ = run(argv + ["--block", "4"], capsys)
+    assert code == 0
+    assert doc["results"]["center"]["block"] == 4
+
+
 # ---------------------------------------------------------------------------
 # inject commands
 
@@ -695,6 +711,92 @@ def test_malformed_json_input_is_an_error(argv, payload, message, tmp_path,
     assert doc is None
     assert err.startswith("error:")
     assert message in err
+    assert "Traceback" not in err
+
+
+def _ell0_map(space):
+    from roundlab.inject import build_ell0_injection
+
+    return build_ell0_injection(space).to_json_dict(space)
+
+
+def _set(value, *paths):
+    """Set the entries at `paths` (keys and indices) of a JSON document."""
+    def edit(doc):
+        for path in paths:
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        return doc
+    return edit
+
+
+# (command, document, its edit at value X, whether a float is a legal
+# value there, the entry the refusal names); each edit puts X where the
+# decoder reads a number
+_JSON_NUMBER_ENTRIES = {
+    "center-residue": (["zspace", "ball", "--block", "2", "--radius", "1/4",
+                        "--center"],
+                       lambda: {"block": 2, "residues": [0, 1, 0, 0]},
+                       lambda x: _set(x, ["residues", 1]), False,
+                       "ZPoint residue at coordinate 1"),
+    "center-sparse-residue": (["zspace", "ball", "--block", "2", "--radius",
+                               "1/4", "--center"],
+                              lambda: {"block": 2, "sparse": {"3": 1}},
+                              lambda x: _set(x, ["sparse", "3"]), False,
+                              "ZPoint residue at coordinate 3"),
+    "center-sparse-coordinate": (["zspace", "ball", "--block", "2",
+                                  "--radius", "1/4", "--center"],
+                                 lambda: {"block": 2, "sparse": {}},
+                                 lambda x: _set(1, ["sparse",
+                                                    json.dumps(x)]),
+                                 False, "ZPoint sparse coordinate"),
+    "center-block": (["zspace", "ball", "--block", "2", "--radius", "1/4",
+                      "--center"],
+                     lambda: {"block": 2, "sparse": {}},
+                     lambda x: _set(x, ["block"]), False, "ZPoint block"),
+    "map-level": (["inject", "verify", "--map"],
+                  lambda: _ell0_map(cycle_graph_space(4)),
+                  lambda x: _set(x, ["images", 1, 0, 0]), False,
+                  "image 1 level"),
+    "map-value": (["inject", "verify", "--map"],
+                  lambda: _ell0_map(cycle_graph_space(4)),
+                  lambda x: _set(x, ["images", 1, 0, 1]), True,
+                  "image 1 is not a number"),
+    "map-domain": (["inject", "verify", "--map"],
+                   # all sides 3, so a side of 1.5 or 4 keeps a metric
+                   lambda: _ell0_map(equilateral_space(4, 3)),
+                   lambda x: _set(x, ["domain", 0, 1], ["domain", 1, 0]),
+                   True,
+                   "domain row 0 is not a number"),
+    "moduli": (["obstruct", "coarse", "--p", "1", "--moduli"],
+               lambda: [[1, 1], [2, 1], [4, 1]],
+               lambda x: _set(x, [1, 1]), True, "moduli sample 1"),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 4.0, True],
+                         ids=["1.5", "4.0", "true"])
+@pytest.mark.parametrize("argv, document, edit, float_ok, entry",
+                         _JSON_NUMBER_ENTRIES.values(),
+                         ids=_JSON_NUMBER_ENTRIES)
+def test_json_numbers_are_refused_not_coerced(argv, document, edit, float_ok,
+                                              entry, value, tmp_path,
+                                              capsys):
+    # an integer is read where a count or an index is meant, a float too
+    # where a distance is: 1.5 and 4.0 are never rounded, and a boolean is
+    # never a number
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(edit(value)(document())))
+    code, doc, err = run(argv + [str(path)], capsys)
+    if float_ok and not isinstance(value, bool):
+        assert code in (0, 2), err
+        return
+    assert code == 1
+    assert doc is None
+    assert err.startswith("error:")
+    assert entry in err
     assert "Traceback" not in err
 
 
@@ -825,6 +927,26 @@ def test_cayley_roundness_refuses_jump_with_standard_basis(capsys):
                        capsys)
     assert code == 1
     assert "error: give --jump or --standard-basis, not both" in err
+
+
+@pytest.mark.parametrize("variant", ["merged", "literal"])
+def test_cayley_roundness_refuses_variant_with_standard_basis(variant,
+                                                              capsys):
+    argv = ["cayley", "roundness", "--dim", "2", "--standard-basis",
+            "--g", "1,0", "--h", "0,1"]
+    code, doc, err = run(argv + ["--variant", variant], capsys)
+    assert code == 1
+    assert doc is None
+    assert err == "error: give --variant or --standard-basis, not both\n"
+    # without it the params still name merged, as they always have
+    code, doc, _ = run(argv, capsys)
+    assert code == 0
+    assert doc["params"]["variant"] == "merged"
+    # a jump family still defaults to merged
+    code, doc, _ = run(["cayley", "roundness", "--dim", "2", "--jump", "3",
+                        "--g", "1,1", "--h", "1,-1"], capsys)
+    assert code == 0
+    assert doc["params"]["variant"] == "merged"
 
 
 def test_cayley_projection_cli(capsys):

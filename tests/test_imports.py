@@ -171,6 +171,10 @@ LIGHT = {
        for target in ("ell0", "ellp:1", "ballchain:intervals",
                       "ballchain:cauchy")},
     "inject-verify": ["inject", "verify", "--map", "{map}"],
+    # a closed form and a pure-Python breadth-first search
+    "cayley-roundness": ["cayley", "roundness", "--dim", "2",
+                         "--standard-basis", "--g", "1,0", "--h", "0,1"],
+    "cayley-projection": ["cayley", "projection"],
 }
 
 

@@ -1,21 +1,31 @@
-"""Value semantics of the record types that are compared and hashed."""
+"""Value semantics of the record types, and the constructor `Record`
+supplies."""
 
+import ast
 import copy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from roundlab.cayley import ExplicitGenerators, FamilyGenerators, MStarSpace
+import roundlab
+from roundlab.cayley import (CayleyRoundnessReport, ExplicitGenerators,
+                             FamilyGenerators, MStarReport, MStarSpace,
+                             ProjectionReport)
 from roundlab.cyclic import (CycleSpace, DoubleSimplex, IncidenceCounts,
                              Isometry, PairClass, ProductCycleSpace,
-                             SimplexClass)
+                             SimplexClass, SparsePairBatch)
 from roundlab.inject import BallChainTarget, LevelStructure, SeqVector
-from roundlab.metric import FiniteMetricSpace, ModulusEnvelope, SnowflakeOracle
-from roundlab.obstruction import (CircleEmbeddingMap, ConstantMap,
-                                  IdentityMap, LevelAverage, SnowflakeMap)
+from roundlab.metric import (FiniteMetricSpace, ModulusEnvelope,
+                             SnowflakeOracle, ValidationReport)
+from roundlab.obstruction import (ChainReport, CircleEmbeddingMap,
+                                  CoarseObstructionReport, ConstantMap,
+                                  IdentityMap, LevelAverage, SnowflakeMap,
+                                  StepReport, UniformObstructionReport)
 from roundlab.roundness import GapResult
 from roundlab.spaces import PlanarPoints
-from roundlab.zspace import TriangleViolation, ZPoint
+from roundlab.zspace import (BallCensus, BallCensusEntry,
+                             CorrectedCertificate, TriangleViolation, ZPoint)
 
 F = Fraction
 C8 = CycleSpace(8)
@@ -127,3 +137,111 @@ def test_unchecked_space_equals_checked_space_on_the_same_matrix():
     # the audit flag is a constructor switch, not a field
     assert FiniteMetricSpace(PATH3) == FiniteMetricSpace.unchecked(PATH3)
     assert FiniteMetricSpace(PATH3).labels == ("0", "1", "2")
+
+
+# the records whose constructor `Record` supplies: each field in
+# `__slots__` order, by position or by name, with no default
+PLAIN_RECORDS = [
+    MStarReport, ProjectionReport, CayleyRoundnessReport, Isometry,
+    SparsePairBatch, BallChainTarget, ValidationReport, SnowflakeOracle,
+    ModulusEnvelope, LevelAverage, StepReport, ChainReport,
+    CoarseObstructionReport, UniformObstructionReport, GapResult,
+    PlanarPoints, TriangleViolation, CorrectedCertificate, BallCensusEntry,
+    BallCensus,
+]
+
+
+def _field_values(cls) -> tuple:
+    return tuple(f"<{name}>" for name in cls.__slots__)
+
+
+@pytest.mark.parametrize("cls", PLAIN_RECORDS,
+                         ids=[cls.__name__ for cls in PLAIN_RECORDS])
+def test_plain_record_constructs_by_position_and_by_name(cls):
+    names, values = cls.__slots__, _field_values(cls)
+    by_position = cls(*values)
+    assert tuple(getattr(by_position, n) for n in names) == values
+    assert by_position == cls(**dict(zip(names, values)))
+    # a positional head and a keyword tail, in any keyword order
+    for cut in range(len(names) + 1):
+        tail = dict(reversed(list(zip(names[cut:], values[cut:]))))
+        assert cls(*values[:cut], **tail) == by_position
+
+
+@pytest.mark.parametrize("cls", PLAIN_RECORDS,
+                         ids=[cls.__name__ for cls in PLAIN_RECORDS])
+def test_plain_record_refuses_a_bad_field_list(cls):
+    names, values = cls.__slots__, _field_values(cls)
+    name = cls.__name__
+    with pytest.raises(TypeError, match=rf"^{name} is missing field\(s\) "
+                       rf"'{names[-1]}'$"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=rf"^{name} is missing field\(s\) "
+                       rf"'{names[0]}'"):
+        cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError, match=rf"^{name} takes {len(names)} "
+                       rf"fields but {len(names) + 1} were given$"):
+        cls(*values, "extra")
+    with pytest.raises(TypeError, match=rf"^{name} has no field 'bogus'$"):
+        cls(*values, bogus=1)
+    with pytest.raises(TypeError,
+                       match=rf"^{name} got field '{names[0]}' twice$"):
+        cls(*values, **{names[0]: values[0]})
+
+
+def _copies_its_arguments(init: ast.FunctionDef) -> bool:
+    """True when the constructor's body only assigns its own arguments,
+    without defaults, to attributes of the same name: what `Record`'s
+    constructor does."""
+    args = init.args
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+    if (args.vararg or args.kwarg or args.defaults or len(params) < 2
+            or any(d is not None for d in args.kw_defaults)):
+        return False
+    self_name, names = params[0].arg, {p.arg for p in params[1:]}
+
+    def copies(stmt) -> bool:
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
+            return False
+        target, value = stmt.targets[0], stmt.value
+        return (isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == self_name
+                and isinstance(value, ast.Name)
+                and value.id == target.attr and value.id in names)
+
+    return all(copies(stmt) for stmt in init.body)
+
+
+def test_no_class_writes_the_constructor_record_supplies():
+    package = Path(roundlab.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and item.name == "__init__"
+                        and _copies_its_arguments(item)):
+                    found.append(f"{path.name}:{node.name}")
+    assert not found, ("derive from roundlab.Record and drop the "
+                       f"constructor: {found}")
+
+
+def test_the_guard_sees_a_copying_constructor():
+    tree = ast.parse("class A:\n"
+                     "    def __init__(self, a, b):\n"
+                     "        self.a = a\n"
+                     "        self.b = b\n"
+                     "class B:\n"
+                     "    def __init__(self, a, b=1):\n"
+                     "        self.a = a\n"
+                     "        self.b = b\n"
+                     "class C:\n"
+                     "    def __init__(self, a):\n"
+                     "        check(a)\n"
+                     "        self.a = a\n")
+    inits = [cls.body[0] for cls in tree.body]
+    assert [_copies_its_arguments(init) for init in inits] \
+        == [True, False, False]
