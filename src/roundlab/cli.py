@@ -7,6 +7,8 @@ surfaced a violation, mismatch, or obstruction, 1 on errors and bad usage.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import importlib
 import json
 import os
@@ -267,6 +269,17 @@ def command_path(argv) -> tuple:
 
 
 def main(argv=None) -> int:
+    # At exit, move every object still tracked into the collector's
+    # permanent generation, so the interpreter's shutdown collections skip
+    # what the request loaded instead of walking all of it several times.
+    # Reference counting still tears down everything reachable at exit;
+    # only cyclic garbage alive then goes unfinalized, and no request
+    # leaves a resource to a finalizer (every file and pool is closed
+    # before main returns). The hook runs only at interpreter exit, after
+    # main's caller is done, so in-process callers keep their collector
+    # state. Unregistering first keeps one hook however often main runs.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(command_path(argv)).parse_args(argv)
     try:

@@ -23,6 +23,12 @@ from . import BudgetExceeded, Record
 from .cycles import DoubleSimplex, ProductCycleSpace
 from .numerics import PRECISION_BITS, REL_TOL, Number, dpow, is_violation
 
+# the intervals a cycle product's character table may hold when the
+# caller of `estimate_roundness` sets no budget: about 10 s and 100 MiB
+# to build (measured at 8 coordinates of Z_16, 102,952 intervals in
+# 5.3 s and 52 MiB), and 50 times the 3,952 of stage 2
+TABLE_INTERVALS = 2 * 10 ** 5
+
 # significant digits of witness certification: at least twice
 # PRECISION_BITS bits
 CERTIFY_DIGITS = math.ceil(2 * PRECISION_BITS * math.log10(2))
@@ -113,42 +119,58 @@ def exhaustive_config_count(n_points: int, max_size: int) -> int:
     return total
 
 
+class DistanceIndex:
+    """A space's distances as an index into their distinct values: `keys`
+    holds one distance per distinct (type, value) and `rows[i][j]` the
+    position of d(i, j) among them. `dpow` depends on a distance only
+    through its type and value, so powering each key once gives every
+    entry of the power matrix; an estimate builds one index and each
+    probe powers only the keys."""
+
+    __slots__ = ("keys", "rows")
+
+    def __init__(self, space):
+        n = space.size
+        slots: dict = {}
+        self.rows = [[slots.setdefault((type(d), d), len(slots))
+                      for d in [space.distance(i, j) for j in range(n)]]
+                     for i in range(n)]
+        self.keys = [d for _, d in slots]
+
+    def power_matrix(self, p) -> list[list[float]]:
+        """float(dpow(d(i, j), p)) for every ordered pair of points. A
+        negative distance (an unchecked space) at fractional p has no real
+        power and raises ValueError naming its first pair."""
+        try:
+            powers = [float(dpow(d, p)) for d in self.keys]
+        except TypeError:
+            # float() refuses the complex power of a negative base
+            negative = next(((i, j) for i, row in enumerate(self.rows)
+                             for j, k in enumerate(row) if self.keys[k] < 0),
+                            None)
+            if negative is None:
+                raise
+            i, j = negative
+            raise ValueError(
+                f"distance between points {i} and {j} is negative "
+                f"({self.keys[self.rows[i][j]]}): no real power at p={p}"
+            ) from None
+        return [[powers[k] for k in row] for row in self.rows]
+
+
 def distance_power_matrix(space, p) -> list[list[float]]:
     """float(dpow(d(i, j), p)) for every ordered pair of points, with one
-    `dpow` per unordered pair: the mirror entry reuses it wherever d(j, i)
-    equals d(i, j) in value and type, which is where `dpow` is bound to
-    agree (an asymmetric input still gets its own power). A negative
-    distance (an unchecked space) at fractional p has no real power and
-    raises ValueError naming its pair."""
-    n = space.size
-    dist = [[space.distance(i, j) for j in range(n)] for i in range(n)]
-    dp = [[0.0] * n for _ in range(n)]
-    try:
-        for i, row in enumerate(dist):
-            out = dp[i]
-            for j in range(i, n):
-                d = row[j]
-                out[j] = value = float(dpow(d, p))
-                mirror = dist[j][i]
-                dp[j][i] = (value if mirror == d and type(mirror) is type(d)
-                            else float(dpow(mirror, p)))
-    except TypeError:
-        # float() refuses the complex power of a negative base
-        negative = next(((i, j) for i, row in enumerate(dist)
-                         for j, d in enumerate(row) if d < 0), None)
-        if negative is None:
-            raise
-        i, j = negative
-        raise ValueError(f"distance between points {i} and {j} is negative "
-                         f"({dist[i][j]}): no real power at p={p}") from None
-    return dp
+    `dpow` per distinct distance (see `DistanceIndex`)."""
+    return DistanceIndex(space).power_matrix(p)
 
 
 def find_violation_exhaustive(space, max_size: int, p,
-                              budget: int | None = None
+                              budget: int | None = None, *,
+                              index: DistanceIndex | None = None
                               ) -> Optional[DoubleSimplex]:
     """First violating double simplex over all index multisets of sizes
-    2..max_size, or None. Witnesses are certified before being returned."""
+    2..max_size, or None. Witnesses are certified before being returned.
+    `index` is the space's `DistanceIndex`, built here when not given."""
     n = space.size
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
@@ -157,8 +179,10 @@ def find_violation_exhaustive(space, max_size: int, p,
         if need > budget:
             raise BudgetExceeded(
                 f"exhaustive scan needs {need} configurations", need)
-    if p == 0 and all(space.distance(i, j) != 0
-                      for i in range(n) for j in range(n) if i != j):
+    if index is None:
+        index = DistanceIndex(space)
+    if p == 0 and all(index.keys[k] != 0 for i, row in enumerate(index.rows)
+                      for j, k in enumerate(row) if i != j):
         # D^0 is all ones off the diagonal, so with c the signed member
         # counts, twice every gap is sum_k (1 - D^0_kk) c_k^2 plus the
         # diagonal entries of the members: an integer >= 0, exact in
@@ -166,7 +190,7 @@ def find_violation_exhaustive(space, max_size: int, p,
         return None
     from . import kernels
 
-    dp = distance_power_matrix(space, p)
+    dp = index.power_matrix(p)
     witness, _, _ = kernels.min_gap_scan(dp, max_size, REL_TOL)
     if witness is None:
         return None
@@ -324,8 +348,11 @@ def estimate_roundness(space, max_size: int = 3,
     double simplex (max_size is not read); any other space by the
     exhaustive scan of families up to max_size points, which `covers`
     records. Both ends are certified for what `covers` names. `budget`
-    caps the characters or scanned configurations of each probe. The
-    tolerance and p_cap must be finite and positive.
+    caps the characters or scanned configurations of each probe. None
+    means no cap on a listed space, which its size bounds, and on a cycle
+    product, whose character count two integers set, as many characters
+    as keep its table within TABLE_INTERVALS intervals. The tolerance and
+    p_cap must be finite and positive.
     """
     for name, value in (("p_tolerance", p_tolerance), ("p_cap", p_cap)):
         if not (math.isfinite(value) and value > 0):
@@ -333,14 +360,20 @@ def estimate_roundness(space, max_size: int = 3,
     probes: list = []
     flags: list = []
     if isinstance(space, ProductCycleSpace):
-        covers, size = "every double simplex", None
+        covers, size, index = "every double simplex", None, None
+        if budget is None:
+            # the table holds units/2 intervals per character, and there
+            # are at least units/2 characters, so this bounds the kernel
+            # rows too
+            budget = TABLE_INTERVALS // (space.units // 2)
     else:
         covers = f"double simplices with at most {max_size} points per family"
-        size = max_size
+        size, index = max_size, DistanceIndex(space)
 
     def probe(p: float):
         w = (find_violation_characters(space, p, budget) if size is None
-             else find_violation_exhaustive(space, max_size, p, budget))
+             else find_violation_exhaustive(space, max_size, p, budget,
+                                            index=index))
         probes.append({"p": p, "violation": w is not None})
         return w
 

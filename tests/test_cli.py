@@ -1,6 +1,8 @@
 """End-to-end command line runs: exit codes, report bodies, determinism."""
 
 import argparse
+import atexit
+import gc
 import hashlib
 import json
 import os
@@ -9,6 +11,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -1205,3 +1208,108 @@ def test_console_script():
         proc = subprocess.run(cmd, capture_output=True, text=True, env=cmd_env)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["results"]["total"] == 81
+
+
+# ---------------------------------------------------------------------------
+# the exit hook: main registers gc.freeze to run at interpreter exit, so the
+# shutdown collections skip what the request loaded
+
+UNIFORM_IDENTITY = ["obstruct", "uniform", "--map", "builtin:identity",
+                    "--n-ladder", "2,4", "--p", "2"]
+ZSPACE_BALL = ["zspace", "ball", "--block", "2", "--radius", "1/4"]
+
+
+def run_fresh(argv, script=None):
+    """`python -m roundlab argv` in a fresh interpreter, or `script` with
+    argv as its arguments."""
+    head = ["-m", "roundlab"] if script is None else ["-c", script]
+    return subprocess.run([sys.executable, *head, *argv], capture_output=True,
+                          text=True, env=suite_env())
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["counts", "pairs", "--coords", "3", "--units", "6", "--delta", "1",
+      "--support", "1"], 0),
+    (["validate"], 1),
+    (UNIFORM_IDENTITY, 2),
+], ids=["passed", "usage-error", "obstruction"])
+def test_fresh_interpreter_keeps_the_exit_code(argv, code):
+    assert run_fresh(argv).returncode == code
+
+
+def test_fresh_interpreter_prints_the_in_process_report(capsys):
+    assert main(UNIFORM_IDENTITY) == 2
+    out = capsys.readouterr().out
+    assert '"wall_time_s"' in out
+    assert strip_wall(run_fresh(UNIFORM_IDENTITY).stdout) == strip_wall(out)
+
+
+def test_fresh_interpreter_writes_the_whole_out_file(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    proc = run_fresh([*UNIFORM_IDENTITY, "--out", str(path)])
+    assert proc.returncode == 2 and proc.stdout == ""
+    main(UNIFORM_IDENTITY)
+    out = capsys.readouterr().out
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("}\n")
+    assert strip_wall(text) == strip_wall(out)
+
+
+def test_exit_hook_freezes_the_heap():
+    script = ("import atexit, gc, sys\n"
+              "from roundlab import cli\n"
+              "cli.main(sys.argv[1:])\n"
+              "before = gc.get_freeze_count()\n"
+              "atexit._run_exitfuncs()\n"
+              "print(before, gc.get_freeze_count(), file=sys.stderr)\n")
+    proc = run_fresh(ZSPACE_BALL, script)
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(int, proc.stderr.split())
+    assert before == 0 and after > 0
+
+
+def test_main_registers_one_exit_hook():
+    # the child counts the exit calls of the function main finds as
+    # gc.freeze
+    script = ("import atexit, gc, sys\n"
+              "calls = []\n"
+              "gc.freeze = lambda: calls.append(1)\n"
+              "from roundlab import cli\n"
+              "for _ in range(3):\n"
+              "    cli.main(sys.argv[1:])\n"
+              "atexit._run_exitfuncs()\n"
+              "print(len(calls), file=sys.stderr)\n")
+    proc = run_fresh(ZSPACE_BALL, script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["1"]
+
+
+def test_main_leaves_the_freeze_count_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(ZSPACE_BALL) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_no_request_leaves_a_resource_to_a_finalizer(tmp_path, monkeypatch,
+                                                     capsys):
+    # a frozen heap is never collected at exit, so a file or pool that
+    # only a finalizer closes would stay open; gc.collect() here runs the
+    # finalizers the exit would skip, and a ResourceWarning from one of
+    # them reaches the unraisable hook
+    write_space_csv(cycle_graph_space(5), str(tmp_path / "points.csv"))
+    monkeypatch.chdir(tmp_path)
+    picks = [("gr", "estimate"), ("counts", "incidences"),
+             ("obstruct", "uniform"), ("cayley", "verify")]
+    argvs = [next(argv for argv in readme_commands()
+                  if tuple(argv[:2]) == path) for path in picks]
+    assert {COMMANDS[a][1][b][1] for a, b in picks} \
+        == {"space", "census", "obstruct", "blocks"}
+    gc.collect()
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        for argv in argvs:
+            assert main(argv) in (0, 2), argv
+        gc.collect()
+    assert [u.exc_value for u in unraisable] == []

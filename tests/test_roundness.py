@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -188,30 +189,30 @@ def test_power_matrix_matches_one_dpow_per_ordered_pair(make, p):
             == repr(reference_power_matrix(space, p)))
 
 
-@pytest.mark.parametrize("make, extra", [
-    (lambda: random_rational_metric_space(20, 0), 0),
+@pytest.mark.parametrize("make, distinct", [
+    (lambda: random_rational_metric_space(20, 0), 21),
     (lambda: _asymmetric_unchecked(7, 5), None),
-    (_MixedTypes, 3),
+    (_MixedTypes, 7),
 ], ids=["r20", "asymmetric", "mixed-types"])
-def test_power_matrix_takes_one_dpow_per_unordered_pair(make, extra,
-                                                        monkeypatch):
+def test_power_matrix_takes_one_dpow_per_distinct_distance(make, distinct,
+                                                           monkeypatch):
     space = make()
     n = space.size
-    if extra is None:
-        extra = sum(space.distance(i, j) != space.distance(j, i)
-                    for i in range(n) for j in range(i))
-        assert 0 < extra < n * (n - 1) // 2
+    keys = {(type(d), d) for i in range(n) for j in range(n)
+            for d in [space.distance(i, j)]}
+    if distinct is not None:
+        assert len(keys) == distinct
     calls, dpow = [], roundness.dpow
 
     def counting_dpow(d, p):
-        calls.append(d)
+        calls.append((type(d), d))
         return dpow(d, p)
 
     monkeypatch.setattr(roundness, "dpow", counting_dpow)
     distance_power_matrix(space, 1.5)
-    # n diagonal entries, one per unordered pair, one more per mirror
-    # entry that differs
-    assert len(calls) == n * (n + 1) // 2 + extra
+    # one call per distinct (type, value): 1/2 as a Fraction and as a
+    # float are two, 3 as a Fraction and as an int two
+    assert sorted(calls, key=repr) == sorted(keys, key=repr)
 
 
 def test_monotonicity_of_violations():
@@ -261,6 +262,21 @@ def test_estimate_budget_partial_results():
     est = estimate_roundness(C4, max_size=3, budget=10)
     assert not est.certified
     assert any("budget exhausted" in f for f in est.flags)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: stage_space(4),
+    # 43,757 characters, over the 25,000 the default allows at 16 units
+    lambda: ProductCycleSpace(10, CycleSpace(16)),
+], ids=["stage-4", "Z16^10"])
+def test_large_product_refused_at_once_without_budget(make):
+    # stage 3 has 729 units per cycle, which CycleSpace refuses as odd
+    start = time.perf_counter()
+    est = estimate_roundness(make())
+    assert time.perf_counter() - start < 1.0
+    assert not est.certified and est.probes == []
+    assert len(est.flags) == 1
+    assert est.flags[0].startswith("budget exhausted: character probe needs")
 
 
 def test_search_finds_planted_violation():
