@@ -66,9 +66,11 @@ class BudgetExceeded(Exception):
 
 
 class Record:
-    """Value semantics for a record class: a constructor, equality, hash and
-    repr over the fields its `__slots__` names, in that order. A class whose
-    constructor checks, derives or defaults a value writes its own.
+    """Value semantics for a record class: a constructor, equality, hash,
+    repr and a report form over the fields its `__slots__` names, in that
+    order. A class whose constructor checks, derives or defaults a value
+    writes its own; one whose report renames, adds or flattens keys
+    overrides `fields`.
 
     Records are plain classes, not generated ones, because generating them
     at import (the standard library's record decorator `exec`s every method
@@ -99,6 +101,18 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
+
+    def fields(self) -> dict:
+        """The report's keys and values, before encoding: each field by its
+        slot name."""
+        return dict(zip(self.__slots__, self._values()))
+
+    def to_dict(self) -> dict:
+        """`fields()` made JSON-safe by `report.sanitize`, which serializes
+        a nested record through its own `to_dict`."""
+        from .report import sanitize
+
+        return sanitize(self.fields())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -245,21 +245,11 @@ class MStarReport(Record):
     def ok(self) -> bool:
         return self.mismatch_count == 0
 
-    def to_dict(self) -> dict:
+    def fields(self) -> dict:
         covers = ("every pair" if self.support == 1 else
                   f"pairs whose difference has at most {self.support} "
                   "nonzero coordinates")
-        return {
-            "n": self.n,
-            "variant": self.variant,
-            "support": self.support,
-            "values_scanned": self.values_scanned,
-            "covers": covers,
-            "mismatch_count": self.mismatch_count,
-            "mismatches": self.mismatches,
-            "max_word_distance": self.max_word_distance,
-            "ok": self.ok,
-        }
+        return {**super().fields(), "covers": covers, "ok": self.ok}
 
 
 def verify_mstar_isometry(n: int, variant: str = "merged") -> MStarReport:
@@ -326,18 +316,10 @@ class ProjectionReport(Record):
     def ok(self) -> bool:
         return self.mismatch_count == 0
 
-    def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "jumps": list(self.jumps),
-            "variant": self.variant,
-            "radius": self.radius,
-            "states_full": self.states_full,
-            "blocks": self.block_reports,
-            "mismatch_count": self.mismatch_count,
-            "mismatches": self.mismatches,
-            "ok": self.ok,
-        }
+    def fields(self) -> dict:
+        fields = super().fields()
+        fields["blocks"] = fields.pop("block_reports")
+        return {**fields, "ok": self.ok}
 
 
 def block_projection_check(dims: Sequence[int] = (2, 2),
@@ -393,19 +375,13 @@ class CayleyRoundnessReport(Record):
     __slots__ = ("g", "h", "edges", "conns", "critical_p", "gap_at_2",
                  "witness", "canonical")
 
-    def to_dict(self) -> dict:
-        return {
-            "g": list(self.g),
-            "h": list(self.h),
-            "edge_distances": list(self.edges),
-            "conn_distances": list(self.conns),
-            "critical_p": self.critical_p,
-            "gap_at_2": self.gap_at_2,
-            "witness": {"xs": [list(x) for x in self.witness.xs],
-                        "ys": [list(y) for y in self.witness.ys]},
-            "canonical": self.canonical,
-            "statement": "roundness of the Cayley graph is at most critical_p",
-        }
+    def fields(self) -> dict:
+        fields = super().fields()
+        fields["edge_distances"] = fields.pop("edges")
+        fields["conn_distances"] = fields.pop("conns")
+        fields["statement"] = ("roundness of the Cayley graph is at most "
+                               "critical_p")
+        return fields
 
 
 def cayley_roundness_upper(gens: GeneratorSet, g: Sequence[int],

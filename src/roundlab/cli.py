@@ -155,8 +155,7 @@ def vars_params(args) -> dict:
     # the obstruct commands accept --workers and no computation reads it,
     # so it stays out of the report body
     skip = {"func", "out", "command", "sub", "workers"}
-    return {k: (str(v) if isinstance(v, Fraction) else v)
-            for k, v in vars(args).items()
+    return {k: v for k, v in vars(args).items()
             if k not in skip and not callable(v)}
 
 
@@ -168,7 +167,7 @@ def _class_params(args, space, cls) -> dict:
 
     params = vars_params(args)
     params.update(coords=space.coords, units=space.units,
-                  quantum=str(space.quantum), delta=cls.delta,
+                  quantum=space.quantum, delta=cls.delta,
                   support=cls.support)
     if isinstance(cls, SimplexClass):
         params["size"] = cls.families

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .cli import (_add_class_args, _add_space_args, _class_params,
                   _parse_fraction, _parse_int_list, _print_report,
-                  _resolve_simplex_class, _resolve_space)
+                  _resolve_simplex_class, _resolve_space, vars_params)
 
 
 def _parse_p(text: str) -> float:
@@ -51,8 +51,7 @@ def _cmd_obstruct_coarse(args) -> int:
 
     moduli = _load_moduli(args.moduli)
     rep = coarse_obstruction_report(moduli, args.p)
-    _print_report(args, "obstruct coarse",
-                  {"moduli": args.moduli, "p": args.p}, rep.to_dict())
+    _print_report(args, "obstruct coarse", vars_params(args), rep.to_dict())
     return 2 if rep.found else 0
 
 

@@ -16,9 +16,7 @@ def _cmd_validate(args) -> int:
 
     space = cli.read_space_csv(args.input, checked=False)
     rep = validate_metric(space, budget=args.budget)
-    _print_report(args, "validate",
-                  {"input": args.input, "budget": args.budget},
-                  rep.to_dict())
+    _print_report(args, "validate", vars_params(args), rep.to_dict())
     return 0 if rep.ok else 2
 
 

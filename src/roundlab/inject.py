@@ -18,6 +18,7 @@ from typing import Optional
 from . import Record
 from .metric import FiniteMetricSpace
 from .numerics import REL_TOL, Number, json_int, rational_pow
+from .report import sanitize
 
 
 class SeqVector(Record):
@@ -166,30 +167,21 @@ class InjectionTable:
         self.warnings = [] if warnings is None else warnings
 
     def to_json_dict(self, space: Optional[FiniteMetricSpace] = None) -> dict:
-        def enc(v):
-            if isinstance(v, Fraction):
-                return str(v)
-            return v
-
-        def enc_image(img):
-            if isinstance(img, SeqVector):
-                return [[n, enc(v)] for n, v in img.entries]
-            return enc(img)
-
         out = {
             "schema": 1,
             "target": self.target,
-            "labels": list(self.labels),
-            "images": [enc_image(img) for img in self.images],
-            "warnings": list(self.warnings),
+            "labels": self.labels,
+            "images": [img.entries if isinstance(img, SeqVector) else img
+                       for img in self.images],
+            "warnings": self.warnings,
         }
         if self.p is not None:
-            out["p"] = str(self.p)
+            out["p"] = self.p
         if self.descriptor is not None:
             out["descriptor"] = self.descriptor
         if space is not None:
-            out["domain"] = [[str(d) for d in row] for row in space.dist]
-        return out
+            out["domain"] = space.dist
+        return sanitize(out)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> tuple["InjectionTable", Optional[FiniteMetricSpace]]:
@@ -324,7 +316,7 @@ def build_injection(space, spec: str) -> InjectionTable:
     raise ValueError(f"unknown target {spec!r}")
 
 
-class InjectionReport:
+class InjectionReport(Record):
     __slots__ = ("target", "injective", "duplicate_pair", "worst_ratio",
                  "worst_pair", "violations", "checked_pairs", "modulus",
                  "convention")
@@ -348,24 +340,11 @@ class InjectionReport:
     def ok(self) -> bool:
         return self.injective and not self.violations
 
-    def to_dict(self) -> dict:
-        def num(v):
-            if isinstance(v, Fraction):
-                return str(v)
-            return v
-        return {
-            "target": self.target,
-            "injective": self.injective,
-            "duplicate_pair": list(self.duplicate_pair) if self.duplicate_pair else None,
-            "worst_ratio": num(self.worst_ratio),
-            "worst_ratio_float": None if self.worst_ratio is None else float(self.worst_ratio),
-            "worst_pair": list(self.worst_pair) if self.worst_pair else None,
-            "violations": self.violations,
-            "checked_pairs": self.checked_pairs,
-            "modulus": self.modulus,
-            "convention": self.convention,
-            "ok": self.ok,
-        }
+    def fields(self) -> dict:
+        worst = self.worst_ratio
+        return {**super().fields(),
+                "worst_ratio_float": None if worst is None else float(worst),
+                "ok": self.ok}
 
 
 def resolve_modulus(spec: str):

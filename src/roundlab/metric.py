@@ -68,9 +68,6 @@ class ValidationReport(Record):
     __slots__ = ("ok", "symmetry_ok", "identity_ok", "positivity_ok",
                  "violations", "checked_triples", "exhaustive")
 
-    def to_dict(self) -> dict:
-        return dict(zip(self.__slots__, self._values()))
-
 
 def validate_metric(space, budget: int | None = None) -> ValidationReport:
     """Audit metric axioms on any enumerable oracle.

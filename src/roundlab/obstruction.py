@@ -226,15 +226,9 @@ def resolve_builtin_map(spec: str, space: ProductCycleSpace):
 class LevelAverage(Record):
     __slots__ = ("cls", "p", "mean", "count", "mode")
 
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.cls.delta,
-            "support": self.cls.support,
-            "p": self.p,
-            "mean": self.mean,
-            "count": self.count,
-            "mode": self.mode,
-        }
+    def fields(self) -> dict:
+        fields = super().fields()
+        return {**fields.pop("cls").fields(), **fields}
 
 
 def _check_samples(samples: int) -> None:
@@ -301,20 +295,10 @@ class StepReport(Record):
     __slots__ = ("simplex_class", "p", "conn", "edge", "factor", "margin",
                  "holds", "assumed_roundness")
 
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.simplex_class.delta,
-            "support": self.simplex_class.support,
-            "families": self.simplex_class.families,
-            "p": self.p,
-            "conn": self.conn.to_dict(),
-            "edge": self.edge.to_dict(),
-            "factor": self.factor,
-            "margin": self.margin,
-            "holds": self.holds,
-            "assumed_roundness": self.assumed_roundness,
-            "inequality": "conn_mean >= (1 - 1/r) * edge_mean",
-        }
+    def fields(self) -> dict:
+        fields = super().fields()
+        return {**fields.pop("simplex_class").fields(), **fields,
+                "inequality": "conn_mean >= (1 - 1/r) * edge_mean"}
 
 
 def _check_exponent(p: float) -> None:
@@ -363,19 +347,11 @@ class ChainReport(Record):
     __slots__ = ("start", "levels", "p", "averages", "steps", "factor_total",
                  "cumulative_margin", "cumulative_holds")
 
-    def to_dict(self) -> dict:
-        return {
-            "start_delta": self.start.delta,
-            "start_support": self.start.support,
-            "families": self.start.families,
-            "levels": self.levels,
-            "p": self.p,
-            "averages": [a.to_dict() for a in self.averages],
-            "steps": self.steps,
-            "factor_total": self.factor_total,
-            "cumulative_margin": self.cumulative_margin,
-            "cumulative_holds": self.cumulative_holds,
-        }
+    def fields(self) -> dict:
+        fields = super().fields()
+        start = fields.pop("start")
+        return {"start_delta": start.delta, "start_support": start.support,
+                "families": start.families, **fields}
 
 
 def chain_classes(start: SimplexClass, levels: int) -> list[SimplexClass]:
@@ -435,20 +411,9 @@ class CoarseObstructionReport(Record):
     __slots__ = ("p", "found", "n", "alpha", "alpha_exact", "margin",
                  "odd_n_warning", "binding_constraint", "scanned")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "coarse",
-            "p": self.p,
-            "found": self.found,
-            "n": self.n,
-            "alpha": self.alpha,
-            "alpha_exact": self.alpha_exact,
-            "margin": self.margin,
-            "margin_formula": "alpha**p * exp(-1) - 1",
-            "odd_n_warning": self.odd_n_warning,
-            "binding_constraint": self.binding_constraint,
-            "scanned": self.scanned,
-        }
+    def fields(self) -> dict:
+        return {"kind": "coarse", **super().fields(),
+                "margin_formula": "alpha**p * exp(-1) - 1"}
 
 
 def coarse_obstruction_report(moduli: ModulusEnvelope, p: float,
@@ -504,19 +469,13 @@ class UniformObstructionReport(Record):
     __slots__ = ("map_name", "p", "entries", "epsilon_observed",
                  "first_violation_n", "obstruction_found", "conclusion")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "uniform",
-            "map": self.map_name,
-            "p": None if math.isinf(self.p) else self.p,
-            "p_infinite": math.isinf(self.p),
-            "entries": self.entries,
-            "epsilon_observed": self.epsilon_observed,
-            "first_violation_n": self.first_violation_n,
-            "obstruction_found": self.obstruction_found,
-            "conclusion": self.conclusion,
-            "inequality": "sup_fine >= exp(-1/p) * inf_coarse",
-        }
+    def fields(self) -> dict:
+        fields = super().fields()
+        fields["map"] = fields.pop("map_name")
+        infinite = math.isinf(self.p)
+        return {"kind": "uniform", **fields,
+                "p": None if infinite else self.p, "p_infinite": infinite,
+                "inequality": "sup_fine >= exp(-1/p) * inf_coarse"}
 
 
 def uniform_obstruction_report(map_spec, ladder: Sequence[int], p: float,

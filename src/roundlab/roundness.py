@@ -212,13 +212,19 @@ def _intervals(bits: int):
     return iv
 
 
-@functools.lru_cache(maxsize=8)
-def _character_products(units: int, coords: int, bits: int) -> tuple:
+def character_table(space: ProductCycleSpace,
+                    budget: int | None = None) -> tuple:
     """For each nontrivial folded frequency multiset xi in {0..units/2}
     (combinations_with_replacement order), the intervals prod_i D_k(xi_i),
-    k = 1..units/2, of `bits` bits. D_k is one cycle's character sum over
-    |g| < k: sin(pi(2k-1)v/units) / sin(pi v/units), and 2k - 1 at v = 0."""
-    iv, half = _intervals(bits), units // 2
+    k = 1..units/2, at PRECISION_BITS. D_k is one cycle's character sum
+    over |g| < k: sin(pi(2k-1)v/units) / sin(pi v/units), and 2k - 1 at
+    v = 0. Over `budget` characters raise BudgetExceeded before any is
+    built."""
+    units, coords = space.units, space.coords
+    need = comb(units // 2 + coords, coords) - 1
+    if budget is not None and need > budget:
+        raise BudgetExceeded(f"character probe needs {need} characters", need)
+    iv, half = _intervals(PRECISION_BITS), units // 2
     kernel = [[iv.sin(iv.pi * (2 * k - 1) * v / units)
                / iv.sin(iv.pi * v / units) if v else iv.mpf(2 * k - 1)
                for v in range(half + 1)] for k in range(1, half + 1)]
@@ -255,7 +261,8 @@ def _eigenvalue_vanishes(units: int, xi: tuple, p) -> bool:
 
 
 def find_violation_characters(space: ProductCycleSpace, p,
-                              budget: int | None = None
+                              budget: int | None = None, *,
+                              table: tuple | None = None
                               ) -> Optional[tuple]:
     """The first nontrivial character of a cycle product whose eigenvalue
     in [d(x, y)^p] is positive, as its folded frequency multiset, or None.
@@ -267,18 +274,18 @@ def find_violation_characters(space: ProductCycleSpace, p,
     [d >= kq], w_k = k^p - (k-1)^p and 0^p = 0 as in dpow, so the
     eigenvalue at xi is -q^p sum_k w_k prod_i D_k(xi_i), evaluated as an
     interval at PRECISION_BITS. One that straddles 0 with none positive
-    must be proven 0 (`_eigenvalue_vanishes`), else ArithmeticError. Over
-    `budget` characters raise BudgetExceeded before any is built.
+    must be proven 0 (`_eigenvalue_vanishes`), else ArithmeticError.
+    `table` is the space's `character_table`, built here under `budget`
+    when not given.
     """
-    units, coords = space.units, space.coords
-    need = comb(units // 2 + coords, coords) - 1
-    if budget is not None and need > budget:
-        raise BudgetExceeded(f"character probe needs {need} characters", need)
+    if table is None:
+        table = character_table(space, budget)
+    units = space.units
     iv = _intervals(PRECISION_BITS)
     pw = [iv.mpf(k) ** iv.mpf(p) for k in range(1, units // 2 + 1)]
     weights = [pw[0]] + [b - a for a, b in zip(pw, pw[1:])]
     undecided = []
-    for xi, prods in _character_products(units, coords, PRECISION_BITS):
+    for xi, prods in table:
         lam = -sum(w * d for w, d in zip(weights, prods))
         if lam.a > 0:
             return xi
@@ -291,7 +298,7 @@ def find_violation_characters(space: ProductCycleSpace, p,
     return None
 
 
-class RoundnessEstimate:
+class RoundnessEstimate(Record):
     __slots__ = ("lower", "upper", "witness", "witness_p", "certified",
                  "covers", "max_simplex_size", "p_cap", "probes", "flags")
 
@@ -314,27 +321,13 @@ class RoundnessEstimate:
         self.probes = [] if probes is None else probes
         self.flags = [] if flags is None else flags
 
-    def to_dict(self) -> dict:
-        if self.witness is None:
-            witness = None
-        elif isinstance(self.witness, DoubleSimplex):
-            witness = {"xs": list(self.witness.xs),
-                       "ys": list(self.witness.ys)}
-        else:
-            witness = {"character": list(self.witness)}
-        return {
-            "lower": self.lower,
-            "upper": None if math.isinf(self.upper) else self.upper,
-            "unbounded": math.isinf(self.upper),
-            "witness": witness,
-            "witness_p": self.witness_p,
-            "certified": self.certified,
-            "covers": self.covers,
-            "max_simplex_size": self.max_simplex_size,
-            "p_cap": self.p_cap,
-            "probes": self.probes,
-            "flags": self.flags,
-        }
+    def fields(self) -> dict:
+        fields = super().fields()
+        if isinstance(self.witness, tuple):
+            fields["witness"] = {"character": self.witness}
+        unbounded = math.isinf(self.upper)
+        return {**fields, "upper": None if unbounded else self.upper,
+                "unbounded": unbounded}
 
 
 def estimate_roundness(space, max_size: int = 3,
@@ -359,6 +352,7 @@ def estimate_roundness(space, max_size: int = 3,
             raise ValueError(f"{name} must be finite and positive, got {value}")
     probes: list = []
     flags: list = []
+    table = None
     if isinstance(space, ProductCycleSpace):
         covers, size, index = "every double simplex", None, None
         if budget is None:
@@ -371,7 +365,8 @@ def estimate_roundness(space, max_size: int = 3,
         size, index = max_size, DistanceIndex(space)
 
     def probe(p: float):
-        w = (find_violation_characters(space, p, budget) if size is None
+        w = (find_violation_characters(space, p, table=table)
+             if size is None
              else find_violation_exhaustive(space, max_size, p, budget,
                                             index=index))
         probes.append({"p": p, "violation": w is not None})
@@ -380,6 +375,9 @@ def estimate_roundness(space, max_size: int = 3,
     est = RoundnessEstimate(0.0, math.inf, None, None, True, covers, size,
                             p_cap, probes, flags)
     try:
+        if size is None:
+            # built once and dropped when the estimate returns
+            table = character_table(space, budget)
         w0 = probe(0.0)
         if w0 is not None:
             flags.append("violation at p=0")

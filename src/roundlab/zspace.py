@@ -86,15 +86,17 @@ class ZPoint(Record):
     def as_dict(self) -> dict:
         return dict(self.residues)
 
-    def to_json_dict(self) -> dict:
+    def fields(self) -> dict:
+        """The form a point serializes to: dense residues up to
+        DENSE_COORD_LIMIT coordinates, a sparse {coordinate: residue} map
+        above it."""
         c = block_coords(self.block)
         if c <= DENSE_COORD_LIMIT:
             dense = [0] * c
             for coord, val in self.residues:
                 dense[coord] = val
             return {"block": self.block, "residues": dense}
-        return {"block": self.block,
-                "sparse": {str(k): v for k, v in self.residues}}
+        return {"block": self.block, "sparse": self.as_dict()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ZPoint":
@@ -164,16 +166,8 @@ class TriangleViolation(Record):
     def slack(self) -> Fraction:
         return self.lhs - self.rhs
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "x": self.x.to_json_dict(),
-            "y": self.y.to_json_dict(),
-            "z": self.z.to_json_dict(),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-        }
+    def fields(self) -> dict:
+        return {**super().fields(), "slack": self.slack}
 
 
 def _blocks_up_to(bound: int) -> list[int]:
@@ -229,14 +223,6 @@ def find_triangle_violation(variant: str, block_bound: int) -> Optional[Triangle
 class CorrectedCertificate(Record):
     __slots__ = ("block_bound", "checked_cases", "violations", "ok")
 
-    def to_dict(self) -> dict:
-        return {
-            "block_bound": self.block_bound,
-            "checked_cases": self.checked_cases,
-            "violations": [v.to_dict() for v in self.violations],
-            "ok": self.ok,
-        }
-
 
 def certify_corrected(block_bound: int) -> CorrectedCertificate:
     """Exact certificate that the corrected zeta satisfies the triangle
@@ -278,24 +264,10 @@ def certify_corrected(block_bound: int) -> CorrectedCertificate:
 class BallCensusEntry(Record):
     __slots__ = ("block", "count", "count_log10", "formula")
 
-    def to_dict(self) -> dict:
-        return dict(zip(self.__slots__, self._values()))
-
 
 class BallCensus(Record):
     __slots__ = ("center", "radius", "variant", "block_bound", "entries",
                  "total", "total_log10")
-
-    def to_dict(self) -> dict:
-        return {
-            "center": self.center.to_json_dict(),
-            "radius": self.radius,
-            "variant": self.variant,
-            "block_bound": self.block_bound,
-            "entries": [e.to_dict() for e in self.entries],
-            "total": self.total,
-            "total_log10": self.total_log10,
-        }
 
 
 def _residues_within(block: int, radius_quanta: int) -> int:

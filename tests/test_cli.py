@@ -568,6 +568,208 @@ def test_results_frozen(argv, code, results_sha256, growth_moduli,
 
 
 # ---------------------------------------------------------------------------
+# every leaf command's whole body, pinned: (argv, exit code)
+
+_STEP_SPACE = ["--coords", "4", "--units", "8", "--delta", "1",
+               "--support", "2", "--size", "2", "--p", "2"]
+# the identity's step fails at p = 2 (exit 2); the other maps' steps hold
+_STEP_MAPS = ("identity", "circle", "constant", "snowflake:1/2")
+_MAP_OUT = ["--input", "space.csv", "--map-out", "map.json", "--target"]
+
+PINNED = {
+    "validate": (["validate", "--input", "space.csv"], 0),
+    "validate-budget": (["validate", "--input", "broken.csv", "--budget",
+                         "4"], 2),
+    "gr-estimate": (["gr", "estimate", "--input", "c5.csv"], 0),
+    "gr-estimate-r12": (["gr", "estimate", "--input", "space.csv",
+                         "--max-size", "2", "--tol", "1e-2"], 0),
+    "simplex-build": (["simplex", "build", "--coords", "4", "--units", "8",
+                       "--delta", "1", "--support", "2", "--size", "2"], 0),
+    "simplex-build-stage": (["simplex", "build", "--n", "2", "--t", "0",
+                             "--m", "1"], 0),
+    "counts-pairs": (["counts", "pairs", "--n", "2", "--t", "1", "--m", "0",
+                      "--enumerate-budget", "200000"], 0),
+    "counts-incidences": (["counts", "incidences", "--coords", "8",
+                           "--units", "8", "--delta", "1", "--support", "2",
+                           "--size", "4"], 0),
+    "obstruct-coarse": (["obstruct", "coarse", "--moduli", "moduli.json",
+                         "--p", "1"], 2),
+    **{f"obstruct-step-{mode}-{name}": (
+        ["obstruct", "step", "--map", f"builtin:{name}", *_STEP_SPACE,
+         "--mode", mode, "--samples", "500"], code)
+       for mode in ("exact", "mc")
+       for name, code in zip(_STEP_MAPS, (2, 0, 0, 0))},
+    "obstruct-chain": (["obstruct", "chain", "--map", "builtin:circle",
+                        "--n", "2", "--t", "-1", "--m", "1", "--levels", "2",
+                        "--p", "2", "--mode", "exact"], 0),
+    "obstruct-uniform-p2": (["obstruct", "uniform", "--map",
+                             "builtin:identity", "--n-ladder", "2,4",
+                             "--p", "2"], 2),
+    "obstruct-uniform-pinf": (["obstruct", "uniform", "--map",
+                               "builtin:snowflake:1/2", "--n-ladder", "2",
+                               "--p", "inf"], 2),
+    "zspace-validate-literal": (["zspace", "validate", "--variant", "literal",
+                                 "--block-bound", "6", "--all"], 2),
+    "zspace-validate-corrected": (["zspace", "validate", "--variant",
+                                   "corrected", "--block-bound", "6"], 0),
+    "zspace-ball": (["zspace", "ball", "--block", "2", "--radius", "1/4",
+                     "--center", "center.json"], 0),
+    **{f"inject-build-{target}": (["inject", "build", *_MAP_OUT, target], 0)
+       for target in ("ell0", "ellp:1/2", "ellp:2", "ballchain:intervals",
+                      "ballchain:cauchy")},
+    "inject-build-embedded": (["inject", "build", "--input", "c5.csv",
+                               "--target", "ellp:1"], 0),
+    "inject-verify": (["inject", "verify", "--map", "table.json"], 0),
+    "inject-verify-input": (["inject", "verify", "--map", "table.json",
+                             "--input", "c5.csv", "--modulus",
+                             "identity"], 0),
+    "cayley-verify-merged": (["cayley", "verify", "--n", "2"], 0),
+    "cayley-verify-literal": (["cayley", "verify", "--n", "2", "--variant",
+                               "literal"], 2),
+    "cayley-roundness": (["cayley", "roundness", "--dim", "2", "--jump", "3",
+                          "--g", "1,1", "--h", "1,-1"], 0),
+    "cayley-roundness-basis": (["cayley", "roundness", "--dim", "3",
+                                "--standard-basis", "--g", "1,0,0", "--h",
+                                "0,0,-1"], 0),
+    "cayley-projection": (["cayley", "projection", "--dims", "1,2",
+                           "--radius", "2"], 0),
+}
+
+# sha256 of the printed body without its wall_time_s line
+PINNED_BODY = {
+    "validate":
+        "46b0b538d4a05fc9c66b5936a3a5e3e171f6333608553fcdfe54d83ee6614582",
+    "validate-budget":
+        "b58cfd7dc6c39b82a8978100599e331507b896f138df9ba4412731dad402a268",
+    "gr-estimate":
+        "bb7c1b2252f7193aed8c06ac71a79ed8cef01a11ee0b9be554de80d9b64cf750",
+    "gr-estimate-r12":
+        "0df99d88ba5bcf6f65edfb57bfd32b63ff861c21e7e947cb79bfef1372932908",
+    "simplex-build":
+        "5b0eefb16fb35816111b3092603898406d6ea2983f6ad4edec0f97ec86fb96bf",
+    "simplex-build-stage":
+        "9a2062aa3ab39686f1ba849ef743a5287c836299db8e813df43f170cdd0f8c03",
+    "counts-pairs":
+        "59e7667c464378af081ee93b3de6e4d414de907be72031c01a1e3a63a7feefe4",
+    "counts-incidences":
+        "65706d8c743c008f6fcaa398c6bb231bec870ba53d59d7c7b557d9ec8541b8b2",
+    "obstruct-coarse":
+        "2158108a33ab7fd0d4c006b86a7b1096e4cf155aacc1178aa625b1b121f0a9c0",
+    "obstruct-step-exact-identity":
+        "f8d2e2c46636beb64eac794b29f5c258cf422ae3c0768cf2c902cd318afed5bf",
+    "obstruct-step-exact-circle":
+        "e2334393b07be38908357cbd2e18b788208290ac0499f5e1403e300c798b8edf",
+    "obstruct-step-exact-constant":
+        "6c60be12996c389c5d61392ed87bbba208a666ca186b5bcf699fe96b6f38d3f4",
+    "obstruct-step-exact-snowflake:1/2":
+        "9bad1b94f3a3a7a49532b530e6eb96dd7be074df09626aaf97f8a0da60434881",
+    "obstruct-step-mc-identity":
+        "3bbec597c30e0869aff2d8a6799e3cc275810500fa81b01074b53185a108800c",
+    "obstruct-step-mc-circle":
+        "1a419a99252598a330cf2ecbe0ec947c35ee8cccc40ad891c1adabfe84a14a47",
+    "obstruct-step-mc-constant":
+        "4f77a5d461d1c00f807cb0e718c155805742aa66697b924fd5f1761cced7715d",
+    "obstruct-step-mc-snowflake:1/2":
+        "5dc7cc8b86a08345367c8c4716888a2b4569932287d0ca4de7a6bcecbba802eb",
+    "obstruct-chain":
+        "61ace34d4a990cb41267dca8546aa17fca469d12862caf3ba152ce62552dd605",
+    "obstruct-uniform-p2":
+        "5ab7ecd17f986e25dc2481ed83ad4fb1f77ee36c4ec4638498f8c57c374945fa",
+    "obstruct-uniform-pinf":
+        "ab3a9db10b7fa817b49cfdcdd39e96bbb45ec70f0fbd3f63b6bca62f0f87deef",
+    "zspace-validate-literal":
+        "6fcf7ddfbe666b64a5c286dcda0a935b0389c7cf26da1526b4707df832233a38",
+    "zspace-validate-corrected":
+        "8e57d9ea07a2f87cf8e9f3f827d46d367aae3fdbcac59689579116a034523b15",
+    "zspace-ball":
+        "2e37c479df799f91d7affa3685622275f0209d7b7d2ed336b3649f58a8adbdbf",
+    "inject-build-ell0":
+        "363c85992175063284191500524660d7955bd8b71c9a78396a55b9eb518899a8",
+    "inject-build-ellp:1/2":
+        "9042360997c158317410ee4a5daeab95b3870dae4cb29f34e0e203b8facfbfb1",
+    "inject-build-ellp:2":
+        "fb05920b76e1617a820dba6e3a117d23f7ae3b484b1ecca09db510db2e569e1e",
+    "inject-build-ballchain:intervals":
+        "3f20a3e2ac40f541b16ae91e459aeb077cf06b6f5be8c87c73f46bb755848121",
+    "inject-build-ballchain:cauchy":
+        "038fc55e31c8a1ef73f3e020feea9cb26a7cf1dba5b4a9f34c8c102febc7520a",
+    "inject-build-embedded":
+        "46c7af0a9695a915100c9a06baaaaa39085b2505d3c58978b46d6aefb96ec509",
+    "inject-verify":
+        "c0faa565e5a5c9705f53a7a455cb3802803ae88e5d1e50851f7d700e8bb25fe8",
+    "inject-verify-input":
+        "07eda07e72e572cfc0ca456ad69d87c304afaf9ff383101cb9f4aa0f279bbffa",
+    "cayley-verify-merged":
+        "f4c297eef909ca99bb2c42a72e4b506858841a6261f546d69d0c2ef8978a3833",
+    "cayley-verify-literal":
+        "114a403cd23baf4da83809bd10dee72e1752989e5478a3033be7047f8a4c0035",
+    "cayley-roundness":
+        "b74a3d7fe9660a322dfa5ab83f3531d5934ede68e892039bc6e47da88241acc3",
+    "cayley-roundness-basis":
+        "59caeb5620c62cb606d5b97147ef6460cbb36ac154e2c51ec5fe8dc9a871bc6f",
+    "cayley-projection":
+        "33b9b3d4e8b4f944bd9d79e90356835fb861fe226c2016e47cda8b22b2f563e2",
+}
+
+# sha256 of the --map-out file
+PINNED_MAP = {
+    "inject-build-ell0":
+        "b41a1e47cf464e2176e89379ca074df84ab3730f9afa6524dee58cd339f1537e",
+    "inject-build-ellp:1/2":
+        "67cde5d2124502f0ed77b0e5f7470b2c202f5c5a37063538b49f38f5dcdaa511",
+    "inject-build-ellp:2":
+        "d0ec87ab3989e64dea542f885888b8e577a215d135457de0a1b50c2d4770418e",
+    "inject-build-ballchain:intervals":
+        "9ac2ea3ce924720a8776235f3075fa2671428463ea1605733ab1c971853984f5",
+    "inject-build-ballchain:cauchy":
+        "8cdb5c111a261760841888ca39c24de6038a2ae6407f2e25921c0b926d1242a3",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture
+def pinned_files(tmp_path, monkeypatch, capsys):
+    """The input files of PINNED, under relative names in a fresh working
+    directory, so no temporary path reaches the params."""
+    monkeypatch.chdir(tmp_path)
+    write_space_csv(random_rational_metric_space(12, 0), "space.csv")
+    write_space_csv(cycle_graph_space(5), "c5.csv")
+    write_space_csv(FiniteMetricSpace.unchecked(
+        [[0, 1, 10], [1, 0, 1], [10, 1, 0]]), "broken.csv")
+    samples = [[1, 1]] + [[2 ** k, k] for k in range(1, 9)]
+    Path("moduli.json").write_text(json.dumps({"samples": samples}))
+    Path("center.json").write_text(json.dumps({"block": 2,
+                                               "residues": [0, 3, 0, 1]}))
+    assert main(["inject", "build", "--input", "c5.csv", "--target",
+                 "ellp:1/2", "--map-out", "table.json"]) == 0
+    capsys.readouterr()
+
+
+def test_pinned_bodies_cover_every_command():
+    leaves = {path for path in command_paths()
+              if path and command_path(list(path)) == path}
+    assert {command_path(argv) for argv, _ in PINNED.values()} == leaves
+    assert set(PINNED_BODY) == set(PINNED)
+    assert set(PINNED_MAP) == {name for name, (argv, _) in PINNED.items()
+                               if "--map-out" in argv}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_every_command_body_pinned(name, pinned_files, capsys):
+    # digests recorded at schema 8, before records serialized from their
+    # fields through `report.sanitize`
+    argv, code = PINNED[name]
+    assert main(argv) == code
+    out, _ = capsys.readouterr()
+    assert _sha256(strip_wall(out)) == PINNED_BODY[name]
+    if name in PINNED_MAP:
+        assert _sha256(Path("map.json").read_text()) == PINNED_MAP[name]
+
+
+# ---------------------------------------------------------------------------
 # zspace commands
 
 def test_zspace_validate_literal(capsys):
@@ -601,7 +803,7 @@ def test_zspace_ball_refuses_a_center_from_another_block(tmp_path, capsys):
     from roundlab.zspace import ZPoint
 
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(ZPoint.make(4, {0: 1}).to_json_dict()))
+    path.write_text(json.dumps(ZPoint.make(4, {0: 1}).to_dict()))
     argv = ["zspace", "ball", "--radius", "1/4", "--center", str(path)]
     code, doc, err = run(argv + ["--block", "2"], capsys)
     assert code == 1

@@ -143,7 +143,7 @@ def test_validate_matches_the_distance_path(kind):
         rows = _random_rows(rng, n, kind)
         for space in (_Oracle(rows), FiniteMetricSpace.unchecked(rows)):
             for budget in (None, -2, 0, 1, rng.randint(0, 120), 10 ** 6):
-                got = validate_metric(space, budget).to_dict()
+                got = validate_metric(space, budget).fields()
                 want = reference_validate_metric(space, budget)
                 assert got == want
                 assert [type(v["slack"]) for v in got["violations"]] == \

@@ -1,8 +1,10 @@
-"""Value semantics of the record types, and the constructor `Record`
-supplies."""
+"""Value semantics of the record types, the constructor `Record`
+supplies, and their report form."""
 
 import ast
 import copy
+import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,14 +17,16 @@ from roundlab.cayley import (CayleyRoundnessReport, ExplicitGenerators,
 from roundlab.cyclic import (CycleSpace, DoubleSimplex, IncidenceCounts,
                              Isometry, PairClass, ProductCycleSpace,
                              SimplexClass, SparsePairBatch)
-from roundlab.inject import BallChainTarget, LevelStructure, SeqVector
+from roundlab.inject import (BallChainTarget, InjectionReport,
+                             LevelStructure, SeqVector)
 from roundlab.metric import (FiniteMetricSpace, ModulusEnvelope,
                              SnowflakeOracle, ValidationReport)
 from roundlab.obstruction import (ChainReport, CircleEmbeddingMap,
                                   CoarseObstructionReport, ConstantMap,
                                   IdentityMap, LevelAverage, SnowflakeMap,
                                   StepReport, UniformObstructionReport)
-from roundlab.roundness import GapResult
+from roundlab.report import sanitize
+from roundlab.roundness import GapResult, RoundnessEstimate
 from roundlab.spaces import PlanarPoints
 from roundlab.zspace import (BallCensus, BallCensusEntry,
                              CorrectedCertificate, TriangleViolation, ZPoint)
@@ -104,6 +108,11 @@ RECORDS = {
     MStarSpace: ((4,), (0, 2), [
         ((3,), ValueError, "n must be even and >= 2"),
         ((0,), ValueError, "n must be even and >= 2")]),
+    RoundnessEstimate: ((0.5, math.inf, (1, 0), 1.0, True, "every double "
+                         "simplex", None, 16.0, (), ("a flag",)), (1, 1.0),
+                        []),
+    InjectionReport: (("ell0", True, None, F(3, 8), (0, 1), (), 6,
+                       "identity", None), (3, 0.5), []),
 }
 
 
@@ -245,3 +254,41 @@ def test_the_guard_sees_a_copying_constructor():
     inits = [cls.body[0] for cls in tree.body]
     assert [_copies_its_arguments(init) for init in inits] \
         == [True, False, False]
+
+
+def _classes_defining(tree: ast.AST, method: str) -> list[str]:
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, ast.FunctionDef) and item.name == method
+                    for item in node.body)]
+
+
+def test_only_record_defines_to_dict():
+    package = Path(roundlab.__file__).parent
+    found = [f"{path.name}:{name}" for path in sorted(package.glob("*.py"))
+             for name in _classes_defining(ast.parse(path.read_text()),
+                                           "to_dict")]
+    assert found == ["__init__.py:Record"], (
+        "a report states the keys that differ from its slots by overriding "
+        f"fields(), not to_dict(): {found}")
+
+
+def test_the_guard_sees_a_to_dict():
+    tree = ast.parse("class A:\n"
+                     "    def to_dict(self):\n"
+                     "        return {}\n"
+                     "class B:\n"
+                     "    def fields(self):\n"
+                     "        return {}\n")
+    assert _classes_defining(tree, "to_dict") == ["A"]
+
+
+@pytest.mark.parametrize("cls, args",
+                         [(cls, case[0]) for cls, case in RECORDS.items()],
+                         ids=[cls.__name__ for cls in RECORDS])
+def test_record_serializes_its_fields(cls, args):
+    record = cls(*args)
+    if type(record).fields is roundlab.Record.fields:
+        assert list(record.fields()) == list(cls.__slots__)
+    assert record.to_dict() == sanitize(record.fields())
+    json.dumps(record.to_dict())

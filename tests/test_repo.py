@@ -47,3 +47,18 @@ def test_readme_names_current_schema():
     stated = re.findall(r"Report bodies are at schema (\d+)",
                         (ROOT / "README.md").read_text())
     assert stated == [str(SCHEMA_VERSION)]
+
+
+def test_readme_module_map_names_every_module():
+    # every module of the package has a row in README's module map
+    import re
+
+    text = (ROOT / "README.md").read_text()
+    after = text.split("Module map, all under `src/roundlab/`:", 1)[1]
+    table = after.strip().split("\n\n", 1)[0]
+    cells = re.findall(r"^\| ([^|]*) \|", table, re.M)
+    named = {name for cell in cells
+             for name in re.findall(r"`(\w+\.py)`", cell)}
+    modules = {path.name for path in (ROOT / "src" / "roundlab").glob("*.py")
+               if path.name != "__main__.py"}
+    assert modules - named == set()

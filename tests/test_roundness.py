@@ -1,9 +1,11 @@
 """Gap evaluation, violation probes, and the roundness bisection."""
 
+import gc
 import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -290,6 +292,49 @@ def test_search_finds_planted_violation():
     xi = find_violation_characters(space, 3.0, budget=44)
     assert xi is not None
     assert character_quotient(space, xi, 3.0) > 1.0
+    table = roundness.character_table(space)
+    assert find_violation_characters(space, 3.0, table=table) == xi
+
+
+def test_estimate_builds_one_character_table(monkeypatch):
+    space = ProductCycleSpace(2, CycleSpace(16))
+    built, build = [], roundness.character_table
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(roundness, "character_table", counted)
+    est = estimate_roundness(space, p_tolerance=1e-2)
+    # the default budget: TABLE_INTERVALS over units/2 intervals a row
+    assert len(est.probes) > 2
+    assert built == [(space, roundness.TABLE_INTERVALS // 8)]
+    # over budget: refused before any interval is computed, with the flag
+    # the probe used to raise
+    built.clear()
+    monkeypatch.setattr(roundness, "_intervals", None)
+    est = estimate_roundness(space, budget=43)
+    assert built == [(space, 43)]
+    assert est.probes == [] and not est.certified
+    assert est.flags == ["budget exhausted: character probe needs 44 "
+                         "characters"]
+
+
+def test_estimate_keeps_no_character_table():
+    # the table of (Z_16)^6 holds 24,016 intervals, about 10 MiB; once the
+    # estimate returns none of it may stay reachable
+    space = ProductCycleSpace(6, CycleSpace(16))
+    estimate_roundness(ProductCycleSpace(2, CycleSpace(4)))  # load mpmath
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        est = estimate_roundness(space, p_tolerance=0.5, p_cap=1.0)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert est.certified and est.upper == 0.5
+    assert retained < 2 ** 20
 
 
 def test_estimate_search_mode_on_product_space():

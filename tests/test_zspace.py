@@ -177,14 +177,14 @@ def test_ball_census_dict_round():
 
 def test_zpoint_json_dense_round_trip():
     p = ZPoint.make(2, {0: 8, 3: 1})
-    d = p.to_json_dict()
+    d = p.to_dict()
     assert d == {"block": 2, "residues": [8, 0, 0, 1]}
     assert ZPoint.from_json_dict(d) == p
 
 
 def test_zpoint_json_sparse_round_trip():
     p = ZPoint.make(8, {12345: 7, 0: 1})
-    d = p.to_json_dict()
+    d = p.to_dict()
     assert "sparse" in d and "residues" not in d
     assert ZPoint.from_json_dict(d) == p
 
