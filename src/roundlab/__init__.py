@@ -108,11 +108,10 @@ class Record:
         return dict(zip(self.__slots__, self._values()))
 
     def to_dict(self) -> dict:
-        """`fields()` made JSON-safe by `report.sanitize`, which serializes
-        a nested record through its own `to_dict`."""
+        """`fields()` made JSON-safe by `report.sanitize`."""
         from .report import sanitize
 
-        return sanitize(self.fields())
+        return sanitize(self)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

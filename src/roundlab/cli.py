@@ -1,7 +1,11 @@
 """Command line surface; every subcommand prints one JSON report.
 
-Exit codes: 0 when the check passed or the job completed, 2 when the run
-surfaced a violation, mismatch, or obstruction, 1 on errors and bad usage.
+A handler takes the parsed arguments and returns `(params, results, ok)`:
+the params its report records, its record (or a plain dict of records)
+and its verdict. `main` alone times the handler, builds the `Report`,
+writes it to `--out` or stdout, and maps the verdict to the exit code:
+0 when the check passed or the job completed, 2 when the run surfaced a
+violation, mismatch, or obstruction, 1 on errors and bad usage.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import importlib
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 # Module level binds only the dispatcher's needs and the report writer.
@@ -59,27 +64,6 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
-
-
-def _print_report(args, command: str, params: dict, results: dict,
-                  provenance_extra: dict | None = None,
-                  wall_time: float | None = None) -> None:
-    prov = {"version": __version__, "backend": BACKEND}
-    if provenance_extra:
-        prov.update(provenance_extra)
-    rep = Report(command, params, results, prov, wall_time)
-    text = rep.to_json()
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        return
-    try:
-        print(text, flush=True)
-    except BrokenPipeError:
-        # the reader stopped early, its choice: the exit code keeps the
-        # verdict, and with stdout on devnull the final flush stays silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _add_out(p) -> None:
@@ -282,13 +266,35 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(command_path(argv)).parse_args(argv)
     try:
-        return args.func(args)
+        start = time.perf_counter()
+        params, results, ok = args.func(args)
+        wall = time.perf_counter() - start
+        command = args.command
+        if "sub" in args:
+            command += f" {args.sub}"
+        prov = {"version": __version__, "backend": BACKEND}
+        if "seed" in args:
+            prov["seed"] = args.seed
+        text = Report(command, params, results, prov, wall).to_json()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            try:
+                print(text, flush=True)
+            except BrokenPipeError:
+                # the reader stopped early, its choice: the exit code keeps
+                # the verdict, and with stdout on devnull the final flush
+                # stays silent
+                os.dup2(os.open(os.devnull, os.O_WRONLY),
+                        sys.stdout.fileno())
     except BudgetExceeded as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if ok else 2
 
 
 if __name__ == "__main__":

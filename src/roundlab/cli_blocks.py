@@ -4,13 +4,12 @@
 from __future__ import annotations
 
 import json
-import time
 from fractions import Fraction
 
-from .cli import _parse_int_list, _print_report, vars_params
+from .cli import _parse_int_list, vars_params
 
 
-def _cmd_zspace_validate(args) -> int:
+def _cmd_zspace_validate(args) -> tuple:
     from .zspace import certify_corrected, scan_triangle_violations
 
     violations = scan_triangle_violations(args.variant, args.block_bound)
@@ -18,16 +17,14 @@ def _cmd_zspace_validate(args) -> int:
         "variant": args.variant,
         "block_bound": args.block_bound,
         "violation_count": len(violations),
-        "violations": [v.to_dict() for v in
-                       (violations if args.all else violations[:1])],
+        "violations": violations if args.all else violations[:1],
     }
     if args.variant == "corrected":
-        results["certificate"] = certify_corrected(args.block_bound).to_dict()
-    _print_report(args, "zspace validate", vars_params(args), results)
-    return 2 if violations else 0
+        results["certificate"] = certify_corrected(args.block_bound)
+    return vars_params(args), results, not violations
 
 
-def _cmd_zspace_ball(args) -> int:
+def _cmd_zspace_ball(args) -> tuple:
     from .zspace import ZPoint, ball_census
 
     if args.center:
@@ -40,22 +37,17 @@ def _cmd_zspace_ball(args) -> int:
         center = ZPoint.zero(args.block)
     census = ball_census(center, Fraction(args.radius), args.variant,
                          args.block_bound)
-    _print_report(args, "zspace ball", vars_params(args), census.to_dict())
-    return 0
+    return vars_params(args), census, True
 
 
-def _cmd_cayley_verify(args) -> int:
+def _cmd_cayley_verify(args) -> tuple:
     from .cayley import verify_mstar_isometry
 
-    start = time.perf_counter()
     rep = verify_mstar_isometry(args.n, variant=args.variant)
-    wall = time.perf_counter() - start
-    _print_report(args, "cayley verify", vars_params(args), rep.to_dict(),
-                  wall_time=wall)
-    return 0 if rep.ok else 2
+    return vars_params(args), rep, rep.ok
 
 
-def _cmd_cayley_roundness(args) -> int:
+def _cmd_cayley_roundness(args) -> tuple:
     from .cayley import (FamilyGenerators, cayley_roundness_upper,
                          standard_basis_generators)
 
@@ -74,18 +66,16 @@ def _cmd_cayley_roundness(args) -> int:
     g = tuple(_parse_int_list(args.g))
     h = tuple(_parse_int_list(args.h))
     rep = cayley_roundness_upper(gens, g, h)
-    _print_report(args, "cayley roundness", vars_params(args), rep.to_dict())
-    return 0
+    return vars_params(args), rep, True
 
 
-def _cmd_cayley_projection(args) -> int:
+def _cmd_cayley_projection(args) -> tuple:
     from .cayley import block_projection_check
 
     rep = block_projection_check(
         _parse_int_list(args.dims), _parse_int_list(args.jumps),
         args.radius, args.variant)
-    _print_report(args, "cayley projection", vars_params(args), rep.to_dict())
-    return 0 if rep.ok else 2
+    return vars_params(args), rep, rep.ok
 
 
 def _zspace_validate_args(p) -> None:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from . import cli
 from .cli import (_add_class_args, _add_space_args, _class_params,
-                  _print_report, _resolve_simplex_class, _resolve_space,
+                  _resolve_simplex_class, _resolve_space,
                   _resolve_stage_class)
 from .cycles import PairClass, count_pairs_closed, stage_pair_class
 
@@ -20,7 +20,7 @@ def _resolve_pair_class(args) -> PairClass:
     return PairClass(args.delta, args.support)
 
 
-def _cmd_simplex_build(args) -> int:
+def _cmd_simplex_build(args) -> tuple:
     from .cyclic import build_simplex, is_simplex
 
     space = _resolve_space(args)
@@ -40,12 +40,10 @@ def _cmd_simplex_build(args) -> int:
         "ys": [list(y) for y in ds.ys],
         "verified": verified,
     }
-    _print_report(args, "simplex build", _class_params(args, space, scls),
-                  results)
-    return 0
+    return _class_params(args, space, scls), results, True
 
 
-def _cmd_counts_pairs(args) -> int:
+def _cmd_counts_pairs(args) -> tuple:
     space = _resolve_space(args)
     cls = _resolve_pair_class(args)
     closed = count_pairs_closed(space, cls)
@@ -58,12 +56,10 @@ def _cmd_counts_pairs(args) -> int:
         if seen != closed:
             raise ArithmeticError(
                 f"enumeration found {seen} pairs, closed form {closed}")
-    _print_report(args, "counts pairs", _class_params(args, space, cls),
-                  results)
-    return 0
+    return _class_params(args, space, cls), results, True
 
 
-def _cmd_counts_incidences(args) -> int:
+def _cmd_counts_incidences(args) -> tuple:
     space = _resolve_space(args)
     scls = _resolve_simplex_class(args)
     inc = cli.count_incidences(space, scls, budget=args.budget)
@@ -78,9 +74,7 @@ def _cmd_counts_incidences(args) -> int:
         "conn_identity": "S*r^2 == N_conn*L",
         "ratio_identity_holds": inc.ratio_identity_holds(),
     }
-    _print_report(args, "counts incidences",
-                  _class_params(args, space, scls), results)
-    return 0
+    return _class_params(args, space, scls), results, True
 
 
 def _simplex_build_args(p) -> None:

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from fractions import Fraction
 
 from .cli import (_add_class_args, _add_space_args, _class_params,
-                  _parse_fraction, _parse_int_list, _print_report,
-                  _resolve_simplex_class, _resolve_space, vars_params)
+                  _parse_fraction, _parse_int_list, _resolve_simplex_class,
+                  _resolve_space, vars_params)
 
 
 def _parse_p(text: str) -> float:
@@ -46,59 +45,46 @@ def _load_moduli(path):
     return empirical_moduli(samples)
 
 
-def _cmd_obstruct_coarse(args) -> int:
+def _cmd_obstruct_coarse(args) -> tuple:
     from .obstruction import coarse_obstruction_report
 
     moduli = _load_moduli(args.moduli)
     rep = coarse_obstruction_report(moduli, args.p)
-    _print_report(args, "obstruct coarse", vars_params(args), rep.to_dict())
-    return 2 if rep.found else 0
+    return vars_params(args), rep, not rep.found
 
 
-def _cmd_obstruct_uniform(args) -> int:
+def _cmd_obstruct_uniform(args) -> tuple:
     from .obstruction import uniform_obstruction_report
 
     ladder = _parse_int_list(args.n_ladder)
-    start = time.perf_counter()
     rep = uniform_obstruction_report(args.map, ladder, args.p,
                                      samples=args.samples)
-    wall = time.perf_counter() - start
     params = {"map": args.map, "n_ladder": ladder, "p": args.p,
               "samples": args.samples, "seed": args.seed}
-    _print_report(args, "obstruct uniform", params, rep.to_dict(),
-                  {"seed": args.seed}, wall)
-    return 2 if rep.obstruction_found else 0
+    return params, rep, not rep.obstruction_found
 
 
-def _cmd_obstruct_step(args) -> int:
+def _cmd_obstruct_step(args) -> tuple:
     from .obstruction import resolve_builtin_map, verify_step_inequality
 
     space = _resolve_space(args)
     scls = _resolve_simplex_class(args)
     emap = resolve_builtin_map(args.map, space)
-    start = time.perf_counter()
     rep = verify_step_inequality(emap, scls, args.p, mode=args.mode,
                                  samples=args.samples)
-    wall = time.perf_counter() - start
-    _print_report(args, "obstruct step", _class_params(args, space, scls),
-                  rep.to_dict(), {"seed": args.seed}, wall)
-    return 0 if rep.holds else 2
+    return _class_params(args, space, scls), rep, rep.holds
 
 
-def _cmd_obstruct_chain(args) -> int:
+def _cmd_obstruct_chain(args) -> tuple:
     from .obstruction import resolve_builtin_map, verify_chain_inequality
 
     space = _resolve_space(args)
     scls = _resolve_simplex_class(args)
     emap = resolve_builtin_map(args.map, space)
-    start = time.perf_counter()
     rep = verify_chain_inequality(emap, scls, args.levels, args.p,
                                   mode=args.mode, samples=args.samples)
-    wall = time.perf_counter() - start
     ok = rep.cumulative_holds and all(s["holds"] for s in rep.steps)
-    _print_report(args, "obstruct chain", _class_params(args, space, scls),
-                  rep.to_dict(), {"seed": args.seed}, wall)
-    return 0 if ok else 2
+    return _class_params(args, space, scls), rep, ok
 
 
 def _obstruct_coarse_args(p) -> None:

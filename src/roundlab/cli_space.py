@@ -5,35 +5,30 @@
 from __future__ import annotations
 
 import json
-import time
 
 from . import cli
-from .cli import _print_report, vars_params
+from .cli import vars_params
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple:
     from .metric import validate_metric
 
     space = cli.read_space_csv(args.input, checked=False)
     rep = validate_metric(space, budget=args.budget)
-    _print_report(args, "validate", vars_params(args), rep.to_dict())
-    return 0 if rep.ok else 2
+    return vars_params(args), rep, rep.ok
 
 
-def _cmd_gr_estimate(args) -> int:
+def _cmd_gr_estimate(args) -> tuple:
     space = cli.read_space_csv(args.input, checked=not args.unchecked)
-    start = time.perf_counter()
     est = cli.estimate_roundness(
         space, max_size=args.max_size, p_tolerance=args.tol,
         budget=args.budget, p_cap=args.p_cap)
-    wall = time.perf_counter() - start
     params = {"input": args.input, "max_size": args.max_size,
               "tol": args.tol, "budget": args.budget, "p_cap": args.p_cap}
-    _print_report(args, "gr estimate", params, est.to_dict(), wall_time=wall)
-    return 0
+    return params, est, True
 
 
-def _cmd_inject_build(args) -> int:
+def _cmd_inject_build(args) -> tuple:
     from .inject import build_injection, verify_injection
 
     space = cli.read_space_csv(args.input)
@@ -46,12 +41,11 @@ def _cmd_inject_build(args) -> int:
             fh.write("\n")
     results = {"table": None if args.map_out else payload,
                "map_out": args.map_out,
-               "verification": rep.to_dict()}
-    _print_report(args, "inject build", vars_params(args), results)
-    return 0 if rep.ok else 2
+               "verification": rep}
+    return vars_params(args), results, rep.ok
 
 
-def _cmd_inject_verify(args) -> int:
+def _cmd_inject_verify(args) -> tuple:
     from .inject import InjectionTable, verify_injection
 
     with open(args.map, "r", encoding="utf-8") as fh:
@@ -61,8 +55,7 @@ def _cmd_inject_verify(args) -> int:
     if space is None:
         raise ValueError("map file has no embedded domain; pass --input")
     rep = verify_injection(space, table, modulus=args.modulus)
-    _print_report(args, "inject verify", vars_params(args), rep.to_dict())
-    return 0 if rep.ok else 2
+    return vars_params(args), rep, rep.ok
 
 
 def _validate_args(p) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import BudgetExceeded, Record, kernels
@@ -273,10 +272,11 @@ class IncidenceCounts(Record):
         self.s_count = s_count
 
     def ratio_identity_holds(self) -> bool:
-        """L/K = (r/(r-1)) * N_edge/N_conn, as exact rationals."""
+        """L/K = (r/(r-1)) * N_edge/N_conn, cross-multiplied in integers so
+        that a class with no double simplex (S = K = L = 0) reads 0 == 0."""
         r = self.families
-        return (Fraction(self.l_count, self.k_count) ==
-                Fraction(r, r - 1) * Fraction(self.n_edge_class, self.n_conn_class))
+        return (self.l_count * (r - 1) * self.n_conn_class
+                == r * self.k_count * self.n_edge_class)
 
 
 def completion_counts(space: ProductCycleSpace, scls: SimplexClass,

@@ -17,7 +17,8 @@ SCHEMA_VERSION = 8
 def sanitize(obj):
     """Make a structure JSON-safe and deterministic: Fractions become `a/b`
     strings, non-finite floats become tagged strings, numpy scalars and
-    tuples collapse to built-ins."""
+    tuples collapse to built-ins, and a record becomes its `fields()`,
+    each value encoded once."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, bool) or obj is None:
@@ -39,15 +40,15 @@ def sanitize(obj):
         return [sanitize(v) for v in seq]
     if hasattr(obj, "item"):
         return sanitize(obj.item())
-    if hasattr(obj, "to_dict"):
-        return sanitize(obj.to_dict())
+    if hasattr(obj, "fields"):
+        return sanitize(obj.fields())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 class Report:
     __slots__ = ("command", "params", "results", "provenance", "wall_time_s")
 
-    def __init__(self, command: str, params: dict, results: dict,
+    def __init__(self, command: str, params: dict, results,
                  provenance: dict | None = None,
                  wall_time_s: float | None = None):
         self.command = command

@@ -1,6 +1,7 @@
 """End-to-end command line runs: exit codes, report bodies, determinism."""
 
 import argparse
+import ast
 import atexit
 import gc
 import hashlib
@@ -234,6 +235,22 @@ def test_counts_incidences_frozen(capsys):
     assert res["simplices"] == 49152
     assert res["simplices_per_edge_pair"] == 2
     assert res["simplices_per_conn_pair"] == 6
+    assert res["ratio_identity_holds"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["--coords", "8", "--units", "8", "--delta", "1", "--support", "1",
+     "--size", "4"],
+    ["--n", "4", "--t", "0", "--m", "0"],
+], ids=["explicit", "stage-form"])
+def test_counts_incidences_empty_class(argv, capsys):
+    # no double simplex in the class: K = 0, and the ratio identity
+    # compares 0 == 0 instead of dividing by K
+    code, doc, _ = run(["counts", "incidences", *argv], capsys)
+    assert code == 0
+    res = doc["results"]
+    assert (res["simplices"], res["simplices_per_edge_pair"],
+            res["simplices_per_conn_pair"]) == (0, 0, 0)
     assert res["ratio_identity_holds"] is True
 
 
@@ -635,80 +652,80 @@ PINNED = {
                            "--radius", "2"], 0),
 }
 
-# sha256 of the printed body without its wall_time_s line
+# sha256 of the body without wall_time_s, sorted and compact
 PINNED_BODY = {
     "validate":
-        "46b0b538d4a05fc9c66b5936a3a5e3e171f6333608553fcdfe54d83ee6614582",
+        "7a63127a9add08d029e36b428b874ad35aea3ed9cc605ae42aa20dd9cc85724e",
     "validate-budget":
-        "b58cfd7dc6c39b82a8978100599e331507b896f138df9ba4412731dad402a268",
+        "2238f13e03648d978ef5db66152bcaba0fa83ef3da5aedc09d57260a38e28e9a",
     "gr-estimate":
-        "bb7c1b2252f7193aed8c06ac71a79ed8cef01a11ee0b9be554de80d9b64cf750",
+        "2a466d744132ed40340d1fbff6b3647b8b13f5c520ff7c40417bd4c6494ac783",
     "gr-estimate-r12":
-        "0df99d88ba5bcf6f65edfb57bfd32b63ff861c21e7e947cb79bfef1372932908",
+        "18fdb9645408a5cfcef973fa64197abcc8d28a2d84b4c2ec2fd36a14262f19cb",
     "simplex-build":
-        "5b0eefb16fb35816111b3092603898406d6ea2983f6ad4edec0f97ec86fb96bf",
+        "19a4abe01d21e61e9ccc2af7b82dc85bea3092c6e88403ee492729080387aae7",
     "simplex-build-stage":
-        "9a2062aa3ab39686f1ba849ef743a5287c836299db8e813df43f170cdd0f8c03",
+        "bf42d2d7313af12e7fb1628cd61dd4c8085a0caf31dd93c6964fce88229b2346",
     "counts-pairs":
-        "59e7667c464378af081ee93b3de6e4d414de907be72031c01a1e3a63a7feefe4",
+        "e8f960180d94b5848dea634ce9b3e1de7bcb359e5db9f952eeb1f39bd6f7856c",
     "counts-incidences":
-        "65706d8c743c008f6fcaa398c6bb231bec870ba53d59d7c7b557d9ec8541b8b2",
+        "17eafe32c5de1c7f56cc720fa9a5444d7772cc81604f3fa83aea95254e79274e",
     "obstruct-coarse":
-        "2158108a33ab7fd0d4c006b86a7b1096e4cf155aacc1178aa625b1b121f0a9c0",
+        "527636841b7b89a1b87dcc77564c9cea3535eda1d44227b4b73c6f7bd91cfc8a",
     "obstruct-step-exact-identity":
-        "f8d2e2c46636beb64eac794b29f5c258cf422ae3c0768cf2c902cd318afed5bf",
+        "7833021a5833c34a73bd4d6f5bc536995d12912b15b62957481310f1d3c872a0",
     "obstruct-step-exact-circle":
-        "e2334393b07be38908357cbd2e18b788208290ac0499f5e1403e300c798b8edf",
+        "2e558737901affbbbf6965e113cd6d2439c37b69698a9b6933411f5c7d17e7b0",
     "obstruct-step-exact-constant":
-        "6c60be12996c389c5d61392ed87bbba208a666ca186b5bcf699fe96b6f38d3f4",
+        "40aafb58ad488803c6b9b0a776faef1c36d13fe731af9d49b03375c8a369bf0b",
     "obstruct-step-exact-snowflake:1/2":
-        "9bad1b94f3a3a7a49532b530e6eb96dd7be074df09626aaf97f8a0da60434881",
+        "4dca9129f656e8556dcf17ccd5f5a7e188b39f8fc88bcfc1143ed0c1530098cc",
     "obstruct-step-mc-identity":
-        "3bbec597c30e0869aff2d8a6799e3cc275810500fa81b01074b53185a108800c",
+        "946d4249b021a8a8c5532b351c48e54dec022391045cd51e2aef0a66af5f5b83",
     "obstruct-step-mc-circle":
-        "1a419a99252598a330cf2ecbe0ec947c35ee8cccc40ad891c1adabfe84a14a47",
+        "868de34f96e5fcc45f34ec2e94962e3b805973ab0e88e55b6d9a3ac3ecc9ef30",
     "obstruct-step-mc-constant":
-        "4f77a5d461d1c00f807cb0e718c155805742aa66697b924fd5f1761cced7715d",
+        "ffded0588f0082f5bf092ba9ac5283f648ae40225e485bf25029a22cc3577311",
     "obstruct-step-mc-snowflake:1/2":
-        "5dc7cc8b86a08345367c8c4716888a2b4569932287d0ca4de7a6bcecbba802eb",
+        "02f02d13dd47a03f352c383750179a7ce5d718b52417e968d59cf9fc23d25090",
     "obstruct-chain":
-        "61ace34d4a990cb41267dca8546aa17fca469d12862caf3ba152ce62552dd605",
+        "1bfd61364af88f1aedb8c7b4d259e8832d1e89cdbeb34e9cb7b78771908a9919",
     "obstruct-uniform-p2":
-        "5ab7ecd17f986e25dc2481ed83ad4fb1f77ee36c4ec4638498f8c57c374945fa",
+        "5a54cebd58f7884a15e4dbcedb0738e69ffaddad68e56540042fbb1e01339877",
     "obstruct-uniform-pinf":
-        "ab3a9db10b7fa817b49cfdcdd39e96bbb45ec70f0fbd3f63b6bca62f0f87deef",
+        "7befce301398b7f3a6854a2f94a8869168715e6ac0a24d364d334445ed3ea862",
     "zspace-validate-literal":
-        "6fcf7ddfbe666b64a5c286dcda0a935b0389c7cf26da1526b4707df832233a38",
+        "eb8febb59c4b2a594b18fd75dc891d75719f5daf8dc787202cb2295836cdb37d",
     "zspace-validate-corrected":
-        "8e57d9ea07a2f87cf8e9f3f827d46d367aae3fdbcac59689579116a034523b15",
+        "1f4224a9916d915091bfd350596f62cea23a111cd7bfc8bbb0129f8991b4af92",
     "zspace-ball":
-        "2e37c479df799f91d7affa3685622275f0209d7b7d2ed336b3649f58a8adbdbf",
+        "f3d0a532c0c7932ab708f0d4d2a08b595a7171e90a7411f8f6368065c8cf9daa",
     "inject-build-ell0":
-        "363c85992175063284191500524660d7955bd8b71c9a78396a55b9eb518899a8",
+        "588e6169a4cf8d817fb5d1aee1fbc302e2967ae1860a72c5d42dc6b9af2be1a0",
     "inject-build-ellp:1/2":
-        "9042360997c158317410ee4a5daeab95b3870dae4cb29f34e0e203b8facfbfb1",
+        "855a7eca4de8844b7ea88701c8b9f52c74e74dac7dea146e54de8f90a332032c",
     "inject-build-ellp:2":
-        "fb05920b76e1617a820dba6e3a117d23f7ae3b484b1ecca09db510db2e569e1e",
+        "733282a29a369c374395f8495036bde1761cf957ce5cf31fccc6976499fe90b2",
     "inject-build-ballchain:intervals":
-        "3f20a3e2ac40f541b16ae91e459aeb077cf06b6f5be8c87c73f46bb755848121",
+        "472e8b8508d862781da2809da2f30814b53392135673be4d6d2bbbdcf6abd04f",
     "inject-build-ballchain:cauchy":
-        "038fc55e31c8a1ef73f3e020feea9cb26a7cf1dba5b4a9f34c8c102febc7520a",
+        "324fe04cab0959bea6e8278f5b026d8bbe38faa1eb84269da7673fed86aab1b5",
     "inject-build-embedded":
-        "46c7af0a9695a915100c9a06baaaaa39085b2505d3c58978b46d6aefb96ec509",
+        "05e7a56f7cea8f76769eff7036a39bd8407fdf53bbd88d6895e0363cd203267d",
     "inject-verify":
-        "c0faa565e5a5c9705f53a7a455cb3802803ae88e5d1e50851f7d700e8bb25fe8",
+        "8d1c2052110f961f15f3fe3aaf7ea16810f30b400b6ce22320b4d63bdcff2f2e",
     "inject-verify-input":
-        "07eda07e72e572cfc0ca456ad69d87c304afaf9ff383101cb9f4aa0f279bbffa",
+        "c9d031eaab970f32fecd1d8f18f94a3e75d294588644b61198d8ce3de6e6a436",
     "cayley-verify-merged":
-        "f4c297eef909ca99bb2c42a72e4b506858841a6261f546d69d0c2ef8978a3833",
+        "d169b3bb28b1870bff2b0b7cc0df4b1d60396fb5649710dc624680058284e448",
     "cayley-verify-literal":
-        "114a403cd23baf4da83809bd10dee72e1752989e5478a3033be7047f8a4c0035",
+        "b45560f50e0e675278f98fcd2841554abc1e905f04fd82546ac461e6b43144cf",
     "cayley-roundness":
-        "b74a3d7fe9660a322dfa5ab83f3531d5934ede68e892039bc6e47da88241acc3",
+        "3f8fd733b3160587ebd6a01c6fb428c6678ef9cb4e0660a93553b5af34fc081c",
     "cayley-roundness-basis":
-        "59caeb5620c62cb606d5b97147ef6460cbb36ac154e2c51ec5fe8dc9a871bc6f",
+        "19b8ae2e459df0fff221b49f8b123d9301a158658fbd8994561aeada1db35c55",
     "cayley-projection":
-        "33b9b3d4e8b4f944bd9d79e90356835fb861fe226c2016e47cda8b22b2f563e2",
+        "ed0437791bc9707a8ef689ecde74763b3f54c84ca0ba38a450998ec876c73027",
 }
 
 # sha256 of the --map-out file
@@ -759,14 +776,53 @@ def test_pinned_bodies_cover_every_command():
 
 @pytest.mark.parametrize("name", PINNED)
 def test_every_command_body_pinned(name, pinned_files, capsys):
-    # digests recorded at schema 8, before records serialized from their
-    # fields through `report.sanitize`
+    # digests of the body as `Report.body_json` dumps it, recorded at
+    # schema 8 before every command printed its wall time; the printed
+    # text is that body and wall_time_s, indented
     argv, code = PINNED[name]
     assert main(argv) == code
     out, _ = capsys.readouterr()
-    assert _sha256(strip_wall(out)) == PINNED_BODY[name]
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert doc.pop("wall_time_s") >= 0
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert _sha256(body) == PINNED_BODY[name]
     if name in PINNED_MAP:
         assert _sha256(Path("map.json").read_text()) == PINNED_MAP[name]
+
+
+def _reporting_calls(tree: ast.AST) -> list[str]:
+    """What of the report path a module does itself: importing `time`,
+    calling `_print_report` or a `.to_dict()`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name == "time"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "time":
+            found.append("time")
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("_print_report", "to_dict"):
+                found.append(name)
+    return found
+
+
+def test_handlers_leave_the_report_to_main():
+    package = Path(roundlab.__file__).parent
+    found = [f"{path.name}: {call}"
+             for path in sorted(package.glob("cli_*.py"))
+             for call in _reporting_calls(ast.parse(path.read_text()))]
+    assert not found, ("a handler returns (params, results, ok) and main "
+                       f"times, serializes and prints: {found}")
+
+
+def test_the_guard_sees_reporting_calls():
+    tree = ast.parse("import time\n"
+                     "from time import perf_counter\n"
+                     "_print_report(args, 'x', {}, rep.to_dict())\n"
+                     "rep.fields()\n")
+    assert _reporting_calls(tree) == ["time", "time", "_print_report",
+                                      "to_dict"]
 
 
 # ---------------------------------------------------------------------------
@@ -1351,6 +1407,15 @@ def test_out_flag_writes_file(tmp_path, c4_csv, capsys):
     assert doc is None  # nothing on stdout
     saved = json.loads(out.read_text())
     assert saved["command"] == "validate"
+
+
+def test_out_into_missing_directory_exits_1(tmp_path, c4_csv, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code, doc, err = run(["validate", "--input", c4_csv, "--out", str(out)],
+                         capsys)
+    assert code == 1
+    assert doc is None
+    assert err.startswith("error:")
 
 
 def suite_env():

@@ -29,7 +29,7 @@ def test_sanitize_containers():
     assert sanitize(np.float64(0.25)) == 0.25
 
     class Thing:
-        def to_dict(self):
+        def fields(self):
             return {"x": Fraction(1, 3)}
 
     assert sanitize(Thing()) == {"x": "1/3"}
