@@ -183,6 +183,8 @@ def bfs_ball(gens: Iterable[Sequence[int]], radius: int) -> dict:
     """Distances from the origin out to the radius. Returns {vector:
     distance}; each depth holds the sums v + g over the last depth and the
     generators that no earlier depth reached, in sorted order."""
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     moves = [tuple(map(int, g)) for g in gens]
     if not moves or any(len(g) != len(moves[0]) for g in moves):
         raise ValueError("need a nonempty list of generator vectors")
@@ -195,46 +197,6 @@ def bfs_ball(gens: Iterable[Sequence[int]], radius: int) -> dict:
             break
         dist.update(dict.fromkeys(frontier, depth))
     return dist
-
-
-class MStarSpace(Record):
-    """Product of n^n cycles of length n^n with 1-based residues; distances
-    are the sup of cyclic coordinate distances, in whole quanta."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        if n < 2 or n % 2:
-            raise ValueError("n must be even and >= 2")
-        self.n = n
-
-    @property
-    def coords(self) -> int:
-        return self.n ** self.n
-
-    @property
-    def period(self) -> int:
-        return self.n ** self.n
-
-    @property
-    def jump(self) -> int:
-        return self.period - 1
-
-    def check_point(self, u: Sequence[int]) -> GroupVector:
-        vec = _check_vector(u, self.coords)
-        for x in vec:
-            if not (1 <= x <= self.period):
-                raise ValueError(f"residue {x} outside 1..{self.period}")
-        return vec
-
-    def distance(self, u: Sequence[int], v: Sequence[int]) -> int:
-        uu, vv = self.check_point(u), self.check_point(v)
-        p = self.period
-        best = 0
-        for a, b in zip(uu, vv):
-            d = abs(a - b)
-            best = max(best, min(d, p - d))
-        return best
 
 
 class MStarReport(Record):
@@ -253,17 +215,18 @@ class MStarReport(Record):
 
 
 def verify_mstar_isometry(n: int, variant: str = "merged") -> MStarReport:
-    """Compare the cyclic sup metric of MStarSpace(n) with the word metric
-    of the chosen family by the coordinate scan in the module docstring:
-    the P values of |w_0| for merged, the P^2 patterns (|w_0|, |w_1|) for
-    literal. Mismatches list the first 20 patterns in lexicographic order.
-    A scan of more than ENUM_LIMIT patterns is refused before anything is
-    allocated."""
-    space = MStarSpace(n)
+    """Compare the cyclic sup metric of (Z_P)^P, P = n^n, with the word
+    metric of the chosen family with jump P - 1, by the coordinate scan in
+    the module docstring: the P values of |w_0| for merged, the P^2
+    patterns (|w_0|, |w_1|) for literal. Mismatches list the first 20
+    patterns in lexicographic order. A scan of more than ENUM_LIMIT
+    patterns is refused before anything is allocated."""
+    if n < 2 or n % 2:
+        raise ValueError("n must be even and >= 2")
     if variant not in ("merged", "literal"):
         raise ValueError(f"unknown variant {variant!r}")
     support = 1 if variant == "merged" else 2
-    period = space.period
+    period = n ** n
     size = period ** support
     if size > ENUM_LIMIT:
         raise ValueError(
@@ -272,7 +235,7 @@ def verify_mstar_isometry(n: int, variant: str = "merged") -> MStarReport:
     import numpy as np
 
     patterns = np.indices((period,) * support).reshape(support, -1).T
-    word = family_word_distances(patterns, space.jump, variant)
+    word = family_word_distances(patterns, period - 1, variant)
     cyc = np.minimum(patterns, period - patterns).max(axis=1)
     bad = np.nonzero(word != cyc)[0]
     mism = [{"abs_diff": patterns[k].tolist(), "cyclic": int(cyc[k]),
@@ -283,24 +246,17 @@ def verify_mstar_isometry(n: int, variant: str = "merged") -> MStarReport:
 
 def projection_generators(dims: Sequence[int], jumps: Sequence[int],
                           variant: str) -> list[GroupVector]:
-    """Per-block jump families plus global unit moves, deduplicated."""
+    """Each block's jump family, padded with zeros into the whole group,
+    plus the global unit moves; sorted and deduplicated."""
     if len(dims) != len(jumps):
         raise ValueError("dims and jumps must pair up")
     total = sum(dims)
     out = set()
     offset = 0
     for d, j in zip(dims, jumps):
-        if variant == "literal":
-            entries = (-j, 0, j)
-        elif variant == "merged":
-            entries = (-j, -1, 0, 1, j)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        for block_vec in itertools.product(entries, repeat=d):
-            if any(block_vec):
-                full = [0] * total
-                full[offset:offset + d] = block_vec
-                out.add(tuple(full))
+        before, after = (0,) * offset, (0,) * (total - offset - d)
+        out.update(before + g + after
+                   for g in FamilyGenerators(d, j, variant).enumerate())
         offset += d
     for unit_vec in itertools.product((-1, 0, 1), repeat=total):
         if any(unit_vec):

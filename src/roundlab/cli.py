@@ -251,6 +251,19 @@ def command_path(argv) -> tuple:
     return ()
 
 
+def _claim_out(path: str) -> bool:
+    """Open `--out` before the handler runs, so that a path that cannot
+    be written is refused before any work. An existing file is opened for
+    appending, which keeps its bytes; True when the file is new, which
+    `main` removes again unless a report is written to it."""
+    try:
+        open(path, "x", encoding="utf-8").close()
+        return True
+    except FileExistsError:
+        open(path, "a", encoding="utf-8").close()
+        return False
+
+
 def main(argv=None) -> int:
     # At exit, move every object still tracked into the collector's
     # permanent generation, so the interpreter's shutdown collections skip
@@ -265,7 +278,10 @@ def main(argv=None) -> int:
     atexit.register(gc.freeze)
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(command_path(argv)).parse_args(argv)
+    new_out = False
     try:
+        if args.out:
+            new_out = _claim_out(args.out)
         start = time.perf_counter()
         params, results, ok = args.func(args)
         wall = time.perf_counter() - start
@@ -279,6 +295,7 @@ def main(argv=None) -> int:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
+            new_out = False
         else:
             try:
                 print(text, flush=True)
@@ -294,6 +311,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if new_out:
+            os.remove(args.out)
     return 0 if ok else 2
 
 

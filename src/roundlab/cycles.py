@@ -14,10 +14,9 @@ these names.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import Record
 
@@ -83,9 +82,6 @@ class ProductCycleSpace(Record):
         for v in x:
             if not (0 <= v < self.units):
                 raise ValueError(f"residue {v} out of range [0, {self.units})")
-
-    def iter_points(self) -> Iterator[CyclePoint]:
-        return itertools.product(range(self.units), repeat=self.coords)
 
     def distance_quanta(self, x: Sequence[int], y: Sequence[int]) -> int:
         return sup_distance(self, x, y)
@@ -219,22 +215,6 @@ def stage_range_warnings(n: int, t: int, m: int) -> list[str]:
     if not (abs(t) < n):
         warnings.append(f"|t| = {abs(t)} outside the studied range |t| < {n}")
     return warnings
-
-
-def stage_form_of_pair(n: int, cls: PairClass) -> tuple[int, int] | None:
-    """Recover (t, m) with delta = 2^t * n^n and support = n^m, if expressible."""
-    base = n ** n
-    m = round(math.log(cls.support, n)) if cls.support > 1 else 0
-    if n ** m != cls.support:
-        return None
-    ratio = Fraction(cls.delta, base)
-    num, den = ratio.numerator, ratio.denominator
-    if num & (num - 1) or den & (den - 1):
-        return None
-    t = num.bit_length() - den.bit_length()
-    if Fraction(2) ** t != ratio:
-        return None
-    return t, m
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ from . import BudgetExceeded, Record, kernels
 from .cycles import (CyclePoint, CycleSpace, DoubleSimplex,  # noqa: F401
                      PairClass, ProductCycleSpace, SimplexClass,
                      count_pairs_closed, cyclic_distance, stage_delta,
-                     stage_form_of_pair, stage_pair_class,
-                     stage_range_warnings, stage_simplex_class, stage_space,
-                     sup_distance)
+                     stage_pair_class, stage_range_warnings,
+                     stage_simplex_class, stage_space, sup_distance)
 
 if TYPE_CHECKING:
     import numpy as np

@@ -163,12 +163,6 @@ class ModulusEnvelope(Record):
         i = bisect.bisect_right(self.domains, t) - 1
         return self.prefix_max[i] if i >= 0 else None
 
-    def sandwich_ok(self) -> bool:
-        return all(
-            self.rho1(d) <= im and im <= self.rho2(d)
-            for d, im in zip(self.domains, self.images)
-        )
-
 
 def empirical_moduli(samples: Sequence[tuple]) -> ModulusEnvelope:
     if not samples:

@@ -158,12 +158,6 @@ class DistanceIndex:
         return [[powers[k] for k in row] for row in self.rows]
 
 
-def distance_power_matrix(space, p) -> list[list[float]]:
-    """float(dpow(d(i, j), p)) for every ordered pair of points, with one
-    `dpow` per distinct distance (see `DistanceIndex`)."""
-    return DistanceIndex(space).power_matrix(p)
-
-
 def find_violation_exhaustive(space, max_size: int, p,
                               budget: int | None = None, *,
                               index: DistanceIndex | None = None

@@ -1,41 +1,32 @@
 """Disjoint unions of cyclic-product blocks under candidate cross distances.
 
-Block n is the product of n^n cycles with n^(2n) units and quantum n^(-n);
-within a block the sup metric applies. Two cross-distance variants are
-audited: `literal` uses 4^(m+n) between blocks m and n, `corrected` uses
-m^m + n^n. The literal variant breaks the triangle inequality in two ways
-(a cheap detour through a small block, and antipodal pairs inside a large
-block); the corrected one survives an exact extremal case analysis.
+Block n is `cycles.stage_space(n)`: the product of n^n cycles with n^(2n)
+units and quantum n^(-n), under the sup metric. Two cross-distance
+variants are audited: `literal` uses 4^(m+n) between blocks m and n,
+`corrected` uses m^m + n^n. The literal variant breaks the triangle
+inequality in two ways (a cheap detour through a small block, and
+antipodal pairs inside a large block); the corrected one survives an
+exact extremal case analysis.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import Record
+from .cycles import cyclic_distance, stage_space
 from .numerics import json_int
 
 VARIANTS = ("literal", "corrected")
 DENSE_COORD_LIMIT = 4096
 
 
-def block_coords(n: int) -> int:
-    return n ** n
-
-
-def block_units(n: int) -> int:
-    return n ** (2 * n)
-
-
-def block_quantum(n: int) -> Fraction:
-    return Fraction(1, n ** n)
-
-
 def block_diameter(n: int) -> Fraction:
     """Half the units, in real distance: n^n / 2."""
-    return Fraction(block_units(n), 2) * block_quantum(n)
+    space = stage_space(n)
+    return Fraction(space.units, 2) * space.quantum
 
 
 def _check_block(n: int) -> None:
@@ -54,7 +45,8 @@ class ZPoint(Record):
 
     def __init__(self, block: int, residues: tuple = ()):
         _check_block(block)
-        c, u = block_coords(block), block_units(block)
+        space = stage_space(block)
+        c, u = space.coords, space.units
         seen = set()
         for coord, val in residues:
             if not (0 <= coord < c):
@@ -81,7 +73,7 @@ class ZPoint(Record):
     def antipode(cls, block: int) -> "ZPoint":
         """Distance-maximizing partner of the zero point (one coordinate at
         half the units already reaches the sup)."""
-        return cls.make(block, {0: block_units(block) // 2})
+        return cls.make(block, {0: stage_space(block).units // 2})
 
     def as_dict(self) -> dict:
         return dict(self.residues)
@@ -90,7 +82,7 @@ class ZPoint(Record):
         """The form a point serializes to: dense residues up to
         DENSE_COORD_LIMIT coordinates, a sparse {coordinate: residue} map
         above it."""
-        c = block_coords(self.block)
+        c = stage_space(self.block).coords
         if c <= DENSE_COORD_LIMIT:
             dense = [0] * c
             for coord, val in self.residues:
@@ -109,10 +101,11 @@ class ZPoint(Record):
         if "residues" not in data and "sparse" not in data:
             raise ValueError("ZPoint lacks 'residues' or 'sparse'")
         block = json_int(data["block"], "ZPoint block")
+        _check_block(block)
         try:
             if "residues" in data:
                 vals = data["residues"]
-                if len(vals) != block_coords(block):
+                if len(vals) != stage_space(block).coords:
                     raise ValueError("dense residue list has wrong length")
                 items = enumerate(vals)
             else:
@@ -135,13 +128,11 @@ def block_distance(x: ZPoint, y: ZPoint) -> Fraction:
     """Sup metric within a shared block, exact."""
     if x.block != y.block:
         raise ValueError("points live in different blocks")
-    u = block_units(x.block)
+    space = stage_space(x.block)
     xd, yd = x.as_dict(), y.as_dict()
-    best = 0
-    for coord in set(xd) | set(yd):
-        d = abs(xd.get(coord, 0) - yd.get(coord, 0))
-        best = max(best, min(d, u - d))
-    return best * block_quantum(x.block)
+    best = max((cyclic_distance(space.units, xd.get(c, 0), yd.get(c, 0))
+                for c in set(xd) | set(yd)), default=0)
+    return best * space.quantum
 
 
 def cross_distance(m: int, n: int, variant: str) -> Fraction:
@@ -270,8 +261,7 @@ class BallCensus(Record):
                  "total", "total_log10")
 
 
-def _residues_within(block: int, radius_quanta: int) -> int:
-    u = block_units(block)
+def _residues_within(u: int, radius_quanta: int) -> int:
     if radius_quanta <= 0:
         return 1
     if 2 * radius_quanta >= u:
@@ -296,16 +286,17 @@ def ball_census(center: ZPoint, radius, variant: str = "corrected",
     entries: list[BallCensusEntry] = []
     blocks = sorted(set(_blocks_up_to(block_bound)) | {center.block})
     for blk in blocks:
-        c = block_coords(blk)
+        space = stage_space(blk)
+        c = space.coords
         if blk == center.block:
-            rq = int(radius / block_quantum(blk))
-            per = _residues_within(blk, rq)
+            rq = int(radius / space.quantum)
+            per = _residues_within(space.units, rq)
             base, expo = per, c
             formula = f"{per}^{c}"
         else:
             if cross_distance(center.block, blk, variant) > radius:
                 continue
-            base, expo = block_units(blk), c
+            base, expo = space.units, c
             formula = f"{base}^{c}"
         log10 = expo * math.log10(base) if base > 1 else 0.0
         count = base ** expo if c <= DENSE_COORD_LIMIT else None
@@ -321,16 +312,3 @@ def ball_census(center: ZPoint, radius, variant: str = "corrected",
     return BallCensus(center, radius, variant, block_bound, entries,
                       total, total_log10)
 
-
-def representatives_space(blocks: Iterable[int], variant: str):
-    """Zero and antipodal representatives of each block as an explicit
-    (possibly non-metric) distance matrix for external audits."""
-    from .metric import FiniteMetricSpace
-    pts: list[ZPoint] = []
-    for blk in blocks:
-        pts.append(ZPoint.zero(blk))
-        pts.append(ZPoint.antipode(blk))
-    rows = [[zeta(p, q, variant) for q in pts] for p in pts]
-    labels = tuple(
-        f"M{p.block}:{'zero' if not p.residues else 'antipode'}" for p in pts)
-    return FiniteMetricSpace.unchecked(rows, labels), pts

@@ -7,16 +7,19 @@ coordinate-column DP replaced it; `enumerated_level_terms` evaluates a
 level average's term on every class pair, which the closed form for maps
 that declare `class_distance` must match. Both are slow and only run on
 small classes. The level hunts walk the thresholds one level at a time,
-which is what the closed-form `gap_level` and `ballchain_level` replace. The power matrix at the end
-takes one `dpow` per ordered pair, where the scan's builder takes one per
-unordered pair. The cyclic-product pair enumeration compares the two
-metrics on every point pair, which `verify_mstar_isometry` decides by a
-scan of coordinate values. The dense spectra of small cycle products
-decide what the character probe reads from closed forms. The mpmath
-re-sum of a witness at 160 bits is the certifier that the decimal one
-replaced. The triangle audit on the distances themselves is the one
-`validate_metric` ran before it compared integers over the common
-denominator.
+which is what the closed-form `gap_level` and `ballchain_level` replace.
+The reference power matrix takes one `dpow` per ordered pair, where
+`DistanceIndex.power_matrix` takes one per distinct distance. The
+cyclic-product pair enumeration compares the two metrics on every point
+pair, which `verify_mstar_isometry` decides by a scan of coordinate
+values. The dense spectra of small cycle products decide what the
+character probe reads from closed forms. The mpmath re-sum of a witness
+at 160 bits is the certifier that the decimal one replaced. The triangle
+audit on the distances themselves is the one `validate_metric` ran before
+it compared integers over the common denominator. The block
+representatives at the end give `validate_metric` the zero and antipodal
+points of each block union, an audit of `certify_corrected` that shares
+none of its case analysis.
 """
 
 import itertools
@@ -198,7 +201,7 @@ def reference_validate_metric(space, budget=None):
 
 def reference_power_matrix(space, p):
     """float(dpow(d(i, j), p)) with one `dpow` per ordered pair, the
-    builder `distance_power_matrix` replaced."""
+    builder `DistanceIndex.power_matrix` replaced."""
     n = space.size
     return [[float(dpow(space.distance(i, j), p)) for j in range(n)]
             for i in range(n)]
@@ -229,25 +232,26 @@ def mpmath_certify_violation(space, ds, p):
 
 
 def enumerated_mstar_pairs(n, variant):
-    """Every unordered point pair (u, v) of MStarSpace(n) with its word and
-    cyclic distance, as arrays u, v, word, cyclic: the pair comparison
+    """Every unordered point pair (u, v) of (Z_P)^P, P = n^n, residues
+    1..P, with its word distance under the family of jump P - 1 and its
+    cyclic sup distance, as arrays u, v, word, cyclic: the pair comparison
     `verify_mstar_isometry` made before the coordinate scan. Only n = 2
     (256 points, 32,640 pairs) is small enough."""
     import numpy as np
 
-    from roundlab.cayley import MStarSpace, family_word_distances
+    from roundlab.cayley import family_word_distances
 
-    space = MStarSpace(n)
-    if space.period ** space.coords > 4096:
-        raise ValueError(f"MStarSpace({n}) is too large to enumerate")
-    pts = np.array(list(itertools.product(range(1, space.period + 1),
-                                          repeat=space.coords)),
+    period = n ** n
+    if period ** period > 4096:
+        raise ValueError(f"(Z_{period})^{period} is too large to enumerate")
+    pts = np.array(list(itertools.product(range(1, period + 1),
+                                          repeat=period)),
                    dtype=np.int64)
     iu, iv = np.triu_indices(len(pts), k=1)
     u, v = pts[iu], pts[iv]
-    word = family_word_distances(v - u, space.jump, variant)
+    word = family_word_distances(v - u, period - 1, variant)
     ad = np.abs(v - u)
-    cyc = np.minimum(ad, space.period - ad).max(axis=1)
+    cyc = np.minimum(ad, period - ad).max(axis=1)
     return u, v, word, cyc
 
 
@@ -303,3 +307,19 @@ def character_quotient(space, xi, p):
     pts, dp = _product_power_matrix(space, p)
     v = np.cos(2 * np.pi * (pts @ np.array(xi)) / space.units)
     return float(v @ dp @ v / (v @ v))
+
+
+def representatives_space(blocks, variant):
+    """Zero and antipodal representatives of each block as an explicit
+    (possibly non-metric) distance matrix, and the points in its order."""
+    from roundlab.metric import FiniteMetricSpace
+    from roundlab.zspace import ZPoint, zeta
+
+    pts = []
+    for blk in blocks:
+        pts.append(ZPoint.zero(blk))
+        pts.append(ZPoint.antipode(blk))
+    rows = [[zeta(p, q, variant) for q in pts] for p in pts]
+    labels = tuple(
+        f"M{p.block}:{'zero' if not p.residues else 'antipode'}" for p in pts)
+    return FiniteMetricSpace.unchecked(rows, labels), pts

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from roundlab import cayley
-from roundlab.cayley import (ExplicitGenerators, FamilyGenerators,
-                             MStarSpace, bfs_ball, block_projection_check,
-                             cayley_roundness_upper, family_word_distances,
-                             projection_generators, standard_basis_generators,
-                             verify_mstar_isometry)
+from roundlab.cayley import (ExplicitGenerators, FamilyGenerators, bfs_ball,
+                             block_projection_check, cayley_roundness_upper,
+                             family_word_distances, projection_generators,
+                             standard_basis_generators, verify_mstar_isometry)
+from roundlab.cycles import cyclic_distance
 
 from oracles import enumerated_mstar_pairs
 
@@ -94,6 +94,10 @@ def test_bfs_ball_diamond():
     for gens in ([], [(1, 0), (1,)]):
         with pytest.raises(ValueError, match="nonempty list"):
             bfs_ball(gens, 2)
+    basis = standard_basis_generators(2).enumerate()
+    assert bfs_ball(basis, 0) == {(0, 0): 0}
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        bfs_ball(basis, -1)
 
 
 # sha256 of repr(list(bfs_ball(...).items())), recorded when the search ran
@@ -123,16 +127,23 @@ def test_bfs_ball_order_frozen(gens, radius, size, digest):
 # ---------------------------------------------------------------------------
 # cyclic-product comparison
 
-def test_mstar_space_shape():
-    space = MStarSpace(2)
-    assert space.coords == 4
-    assert space.period == 4
-    assert space.jump == 3
-    assert space.distance((1, 1, 1, 1), (1, 1, 2, 4)) == 1
-    with pytest.raises(ValueError):
-        MStarSpace(3)
-    with pytest.raises(ValueError):
-        space.distance((0, 1, 1, 1), (1, 1, 1, 1))
+def test_mstar_space_shape(monkeypatch):
+    # n = 2 compares (Z_4)^4 with the family of jump P - 1 = 3: a merged
+    # scan reads the P = 4 values of |w_0|, a literal one P^2 patterns
+    jumps, solve = [], family_word_distances
+
+    def spy(diffs, jump, variant):
+        jumps.append(jump)
+        return solve(diffs, jump, variant)
+
+    monkeypatch.setattr(cayley, "family_word_distances", spy)
+    assert verify_mstar_isometry(2).values_scanned == 4
+    assert verify_mstar_isometry(2, "literal").values_scanned == 16
+    assert verify_mstar_isometry(4).values_scanned == 256
+    assert jumps == [3, 3, 255]
+    for n in (3, 0, -2):
+        with pytest.raises(ValueError, match=r"^n must be even and >= 2$"):
+            verify_mstar_isometry(n, "jitter")
 
 
 def test_mstar_merged_exhaustive_clean():
@@ -237,19 +248,18 @@ def test_mstar_scan_agrees_with_pair_enumeration(variant):
 
 
 def test_mstar_scan_values_match_bfs():
-    space = MStarSpace(2)
-    # every distance here is at most 2, so a radius-2 ball holds them all
+    # n = 2: period 4, jump 3; every distance here is at most 2, so a
+    # radius-2 ball holds them all
     merged = bfs_ball(FamilyGenerators(4, 3, "merged").enumerate(), 2)
-    for a in range(space.period):
-        cyclic = space.distance((1, 1, 1, 1), (1 + a, 1, 1, 1))
-        assert merged.get((a, 0, 0, 0)) == cyclic
+    for a in range(4):
+        assert merged.get((a, 0, 0, 0)) == cyclic_distance(4, 0, a)
     literal = bfs_ball(FamilyGenerators(4, 3, "literal").enumerate(), 2)
     rep = verify_mstar_isometry(2, "literal")
     assert rep.mismatches
     for m in rep.mismatches:
         a0, a1 = m["abs_diff"]
         assert literal.get((a0, a1, 0, 0)) == m["word"]
-        assert space.distance((1, 1, 1, 1), (1 + a0, 1 + a1, 1, 1)) \
+        assert max(cyclic_distance(4, 0, a0), cyclic_distance(4, 0, a1)) \
             == m["cyclic"]
 
 
@@ -354,6 +364,34 @@ def test_projection_generators_literal_count():
     assert all(tuple(-x for x in g) in as_set for g in gens)
     with pytest.raises(ValueError):
         projection_generators((2, 2), (3,), "literal")
+
+
+# sha256 of repr(projection_generators(...)), recorded when the function
+# listed each block's jump entries itself instead of padding the block's
+# FamilyGenerators list
+_PROJECTION_DIGESTS = {
+    "literal-2,2-3,8": ((2, 2), (3, 8), "literal", 96,
+                        "bd49d972594118ac2338b8f613494bb5"
+                        "31839eb41a42a0f5ca820fdb83d71cdb"),
+    "merged-2,2-3,8": ((2, 2), (3, 8), "merged", 112,
+                       "9ac08bf38086258ece4bf9131533b9c0"
+                       "0a89f5e56bf1b6788948a838b45d09cc"),
+    "literal-1,2-2,7": ((1, 2), (2, 7), "literal", 36,
+                        "0854e70c4535963636a03e00b29930e9"
+                        "ae2d79b22a8363aded4d5a96a85c892a"),
+    "merged-2,1,1-4,3,9": ((2, 1, 1), (4, 3, 9), "merged", 100,
+                           "1d246f1278d2b8c2ddf3b90eaa70cabe"
+                           "a556b3c8eb063d992a602ceaa2947a36"),
+}
+
+
+@pytest.mark.parametrize("dims, jumps, variant, size, digest",
+                         _PROJECTION_DIGESTS.values(),
+                         ids=_PROJECTION_DIGESTS)
+def test_projection_generators_frozen(dims, jumps, variant, size, digest):
+    gens = projection_generators(dims, jumps, variant)
+    assert len(gens) == size
+    assert hashlib.sha256(repr(gens).encode()).hexdigest() == digest
 
 
 def test_block_projection_default_toy():

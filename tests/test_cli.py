@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import roundlab
+from roundlab import cli
 from roundlab.cli import COMMANDS, build_parser, command_path, main
 from roundlab.metric import FiniteMetricSpace
 from roundlab.spaces import (cycle_graph_space, equilateral_space,
@@ -855,6 +856,12 @@ def test_zspace_ball(capsys):
     assert doc["results"]["radius"] == "1/2"
 
 
+def test_zspace_ball_names_a_zero_denominator(capsys):
+    code, doc, err = run(["zspace", "ball", "--block", "2", "--radius",
+                          "1/0"], capsys)
+    assert (code, doc, err) == (1, None, "error: zero denominator in '1/0'\n")
+
+
 def test_zspace_ball_refuses_a_center_from_another_block(tmp_path, capsys):
     from roundlab.zspace import ZPoint
 
@@ -1217,6 +1224,31 @@ def test_cayley_projection_cli(capsys):
     assert doc["results"]["mismatch_count"] == 0
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--jumps=1,8"], "jump must be at least 2"),
+    (["--dims=0,2"], "dim must be positive"),
+    (["--radius=-1"], "radius must be nonnegative, got -1"),
+    (["--dims=8,1", "--jumps=3,3", "--variant=merged"],
+     "family of 390624 generators is too large to list"),
+], ids=["jump-1", "dim-0", "radius-negative", "over-enum-limit"])
+def test_cayley_projection_refuses_a_degenerate_check(options, message,
+                                                      monkeypatch, capsys):
+    from roundlab import cayley
+
+    search = cayley.bfs_ball
+
+    def no_search(gens, radius):
+        # bfs_ball refuses a negative radius first; past that check a
+        # ball would be searched
+        if radius >= 0:
+            raise AssertionError("a ball was searched")
+        return search(gens, radius)
+
+    monkeypatch.setattr(cayley, "bfs_ball", no_search)
+    code, doc, err = run(["cayley", "projection", *options], capsys)
+    assert (code, doc, err) == (1, None, f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -1366,6 +1398,28 @@ def test_readme_commands_parse_on_mains_path():
                 == vars(build_parser().parse_args(argv)))
 
 
+# the r=6 census, about 40 s; CI's stage-6 step runs it
+STAGE6_CENSUS = ["counts", "incidences", "--coords", "12", "--units", "16",
+                 "--delta", "1", "--support", "2", "--size", "6"]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # README's commands in README's order (inject build writes the map
+    # inject verify reads) on the input files they name
+    monkeypatch.chdir(tmp_path)
+    write_space_csv(cycle_graph_space(5), "points.csv")
+    samples = [[1, 1]] + [[2 ** k, k] for k in range(1, 9)]
+    Path("moduli.json").write_text(json.dumps({"samples": samples}))
+    commands = readme_commands()
+    assert STAGE6_CENSUS in commands
+    for argv in commands:
+        if argv == STAGE6_CENSUS:
+            continue
+        code, doc, err = run(argv, capsys)
+        assert code in (0, 2), (argv, err)
+        assert doc["command"] == " ".join(command_path(argv)), argv
+
+
 def readme_python_blocks() -> list[str]:
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks, block = [], None
@@ -1416,6 +1470,46 @@ def test_out_into_missing_directory_exits_1(tmp_path, c4_csv, capsys):
     assert code == 1
     assert doc is None
     assert err.startswith("error:")
+
+
+def test_unwritable_out_is_refused_before_the_handler(tmp_path, c4_csv,
+                                                      monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(vars(cli), "estimate_roundness", never)
+    out = tmp_path / "nodir" / "r.json"
+    code, doc, err = run(["gr", "estimate", "--input", c4_csv,
+                          "--out", str(out)], capsys)
+    assert (code, doc) == (1, None)
+    assert err == (f"error: [Errno 2] No such file or directory: "
+                   f"{str(out)!r}\n")
+    # a directory is no file to write either
+    code, _, err = run(["gr", "estimate", "--input", c4_csv,
+                        "--out", str(tmp_path)], capsys)
+    assert code == 1 and err.startswith("error: [Errno 21]")
+
+
+def test_a_failed_run_leaves_out_as_it_found_it(tmp_path, c4_csv,
+                                                monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ValueError("the handler failed")
+
+    monkeypatch.setitem(vars(cli), "estimate_roundness", fail)
+    old = tmp_path / "old.json"
+    old.write_bytes(b"an earlier report\n")
+    new = tmp_path / "new.json"
+    for out in (old, new):
+        code, doc, err = run(["gr", "estimate", "--input", c4_csv,
+                              "--out", str(out)], capsys)
+        assert (code, doc, err) == (1, None, "error: the handler failed\n")
+    assert old.read_bytes() == b"an earlier report\n"
+    assert not new.exists()
+    # a run that succeeds writes over the earlier report
+    monkeypatch.undo()
+    assert main(["gr", "estimate", "--input", c4_csv, "--out",
+                 str(old)]) == 0
+    assert json.loads(old.read_text())["command"] == "gr estimate"
 
 
 def suite_env():

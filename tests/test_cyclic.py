@@ -17,10 +17,10 @@ from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
                              canonical_class_pair, completion_counts,
                              count_incidences, count_pairs_closed,
                              enumerate_pairs, is_pair, is_simplex,
-                             stage_delta, stage_form_of_pair,
-                             stage_pair_class, stage_range_warnings,
-                             stage_simplex_class, stage_space,
-                             sample_pairs_sparse, transport_pair)
+                             stage_delta, stage_pair_class,
+                             stage_range_warnings, stage_simplex_class,
+                             stage_space, sample_pairs_sparse,
+                             transport_pair)
 from roundlab.obstruction import CircleEmbeddingMap, verify_chain_inequality
 
 from oracles import (reference_anchored_count, reference_completion_count,
@@ -588,11 +588,10 @@ def test_stage_delta():
 
 
 def test_stage_form_round_trip():
-    for n, t, m in [(4, -1, 1), (4, 0, 2), (4, 1, 1), (6, 0, 1)]:
-        cls = stage_pair_class(n, t, m)
-        assert stage_form_of_pair(n, cls) == (t, m)
-    assert stage_form_of_pair(4, PairClass(3, 4)) is None
-    assert stage_form_of_pair(4, PairClass(256, 5)) is None
+    # delta = 2^t * n^n quanta and support = n^m
+    for n, t, m, delta, support in [(4, -1, 1, 128, 4), (4, 0, 2, 256, 16),
+                                    (4, 1, 1, 512, 4), (6, 0, 1, 46656, 6)]:
+        assert stage_pair_class(n, t, m) == PairClass(delta, support)
 
 
 def test_stage_range_warnings():

@@ -12,8 +12,7 @@ import pytest
 
 import roundlab
 from roundlab.cayley import (CayleyRoundnessReport, ExplicitGenerators,
-                             FamilyGenerators, MStarReport, MStarSpace,
-                             ProjectionReport)
+                             FamilyGenerators, MStarReport, ProjectionReport)
 from roundlab.cyclic import (CycleSpace, DoubleSimplex, IncidenceCounts,
                              Isometry, PairClass, ProductCycleSpace,
                              SimplexClass, SparsePairBatch)
@@ -105,9 +104,6 @@ RECORDS = {
          r"\(1,\) present without its inverse"),
         ((1, frozenset({(1, 1), (-1, -1)})), ValueError,
          "vector has length 2, expected 1")]),
-    MStarSpace: ((4,), (0, 2), [
-        ((3,), ValueError, "n must be even and >= 2"),
-        ((0,), ValueError, "n must be even and >= 2")]),
     RoundnessEstimate: ((0.5, math.inf, (1, 0), 1.0, True, "every double "
                          "simplex", None, 16.0, (), ("a flag",)), (1, 1.0),
                         []),

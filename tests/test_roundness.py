@@ -16,7 +16,7 @@ from roundlab import kernels, roundness
 from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
                              ProductCycleSpace, stage_space)
 from roundlab.metric import FiniteMetricSpace, snowflake
-from roundlab.roundness import (certify_violation, distance_power_matrix,
+from roundlab.roundness import (DistanceIndex, certify_violation,
                                 estimate_roundness,
                                 exhaustive_config_count,
                                 find_violation_characters,
@@ -115,7 +115,7 @@ def test_find_violation_exhaustive():
 def test_zero_probe_scans_nothing(space, monkeypatch):
     # off the diagonal D^0 is all ones, so no gap is negative at p = 0
     scan = kernels.min_gap_scan
-    assert scan(distance_power_matrix(space, 0.0), 3, 1e-12)[0] is None
+    assert scan(DistanceIndex(space).power_matrix(0.0), 3, 1e-12)[0] is None
     calls = []
 
     def spy(dp, max_size, rel_tol):
@@ -187,7 +187,7 @@ POWER_SPACES = {
 @pytest.mark.parametrize("make", POWER_SPACES.values(), ids=POWER_SPACES)
 def test_power_matrix_matches_one_dpow_per_ordered_pair(make, p):
     space = make()
-    assert (repr(distance_power_matrix(space, p))
+    assert (repr(DistanceIndex(space).power_matrix(p))
             == repr(reference_power_matrix(space, p)))
 
 
@@ -211,7 +211,7 @@ def test_power_matrix_takes_one_dpow_per_distinct_distance(make, distinct,
         return dpow(d, p)
 
     monkeypatch.setattr(roundness, "dpow", counting_dpow)
-    distance_power_matrix(space, 1.5)
+    DistanceIndex(space).power_matrix(1.5)
     # one call per distinct (type, value): 1/2 as a Fraction and as a
     # float are two, 3 as a Fraction and as an int two
     assert sorted(calls, key=repr) == sorted(keys, key=repr)
@@ -401,7 +401,8 @@ def test_z4_products_closed_form():
 def test_character_bracket_below_listed_scan():
     # the scan covers families of at most 3 points, the characters all
     product = ProductCycleSpace(2, CycleSpace(4))
-    points = list(product.iter_points())
+    points = list(itertools.product(range(product.units),
+                                    repeat=product.coords))
     listed = FiniteMetricSpace.from_rows(
         [[product.distance(x, y) for y in points] for x in points])
     chars = estimate_roundness(product)

@@ -6,19 +6,23 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import representatives_space
+from roundlab.cycles import stage_space
 from roundlab.metric import validate_metric
 from roundlab.zspace import (DENSE_COORD_LIMIT, BallCensus, ZPoint,
-                             ball_census, block_coords, block_diameter,
-                             block_distance, block_quantum, block_units,
+                             ball_census, block_diameter, block_distance,
                              certify_corrected, cross_distance,
-                             find_triangle_violation, representatives_space,
+                             find_triangle_violation,
                              scan_triangle_violations, zeta)
 
 
 def test_block_shape():
-    assert block_coords(2) == 4
-    assert block_units(2) == 16
-    assert block_quantum(2) == Fraction(1, 4)
+    # block 2 is stage_space(2): 4 coordinates, 16 units, quantum 1/4
+    antipode = ZPoint.antipode(2)
+    assert antipode.to_dict() == {"block": 2, "residues": [8, 0, 0, 0]}
+    assert block_distance(ZPoint.zero(2), antipode) == 2
+    assert block_distance(ZPoint.zero(2), ZPoint.make(2, {3: 15})) \
+        == Fraction(1, 4)
     assert block_diameter(2) == 2
     assert block_diameter(8) == 8388608
 
@@ -148,7 +152,7 @@ def test_ball_census_crossing_threshold():
 
 def test_ball_census_digit_estimate():
     # block 6 has 46656 coordinates, past the dense limit
-    assert block_coords(6) > DENSE_COORD_LIMIT
+    assert stage_space(6).coords > DENSE_COORD_LIMIT
     cen = ball_census(ZPoint.zero(2), 4 + 6 ** 6, block_bound=6)
     assert [e.block for e in cen.entries] == [2, 4, 6]
     assert cen.entries[2].count is None
@@ -192,6 +196,11 @@ def test_zpoint_json_sparse_round_trip():
 def test_zpoint_json_dense_length_check():
     with pytest.raises(ValueError):
         ZPoint.from_json_dict({"block": 2, "residues": [1, 2]})
+    # the block is checked before its coordinate count is read
+    for block in (-2, 0, 1, 3):
+        with pytest.raises(ValueError, match=f"block size must be even and "
+                           f">= 2, got {block}"):
+            ZPoint.from_json_dict({"block": block, "residues": [0]})
 
 
 # ---------------------------------------------------------------------------
