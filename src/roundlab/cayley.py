@@ -39,6 +39,8 @@ if TYPE_CHECKING:
 GroupVector = tuple[int, ...]
 
 ENUM_LIMIT = 300_000
+# generator sums v + g that one `bfs_ball` search may take
+SUM_LIMIT = 3_000_000
 
 
 def _check_vector(v: Sequence[int], dim: int) -> GroupVector:
@@ -182,7 +184,9 @@ def family_word_distances(diffs: np.ndarray, jump: int, variant: str) -> np.ndar
 def bfs_ball(gens: Iterable[Sequence[int]], radius: int) -> dict:
     """Distances from the origin out to the radius. Returns {vector:
     distance}; each depth holds the sums v + g over the last depth and the
-    generators that no earlier depth reached, in sorted order."""
+    generators that no earlier depth reached, in sorted order. A search
+    whose sums would pass SUM_LIMIT is refused before the depth that
+    would pass it."""
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     moves = [tuple(map(int, g)) for g in gens]
@@ -190,7 +194,13 @@ def bfs_ball(gens: Iterable[Sequence[int]], radius: int) -> dict:
         raise ValueError("need a nonempty list of generator vectors")
     dist = {(0,) * len(moves[0]): 0}
     frontier = list(dist)
+    sums = 0
     for depth in range(1, radius + 1):
+        sums += len(frontier) * len(moves)
+        if sums > SUM_LIMIT:
+            raise ValueError(
+                f"ball of radius {radius} needs {sums} generator sums by "
+                f"depth {depth}, over the limit of {SUM_LIMIT}")
         frontier = sorted({tuple(map(operator.add, v, g))
                            for v in frontier for g in moves} - dist.keys())
         if not frontier:
@@ -251,6 +261,9 @@ def projection_generators(dims: Sequence[int], jumps: Sequence[int],
     if len(dims) != len(jumps):
         raise ValueError("dims and jumps must pair up")
     total = sum(dims)
+    if (units := 3 ** total - 1) > ENUM_LIMIT:
+        raise ValueError(
+            f"{units} unit moves on {total} coordinates are too many to list")
     out = set()
     offset = 0
     for d, j in zip(dims, jumps):

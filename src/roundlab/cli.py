@@ -54,14 +54,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_fraction(text: str) -> Fraction:
-    # argparse reports only ValueError and TypeError as usage errors
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
 def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
@@ -74,9 +66,11 @@ def _add_out(p) -> None:
 # resolvers import the cycle vocabulary, which no other command loads
 
 def _add_space_args(p) -> None:
+    from .numerics import parse_fraction
+
     p.add_argument("--coords", type=int, help="number of cycle coordinates")
     p.add_argument("--units", type=int, help="units per cycle (even)")
-    p.add_argument("--quantum", type=_parse_fraction, default=Fraction(1),
+    p.add_argument("--quantum", type=parse_fraction, default=Fraction(1),
                    help="real length of one unit (rational, default 1)")
     p.add_argument("--n", type=int,
                    help="stage-form block size (sets coords/units/quantum)")

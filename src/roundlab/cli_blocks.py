@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import json
 
-from .cli import _parse_fraction, _parse_int_list, vars_params
+from .cli import _parse_int_list, vars_params
+from .numerics import parse_fraction
 
 
 def _cmd_zspace_validate(args) -> tuple:
@@ -34,7 +35,7 @@ def _cmd_zspace_ball(args) -> tuple:
                              f"not of --block {args.block}")
     else:
         center = ZPoint.zero(args.block)
-    census = ball_census(center, _parse_fraction(args.radius), args.variant,
+    census = ball_census(center, parse_fraction(args.radius), args.variant,
                          args.block_bound)
     return vars_params(args), census, True
 

@@ -6,18 +6,18 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
 from .cli import (_add_class_args, _add_space_args, _class_params,
-                  _parse_fraction, _parse_int_list, _resolve_simplex_class,
-                  _resolve_space, vars_params)
+                  _parse_int_list, _resolve_simplex_class, _resolve_space,
+                  vars_params)
+from .numerics import parse_fraction
 
 
 def _parse_p(text: str) -> float:
     if text.lower() in ("inf", "infinity"):
         return math.inf
     try:
-        return float(_parse_fraction(text))
+        return float(parse_fraction(text))
     except OverflowError:
         raise ValueError(f"{text!r} is beyond the float range") from None
 
@@ -40,7 +40,7 @@ def _load_moduli(path):
                         and not isinstance(v, bool) for v in sample)):
             raise ValueError(f"moduli sample {k} is not a "
                              f"[distance, image] pair: {sample!r}")
-        samples.append(tuple(v if isinstance(v, float) else Fraction(v)
+        samples.append(tuple(v if isinstance(v, float) else parse_fraction(v)
                              for v in sample))
     return empirical_moduli(samples)
 

@@ -11,13 +11,13 @@ possible.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional
 
 from . import Record
 from .metric import FiniteMetricSpace
-from .numerics import REL_TOL, Number, json_int, rational_pow
+from .numerics import (REL_TOL, Number, exact_sum, json_int, parse_fraction,
+                       rational_pow)
 from .report import sanitize
 
 
@@ -54,16 +54,8 @@ def _level_deltas(a: SeqVector, b: SeqVector):
 def ell0_distance(a: SeqVector, b: SeqVector) -> Number:
     """sum over levels of 2^-n * |delta_n| / (1 + |delta_n|); exact for
     rational values."""
-    terms = []
-    for n, delta in _level_deltas(a, b):
-        if isinstance(delta, (int, Fraction)):
-            delta = Fraction(delta)
-            terms.append(Fraction(1, 2 ** n) * delta / (1 + delta))
-        else:
-            terms.append(2.0 ** (-n) * delta / (1.0 + delta))
-    if all(isinstance(t, Fraction) for t in terms):
-        return sum(terms, Fraction(0))
-    return math.fsum(float(t) for t in terms)
+    return exact_sum(Fraction(1, 2 ** n) * delta / (1 + delta)
+                     for n, delta in _level_deltas(a, b))
 
 
 def ellp_convention(p) -> str:
@@ -76,23 +68,9 @@ def ellp_distance(a: SeqVector, b: SeqVector, p) -> Number:
     p = Fraction(p)
     if p <= 0:
         raise ValueError("p must be positive")
-    terms = []
-    for _, delta in _level_deltas(a, b):
-        if isinstance(delta, (int, Fraction)):
-            terms.append(rational_pow(Fraction(delta), p))
-        else:
-            terms.append(float(delta) ** float(p))
-    if not terms:
-        return Fraction(0)
-    if all(isinstance(t, (int, Fraction)) for t in terms):
-        inner: Number = sum(terms, Fraction(0))
-    else:
-        inner = math.fsum(float(t) for t in terms)
-    if p < 1:
-        return inner
-    if isinstance(inner, Fraction):
-        return rational_pow(inner, 1 / p)
-    return float(inner) ** float(1 / p)
+    inner = exact_sum(rational_pow(delta, p)
+                      for _, delta in _level_deltas(a, b))
+    return inner if p < 1 else rational_pow(inner, 1 / p)
 
 
 def point_gaps(space) -> list:
@@ -128,20 +106,12 @@ class LevelStructure(Record):
 
     __slots__ = ("gaps", "kappas", "levels", "h_index", "warning")
 
-    def __init__(self, gaps: tuple, kappas: tuple, levels: int,
-                 h_index: tuple, warning: Optional[str] = None):
-        self.gaps = gaps
-        self.kappas = kappas
-        self.levels = levels
-        self.h_index = h_index
-        self.warning = warning
-
 
 def build_level_structure(space) -> LevelStructure:
     n = space.size
     if n == 1:
         return LevelStructure((None,), (0,), 0, (),
-                              warning="single point: no gaps, trivial structure")
+                              "single point: no gaps, trivial structure")
     gaps = point_gaps(space)
     kappas = tuple(gap_level(g) for g in gaps)
     top = max(kappas)
@@ -149,22 +119,14 @@ def build_level_structure(space) -> LevelStructure:
         {i: j for j, i in enumerate(
             (i for i in range(n) if kappas[i] <= lvl), 1)}
         for lvl in range(1, top + 1))
-    return LevelStructure(tuple(gaps), kappas, top, h_index)
+    return LevelStructure(tuple(gaps), kappas, top, h_index, None)
 
 
-class InjectionTable:
+class InjectionTable(Record):
+    """A space's images: SeqVectors in `ell0` and `ellp` (exponent `p`),
+    rationals in `ballchain` (its balls named by `descriptor`)."""
+
     __slots__ = ("target", "images", "labels", "p", "descriptor", "warnings")
-
-    def __init__(self, target: str, images: list, labels: tuple,
-                 p: Optional[Fraction] = None,
-                 descriptor: Optional[str] = None,
-                 warnings: Optional[list] = None):
-        self.target = target
-        self.images = images
-        self.labels = labels
-        self.p = p
-        self.descriptor = descriptor
-        self.warnings = [] if warnings is None else warnings
 
     def to_json_dict(self, space: Optional[FiniteMetricSpace] = None) -> dict:
         out = {
@@ -190,7 +152,7 @@ class InjectionTable:
         bad entry."""
         def dec(v, entry: str):
             if isinstance(v, str):
-                return Fraction(v)
+                return parse_fraction(v)
             if isinstance(v, (int, float)) and not isinstance(v, bool):
                 return v
             raise TypeError(f"{entry} is not a number: {v!r}")
@@ -241,6 +203,7 @@ def _level_table(space, target: str, value, p=None) -> InjectionTable:
                               if i in idx))
               for i in range(space.size)]
     return InjectionTable(target, images, _labels(space), p=p,
+                          descriptor=None,
                           warnings=[st.warning] if st.warning else [])
 
 
@@ -298,7 +261,7 @@ def build_ballchain_injection(space, target: BallChainTarget) -> InjectionTable:
             k += 1
         used.add(k)
         images.append(Fraction(1, k))
-    return InjectionTable("ballchain", images, _labels(space),
+    return InjectionTable("ballchain", images, _labels(space), p=None,
                           descriptor=target.name,
                           warnings=[st.warning] if st.warning else [])
 
@@ -310,7 +273,7 @@ def build_injection(space, spec: str) -> InjectionTable:
     if spec == "ell0":
         return build_ell0_injection(space)
     if kind == "ellp" and arg:
-        return build_ellp_injection(space, Fraction(arg))
+        return build_ellp_injection(space, parse_fraction(arg))
     if kind == "ballchain" and arg in BALLCHAIN_TARGETS:
         return build_ballchain_injection(space, BALLCHAIN_TARGETS[arg]())
     raise ValueError(f"unknown target {spec!r}")
@@ -320,21 +283,6 @@ class InjectionReport(Record):
     __slots__ = ("target", "injective", "duplicate_pair", "worst_ratio",
                  "worst_pair", "violations", "checked_pairs", "modulus",
                  "convention")
-
-    def __init__(self, target: str, injective: bool,
-                 duplicate_pair: Optional[tuple],
-                 worst_ratio: Optional[Number], worst_pair: Optional[tuple],
-                 violations: list, checked_pairs: int, modulus: str,
-                 convention: Optional[str] = None):
-        self.target = target
-        self.injective = injective
-        self.duplicate_pair = duplicate_pair
-        self.worst_ratio = worst_ratio
-        self.worst_pair = worst_pair
-        self.violations = violations
-        self.checked_pairs = checked_pairs
-        self.modulus = modulus
-        self.convention = convention
 
     @property
     def ok(self) -> bool:
@@ -352,15 +300,10 @@ def resolve_modulus(spec: str):
     if spec == "identity":
         return lambda t: t, "identity"
     if spec.startswith("root:"):
-        p = Fraction(spec.split(":", 1)[1])
+        p = parse_fraction(spec.split(":", 1)[1])
         if p <= 0:
             raise ValueError("root exponent must be positive")
-
-        def mod(t):
-            if isinstance(t, (int, Fraction)):
-                return rational_pow(Fraction(t), 1 / p)
-            return float(t) ** float(1 / p)
-        return mod, spec
+        return lambda t: rational_pow(t, 1 / p), spec
     raise ValueError(f"unknown modulus {spec!r}")
 
 
@@ -395,12 +338,10 @@ def verify_injection(space, table: InjectionTable,
 
     keys = [img.entries if isinstance(img, SeqVector) else img
             for img in table.images]
-    injective = True
     duplicate = None
     seen = {}
     for i, k in enumerate(keys):
         if k in seen:
-            injective = False
             duplicate = (seen[k], i)
             break
         seen[k] = i
@@ -427,6 +368,6 @@ def verify_injection(space, table: InjectionTable,
             if (isinstance(ratio, Fraction) and ratio > 1) or (
                     isinstance(ratio, float) and ratio > 1.0 + REL_TOL):
                 violations.append({"pair": [i, j], "ratio": float(ratio)})
-    return InjectionReport(table.target, injective, duplicate, worst,
+    return InjectionReport(table.target, duplicate is None, duplicate, worst,
                            worst_pair, violations, checked, mod_name,
                            convention)

@@ -128,12 +128,7 @@ class SnowflakeOracle(Record):
         return getattr(self.base, "labels", tuple(str(i) for i in range(self.size)))
 
     def distance(self, a: int, b: int) -> Number:
-        d = self.base.distance(a, b)
-        if isinstance(d, Fraction):
-            return rational_pow(d, self.alpha)
-        if isinstance(d, int):
-            return rational_pow(Fraction(d), self.alpha)
-        return float(d) ** float(self.alpha)
+        return rational_pow(self.base.distance(a, b), self.alpha)
 
 
 def snowflake(space, alpha) -> SnowflakeOracle:

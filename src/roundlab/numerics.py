@@ -27,6 +27,16 @@ def json_int(value, entry: str) -> int:
     return value
 
 
+def parse_fraction(text) -> Fraction:
+    """Fraction(text) for a rational given as text (or an int); a zero
+    denominator is refused with a ValueError naming the text, the error
+    argparse reports as a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def dpow(d: Number, p: float) -> Number:
     """d**p with the counting convention 0**0 = 0 and d**0 = 1 for d > 0.
 
@@ -91,9 +101,12 @@ def exact_rational_pow(d: Fraction, alpha: Fraction) -> Fraction | None:
     return Fraction(rn, rd)
 
 
-def rational_pow(d: Fraction, alpha: Fraction) -> Number:
-    """d**alpha: exact Fraction when the root is exact, else a float
-    evaluated at PRECISION_BITS."""
+def rational_pow(d: Number, alpha: Fraction) -> Number:
+    """d**alpha for d >= 0. A rational d gives an exact Fraction when the
+    root is exact, else a float evaluated at PRECISION_BITS; any other d
+    gives float(d) ** float(alpha)."""
+    if not isinstance(d, (int, Fraction)):
+        return float(d) ** float(alpha)
     exact = exact_rational_pow(d, alpha)
     if exact is not None:
         return exact
@@ -101,3 +114,12 @@ def rational_pow(d: Fraction, alpha: Fraction) -> Number:
 
     with mpmath.workprec(PRECISION_BITS):
         return float(to_mpf(d) ** to_mpf(Fraction(alpha)))
+
+
+def exact_sum(terms) -> Number:
+    """The sum of `terms`: a Fraction when every term is rational
+    (Fraction(0) for no terms), else math.fsum of their floats."""
+    terms = list(terms)
+    if all(isinstance(t, (int, Fraction)) for t in terms):
+        return sum(terms, Fraction(0))
+    return math.fsum(float(t) for t in terms)

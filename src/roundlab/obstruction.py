@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import Record
 from .cycles import (PairClass, ProductCycleSpace, SimplexClass,
                      count_pairs_closed, stage_pair_class, stage_space)
-from .numerics import dpow, is_violation
+from .numerics import dpow, is_violation, parse_fraction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -218,7 +218,7 @@ def resolve_builtin_map(spec: str, space: ProductCycleSpace):
     if name == "constant":
         return ConstantMap(space)
     if name.startswith("snowflake:"):
-        alpha = float(Fraction(name.split(":", 1)[1]))
+        alpha = float(parse_fraction(name.split(":", 1)[1]))
         return SnowflakeMap(space, alpha)
     raise ValueError(f"unknown builtin map {spec!r}")
 

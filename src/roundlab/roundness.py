@@ -293,27 +293,10 @@ def find_violation_characters(space: ProductCycleSpace, p,
 
 
 class RoundnessEstimate(Record):
+    # the witness is a double simplex, or on a cycle product a character's
+    # folded frequency multiset
     __slots__ = ("lower", "upper", "witness", "witness_p", "certified",
                  "covers", "max_simplex_size", "p_cap", "probes", "flags")
-
-    def __init__(self, lower: float, upper: float,
-                 witness: Optional[DoubleSimplex | tuple],
-                 witness_p: Optional[float], certified: bool, covers: str,
-                 max_simplex_size: Optional[int], p_cap: float,
-                 probes: Optional[list] = None,
-                 flags: Optional[list] = None):
-        self.lower = lower
-        self.upper = upper
-        # a double simplex, or on a cycle product a character's folded
-        # frequency multiset
-        self.witness = witness
-        self.witness_p = witness_p
-        self.certified = certified
-        self.covers = covers
-        self.max_simplex_size = max_simplex_size
-        self.p_cap = p_cap
-        self.probes = [] if probes is None else probes
-        self.flags = [] if flags is None else flags
 
     def fields(self) -> dict:
         fields = super().fields()

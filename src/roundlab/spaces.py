@@ -13,6 +13,7 @@ from typing import Sequence
 
 from . import Record
 from .metric import FiniteMetricSpace
+from .numerics import parse_fraction
 
 
 def parse_space_text(text: str, checked: bool = True) -> FiniteMetricSpace:
@@ -25,7 +26,14 @@ def parse_space_text(text: str, checked: bool = True) -> FiniteMetricSpace:
     body = tokens[1:]
     if len(body) != n * n:
         raise ValueError(f"expected {n * n} entries, found {len(body)}")
-    rows = [[Fraction(body[i * n + j]) for j in range(n)] for i in range(n)]
+    try:
+        rows = [[Fraction(body[i * n + j]) for j in range(n)]
+                for i in range(n)]
+    except ZeroDivisionError:
+        # parsing again names the first entry with a zero denominator
+        for token in body:
+            parse_fraction(token)
+        raise
     if checked:
         return FiniteMetricSpace.from_rows(rows)
     return FiniteMetricSpace.unchecked(rows)

@@ -468,7 +468,7 @@ def test_obstruct_uniform_refuses_an_empty_ladder(ladder, capsys):
 
 @pytest.mark.parametrize("argv, option, converter", [
     (["counts", "pairs", "--coords", "2", "--units", "4", "--delta", "1",
-      "--support", "1", "--quantum", "1/0"], "--quantum", "_parse_fraction"),
+      "--support", "1", "--quantum", "1/0"], "--quantum", "parse_fraction"),
     (["obstruct", "step", *_STEP_ARGS, "--p", "1/0"], "--p", "_parse_p"),
     (["obstruct", "uniform", "--map", "builtin:identity", "--n-ladder", "2",
       "--p", "1e400"], "--p", "_parse_p"),
@@ -512,7 +512,7 @@ def test_every_converter_fails_as_a_usage_error():
                 except Exception as exc:
                     pytest.fail(f"{leaf.prog} {action.option_strings}: "
                                 f"{text!r} raised {exc!r}")
-    assert {"_parse_fraction", "_parse_p", "int", "float"} <= seen
+    assert {"parse_fraction", "_parse_p", "int", "float"} <= seen
 
 
 @pytest.mark.parametrize("argv, results_sha256", [
@@ -982,6 +982,44 @@ def test_malformed_json_input_is_an_error(argv, payload, message, tmp_path,
     assert "Traceback" not in err
 
 
+# every text input read as a rational, given a zero denominator; {space}
+# holds the 3-point path, {bad} a 2-point space with a 1/0 entry
+ZERO_DENOMINATOR = {
+    "inject-target": ["inject", "build", "--input", "{space}",
+                      "--target", "ellp:1/0"],
+    "inject-modulus": ["inject", "build", "--input", "{space}",
+                       "--target", "ell0", "--modulus", "root:1/0"],
+    "uniform-snowflake": ["obstruct", "uniform", "--map",
+                          "builtin:snowflake:1/0", "--n-ladder", "2",
+                          "--p", "2"],
+    "step-snowflake": ["obstruct", "step", "--coords", "2", "--units", "4",
+                       "--delta", "1", "--support", "1", "--size", "2",
+                       "--map", "builtin:snowflake:1/0", "--p", "2"],
+    "validate-entry": ["validate", "--input", "{bad}"],
+    "estimate-entry": ["gr", "estimate", "--input", "{bad}"],
+    "moduli-sample": ["obstruct", "coarse", "--moduli", "{moduli}",
+                      "--p", "2"],
+    "map-image": ["inject", "verify", "--map", "{map}"],
+}
+
+
+@pytest.mark.parametrize("argv", ZERO_DENOMINATOR.values(),
+                         ids=ZERO_DENOMINATOR)
+def test_zero_denominator_is_named(argv, tmp_path, capsys):
+    from roundlab.spaces import path_graph_space
+
+    files = {name: tmp_path / f"{name}.txt"
+             for name in ("space", "bad", "moduli", "map")}
+    write_space_csv(path_graph_space(3), str(files["space"]))
+    files["bad"].write_text("2\n0 1/0\n1 0\n")
+    files["moduli"].write_text(json.dumps([["1/0", 1]]))
+    files["map"].write_text(json.dumps(
+        {"target": "ballchain", "images": ["0", "1/0"],
+         "domain": [[0, 1], [1, 0]]}))
+    code, doc, err = run([a.format(**files) for a in argv], capsys)
+    assert (code, doc, err) == (1, None, "error: zero denominator in '1/0'\n")
+
+
 def _ell0_map(space):
     from roundlab.inject import build_ell0_injection
 
@@ -1230,21 +1268,27 @@ def test_cayley_projection_cli(capsys):
     (["--radius=-1"], "radius must be nonnegative, got -1"),
     (["--dims=8,1", "--jumps=3,3", "--variant=merged"],
      "family of 390624 generators is too large to list"),
-], ids=["jump-1", "dim-0", "radius-negative", "over-enum-limit"])
+    (["--dims=6,6", "--jumps=3,3"],
+     "531440 unit moves on 12 coordinates are too many to list"),
+    (["--dims=3,3", "--jumps=3,3"],
+     "ball of radius 3 needs 38308140 generator sums by depth 3, over the "
+     "limit of 3000000"),
+], ids=["jump-1", "dim-0", "radius-negative", "over-enum-limit",
+        "over-unit-limit", "over-sum-limit"])
 def test_cayley_projection_refuses_a_degenerate_check(options, message,
                                                       monkeypatch, capsys):
     from roundlab import cayley
 
     search = cayley.bfs_ball
 
-    def no_search(gens, radius):
-        # bfs_ball refuses a negative radius first; past that check a
-        # ball would be searched
-        if radius >= 0:
-            raise AssertionError("a ball was searched")
-        return search(gens, radius)
+    def refused_search(gens, radius):
+        # bfs_ball refuses a negative radius at once, and a ball whose sums
+        # would pass SUM_LIMIT before the depth that would pass them; a
+        # search that returns searched a ball
+        search(gens, radius)
+        raise AssertionError("a ball was searched")
 
-    monkeypatch.setattr(cayley, "bfs_ball", no_search)
+    monkeypatch.setattr(cayley, "bfs_ball", refused_search)
     code, doc, err = run(["cayley", "projection", *options], capsys)
     assert (code, doc, err) == (1, None, f"error: {message}\n")
 

@@ -252,7 +252,8 @@ def test_verifier_catches_expansion():
 def _ballchain_pair(images, d):
     """Verify a hand-built two-point ball-chain table at domain distance d."""
     table = InjectionTable(target="ballchain", images=list(images),
-                           labels=("a", "b"))
+                           labels=("a", "b"), p=None, descriptor=None,
+                           warnings=[])
     return verify_injection(two_point_space(d), table)
 
 

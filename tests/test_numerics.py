@@ -1,10 +1,14 @@
-"""The one violation rule, at its boundary, through every caller.
+"""The one violation rule, at its boundary, through every caller; and the
+one exact-or-float rule of powers and sums.
 
 An inexact gap violates only strictly below -REL_TOL * max(scale, 1);
 exact gaps compare against zero. The float gaps here sit on that
 threshold and one ulp either side of it, where any second copy of the
 rule that drifted (a strict/non-strict flip, a missing floor at 1, a
 scale rounded through float) would answer differently.
+
+A power or a sum of rationals stays a Fraction wherever the result is
+rational; anything else is a float.
 """
 
 import math
@@ -14,7 +18,8 @@ import pytest
 
 from oracles import mpmath_certify_violation
 from roundlab.cyclic import DoubleSimplex
-from roundlab.numerics import REL_TOL, is_violation
+from roundlab.numerics import (REL_TOL, exact_sum, is_violation,
+                               rational_pow)
 from roundlab.obstruction import _margin
 from roundlab.roundness import GapResult, certify_violation
 
@@ -103,3 +108,29 @@ def test_is_violation_keeps_mpmath_precision():
         assert exact < gap < rounded
         assert not is_violation(gap, scale)
         assert is_violation(exact - mpmath.mpf(2) ** -150, scale)
+
+
+@pytest.mark.parametrize("d, alpha, expected", [
+    (8, Fraction(2, 3), Fraction(4)),
+    (Fraction(9, 4), Fraction(1, 2), Fraction(3, 2)),
+    (Fraction(0), Fraction(1, 3), Fraction(0)),
+    (4.0, Fraction(1, 2), 2.0),
+    (Fraction(1, 2), Fraction(1, 2), math.sqrt(0.5)),
+    (2, Fraction(1, 3), 2 ** (1 / 3)),
+], ids=["int-exact-root", "fraction-exact-root", "zero", "float",
+        "fraction-inexact-root", "int-inexact-root"])
+def test_rational_pow_is_exact_where_the_root_is(d, alpha, expected):
+    got = rational_pow(d, alpha)
+    # a float d stays a float even where the root is exact
+    assert type(got) is type(expected)
+    assert got == expected
+
+
+def test_exact_sum_is_a_fraction_unless_a_term_is_a_float():
+    assert exact_sum([]) == 0 and type(exact_sum([])) is Fraction
+    total = exact_sum(iter([1, Fraction(1, 3)]))
+    assert total == Fraction(4, 3) and type(total) is Fraction
+    mixed = exact_sum([Fraction(1, 3), 0.5])
+    assert mixed == 1 / 3 + 0.5 and type(mixed) is float
+    # the float sum is math.fsum's, exact before its one rounding
+    assert exact_sum([1e16, 1.0, -1e16, Fraction(0)]) == 1.0

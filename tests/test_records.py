@@ -17,7 +17,7 @@ from roundlab.cyclic import (CycleSpace, DoubleSimplex, IncidenceCounts,
                              Isometry, PairClass, ProductCycleSpace,
                              SimplexClass, SparsePairBatch)
 from roundlab.inject import (BallChainTarget, InjectionReport,
-                             LevelStructure, SeqVector)
+                             InjectionTable, LevelStructure, SeqVector)
 from roundlab.metric import (FiniteMetricSpace, ModulusEnvelope,
                              SnowflakeOracle, ValidationReport)
 from roundlab.obstruction import (ChainReport, CircleEmbeddingMap,
@@ -109,6 +109,9 @@ RECORDS = {
                         []),
     InjectionReport: (("ell0", True, None, F(3, 8), (0, 1), (), 6,
                        "identity", None), (3, 0.5), []),
+    InjectionTable: (("ellp", (SeqVector(((1, F(1, 2)),)), SeqVector()),
+                      ("a", "b"), F(2), None, ("a warning",)),
+                     (3, F(3)), []),
 }
 
 
@@ -152,7 +155,8 @@ PLAIN_RECORDS = [
     ModulusEnvelope, LevelAverage, StepReport, ChainReport,
     CoarseObstructionReport, UniformObstructionReport, GapResult,
     PlanarPoints, TriangleViolation, CorrectedCertificate, BallCensusEntry,
-    BallCensus,
+    BallCensus, LevelStructure, InjectionTable, InjectionReport,
+    RoundnessEstimate,
 ]
 
 

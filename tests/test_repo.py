@@ -15,13 +15,17 @@ def git(*args):
                           capture_output=True, text=True)
 
 
-def test_no_tracked_file_is_ignored():
-    # a tracked file that .gitignore lists is a generated or stale artifact
+def skip_outside_a_checkout():
     if shutil.which("git") is None:
         pytest.skip("git is not installed")
     top = git("rev-parse", "--show-toplevel")
     if top.returncode != 0 or Path(top.stdout.strip()).resolve() != ROOT:
         pytest.skip("not a git checkout of this repository")
+
+
+def test_no_tracked_file_is_ignored():
+    # a tracked file that .gitignore lists is a generated or stale artifact
+    skip_outside_a_checkout()
     res = git("ls-files", "-ci", "--exclude-standard")
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == []
@@ -62,3 +66,25 @@ def test_readme_module_map_names_every_module():
     modules = {path.name for path in (ROOT / "src" / "roundlab").glob("*.py")
                if path.name != "__main__.py"}
     assert modules - named == set()
+
+
+def test_bench_files_record_their_setup():
+    # from BENCH_24.json on, every benchmark record names its PR and the
+    # setup its numbers came from, so the files form a trajectory
+    import json
+    import re
+
+    skip_outside_a_checkout()
+    res = git("ls-files", "BENCH_*.json")
+    assert res.returncode == 0, res.stderr
+    checked = 0
+    for name in res.stdout.split():
+        pr = int(re.fullmatch(r"BENCH_(\d+)\.json", name).group(1))
+        if pr < 24:
+            continue
+        record = json.loads((ROOT / name).read_text())
+        assert record["pr"] == pr, name
+        missing = {"backend", "workers", "nproc", "git_sha"} - set(record)
+        assert not missing, f"{name} lacks {sorted(missing)}"
+        checked += 1
+    assert checked >= 4
