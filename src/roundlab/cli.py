@@ -159,7 +159,8 @@ def _class_params(args, space, cls) -> dict:
 COMMANDS = {
     "validate": ("audit metric axioms of a space file", "space"),
     "gr": ("generalized roundness", {
-        "estimate": ("bracket the roundness by bisection", "space"),
+        "estimate": ("bracket the roundness between a clean probe and a "
+                     "witness", "space"),
     }),
     "simplex": ("class simplices", {
         "build": ("construct and verify a class simplex", "census"),

@@ -77,6 +77,9 @@ def exact_int_root(x: int, k: int) -> int | None:
         return None
     if k == 1 or x in (0, 1):
         return x
+    if k >= x.bit_length():
+        # 2^k > x: the only candidate root is 1, and 1^k = 1 < x
+        return None
     if k == 2:
         r = math.isqrt(x)
         return r if r * r == x else None
@@ -92,13 +95,14 @@ def exact_rational_pow(d: Fraction, alpha: Fraction) -> Fraction | None:
     """d**alpha as an exact Fraction when the root is exact, else None. d > 0."""
     if d == 0:
         return Fraction(0)
-    num, den = d.numerator, d.denominator
     a, b = alpha.numerator, alpha.denominator
-    rn = exact_int_root(num ** a, b)
-    rd = exact_int_root(den ** a, b)
+    # with gcd(a, b) = 1, n^a is a b-th power exactly when n is, so the
+    # roots come first and only a root that exists is raised to a
+    rn = exact_int_root(d.numerator, b)
+    rd = exact_int_root(d.denominator, b)
     if rn is None or rd is None:
         return None
-    return Fraction(rn, rd)
+    return Fraction(rn, rd) ** a
 
 
 def rational_pow(d: Number, alpha: Fraction) -> Number:

@@ -1,4 +1,4 @@
-"""Generalized roundness: double-simplex gaps, violation probes, bisection.
+"""Generalized roundness: double-simplex gaps, violation probes, brackets.
 
 A double simplex (x_1..x_r; y_1..y_r) violates at exponent p when
 
@@ -6,7 +6,8 @@ A double simplex (x_1..x_r; y_1..y_r) violates at exponent p when
 
 beyond tolerance. The roundness of a space is the supremum of exponents
 admitting no violation; the set of good exponents is an interval starting
-at 0, which is what makes bisection sound.
+at 0 (Lennard-Tonge-Weston), so one clean probe below and one violating
+witness above bracket it.
 """
 
 from __future__ import annotations
@@ -90,7 +91,12 @@ def _dpow_decimal(d: Number, p) -> Decimal:
         base = Decimal(d.numerator) / d.denominator
     else:
         base = Decimal(d)
-    return base ** Decimal(p)
+    if float(p).is_integer():
+        # exact up to rounding, and defined for a negative base
+        return base ** int(p)
+    # ln then exp: about 78 us a distance at CERTIFY_DIGITS, where
+    # Decimal.__pow__ takes about 190 us
+    return (base.ln() * Decimal(p)).exp()
 
 
 def certify_violation(space, ds: DoubleSimplex, p) -> bool:
@@ -158,13 +164,10 @@ class DistanceIndex:
         return [[powers[k] for k in row] for row in self.rows]
 
 
-def find_violation_exhaustive(space, max_size: int, p,
-                              budget: int | None = None, *,
-                              index: DistanceIndex | None = None
-                              ) -> Optional[DoubleSimplex]:
-    """First violating double simplex over all index multisets of sizes
-    2..max_size, or None. Witnesses are certified before being returned.
-    `index` is the space's `DistanceIndex`, built here when not given."""
+def _scan_violation(space, max_size: int, p, budget: int | None,
+                    index: DistanceIndex) -> Optional[DoubleSimplex]:
+    """`find_violation_exhaustive` without the re-sum: the first double
+    simplex the float scan finds violating, or None."""
     n = space.size
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
@@ -173,8 +176,6 @@ def find_violation_exhaustive(space, max_size: int, p,
         if need > budget:
             raise BudgetExceeded(
                 f"exhaustive scan needs {need} configurations", need)
-    if index is None:
-        index = DistanceIndex(space)
     if p == 0 and all(index.keys[k] != 0 for i, row in enumerate(index.rows)
                       for j, k in enumerate(row) if i != j):
         # D^0 is all ones off the diagonal, so with c the signed member
@@ -184,15 +185,72 @@ def find_violation_exhaustive(space, max_size: int, p,
         return None
     from . import kernels
 
-    dp = index.power_matrix(p)
-    witness, _, _ = kernels.min_gap_scan(dp, max_size, REL_TOL)
+    witness, _, _ = kernels.min_gap_scan(index.power_matrix(p), max_size,
+                                         REL_TOL)
     if witness is None:
         return None
-    ds = DoubleSimplex(tuple(witness[0]), tuple(witness[1]))
+    return DoubleSimplex(tuple(witness[0]), tuple(witness[1]))
+
+
+def _recertified(space, ds: DoubleSimplex, p) -> DoubleSimplex:
     if not certify_violation(space, ds, p):
         raise ArithmeticError(
             f"scan witness failed recertification at p={p}; raise precision")
     return ds
+
+
+def find_violation_exhaustive(space, max_size: int, p,
+                              budget: int | None = None, *,
+                              index: DistanceIndex | None = None
+                              ) -> Optional[DoubleSimplex]:
+    """First violating double simplex over all index multisets of sizes
+    2..max_size, or None. Witnesses are certified before being returned.
+    `index` is the space's `DistanceIndex`, built here when not given."""
+    ds = _scan_violation(space, max_size, p, budget,
+                         index or DistanceIndex(space))
+    return None if ds is None else _recertified(space, ds, p)
+
+
+def _crossing(violates, lo: float, hi: float) -> float:
+    """Bisect (lo, hi] to adjacent floats, keeping violates(hi): a float
+    at which one witness violates, the least one when its violation
+    starts once in (lo, hi]."""
+    while True:
+        mid = lo + (hi - lo) / 2
+        if not lo < mid < hi:
+            return hi
+        if violates(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+def _simplex_test(space, index: DistanceIndex, ds: DoubleSimplex, hi: float):
+    """Whether `ds`, which the scan found violating at hi, violates
+    certainly at p > 0. The test powers the simplex's own distances in
+    floats (15 for a 3+3 simplex) and adds (lhs + rhs)(p + 4) 2^-52 to
+    the gap, a bound on the rounding of float(d), the power and the sums,
+    so a gap that still violates violates exactly and `certify_violation`
+    agrees. Where even hi does not clear that bound, the decimal re-sum
+    must certify hi, which then stays the crossing."""
+    within, cross = ([float(d) for d in dists]
+                     for dists in _pair_distances(space, ds))
+
+    def violates(p):
+        try:
+            lhs = math.fsum(d ** p for d in within)
+            rhs = math.fsum(d ** p for d in cross)
+        except TypeError:
+            # fsum refuses the complex power of a negative distance; the
+            # power matrix names its pair
+            index.power_matrix(p)
+            raise
+        return is_violation(rhs - lhs + (lhs + rhs) * (p + 4) * 2.0 ** -52,
+                            max(lhs, rhs))
+
+    if not violates(hi):
+        _recertified(space, ds, hi)
+    return violates
 
 
 @functools.lru_cache(maxsize=2)
@@ -275,12 +333,10 @@ def find_violation_characters(space: ProductCycleSpace, p,
     if table is None:
         table = character_table(space, budget)
     units = space.units
-    iv = _intervals(PRECISION_BITS)
-    pw = [iv.mpf(k) ** iv.mpf(p) for k in range(1, units // 2 + 1)]
-    weights = [pw[0]] + [b - a for a, b in zip(pw, pw[1:])]
+    weights = _weights(units, p)
     undecided = []
     for xi, prods in table:
-        lam = -sum(w * d for w, d in zip(weights, prods))
+        lam = _eigenvalue(weights, prods)
         if lam.a > 0:
             return xi
         if lam.b > 0:
@@ -290,6 +346,20 @@ def find_violation_characters(space: ProductCycleSpace, p,
             raise ArithmeticError(f"eigenvalue at character {list(xi)} "
                                   f"undecided at p={p}; raise precision")
     return None
+
+
+def _weights(units: int, p) -> list:
+    """The intervals w_k = k^p - (k-1)^p, k = 1..units/2: units/2 interval
+    powers at PRECISION_BITS."""
+    iv = _intervals(PRECISION_BITS)
+    pw = [iv.mpf(k) ** iv.mpf(p) for k in range(1, units // 2 + 1)]
+    return [pw[0]] + [b - a for a, b in zip(pw, pw[1:])]
+
+
+def _eigenvalue(weights: list, prods: tuple):
+    """The eigenvalue at a character in quanta^p, as an interval, from its
+    `character_table` row."""
+    return -sum(w * d for w, d in zip(weights, prods))
 
 
 class RoundnessEstimate(Record):
@@ -307,17 +377,72 @@ class RoundnessEstimate(Record):
                 "unbounded": unbounded}
 
 
+def _halvings(lower: float, upper: float, tol: float) -> int:
+    """ceil(log2((upper - lower) / tol)): how many halvings take the
+    bracket to tol."""
+    return max(0, math.ceil(math.log2(upper - lower) - math.log2(tol)))
+
+
+def _close_bracket(probe, crossing, lower: float, upper: float, witness,
+                   tol: float, flags: list) -> tuple:
+    """Narrow [lower, upper] to at most `tol`, where `lower` probed clean
+    and `witness` violates at `upper`; returns (lower, upper, witness).
+
+    Each probe sits `step` below upper, never below the midpoint. A
+    violating probe at q moves upper to crossing(w, lower, q), where its
+    witness w starts to violate; a clean one becomes the lower end and
+    starts a new run at step tol, so a clean probe at upper - tol closes
+    the bracket. Each violating probe past a run's first 2L doubles the
+    step, L the halvings from the bracket at the run's start to tol.
+
+    Bound: at most 2L(L+1) probes, for tol no finer than the float
+    spacing at upper. A run makes at most 2L + 1 probes at step tol and
+    L - 2 at doubled steps before it reaches the midpoint, where each
+    probe halves the bracket; its clean probe leaves at least 2 halvings
+    fewer (1 at the midpoint). Without the doubling the bound is only
+    (upper - lower) / tol, met when each crossing lands just over tol
+    below the last. Where no float lies strictly between the ends the
+    loop stops and flags it."""
+    step, run, halvings = tol, 0, _halvings(lower, upper, tol)
+    while upper - lower > tol:
+        q = upper - step
+        if upper - q > step:
+            # rounded down: a clean probe at q must leave at most step
+            q = math.nextafter(q, upper)
+        q = max(min(q, math.nextafter(upper, lower)),
+                lower + (upper - lower) / 2)
+        if not lower < q < upper:
+            # adjacent floats: the bracket cannot narrow any further
+            flags.append("tolerance below float resolution")
+            break
+        w = probe(q)
+        if w is None:
+            lower, step, run = q, tol, 0
+            halvings = _halvings(lower, upper, tol)
+        else:
+            upper, witness, run = crossing(w, lower, q), w, run + 1
+            if run > 2 * halvings:
+                step *= 2
+    return lower, upper, witness
+
+
 def estimate_roundness(space, max_size: int = 3,
                        p_tolerance: float = 1e-3,
                        budget: int | None = None,
                        p_cap: float = 16.0
                        ) -> RoundnessEstimate:
-    """Bracket the roundness by bisection on the violation predicate.
+    """Bracket the roundness between a clean probe and a witness.
 
     A cycle product is probed through its characters, which covers every
     double simplex (max_size is not read); any other space by the
     exhaustive scan of families up to max_size points, which `covers`
-    records. Both ends are certified for what `covers` names. `budget`
+    records. A clean probe at 0 is the lower end, the crossing of the
+    witness at p_cap the upper, and `_close_bracket` narrows them to
+    p_tolerance. Both ends are certified for what `covers` names: the
+    lower by a clean exhaustive scan or full character table, the upper
+    by the witness, re-summed there (`certify_violation`) or positive
+    there as an interval. The lower end is absolute: a roundness below
+    p_tolerance keeps it at 0, with its witness's crossing above. `budget`
     caps the characters or scanned configurations of each probe. None
     means no cap on a listed space, which its size bounds, and on a cycle
     product, whose character count two integers set, as many characters
@@ -344,10 +469,17 @@ def estimate_roundness(space, max_size: int = 3,
     def probe(p: float):
         w = (find_violation_characters(space, p, table=table)
              if size is None
-             else find_violation_exhaustive(space, max_size, p, budget,
-                                            index=index))
+             else _scan_violation(space, max_size, p, budget, index))
         probes.append({"p": p, "violation": w is not None})
         return w
+
+    def crossing(w, lo: float, hi: float) -> float:
+        """Where the witness w, violating at hi, starts to violate."""
+        if size is not None:
+            return _crossing(_simplex_test(space, index, w, hi), lo, hi)
+        prods = dict(table)[w]
+        return _crossing(lambda p: _eigenvalue(_weights(space.units, p),
+                                               prods).a > 0, lo, hi)
 
     est = RoundnessEstimate(0.0, math.inf, None, None, True, covers, size,
                             p_cap, probes, flags)
@@ -360,26 +492,21 @@ def estimate_roundness(space, max_size: int = 3,
             flags.append("violation at p=0")
             est.lower, est.upper = 0.0, 0.0
             est.witness, est.witness_p = w0, 0.0
-            return est
-        wit = probe(p_cap)
-        if wit is None:
-            flags.append("no violation up to p_cap")
-            est.lower = p_cap
-            return est
-        est.upper, est.witness, est.witness_p = p_cap, wit, p_cap
-        while est.upper - est.lower > p_tolerance:
-            mid = (est.lower + est.upper) / 2
-            if not est.lower < mid < est.upper:
-                # adjacent floats: the bracket cannot narrow any further
-                flags.append("tolerance below float resolution")
-                break
-            w = probe(mid)
-            if w is not None:
-                est.upper, est.witness, est.witness_p = mid, w, mid
-            else:
-                est.lower = mid
-        return est
+        else:
+            wit = probe(p_cap)
+            if wit is None:
+                flags.append("no violation up to p_cap")
+                est.lower = p_cap
+                return est
+            est.lower, est.upper, est.witness = _close_bracket(
+                probe, crossing, 0.0, crossing(wit, 0.0, p_cap), wit,
+                p_tolerance, flags)
+            est.witness_p = est.upper
     except BudgetExceeded as exc:
         flags.append(f"budget exhausted: {exc}")
         est.certified = False
         return est
+    if size is not None:
+        # the reported witness, re-summed where it is reported
+        _recertified(space, est.witness, est.witness_p)
+    return est

@@ -12,8 +12,9 @@ The reference power matrix takes one `dpow` per ordered pair, where
 `DistanceIndex.power_matrix` takes one per distinct distance. The
 cyclic-product pair enumeration compares the two metrics on every point
 pair, which `verify_mstar_isometry` decides by a scan of coordinate
-values. The dense spectra of small cycle products decide what the
-character probe reads from closed forms. The mpmath re-sum of a witness
+values. The dense spectra of small cycle products, and their
+eigenvalues summed over every point, decide what the character probe
+reads from closed forms. The mpmath re-sum of a witness
 at 160 bits is the certifier that the decimal one replaced. The triangle
 audit on the distances themselves is the one `validate_metric` ran before
 it compared integers over the common denominator. The block
@@ -270,32 +271,38 @@ def _product_power_matrix(space, p):
     return pts, np.where(d > 0, d ** p, 0.0)
 
 
-def dense_product_bracket(space, p_tolerance, p_cap=16.0):
-    """The roundness bracket of a cycle product by the bisection of
-    `estimate_roundness`, with each probe decided by `eigvalsh`: p
-    violates when the matrix [d(x, y)^p], projected on the sum-zero
-    vectors, has an eigenvalue above 1e-9 times its largest entry. This is
-    the dense check that the character probe replaces by closed forms."""
+def dense_top_eigenvalue(space, p):
+    """The largest eigenvalue of the matrix [d(x, y)^p] of a cycle product
+    projected on the sum-zero vectors, by `eigvalsh`, and the matrix's
+    largest entry: the dense check that the character probe replaces by
+    closed forms."""
     import numpy as np
 
-    def violates(p):
-        _, dp = _product_power_matrix(space, p)
-        n = len(dp)
-        proj = np.eye(n) - 1.0 / n
-        return np.linalg.eigvalsh(proj @ dp @ proj)[-1] > 1e-9 * dp.max()
+    _, dp = _product_power_matrix(space, p)
+    n = len(dp)
+    proj = np.eye(n) - 1.0 / n
+    return float(np.linalg.eigvalsh(proj @ dp @ proj)[-1]), float(dp.max())
 
-    if violates(0.0):
-        return 0.0, 0.0
-    if not violates(p_cap):
-        return p_cap, math.inf
-    lower, upper = 0.0, p_cap
-    while upper - lower > p_tolerance:
-        mid = (lower + upper) / 2
-        if violates(mid):
-            upper = mid
-        else:
-            lower = mid
-    return lower, upper
+
+def interval_character_eigenvalue(space, xi, p):
+    """The eigenvalue of [d(x, y)^p] at the character with frequencies xi,
+    sum_x d(0, x)^p cos(2 pi <xi, x> / units) over every point x, in
+    quanta, as an mpmath interval at PRECISION_BITS: summed over the
+    points, not through the per-cycle factors the character probe
+    multiplies."""
+    from mpmath.ctx_iv import MPIntervalContext
+
+    iv = MPIntervalContext()
+    iv.prec = PRECISION_BITS
+    units = space.units
+    total = iv.mpf(0)
+    for x in itertools.product(range(units), repeat=space.coords):
+        d = max(min(v, units - v) for v in x)
+        if d:
+            phase = sum(f * v for f, v in zip(xi, x)) % units
+            total += (iv.mpf(d) ** iv.mpf(p)
+                      * iv.cos(2 * iv.pi * phase / units))
+    return total
 
 
 def character_quotient(space, xi, p):

@@ -21,9 +21,12 @@ import pytest
 import roundlab
 from roundlab import cli
 from roundlab.cli import COMMANDS, build_parser, command_path, main
+from roundlab.cycles import DoubleSimplex
 from roundlab.metric import FiniteMetricSpace
+from roundlab.roundness import certify_violation
 from roundlab.spaces import (cycle_graph_space, equilateral_space,
-                             random_rational_metric_space, write_space_csv)
+                             random_rational_metric_space, read_space_csv,
+                             write_space_csv)
 
 
 def run(argv, capsys):
@@ -61,7 +64,7 @@ def test_validate_ok(c4_csv, capsys):
     code, doc, _ = run(["validate", "--input", c4_csv], capsys)
     assert code == 0
     assert doc["results"]["ok"] is True
-    assert doc["schema"] == 8
+    assert doc["schema"] == 9
     assert doc["command"] == "validate"
 
 
@@ -93,20 +96,20 @@ def _relabelled(space, seed):
 @pytest.mark.parametrize("space, argv, results_sha256", [
     (lambda: random_rational_metric_space(20, 0),
      ["--max-size", "3", "--tol", "1e-3"],
-     "753370f2e6594a272c4d05f5e2e15f9ce1fdacf3d8416c8a8c40da2630713a44"),
+     "a432fa31267fe8e0f3097b7e2b4ff87ef3fa7dad436a59589e0441a19c6bd4c8"),
     (lambda: _relabelled(random_rational_metric_space(20, 0), 7),
      ["--max-size", "3", "--tol", "1e-3"],
-     "8061240b9375247c5ce80e497f312c8fec16b7fd5df18a9de8c715a18e1b1800"),
+     "373a1d59fa59a9c9f34fca3a7c40146547135fa716f0a93a745dd9150dc78f6b"),
     (lambda: random_rational_metric_space(10, 1), ["--max-size", "4"],
-     "56435d514f19f334ebef9dc3ea6113c8f67a8aa2c66857fd7e87d8bef652066d"),
+     "df113471b9e9ac28acf3b28271031dc5a4e21ccd5e31ade6b032c02f5b4677d1"),
     (lambda: cycle_graph_space(5), [],
-     "cef2ae739ef864412083d5e651cfaf1d9d5b2d64378c831607ee83088e5e9758"),
+     "b30bd621c84fc702a392782cf5babcfb6c70ec28c9098c0a8eb67fed128ff1e4"),
 ], ids=["r20", "r20-relabelled", "r10-size4", "c5"])
 def test_gr_estimate_results_frozen(space, argv, results_sha256, tmp_path,
                                     capsys):
-    # digests recorded before the gap scan gathered rows and shared
-    # prefix sums, at schema 6, whose results held `search_mode` where
-    # schema 7 holds `covers`
+    # digests recorded at schema 9, when each violating probe began moving
+    # the upper end to its witness's crossing; the bracket is certified,
+    # within the tolerance, and its witness violates at witness_p
     path = tmp_path / "space.csv"
     write_space_csv(space(), str(path))
     code, doc, _ = run(["gr", "estimate", "--input", str(path), *argv],
@@ -114,9 +117,16 @@ def test_gr_estimate_results_frozen(space, argv, results_sha256, tmp_path,
     assert code == 0
     results = doc["results"]
     max_size = results["max_simplex_size"]
-    assert results.pop("covers") == (f"double simplices with at most "
-                                     f"{max_size} points per family")
-    results["search_mode"] = "exhaustive"
+    assert results["covers"] == (f"double simplices with at most "
+                                 f"{max_size} points per family")
+    tol = float(doc["params"]["tol"])
+    assert results["certified"] is True
+    assert results["upper"] - results["lower"] <= tol
+    assert results["witness_p"] == results["upper"]
+    witness = DoubleSimplex(tuple(results["witness"]["xs"]),
+                            tuple(results["witness"]["ys"]))
+    assert certify_violation(read_space_csv(str(path)), witness,
+                             results["witness_p"])
     text = json.dumps(results, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == results_sha256
 
@@ -656,77 +666,77 @@ PINNED = {
 # sha256 of the body without wall_time_s, sorted and compact
 PINNED_BODY = {
     "validate":
-        "7a63127a9add08d029e36b428b874ad35aea3ed9cc605ae42aa20dd9cc85724e",
+        "20aea6824377eb7b53976ee82b53d85a9267913ceb00df1eaa6320cc2813f9fe",
     "validate-budget":
-        "2238f13e03648d978ef5db66152bcaba0fa83ef3da5aedc09d57260a38e28e9a",
+        "a8922f24bbf8965a6a5e39a79ce5cd63ffe079298b7b9f306f0176bcefd4b81b",
     "gr-estimate":
-        "2a466d744132ed40340d1fbff6b3647b8b13f5c520ff7c40417bd4c6494ac783",
+        "e9608f61da218b8bf05f357dca2b7fff7cda4752b6767f94684b728aada75353",
     "gr-estimate-r12":
-        "18fdb9645408a5cfcef973fa64197abcc8d28a2d84b4c2ec2fd36a14262f19cb",
+        "7ebc662417e13ab7d5087be6d7d5a7e0cf09fe227ec6da9252a6e3c2bb55e290",
     "simplex-build":
-        "19a4abe01d21e61e9ccc2af7b82dc85bea3092c6e88403ee492729080387aae7",
+        "4ffba80dbe380a39a9869bab6f86fb7238299de7605e2b66bebdad1ab40cce76",
     "simplex-build-stage":
-        "bf42d2d7313af12e7fb1628cd61dd4c8085a0caf31dd93c6964fce88229b2346",
+        "d2eaa2a705fb36b0824c066be3f56b3ccb2daf056aa684e1190c1784b53e0335",
     "counts-pairs":
-        "e8f960180d94b5848dea634ce9b3e1de7bcb359e5db9f952eeb1f39bd6f7856c",
+        "16a6f921d4a94ea9d648cc9ce598b7344cb4415bc47918107a3d4f9ce287f102",
     "counts-incidences":
-        "17eafe32c5de1c7f56cc720fa9a5444d7772cc81604f3fa83aea95254e79274e",
+        "b330bce863e2fe89a3b18cea84d2c7cf94412df301d650c81020c3fd40296cd3",
     "obstruct-coarse":
-        "527636841b7b89a1b87dcc77564c9cea3535eda1d44227b4b73c6f7bd91cfc8a",
+        "8bceef5bf10b309838f0ae83f97a221ae151c50e659545d733d91ceac71df035",
     "obstruct-step-exact-identity":
-        "7833021a5833c34a73bd4d6f5bc536995d12912b15b62957481310f1d3c872a0",
+        "a0370181ef056c73fb3a24965158d5569d2d6948a59a63d67bf88921c93e35e3",
     "obstruct-step-exact-circle":
-        "2e558737901affbbbf6965e113cd6d2439c37b69698a9b6933411f5c7d17e7b0",
+        "18ea11957ace4252f5c8f8ceebf1788229262d3d523e0a7f018aea4c19b408d7",
     "obstruct-step-exact-constant":
-        "40aafb58ad488803c6b9b0a776faef1c36d13fe731af9d49b03375c8a369bf0b",
+        "3d85a6aa13a51443f7561af1d1945ca57140112fa6d6e11c5fcf048759daa723",
     "obstruct-step-exact-snowflake:1/2":
-        "4dca9129f656e8556dcf17ccd5f5a7e188b39f8fc88bcfc1143ed0c1530098cc",
+        "3537cd33dcac399bf372389fbfb53211f6677810e7308b9d3e90324c76e5be59",
     "obstruct-step-mc-identity":
-        "946d4249b021a8a8c5532b351c48e54dec022391045cd51e2aef0a66af5f5b83",
+        "48a75d289cf61294d61b1ed43bb81a2cdbfb60695056707b8f54632d587cfc10",
     "obstruct-step-mc-circle":
-        "868de34f96e5fcc45f34ec2e94962e3b805973ab0e88e55b6d9a3ac3ecc9ef30",
+        "529ac1b47a95b165753898e540d3c459c3b48e612454e7ce2a41039e3d2e3455",
     "obstruct-step-mc-constant":
-        "ffded0588f0082f5bf092ba9ac5283f648ae40225e485bf25029a22cc3577311",
+        "e31e36b5a19711c8ddb4e9392135ca904ac31e59af155676659e53036ff38041",
     "obstruct-step-mc-snowflake:1/2":
-        "02f02d13dd47a03f352c383750179a7ce5d718b52417e968d59cf9fc23d25090",
+        "54181a2840eabe79c60ef1c5591ff18b0db55077f71cc18ba0040a1a5084efe8",
     "obstruct-chain":
-        "1bfd61364af88f1aedb8c7b4d259e8832d1e89cdbeb34e9cb7b78771908a9919",
+        "2609302c8e4915153d265325d83c1bb50d23a72a6b09481619f0fe528a60a5fa",
     "obstruct-uniform-p2":
-        "5a54cebd58f7884a15e4dbcedb0738e69ffaddad68e56540042fbb1e01339877",
+        "d59875f8a8d2db8926702665095467d491609b855227f7484fcc485ba649d16c",
     "obstruct-uniform-pinf":
-        "7befce301398b7f3a6854a2f94a8869168715e6ac0a24d364d334445ed3ea862",
+        "aa0aa5c9dc3d6588355716c594e0714c36b155ea6c9b2cbbd670754ba0b74c11",
     "zspace-validate-literal":
-        "eb8febb59c4b2a594b18fd75dc891d75719f5daf8dc787202cb2295836cdb37d",
+        "0b868856ad9dc90e178d551bd77e616a9da799d7ef92df30b26268e41c3dd074",
     "zspace-validate-corrected":
-        "1f4224a9916d915091bfd350596f62cea23a111cd7bfc8bbb0129f8991b4af92",
+        "37c85a6ca11409fbaf785fb08f7df01243d65c3b9ce310b03293fd2efc5bcbb6",
     "zspace-ball":
-        "f3d0a532c0c7932ab708f0d4d2a08b595a7171e90a7411f8f6368065c8cf9daa",
+        "04060483afe45466964dd02737cd379936fadf0030d0c2d52489c46a2254d4e7",
     "inject-build-ell0":
-        "588e6169a4cf8d817fb5d1aee1fbc302e2967ae1860a72c5d42dc6b9af2be1a0",
+        "6550efdf362cead57cb6badbac8a3fbfe6f491f87635c4d3aa17828db4be7718",
     "inject-build-ellp:1/2":
-        "855a7eca4de8844b7ea88701c8b9f52c74e74dac7dea146e54de8f90a332032c",
+        "c5e4a932c65175d205dabefc811c26b8623fcb49854b116132108761b9a86510",
     "inject-build-ellp:2":
-        "733282a29a369c374395f8495036bde1761cf957ce5cf31fccc6976499fe90b2",
+        "e4a173fc0ab9f367703f28f87fca35ea2d372179bc62a523e2026c3d0244ad22",
     "inject-build-ballchain:intervals":
-        "472e8b8508d862781da2809da2f30814b53392135673be4d6d2bbbdcf6abd04f",
+        "eb7c43fe60a8959249ba7e13ee389e9f5533cb7829c5c4ee5572ec40c4bea80b",
     "inject-build-ballchain:cauchy":
-        "324fe04cab0959bea6e8278f5b026d8bbe38faa1eb84269da7673fed86aab1b5",
+        "51e383a7b57c12b76cbd2b6f8fe0e69422d0033f616174982a0dd7582abc3f59",
     "inject-build-embedded":
-        "05e7a56f7cea8f76769eff7036a39bd8407fdf53bbd88d6895e0363cd203267d",
+        "33afedc446742a65499cc1b43aca2732188d1dec0f5212180ce9ebeb9efabc1e",
     "inject-verify":
-        "8d1c2052110f961f15f3fe3aaf7ea16810f30b400b6ce22320b4d63bdcff2f2e",
+        "da6d5055937e8cc7215785e78bc521c911cb5e37b61655b928a35cb98290c203",
     "inject-verify-input":
-        "c9d031eaab970f32fecd1d8f18f94a3e75d294588644b61198d8ce3de6e6a436",
+        "c102d256a01032f1512ddb48ff713565bf2ce5cd3bd9104490dba2352f3d8d68",
     "cayley-verify-merged":
-        "d169b3bb28b1870bff2b0b7cc0df4b1d60396fb5649710dc624680058284e448",
+        "cdd1a51620cb1ed01c10e4b7a985995b6577251613a96fb13fa72fd4af3c81dd",
     "cayley-verify-literal":
-        "b45560f50e0e675278f98fcd2841554abc1e905f04fd82546ac461e6b43144cf",
+        "d547c3c5ae751973e2ad2b5386b9ed8b1cfd731bf19f25f610fefde454363615",
     "cayley-roundness":
-        "3f8fd733b3160587ebd6a01c6fb428c6678ef9cb4e0660a93553b5af34fc081c",
+        "126ac0fb5166ba53bd4917c8560629cdbb925a9e528c67d454b39c27a55c0fff",
     "cayley-roundness-basis":
-        "19b8ae2e459df0fff221b49f8b123d9301a158658fbd8994561aeada1db35c55",
+        "d2fa923cdd49d42cef6eebf8888f7aa67b0d77c38d8c5d8e13ea123e00ad1ef5",
     "cayley-projection":
-        "ed0437791bc9707a8ef689ecde74763b3f54c84ca0ba38a450998ec876c73027",
+        "ee05b4d5efa0f9618ee656852e050c779ae88e75a46630ba4bc3dc5374946c8e",
 }
 
 # sha256 of the --map-out file
@@ -778,8 +788,9 @@ def test_pinned_bodies_cover_every_command():
 @pytest.mark.parametrize("name", PINNED)
 def test_every_command_body_pinned(name, pinned_files, capsys):
     # digests of the body as `Report.body_json` dumps it, recorded at
-    # schema 8 before every command printed its wall time; the printed
-    # text is that body and wall_time_s, indented
+    # schema 9 (the bodies other than gr estimate's are schema 8's with
+    # the schema changed); the printed text is that body and wall_time_s,
+    # indented
     argv, code = PINNED[name]
     assert main(argv) == code
     out, _ = capsys.readouterr()
@@ -1177,7 +1188,7 @@ def test_cayley_verify_proof_byte_identical(capsys):
     second = capsys.readouterr().out
     assert code1 == code2 == 0
     assert strip_wall(first) == strip_wall(second)
-    assert json.loads(first)["schema"] == 8
+    assert json.loads(first)["schema"] == 9
 
 
 def test_cayley_verify_takes_no_sampling_options(capsys):

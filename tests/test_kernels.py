@@ -127,7 +127,7 @@ def test_min_gap_scan_finds_first_violation():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_min_gap_scan_matches_reference(seed):
-    # the last bisection probes sit where the smallest gaps are nearest the
+    # the last probes sit where the smallest gaps are nearest the
     # violation threshold, so a reassociated sum would flip decisions there
     space = random_rational_metric_space(6 + seed, seed)
     probes = [pr["p"] for pr in
@@ -219,10 +219,11 @@ def test_min_gap_scan_rejects_negative_tolerance():
 
 
 def test_min_gap_scan_counts_per_probe_frozen(monkeypatch):
-    # configs scanned by each bisection probe of the 20-point space,
-    # recorded before the scan gathered rows and shared prefix sums, less
-    # the clean p = 0 probe, which no longer scans; one more scan of 20
-    # points reuses the cached family index
+    # configs scanned by each probe of the 20-point space, less the clean
+    # p = 0 probe, which does not scan: every violating probe moves the
+    # upper end to its witness's crossing and the one clean scan, at
+    # upper - tol, closes the bracket; one more scan of 20 points reuses
+    # the cached family index
     scans = []
     scan = kernels.min_gap_scan
 
@@ -233,11 +234,14 @@ def test_min_gap_scan_counts_per_probe_frozen(monkeypatch):
 
     monkeypatch.setattr(kernels, "min_gap_scan", recording)
     space = random_rational_metric_space(20, 0)
-    estimate_roundness(space, max_size=3, p_tolerance=1e-3)
+    est = estimate_roundness(space, max_size=3, p_tolerance=1e-3)
     clean = exhaustive_config_count(20, 3)
     assert clean == 1208725
-    assert scans == [30, 30, 64, 273, 187614, clean, clean, clean,
-                     407362, clean, 519915, clean, 519915, clean, clean]
+    assert scans == [30, 64, 74, 273, 304, 1313, 1329, 6516, 14182, 63993,
+                     64249, 187614, 407362, 519915, clean]
+    assert scans.count(clean) == 1
+    assert [probe["violation"] for probe in est.probes[1:]] \
+        == [True] * 14 + [False]
     misses = kernels._family_index.cache_info().misses
     scan(dp_matrix(space, 1.0), 3, 1e-12)
     assert kernels._family_index.cache_info().misses == misses

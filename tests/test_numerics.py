@@ -12,13 +12,15 @@ rational; anything else is a float.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from oracles import mpmath_certify_violation
 from roundlab.cyclic import DoubleSimplex
-from roundlab.numerics import (REL_TOL, exact_sum, is_violation,
+from roundlab.numerics import (PRECISION_BITS, REL_TOL, exact_int_root,
+                               exact_rational_pow, exact_sum, is_violation,
                                rational_pow)
 from roundlab.obstruction import _margin
 from roundlab.roundness import GapResult, certify_violation
@@ -134,3 +136,48 @@ def test_exact_sum_is_a_fraction_unless_a_term_is_a_float():
     assert mixed == 1 / 3 + 0.5 and type(mixed) is float
     # the float sum is math.fsum's, exact before its one rounding
     assert exact_sum([1e16, 1.0, -1e16, Fraction(0)]) == 1.0
+
+
+def test_exact_int_root_refuses_a_root_wider_than_x():
+    # for x >= 2 a root of degree at least x's bit length would be 1
+    for x in (2, 3, 255, 256, 2 ** 64 + 1):
+        k = x.bit_length()
+        assert exact_int_root(x, k) is None
+        assert exact_int_root(x, 10 ** 12) is None
+    assert exact_int_root(2 ** 64, 64) == 2
+    assert exact_int_root(3 ** 40, 40) == 3
+    assert exact_int_root(1, 10 ** 12) == 1 and exact_int_root(0, 7) == 0
+
+
+@pytest.mark.parametrize("d, alpha", [
+    (Fraction(8, 27), Fraction(2, 3)), (Fraction(27, 8), Fraction(-1, 3)),
+    (Fraction(16), Fraction(3, 4)), (Fraction(12, 5), Fraction(5, 2)),
+    (Fraction(9, 4), Fraction(0)), (Fraction(7, 3), Fraction(4)),
+])
+def test_exact_rational_pow_roots_before_it_raises(d, alpha):
+    # gcd(a, b) = 1, so the roots of the raised numerator and denominator,
+    # the order the power used to take, give the same answer
+    a, b = alpha.numerator, alpha.denominator
+    roots = [exact_int_root(n ** abs(a), b)
+             for n in (d.numerator, d.denominator)]
+    expected = (None if None in roots
+                else Fraction(*roots) ** (1 if a >= 0 else -1))
+    assert exact_rational_pow(d, alpha) == expected
+
+
+def test_rational_pow_of_a_deep_root_stays_small():
+    # the 10^8-th root of 3 is inexact: refused before any power of 3 is
+    # formed, and evaluated as the PRECISION_BITS float
+    mpmath = pytest.importorskip("mpmath")
+    alpha = Fraction(1, 10 ** 8)
+    with mpmath.workprec(PRECISION_BITS):
+        expected = float(mpmath.mpf(3) ** (mpmath.mpf(1) / 10 ** 8))
+    rational_pow(Fraction(3), Fraction(1, 3))  # load what the float path loads
+    tracemalloc.start()
+    try:
+        got = rational_pow(Fraction(3), alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected and type(got) is float
+    assert peak < 2 ** 20

@@ -1,4 +1,5 @@
-"""Gap evaluation, violation probes, and the roundness bisection."""
+"""Gap evaluation, violation probes, and the witness-driven roundness
+bracket."""
 
 import gc
 import itertools
@@ -10,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (character_quotient, dense_product_bracket,
-                     mpmath_certify_violation, reference_power_matrix)
+from oracles import (character_quotient, dense_top_eigenvalue,
+                     interval_character_eigenvalue, mpmath_certify_violation,
+                     reference_power_matrix)
 from roundlab import kernels, roundness
 from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
                              ProductCycleSpace, stage_space)
@@ -67,28 +69,45 @@ def test_certify_violation_paths():
     assert not certify_violation(C4, DIAG, 0.5)
 
 
+def _crossings(space, max_size, monkeypatch):
+    """(witness, crossing) for every violating probe of an estimate."""
+    witnesses, crossings = [], []
+    test, crossing = roundness._simplex_test, roundness._crossing
+
+    def recording_test(space, index, ds, hi):
+        witnesses.append(ds)
+        return test(space, index, ds, hi)
+
+    def recording_crossing(violates, lo, hi):
+        crossings.append(crossing(violates, lo, hi))
+        return crossings[-1]
+
+    monkeypatch.setattr(roundness, "_simplex_test", recording_test)
+    monkeypatch.setattr(roundness, "_crossing", recording_crossing)
+    est = estimate_roundness(space, max_size=max_size)
+    monkeypatch.undo()
+    return est, list(zip(witnesses, crossings, strict=True))
+
+
 @pytest.mark.parametrize("n, seed, max_size", [
     (6, 3, 3), (8, 2, 3), (10, 1, 4), (20, 0, 3),
 ], ids=["r6", "r8", "r10-size4", "r20"])
 def test_decimal_certifier_matches_mpmath_reference(n, seed, max_size,
                                                     monkeypatch):
-    # every witness the bisection certifies, re-tested at every fractional
-    # probe of the run, where the distances are rational and the sums
-    # inexact: both certifiers give one verdict
+    # every witness an estimate finds, re-tested at every fractional probe
+    # of the run, at its own crossing, one ulp below it and within 1e-9
+    # and 1e-10 of it, where the distances are rational and the sums
+    # inexact: the ln-exp decimal re-sum and the 160-bit mpmath one give
+    # one verdict, and each witness violates at its crossing
     space = random_rational_metric_space(n, seed)
-    witnesses = []
-
-    def collect(space, ds, p):
-        witnesses.append(ds)
-        return certify_violation(space, ds, p)
-
-    monkeypatch.setattr(roundness, "certify_violation", collect)
-    est = estimate_roundness(space, max_size=max_size)
+    est, found = _crossings(space, max_size, monkeypatch)
+    assert found and found[-1] == (est.witness, est.upper)
     ps = [probe["p"] for probe in est.probes if probe["p"] != int(probe["p"])]
-    assert witnesses and ps
     verdicts = []
-    for ds in witnesses:
-        for p in ps:
+    for ds, c in found:
+        assert certify_violation(space, ds, c)
+        near = [c, math.nextafter(c, 0), c - 1e-9, c + 1e-9, c - 1e-10]
+        for p in ps + near:
             verdict = certify_violation(space, ds, p)
             assert verdict is mpmath_certify_violation(space, ds, p), (ds, p)
             verdicts.append(verdict)
@@ -333,7 +352,10 @@ def test_estimate_keeps_no_character_table():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert est.certified and est.upper == 0.5
+    # the witness at p_cap sets the upper end at its crossing, below
+    # p_tolerance, so no probe follows the one at p_cap
+    assert est.certified and est.lower == 0.0 and 0 < est.upper < 0.5
+    assert [probe["p"] for probe in est.probes] == [0.0, 1.0]
     assert retained < 2 ** 20
 
 
@@ -356,10 +378,18 @@ def test_estimate_search_mode_on_product_space():
 @pytest.mark.parametrize("units, coords",
                          [(4, 2), (8, 2), (6, 2), (4, 3), (6, 3)])
 def test_character_bracket_equals_dense_spectrum(units, coords):
+    # both ends against the dense matrix [d(x, y)^p]: at lower no
+    # eigenvalue on the sum-zero vectors exceeds 1e-9 times its largest
+    # entry, and at upper the witness character's eigenvalue, summed over
+    # every point in intervals, is positive
     space = ProductCycleSpace(coords, CycleSpace(units))
     est = estimate_roundness(space, p_tolerance=1e-3)
-    assert est.certified
-    assert (est.lower, est.upper) == dense_product_bracket(space, 1e-3)
+    assert est.certified and est.upper - est.lower <= 1e-3
+    assert est.witness_p == est.upper
+    top, largest = dense_top_eigenvalue(space, est.lower)
+    assert top <= 1e-9 * largest
+    assert interval_character_eigenvalue(space, est.witness, est.upper).a > 0
+    assert interval_character_eigenvalue(space, est.witness, est.lower).a <= 0
 
 
 @pytest.mark.parametrize("units", [4, 6, 8])
@@ -432,7 +462,7 @@ def test_product_roundness_falls_with_coordinates():
     {"p_cap": 0.0}, {"p_cap": math.nan},
 ])
 def test_estimate_rejects_bad_tolerance_and_cap(kwargs):
-    # a zero tolerance would bisect forever; an infinite cap would report
+    # a zero tolerance would probe forever; an infinite cap would report
     # lower=inf as certified, a negative one lower=-1
     with pytest.raises(ValueError, match="finite and positive"):
         estimate_roundness(C4, max_size=2, **kwargs)
@@ -443,3 +473,74 @@ def test_estimate_tolerance_below_float_resolution_stops():
     assert "tolerance below float resolution" in est.flags
     assert est.certified
     assert est.lower < est.upper == math.nextafter(est.lower, math.inf)
+
+
+@pytest.mark.parametrize("target", [0.0, 3e-4, 0.917, 7.5, 15.9975])
+@pytest.mark.parametrize("tol", [1e-1, 1e-3, 1e-6])
+def test_close_bracket_probe_bound(target, tol):
+    # every violating probe's witness crosses just under the probe, so
+    # each crossing moves the upper end just over the step: closing at
+    # upper - tol alone would take about (16 - target) / tol probes, the
+    # doubling guard at most 2L(L+1), L the halvings from 16 to tol
+    probes = []
+
+    def probe(q):
+        probes.append(q)
+        return None if q <= target else "witness"
+
+    def crossing(w, lo, hi):
+        return max(hi - tol / 1000, math.nextafter(target, math.inf))
+
+    halvings = roundness._halvings(0.0, 16.0, tol)
+    flags = []
+    lower, upper, _ = roundness._close_bracket(probe, crossing, 0.0, 16.0,
+                                               "witness", tol, flags)
+    assert lower <= target < upper and upper - lower <= tol
+    assert flags == []
+    assert len(probes) <= 2 * halvings * (halvings + 1)
+
+
+@pytest.mark.parametrize("make, low, high", [
+    (lambda: ProductCycleSpace(10, CycleSpace(8)), 8.009e-8, 8.103e-8),
+    (lambda: ProductCycleSpace(30, CycleSpace(4)),
+     math.log1p(3.0 ** -29) / math.log(2),
+     math.log1p(3.0 ** -29) / math.log(2) * (1 + 1e-9)),
+    (lambda: stage_space(2), 5.70595e-4, 5.70596e-4),
+], ids=["Z8^10", "Z4^30", "stage-2"])
+def test_small_roundness_gets_its_crossing_as_upper_end(make, low, high):
+    # below the default p_tolerance the lower end stays 0 and the upper
+    # end is the crossing of the witness at p_cap, certified there
+    space = make()
+    est = estimate_roundness(space)
+    assert est.certified and est.lower == 0.0
+    assert low <= est.upper <= high and est.witness_p == est.upper
+    row = dict(roundness.character_table(space))[est.witness]
+    weights = roundness._weights(space.units, est.upper)
+    assert roundness._eigenvalue(weights, row).a > 0
+
+
+def test_estimate_recertifies_only_the_reported_witness(monkeypatch):
+    # intermediate witnesses steer the probes; the decimal re-sum runs
+    # once, on the witness reported, at the upper end
+    calls, certify = [], roundness.certify_violation
+
+    def recording(space, ds, p):
+        calls.append((ds, p))
+        return certify(space, ds, p)
+
+    monkeypatch.setattr(roundness, "certify_violation", recording)
+    est = estimate_roundness(random_rational_metric_space(20, 0),
+                             max_size=3)
+    assert len(est.probes) > 3
+    assert calls == [(est.witness, est.upper)]
+    assert est.witness_p == est.upper
+
+
+def test_failed_recertification_is_an_error(monkeypatch):
+    # find_violation_exhaustive keeps its contract: a witness the decimal
+    # re-sum does not confirm is an error, and so is a reported one
+    monkeypatch.setattr(roundness, "certify_violation", lambda *args: False)
+    with pytest.raises(ArithmeticError, match="failed recertification"):
+        find_violation_exhaustive(C4, 3, 1.5)
+    with pytest.raises(ArithmeticError, match="failed recertification"):
+        estimate_roundness(C4, max_size=3)
