@@ -213,9 +213,10 @@ def sample_pairs_sparse(space: ProductCycleSpace, cls: PairClass, k: int,
     values uniform (omitted), x-values uniform, orientation uniform over the
     w directions. Uniformity over the class follows by direct counting.
 
-    No report draws pairs: Monte Carlo averages read a map's declared
-    `class_distance`. This is the reference sampler that `class_distance`
-    is checked against on classes too large to enumerate."""
+    No report draws pairs: every class average reads a map's declared
+    `class_distance`. This is the reference sampler whose rows, evaluated
+    by each map's scalar `image_distance`, check `class_distance` on
+    classes too large to enumerate."""
     import numpy as np
 
     cls.validate_for(space)

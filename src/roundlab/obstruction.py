@@ -7,14 +7,14 @@ against e^(-1/p) times the infimum over a coarse one, per ladder entry.
 Both consume the per-class averaging primitives defined here. Every
 built-in map sends a whole (delta, support) class to one image distance,
 its `class_distance`: a pure-Python closed form that exact mode, Monte
-Carlo mode and `uniform` all read, so no report samples a pair or loads
-numpy.
+Carlo mode and `uniform` all read, so no report enumerates or samples a
+pair or loads numpy. A map without one is refused with ValueError; each
+map's `image_distance` stays the scalar reference for the closed form.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -29,13 +29,9 @@ if TYPE_CHECKING:
     from .cyclic import SparsePairBatch
     from .metric import ModulusEnvelope
 
-# the census and the pool module load only when a name below is looked up:
-# `enumerate_pairs` by an exact average of a map without a class distance,
-# which calls it through this module object, the other two only by the
-# benchmark harness, which traces all three by these names
-_module = sys.modules[__name__]
-
-
+# no average reads these three names: only the benchmark harness looks
+# them up here, to trace them, so the census and the pool module load
+# only on that lookup
 def __getattr__(name: str):
     if name in ("enumerate_pairs", "sample_pairs_sparse"):
         from . import cyclic
@@ -78,19 +74,6 @@ class _CycleMapBase(Record):
 
     __slots__ = ()
 
-    def _cyc_quanta(self, batch: SparsePairBatch) -> np.ndarray:
-        import numpy as np
-
-        diff = np.abs(batch.x_vals - batch.y_vals)
-        return np.minimum(diff, self.space.units - diff)
-
-    def _sup_distances(self, batch: SparsePairBatch) -> np.ndarray:
-        """Sup distance of each row, correctly rounded: the integer
-        quanta times the quantum's numerator, divided once."""
-        q = self.space.quantum
-        quanta = self._cyc_quanta(batch).max(axis=1)
-        return quanta * q.numerator / q.denominator
-
     def class_distance(self, cls: PairClass) -> float:
         """The image distance shared by every pair of `cls`, from (delta,
         support) alone: every pair differs by delta quanta in exactly
@@ -99,12 +82,18 @@ class _CycleMapBase(Record):
         cls.validate_for(self.space)
         return self._class_distance(cls.delta, cls.support)
 
+    def image_distance_batch(self, batch: SparsePairBatch) -> np.ndarray:
+        """Image distance of each sampled row: the class distance of the
+        batch's class, on every row."""
+        import numpy as np
+
+        return np.full(batch.count, self.class_distance(batch.cls))
+
 
 class IdentityMap(_CycleMapBase):
     """Identity into the space's own sup metric."""
 
     __slots__ = ("space", "declared_roundness")
-    name = "identity"
 
     def __init__(self, space: ProductCycleSpace,
                  declared_roundness: Optional[float] = None):
@@ -117,9 +106,6 @@ class IdentityMap(_CycleMapBase):
     def _class_distance(self, delta: int, support: int) -> float:
         return float(self.space.quantum * delta)
 
-    def image_distance_batch(self, batch: SparsePairBatch) -> np.ndarray:
-        return self._sup_distances(batch)
-
 
 class CircleEmbeddingMap(_CycleMapBase):
     """Each coordinate to a circle of matching circumference in the plane;
@@ -127,7 +113,6 @@ class CircleEmbeddingMap(_CycleMapBase):
     residue differences, so class pairs land at a single distance."""
 
     __slots__ = ("space", "declared_roundness", "radius")
-    name = "circle"
 
     def __init__(self, space: ProductCycleSpace,
                  declared_roundness: Optional[float] = 2.0):
@@ -154,19 +139,11 @@ class CircleEmbeddingMap(_CycleMapBase):
         c = self.chord(delta)
         return math.sqrt(support * (c * c))
 
-    def image_distance_batch(self, batch: SparsePairBatch) -> np.ndarray:
-        import numpy as np
-
-        quanta = self._cyc_quanta(batch)
-        chord = 2.0 * self.radius * np.sin(np.pi * quanta / self.space.units)
-        return np.sqrt((chord * chord).sum(axis=1))
-
 
 class SnowflakeMap(_CycleMapBase):
     """Sup distance raised to alpha in (0, 1]."""
 
     __slots__ = ("space", "alpha", "declared_roundness")
-    name = "snowflake"
 
     def __init__(self, space: ProductCycleSpace, alpha: float,
                  declared_roundness: Optional[float] = None):
@@ -182,15 +159,11 @@ class SnowflakeMap(_CycleMapBase):
     def _class_distance(self, delta: int, support: int) -> float:
         return float(self.space.quantum * delta) ** self.alpha
 
-    def image_distance_batch(self, batch: SparsePairBatch) -> np.ndarray:
-        return self._sup_distances(batch) ** self.alpha
-
 
 class ConstantMap(_CycleMapBase):
     """Collapses everything to a point; never yields an obstruction."""
 
     __slots__ = ("space", "declared_roundness")
-    name = "constant"
 
     def __init__(self, space: ProductCycleSpace,
                  declared_roundness: Optional[float] = math.inf):
@@ -202,11 +175,6 @@ class ConstantMap(_CycleMapBase):
 
     def _class_distance(self, delta: int, support: int) -> float:
         return 0.0
-
-    def image_distance_batch(self, batch: SparsePairBatch) -> np.ndarray:
-        import numpy as np
-
-        return np.zeros(batch.count, dtype=np.float64)
 
 
 def resolve_builtin_map(spec: str, space: ProductCycleSpace):
@@ -237,45 +205,34 @@ def _check_samples(samples: int) -> None:
 
 
 def _declared_distance(emap, cls: PairClass) -> float:
-    """The map's one image distance on `cls`; Monte Carlo averages read it
-    instead of drawing pairs."""
+    """The map's one image distance on `cls`, which every average and
+    extreme reads instead of enumerating or drawing pairs."""
     declared = getattr(emap, "class_distance", None)
     if declared is None:
         raise ValueError(
-            f"{type(emap).__name__} declares no class_distance; Monte Carlo "
-            "mode needs one, exact mode does not")
+            f"{type(emap).__name__} declares no class_distance; class "
+            "averages and extremes need one")
     return declared(cls)
 
 
 def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
-                  budget: int = 2_000_000,
                   samples: int = 100_000) -> LevelAverage:
     """Average of image distance^p over one pair class, d^p counting
     0**0 as 0 (`numerics.dpow`).
 
-    A map that declares `class_distance` d (every built-in map) sends the
-    whole class to d, so in both modes the mean is d^p itself: no pair is
-    enumerated or drawn, no budget applies, no pool starts and numpy is
-    not loaded. `count` is the class size in exact mode and `samples` (at
-    least 1) in mc mode. A map that declares no class distance is
-    enumerated in exact mode under `enumerate_pairs`' budget, and
-    `statistics.mean` rounds the exact mean once, so a class-constant
-    map gives d^p bit for bit either way; mc mode raises ValueError on it.
+    The map must declare `class_distance` d (every built-in map does;
+    ValueError otherwise): it sends the whole class to d, so in both modes
+    the mean is d^p itself. No pair is enumerated or drawn, no pool starts
+    and numpy is not loaded. `count` is the class size in exact mode and
+    `samples` (at least 1) in mc mode.
     """
-    space = emap.space
-    cls.validate_for(space)
+    cls.validate_for(emap.space)
     if mode not in ("exact", "mc"):
         raise ValueError("mode must be 'exact' or 'mc'")
     if mode == "mc":
         _check_samples(samples)
-    if mode == "exact" and getattr(emap, "class_distance", None) is None:
-        from statistics import mean
-
-        value = mean(float(dpow(emap.image_distance(x, y), p))
-                     for x, y in _module.enumerate_pairs(space, cls, budget))
-    else:
-        value = float(dpow(_declared_distance(emap, cls), p))
-    count = count_pairs_closed(space, cls) if mode == "exact" else samples
+    value = float(dpow(_declared_distance(emap, cls), p))
+    count = count_pairs_closed(emap.space, cls) if mode == "exact" else samples
     return LevelAverage(cls, p, value, count, mode)
 
 
@@ -329,13 +286,13 @@ def _margin(hi: float, lo: float, factor: float) -> tuple[float, bool]:
 
 
 def verify_step_inequality(emap, scls: SimplexClass, p: float,
-                           mode: str = "exact", budget: int = 2_000_000,
+                           mode: str = "exact",
                            samples: int = 100_000) -> StepReport:
     """Averaged comparison for one simplex class: the connecting-class mean
     of image distance^p must be at least (1 - 1/r) times the edge-class
     mean, whenever the map really has roundness >= p. This is the
     one-level chain of `verify_chain_inequality`, read as a step."""
-    chain = verify_chain_inequality(emap, scls, 1, p, mode, budget, samples)
+    chain = verify_chain_inequality(emap, scls, 1, p, mode, samples)
     conn, edge = chain.averages
     step = chain.steps[0]
     return StepReport(scls, p, conn, edge, chain.factor_total,
@@ -371,7 +328,7 @@ def chain_classes(start: SimplexClass, levels: int) -> list[SimplexClass]:
 
 
 def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
-                            mode: str = "mc", budget: int = 2_000_000,
+                            mode: str = "mc",
                             samples: int = 100_000) -> ChainReport:
     """Run the averaged comparison down a chain of simplex classes.
 
@@ -385,7 +342,7 @@ def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
     assumed = _check_declared(emap, p)
     pair_levels = [s.conn_class() for s in scls_chain]
     pair_levels.append(scls_chain[-1].edge_class())
-    averages = [level_average(emap, cls, p, mode, budget, samples)
+    averages = [level_average(emap, cls, p, mode, samples)
                 for cls in pair_levels]
     r = start.families
     factor = 1.0 - 1.0 / r
@@ -423,7 +380,7 @@ def coarse_obstruction_report(moduli: ModulusEnvelope, p: float,
     enough that alpha^p / e > 1. The first such n yields the obstruction;
     odd n gets a warning because the downstream construction wants even
     block sizes."""
-    if p <= 0 or math.isinf(p):
+    if not 0 < p < math.inf:
         raise ValueError("p must be positive and finite")
     rho2_1 = moduli.rho2(1)
     if rho2_1 is None:
@@ -478,15 +435,15 @@ class UniformObstructionReport(Record):
                 "inequality": "sup_fine >= exp(-1/p) * inf_coarse"}
 
 
-def uniform_obstruction_report(map_spec, ladder: Sequence[int], p: float,
+def uniform_obstruction_report(map_spec: str, ladder: Sequence[int], p: float,
                                samples: int = 100_000
                                ) -> UniformObstructionReport:
     """Uniform-embedding audit along a ladder of even depths n.
 
     Depth n works in the block of size n + 2, comparing the fine class
     (delta halved n times, support raised to n + 1) against the coarse
-    class. A map builder or builtin spec receives each block's space; the
-    map must declare `class_distance`.
+    class, with the builtin map `map_spec` (`resolve_builtin_map`) built on
+    each block's space.
     """
     if not p > 0:
         raise ValueError(f"p must be positive (inf allowed), got {p}")
@@ -497,15 +454,13 @@ def uniform_obstruction_report(map_spec, ladder: Sequence[int], p: float,
     factor = 1.0 if math.isinf(p) else math.exp(-1.0 / p)
     eps = None
     first_violation = None
-    name = map_spec if isinstance(map_spec, str) else getattr(map_spec, "name", "custom")
     degenerate = False
     for n in ladder:
         if n < 2 or n % 2:
             raise ValueError(f"ladder entries must be even and >= 2, got {n}")
         block = n + 2
         space = stage_space(block)
-        emap = (resolve_builtin_map(map_spec, space)
-                if isinstance(map_spec, str) else map_spec(space))
+        emap = resolve_builtin_map(map_spec, space)
         _check_declared(emap, p if not math.isinf(p) else 0.0)
         fine = stage_pair_class(block, -n, n + 1)
         coarse = stage_pair_class(block, 0, 1)
@@ -543,5 +498,5 @@ def uniform_obstruction_report(map_spec, ladder: Sequence[int], p: float,
                       f"be a uniform embedding into a space of roundness {p}")
     else:
         conclusion = "all ladder entries satisfy the averaged inequality"
-    return UniformObstructionReport(name, p, entries, eps, first_violation,
+    return UniformObstructionReport(map_spec, p, entries, eps, first_violation,
                                     found, conclusion)

@@ -200,14 +200,12 @@ def _recertified(space, ds: DoubleSimplex, p) -> DoubleSimplex:
 
 
 def find_violation_exhaustive(space, max_size: int, p,
-                              budget: int | None = None, *,
-                              index: DistanceIndex | None = None
+                              budget: int | None = None
                               ) -> Optional[DoubleSimplex]:
     """First violating double simplex over all index multisets of sizes
-    2..max_size, or None. Witnesses are certified before being returned.
-    `index` is the space's `DistanceIndex`, built here when not given."""
-    ds = _scan_violation(space, max_size, p, budget,
-                         index or DistanceIndex(space))
+    2..max_size, or None, scanned on a `DistanceIndex` of the space built
+    per call. Witnesses are certified before being returned."""
+    ds = _scan_violation(space, max_size, p, budget, DistanceIndex(space))
     return None if ds is None else _recertified(space, ds, p)
 
 

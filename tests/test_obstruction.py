@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from roundlab import cyclic, obstruction, parallel
-from roundlab.cyclic import (BudgetExceeded, CycleSpace, PairClass,
+from roundlab import cyclic, parallel
+from roundlab.cyclic import (CycleSpace, PairClass,
                              ProductCycleSpace, SimplexClass,
                              count_pairs_closed, sample_pairs_sparse, stage_pair_class,
                              stage_space)
@@ -147,17 +147,6 @@ def test_sample_count_must_be_positive():
     assert class_extremes(emap, cls, samples=1)[2] == 1
 
 
-def test_level_average_budget():
-    # the budget gates enumeration, so it binds only on a map without a
-    # declared class distance
-    emap = IdentityMap(small_space())
-    cls = PairClass(1, 2)
-    with pytest.raises(BudgetExceeded):
-        level_average(PairwiseMap(emap), cls, 1.0, mode="exact", budget=100)
-    avg = level_average(emap, cls, 1.0, mode="exact", budget=100)
-    assert avg.count == count_pairs_closed(emap.space, cls) > 100
-
-
 @pytest.mark.parametrize("coords,units", [(3, 6), (4, 4), (4, 8), (3, 8)])
 def test_level_average_exact_closed_form_matches_enumeration(coords, units):
     space = ProductCycleSpace(coords, CycleSpace(units))
@@ -183,10 +172,10 @@ def test_level_average_exact_closed_form_matches_enumeration(coords, units):
 @dataclass(frozen=True)
 class PairwiseMap:
     """Delegates `image_distance` to `inner` but declares no
-    `class_distance`, so exact averages through it enumerate the class
-    and Monte Carlo averages refuse it."""
+    `class_distance`, so every class average and extreme refuses it."""
 
     inner: object
+    declared_roundness = None
 
     @property
     def space(self):
@@ -194,23 +183,6 @@ class PairwiseMap:
 
     def image_distance(self, x, y):
         return self.inner.image_distance(x, y)
-
-
-def test_level_average_exact_enumerates_undeclared_maps(monkeypatch):
-    emap = CircleEmbeddingMap(ProductCycleSpace(3, CycleSpace(6)))
-    cls = PairClass(1, 2)
-    calls = []
-    enumerate_pairs = obstruction.enumerate_pairs
-
-    def counted(*args):
-        calls.append(args)
-        return enumerate_pairs(*args)
-
-    monkeypatch.setattr(obstruction, "enumerate_pairs", counted)
-    for p in (0.0, 2.0):
-        assert level_average(PairwiseMap(emap), cls, p, mode="exact") == \
-            level_average(emap, cls, p, mode="exact")
-    assert len(calls) == 2
 
 
 def test_class_extremes_constant_class():
@@ -255,11 +227,10 @@ def test_class_distance_equals_every_sampled_row(space, cls, rows):
         dist = emap.class_distance(cls)
         assert type(dist) is float
         assert all(emap.image_distance(x, y) == dist for x, y in pairs), name
-        # the numpy twin is no definition: it may sum or raise to a power
-        # in another order, within an ulp or two
+        # the batch form reads the class distance on every row
         vals = emap.image_distance_batch(batch)
         assert vals.shape == (rows,)
-        assert np.all(np.abs(vals - dist) <= 2 * math.ulp(dist)), name
+        assert np.all(vals == dist), name
     # the sup distance of a class is delta quanta, rounded once to float
     want = float(space.quantum * cls.delta)
     assert IdentityMap(space).class_distance(cls) == want
@@ -271,10 +242,10 @@ def test_class_distance_builds_no_batch(monkeypatch):
         raise AssertionError("no batch expected")
 
     # a batch is built only in the census module, by its class or its
-    # sampler, which obstruction resolves there on lookup
+    # sampler, which obstruction resolves there on lookup; patching the
+    # lookup too would leave the stub behind as a real obstruction global
     monkeypatch.setattr(cyclic, "SparsePairBatch", refuse)
     monkeypatch.setattr(cyclic, "sample_pairs_sparse", refuse)
-    monkeypatch.setattr(obstruction, "sample_pairs_sparse", refuse)
     space = stage_space(6)
     cls = stage_pair_class(6, -4, 5)
     for emap in builtin_maps(space):
@@ -284,10 +255,15 @@ def test_class_distance_builds_no_batch(monkeypatch):
 
 
 def test_mc_needs_declared_class_distance():
+    # both modes refuse a map without a class distance: nothing enumerates
     emap = PairwiseMap(CircleEmbeddingMap(small_space()))
     cls = PairClass(1, 3)
-    with pytest.raises(ValueError, match="class_distance"):
-        level_average(emap, cls, 2.0, mode="mc", samples=4000)
+    for mode in ("exact", "mc"):
+        with pytest.raises(ValueError, match="class_distance"):
+            level_average(emap, cls, 2.0, mode=mode, samples=4000)
+        with pytest.raises(ValueError, match="class_distance"):
+            verify_step_inequality(emap, SimplexClass(1, 2, 2), 2.0,
+                                   mode=mode)
     with pytest.raises(ValueError, match="class_distance"):
         class_extremes(emap, cls, samples=4000)
 
@@ -296,7 +272,7 @@ def test_declared_class_distance_draws_nothing_and_starts_no_pool(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no pair draw or pool expected")
 
-    monkeypatch.setattr(obstruction, "sample_pairs_sparse", refuse)
+    monkeypatch.setattr(cyclic, "sample_pairs_sparse", refuse)
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
     emap = CircleEmbeddingMap(ProductCycleSpace(8, CycleSpace(32)))
     step = verify_step_inequality(emap, SimplexClass(1, 2, 2), 2.0,
@@ -429,11 +405,12 @@ def test_coarse_envelope_exhausted():
 
 
 def test_coarse_p_validation():
+    # a NaN p is refused too, as step, chain and uniform refuse it, not
+    # scanned into rows of lhs nan
     moduli = L([(1, 1), (2, 2)])
-    with pytest.raises(ValueError):
-        coarse_obstruction_report(moduli, 0.0)
-    with pytest.raises(ValueError):
-        coarse_obstruction_report(moduli, math.inf)
+    for p in (0.0, math.inf, float("nan")):
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            coarse_obstruction_report(moduli, p)
 
 
 # ---------------------------------------------------------------------------

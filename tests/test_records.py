@@ -283,6 +283,18 @@ def test_the_guard_sees_a_to_dict():
     assert _classes_defining(tree, "to_dict") == ["A"]
 
 
+def test_maps_batch_only_through_their_class_distance():
+    # the base defines the batch form once, as the class distance on every
+    # row; no map keeps a numpy twin, nor its row helpers
+    tree = ast.parse((Path(roundlab.__file__).parent
+                      / "obstruction.py").read_text())
+    assert _classes_defining(tree, "image_distance_batch") \
+        == ["_CycleMapBase"]
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_cyc_quanta", "_sup_distances"}
+
+
 @pytest.mark.parametrize("cls, args",
                          [(cls, case[0]) for cls, case in RECORDS.items()],
                          ids=[cls.__name__ for cls in RECORDS])
