@@ -11,13 +11,16 @@ possible.
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import Optional
 
 from . import Record
 from .metric import FiniteMetricSpace
-from .numerics import (REL_TOL, Number, exact_sum, json_int, parse_fraction,
-                       rational_pow)
+from .numerics import (PRECISION_BITS, Number, exact_sum, intervals,
+                       json_int, parse_fraction, rational_pow, to_mpf,
+                       violation)
 from .report import sanitize
 
 
@@ -41,36 +44,55 @@ class SeqVector(Record):
         return dict(self.entries)
 
 
-def _level_deltas(a: SeqVector, b: SeqVector):
-    """|a_n - b_n| on the levels n where the two sequences differ, in
-    level order."""
+def _same(x):
+    return x
+
+
+def _level_deltas(a: SeqVector, b: SeqVector, lift=_same):
+    """|lift(a_n) - lift(b_n)| on the levels n where the two sequences
+    differ, in level order."""
     ad, bd = a.as_dict(), b.as_dict()
     for n in sorted(set(ad) | set(bd)):
-        delta = abs(ad.get(n, 0) - bd.get(n, 0))
-        if delta != 0:
+        x, y = ad.get(n, 0), bd.get(n, 0)
+        delta = abs(lift(x) - lift(y))
+        # a difference of two intervals may straddle 0
+        if delta != 0 or x != y:
             yield n, delta
 
 
-def ell0_distance(a: SeqVector, b: SeqVector) -> Number:
-    """sum over levels of 2^-n * |delta_n| / (1 + |delta_n|); exact for
-    rational values."""
-    return exact_sum(Fraction(1, 2 ** n) * delta / (1 + delta)
-                     for n, delta in _level_deltas(a, b))
+def ell0_distance(a: SeqVector, b: SeqVector, lift=_same) -> Number:
+    """sum over levels of 2^-n * |delta_n| / (1 + |delta_n|) of the values
+    passed through `lift`; exact for rational values."""
+    return exact_sum(lift(Fraction(1, 2 ** n)) * delta / (1 + delta)
+                     for n, delta in _level_deltas(a, b, lift))
 
 
 def ellp_convention(p) -> str:
     return "norm" if p >= 1 else "pth_power_metric"
 
 
+def _image_power(target: str, p, a, b, lift=_same) -> tuple:
+    """(s, e): the distance of images a and b in `target` (`ellp` at
+    exponent p) is s^(1/e), e = 1 but for an ellp norm, from their values
+    passed through `lift` (none, Fraction or an mpmath interval)."""
+    if target == "ballchain":
+        return abs(lift(a) - lift(b)), 1
+    if target == "ell0":
+        return ell0_distance(a, b, lift), 1
+    return exact_sum(rational_pow(delta, p)
+                     for _, delta in _level_deltas(a, b, lift)), max(p, 1)
+
+
+def _root(s: Number, e) -> Number:
+    return s if e == 1 else rational_pow(s, 1 / Fraction(e))
+
+
 def ellp_distance(a: SeqVector, b: SeqVector, p) -> Number:
     """p >= 1: the usual norm; p < 1: the sum of p-th powers (a metric).
     Exact whenever every power comes out rational."""
-    p = Fraction(p)
     if p <= 0:
         raise ValueError("p must be positive")
-    inner = exact_sum(rational_pow(delta, p)
-                      for _, delta in _level_deltas(a, b))
-    return inner if p < 1 else rational_pow(inner, 1 / p)
+    return _root(*_image_power("ellp", Fraction(p), a, b))
 
 
 def point_gaps(space) -> list:
@@ -313,28 +335,51 @@ def default_modulus_for(table: InjectionTable) -> str:
     return "identity"
 
 
+# a proven relative radius of a float ratio whose values no subtraction
+# rounds twice: the image distance and the bound pass at most three float
+# powers, each within 2 ulps and exp(745 UNIT) (its exponent's rounding
+# times |ln| of a finite power) of the exact power, a root dividing the
+# error of the first, and fewer than ten other roundings: below 2300
+# UNIT, and 2^-40 is 8192 UNIT
+RATIO_RADIUS = 2.0 ** -40
+
+
+def _settled(table: InjectionTable, i: int, j: int, d, q) -> bool:
+    """Whether images i and j lie farther apart than d^(1/q), both sides
+    raised to the image exponent e: exactly where s and d^(e/q) come out
+    rational (a float converts exactly), else on intervals at twice
+    PRECISION_BITS; ArithmeticError where those leave it undecided."""
+    a, b = table.images[i], table.images[j]
+    s, e = _image_power(table.target, table.p, a, b, Fraction)
+    slack = rational_pow(Fraction(d), e / q) - s
+    if not isinstance(slack, Fraction):
+        lift = functools.partial(to_mpf, ctx=intervals(2 * PRECISION_BITS))
+        s, e = _image_power(table.target, table.p, a, b, lift)
+        slack = rational_pow(lift(d), e / q) - s
+    verdict = violation(slack)
+    if verdict is None:
+        raise ArithmeticError(f"Lipschitz bound on pair {[i, j]} "
+                              f"undecided at {2 * PRECISION_BITS} bits")
+    return verdict
+
+
 def verify_injection(space, table: InjectionTable,
                      modulus: str | None = None) -> InjectionReport:
     """Check distinctness of images and the Lipschitz bound
-    image_distance <= modulus(domain_distance) on every pair."""
+    image_distance <= modulus(domain_distance) on every pair. A ratio of
+    Fractions is decided exactly, a float one against RATIO_RADIUS, and
+    one that leaves undecided by `_settled`."""
     if len(table.images) != space.size:
         raise ValueError("image count does not match the space")
     if modulus is None:
         modulus = default_modulus_for(table)
     mod_fn, mod_name = resolve_modulus(modulus)
-    if table.target == "ell0":
-        img_dist = ell0_distance
-        convention = None
-    elif table.target == "ellp":
-        if table.p is None:
-            raise ValueError("ellp table lacks p")
-        img_dist = lambda a, b: ellp_distance(a, b, table.p)
-        convention = ellp_convention(table.p)
-    elif table.target == "ballchain":
-        img_dist = lambda a, b: abs(a - b)
-        convention = None
-    else:
+    q = parse_fraction(1 if mod_name == "identity" else mod_name[5:])
+    if table.target not in ("ell0", "ellp", "ballchain"):
         raise ValueError(f"unknown target {table.target!r}")
+    if table.target == "ellp" and table.p is None:
+        raise ValueError("ellp table lacks p")
+    convention = ellp_convention(table.p) if table.target == "ellp" else None
 
     keys = [img.entries if isinstance(img, SeqVector) else img
             for img in table.images]
@@ -346,6 +391,13 @@ def verify_injection(space, table: InjectionTable,
             break
         seen[k] = i
 
+    # Python rounds a Fraction to a float before subtracting a float from
+    # it, so a table where floats meet Fractions that no float holds is
+    # read in Fractions: no difference is rounded twice (RATIO_RADIUS)
+    values = [v for k in keys for v in (
+        (v for _, v in k) if isinstance(k, tuple) else (k,))]
+    lift = (Fraction if any(isinstance(v, float) for v in values)
+            and any(float(v) != v for v in values) else _same)
     worst = None
     worst_pair = None
     violations = []
@@ -354,8 +406,10 @@ def verify_injection(space, table: InjectionTable,
     for i in range(n):
         for j in range(i + 1, n):
             checked += 1
-            di = img_dist(table.images[i], table.images[j])
-            bound = mod_fn(space.distance(i, j))
+            s, e = _image_power(table.target, table.p, table.images[i],
+                                table.images[j], lift)
+            di, d = _root(s, e), space.distance(i, j)
+            bound = mod_fn(d)
             if bound == 0:
                 if di != 0:
                     violations.append({"pair": [i, j], "ratio": "inf"})
@@ -365,8 +419,17 @@ def verify_injection(space, table: InjectionTable,
                      else float(di) / float(bound))
             if worst is None or ratio > worst:
                 worst, worst_pair = ratio, (i, j)
-            if (isinstance(ratio, Fraction) and ratio > 1) or (
-                    isinstance(ratio, float) and ratio > 1.0 + REL_TOL):
+            if isinstance(ratio, Fraction):
+                exceeds = ratio > 1
+            elif ratio < math.inf and min(float(s), float(di),
+                                          float(bound)) > 2 ** -960:
+                # past 2^-960 the underflow of any term is negligible
+                exceeds = violation(1.0 - ratio, RATIO_RADIUS * ratio)
+            else:
+                exceeds = None
+            if exceeds is None:
+                exceeds = _settled(table, i, j, d, q)
+            if exceeds:
                 violations.append({"pair": [i, j], "ratio": float(ratio)})
     return InjectionReport(table.target, duplicate is None, duplicate, worst,
                            worst_pair, violations, checked, mod_name,

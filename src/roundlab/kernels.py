@@ -16,26 +16,19 @@ its states are those of half the depth: r=4 on (8, 8, delta=1, s=2) takes
 19,467,392 / 66,971,394, within the default budget of 10^8 per count.
 
 The gap scan is vectorised with numpy but keeps the summation order of a
-scalar loop, so every gap, and with it every violation decision, is
-bit-identical to that loop's. Each sum is a chain of elementwise IEEE adds
-starting from 0.0, never a BLAS product or a reassociating reduction:
+scalar loop, so every gap is bit-identical to that loop's. Each sum is a
+chain of elementwise IEEE adds starting from 0.0, never a BLAS product or
+a reassociating reduction:
 
 - within[X] adds d^p(x_i, x_j) over the pairs i < j in lexicographic order;
 - cs[v, X] adds d^p(v, x) over the members x of X in order;
 - rhs adds cs[y, X] over the members y of Y in order, and
-  lhs = within[X] + within[Y];
-- scale is lhs if lhs > rhs else rhs, floored at 1.0, and (X, Y) violates
-  when rhs - lhs < -rel_tol * scale.
+  lhs = within[X] + within[Y].
 
-Two shortcuts leave every float and decision as they are:
-
-- rhs is the sum over Y's first n-1 members, plus cs[last member]. The
-  left-to-right sum passes through that partial sum, and families with
-  the same first n-1 members share it, so it is built once per prefix.
-- Only gaps below -rel_tol are tested, since scale >= 1 puts every
-  threshold at or below -rel_tol. A gap below zero has rhs < lhs, because
-  a correctly rounded fl(rhs - lhs) keeps the sign of rhs - lhs (a gap of
-  -inf, too, needs rhs < lhs), so there the scale is max(lhs, 1).
+A term passes at most max(n(n-1)/2, 2n-2) rounded additions, which
+bounds the gap's error (`numerics.gap_radius`). rhs is the sum over Y's
+first n-1 members, plus cs[last member]: the left-to-right sum passes
+through that partial sum, so families sharing a prefix share it.
 """
 
 from __future__ import annotations
@@ -48,6 +41,7 @@ from collections import Counter
 # both defined in the package, where the modules that raise or report them
 # without running a kernel find them too
 from . import BACKEND, BudgetExceeded  # noqa: F401
+from .numerics import gap_radius, violation
 
 # gaps computed per block of the exhaustive scan; at 0.25 MiB per array
 # the two block arrays stay in a core's L2 cache
@@ -291,29 +285,39 @@ def _family_index(npts: int, n: int):
     return fam, pre, prefix
 
 
-def min_gap_scan(dp, max_size: int, rel_tol: float):
-    """Scan all double simplices (multiset families, sizes 2..max_size).
+def min_gap_scan(dp, max_size: int, p, floor: float, resolve):
+    """Scan all double simplices (multiset families, sizes 2..max_size)
+    for the first proven violation.
 
-    dp is the matrix of d**p values and rel_tol >= 0. Canonical
-    order: family size ascending from 2, then both families in
-    combinations_with_replacement order with the second family starting at
-    the first (swap-symmetric dedup). Returns (first violating (xs, ys) or
-    None, minimum gap seen, configs scanned); stops at the first violation.
+    dp holds finite float powers at p, each of the float nearest a base in
+    [0, 1] (`roundness.DistanceIndex.power_matrix`) and off by at most
+    `floor` beyond the relative error `numerics.gap_radius` bounds. Each
+    gap is decided against its radius by `numerics.violation`, and
+    resolve(xs, ys) decides one left undecided ahead of the first proven
+    violation. With a zero diagonal X = Y gaps are exactly 0 and never
+    decided. Canonical order: family size ascending from 2, then both
+    families in combinations_with_replacement order with the second
+    starting at the first (swap-symmetric dedup). Returns (first violating
+    (xs, ys) or None, least gap outside X = Y or None, configs scanned).
 
     First families X are taken in blocks of at most GAP_BLOCK gaps against
     every second family Y at or after the block's first X, held as a
-    [Y, X] array so that every gather copies whole rows. Each gap is built
-    in the order given in the module docstring, so it is the same float a
-    scalar loop would get. The violation test runs only on blocks whose
-    smallest gap is below -rel_tol, on those gaps, and the first hit is
-    the first in (X, Y) order, the loop's.
+    [Y, X] array so that every gather copies whole rows. A block whose
+    least gap is at least `clear`, above the radius of every gap of its
+    size, is clean; in any other the gaps below `clear` are decided in
+    (X, Y) order, the loop's.
     """
     import numpy as np
 
-    if rel_tol < 0:
-        raise ValueError("rel_tol must be nonnegative")
     npts = len(dp)
     d = np.asarray(dp, dtype=np.float64).reshape(npts, npts)
+    if not np.isfinite(d).all():
+        raise ValueError("power matrix entries must be finite")
+    # X = Y configurations sit on the diagonal of a block's first rows
+    band = -1 if not d.diagonal().any() else 0
+    # with a negative entry (an unchecked space) lhs + rhs no longer adds
+    # up the terms' magnitudes; the largest magnitude bounds each instead
+    largest = float(np.abs(d).max(initial=0.0)) if (d < 0).any() else None
     min_gap = None
     scanned = 0
     for n in range(2, max_size + 1):
@@ -324,6 +328,14 @@ def min_gap_scan(dp, max_size: int, rel_tol: float):
         for i in range(n):
             for j in range(i + 1, n):
                 within += d[fam[i], fam[j]]
+        rel = gap_radius(p, max(n * (n - 1) // 2, 2 * n - 2))
+        terms = 2 * n * n - n
+        absolute = terms * floor
+        # a gap at or above `clear` is at least its radius: rel is at most
+        # 1/2, and every lhs at most 2 max(within, 0)
+        bound = (4 * float(np.fmax.reduce(within, initial=0.0))
+                 if largest is None else terms * largest)
+        clear = 2 * (rel * bound + absolute) if rel < math.inf else math.inf
         # a block holds at most max(GAP_BLOCK, m) gaps
         size = max(GAP_BLOCK, m)
         gap_buf, lhs_buf = np.empty(size), np.empty(size)
@@ -348,32 +360,35 @@ def min_gap_scan(dp, max_size: int, rel_tol: float):
             gap += lhs
             np.add(within[x0:, None], within[x0:x1], out=lhs)
             gap -= lhs
-            # pairs with the second family before the first are not scanned
-            gap[:rows][~np.tri(rows, rows, dtype=bool)] = np.nan
-            # the running minimum as `gap < min_gap` keeps it: NaN gaps
-            # never replace a number, and a NaN first gap is never replaced
-            if min_gap is None:
-                min_gap = float(gap[0, 0])
+            # pairs with the second family before the first are not
+            # scanned, and X = Y ones not decided
+            gap[:rows][~np.tri(rows, rows, band, dtype=bool)] = np.nan
             low = np.fmin.reduce(gap, axis=None)
-            if low < -rel_tol:
-                ys, xs = np.nonzero(gap < -rel_tol)
-                # a negative gap has rhs < lhs: the scale is max(lhs, 1)
-                hit = gap[ys, xs] < -rel_tol * np.maximum(lhs[ys, xs], 1.0)
-                if hit.any():
-                    ys, xs = ys[hit], xs[hit]
-                    first = np.lexsort((ys, xs))[0]
-                    r, c = int(xs[first]), int(ys[first])
-                    seen = np.concatenate((gap[:, :r].ravel(), gap[:c + 1, r]))
-                    scanned += r * cols - r * (r - 1) // 2 + c - r + 1
-                    low = np.fmin.reduce(seen)
-                    if low < min_gap:
-                        min_gap = float(low)
-                    return ((tuple(fam[:, x0 + r].tolist()),
-                             tuple(fam[:, x0 + c].tolist())),
-                            min_gap, scanned)
+            if low < clear:
+                ys, xs = np.nonzero(gap < clear)
+                g = gap[ys, xs]
+                mags = (2 * lhs[ys, xs] + g if largest is None
+                        else np.full(len(g), terms * largest))
+                radius = rel * mags + absolute
+                for k in np.lexsort((ys, xs)):
+                    r, c = int(xs[k]), int(ys[k])
+                    verdict = violation(float(g[k]), float(radius[k]))
+                    if verdict is None:
+                        verdict = resolve(tuple(fam[:, x0 + r].tolist()),
+                                          tuple(fam[:, x0 + c].tolist()))
+                    if verdict:
+                        seen = np.concatenate((gap[:, :r].ravel(),
+                                               gap[:c + 1, r]))
+                        scanned += r * cols - r * (r - 1) // 2 + c - r + 1
+                        low = np.fmin.reduce(seen)
+                        if low < (math.inf if min_gap is None else min_gap):
+                            min_gap = float(low)
+                        return ((tuple(fam[:, x0 + r].tolist()),
+                                 tuple(fam[:, x0 + c].tolist())),
+                                min_gap, scanned)
             scanned += rows * cols - rows * (rows - 1) // 2
-            if low < min_gap:
+            # NaN, a block of masked gaps only, never enters the minimum
+            if low < (math.inf if min_gap is None else min_gap):
                 min_gap = float(low)
             x0 = x1
     return None, min_gap, scanned
-

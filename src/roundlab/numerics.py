@@ -1,20 +1,23 @@
-"""Shared numeric conventions: exact rationals where possible, declared-precision floats elsewhere."""
+"""Shared numeric conventions: exact rationals where possible, floats
+with a proven error radius or mpmath intervals elsewhere, and one rule
+(`violation`) that decides an inequality from any of the three."""
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 if TYPE_CHECKING:
     import mpmath
 
 Number = Union[int, Fraction, float]
 
-# relative tolerance of every inexact inequality (`is_violation`)
-REL_TOL = 1e-12
-# mpmath working precision of inexact fractional powers; witness
-# certification re-sums at no less than twice this
+# relative rounding of a float operation, and the least normal float
+UNIT, NORMAL_MIN = 2.0 ** -53, 2.0 ** -1022
+# mpmath working precision of inexact fractional powers and character
+# intervals; an undecided gap is re-decided at twice this
 PRECISION_BITS = 80
 
 
@@ -51,24 +54,78 @@ def dpow(d: Number, p: float) -> Number:
     return float(d) ** p
 
 
-def to_mpf(d: Number) -> mpmath.mpf:
-    import mpmath
-
+def to_mpf(d: Number, ctx=None):
+    """d in the mpmath context `ctx`: mpmath itself by default, or an
+    interval context of `intervals`. A float converts exactly."""
+    if ctx is None:
+        import mpmath as ctx
     if isinstance(d, Fraction):
-        return mpmath.mpf(d.numerator) / d.denominator
-    return mpmath.mpf(d)
+        return ctx.mpf(d.numerator) / d.denominator
+    return ctx.mpf(d)
 
 
-def is_violation(gap, scale) -> bool:
-    """The one rule that decides an inequality `gap >= 0`: exact gaps
-    compare against exact zero, any other gap violates only below
-    -REL_TOL * max(scale, 1). gap = 0 is no violation (the inequality is
-    non-strict). REL_TOL is converted to the gap's type and scale keeps
-    its own, so a Decimal or mpmath gap and scale compare at the ambient
-    precision of their context."""
-    if isinstance(gap, (int, Fraction)):
-        return gap < 0
-    return gap < -type(gap)(REL_TOL) * max(scale, 1)
+def violation(value, radius: float = 0.0) -> Optional[bool]:
+    """The one rule deciding `value >= 0`: True proven false, False proven,
+    None undecided. value is exact (int or Fraction), a float within
+    `radius` of the truth (value -/+ radius keep their exact signs), or an
+    mpmath interval enclosing it."""
+    if isinstance(value, float):
+        lo, hi = value - radius, value + radius
+    elif hasattr(value, "a"):
+        lo, hi = value.a, value.b
+    else:
+        return value < 0
+    return True if hi < 0 else False if lo >= 0 else None
+
+
+def gap_radius(p, additions: int) -> float:
+    """Relative radius of a float gap rhs - lhs of float powers b ** p,
+    p >= 0, of the floats nearest the bases, each term passing at most
+    `additions` rounded additions: the gap is within this times the
+    computed lhs + rhs, plus `ScaledPowers.floor` a term, of the exact one
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4).
+    With theta the error of (1 + UNIT)^p for the base, one ulp (2 UNIT,
+    as glibc's pow) and the additions and subtraction, 2 theta bounds
+    theta / (1 - theta) and the radius's own rounding while theta < 1/4."""
+    theta = math.expm1((p + additions + 3) * UNIT)
+    return 2 * theta if theta < 0.25 else math.inf
+
+
+class ScaledPowers:
+    """Distances over `top` (their largest magnitude by default) as the
+    nearest floats: no power then exceeds 1, and no gap changes sign."""
+
+    __slots__ = ("ratios", "low", "signed")
+
+    def __init__(self, dists, top: Number | None = None):
+        if top is None:
+            top = max(map(abs, dists), default=0) or 1
+        exact = [Fraction(d) / Fraction(top) for d in dists]
+        self.ratios = [float(r) for r in exact]
+        self.low = any(0 < abs(r) < NORMAL_MIN for r in exact)
+        self.signed = any(r < 0 for r in exact)
+
+    def powers(self, p) -> list[float]:
+        """Each ratio's float power, 0 for 0 (0**0 = 0, as in `dpow`);
+        TypeError for a complex one."""
+        return [float(r ** p) if r else 0.0 for r in self.ratios]
+
+    def floor(self, p) -> float:
+        """A power's error beyond `gap_radius`: a few subnormal ulps, or
+        where a ratio is below NORMAL_MIN (no relative precision) the
+        largest power such a ratio can have."""
+        return max(2.0 ** -1072, (2 * NORMAL_MIN) ** p if self.low else 0.0)
+
+
+@functools.lru_cache(maxsize=2)
+def intervals(bits: int):
+    """An mpmath interval context of its own at `bits` of precision, so no
+    caller sets the precision of the shared `mpmath.iv`."""
+    from mpmath.ctx_iv import MPIntervalContext
+
+    iv = MPIntervalContext()
+    iv.prec = bits
+    return iv
 
 
 def exact_int_root(x: int, k: int) -> int | None:
@@ -107,9 +164,11 @@ def exact_rational_pow(d: Fraction, alpha: Fraction) -> Fraction | None:
 
 def rational_pow(d: Number, alpha: Fraction) -> Number:
     """d**alpha for d >= 0. A rational d gives an exact Fraction when the
-    root is exact, else a float evaluated at PRECISION_BITS; any other d
-    gives float(d) ** float(alpha)."""
+    root is exact, else a float evaluated at PRECISION_BITS; an mpmath
+    interval gives an interval, and any other d float(d) ** float(alpha)."""
     if not isinstance(d, (int, Fraction)):
+        if not isinstance(d, float) and hasattr(d, "a"):
+            return d ** to_mpf(alpha, d.ctx)
         return float(d) ** float(alpha)
     exact = exact_rational_pow(d, alpha)
     if exact is not None:
@@ -122,8 +181,11 @@ def rational_pow(d: Number, alpha: Fraction) -> Number:
 
 def exact_sum(terms) -> Number:
     """The sum of `terms`: a Fraction when every term is rational
-    (Fraction(0) for no terms), else math.fsum of their floats."""
+    (Fraction(0) for no terms), an interval when one is an mpmath
+    interval, else math.fsum of their floats."""
     terms = list(terms)
     if all(isinstance(t, (int, Fraction)) for t in terms):
         return sum(terms, Fraction(0))
-    return math.fsum(float(t) for t in terms)
+    if all(isinstance(t, (int, Fraction, float)) for t in terms):
+        return math.fsum(float(t) for t in terms)
+    return sum(terms)

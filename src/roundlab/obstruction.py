@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import Record
 from .cycles import (PairClass, ProductCycleSpace, SimplexClass,
                      count_pairs_closed, stage_pair_class, stage_space)
-from .numerics import dpow, is_violation, parse_fraction
+from .numerics import dpow, parse_fraction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -204,15 +204,14 @@ def _check_samples(samples: int) -> None:
         raise ValueError(f"samples must be at least 1, got {samples}")
 
 
-def _declared_distance(emap, cls: PairClass) -> float:
-    """The map's one image distance on `cls`, which every average and
-    extreme reads instead of enumerating or drawing pairs."""
-    declared = getattr(emap, "class_distance", None)
-    if declared is None:
-        raise ValueError(
-            f"{type(emap).__name__} declares no class_distance; class "
-            "averages and extremes need one")
-    return declared(cls)
+def _declared(emap, name: str = "class_distance",
+              needs: str = "class averages and extremes need one"):
+    """The map's attribute `name`, by default the one image distance per
+    class that every average and extreme reads instead of enumerating or
+    drawing pairs; ValueError naming it where the map lacks it."""
+    if not hasattr(emap, name):
+        raise ValueError(f"{type(emap).__name__} declares no {name}; {needs}")
+    return getattr(emap, name)
 
 
 def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
@@ -231,7 +230,7 @@ def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
         raise ValueError("mode must be 'exact' or 'mc'")
     if mode == "mc":
         _check_samples(samples)
-    value = float(dpow(_declared_distance(emap, cls), p))
+    value = float(dpow(_declared(emap)(cls), p))
     count = count_pairs_closed(emap.space, cls) if mode == "exact" else samples
     return LevelAverage(cls, p, value, count, mode)
 
@@ -244,7 +243,7 @@ def class_extremes(emap, cls: PairClass,
     reports it."""
     cls.validate_for(emap.space)
     _check_samples(samples)
-    dist = _declared_distance(emap, cls)
+    dist = _declared(emap)(cls)
     return dist, dist, samples
 
 
@@ -269,7 +268,8 @@ def _check_exponent(p: float) -> None:
 
 
 def _check_declared(emap, p: float) -> bool:
-    declared = emap.declared_roundness
+    declared = _declared(emap, "declared_roundness",
+                         "steps and chains need one (None for no claim)")
     if declared is None:
         return True
     if declared < p:
@@ -278,11 +278,14 @@ def _check_declared(emap, p: float) -> bool:
     return False
 
 
+REL_TOL = 1e-12
+
+
 def _margin(hi: float, lo: float, factor: float) -> tuple[float, bool]:
-    """(margin, holds) for hi >= factor * lo, decided by
-    `numerics.is_violation`."""
+    """(margin, holds) for hi >= factor * lo: the float margin fails only
+    below -REL_TOL * max(|hi|, |factor * lo|, 1)."""
     margin = hi - factor * lo
-    return margin, not is_violation(margin, max(abs(hi), abs(factor * lo)))
+    return margin, not margin < -REL_TOL * max(abs(hi), abs(factor * lo), 1)
 
 
 def verify_step_inequality(emap, scls: SimplexClass, p: float,
@@ -404,7 +407,11 @@ def coarse_obstruction_report(moduli: ModulusEnvelope, p: float,
         else:
             alpha_exact = None
             alpha = float(r1) / float(rho2_1)
-        lhs = alpha ** p * math.exp(-1.0)
+        try:
+            lhs = alpha ** p * math.exp(-1.0)
+        except OverflowError:
+            # alpha > 1 here, so alpha^p / e lies past every float
+            lhs = math.inf
         scanned.append({"n": n, "rho1": float(r1), "alpha": alpha, "lhs": lhs})
         if lhs > 1.0:
             return CoarseObstructionReport(

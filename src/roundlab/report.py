@@ -11,7 +11,7 @@ import json
 import math
 from fractions import Fraction
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 
 def sanitize(obj):

@@ -2,27 +2,28 @@
 
 A double simplex (x_1..x_r; y_1..y_r) violates at exponent p when
 
-    sum_{i<j} d(x_i,x_j)^p + d(y_i,y_j)^p  >  sum_{i,j} d(x_i,y_j)^p
+    sum_{i<j} d(x_i,x_j)^p + d(y_i,y_j)^p  >  sum_{i,j} d(x_i,y_j)^p.
 
-beyond tolerance. The roundness of a space is the supremum of exponents
-admitting no violation; the set of good exponents is an interval starting
-at 0 (Lennard-Tonge-Weston), so one clean probe below and one violating
-witness above bracket it.
+Every gap is decided by `numerics.violation`: as a float with its proven
+error radius, and where that leaves it undecided once more (`_settled`),
+so a violation and a clean probe are both proven. The roundness of a
+space is the supremum of exponents admitting no violation; the set of
+good exponents is an interval starting at 0 (Lennard-Tonge-Weston), so
+one clean probe below and one violating witness above bracket it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
 from typing import Optional
 
 from . import BudgetExceeded, Record
 from .cycles import DoubleSimplex, ProductCycleSpace
-from .numerics import PRECISION_BITS, REL_TOL, Number, dpow, is_violation
+from .numerics import (PRECISION_BITS, ScaledPowers, dpow, gap_radius,
+                       intervals, to_mpf, violation)
 
 # the intervals a cycle product's character table may hold when the
 # caller of `estimate_roundness` sets no budget: about 10 s and 100 MiB
@@ -30,20 +31,18 @@ from .numerics import PRECISION_BITS, REL_TOL, Number, dpow, is_violation
 # 5.3 s and 52 MiB), and 50 times the 3,952 of stage 2
 TABLE_INTERVALS = 2 * 10 ** 5
 
-# significant digits of witness certification: at least twice
-# PRECISION_BITS bits
-CERTIFY_DIGITS = math.ceil(2 * PRECISION_BITS * math.log10(2))
-
 
 class GapResult(Record):
-    __slots__ = ("p", "lhs", "rhs", "exact")
+    # radius: a proven bound on the error of the gap, 0 for an exact one
+    __slots__ = ("p", "lhs", "rhs", "exact", "radius")
 
     @property
-    def gap(self) -> Number:
+    def gap(self):
         return self.rhs - self.lhs
 
-    def is_violation(self) -> bool:
-        return is_violation(self.gap, max(self.lhs, self.rhs))
+    def is_violation(self) -> bool | None:
+        """`numerics.violation` of the gap: None within its radius of 0."""
+        return violation(self.gap, self.radius)
 
 
 def _pair_distances(space, ds: DoubleSimplex):
@@ -66,55 +65,63 @@ def _exact_gap(within, cross, p) -> Optional[GapResult]:
         return None
     lhs = sum(dpow(d, int(p)) for d in within)
     rhs = sum(dpow(d, int(p)) for d in cross)
-    return GapResult(int(p), Fraction(lhs), Fraction(rhs), True)
+    return GapResult(int(p), Fraction(lhs), Fraction(rhs), True, 0)
+
+
+def _float_gap(scaled: ScaledPowers, split: int, p) -> tuple:
+    """(gap, radius, lhs, rhs) of the float powers of `scaled`, the first
+    `split` within the families; each side is one math.fsum, a single
+    rounding. The radius scales with the powers' magnitudes, lhs + rhs
+    unless a distance is negative (an unchecked space)."""
+    powers = scaled.powers(p)
+    lhs, rhs = math.fsum(powers[:split]), math.fsum(powers[split:])
+    mags = math.fsum(map(abs, powers)) if scaled.signed else lhs + rhs
+    return (rhs - lhs, gap_radius(p, 1) * mags
+            + len(powers) * scaled.floor(p), lhs, rhs)
 
 
 def simplex_gap(space, ds: DoubleSimplex, p) -> GapResult:
     """Exact Fractions when every distance is rational and p a nonnegative
-    integer; float accumulation otherwise."""
+    integer; float sums, with the gap's radius, otherwise."""
     within, cross = _pair_distances(space, ds)
     exact = _exact_gap(within, cross, p)
     if exact is not None:
         return exact
-    lhs = math.fsum(float(dpow(d, p)) for d in within)
-    rhs = math.fsum(float(dpow(d, p)) for d in cross)
-    return GapResult(p, lhs, rhs, False)
+    _, radius, lhs, rhs = _float_gap(ScaledPowers(within + cross, 1),
+                                     len(within), p)
+    return GapResult(p, lhs, rhs, False, radius)
 
 
-def _dpow_decimal(d: Number, p) -> Decimal:
-    """dpow in the ambient decimal context, with its 0**0 = 0 convention."""
-    if d == 0:
-        return Decimal(0)
-    if p == 0:
-        return Decimal(1)
-    if isinstance(d, Fraction):
-        base = Decimal(d.numerator) / d.denominator
-    else:
-        base = Decimal(d)
-    if float(p).is_integer():
-        # exact up to rounding, and defined for a negative base
-        return base ** int(p)
-    # ln then exp: about 78 us a distance at CERTIFY_DIGITS, where
-    # Decimal.__pow__ takes about 190 us
-    return (base.ln() * Decimal(p)).exp()
-
-
-def certify_violation(space, ds: DoubleSimplex, p) -> bool:
-    """Recompute the gap independently and re-test the violation.
-
-    Rational distances with integer p settle the question exactly; all
-    other cases are re-summed in decimal at CERTIFY_DIGITS significant
-    digits, no less than twice PRECISION_BITS.
-    """
-    within, cross = _pair_distances(space, ds)
+def _settled(within, cross, p) -> bool:
+    """Whether a gap that its float radius left undecided violates:
+    exactly at integer p on rational distances; not at all when both
+    sides' nonzero distances are one multiset, which makes the gap 0 at
+    every p (every X = Y configuration); else as an interval at twice
+    PRECISION_BITS. ArithmeticError if that too leaves it undecided."""
     exact = _exact_gap(within, cross, p)
     if exact is not None:
         return exact.is_violation()
-    with localcontext() as ctx:
-        ctx.prec = CERTIFY_DIGITS
-        lhs = sum(_dpow_decimal(d, p) for d in within)
-        rhs = sum(_dpow_decimal(d, p) for d in cross)
-        return is_violation(rhs - lhs, max(lhs, rhs))
+    if sorted(d for d in within if d) == sorted(d for d in cross if d):
+        return False
+    iv = intervals(2 * PRECISION_BITS)
+    # 0**0 = 0, as in dpow
+    lhs, rhs = (sum(to_mpf(d, iv) ** p if d else 0 for d in side)
+                for side in (within, cross))
+    verdict = violation(rhs - lhs)
+    if verdict is None:
+        raise ArithmeticError(f"gap undecided at p={p} even at "
+                              f"{2 * PRECISION_BITS} bits")
+    return verdict
+
+
+def certify_violation(space, ds: DoubleSimplex, p) -> bool:
+    """Whether ds violates at p, proven: its float gap on the distances
+    over their largest, against the gap's radius, and where that leaves
+    it undecided, `_settled`."""
+    within, cross = _pair_distances(space, ds)
+    verdict = violation(*_float_gap(ScaledPowers(within + cross),
+                                    len(within), p)[:2])
+    return _settled(within, cross, p) if verdict is None else verdict
 
 
 def exhaustive_config_count(n_points: int, max_size: int) -> int:
@@ -128,12 +135,11 @@ def exhaustive_config_count(n_points: int, max_size: int) -> int:
 class DistanceIndex:
     """A space's distances as an index into their distinct values: `keys`
     holds one distance per distinct (type, value) and `rows[i][j]` the
-    position of d(i, j) among them. `dpow` depends on a distance only
-    through its type and value, so powering each key once gives every
-    entry of the power matrix; an estimate builds one index and each
-    probe powers only the keys."""
+    position of d(i, j) among them, `scaled` the keys over the largest.
+    Powering each scaled key once gives every entry of the power matrix;
+    an estimate builds one index and each probe powers only the keys."""
 
-    __slots__ = ("keys", "rows")
+    __slots__ = ("keys", "rows", "scaled")
 
     def __init__(self, space):
         n = space.size
@@ -142,13 +148,15 @@ class DistanceIndex:
                       for d in [space.distance(i, j) for j in range(n)]]
                      for i in range(n)]
         self.keys = [d for _, d in slots]
+        self.scaled = ScaledPowers(self.keys)
 
     def power_matrix(self, p) -> list[list[float]]:
-        """float(dpow(d(i, j), p)) for every ordered pair of points. A
-        negative distance (an unchecked space) at fractional p has no real
-        power and raises ValueError naming its first pair."""
+        """The float power of d(i, j) over the largest distance, for every
+        ordered pair of points: at most 1, so none overflows. A negative
+        distance (an unchecked space) at fractional p has no real power and
+        raises ValueError naming its first pair."""
         try:
-            powers = [float(dpow(d, p)) for d in self.keys]
+            powers = self.scaled.powers(p)
         except TypeError:
             # float() refuses the complex power of a negative base
             negative = next(((i, j) for i, row in enumerate(self.rows)
@@ -166,8 +174,8 @@ class DistanceIndex:
 
 def _scan_violation(space, max_size: int, p, budget: int | None,
                     index: DistanceIndex) -> Optional[DoubleSimplex]:
-    """`find_violation_exhaustive` without the re-sum: the first double
-    simplex the float scan finds violating, or None."""
+    """`find_violation_exhaustive` without the recertification: the first
+    double simplex the scan proves violating, or None."""
     n = space.size
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
@@ -185,8 +193,10 @@ def _scan_violation(space, max_size: int, p, budget: int | None,
         return None
     from . import kernels
 
-    witness, _, _ = kernels.min_gap_scan(index.power_matrix(p), max_size,
-                                         REL_TOL)
+    witness, _, _ = kernels.min_gap_scan(
+        index.power_matrix(p), max_size, p, index.scaled.floor(p),
+        lambda xs, ys: _settled(*_pair_distances(space, DoubleSimplex(xs, ys)),
+                                p))
     if witness is None:
         return None
     return DoubleSimplex(tuple(witness[0]), tuple(witness[1]))
@@ -195,7 +205,7 @@ def _scan_violation(space, max_size: int, p, budget: int | None,
 def _recertified(space, ds: DoubleSimplex, p) -> DoubleSimplex:
     if not certify_violation(space, ds, p):
         raise ArithmeticError(
-            f"scan witness failed recertification at p={p}; raise precision")
+            f"scan witness failed recertification at p={p}")
     return ds
 
 
@@ -224,42 +234,27 @@ def _crossing(violates, lo: float, hi: float) -> float:
 
 
 def _simplex_test(space, index: DistanceIndex, ds: DoubleSimplex, hi: float):
-    """Whether `ds`, which the scan found violating at hi, violates
-    certainly at p > 0. The test powers the simplex's own distances in
-    floats (15 for a 3+3 simplex) and adds (lhs + rhs)(p + 4) 2^-52 to
-    the gap, a bound on the rounding of float(d), the power and the sums,
-    so a gap that still violates violates exactly and `certify_violation`
-    agrees. Where even hi does not clear that bound, the decimal re-sum
-    must certify hi, which then stays the crossing."""
-    within, cross = ([float(d) for d in dists]
-                     for dists in _pair_distances(space, ds))
+    """Whether `ds`, which the scan found violating at hi, is proven to
+    violate at p > 0 by its float gap and radius, on the simplex's own
+    distances (15 for a 3+3 simplex) over their largest: the test
+    `certify_violation` makes first, so it agrees wherever this holds.
+    Where even hi is not proven in floats, `certify_violation` must prove
+    hi, which then stays the crossing."""
+    within, cross = _pair_distances(space, ds)
+    scaled = ScaledPowers(within + cross)
 
     def violates(p):
         try:
-            lhs = math.fsum(d ** p for d in within)
-            rhs = math.fsum(d ** p for d in cross)
+            return violation(*_float_gap(scaled, len(within), p)[:2]) is True
         except TypeError:
-            # fsum refuses the complex power of a negative distance; the
-            # power matrix names its pair
+            # float() refuses the complex power of a negative distance;
+            # the power matrix names its pair
             index.power_matrix(p)
             raise
-        return is_violation(rhs - lhs + (lhs + rhs) * (p + 4) * 2.0 ** -52,
-                            max(lhs, rhs))
 
     if not violates(hi):
         _recertified(space, ds, hi)
     return violates
-
-
-@functools.lru_cache(maxsize=2)
-def _intervals(bits: int):
-    """An mpmath interval context of its own at `bits` of precision, so no
-    probe sets the precision of the shared `mpmath.iv`."""
-    from mpmath.ctx_iv import MPIntervalContext
-
-    iv = MPIntervalContext()
-    iv.prec = bits
-    return iv
 
 
 def character_table(space: ProductCycleSpace,
@@ -274,7 +269,7 @@ def character_table(space: ProductCycleSpace,
     need = comb(units // 2 + coords, coords) - 1
     if budget is not None and need > budget:
         raise BudgetExceeded(f"character probe needs {need} characters", need)
-    iv, half = _intervals(PRECISION_BITS), units // 2
+    iv, half = intervals(PRECISION_BITS), units // 2
     kernel = [[iv.sin(iv.pi * (2 * k - 1) * v / units)
                / iv.sin(iv.pi * v / units) if v else iv.mpf(2 * k - 1)
                for v in range(half + 1)] for k in range(1, half + 1)]
@@ -323,8 +318,9 @@ def find_violation_characters(space: ProductCycleSpace, p,
     eigenvalue is <= 0 (Schoenberg). With quantum q, d^p is q^p sum_k w_k
     [d >= kq], w_k = k^p - (k-1)^p and 0^p = 0 as in dpow, so the
     eigenvalue at xi is -q^p sum_k w_k prod_i D_k(xi_i), evaluated as an
-    interval at PRECISION_BITS. One that straddles 0 with none positive
-    must be proven 0 (`_eigenvalue_vanishes`), else ArithmeticError.
+    interval at PRECISION_BITS and decided by `numerics.violation`. One it
+    leaves undecided, with none positive, must be proven 0
+    (`_eigenvalue_vanishes`), else ArithmeticError.
     `table` is the space's `character_table`, built here under `budget`
     when not given.
     """
@@ -334,10 +330,10 @@ def find_violation_characters(space: ProductCycleSpace, p,
     weights = _weights(units, p)
     undecided = []
     for xi, prods in table:
-        lam = _eigenvalue(weights, prods)
-        if lam.a > 0:
+        verdict = violation(-_eigenvalue(weights, prods))
+        if verdict:
             return xi
-        if lam.b > 0:
+        if verdict is None:
             undecided.append(xi)
     for xi in undecided:
         if not _eigenvalue_vanishes(units, xi, p):
@@ -349,7 +345,7 @@ def find_violation_characters(space: ProductCycleSpace, p,
 def _weights(units: int, p) -> list:
     """The intervals w_k = k^p - (k-1)^p, k = 1..units/2: units/2 interval
     powers at PRECISION_BITS."""
-    iv = _intervals(PRECISION_BITS)
+    iv = intervals(PRECISION_BITS)
     pw = [iv.mpf(k) ** iv.mpf(p) for k in range(1, units // 2 + 1)]
     return [pw[0]] + [b - a for a, b in zip(pw, pw[1:])]
 
@@ -438,8 +434,8 @@ def estimate_roundness(space, max_size: int = 3,
     witness at p_cap the upper, and `_close_bracket` narrows them to
     p_tolerance. Both ends are certified for what `covers` names: the
     lower by a clean exhaustive scan or full character table, the upper
-    by the witness, re-summed there (`certify_violation`) or positive
-    there as an interval. The lower end is absolute: a roundness below
+    by the witness, proven there (`certify_violation`) or positive there
+    as an interval. The lower end is absolute: a roundness below
     p_tolerance keeps it at 0, with its witness's crossing above. `budget`
     caps the characters or scanned configurations of each probe. None
     means no cap on a listed space, which its size bounds, and on a cycle
@@ -476,8 +472,8 @@ def estimate_roundness(space, max_size: int = 3,
         if size is not None:
             return _crossing(_simplex_test(space, index, w, hi), lo, hi)
         prods = dict(table)[w]
-        return _crossing(lambda p: _eigenvalue(_weights(space.units, p),
-                                               prods).a > 0, lo, hi)
+        return _crossing(lambda p: violation(-_eigenvalue(
+            _weights(space.units, p), prods)) is True, lo, hi)
 
     est = RoundnessEstimate(0.0, math.inf, None, None, True, covers, size,
                             p_cap, probes, flags)
@@ -505,6 +501,6 @@ def estimate_roundness(space, max_size: int = 3,
         est.certified = False
         return est
     if size is not None:
-        # the reported witness, re-summed where it is reported
+        # the reported witness, proven where it is reported
         _recertified(space, est.witness, est.witness_p)
     return est

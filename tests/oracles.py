@@ -9,13 +9,13 @@ that declare `class_distance` must match. Both are slow and only run on
 small classes. The level hunts walk the thresholds one level at a time,
 which is what the closed-form `gap_level` and `ballchain_level` replace.
 The reference power matrix takes one `dpow` per ordered pair, where
-`DistanceIndex.power_matrix` takes one per distinct distance. The
+`DistanceIndex.power_matrix` takes one power per distinct distance. The
 cyclic-product pair enumeration compares the two metrics on every point
 pair, which `verify_mstar_isometry` decides by a scan of coordinate
 values. The dense spectra of small cycle products, and their
 eigenvalues summed over every point, decide what the character probe
-reads from closed forms. The mpmath re-sum of a witness
-at 160 bits is the certifier that the decimal one replaced. The triangle
+reads from closed forms. The mpmath re-sum of a gap at 320 bits, four
+times PRECISION_BITS, is the oracle of `certify_violation`. The triangle
 audit on the distances themselves is the one `validate_metric` ran before
 it compared integers over the common denominator. The block
 representatives at the end give `validate_metric` the zero and antipodal
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from roundlab import BudgetExceeded, kernels
 from roundlab.cyclic import enumerate_pairs, is_pair
-from roundlab.numerics import PRECISION_BITS, REL_TOL, dpow, to_mpf
+from roundlab.numerics import PRECISION_BITS, dpow, to_mpf
 from roundlab.roundness import _exact_gap, _pair_distances
 
 
@@ -201,17 +201,22 @@ def reference_validate_metric(space, budget=None):
 
 
 def reference_power_matrix(space, p):
-    """float(dpow(d(i, j), p)) with one `dpow` per ordered pair, the
-    builder `DistanceIndex.power_matrix` replaced."""
+    """float(dpow(r, p)) for r the float nearest d(i, j) over the largest
+    distance, with one `dpow` per ordered pair: the builder
+    `DistanceIndex.power_matrix` replaced."""
     n = space.size
-    return [[float(dpow(space.distance(i, j), p)) for j in range(n)]
-            for i in range(n)]
+    top = Fraction(max(abs(space.distance(i, j)) for i in range(n)
+                       for j in range(n)) or 1)
+    return [[float(dpow(float(Fraction(space.distance(i, j)) / top), p))
+             for j in range(n)] for i in range(n)]
 
 
 def mpmath_certify_violation(space, ds, p):
-    """`certify_violation` as it re-summed in mpmath at twice
-    PRECISION_BITS: exact for rational distances at integer p, else an
-    inexact gap that violates below -REL_TOL * max(scale, 1)."""
+    """Whether ds violates at p, by a re-sum that shares no arithmetic
+    with `certify_violation`: exact for rational distances at integer p,
+    else the sign of the gap summed in mpmath at four times
+    PRECISION_BITS, where a gap within 2^-300 of the sums is taken as
+    the 0 it is in exact arithmetic."""
     import mpmath
 
     within, cross = _pair_distances(space, ds)
@@ -226,10 +231,10 @@ def mpmath_certify_violation(space, ds, p):
             return mpmath.mpf(1)
         return to_mpf(d) ** to_mpf(p)
 
-    with mpmath.workprec(2 * PRECISION_BITS):
+    with mpmath.workprec(4 * PRECISION_BITS):
         lhs = mpmath.fsum(power(d) for d in within)
         rhs = mpmath.fsum(power(d) for d in cross)
-        return rhs - lhs < -REL_TOL * max(lhs, rhs, 1)
+        return rhs - lhs < -mpmath.mpf(2) ** -300 * (lhs + rhs)
 
 
 def enumerated_mstar_pairs(n, variant):

@@ -27,7 +27,7 @@ from roundlab.cyclic import (CycleSpace, PairClass, ProductCycleSpace,
 from roundlab.inject import (build_ballchain_injection, build_ell0_injection,
                              build_ellp_injection, cauchy_sequence_target,
                              interval_chain_target, verify_injection)
-from roundlab.metric import snowflake
+from roundlab.metric import FiniteMetricSpace, snowflake
 from roundlab.obstruction import (CircleEmbeddingMap, IdentityMap,
                                   euler_factor, euler_factor_exact,
                                   euler_factors, verify_chain_inequality,
@@ -186,9 +186,29 @@ def test_criterion_07_roundness_estimator():
         assert math.isinf(eq.upper)
         assert eq.lower == eq.p_cap
 
+    def float_gap(space, ds):
+        # the exact gap at p = 2 of the floats the space holds
+        return (sum(Fraction(space.distance(x, y)) ** 2
+                    for x in ds.xs for y in ds.ys)
+                - sum(Fraction(space.distance(a[i], a[j])) ** 2
+                      for a in (ds.xs, ds.ys)
+                      for i in range(ds.r) for j in range(i + 1, ds.r)))
+
     for seed in range(6):
         planar = planar_points_space(10 + (seed % 3), seed=seed)
-        assert find_violation_exhaustive(planar, 3, 2.0) is None
+        # subsets of the plane have roundness 2: their squared distances,
+        # exact integers, admit no violation at p = 1, which is p = 2 on
+        # the distances. The float distances, rounded square roots, may
+        # hold gaps about 1e-16 of their sums below 0 at p = 2 where the
+        # centroids of X and Y coincide; a witness there must be one
+        squared = FiniteMetricSpace.unchecked(
+            [[(xa - xb) ** 2 + (ya - yb) ** 2 for xb, yb in planar.coords]
+             for xa, ya in planar.coords])
+        assert find_violation_exhaustive(squared, 3, 1) is None
+        ds = find_violation_exhaustive(planar, 3, 2.0)
+        assert ds is None or float_gap(planar, ds) < 0
+    ds = find_violation_exhaustive(planar_points_space(12, seed=2), 3, 2.0)
+    assert (ds.xs, ds.ys) == ((3, 4, 10), (5, 5, 9))
 
     snow = estimate_roundness(snowflake(cycle_graph_space(4), Fraction(1, 2)),
                               max_size=3, p_tolerance=1e-3)

@@ -64,7 +64,7 @@ def test_validate_ok(c4_csv, capsys):
     code, doc, _ = run(["validate", "--input", c4_csv], capsys)
     assert code == 0
     assert doc["results"]["ok"] is True
-    assert doc["schema"] == 9
+    assert doc["schema"] == 10
     assert doc["command"] == "validate"
 
 
@@ -96,20 +96,21 @@ def _relabelled(space, seed):
 @pytest.mark.parametrize("space, argv, results_sha256", [
     (lambda: random_rational_metric_space(20, 0),
      ["--max-size", "3", "--tol", "1e-3"],
-     "a432fa31267fe8e0f3097b7e2b4ff87ef3fa7dad436a59589e0441a19c6bd4c8"),
+     "2e65318733b56908c3e69585e71371839836f54302e05233d23e235ca5e7882e"),
     (lambda: _relabelled(random_rational_metric_space(20, 0), 7),
      ["--max-size", "3", "--tol", "1e-3"],
-     "373a1d59fa59a9c9f34fca3a7c40146547135fa716f0a93a745dd9150dc78f6b"),
+     "b84097f38d157631bb88d792093d3b2baa9a218dc9b299bfe66ad49fd11d0943"),
     (lambda: random_rational_metric_space(10, 1), ["--max-size", "4"],
-     "df113471b9e9ac28acf3b28271031dc5a4e21ccd5e31ade6b032c02f5b4677d1"),
+     "6bffbc437a3447fb3c6b7097653ae3c011907820a1d1db74321bb6c2603e4c08"),
     (lambda: cycle_graph_space(5), [],
-     "b30bd621c84fc702a392782cf5babcfb6c70ec28c9098c0a8eb67fed128ff1e4"),
+     "b3f3a8c297a61a660bb4ff3001b3addb99479e5dcfafda665143385e636ef3c6"),
 ], ids=["r20", "r20-relabelled", "r10-size4", "c5"])
 def test_gr_estimate_results_frozen(space, argv, results_sha256, tmp_path,
                                     capsys):
-    # digests recorded at schema 9, when each violating probe began moving
-    # the upper end to its witness's crossing; the bracket is certified,
-    # within the tolerance, and its witness violates at witness_p
+    # digests recorded at schema 10, when every gap began to be decided
+    # against its proven float radius, so each crossing is the witness's
+    # true one to within that radius; the bracket is certified, within
+    # the tolerance, and its witness violates at witness_p
     path = tmp_path / "space.csv"
     write_space_csv(space(), str(path))
     code, doc, _ = run(["gr", "estimate", "--input", str(path), *argv],
@@ -666,77 +667,77 @@ PINNED = {
 # sha256 of the body without wall_time_s, sorted and compact
 PINNED_BODY = {
     "validate":
-        "20aea6824377eb7b53976ee82b53d85a9267913ceb00df1eaa6320cc2813f9fe",
+        "2d3f014da31392e6bf47e7f7436dc86d877ecdd5d383ef880225b2ef56a106b0",
     "validate-budget":
-        "a8922f24bbf8965a6a5e39a79ce5cd63ffe079298b7b9f306f0176bcefd4b81b",
+        "6b40ae8cdd92d65c72d0d535fb348c3ec9f89123aad66401bbdd6efa7abecceb",
     "gr-estimate":
-        "e9608f61da218b8bf05f357dca2b7fff7cda4752b6767f94684b728aada75353",
+        "74cda2f380bd2894768c3db32e67300c2b0a6ff7cd5687a3aab00f87a5b71b78",
     "gr-estimate-r12":
-        "7ebc662417e13ab7d5087be6d7d5a7e0cf09fe227ec6da9252a6e3c2bb55e290",
+        "263d45dd90f323103ce6ed97995b784d6e497b5d4876db517d22f7c1c2c70fe3",
     "simplex-build":
-        "4ffba80dbe380a39a9869bab6f86fb7238299de7605e2b66bebdad1ab40cce76",
+        "3083651a07035ce67cceedc58a2720b1b52c6c4a0ce0b5b9d889dfd8e8cafce9",
     "simplex-build-stage":
-        "d2eaa2a705fb36b0824c066be3f56b3ccb2daf056aa684e1190c1784b53e0335",
+        "d449fbb12c161f0d161754202f77df10b9fa8dcbfabefa28a430c304e5ae8ceb",
     "counts-pairs":
-        "16a6f921d4a94ea9d648cc9ce598b7344cb4415bc47918107a3d4f9ce287f102",
+        "b199b08870aed5493b86e9575de22164f77da6cc111d5d7b8b19c2af19c20ef7",
     "counts-incidences":
-        "b330bce863e2fe89a3b18cea84d2c7cf94412df301d650c81020c3fd40296cd3",
+        "ec1a8d040292e4b63920bb45c6ee5b56c75b23b06e3186cb2be8792afe1dee01",
     "obstruct-coarse":
-        "8bceef5bf10b309838f0ae83f97a221ae151c50e659545d733d91ceac71df035",
+        "f487bc910413b182758ab8e2dd24840033c0b582fb4be093074030fda99c7a2a",
     "obstruct-step-exact-identity":
-        "a0370181ef056c73fb3a24965158d5569d2d6948a59a63d67bf88921c93e35e3",
+        "d03e1f07f79d2d10de8ddb3d3cb99dd6a565fe6c5ac916a2f9bd6d1980333ac9",
     "obstruct-step-exact-circle":
-        "18ea11957ace4252f5c8f8ceebf1788229262d3d523e0a7f018aea4c19b408d7",
+        "4dd975cff1b1882b1663847e7fb9ffff50d787c9f40d5ea072663766f182e724",
     "obstruct-step-exact-constant":
-        "3d85a6aa13a51443f7561af1d1945ca57140112fa6d6e11c5fcf048759daa723",
+        "01f50b4fb6c0fb4c7d0ca37912ef43c84141a143e2a5d4fd16bc0ac968b46bd6",
     "obstruct-step-exact-snowflake:1/2":
-        "3537cd33dcac399bf372389fbfb53211f6677810e7308b9d3e90324c76e5be59",
+        "3243511e2bbc9e2031324782ac982220ce4e26710cd189b87b73c165b97e76b1",
     "obstruct-step-mc-identity":
-        "48a75d289cf61294d61b1ed43bb81a2cdbfb60695056707b8f54632d587cfc10",
+        "c88125b4ab451db77ef81b51d6aa106ac928ed8124691c322c1cdb840c199950",
     "obstruct-step-mc-circle":
-        "529ac1b47a95b165753898e540d3c459c3b48e612454e7ce2a41039e3d2e3455",
+        "31a536ec214c96d4767dfeeccacbc2e81728845770e2145bfa9f80a4e89d06cc",
     "obstruct-step-mc-constant":
-        "e31e36b5a19711c8ddb4e9392135ca904ac31e59af155676659e53036ff38041",
+        "8a51777e83ee2456288277467eed62a0e2eed9fdfc941a69416c4bd05d5c4ebd",
     "obstruct-step-mc-snowflake:1/2":
-        "54181a2840eabe79c60ef1c5591ff18b0db55077f71cc18ba0040a1a5084efe8",
+        "ba9f2543e6dad4737db337284643f5908138cd2079dd280755e3c5f366bf7e3a",
     "obstruct-chain":
-        "2609302c8e4915153d265325d83c1bb50d23a72a6b09481619f0fe528a60a5fa",
+        "04281c670214b89a38594eda67c9958ae7ab56f58646a38a708e74acbac72732",
     "obstruct-uniform-p2":
-        "d59875f8a8d2db8926702665095467d491609b855227f7484fcc485ba649d16c",
+        "857ed340793c103620fbc800d2cdd98a975baacc9843dcaad8a3f1ff54bd05fe",
     "obstruct-uniform-pinf":
-        "aa0aa5c9dc3d6588355716c594e0714c36b155ea6c9b2cbbd670754ba0b74c11",
+        "e2aa14c8554c7a16d0754e54e8f33609725a82c0d84da67bd361c3698269e1e0",
     "zspace-validate-literal":
-        "0b868856ad9dc90e178d551bd77e616a9da799d7ef92df30b26268e41c3dd074",
+        "7d14029fff9f5c8aa3ff884baf34414ba72dea296f4fc1b05f4b89dc7bb57f04",
     "zspace-validate-corrected":
-        "37c85a6ca11409fbaf785fb08f7df01243d65c3b9ce310b03293fd2efc5bcbb6",
+        "692ead5dd5696cecf65782babcdf133659d06d87120766b31b0868281933d367",
     "zspace-ball":
-        "04060483afe45466964dd02737cd379936fadf0030d0c2d52489c46a2254d4e7",
+        "5baa42b7474f2cba2f7156b188b510e8ed1779ae1d26f7d7639c99d4fdcb98f7",
     "inject-build-ell0":
-        "6550efdf362cead57cb6badbac8a3fbfe6f491f87635c4d3aa17828db4be7718",
+        "cfa531b1298a76e7636356f9a76b7b1dca8b6a3f7e144de017bcedd997a18680",
     "inject-build-ellp:1/2":
-        "c5e4a932c65175d205dabefc811c26b8623fcb49854b116132108761b9a86510",
+        "9868825ca9b4d1e5396a8cc766b31081c83c3d390d1bb070f74d37bba697a8af",
     "inject-build-ellp:2":
-        "e4a173fc0ab9f367703f28f87fca35ea2d372179bc62a523e2026c3d0244ad22",
+        "8ef76a2fb1ce388916fd04442a1eee09136882ac7a6c8ca2be201960128e97ff",
     "inject-build-ballchain:intervals":
-        "eb7c43fe60a8959249ba7e13ee389e9f5533cb7829c5c4ee5572ec40c4bea80b",
+        "099b9de12a8eb6c3b44f0330e72b6481c0a56487dee5b06f19b477fc0ca49a6c",
     "inject-build-ballchain:cauchy":
-        "51e383a7b57c12b76cbd2b6f8fe0e69422d0033f616174982a0dd7582abc3f59",
+        "073cd248fa774c664a7cfcbdcdaa228e3b8fd6123e2050a91dfb451ffdbe9241",
     "inject-build-embedded":
-        "33afedc446742a65499cc1b43aca2732188d1dec0f5212180ce9ebeb9efabc1e",
+        "539e244c4715740b0eaad804d4d81b5bd608bdc9e9b245dc0ee17470c5e3c51e",
     "inject-verify":
-        "da6d5055937e8cc7215785e78bc521c911cb5e37b61655b928a35cb98290c203",
+        "99bbcd1e06ee01061f2301f1d1252be60a0f101c085e04bca4714486909e978b",
     "inject-verify-input":
-        "c102d256a01032f1512ddb48ff713565bf2ce5cd3bd9104490dba2352f3d8d68",
+        "bd99e849b3b25bc1b8d08378ae733d27eb57de6b4dd42fc70319d7b6e7fbbe6c",
     "cayley-verify-merged":
-        "cdd1a51620cb1ed01c10e4b7a985995b6577251613a96fb13fa72fd4af3c81dd",
+        "ee7ed015deba43cd890bbb4895f1dfd1d9806da148e201a1b63ee44c33952807",
     "cayley-verify-literal":
-        "d547c3c5ae751973e2ad2b5386b9ed8b1cfd731bf19f25f610fefde454363615",
+        "f4b8e4a3644c3d21f011ad6232b67c02c83e221ad2332ef4bd175d2988676508",
     "cayley-roundness":
-        "126ac0fb5166ba53bd4917c8560629cdbb925a9e528c67d454b39c27a55c0fff",
+        "2c8f1bff466afb6005fab872a373ef1b49bdf80ff99141c526dfe31950500a2c",
     "cayley-roundness-basis":
-        "d2fa923cdd49d42cef6eebf8888f7aa67b0d77c38d8c5d8e13ea123e00ad1ef5",
+        "62e5af0112d0117bfabd5468ace1516299951963c7c0d5a34e3bda63c5be24f7",
     "cayley-projection":
-        "ee05b4d5efa0f9618ee656852e050c779ae88e75a46630ba4bc3dc5374946c8e",
+        "594b9d60f2408e28390eed5017aa7e0dc903b802fc557edead80e8f43164545f",
 }
 
 # sha256 of the --map-out file
@@ -788,7 +789,7 @@ def test_pinned_bodies_cover_every_command():
 @pytest.mark.parametrize("name", PINNED)
 def test_every_command_body_pinned(name, pinned_files, capsys):
     # digests of the body as `Report.body_json` dumps it, recorded at
-    # schema 9 (the bodies other than gr estimate's are schema 8's with
+    # schema 10 (the bodies other than gr estimate's are schema 9's with
     # the schema changed); the printed text is that body and wall_time_s,
     # indented
     argv, code = PINNED[name]
@@ -1188,7 +1189,7 @@ def test_cayley_verify_proof_byte_identical(capsys):
     second = capsys.readouterr().out
     assert code1 == code2 == 0
     assert strip_wall(first) == strip_wall(second)
-    assert json.loads(first)["schema"] == 9
+    assert json.loads(first)["schema"] == 10
 
 
 def test_cayley_verify_takes_no_sampling_options(capsys):

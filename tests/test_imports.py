@@ -203,7 +203,8 @@ def test_gr_estimate_loads_roundness_and_spaces(tmp_path):
     assert rc == 0
     assert SPACE_FILE_MODULES <= modules
     assert "dataclasses" not in modules
-    # the witnesses above p = 1 are certified at fractional p, in decimal
+    # the witnesses above p = 1 are proven at fractional p in floats,
+    # against their error radius, with no interval fallback
     assert "mpmath" not in modules
     assert "numpy" in modules and "roundlab.kernels" in modules
     assert "roundlab.cyclic" not in modules

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import hunted_ballchain_level, hunted_gap_level
-from roundlab.inject import (SeqVector, ballchain_level,
+from roundlab.inject import (RATIO_RADIUS, SeqVector, ballchain_level,
                              build_ballchain_injection, build_ell0_injection,
                              build_ellp_injection, build_injection,
                              build_level_structure, cauchy_sequence_target,
@@ -14,7 +14,8 @@ from roundlab.inject import (SeqVector, ballchain_level,
                              ellp_convention, ellp_distance, gap_level,
                              interval_chain_target, point_gaps,
                              resolve_modulus, verify_injection, InjectionTable)
-from roundlab.numerics import REL_TOL
+from roundlab.metric import FiniteMetricSpace
+from roundlab.numerics import to_mpf
 from roundlab.spaces import (cycle_graph_space, random_rational_metric_space,
                              two_point_space)
 
@@ -258,15 +259,104 @@ def _ballchain_pair(images, d):
 
 
 def test_verifier_float_ratio_boundary():
-    # float ratios fail only beyond 1 + REL_TOL: the boundary passes and
-    # the next float up fails
-    edge = 1.0 + REL_TOL
-    rep = _ballchain_pair([0.0, edge], Fraction(1))
-    assert rep.worst_ratio == edge and rep.ok and not rep.violations
-    above = math.nextafter(edge, math.inf)
-    rep = _ballchain_pair([0.0, above], Fraction(1))
-    assert rep.worst_ratio == above and not rep.ok
-    assert rep.violations == [{"pair": [0, 1], "ratio": above}]
+    # a float ratio is decided on the exact values, with no tolerance: 1
+    # and the float below it pass, the float above 1 and 1 + 1e-13 fail,
+    # as the exact ratio of the same values says
+    for image, d in ((1.0, Fraction(1)), (math.nextafter(1.0, 0), 1),
+                     (1 + 1e-13, Fraction(1)),
+                     (math.nextafter(1.0, 2), Fraction(1)),
+                     (1.0, math.nextafter(1.0, 0))):
+        rep = _ballchain_pair([0.0, image], d)
+        exact = Fraction(image) / Fraction(d)
+        assert rep.worst_ratio == float(image) / float(d)
+        assert rep.ok is (exact <= 1)
+        assert rep.violations == ([] if exact <= 1 else
+                                  [{"pair": [0, 1], "ratio": image / d}])
+
+
+def test_verifier_decides_inexact_roots():
+    # the images and the modulus are irrational here: ellp:2 coordinates
+    # 2^(-n/2)(1 - 2^-j) and the root:2 modulus, decided on the float
+    # ratio and its radius, checked pair by pair against a 320-bit
+    # re-evaluation of the same ratio
+    mpmath = pytest.importorskip("mpmath")
+    space = random_rational_metric_space(7, 3)
+    table = build_ellp_injection(space, 2)
+    rep = verify_injection(space, table)
+    assert isinstance(rep.worst_ratio, float)
+    assert rep.ok
+    # a domain shrunk below the images' own norm breaks the bound on
+    # every pair, each by more than the float error
+    shrunk = FiniteMetricSpace.from_rows(
+        [[space.distance(i, j) / 10 ** 6 for j in range(7)]
+         for i in range(7)])
+    rep = verify_injection(shrunk, table)
+    with mpmath.workprec(320):
+        for v in rep.violations:
+            i, j = v["pair"]
+            a, b = table.images[i].as_dict(), table.images[j].as_dict()
+            di = mpmath.sqrt(mpmath.fsum(
+                (to_mpf(a.get(n, 0)) - to_mpf(b.get(n, 0))) ** 2
+                for n in set(a) | set(b)))
+            assert di > mpmath.sqrt(to_mpf(shrunk.distance(i, j)))
+    assert len(rep.violations) == 21 and not rep.ok
+
+
+def _ellp_table(p, *images):
+    return InjectionTable(target="ellp",
+                          images=[SeqVector(img) for img in images],
+                          labels=tuple(map(str, range(len(images)))),
+                          p=Fraction(p), descriptor=None, warnings=[])
+
+
+def test_verifier_settles_tight_irrational_pairs():
+    # images (1, 1) and 0 in ellp:2 sit sqrt(2) apart, the root:2 modulus
+    # of distance 2: the float ratio is 1, and the bound holds with
+    # equality, which the p-th powers 2 <= 2 decide exactly; a domain
+    # distance 10^-30 shorter breaks it
+    table = _ellp_table(2, ((1, Fraction(1)), (2, Fraction(1))), ())
+    rep = verify_injection(two_point_space(Fraction(2)), table)
+    assert rep.worst_ratio == 1.0 and rep.ok
+    rep = verify_injection(
+        two_point_space(2 - Fraction(1, 10 ** 30)), table)
+    assert rep.worst_ratio == 1.0 and not rep.ok
+    # thirds, which no interval holds exactly: 2/9 <= 2/9 in Fractions
+    third = Fraction(1, 3)
+    table = _ellp_table(2, ((1, third), (2, third)), ())
+    rep = verify_injection(two_point_space(Fraction(2, 9)), table)
+    assert rep.worst_ratio == 1.0 and rep.ok
+
+
+def test_verifier_settles_inexact_powers_on_intervals():
+    # in ellp:3/2 the images (1, 2) and 0 lie (1 + 2^(3/2))^(2/3) apart,
+    # irrational; domain distances at the floats around it leave the float
+    # ratio within RATIO_RADIUS of 1 and are decided on intervals, as a
+    # 320-bit evaluation says
+    mpmath = pytest.importorskip("mpmath")
+    table = _ellp_table(Fraction(3, 2), ((1, Fraction(1)), (2, Fraction(2))),
+                        ())
+    with mpmath.workprec(320):
+        exact = (1 + mpmath.mpf(2) ** 1.5) ** (mpmath.mpf(2) / 3)
+    near = float(exact)
+    verdicts = set()
+    for d in (math.nextafter(near, 0), near, math.nextafter(near, 3)):
+        rep = verify_injection(two_point_space(Fraction(d)), table,
+                               "identity")
+        assert abs(rep.worst_ratio - 1) <= RATIO_RADIUS
+        assert rep.ok is (exact <= d)
+        verdicts.add(rep.ok)
+    assert verdicts == {True, False}
+
+
+def test_verifier_reads_mixed_tables_exactly():
+    # Python subtracts a float from a Fraction after rounding the Fraction
+    # to a float: 1/3 - 0.3333333333333333 would read 0, where it is about
+    # 1.85e-17, past the bound of a domain distance 10^-17; the table is
+    # read in Fractions
+    rep = _ballchain_pair([Fraction(1, 3), 0.3333333333333333],
+                          Fraction(1, 10 ** 17))
+    exact = (Fraction(1, 3) - Fraction(0.3333333333333333)) * 10 ** 17
+    assert rep.worst_ratio == exact and not rep.ok
 
 
 def test_verifier_fraction_ratio_is_exact():

@@ -1,17 +1,20 @@
-"""The one violation rule, at its boundary, through every caller; and the
+"""The one decision rule, at its boundary, through every caller; and the
 one exact-or-float rule of powers and sums.
 
-An inexact gap violates only strictly below -REL_TOL * max(scale, 1);
-exact gaps compare against zero. The float gaps here sit on that
-threshold and one ulp either side of it, where any second copy of the
-rule that drifted (a strict/non-strict flip, a missing floor at 1, a
-scale rounded through float) would answer differently.
+`violation` decides an inequality value >= 0 three ways: proven
+violated, proven holding, or undecided. An exact value is always
+decided; a float is decided only once its radius cannot change the
+answer, so the floats here sit on the radius and one ulp either side of
+it, checked against the exact value the float and radius stand for. The
+gaps that the float rule leaves undecided are re-decided exactly, as 0,
+or as an interval, each checked against a 320-bit re-sum.
 
 A power or a sum of rationals stays a Fraction wherever the result is
 rational; anything else is a float.
 """
 
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -19,57 +22,133 @@ import pytest
 
 from oracles import mpmath_certify_violation
 from roundlab.cyclic import DoubleSimplex
-from roundlab.numerics import (PRECISION_BITS, REL_TOL, exact_int_root,
-                               exact_rational_pow, exact_sum, is_violation,
-                               rational_pow)
-from roundlab.obstruction import _margin
-from roundlab.roundness import GapResult, certify_violation
-
-
-def around(threshold: float) -> list[tuple[float, bool]]:
-    """(gap, violates) on the threshold and one ulp either side."""
-    return [(math.nextafter(threshold, -math.inf), True),
-            (threshold, False),
-            (math.nextafter(threshold, math.inf), False)]
-
-
-# below a scale of 1 the threshold is floored at -REL_TOL itself
-FLOORED = around(-REL_TOL)
+from roundlab.numerics import (PRECISION_BITS, ScaledPowers, exact_int_root,
+                               exact_rational_pow, exact_sum, gap_radius,
+                               intervals, rational_pow, violation)
+from roundlab.obstruction import REL_TOL, _margin
+from roundlab.roundness import GapResult, _float_gap, certify_violation
 
 
 @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 1000.0, 2.0 ** 40])
 def test_is_violation_float_boundary(scale):
-    for gap, violates in around(-REL_TOL * max(scale, 1.0)):
-        assert is_violation(gap, scale) is violates
+    # a float gap v with radius r stands for every real in [v - r, v + r]:
+    # it is decided exactly when that whole interval lies on one side of
+    # 0. r is the radius of a gap whose sums add up to `scale`, and the
+    # floats sit on -r and r and one ulp either side of each
+    for r in (gap_radius(1.5, 4) * scale, 2.0 ** -1074):
+        for c in (-r, r):
+            for v in (math.nextafter(c, -math.inf), c,
+                      math.nextafter(c, math.inf)):
+                lo = Fraction(v) - Fraction(r)
+                hi = Fraction(v) + Fraction(r)
+                expected = True if hi < 0 else False if lo >= 0 else None
+                assert violation(v, r) is expected, (v, r)
 
 
 def test_is_violation_exact_gaps_compare_with_zero():
-    tiny = Fraction(1, 10 ** 40)
-    assert is_violation(-tiny, 10 ** 6)
-    assert not is_violation(Fraction(0), 10 ** 6)
-    assert not is_violation(0, 0)
-    assert is_violation(-1, 0)
+    tiny = Fraction(1, 10 ** 400)
+    assert violation(-tiny) is True
+    assert violation(tiny) is False
+    # an exact value is decided outright, whatever radius comes with it
+    assert violation(-tiny, 1.0) is True
+    assert violation(Fraction(0)) is False and violation(0) is False
+    assert violation(-1) is True
+
+
+def test_is_violation_keeps_mpmath_precision():
+    iv = intervals(2 * PRECISION_BITS)
+    eps = iv.mpf(2) ** -150
+    assert violation(iv.mpf([-1, -eps])) is True
+    assert violation(iv.mpf([0, 1])) is False
+    assert violation(iv.mpf([-eps, eps])) is None
+    # 1/3 - 1/3 encloses 0 with a radius of its roundings
+    third = iv.mpf(1) / 3
+    assert violation(third - third) is None
+    assert violation(third - iv.mpf(1) / 4) is False
 
 
 def test_gap_result_boundary():
-    # lhs = -gap, rhs = 0: the gap is exact and the scale below 1
-    for gap, violates in FLOORED:
-        assert GapResult(1.5, -gap, 0.0, False).is_violation() is violates
+    for gap, radius in ((-1e-15, 2e-15), (-3e-15, 2e-15), (3e-15, 2e-15)):
+        expected = violation(gap, radius)
+        assert GapResult(1.5, -gap, 0.0, False, radius).is_violation() \
+            is expected
+    assert GapResult(2, Fraction(1), Fraction(1, 3), True, 0).is_violation()
 
 
 def test_margin_boundary():
-    # hi = 0, factor * lo = -gap: the margin is exact and the scale below 1
-    for gap, violates in FLOORED:
+    # the averaged comparisons keep their own float band: hi = 0 and
+    # factor * lo = -gap, the margin exact and the scale below 1
+    threshold = -REL_TOL
+    for gap, violates in ((math.nextafter(threshold, -math.inf), True),
+                          (threshold, False),
+                          (math.nextafter(threshold, math.inf), False)):
         for factor in (1.0, 0.5):
             margin, holds = _margin(0.0, -gap / factor, factor)
             assert margin == gap
             assert holds is not violates
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_float_gap_radius_bounds_the_error(seed):
+    # fsum'd float powers of scaled distances: the exact gap of the same
+    # rationals, summed in mpmath at 320 bits, lies within the radius;
+    # near-cancelling gaps put the error at its largest relative to 0
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(seed)
+    for _ in range(200):
+        dists = [Fraction(rng.randint(0, 10 ** 6), rng.randint(1, 10 ** 3))
+                 for _ in range(15)]
+        p = rng.choice([0.5, 1.0, 1.5, math.pi, 7.25, 16.0, 200.0])
+        scaled = ScaledPowers(dists)
+        gap, radius, _, _ = _float_gap(scaled, 6, p)
+        top = max(dists) or 1
+        with mpmath.workprec(320):
+            exact = [mpmath.mpf(0) if d == 0 else
+                     (mpmath.mpf(d.numerator) / d.denominator
+                      / (mpmath.mpf(top.numerator) / top.denominator)) ** p
+                     for d in dists]
+            true_gap = mpmath.fsum(exact[6:]) - mpmath.fsum(exact[:6])
+            assert abs(true_gap - gap) <= radius
+
+
+def test_gap_radius_grows_with_p_and_gives_up_past_resolution():
+    assert 0 < gap_radius(0, 1) < gap_radius(16, 1) < gap_radius(16, 4)
+    assert gap_radius(16, 4) < 1e-14
+    assert gap_radius(2.0 ** 60, 1) == math.inf
+
+
+class _TwoFamilySpace:
+    """Points 0, 1 (X) and 2, 3 (Y): d(0, 1) = 1, d(2, 3) = b and
+    d(0, 2) = 1, every other distance 0, so the gap of (0, 1; 2, 3) is
+    1 - 1 - b^p = -b^p at every p. The floats of 1 + b^p and 1 agree
+    for small b, so the float rule leaves the gap undecided."""
+
+    def __init__(self, b):
+        self.b = b
+
+    def distance(self, a, c):
+        pair = {a, c}
+        if pair in ({0, 1}, {0, 2}):
+            return Fraction(1)
+        return self.b if pair == {2, 3} else Fraction(0)
+
+
+def test_certify_violation_matches_mpmath_reference_on_the_boundary():
+    # gaps the float rule leaves undecided, settled as the 320-bit re-sum
+    # says: integer p on rationals exactly; b = 0, the same nonzero
+    # distances on both sides, as a gap of 0; any other as an interval at
+    # 160 bits
+    ds = DoubleSimplex((0, 1), (2, 3))
+    for b in (Fraction(0), Fraction(1, 10 ** 17), 1e-17, Fraction(1, 3)):
+        space = _TwoFamilySpace(b)
+        for p in (1, 2.0, 1.5, 0.25):
+            assert certify_violation(space, ds, p) is (b != 0)
+            assert mpmath_certify_violation(space, ds, p) is (b != 0)
+
+
 class _OneDistanceSpace:
     """Four points where d(0, 1) = within and every other distance is
-    0.0: for the double simplex (0, 1; 2, 3) at p = 1 the gap is -within,
-    re-summed in decimal because the distances are floats."""
+    0.0: for the double simplex (0, 1; 2, 3) at p the gap is -within^p."""
 
     def __init__(self, within: float):
         self.within = within
@@ -79,37 +158,14 @@ class _OneDistanceSpace:
 
 
 def test_certify_violation_mpmath_boundary():
+    # the distances are powered over their largest, so neither a subnormal
+    # nor a huge distance leaves the float range
     ds = DoubleSimplex((0, 1), (2, 3))
-    for gap, violates in FLOORED:
-        space = _OneDistanceSpace(-gap)
-        assert certify_violation(space, ds, 1) is violates
-        assert certify_violation(space, ds, 1.0) is violates
-
-
-def test_certify_violation_matches_mpmath_reference_on_the_boundary():
-    # the decimal re-sum and the 160-bit mpmath one agree on the threshold
-    # and one ulp either side, at integer and fractional p
-    ds = DoubleSimplex((0, 1), (2, 3))
-    for gap, violates in FLOORED:
-        space = _OneDistanceSpace(-gap)
-        for p in (1, 1.0, 1.5):
-            assert certify_violation(space, ds, p) \
-                is mpmath_certify_violation(space, ds, p)
-        assert mpmath_certify_violation(space, ds, 1.0) is violates
-
-
-def test_is_violation_keeps_mpmath_precision():
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workprec(160):
-        # a scale that rounds to 1000.0 as a float; the gap lies between
-        # the exact threshold and the one of the rounded scale
-        scale = mpmath.mpf(1000) + mpmath.mpf(2) ** -60
-        exact = -REL_TOL * scale
-        rounded = -REL_TOL * mpmath.mpf(float(scale))
-        gap = (exact + rounded) / 2
-        assert exact < gap < rounded
-        assert not is_violation(gap, scale)
-        assert is_violation(exact - mpmath.mpf(2) ** -150, scale)
+    for within in (5e-324, 1e-300, 1e-12, 1.0, 1e300, 0.0):
+        space = _OneDistanceSpace(within)
+        for p in (1, 1.0, 1.5, 200):
+            assert certify_violation(space, ds, p) is (within > 0)
+            assert mpmath_certify_violation(space, ds, p) is (within > 0)
 
 
 @pytest.mark.parametrize("d, alpha, expected", [

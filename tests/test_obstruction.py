@@ -268,6 +268,31 @@ def test_mc_needs_declared_class_distance():
         class_extremes(emap, cls, samples=4000)
 
 
+class ClassDistanceOnly:
+    """A custom map with `space`, `image_distance` and `class_distance`,
+    but no `declared_roundness`."""
+
+    def __init__(self, inner):
+        self.space = inner.space
+        self.image_distance = inner.image_distance
+        self.class_distance = inner.class_distance
+
+
+def test_map_without_declared_roundness_is_refused():
+    # a map that declares no roundness gets the ValueError naming what it
+    # lacks, not an AttributeError; None declares no claim
+    emap = ClassDistanceOnly(CircleEmbeddingMap(small_space()))
+    for levels in (None, 2):
+        with pytest.raises(ValueError, match="declares no declared_roundness"):
+            if levels is None:
+                verify_step_inequality(emap, SimplexClass(1, 2, 2), 2.0)
+            else:
+                verify_chain_inequality(emap, SimplexClass(1, 2, 2), levels,
+                                        2.0)
+    emap.declared_roundness = None
+    assert verify_step_inequality(emap, SimplexClass(1, 2, 2), 2.0).holds
+
+
 def test_declared_class_distance_draws_nothing_and_starts_no_pool(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no pair draw or pool expected")
@@ -402,6 +427,20 @@ def test_coarse_envelope_exhausted():
     rep = coarse_obstruction_report(moduli, 0.1)
     assert not rep.found
     assert "exhausted" in rep.binding_constraint
+
+
+def test_coarse_overflowing_power_finds_the_obstruction():
+    # alpha = 4 at n = 1, and 4^2000 is past every float: lhs is inf and
+    # the obstruction is found there, as at any p where nothing overflows
+    moduli = L([(1, 1), (2, 4), (4, 16), (8, 64), (1024, 1048576)])
+    rep = coarse_obstruction_report(moduli, 2000.0)
+    assert rep.found and rep.n == 1 and rep.alpha == 4.0
+    assert rep.scanned == [{"n": 1, "rho1": 4.0, "alpha": 4.0,
+                            "lhs": math.inf}]
+    assert rep.margin == math.inf
+    low = coarse_obstruction_report(moduli, 2.0)
+    assert low.found and low.n == 1
+    assert low.scanned[0]["lhs"] == 4.0 ** 2.0 * math.exp(-1.0)
 
 
 def test_coarse_p_validation():

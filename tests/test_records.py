@@ -77,7 +77,7 @@ RECORDS = {
         ((SPACE, 1.5), ValueError, r"alpha must lie in \(0, 1\]")]),
     ConstantMap: ((SPACE,), (0, ProductCycleSpace(4, C8)), []),
     LevelAverage: ((PairClass(1, 2), 2.0, 1.5, 10, "mc"), (4, "exact"), []),
-    GapResult: ((2, F(8), F(4), True), (2, F(5)), []),
+    GapResult: ((2, F(8), F(4), True, 0), (2, F(5)), []),
     PlanarPoints: ((((0, 0), (3, 4)),), (0, ((0, 0), (1, 1))), []),
     ZPoint: ((2, ((0, 1), (3, 2))), (1, ((0, 1),)), [
         ((3,), ValueError, "block size must be even"),

@@ -88,3 +88,28 @@ def test_bench_files_record_their_setup():
         assert not missing, f"{name} lacks {sorted(missing)}"
         checked += 1
     assert checked >= 4
+
+
+def test_one_certainty_rule():
+    # gaps and ratios are decided by `numerics.violation` alone: no module
+    # re-sums in `decimal`, and the float band REL_TOL is named only where
+    # the averaged comparisons keep it, in obstruction.py
+    import ast
+
+    for path in sorted((ROOT / "src" / "roundlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, named = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+            if isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+        assert "decimal" not in imported, path.name
+        if path.name != "obstruction.py":
+            assert "REL_TOL" not in named, path.name

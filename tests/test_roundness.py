@@ -14,7 +14,7 @@ import pytest
 from oracles import (character_quotient, dense_top_eigenvalue,
                      interval_character_eigenvalue, mpmath_certify_violation,
                      reference_power_matrix)
-from roundlab import kernels, roundness
+from roundlab import kernels, numerics, roundness
 from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
                              ProductCycleSpace, stage_space)
 from roundlab.metric import FiniteMetricSpace, snowflake
@@ -97,8 +97,9 @@ def test_decimal_certifier_matches_mpmath_reference(n, seed, max_size,
     # every witness an estimate finds, re-tested at every fractional probe
     # of the run, at its own crossing, one ulp below it and within 1e-9
     # and 1e-10 of it, where the distances are rational and the sums
-    # inexact: the ln-exp decimal re-sum and the 160-bit mpmath one give
-    # one verdict, and each witness violates at its crossing
+    # inexact: the certifier (once a decimal re-sum, now the float radius
+    # and its interval fallback) and the 320-bit mpmath re-sum give one
+    # verdict, and each witness violates at its crossing
     space = random_rational_metric_space(n, seed)
     est, found = _crossings(space, max_size, monkeypatch)
     assert found and found[-1] == (est.witness, est.upper)
@@ -134,12 +135,14 @@ def test_find_violation_exhaustive():
 def test_zero_probe_scans_nothing(space, monkeypatch):
     # off the diagonal D^0 is all ones, so no gap is negative at p = 0
     scan = kernels.min_gap_scan
-    assert scan(DistanceIndex(space).power_matrix(0.0), 3, 1e-12)[0] is None
+    index = DistanceIndex(space)
+    assert scan(index.power_matrix(0.0), 3, 0.0, index.scaled.floor(0.0),
+                lambda xs, ys: pytest.fail("undecided at p = 0"))[0] is None
     calls = []
 
-    def spy(dp, max_size, rel_tol):
+    def spy(dp, max_size, p, floor, resolve):
         calls.append(dp)
-        return scan(dp, max_size, rel_tol)
+        return scan(dp, max_size, p, floor, resolve)
 
     # the probe calls the scan through the kernels module
     monkeypatch.setattr(kernels, "min_gap_scan", spy)
@@ -223,17 +226,21 @@ def test_power_matrix_takes_one_dpow_per_distinct_distance(make, distinct,
             for d in [space.distance(i, j)]}
     if distinct is not None:
         assert len(keys) == distinct
-    calls, dpow = [], roundness.dpow
+    index = DistanceIndex(space)
+    calls, powers = [], numerics.ScaledPowers.powers
 
-    def counting_dpow(d, p):
-        calls.append((type(d), d))
-        return dpow(d, p)
+    def counting(scaled, p):
+        calls.append(list(scaled.ratios))
+        return powers(scaled, p)
 
-    monkeypatch.setattr(roundness, "dpow", counting_dpow)
-    DistanceIndex(space).power_matrix(1.5)
-    # one call per distinct (type, value): 1/2 as a Fraction and as a
-    # float are two, 3 as a Fraction and as an int two
-    assert sorted(calls, key=repr) == sorted(keys, key=repr)
+    monkeypatch.setattr(numerics.ScaledPowers, "powers", counting)
+    index.power_matrix(1.5)
+    # one power per distinct (type, value): 1/2 as a Fraction and as a
+    # float are two, 3 as a Fraction and as an int two; each is that key
+    # over the largest distance
+    assert sorted(index.keys, key=repr) == sorted((d for _, d in keys),
+                                                  key=repr)
+    assert calls == [index.scaled.ratios] and len(calls[0]) == len(keys)
 
 
 def test_monotonicity_of_violations():
@@ -256,6 +263,56 @@ def test_estimate_c4_brackets_one():
     assert est.witness is not None
     assert sorted(est.witness.xs + est.witness.ys) == [0, 1, 2, 3]
     assert certify_violation(C4, est.witness, est.witness_p)
+
+
+def _c5_roundness(bits=320):
+    """log2(8/3), the roundness of the 5-cycle, to `bits` bits: its
+    witness (0, 0, 2; 1, 1, 4) has gap 8 - 3 * 2^p."""
+    import mpmath
+
+    with mpmath.workprec(bits):
+        return mpmath.log(mpmath.mpf(8) / 3, 2)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-12, 1e-14,
+                                 2 * math.ulp(math.log2(8 / 3))])
+def test_c5_bracket_holds_its_roundness_at_every_tolerance(tol):
+    # a clean probe is proven clean, so the lower end cannot pass the
+    # witness's crossing however fine the tolerance, down to the finest
+    # above float resolution
+    pytest.importorskip("mpmath")
+    est = estimate_roundness(cycle_graph_space(5), 3, tol)
+    assert est.certified and est.flags == []
+    assert est.lower <= _c5_roundness() <= est.upper
+    assert est.upper - est.lower <= tol
+
+
+def test_c4_bracket_holds_one_below_float_resolution():
+    est = estimate_roundness(C4, 3, 1e-20)
+    assert est.certified
+    assert est.flags == ["tolerance below float resolution"]
+    assert est.lower <= 1.0 <= est.upper
+    assert est.upper == math.nextafter(est.lower, math.inf)
+
+
+def _scaled(space, factor):
+    n = space.size
+    return FiniteMetricSpace.from_rows(
+        [[space.distance(i, j) * factor for j in range(n)]
+         for i in range(n)])
+
+
+@pytest.mark.parametrize("make", [lambda: equilateral_space(3), lambda: C4],
+                         ids=["equilateral-3", "c4"])
+def test_scaled_space_reports_its_unscaled_bracket(make):
+    # powers are taken over the largest distance, so neither distance 1000
+    # at p_cap 200 nor 10^-300 overflows or underflows: the gap's sign,
+    # and with it the bracket, does not change under scaling
+    space = make()
+    est = estimate_roundness(space, 3, p_cap=200.0)
+    for factor in (1000, Fraction(1, 10 ** 300)):
+        assert estimate_roundness(_scaled(space, factor), 3,
+                                  p_cap=200.0) == est
 
 
 def test_estimate_snowflake_doubles():
@@ -331,7 +388,7 @@ def test_estimate_builds_one_character_table(monkeypatch):
     # over budget: refused before any interval is computed, with the flag
     # the probe used to raise
     built.clear()
-    monkeypatch.setattr(roundness, "_intervals", None)
+    monkeypatch.setattr(roundness, "intervals", None)
     est = estimate_roundness(space, budget=43)
     assert built == [(space, 43)]
     assert est.probes == [] and not est.certified
@@ -520,7 +577,7 @@ def test_small_roundness_gets_its_crossing_as_upper_end(make, low, high):
 
 
 def test_estimate_recertifies_only_the_reported_witness(monkeypatch):
-    # intermediate witnesses steer the probes; the decimal re-sum runs
+    # intermediate witnesses steer the probes; the certifier runs
     # once, on the witness reported, at the upper end
     calls, certify = [], roundness.certify_violation
 
@@ -537,8 +594,8 @@ def test_estimate_recertifies_only_the_reported_witness(monkeypatch):
 
 
 def test_failed_recertification_is_an_error(monkeypatch):
-    # find_violation_exhaustive keeps its contract: a witness the decimal
-    # re-sum does not confirm is an error, and so is a reported one
+    # find_violation_exhaustive keeps its contract: a witness the
+    # certifier does not confirm is an error, and so is a reported one
     monkeypatch.setattr(roundness, "certify_violation", lambda *args: False)
     with pytest.raises(ArithmeticError, match="failed recertification"):
         find_violation_exhaustive(C4, 3, 1.5)
