@@ -11,16 +11,14 @@ possible.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Optional
 
 from . import Record
 from .metric import FiniteMetricSpace
-from .numerics import (PRECISION_BITS, Number, exact_sum, intervals,
-                       json_int, parse_fraction, rational_pow, to_mpf,
-                       violation)
+from .numerics import (Number, exact_sum, json_int, parse_fraction,
+                       rational_pow, settle, violation)
 from .report import sanitize
 
 
@@ -346,21 +344,13 @@ RATIO_RADIUS = 2.0 ** -40
 
 def _settled(table: InjectionTable, i: int, j: int, d, q) -> bool:
     """Whether images i and j lie farther apart than d^(1/q), both sides
-    raised to the image exponent e: exactly where s and d^(e/q) come out
-    rational (a float converts exactly), else on intervals at twice
-    PRECISION_BITS; ArithmeticError where those leave it undecided."""
-    a, b = table.images[i], table.images[j]
-    s, e = _image_power(table.target, table.p, a, b, Fraction)
-    slack = rational_pow(Fraction(d), e / q) - s
-    if not isinstance(slack, Fraction):
-        lift = functools.partial(to_mpf, ctx=intervals(2 * PRECISION_BITS))
-        s, e = _image_power(table.target, table.p, a, b, lift)
-        slack = rational_pow(lift(d), e / q) - s
-    verdict = violation(slack)
-    if verdict is None:
-        raise ArithmeticError(f"Lipschitz bound on pair {[i, j]} "
-                              f"undecided at {2 * PRECISION_BITS} bits")
-    return verdict
+    raised to the image exponent e, as `numerics.settle` decides it."""
+    def slack(lift):
+        s, e = _image_power(table.target, table.p, table.images[i],
+                            table.images[j], lift)
+        return rational_pow(lift(d), e / q) - s
+
+    return settle(slack, f"Lipschitz bound on pair {[i, j]}")
 
 
 def verify_injection(space, table: InjectionTable,
@@ -419,14 +409,11 @@ def verify_injection(space, table: InjectionTable,
                      else float(di) / float(bound))
             if worst is None or ratio > worst:
                 worst, worst_pair = ratio, (i, j)
-            if isinstance(ratio, Fraction):
-                exceeds = ratio > 1
-            elif ratio < math.inf and min(float(s), float(di),
-                                          float(bound)) > 2 ** -960:
-                # past 2^-960 the underflow of any term is negligible
-                exceeds = violation(1.0 - ratio, RATIO_RADIUS * ratio)
-            else:
-                exceeds = None
+            # an exact ratio is decided outright; past 2^-960 the underflow
+            # of any float term is negligible
+            exceeds = violation(1 - ratio, RATIO_RADIUS * ratio) if (
+                isinstance(ratio, Fraction) or ratio < math.inf and min(
+                    float(s), float(di), float(bound)) > 2 ** -960) else None
             if exceeds is None:
                 exceeds = _settled(table, i, j, d, q)
             if exceeds:

@@ -1,6 +1,7 @@
 """Shared numeric conventions: exact rationals where possible, floats
-with a proven error radius or mpmath intervals elsewhere, and one rule
-(`violation`) that decides an inequality from any of the three."""
+with a proven error radius or mpmath intervals elsewhere, one rule
+(`violation`) that decides an inequality from any of the three, and one
+settlement (`settle`) of a value the float rule leaves undecided."""
 
 from __future__ import annotations
 
@@ -19,6 +20,9 @@ UNIT, NORMAL_MIN = 2.0 ** -53, 2.0 ** -1022
 # mpmath working precision of inexact fractional powers and character
 # intervals; an undecided gap is re-decided at twice this
 PRECISION_BITS = 80
+# the most bits of an exact power's numerator or denominator in `dpow`:
+# Fraction arithmetic takes about 0.1 s on 2^18 bits, 1 s on 2^20
+EXACT_POWER_BITS = 2 ** 18
 
 
 def json_int(value, entry: str) -> int:
@@ -43,14 +47,19 @@ def parse_fraction(text) -> Fraction:
 def dpow(d: Number, p: float) -> Number:
     """d**p with the counting convention 0**0 = 0 and d**0 = 1 for d > 0.
 
-    Stays in exact arithmetic when d is rational and p a nonnegative integer.
+    Stays in exact arithmetic when d is rational and p a positive integer
+    (within EXACT_POWER_BITS), and an mpmath interval when d is one.
     """
     if d == 0:
         return 0
     if p == 0:
         return 1
-    if isinstance(d, (int, Fraction)) and float(p).is_integer() and p > 0:
+    if (isinstance(d, (int, Fraction)) and float(p).is_integer() and p > 0
+            and p * max(map(int.bit_length, Fraction(d).as_integer_ratio()))
+            <= EXACT_POWER_BITS):
         return d ** int(p)
+    if not isinstance(d, float) and hasattr(d, "a"):
+        return d ** to_mpf(p, d.ctx)
     return float(d) ** p
 
 
@@ -82,7 +91,7 @@ def gap_radius(p, additions: int) -> float:
     """Relative radius of a float gap rhs - lhs of float powers b ** p,
     p >= 0, of the floats nearest the bases, each term passing at most
     `additions` rounded additions: the gap is within this times the
-    computed lhs + rhs, plus `ScaledPowers.floor` a term, of the exact one
+    computed lhs + rhs, plus `DistanceIndex.floor` a term, of the exact one
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4).
     With theta the error of (1 + UNIT)^p for the base, one ulp (2 UNIT,
     as glibc's pow) and the additions and subtraction, 2 theta bounds
@@ -91,30 +100,24 @@ def gap_radius(p, additions: int) -> float:
     return 2 * theta if theta < 0.25 else math.inf
 
 
-class ScaledPowers:
-    """Distances over `top` (their largest magnitude by default) as the
-    nearest floats: no power then exceeds 1, and no gap changes sign."""
-
-    __slots__ = ("ratios", "low", "signed")
-
-    def __init__(self, dists, top: Number | None = None):
-        if top is None:
-            top = max(map(abs, dists), default=0) or 1
-        exact = [Fraction(d) / Fraction(top) for d in dists]
-        self.ratios = [float(r) for r in exact]
-        self.low = any(0 < abs(r) < NORMAL_MIN for r in exact)
-        self.signed = any(r < 0 for r in exact)
-
-    def powers(self, p) -> list[float]:
-        """Each ratio's float power, 0 for 0 (0**0 = 0, as in `dpow`);
-        TypeError for a complex one."""
-        return [float(r ** p) if r else 0.0 for r in self.ratios]
-
-    def floor(self, p) -> float:
-        """A power's error beyond `gap_radius`: a few subnormal ulps, or
-        where a ratio is below NORMAL_MIN (no relative precision) the
-        largest power such a ratio can have."""
-        return max(2.0 ** -1072, (2 * NORMAL_MIN) ** p if self.low else 0.0)
+def settle(evaluate, what: str) -> bool:
+    """`violation` of a value the float rule left undecided, proven, with
+    evaluate(lift) computing it from inputs each passed through lift: in
+    Fractions (a float converts exactly) where it comes out rational, else
+    on intervals at twice PRECISION_BITS; ArithmeticError naming `what`
+    where those leave it undecided."""
+    try:
+        value = evaluate(Fraction)
+    except OverflowError:
+        # a float power past EXACT_POWER_BITS out of range
+        value = None
+    if not isinstance(value, (int, Fraction)):
+        value = evaluate(functools.partial(
+            to_mpf, ctx=intervals(2 * PRECISION_BITS)))
+    verdict = violation(value)
+    if verdict is None:
+        raise ArithmeticError(f"{what} undecided at {2 * PRECISION_BITS} bits")
+    return verdict
 
 
 @functools.lru_cache(maxsize=2)

@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import Record
 from .cycles import (PairClass, ProductCycleSpace, SimplexClass,
                      count_pairs_closed, stage_pair_class, stage_space)
-from .numerics import dpow, parse_fraction
+from .numerics import (dpow, gap_radius, parse_fraction, settle,
+                       violation)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,6 +74,8 @@ class _CycleMapBase(Record):
     are exactly delta on every pair of a (delta, support) class."""
 
     __slots__ = ()
+    # class_power(delta, support, p, lift): the exact class distance to the
+    # p-th power (0**0 = 0, as in dpow) in the values lift makes (`settle`)
 
     def class_distance(self, cls: PairClass) -> float:
         """The image distance shared by every pair of `cls`, from (delta,
@@ -80,7 +83,7 @@ class _CycleMapBase(Record):
         `support` coordinates. It equals `image_distance` on each class
         pair bit for bit, and builds no point or batch."""
         cls.validate_for(self.space)
-        return self._class_distance(cls.delta, cls.support)
+        return self.class_power(cls.delta, cls.support)
 
     def image_distance_batch(self, batch: SparsePairBatch) -> np.ndarray:
         """Image distance of each sampled row: the class distance of the
@@ -103,8 +106,8 @@ class IdentityMap(_CycleMapBase):
     def image_distance(self, x, y) -> float:
         return float(self.space.distance(x, y))
 
-    def _class_distance(self, delta: int, support: int) -> float:
-        return float(self.space.quantum * delta)
+    def class_power(self, delta: int, support: int, p=1, lift=float):
+        return dpow(lift(self.space.quantum * delta), p)
 
 
 class CircleEmbeddingMap(_CycleMapBase):
@@ -133,11 +136,17 @@ class CircleEmbeddingMap(_CycleMapBase):
                 squares.append(c * c)
         return math.sqrt(math.fsum(squares))
 
-    def _class_distance(self, delta: int, support: int) -> float:
-        # the fsum of `support` equal rounded squares is their product,
-        # rounded once, so this matches `image_distance` bit for bit
-        c = self.chord(delta)
-        return math.sqrt(support * (c * c))
+    def class_power(self, delta: int, support: int, p=1, lift=float):
+        ctx = getattr(lift(1), "ctx", None)
+        if ctx is None:
+            # the fsum of `support` equal rounded squares is their product,
+            # rounded once, so this matches `image_distance` bit for bit;
+            # a float, as no exact chord is rational
+            c = self.chord(delta)
+            return dpow(math.sqrt(support * (c * c)), p)
+        units = self.space.units
+        return dpow(units * lift(self.space.quantum) / ctx.pi
+                    * ctx.sqrt(support) * ctx.sin(ctx.pi * delta / units), p)
 
 
 class SnowflakeMap(_CycleMapBase):
@@ -156,8 +165,10 @@ class SnowflakeMap(_CycleMapBase):
     def image_distance(self, x, y) -> float:
         return float(self.space.distance(x, y)) ** self.alpha
 
-    def _class_distance(self, delta: int, support: int) -> float:
-        return float(self.space.quantum * delta) ** self.alpha
+    def class_power(self, delta: int, support: int, p=1, lift=float):
+        # (d^alpha)^p as one power, exact where alpha p is an integer
+        return dpow(lift(self.space.quantum * delta),
+                    Fraction(self.alpha) * Fraction(p))
 
 
 class ConstantMap(_CycleMapBase):
@@ -173,8 +184,8 @@ class ConstantMap(_CycleMapBase):
     def image_distance(self, x, y) -> float:
         return 0.0
 
-    def _class_distance(self, delta: int, support: int) -> float:
-        return 0.0
+    def class_power(self, delta: int, support: int, p=1, lift=float):
+        return lift(0.0)
 
 
 def resolve_builtin_map(spec: str, space: ProductCycleSpace):
@@ -278,14 +289,23 @@ def _check_declared(emap, p: float) -> bool:
     return False
 
 
-REL_TOL = 1e-12
+# a bound, in UNITs, on the relative error of a built-in map's float class
+# distance: the identity's 1, a snowflake's alpha + 2 (its base's rounding
+# to the alpha, and one ulp), the circle's 11 (its radius within 3, the
+# sine's argument 3 and the sine 5, the chord 9, its square and their sum
+# 20, the square root 11); a map without class_power has exact floats
+CLASS_ROUNDING = 12
 
 
-def _margin(hi: float, lo: float, factor: float) -> tuple[float, bool]:
-    """(margin, holds) for hi >= factor * lo: the float margin fails only
-    below -REL_TOL * max(|hi|, |factor * lo|, 1)."""
+def _margin(hi: float, lo: float, factor: float, rel: float, value,
+            what: str) -> tuple[float, bool]:
+    """(margin, holds) for hi >= factor * lo: the float margin against rel
+    times its terms' magnitudes and a few subnormal ulps, and where that
+    leaves it undecided the exact value(lift), as `settle` decides it."""
     margin = hi - factor * lo
-    return margin, not margin < -REL_TOL * max(abs(hi), abs(factor * lo), 1)
+    radius = rel * (abs(hi) + abs(factor * lo)) + 2.0 ** -1070
+    verdict = violation(margin, radius)
+    return margin, not (settle(value, what) if verdict is None else verdict)
 
 
 def verify_step_inequality(emap, scls: SimplexClass, p: float,
@@ -349,10 +369,27 @@ def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
                 for cls in pair_levels]
     r = start.families
     factor = 1.0 - 1.0 / r
+    # a mean is one float power of a class distance within CLASS_ROUNDING,
+    # and (1 - 1/r)^k rounds within 3k + 2 UNIT: with the product and the
+    # subtraction this bounds a margin's error relative to its terms
+    rel = gap_radius(CLASS_ROUNDING * p + 3 * levels, 4)
+
+    def power(cls: PairClass, lift):
+        if hasattr(emap, "class_power"):
+            return emap.class_power(cls.delta, cls.support, p, lift)
+        return dpow(lift(_declared(emap)(cls)), p)
+
+    def compare(i: int, j: int, k: int) -> tuple[float, bool]:
+        def value(lift):
+            hi, lo = (power(pair_levels[m], lift) for m in (i, j))
+            return hi - lift(Fraction(r - 1, r) ** k) * lo
+
+        return _margin(averages[i].mean, averages[j].mean, factor ** k, rel,
+                       value, f"margin of pair levels {i} and {j} at p={p}")
+
     steps = []
     for i, scls in enumerate(scls_chain):
-        margin, holds = _margin(averages[i].mean, averages[i + 1].mean,
-                                factor)
+        margin, holds = compare(i, i + 1, 1)
         steps.append({
             "delta": scls.delta,
             "support": scls.support,
@@ -361,8 +398,7 @@ def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
             "assumed_roundness": assumed,
         })
     factor_total = factor ** levels
-    cum_margin, cum_holds = _margin(averages[0].mean, averages[-1].mean,
-                                    factor_total)
+    cum_margin, cum_holds = compare(0, levels, levels)
     return ChainReport(start, levels, p, averages, steps, factor_total,
                        cum_margin, cum_holds)
 
@@ -396,6 +432,9 @@ def coarse_obstruction_report(moduli: ModulusEnvelope, p: float,
             "rho2(1) is not positive", [])
     scanned = []
     envelope_exhausted_at = None
+    # alpha within 3 UNIT of rho1 / rho2(1) puts alpha^p within 3p, and
+    # pow, exp(-1) and their product add 5: this bounds lhs's error
+    rel = gap_radius(3 * p, 2)
     for n in n_range:
         r1 = moduli.rho1(2 ** n)
         if r1 is None:
@@ -413,7 +452,14 @@ def coarse_obstruction_report(moduli: ModulusEnvelope, p: float,
             # alpha > 1 here, so alpha^p / e lies past every float
             lhs = math.inf
         scanned.append({"n": n, "rho1": float(r1), "alpha": alpha, "lhs": lhs})
-        if lhs > 1.0:
+
+        def value(lift, r1=r1):
+            e = lift(-1)
+            return lift(1) - (dpow(lift(r1) / lift(rho2_1), p)
+                              * getattr(e, "ctx", math).exp(e))
+
+        if lhs == math.inf or not _margin(1.0, lhs, 1.0, rel, value,
+                                          f"growth at n={n}")[1]:
             return CoarseObstructionReport(
                 p, True, n, alpha,
                 None if alpha_exact is None else str(alpha_exact),
@@ -468,12 +514,27 @@ def uniform_obstruction_report(map_spec: str, ladder: Sequence[int], p: float,
         block = n + 2
         space = stage_space(block)
         emap = resolve_builtin_map(map_spec, space)
+        # class distances within CLASS_ROUNDING and exp(-1/p) within
+        # 1/p + 3 UNIT (its argument's rounding, and one ulp): with the
+        # product and the subtraction this bounds the margin
+        rel = gap_radius(CLASS_ROUNDING + 1 / p, 2)
         _check_declared(emap, p if not math.isinf(p) else 0.0)
         fine = stage_pair_class(block, -n, n + 1)
         coarse = stage_pair_class(block, 0, 1)
         _, sup_fine, used_f = class_extremes(emap, fine, samples)
         inf_coarse, _, used_c = class_extremes(emap, coarse, samples)
-        margin, holds = _margin(sup_fine, inf_coarse, factor)
+
+        def value(lift, fine=fine, coarse=coarse, emap=emap):
+            sup, inf = (emap.class_power(c.delta, c.support, 1, lift)
+                        for c in (fine, coarse))
+            if math.isinf(p):
+                return sup - inf
+            e = -1 / lift(p)
+            # exp(-1/p) times a zero coarse distance is an exact 0
+            return sup - (getattr(e, "ctx", math).exp(e) * inf if inf else 0)
+
+        margin, holds = _margin(sup_fine, inf_coarse, factor, rel, value,
+                                f"margin at n={n}")
         entries.append({
             "n": n,
             "block": block,

@@ -5,8 +5,9 @@ A double simplex (x_1..x_r; y_1..y_r) violates at exponent p when
     sum_{i<j} d(x_i,x_j)^p + d(y_i,y_j)^p  >  sum_{i,j} d(x_i,y_j)^p.
 
 Every gap is decided by `numerics.violation`: as a float with its proven
-error radius, and where that leaves it undecided once more (`_settled`),
-so a violation and a clean probe are both proven. The roundness of a
+error radius on a `DistanceIndex` of the points, and where that leaves it
+undecided by `numerics.settle` (`certify_violation`), so a violation and
+a clean probe are both proven. The roundness of a
 space is the supremum of exponents admitting no violation; the set of
 good exponents is an interval starting at 0 (Lennard-Tonge-Weston), so
 one clean probe below and one violating witness above bracket it.
@@ -16,14 +17,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from math import comb
 from typing import Optional
 
 from . import BudgetExceeded, Record
 from .cycles import DoubleSimplex, ProductCycleSpace
-from .numerics import (PRECISION_BITS, ScaledPowers, dpow, gap_radius,
-                       intervals, to_mpf, violation)
+from .numerics import (NORMAL_MIN, PRECISION_BITS, Number, dpow,
+                       gap_radius, intervals, settle, violation)
 
 # the intervals a cycle product's character table may hold when the
 # caller of `estimate_roundness` sets no budget: about 10 s and 100 MiB
@@ -45,83 +47,115 @@ class GapResult(Record):
         return violation(self.gap, self.radius)
 
 
-def _pair_distances(space, ds: DoubleSimplex):
-    xs, ys = ds.xs, ds.ys
-    r = ds.r
-    within = []
-    for fam in (xs, ys):
-        for i in range(r):
-            for j in range(i + 1, r):
-                within.append(space.distance(fam[i], fam[j]))
-    cross = [space.distance(x, y) for x in xs for y in ys]
-    return within, cross
+class DistanceIndex:
+    """The distances of pairs of a space's points as an index into their
+    distinct values: `keys` holds one distance per distinct (type, value),
+    `slots[k]` the position of the k-th pair's among them, and `ratios`
+    the keys over `top` (by default their largest magnitude) as the
+    nearest floats, so no power exceeds 1 and no gap changes sign. The
+    pairs are every ordered pair of the space row by row (`power_matrix`)
+    or, given `ds`, its r(r - 1) within pairs and then its r^2 cross pairs
+    (`gap`). Each probe of an estimate, and each evaluation of a witness's
+    crossing, powers only the keys of one index built beforehand."""
 
+    __slots__ = ("pairs", "split", "slots", "take", "keys", "ratios", "low",
+                 "signed")
 
-def _exact_gap(within, cross, p) -> Optional[GapResult]:
-    """The gap in Fractions when every distance is rational and p a
-    nonnegative integer, else None."""
-    if not (p == int(p) and p >= 0
-            and all(isinstance(d, (int, Fraction)) for d in within + cross)):
-        return None
-    lhs = sum(dpow(d, int(p)) for d in within)
-    rhs = sum(dpow(d, int(p)) for d in cross)
-    return GapResult(int(p), Fraction(lhs), Fraction(rhs), True, 0)
+    def __init__(self, space, ds: DoubleSimplex | None = None,
+                 top: Number | None = None):
+        if ds is None:
+            n = space.size
+            self.pairs, self.split = [divmod(k, n) for k in range(n * n)], 0
+        else:
+            self.pairs = [(fam[i], fam[j]) for fam in (ds.xs, ds.ys)
+                          for i in range(ds.r) for j in range(i + 1, ds.r)]
+            self.split = len(self.pairs)
+            self.pairs += itertools.product(ds.xs, ds.ys)
+        keys: dict = {}
+        self.slots = [keys.setdefault((type(d), d), len(keys))
+                      for d in itertools.starmap(space.distance, self.pairs)]
+        self.take = None if ds is None else operator.itemgetter(*self.slots)
+        self.keys = [d for _, d in keys]
+        top = Fraction(top or max(map(abs, self.keys), default=0) or 1)
+        exact = [Fraction(d) / top for d in self.keys]
+        self.ratios = [float(e) for e in exact]
+        self.low = any(0 < abs(e) < NORMAL_MIN for e in exact)
+        self.signed = any(e < 0 for e in exact)
 
+    def powers(self, p) -> list[float]:
+        """Each ratio's float power, 0 for 0 (0**0 = 0, as in `dpow`). A
+        negative distance (an unchecked space) at fractional p has no real
+        power and raises ValueError naming its first pair."""
+        try:
+            return [float(e ** p) if e else 0.0 for e in self.ratios]
+        except TypeError:
+            # float() refuses the complex power of a negative base
+            k = next(k for k, s in enumerate(self.slots) if self.keys[s] < 0)
+            (i, j), d = self.pairs[k], self.keys[self.slots[k]]
+            raise ValueError(f"distance between points {i} and {j} is negative"
+                             f" ({d}): no real power at p={p}") from None
 
-def _float_gap(scaled: ScaledPowers, split: int, p) -> tuple:
-    """(gap, radius, lhs, rhs) of the float powers of `scaled`, the first
-    `split` within the families; each side is one math.fsum, a single
-    rounding. The radius scales with the powers' magnitudes, lhs + rhs
-    unless a distance is negative (an unchecked space)."""
-    powers = scaled.powers(p)
-    lhs, rhs = math.fsum(powers[:split]), math.fsum(powers[split:])
-    mags = math.fsum(map(abs, powers)) if scaled.signed else lhs + rhs
-    return (rhs - lhs, gap_radius(p, 1) * mags
-            + len(powers) * scaled.floor(p), lhs, rhs)
+    def floor(self, p) -> float:
+        """A power's error beyond `gap_radius`: a few subnormal ulps, or
+        where a ratio is below NORMAL_MIN (no relative precision) the
+        largest power such a ratio can have."""
+        return max(2.0 ** -1072, (2 * NORMAL_MIN) ** p if self.low else 0.0)
+
+    def power_matrix(self, p) -> list[list[float]]:
+        """The float power of d(i, j) over the largest distance, for every
+        ordered pair of points: at most 1, so none overflows."""
+        powers, n = self.powers(p), math.isqrt(len(self.slots))
+        return [[powers[s] for s in self.slots[i * n:(i + 1) * n]]
+                for i in range(n)]
+
+    def sides(self) -> tuple[list, list]:
+        """A double simplex's (within, cross) distances."""
+        dists = [self.keys[s] for s in self.slots]
+        return dists[:self.split], dists[self.split:]
+
+    def gap(self, p) -> tuple:
+        """(gap, radius, lhs, rhs) of a double simplex's float powers, each
+        side one math.fsum: a single rounding, whatever the order of its
+        terms. The radius scales with their magnitudes, lhs + rhs unless a
+        distance is negative (an unchecked space)."""
+        terms = self.take(self.powers(p))
+        lhs = math.fsum(terms[:self.split])
+        rhs = math.fsum(terms[self.split:])
+        mags = math.fsum(map(abs, terms)) if self.signed else lhs + rhs
+        return (rhs - lhs, gap_radius(p, 1) * mags
+                + len(terms) * self.floor(p), lhs, rhs)
 
 
 def simplex_gap(space, ds: DoubleSimplex, p) -> GapResult:
     """Exact Fractions when every distance is rational and p a nonnegative
     integer; float sums, with the gap's radius, otherwise."""
-    within, cross = _pair_distances(space, ds)
-    exact = _exact_gap(within, cross, p)
-    if exact is not None:
-        return exact
-    _, radius, lhs, rhs = _float_gap(ScaledPowers(within + cross, 1),
-                                     len(within), p)
+    index = DistanceIndex(space, ds, 1)
+    sides = index.sides()
+    if p == int(p) and p >= 0 and all(isinstance(d, (int, Fraction))
+                                      for d in sides[0] + sides[1]):
+        # 0**0 = 0, as in dpow, with no bound on the exact power's size
+        lhs, rhs = (Fraction(sum(d ** int(p) for d in side if d))
+                    for side in sides)
+        return GapResult(int(p), lhs, rhs, True, 0)
+    _, radius, lhs, rhs = index.gap(p)
     return GapResult(p, lhs, rhs, False, radius)
-
-
-def _settled(within, cross, p) -> bool:
-    """Whether a gap that its float radius left undecided violates:
-    exactly at integer p on rational distances; not at all when both
-    sides' nonzero distances are one multiset, which makes the gap 0 at
-    every p (every X = Y configuration); else as an interval at twice
-    PRECISION_BITS. ArithmeticError if that too leaves it undecided."""
-    exact = _exact_gap(within, cross, p)
-    if exact is not None:
-        return exact.is_violation()
-    if sorted(d for d in within if d) == sorted(d for d in cross if d):
-        return False
-    iv = intervals(2 * PRECISION_BITS)
-    # 0**0 = 0, as in dpow
-    lhs, rhs = (sum(to_mpf(d, iv) ** p if d else 0 for d in side)
-                for side in (within, cross))
-    verdict = violation(rhs - lhs)
-    if verdict is None:
-        raise ArithmeticError(f"gap undecided at p={p} even at "
-                              f"{2 * PRECISION_BITS} bits")
-    return verdict
 
 
 def certify_violation(space, ds: DoubleSimplex, p) -> bool:
     """Whether ds violates at p, proven: its float gap on the distances
-    over their largest, against the gap's radius, and where that leaves
-    it undecided, `_settled`."""
-    within, cross = _pair_distances(space, ds)
-    verdict = violation(*_float_gap(ScaledPowers(within + cross),
-                                    len(within), p)[:2])
-    return _settled(within, cross, p) if verdict is None else verdict
+    over their largest, against the gap's radius. Where that leaves it
+    undecided, not at all when both sides' nonzero distances are one
+    multiset, which makes the gap 0 at every p (every X = Y
+    configuration), else as `numerics.settle` decides it."""
+    index = DistanceIndex(space, ds)
+    verdict = violation(*index.gap(p)[:2])
+    if verdict is not None:
+        return verdict
+    within, cross = index.sides()
+    if sorted(d for d in within if d) == sorted(d for d in cross if d):
+        return False
+    return settle(lambda lift: sum(dpow(lift(d), p) for d in cross)
+                  - sum(dpow(lift(d), p) for d in within), f"gap at p={p}")
 
 
 def exhaustive_config_count(n_points: int, max_size: int) -> int:
@@ -130,46 +164,6 @@ def exhaustive_config_count(n_points: int, max_size: int) -> int:
         m = comb(n_points + k - 1, k)
         total += m * (m + 1) // 2
     return total
-
-
-class DistanceIndex:
-    """A space's distances as an index into their distinct values: `keys`
-    holds one distance per distinct (type, value) and `rows[i][j]` the
-    position of d(i, j) among them, `scaled` the keys over the largest.
-    Powering each scaled key once gives every entry of the power matrix;
-    an estimate builds one index and each probe powers only the keys."""
-
-    __slots__ = ("keys", "rows", "scaled")
-
-    def __init__(self, space):
-        n = space.size
-        slots: dict = {}
-        self.rows = [[slots.setdefault((type(d), d), len(slots))
-                      for d in [space.distance(i, j) for j in range(n)]]
-                     for i in range(n)]
-        self.keys = [d for _, d in slots]
-        self.scaled = ScaledPowers(self.keys)
-
-    def power_matrix(self, p) -> list[list[float]]:
-        """The float power of d(i, j) over the largest distance, for every
-        ordered pair of points: at most 1, so none overflows. A negative
-        distance (an unchecked space) at fractional p has no real power and
-        raises ValueError naming its first pair."""
-        try:
-            powers = self.scaled.powers(p)
-        except TypeError:
-            # float() refuses the complex power of a negative base
-            negative = next(((i, j) for i, row in enumerate(self.rows)
-                             for j, k in enumerate(row) if self.keys[k] < 0),
-                            None)
-            if negative is None:
-                raise
-            i, j = negative
-            raise ValueError(
-                f"distance between points {i} and {j} is negative "
-                f"({self.keys[self.rows[i][j]]}): no real power at p={p}"
-            ) from None
-        return [[powers[k] for k in row] for row in self.rows]
 
 
 def _scan_violation(space, max_size: int, p, budget: int | None,
@@ -184,8 +178,8 @@ def _scan_violation(space, max_size: int, p, budget: int | None,
         if need > budget:
             raise BudgetExceeded(
                 f"exhaustive scan needs {need} configurations", need)
-    if p == 0 and all(index.keys[k] != 0 for i, row in enumerate(index.rows)
-                      for j, k in enumerate(row) if i != j):
+    if p == 0 and all(index.keys[s] != 0 for (i, j), s
+                      in zip(index.pairs, index.slots) if i != j):
         # D^0 is all ones off the diagonal, so with c the signed member
         # counts, twice every gap is sum_k (1 - D^0_kk) c_k^2 plus the
         # diagonal entries of the members: an integer >= 0, exact in
@@ -194,9 +188,8 @@ def _scan_violation(space, max_size: int, p, budget: int | None,
     from . import kernels
 
     witness, _, _ = kernels.min_gap_scan(
-        index.power_matrix(p), max_size, p, index.scaled.floor(p),
-        lambda xs, ys: _settled(*_pair_distances(space, DoubleSimplex(xs, ys)),
-                                p))
+        index.power_matrix(p), max_size, p, index.floor(p),
+        lambda xs, ys: certify_violation(space, DoubleSimplex(xs, ys), p))
     if witness is None:
         return None
     return DoubleSimplex(tuple(witness[0]), tuple(witness[1]))
@@ -233,24 +226,16 @@ def _crossing(violates, lo: float, hi: float) -> float:
             lo = mid
 
 
-def _simplex_test(space, index: DistanceIndex, ds: DoubleSimplex, hi: float):
+def _simplex_test(space, ds: DoubleSimplex, hi: float):
     """Whether `ds`, which the scan found violating at hi, is proven to
-    violate at p > 0 by its float gap and radius, on the simplex's own
-    distances (15 for a 3+3 simplex) over their largest: the test
-    `certify_violation` makes first, so it agrees wherever this holds.
-    Where even hi is not proven in floats, `certify_violation` must prove
-    hi, which then stays the crossing."""
-    within, cross = _pair_distances(space, ds)
-    scaled = ScaledPowers(within + cross)
+    violate at p > 0 by its float gap and radius, on a `DistanceIndex` of
+    its points built once: the test `certify_violation` makes first, so
+    it agrees wherever this holds. Where even hi is not proven in floats,
+    `certify_violation` must prove hi, which then stays the crossing."""
+    index = DistanceIndex(space, ds)
 
     def violates(p):
-        try:
-            return violation(*_float_gap(scaled, len(within), p)[:2]) is True
-        except TypeError:
-            # float() refuses the complex power of a negative distance;
-            # the power matrix names its pair
-            index.power_matrix(p)
-            raise
+        return violation(*index.gap(p)[:2]) is True
 
     if not violates(hi):
         _recertified(space, ds, hi)
@@ -470,7 +455,7 @@ def estimate_roundness(space, max_size: int = 3,
     def crossing(w, lo: float, hi: float) -> float:
         """Where the witness w, violating at hi, starts to violate."""
         if size is not None:
-            return _crossing(_simplex_test(space, index, w, hi), lo, hi)
+            return _crossing(_simplex_test(space, w, hi), lo, hi)
         prods = dict(table)[w]
         return _crossing(lambda p: violation(-_eigenvalue(
             _weights(space.units, p), prods)) is True, lo, hi)

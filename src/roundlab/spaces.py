@@ -88,7 +88,10 @@ def path_graph_space(k: int) -> FiniteMetricSpace:
 
 
 class PlanarPoints(Record):
-    """Euclidean distances between integer grid points, as floats."""
+    """Euclidean distances between integer grid points, as the floats
+    `math.hypot` rounds them to. Rounded, the space is not exactly
+    Euclidean: it can admit p = 2 witnesses about 1e-16 of their sums
+    below 0, such as seed 2's (3, 4, 10; 5, 5, 9) at 12 points."""
 
     __slots__ = ("coords",)
 

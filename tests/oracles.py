@@ -29,8 +29,7 @@ from fractions import Fraction
 
 from roundlab import BudgetExceeded, kernels
 from roundlab.cyclic import enumerate_pairs, is_pair
-from roundlab.numerics import PRECISION_BITS, dpow, to_mpf
-from roundlab.roundness import _exact_gap, _pair_distances
+from roundlab.numerics import PRECISION_BITS, dpow
 
 
 def _partners(space, cls, point):
@@ -219,17 +218,24 @@ def mpmath_certify_violation(space, ds, p):
     the 0 it is in exact arithmetic."""
     import mpmath
 
-    within, cross = _pair_distances(space, ds)
-    exact = _exact_gap(within, cross, p)
-    if exact is not None:
-        return exact.is_violation()
+    r = ds.r
+    within = [space.distance(fam[i], fam[j]) for fam in (ds.xs, ds.ys)
+              for i in range(r) for j in range(i + 1, r)]
+    cross = [space.distance(x, y) for x in ds.xs for y in ds.ys]
+    if p == int(p) and p >= 0 and all(isinstance(d, (int, Fraction))
+                                      for d in within + cross):
+        # 0**0 = 0, as in dpow
+        lhs, rhs = (sum(Fraction(d) ** int(p) for d in side if d)
+                    for side in (within, cross))
+        return rhs < lhs
 
     def power(d):
         if d == 0:
             return mpmath.mpf(0)
         if p == 0:
             return mpmath.mpf(1)
-        return to_mpf(d) ** to_mpf(p)
+        d = Fraction(d)
+        return (mpmath.mpf(d.numerator) / d.denominator) ** mpmath.mpf(p)
 
     with mpmath.workprec(4 * PRECISION_BITS):
         lhs = mpmath.fsum(power(d) for d in within)

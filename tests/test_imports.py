@@ -69,9 +69,10 @@ OBSTRUCT_MC = {
                  "--delta", "1", "--support", "64", "--size", "4",
                  "--levels", "4", "--p", "2", "--mode", "mc",
                  "--samples", "100000", "--seed", "7"],
+    # the constant map's margins are exactly 0: settled in Fractions
     **{f"uniform-{name}": ["obstruct", "uniform", "--map", f"builtin:{name}",
                            "--n-ladder", "2,4", "--p", "2"]
-       for name in ("identity", "circle")},
+       for name in ("identity", "circle", "constant")},
 }
 
 

@@ -318,7 +318,7 @@ def test_min_gap_scan_clean_scans_everything():
     space = path_graph_space(8)
     witness, min_gap, scanned = assert_same_scan(
         dp_matrix(space, 1.5), 4, 1.5,
-        lambda xs, ys: roundness._settled(
-            *roundness._pair_distances(space, DoubleSimplex(xs, ys)), 1.5))
+        lambda xs, ys: roundness.certify_violation(
+            space, DoubleSimplex(xs, ys), 1.5))
     assert witness is None
     assert scanned == exhaustive_config_count(8, 4)

@@ -6,8 +6,9 @@ violated, proven holding, or undecided. An exact value is always
 decided; a float is decided only once its radius cannot change the
 answer, so the floats here sit on the radius and one ulp either side of
 it, checked against the exact value the float and radius stand for. The
-gaps that the float rule leaves undecided are re-decided exactly, as 0,
-or as an interval, each checked against a 320-bit re-sum.
+values that the float rule leaves undecided are settled exactly, as 0,
+or as an interval (`settle`), each gap checked against a 320-bit re-sum,
+and each averaged comparison at a tie and just past one.
 
 A power or a sum of rationals stays a Fraction wherever the result is
 rational; anything else is a float.
@@ -21,12 +22,13 @@ from fractions import Fraction
 import pytest
 
 from oracles import mpmath_certify_violation
-from roundlab.cyclic import DoubleSimplex
-from roundlab.numerics import (PRECISION_BITS, ScaledPowers, exact_int_root,
+from roundlab.cyclic import (CycleSpace, DoubleSimplex, ProductCycleSpace,
+                             SimplexClass)
+from roundlab.numerics import (PRECISION_BITS, dpow, exact_int_root,
                                exact_rational_pow, exact_sum, gap_radius,
-                               intervals, rational_pow, violation)
-from roundlab.obstruction import REL_TOL, _margin
-from roundlab.roundness import GapResult, _float_gap, certify_violation
+                               intervals, rational_pow, settle, violation)
+from roundlab.obstruction import IdentityMap, verify_step_inequality
+from roundlab.roundness import DistanceIndex, GapResult, certify_violation
 
 
 @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 1000.0, 2.0 ** 40])
@@ -75,17 +77,91 @@ def test_gap_result_boundary():
     assert GapResult(2, Fraction(1), Fraction(1, 3), True, 0).is_violation()
 
 
-def test_margin_boundary():
-    # the averaged comparisons keep their own float band: hi = 0 and
-    # factor * lo = -gap, the margin exact and the scale below 1
-    threshold = -REL_TOL
-    for gap, violates in ((math.nextafter(threshold, -math.inf), True),
-                          (threshold, False),
-                          (math.nextafter(threshold, math.inf), False)):
-        for factor in (1.0, 0.5):
-            margin, holds = _margin(0.0, -gap / factor, factor)
-            assert margin == gap
-            assert holds is not violates
+@pytest.mark.parametrize("eps", [1e-15, 1e-13, 1e-12, 1e-11])
+def test_step_just_past_its_root_fails(eps):
+    # the identity on (Z_8)^8 meets the r = 4 step with equality at
+    # p = log2(4/3): conn d^p = 1 against 3/4 (2d)^p. Just past it the
+    # margin, about -0.69 eps, is negative however small, and the step
+    # fails whether the float radius or the settlement decides it
+    emap = IdentityMap(ProductCycleSpace(8, CycleSpace(8)))
+    rep = verify_step_inequality(emap, SimplexClass(1, 2, 4),
+                                 math.log2(4 / 3) + eps)
+    assert -0.8 * eps < rep.margin < -0.6 * eps
+    assert rep.holds is False
+
+
+def test_step_exact_tie_holds():
+    # at r = 2 and p = 1 the identity's margin d - (2d) / 2 is exactly 0:
+    # inside any float radius, and settled exactly as holding
+    emap = IdentityMap(ProductCycleSpace(8, CycleSpace(8)))
+    rep = verify_step_inequality(emap, SimplexClass(1, 2, 2), 1.0)
+    assert rep.margin == 0.0 and rep.holds is True
+
+
+def test_settle_decides_rationals_exactly():
+    # 1/3 + 1/6 - 1/2 is 0 in Fractions, and a float converts exactly:
+    # 0.1 - 1/10 is the float's excess over a tenth, about 5.6e-18
+    lifts = []
+
+    def value(lift):
+        lifts.append(lift)
+        return lift(Fraction(1, 3)) + lift(Fraction(1, 6)) - lift(0.5)
+
+    assert settle(value, "tie") is False and lifts == [Fraction]
+    assert settle(lambda lift: lift(Fraction(1, 10)) - lift(0.1),
+                  "tenth") is True
+
+
+def test_settle_decides_irrationals_on_intervals():
+    # sqrt(2) - 1.4142135623730951 (the float nearest it) is about
+    # -9.7e-17: irrational, decided on 160-bit intervals
+    lifts = []
+
+    def value(lift):
+        lifts.append(lift)
+        return dpow(lift(2), 0.5) - lift(math.sqrt(2))
+
+    assert settle(value, "root") is True
+    assert lifts[0] is Fraction and len(lifts) == 2
+    assert settle(lambda lift: lift(math.sqrt(2)) - dpow(lift(2), 0.5),
+                  "root") is False
+
+
+def test_settle_raises_on_an_irrational_tie():
+    # 2^(1/2) - 4^(1/4) is 0, but two enclosures of it straddle 0
+    with pytest.raises(ArithmeticError,
+                       match=r"^gap of the roots undecided at 160 bits$"):
+        settle(lambda lift: dpow(lift(2), 0.5) - dpow(lift(4), 0.25),
+               "gap of the roots")
+
+
+def test_dpow_keeps_huge_exact_powers_out_of_settle():
+    # (2/3)^(10^15) would take 6e14 bits exactly: dpow gives the float 0.0
+    # and (3/2)^(10^15) overflows, so settle decides on intervals
+    assert dpow(Fraction(2, 3), 10 ** 15) == 0.0
+    assert dpow(Fraction(2, 3), 4) == Fraction(16, 81)
+    assert settle(lambda lift: dpow(lift(Fraction(1, 2)), 1e15)
+                  - dpow(lift(Fraction(1, 3)), 1e15), "halves") is False
+    assert settle(lambda lift: dpow(lift(Fraction(3, 2)), 1e15)
+                  - dpow(lift(2), 1e15), "growth") is True
+
+
+class _ListedPairs:
+    """The double simplex (0, 1, 2; 3, 4, 5) with its 6 within and 9
+    cross distances given in that order."""
+
+    ds = DoubleSimplex((0, 1, 2), (3, 4, 5))
+
+    def __init__(self, dists):
+        r, pairs = 3, []
+        for fam in (self.ds.xs, self.ds.ys):
+            pairs += [(fam[i], fam[j]) for i in range(r)
+                      for j in range(i + 1, r)]
+        pairs += [(x, y) for x in self.ds.xs for y in self.ds.ys]
+        self.dist = dict(zip(pairs, dists, strict=True))
+
+    def distance(self, a, b):
+        return self.dist[a, b]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -99,8 +175,8 @@ def test_float_gap_radius_bounds_the_error(seed):
         dists = [Fraction(rng.randint(0, 10 ** 6), rng.randint(1, 10 ** 3))
                  for _ in range(15)]
         p = rng.choice([0.5, 1.0, 1.5, math.pi, 7.25, 16.0, 200.0])
-        scaled = ScaledPowers(dists)
-        gap, radius, _, _ = _float_gap(scaled, 6, p)
+        space = _ListedPairs(dists)
+        gap, radius, _, _ = DistanceIndex(space, space.ds).gap(p)
         top = max(dists) or 1
         with mpmath.workprec(320):
             exact = [mpmath.mpf(0) if d == 0 else

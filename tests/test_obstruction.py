@@ -499,3 +499,13 @@ def test_uniform_ladder_validation():
         uniform_obstruction_report("builtin:identity", [3], 2.0, samples=64)
     with pytest.raises(ValueError):
         uniform_obstruction_report("builtin:identity", [0], 2.0, samples=64)
+
+
+def test_coarse_at_a_huge_exponent_settles_on_intervals():
+    # alpha = 1/2: at p = 10^15 no float radius is finite, so each scale
+    # is settled, and 2^(-10^15) is past EXACT_POWER_BITS: intervals
+    # decide it at once where the exact power would never finish
+    moduli = L([(1, 2), (2, 1), (4, 1)])
+    rep = coarse_obstruction_report(moduli, 1e15, n_range=range(1, 3))
+    assert not rep.found
+    assert [row["lhs"] for row in rep.scanned] == [0.0, 0.0]

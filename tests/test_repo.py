@@ -91,14 +91,19 @@ def test_bench_files_record_their_setup():
 
 
 def test_one_certainty_rule():
-    # gaps and ratios are decided by `numerics.violation` alone: no module
-    # re-sums in `decimal`, and the float band REL_TOL is named only where
-    # the averaged comparisons keep it, in obstruction.py
+    # gaps, ratios and margins are decided by `numerics.violation` alone:
+    # no module re-sums in `decimal` or keeps a float band (REL_TOL), and
+    # only numerics.py builds the interval context at twice PRECISION_BITS
+    # that `numerics.settle`, the one settlement, decides on
     import ast
+
+    def precision(node) -> bool:
+        return getattr(node, "id", getattr(node, "attr", None)) \
+            == "PRECISION_BITS"
 
     for path in sorted((ROOT / "src" / "roundlab").glob("*.py")):
         tree = ast.parse(path.read_text())
-        imported, named = set(), set()
+        imported, named, doubled = set(), set(), False
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imported |= {a.name.split(".")[0] for a in node.names}
@@ -110,6 +115,11 @@ def test_one_certainty_rule():
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
+            elif (isinstance(node, ast.BinOp)
+                  and isinstance(node.op, ast.Mult)):
+                sides = (node.left, node.right)
+                doubled |= (any(precision(n) for n in sides) and any(
+                    getattr(n, "value", None) == 2 for n in sides))
         assert "decimal" not in imported, path.name
-        if path.name != "obstruction.py":
-            assert "REL_TOL" not in named, path.name
+        assert "REL_TOL" not in named, path.name
+        assert not doubled or path.name == "numerics.py", path.name

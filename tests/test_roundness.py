@@ -14,7 +14,7 @@ import pytest
 from oracles import (character_quotient, dense_top_eigenvalue,
                      interval_character_eigenvalue, mpmath_certify_violation,
                      reference_power_matrix)
-from roundlab import kernels, numerics, roundness
+from roundlab import kernels, roundness
 from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
                              ProductCycleSpace, stage_space)
 from roundlab.metric import FiniteMetricSpace, snowflake
@@ -74,9 +74,9 @@ def _crossings(space, max_size, monkeypatch):
     witnesses, crossings = [], []
     test, crossing = roundness._simplex_test, roundness._crossing
 
-    def recording_test(space, index, ds, hi):
+    def recording_test(space, ds, hi):
         witnesses.append(ds)
-        return test(space, index, ds, hi)
+        return test(space, ds, hi)
 
     def recording_crossing(violates, lo, hi):
         crossings.append(crossing(violates, lo, hi))
@@ -136,7 +136,7 @@ def test_zero_probe_scans_nothing(space, monkeypatch):
     # off the diagonal D^0 is all ones, so no gap is negative at p = 0
     scan = kernels.min_gap_scan
     index = DistanceIndex(space)
-    assert scan(index.power_matrix(0.0), 3, 0.0, index.scaled.floor(0.0),
+    assert scan(index.power_matrix(0.0), 3, 0.0, index.floor(0.0),
                 lambda xs, ys: pytest.fail("undecided at p = 0"))[0] is None
     calls = []
 
@@ -227,20 +227,20 @@ def test_power_matrix_takes_one_dpow_per_distinct_distance(make, distinct,
     if distinct is not None:
         assert len(keys) == distinct
     index = DistanceIndex(space)
-    calls, powers = [], numerics.ScaledPowers.powers
+    calls, powers = [], DistanceIndex.powers
 
-    def counting(scaled, p):
-        calls.append(list(scaled.ratios))
-        return powers(scaled, p)
+    def counting(index, p):
+        calls.append(list(index.ratios))
+        return powers(index, p)
 
-    monkeypatch.setattr(numerics.ScaledPowers, "powers", counting)
+    monkeypatch.setattr(DistanceIndex, "powers", counting)
     index.power_matrix(1.5)
     # one power per distinct (type, value): 1/2 as a Fraction and as a
     # float are two, 3 as a Fraction and as an int two; each is that key
     # over the largest distance
     assert sorted(index.keys, key=repr) == sorted((d for _, d in keys),
                                                   key=repr)
-    assert calls == [index.scaled.ratios] and len(calls[0]) == len(keys)
+    assert calls == [index.ratios] and len(calls[0]) == len(keys)
 
 
 def test_monotonicity_of_violations():
