@@ -17,8 +17,8 @@ from typing import Optional
 
 from . import Record
 from .metric import FiniteMetricSpace
-from .numerics import (Number, exact_sum, json_int, parse_fraction,
-                       rational_pow, settle, violation)
+from .numerics import (Number, exact_sum, json_int, parse_fraction, power,
+                       settle, violation)
 from .report import sanitize
 
 
@@ -77,12 +77,8 @@ def _image_power(target: str, p, a, b, lift=_same) -> tuple:
         return abs(lift(a) - lift(b)), 1
     if target == "ell0":
         return ell0_distance(a, b, lift), 1
-    return exact_sum(rational_pow(delta, p)
+    return exact_sum(power(delta, p)
                      for _, delta in _level_deltas(a, b, lift)), max(p, 1)
-
-
-def _root(s: Number, e) -> Number:
-    return s if e == 1 else rational_pow(s, 1 / Fraction(e))
 
 
 def ellp_distance(a: SeqVector, b: SeqVector, p) -> Number:
@@ -90,7 +86,8 @@ def ellp_distance(a: SeqVector, b: SeqVector, p) -> Number:
     Exact whenever every power comes out rational."""
     if p <= 0:
         raise ValueError("p must be positive")
-    return _root(*_image_power("ellp", Fraction(p), a, b))
+    s, e = _image_power("ellp", Fraction(p), a, b)
+    return power(s, 1 / Fraction(e))
 
 
 def point_gaps(space) -> list:
@@ -240,7 +237,7 @@ def build_ellp_injection(space, p) -> InjectionTable:
         raise ValueError("p must be positive")
     return _level_table(
         space, "ellp",
-        lambda lvl, j: (rational_pow(Fraction(1, 2 ** lvl), 1 / p)
+        lambda lvl, j: (power(Fraction(1, 2 ** lvl), 1 / p)
                         * (1 - Fraction(1, 2 ** j))),
         p=p)
 
@@ -323,7 +320,7 @@ def resolve_modulus(spec: str):
         p = parse_fraction(spec.split(":", 1)[1])
         if p <= 0:
             raise ValueError("root exponent must be positive")
-        return lambda t: rational_pow(t, 1 / p), spec
+        return lambda t: power(t, 1 / p), spec
     raise ValueError(f"unknown modulus {spec!r}")
 
 
@@ -348,7 +345,7 @@ def _settled(table: InjectionTable, i: int, j: int, d, q) -> bool:
     def slack(lift):
         s, e = _image_power(table.target, table.p, table.images[i],
                             table.images[j], lift)
-        return rational_pow(lift(d), e / q) - s
+        return power(lift(d), e / q) - s
 
     return settle(slack, f"Lipschitz bound on pair {[i, j]}")
 
@@ -398,7 +395,7 @@ def verify_injection(space, table: InjectionTable,
             checked += 1
             s, e = _image_power(table.target, table.p, table.images[i],
                                 table.images[j], lift)
-            di, d = _root(s, e), space.distance(i, j)
+            di, d = power(s, 1 / Fraction(e)), space.distance(i, j)
             bound = mod_fn(d)
             if bound == 0:
                 if di != 0:

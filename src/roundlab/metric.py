@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import Record
-from .numerics import Number, rational_pow
+from .numerics import Number, power
 
 
 class FiniteMetricSpace(Record):
@@ -128,7 +128,7 @@ class SnowflakeOracle(Record):
         return getattr(self.base, "labels", tuple(str(i) for i in range(self.size)))
 
     def distance(self, a: int, b: int) -> Number:
-        return rational_pow(self.base.distance(a, b), self.alpha)
+        return power(self.base.distance(a, b), self.alpha)
 
 
 def snowflake(space, alpha) -> SnowflakeOracle:

@@ -1,7 +1,8 @@
 """Shared numeric conventions: exact rationals where possible, floats
-with a proven error radius or mpmath intervals elsewhere, one rule
-(`violation`) that decides an inequality from any of the three, and one
-settlement (`settle`) of a value the float rule leaves undecided."""
+with a proven error radius or mpmath intervals elsewhere, one power rule
+(`power`) over all three, one rule (`violation`) that decides an
+inequality from any of them, and one settlement (`settle`) of a value
+the float rule leaves undecided."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ UNIT, NORMAL_MIN = 2.0 ** -53, 2.0 ** -1022
 # mpmath working precision of inexact fractional powers and character
 # intervals; an undecided gap is re-decided at twice this
 PRECISION_BITS = 80
-# the most bits of an exact power's numerator or denominator in `dpow`:
+# the most bits of an exact power's numerator or denominator in `power`:
 # Fraction arithmetic takes about 0.1 s on 2^18 bits, 1 s on 2^20
 EXACT_POWER_BITS = 2 ** 18
 
@@ -42,25 +43,6 @@ def parse_fraction(text) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def dpow(d: Number, p: float) -> Number:
-    """d**p with the counting convention 0**0 = 0 and d**0 = 1 for d > 0.
-
-    Stays in exact arithmetic when d is rational and p a positive integer
-    (within EXACT_POWER_BITS), and an mpmath interval when d is one.
-    """
-    if d == 0:
-        return 0
-    if p == 0:
-        return 1
-    if (isinstance(d, (int, Fraction)) and float(p).is_integer() and p > 0
-            and p * max(map(int.bit_length, Fraction(d).as_integer_ratio()))
-            <= EXACT_POWER_BITS):
-        return d ** int(p)
-    if not isinstance(d, float) and hasattr(d, "a"):
-        return d ** to_mpf(p, d.ctx)
-    return float(d) ** p
 
 
 def to_mpf(d: Number, ctx=None):
@@ -109,7 +91,8 @@ def settle(evaluate, what: str) -> bool:
     try:
         value = evaluate(Fraction)
     except OverflowError:
-        # a float power past EXACT_POWER_BITS out of range
+        # an exact power past the float range met an inexact one, which
+        # Python rounds to a float first: the value is not rational
         value = None
     if not isinstance(value, (int, Fraction)):
         value = evaluate(functools.partial(
@@ -132,54 +115,53 @@ def intervals(bits: int):
 
 
 def exact_int_root(x: int, k: int) -> int | None:
-    """Integer k-th root of x when exact, else None."""
-    if x < 0 or k <= 0:
+    """Integer k-th root of x when exact, else None; integer Newton steps
+    from a power of two above the root, so x may pass the float range."""
+    if k <= 0:
         return None
     if k == 1 or x in (0, 1):
         return x
-    if k >= x.bit_length():
-        # 2^k > x: the only candidate root is 1, and 1^k = 1 < x
+    # for x >= 2 with 2^k > x the only candidate root is 1, and 1^k < x
+    if x < 0 or k >= x.bit_length():
         return None
-    if k == 2:
-        r = math.isqrt(x)
-        return r if r * r == x else None
-    r = round(x ** (1.0 / k))
-    while r > 0 and r ** k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
+    r = 1 << -(-x.bit_length() // k)
+    while (s := ((k - 1) * r + x // r ** (k - 1)) // k) < r:
+        r = s
     return r if r ** k == x else None
 
 
-def exact_rational_pow(d: Fraction, alpha: Fraction) -> Fraction | None:
-    """d**alpha as an exact Fraction when the root is exact, else None. d > 0."""
+def power(d: Number, p) -> Number:
+    """d**p for d >= 0, the one power rule. 0 stays 0 in its own type (the
+    counting convention 0**0 = 0; any other d**0 is 1), and an mpmath
+    interval gives an interval. A rational d gives the exact Fraction when
+    the b-th roots of its numerator and denominator exist, for p = a/b
+    read exactly (a float p too), and |a| * (their larger bit length) <=
+    EXACT_POWER_BITS * b, checked before any root or power is taken; any
+    other rational d gives the float of its PRECISION_BITS value. A float
+    d gives float(d) ** float(p), inf past the float range."""
     if d == 0:
-        return Fraction(0)
-    a, b = alpha.numerator, alpha.denominator
-    # with gcd(a, b) = 1, n^a is a b-th power exactly when n is, so the
-    # roots come first and only a root that exists is raised to a
-    rn = exact_int_root(d.numerator, b)
-    rd = exact_int_root(d.denominator, b)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd) ** a
-
-
-def rational_pow(d: Number, alpha: Fraction) -> Number:
-    """d**alpha for d >= 0. A rational d gives an exact Fraction when the
-    root is exact, else a float evaluated at PRECISION_BITS; an mpmath
-    interval gives an interval, and any other d float(d) ** float(alpha)."""
+        return d
     if not isinstance(d, (int, Fraction)):
         if not isinstance(d, float) and hasattr(d, "a"):
-            return d ** to_mpf(alpha, d.ctx)
-        return float(d) ** float(alpha)
-    exact = exact_rational_pow(d, alpha)
-    if exact is not None:
-        return exact
+            return d ** to_mpf(p, d.ctx)
+        base, exponent = float(d), float(p)
+        try:
+            return base ** exponent
+        except OverflowError:
+            return math.inf
+    q = Fraction(p)
+    a, b = q.numerator, q.denominator
+    n, m = d.as_integer_ratio()
+    if abs(a) * max(n.bit_length(), m.bit_length()) <= EXACT_POWER_BITS * b:
+        # with gcd(a, b) = 1, n^a is a b-th power exactly when n is, so the
+        # roots come first and only roots that exist are raised to a
+        rn, rm = exact_int_root(n, b), exact_int_root(m, b)
+        if rn is not None and rm is not None:
+            return Fraction(rn, rm) ** a
     import mpmath
 
     with mpmath.workprec(PRECISION_BITS):
-        return float(to_mpf(d) ** to_mpf(Fraction(alpha)))
+        return float(to_mpf(d) ** to_mpf(q))
 
 
 def exact_sum(terms) -> Number:

@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import Record
 from .cycles import (PairClass, ProductCycleSpace, SimplexClass,
                      count_pairs_closed, stage_pair_class, stage_space)
-from .numerics import (dpow, gap_radius, parse_fraction, settle,
-                       violation)
+from .numerics import (NORMAL_MIN, gap_radius, parse_fraction, power,
+                       settle, violation)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,7 +75,7 @@ class _CycleMapBase(Record):
 
     __slots__ = ()
     # class_power(delta, support, p, lift): the exact class distance to the
-    # p-th power (0**0 = 0, as in dpow) in the values lift makes (`settle`)
+    # p-th power (0**0 = 0, as in `power`) in the values lift makes (`settle`)
 
     def class_distance(self, cls: PairClass) -> float:
         """The image distance shared by every pair of `cls`, from (delta,
@@ -107,7 +107,7 @@ class IdentityMap(_CycleMapBase):
         return float(self.space.distance(x, y))
 
     def class_power(self, delta: int, support: int, p=1, lift=float):
-        return dpow(lift(self.space.quantum * delta), p)
+        return power(lift(self.space.quantum * delta), p)
 
 
 class CircleEmbeddingMap(_CycleMapBase):
@@ -115,16 +115,30 @@ class CircleEmbeddingMap(_CycleMapBase):
     coordinates combine in l2. Image distances depend only on per-coordinate
     residue differences, so class pairs land at a single distance."""
 
-    __slots__ = ("space", "declared_roundness", "radius")
+    __slots__ = ("space", "declared_roundness")
 
     def __init__(self, space: ProductCycleSpace,
                  declared_roundness: Optional[float] = 2.0):
         self.space = space
         self.declared_roundness = declared_roundness
-        self.radius = float(space.units * space.quantum) / (2.0 * math.pi)
+
+    @property
+    def radius(self) -> float:
+        return float(self.space.units * self.space.quantum) / (2.0 * math.pi)
 
     def chord(self, quanta) -> float:
-        return 2.0 * self.radius * math.sin(math.pi * float(quanta) / self.space.units)
+        """2 radius sin(pi quanta / units). Quanta and units are first
+        divided by one power of two that brings units into the float range,
+        which changes no rounding; ValueError where the angle is below
+        NORMAL_MIN, as CLASS_ROUNDING then fails (and past which the radius
+        may leave the float range)."""
+        units = self.space.units
+        scale = 2 ** max(units.bit_length() - 1023, 0)
+        angle = math.pi * (quanta / scale) / (units / scale)
+        if angle < NORMAL_MIN:
+            raise ValueError(f"circle chord angle {angle!r} is below the "
+                             "normal floats")
+        return 2.0 * self.radius * math.sin(angle)
 
     def image_distance(self, x, y) -> float:
         u = self.space.units
@@ -143,10 +157,10 @@ class CircleEmbeddingMap(_CycleMapBase):
             # rounded once, so this matches `image_distance` bit for bit;
             # a float, as no exact chord is rational
             c = self.chord(delta)
-            return dpow(math.sqrt(support * (c * c)), p)
+            return power(math.sqrt(support * (c * c)), p)
         units = self.space.units
-        return dpow(units * lift(self.space.quantum) / ctx.pi
-                    * ctx.sqrt(support) * ctx.sin(ctx.pi * delta / units), p)
+        return power(units * lift(self.space.quantum) / ctx.pi
+                     * ctx.sqrt(support) * ctx.sin(ctx.pi * delta / units), p)
 
 
 class SnowflakeMap(_CycleMapBase):
@@ -154,21 +168,21 @@ class SnowflakeMap(_CycleMapBase):
 
     __slots__ = ("space", "alpha", "declared_roundness")
 
-    def __init__(self, space: ProductCycleSpace, alpha: float,
+    def __init__(self, space: ProductCycleSpace, alpha,
                  declared_roundness: Optional[float] = None):
         if not (0 < alpha <= 1):
             raise ValueError("alpha must lie in (0, 1]")
         self.space = space
-        self.alpha = alpha
+        self.alpha = Fraction(alpha)
         self.declared_roundness = declared_roundness
 
     def image_distance(self, x, y) -> float:
-        return float(self.space.distance(x, y)) ** self.alpha
+        return float(self.space.distance(x, y)) ** float(self.alpha)
 
     def class_power(self, delta: int, support: int, p=1, lift=float):
         # (d^alpha)^p as one power, exact where alpha p is an integer
-        return dpow(lift(self.space.quantum * delta),
-                    Fraction(self.alpha) * Fraction(p))
+        return power(lift(self.space.quantum * delta),
+                     self.alpha * Fraction(p))
 
 
 class ConstantMap(_CycleMapBase):
@@ -197,8 +211,7 @@ def resolve_builtin_map(spec: str, space: ProductCycleSpace):
     if name == "constant":
         return ConstantMap(space)
     if name.startswith("snowflake:"):
-        alpha = float(parse_fraction(name.split(":", 1)[1]))
-        return SnowflakeMap(space, alpha)
+        return SnowflakeMap(space, parse_fraction(name.split(":", 1)[1]))
     raise ValueError(f"unknown builtin map {spec!r}")
 
 
@@ -228,7 +241,7 @@ def _declared(emap, name: str = "class_distance",
 def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
                   samples: int = 100_000) -> LevelAverage:
     """Average of image distance^p over one pair class, d^p counting
-    0**0 as 0 (`numerics.dpow`).
+    0**0 as 0 (`numerics.power`).
 
     The map must declare `class_distance` d (every built-in map does;
     ValueError otherwise): it sends the whole class to d, so in both modes
@@ -241,7 +254,7 @@ def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
         raise ValueError("mode must be 'exact' or 'mc'")
     if mode == "mc":
         _check_samples(samples)
-    value = float(dpow(_declared(emap)(cls), p))
+    value = float(power(_declared(emap)(cls), p))
     count = count_pairs_closed(emap.space, cls) if mode == "exact" else samples
     return LevelAverage(cls, p, value, count, mode)
 
@@ -374,14 +387,14 @@ def verify_chain_inequality(emap, start: SimplexClass, levels: int, p: float,
     # subtraction this bounds a margin's error relative to its terms
     rel = gap_radius(CLASS_ROUNDING * p + 3 * levels, 4)
 
-    def power(cls: PairClass, lift):
+    def level_power(cls: PairClass, lift):
         if hasattr(emap, "class_power"):
             return emap.class_power(cls.delta, cls.support, p, lift)
-        return dpow(lift(_declared(emap)(cls)), p)
+        return power(lift(_declared(emap)(cls)), p)
 
     def compare(i: int, j: int, k: int) -> tuple[float, bool]:
         def value(lift):
-            hi, lo = (power(pair_levels[m], lift) for m in (i, j))
+            hi, lo = (level_power(pair_levels[m], lift) for m in (i, j))
             return hi - lift(Fraction(r - 1, r) ** k) * lo
 
         return _margin(averages[i].mean, averages[j].mean, factor ** k, rel,
@@ -446,16 +459,12 @@ def coarse_obstruction_report(moduli: ModulusEnvelope, p: float,
         else:
             alpha_exact = None
             alpha = float(r1) / float(rho2_1)
-        try:
-            lhs = alpha ** p * math.exp(-1.0)
-        except OverflowError:
-            # alpha > 1 here, so alpha^p / e lies past every float
-            lhs = math.inf
+        lhs = power(alpha, p) * math.exp(-1.0)
         scanned.append({"n": n, "rho1": float(r1), "alpha": alpha, "lhs": lhs})
 
         def value(lift, r1=r1):
             e = lift(-1)
-            return lift(1) - (dpow(lift(r1) / lift(rho2_1), p)
+            return lift(1) - (power(lift(r1) / lift(rho2_1), p)
                               * getattr(e, "ctx", math).exp(e))
 
         if lhs == math.inf or not _margin(1.0, lhs, 1.0, rel, value,
@@ -521,8 +530,12 @@ def uniform_obstruction_report(map_spec: str, ladder: Sequence[int], p: float,
         _check_declared(emap, p if not math.isinf(p) else 0.0)
         fine = stage_pair_class(block, -n, n + 1)
         coarse = stage_pair_class(block, 0, 1)
-        _, sup_fine, used_f = class_extremes(emap, fine, samples)
-        inf_coarse, _, used_c = class_extremes(emap, coarse, samples)
+        try:
+            _, sup_fine, used_f = class_extremes(emap, fine, samples)
+            inf_coarse, _, used_c = class_extremes(emap, coarse, samples)
+        except ValueError as exc:
+            # a class distance the float rule cannot bound at this depth
+            raise ValueError(f"depth n={n}: {exc}") from None
 
         def value(lift, fine=fine, coarse=coarse, emap=emap):
             sup, inf = (emap.class_power(c.delta, c.support, 1, lift)

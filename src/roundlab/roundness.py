@@ -24,8 +24,8 @@ from typing import Optional
 
 from . import BudgetExceeded, Record
 from .cycles import DoubleSimplex, ProductCycleSpace
-from .numerics import (NORMAL_MIN, PRECISION_BITS, Number, dpow,
-                       gap_radius, intervals, settle, violation)
+from .numerics import (NORMAL_MIN, PRECISION_BITS, Number, gap_radius,
+                       intervals, power, settle, violation)
 
 # the intervals a cycle product's character table may hold when the
 # caller of `estimate_roundness` sets no budget: about 10 s and 100 MiB
@@ -83,7 +83,7 @@ class DistanceIndex:
         self.signed = any(e < 0 for e in exact)
 
     def powers(self, p) -> list[float]:
-        """Each ratio's float power, 0 for 0 (0**0 = 0, as in `dpow`). A
+        """Each ratio's float power, 0 for 0 (0**0 = 0, as in `power`). A
         negative distance (an unchecked space) at fractional p has no real
         power and raises ValueError naming its first pair."""
         try:
@@ -133,7 +133,7 @@ def simplex_gap(space, ds: DoubleSimplex, p) -> GapResult:
     sides = index.sides()
     if p == int(p) and p >= 0 and all(isinstance(d, (int, Fraction))
                                       for d in sides[0] + sides[1]):
-        # 0**0 = 0, as in dpow, with no bound on the exact power's size
+        # 0**0 = 0, as in `power`, with no bound on the exact power's size
         lhs, rhs = (Fraction(sum(d ** int(p) for d in side if d))
                     for side in sides)
         return GapResult(int(p), lhs, rhs, True, 0)
@@ -154,8 +154,8 @@ def certify_violation(space, ds: DoubleSimplex, p) -> bool:
     within, cross = index.sides()
     if sorted(d for d in within if d) == sorted(d for d in cross if d):
         return False
-    return settle(lambda lift: sum(dpow(lift(d), p) for d in cross)
-                  - sum(dpow(lift(d), p) for d in within), f"gap at p={p}")
+    return settle(lambda lift: sum(power(lift(d), p) for d in cross)
+                  - sum(power(lift(d), p) for d in within), f"gap at p={p}")
 
 
 def exhaustive_config_count(n_points: int, max_size: int) -> int:
@@ -301,7 +301,7 @@ def find_violation_characters(space: ProductCycleSpace, p,
     [d(x, y)^p] and the nontrivial ones span the sum-zero vectors: no
     double simplex of any size violates at p exactly when every nontrivial
     eigenvalue is <= 0 (Schoenberg). With quantum q, d^p is q^p sum_k w_k
-    [d >= kq], w_k = k^p - (k-1)^p and 0^p = 0 as in dpow, so the
+    [d >= kq], w_k = k^p - (k-1)^p and 0^p = 0 as in `power`, so the
     eigenvalue at xi is -q^p sum_k w_k prod_i D_k(xi_i), evaluated as an
     interval at PRECISION_BITS and decided by `numerics.violation`. One it
     leaves undecided, with none positive, must be proven 0

@@ -8,7 +8,7 @@ level average's term on every class pair, which the closed form for maps
 that declare `class_distance` must match. Both are slow and only run on
 small classes. The level hunts walk the thresholds one level at a time,
 which is what the closed-form `gap_level` and `ballchain_level` replace.
-The reference power matrix takes one `dpow` per ordered pair, where
+The reference power matrix takes one `power` per ordered pair, where
 `DistanceIndex.power_matrix` takes one power per distinct distance. The
 cyclic-product pair enumeration compares the two metrics on every point
 pair, which `verify_mstar_isometry` decides by a scan of coordinate
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from roundlab import BudgetExceeded, kernels
 from roundlab.cyclic import enumerate_pairs, is_pair
-from roundlab.numerics import PRECISION_BITS, dpow
+from roundlab.numerics import PRECISION_BITS, power
 
 
 def _partners(space, cls, point):
@@ -200,13 +200,13 @@ def reference_validate_metric(space, budget=None):
 
 
 def reference_power_matrix(space, p):
-    """float(dpow(r, p)) for r the float nearest d(i, j) over the largest
-    distance, with one `dpow` per ordered pair: the builder
+    """float(power(r, p)) for r the float nearest d(i, j) over the largest
+    distance, with one `power` per ordered pair: the builder
     `DistanceIndex.power_matrix` replaced."""
     n = space.size
     top = Fraction(max(abs(space.distance(i, j)) for i in range(n)
                        for j in range(n)) or 1)
-    return [[float(dpow(float(Fraction(space.distance(i, j)) / top), p))
+    return [[float(power(float(Fraction(space.distance(i, j)) / top), p))
              for j in range(n)] for i in range(n)]
 
 
@@ -224,7 +224,7 @@ def mpmath_certify_violation(space, ds, p):
     cross = [space.distance(x, y) for x in ds.xs for y in ds.ys]
     if p == int(p) and p >= 0 and all(isinstance(d, (int, Fraction))
                                       for d in within + cross):
-        # 0**0 = 0, as in dpow
+        # 0**0 = 0, as in `power`
         lhs, rhs = (sum(Fraction(d) ** int(p) for d in side if d)
                     for side in (within, cross))
         return rhs < lhs
@@ -269,7 +269,7 @@ def enumerated_mstar_pairs(n, variant):
 
 def _product_power_matrix(space, p):
     """The points of a cycle product (itertools.product order) and the
-    float matrix [d(x, y)^p] in quanta, 0^p = 0 as in dpow; at most 512
+    float matrix [d(x, y)^p] in quanta, 0^p = 0 as in `power`; at most 512
     points."""
     import numpy as np
 

@@ -356,6 +356,20 @@ def test_obstruct_step_exit_codes(capsys):
     assert doc2["results"]["holds"] is False
 
 
+def test_obstruct_step_and_chain_past_the_float_range(capsys):
+    # 2^1100 passes the float range; the verdict is settled on the exact
+    # class powers, so both commands exit 2 rather than 1
+    code, doc, err = run(["obstruct", "step", *_STEP_ARGS[2:], "--map",
+                          "builtin:identity", "--p", "1100"], capsys)
+    assert (code, err) == (2, "")
+    assert doc["results"]["holds"] is False
+    assert doc["results"]["margin"] == "-inf"
+    code, doc, err = run(["obstruct", "chain", *_CHAIN_ARGS[2:], "--map",
+                          "builtin:identity", "--p", "1100"], capsys)
+    assert (code, err) == (2, "")
+    assert doc["results"]["cumulative_holds"] is False
+
+
 def test_obstruct_step_exact_reads_class_distance_at_any_class_size(capsys):
     from roundlab.cyclic import CycleSpace, PairClass, ProductCycleSpace
     from roundlab.obstruction import CircleEmbeddingMap

@@ -417,3 +417,13 @@ def test_table_json_ballchain_round_trip():
     assert back_space is None
     assert back.images == table.images
     assert back.descriptor == "intervals"
+
+
+def test_root_modulus_past_the_float_range():
+    # the cube root of 2^2001 is 2^667, exact; one more is no cube and is
+    # powered in floats. Neither converts 2^2001 to a float on the way
+    table = build_injection(two_point_space(Fraction(2 ** 2001)), "ell0")
+    for d in (Fraction(2 ** 2001), Fraction(2 ** 2001 + 1)):
+        rep = verify_injection(two_point_space(d), table, "root:3")
+        assert rep.ok and float(rep.worst_ratio) == pytest.approx(2.0 ** -670)
+        assert isinstance(rep.worst_ratio, Fraction) is (d == 2 ** 2001)

@@ -11,7 +11,9 @@ or as an interval (`settle`), each gap checked against a 320-bit re-sum,
 and each averaged comparison at a tie and just past one.
 
 A power or a sum of rationals stays a Fraction wherever the result is
-rational; anything else is a float.
+rational (a power within its size bound); anything else is a float. The
+power tests keep the names of the rules `power` replaced (`dpow`,
+`rational_pow`, `exact_rational_pow`), so their ids stay stable.
 """
 
 import math
@@ -24,9 +26,9 @@ import pytest
 from oracles import mpmath_certify_violation
 from roundlab.cyclic import (CycleSpace, DoubleSimplex, ProductCycleSpace,
                              SimplexClass)
-from roundlab.numerics import (PRECISION_BITS, dpow, exact_int_root,
-                               exact_rational_pow, exact_sum, gap_radius,
-                               intervals, rational_pow, settle, violation)
+from roundlab.numerics import (PRECISION_BITS, exact_int_root, exact_sum,
+                               gap_radius, intervals, power, settle,
+                               violation)
 from roundlab.obstruction import IdentityMap, verify_step_inequality
 from roundlab.roundness import DistanceIndex, GapResult, certify_violation
 
@@ -119,11 +121,11 @@ def test_settle_decides_irrationals_on_intervals():
 
     def value(lift):
         lifts.append(lift)
-        return dpow(lift(2), 0.5) - lift(math.sqrt(2))
+        return power(lift(2), 0.5) - lift(math.sqrt(2))
 
     assert settle(value, "root") is True
     assert lifts[0] is Fraction and len(lifts) == 2
-    assert settle(lambda lift: lift(math.sqrt(2)) - dpow(lift(2), 0.5),
+    assert settle(lambda lift: lift(math.sqrt(2)) - power(lift(2), 0.5),
                   "root") is False
 
 
@@ -131,19 +133,47 @@ def test_settle_raises_on_an_irrational_tie():
     # 2^(1/2) - 4^(1/4) is 0, but two enclosures of it straddle 0
     with pytest.raises(ArithmeticError,
                        match=r"^gap of the roots undecided at 160 bits$"):
-        settle(lambda lift: dpow(lift(2), 0.5) - dpow(lift(4), 0.25),
+        settle(lambda lift: power(lift(2), 0.5) - power(lift(4), 0.25),
                "gap of the roots")
 
 
 def test_dpow_keeps_huge_exact_powers_out_of_settle():
-    # (2/3)^(10^15) would take 6e14 bits exactly: dpow gives the float 0.0
-    # and (3/2)^(10^15) overflows, so settle decides on intervals
-    assert dpow(Fraction(2, 3), 10 ** 15) == 0.0
-    assert dpow(Fraction(2, 3), 4) == Fraction(16, 81)
-    assert settle(lambda lift: dpow(lift(Fraction(1, 2)), 1e15)
-                  - dpow(lift(Fraction(1, 3)), 1e15), "halves") is False
-    assert settle(lambda lift: dpow(lift(Fraction(3, 2)), 1e15)
-                  - dpow(lift(2), 1e15), "growth") is True
+    # (2/3)^(10^15) would take 6e14 bits exactly: power gives the float
+    # 0.0 and (3/2)^(10^15) the float inf, so settle decides on intervals
+    assert power(Fraction(2, 3), 10 ** 15) == 0.0
+    assert power(Fraction(2, 3), 4) == Fraction(16, 81)
+    assert power(Fraction(3, 2), 1e15) == power(1.5, 1e15) == math.inf
+    assert settle(lambda lift: power(lift(Fraction(1, 2)), 1e15)
+                  - power(lift(Fraction(1, 3)), 1e15), "halves") is False
+    assert settle(lambda lift: power(lift(Fraction(3, 2)), 1e15)
+                  - power(lift(2), 1e15), "growth") is True
+    # 2^(10^5) is exact and 4^(10^5) past the bound, and Python rounds the
+    # exact one to a float to subtract: settled on intervals all the same
+    assert settle(lambda lift: power(lift(2), 10 ** 5)
+                  - power(lift(4), 10 ** 5), "mixed") is True
+
+
+def test_power_bounds_an_exact_power_before_taking_it():
+    # (3/4)^(10^7) would take 2e7 bits: the bound refuses it before any
+    # power is formed, and the PRECISION_BITS value underflows to 0.0
+    got = power(Fraction(3, 4), Fraction(10 ** 7))
+    assert got == 0.0 and type(got) is float
+    # at the bound itself the power is exact: 2 bits times 2^17
+    assert power(Fraction(3), 2 ** 17) == 3 ** 2 ** 17
+
+
+def test_power_reads_the_exponent_exactly():
+    # 1 + 10^-17 rounds to the float 1.0, but as a Fraction it is not an
+    # integer: (3/4)^p is irrational, a float, and settles below 3/4
+    p = 1 + Fraction(1, 10 ** 17)
+    got = power(Fraction(3, 4), p)
+    assert type(got) is float and got == 0.75
+    assert settle(lambda lift: power(lift(Fraction(3, 4)), p)
+                  - lift(Fraction(3, 4)), "just past 1") is True
+    # a float exponent is read exactly too: 1.5 is 3/2
+    assert power(Fraction(9, 4), 1.5) == Fraction(27, 8)
+    assert power(Fraction(9, 4), 0) == 1 and power(Fraction(0), 0) == 0
+    assert type(power(Fraction(0), 3)) is Fraction
 
 
 class _ListedPairs:
@@ -254,7 +284,7 @@ def test_certify_violation_mpmath_boundary():
 ], ids=["int-exact-root", "fraction-exact-root", "zero", "float",
         "fraction-inexact-root", "int-inexact-root"])
 def test_rational_pow_is_exact_where_the_root_is(d, alpha, expected):
-    got = rational_pow(d, alpha)
+    got = power(d, alpha)
     # a float d stays a float even where the root is exact
     assert type(got) is type(expected)
     assert got == expected
@@ -281,6 +311,17 @@ def test_exact_int_root_refuses_a_root_wider_than_x():
     assert exact_int_root(1, 10 ** 12) == 1 and exact_int_root(0, 7) == 0
 
 
+def test_exact_int_root_past_the_float_range():
+    # no float seed: x may have any number of bits
+    assert exact_int_root(3 ** 3000, 3) == 3 ** 1000
+    assert exact_int_root(3 ** 3000 + 1, 3) is None
+    assert exact_int_root(7 ** 2000, 400) == 7 ** 5
+    for k in (2, 3, 5, 16):
+        for r in (2, 3, 10 ** 40 + 7, 2 ** 600 - 1):
+            assert exact_int_root(r ** k, k) == r
+            assert exact_int_root(r ** k - 1, k) is None
+
+
 @pytest.mark.parametrize("d, alpha", [
     (Fraction(8, 27), Fraction(2, 3)), (Fraction(27, 8), Fraction(-1, 3)),
     (Fraction(16), Fraction(3, 4)), (Fraction(12, 5), Fraction(5, 2)),
@@ -288,13 +329,18 @@ def test_exact_int_root_refuses_a_root_wider_than_x():
 ])
 def test_exact_rational_pow_roots_before_it_raises(d, alpha):
     # gcd(a, b) = 1, so the roots of the raised numerator and denominator,
-    # the order the power used to take, give the same answer
+    # the order the power used to take, give the same answer: an exact
+    # Fraction where they exist, else the float near it
     a, b = alpha.numerator, alpha.denominator
     roots = [exact_int_root(n ** abs(a), b)
              for n in (d.numerator, d.denominator)]
-    expected = (None if None in roots
-                else Fraction(*roots) ** (1 if a >= 0 else -1))
-    assert exact_rational_pow(d, alpha) == expected
+    got = power(d, alpha)
+    if None in roots:
+        assert type(got) is float
+        assert got == pytest.approx(float(d) ** float(alpha), rel=1e-15)
+    else:
+        assert type(got) is Fraction
+        assert got == Fraction(*roots) ** (1 if a >= 0 else -1)
 
 
 def test_rational_pow_of_a_deep_root_stays_small():
@@ -304,10 +350,10 @@ def test_rational_pow_of_a_deep_root_stays_small():
     alpha = Fraction(1, 10 ** 8)
     with mpmath.workprec(PRECISION_BITS):
         expected = float(mpmath.mpf(3) ** (mpmath.mpf(1) / 10 ** 8))
-    rational_pow(Fraction(3), Fraction(1, 3))  # load what the float path loads
+    power(Fraction(3), Fraction(1, 3))  # load what the float path loads
     tracemalloc.start()
     try:
-        got = rational_pow(Fraction(3), alpha)
+        got = power(Fraction(3), alpha)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

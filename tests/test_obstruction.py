@@ -13,7 +13,7 @@ from roundlab.cyclic import (CycleSpace, PairClass,
                              count_pairs_closed, sample_pairs_sparse, stage_pair_class,
                              stage_space)
 from roundlab.metric import empirical_moduli
-from roundlab.numerics import dpow
+from roundlab.numerics import power
 from roundlab.obstruction import (CircleEmbeddingMap, ConstantMap,
                                   IdentityMap, SnowflakeMap, chain_classes,
                                   class_extremes, coarse_obstruction_report,
@@ -78,6 +78,31 @@ def test_circle_map_chord_geometry():
     # two coordinates combine in l2
     d = emap.image_distance((0, 0, 0, 0), (1, 1, 0, 0))
     assert d == pytest.approx(math.sqrt(2) * emap.chord(1))
+
+
+def test_circle_chord_keeps_its_floats_and_refuses_below_the_normals():
+    # while units is a float the angle rounds as pi * float(q) / units
+    # did, so depths up to 78 keep every bit; past the float range of
+    # units (n = 80 on) it still reports, and from n = 128 the fine
+    # angle is below NORMAL_MIN, where CLASS_ROUNDING fails: refused with
+    # the depth named, not read as a sup_fine of 0 (it is 3.9e109 at 140)
+    for n in range(2, 80, 2):
+        space = stage_space(n + 2)
+        emap = CircleEmbeddingMap(space)
+        units, radius = space.units, emap.radius
+        for cls in (stage_pair_class(n + 2, -n, n + 1),
+                    stage_pair_class(n + 2, 0, 1)):
+            c = 2.0 * radius * math.sin(math.pi * float(cls.delta) / units)
+            assert emap.class_distance(cls) == math.sqrt(
+                cls.support * (c * c)), (n, cls)
+    for n in (80, 126):
+        entry = uniform_obstruction_report("builtin:circle", [n],
+                                           2.0).entries[0]
+        assert 0 < entry["sup_fine"] < math.inf and entry["holds"] is True
+    for n in (128, 140):
+        with pytest.raises(ValueError, match=rf"^depth n={n}: circle chord "
+                           "angle .* is below the normal floats$"):
+            uniform_obstruction_report("builtin:circle", [n], 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +191,7 @@ def test_level_average_exact_closed_form_matches_enumeration(coords, units):
                     assert avg.count == count_pairs_closed(space, cls)
                     mc = level_average(emap, cls, p, mode="mc", samples=3)
                     assert mc.mean == avg.mean == \
-                        float(dpow(emap.class_distance(cls), p)), where
+                        float(power(emap.class_distance(cls), p)), where
 
 
 @dataclass(frozen=True)
@@ -326,6 +351,34 @@ def test_step_circle_p2_exact_margin():
     assert rep.margin == pytest.approx(0.5562869376523274, abs=1e-12)
     assert rep.holds
     assert not rep.assumed_roundness  # the circle map declares roundness 2
+
+
+@pytest.mark.parametrize("alpha, p", [("1/5", 5.0), ("1/10", 10.0)])
+def test_snowflake_tie_reads_its_exact_alpha(alpha, p):
+    # alpha p = 1 exactly: conn d against (1 - 1/2) (2d) is a tie, settled
+    # as holding on the exact alpha the spec names. The float nearest
+    # alpha gives the same float class distance, but its p-th power is
+    # d^(1 + ~1e-16), which settles as failing
+    space = small_space()
+    emap = resolve_builtin_map(f"builtin:snowflake:{alpha}", space)
+    assert emap.alpha == Fraction(alpha)
+    rep = verify_step_inequality(emap, SimplexClass(1, 2, 2), p)
+    assert rep.holds is True
+    rounded = SnowflakeMap(space, float(Fraction(alpha)))
+    for cls in (PairClass(1, 2), PairClass(2, 1)):
+        assert rounded.class_distance(cls) == emap.class_distance(cls)
+    assert verify_step_inequality(rounded, SimplexClass(1, 2, 2),
+                                  p).holds is False
+
+
+def test_step_past_the_float_range_settles_exactly():
+    # at p = 1100 the edge mean 2^1100 passes the float range: the float
+    # margin is -inf, and the exact class powers decide the step
+    emap = IdentityMap(small_space())
+    assert emap.class_power(2, 1, 1100.0, Fraction) == 2 ** 1100
+    rep = verify_step_inequality(emap, SimplexClass(1, 2, 2), 1100.0)
+    assert rep.edge.mean == math.inf and rep.margin == -math.inf
+    assert rep.holds is False
 
 
 def test_step_identity_p01_exact_margin():

@@ -123,3 +123,22 @@ def test_one_certainty_rule():
         assert "decimal" not in imported, path.name
         assert "REL_TOL" not in named, path.name
         assert not doubled or path.name == "numerics.py", path.name
+
+def test_one_power_rule():
+    # every power of a distance goes through `numerics.power`: no module
+    # defines or imports the rules it replaced, and only numerics.py takes
+    # the exact roots that decide whether a power is rational
+    import ast
+
+    retired = {"dpow", "rational_pow", "exact_rational_pow"}
+    for path in sorted((ROOT / "src" / "roundlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert not (defined | imported) & retired, path.name
+        assert ("exact_int_root" not in called | imported
+                or path.name == "numerics.py"), path.name
