@@ -66,10 +66,15 @@ def _validate_args(p) -> None:
 
 def _gr_estimate_args(p) -> None:
     p.add_argument("--input", required=True)
-    p.add_argument("--max-size", type=int, default=3)
+    p.add_argument("--max-size", type=int, default=3,
+                   help="family size of the scan, which only an "
+                   "--unchecked table that is asymmetric or not positive off "
+                   "its diagonal takes")
     p.add_argument("--tol", type=float, default=1e-3,
                    help="bracket width in the exponent")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="max multiply-adds of one factorisation, or "
+                   "configurations of one scan")
     p.add_argument("--p-cap", type=float, default=16.0)
     p.add_argument("--unchecked", action="store_true",
                    help="skip axiom validation of the input")

@@ -314,11 +314,16 @@ def _margin(hi: float, lo: float, factor: float, rel: float, value,
             what: str) -> tuple[float, bool]:
     """(margin, holds) for hi >= factor * lo: the float margin against rel
     times its terms' magnitudes and a few subnormal ulps, and where that
-    leaves it undecided the exact value(lift), as `settle` decides it."""
+    leaves it undecided the exact value(lift), as `settle` decides it.
+    Where both terms pass the float range the margin is the infinity of
+    the settled verdict's sign."""
     margin = hi - factor * lo
     radius = rel * (abs(hi) + abs(factor * lo)) + 2.0 ** -1070
     verdict = violation(margin, radius)
-    return margin, not (settle(value, what) if verdict is None else verdict)
+    holds = not (settle(value, what) if verdict is None else verdict)
+    if math.isnan(margin):
+        margin = math.inf if holds else -math.inf
+    return margin, holds
 
 
 def verify_step_inequality(emap, scls: SimplexClass, p: float,

@@ -11,7 +11,7 @@ import json
 import math
 from fractions import Fraction
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 
 def sanitize(obj):

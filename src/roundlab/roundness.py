@@ -10,7 +10,11 @@ undecided by `numerics.settle` (`certify_violation`), so a violation and
 a clean probe are both proven. The roundness of a
 space is the supremum of exponents admitting no violation; the set of
 good exponents is an interval starting at 0 (Lennard-Tonge-Weston), so
-one clean probe below and one violating witness above bracket it.
+one clean probe below and one violating witness above bracket it. A
+probe covers every double simplex on a listed metric space
+(`SpectralProbe`, a proven factorisation of -B^T D^p B) and on a cycle
+product (its characters), and families up to a given size on any other
+table (the exhaustive scan).
 """
 
 from __future__ import annotations
@@ -18,14 +22,15 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import Optional
 
 from . import BudgetExceeded, Record
 from .cycles import DoubleSimplex, ProductCycleSpace
-from .numerics import (NORMAL_MIN, PRECISION_BITS, Number, gap_radius,
-                       intervals, power, settle, violation)
+from .numerics import (NORMAL_MIN, PRECISION_BITS, UNIT, Number,
+                       gap_radius, intervals, power, settle, violation)
 
 # the intervals a cycle product's character table may hold when the
 # caller of `estimate_roundness` sets no budget: about 10 s and 100 MiB
@@ -47,6 +52,26 @@ class GapResult(Record):
         return violation(self.gap, self.radius)
 
 
+def _pair_counts(ds: DoubleSimplex) -> tuple[Counter, Counter]:
+    """How often each ordered pair of points occurs among a double
+    simplex's within pairs (f_i, f_j), i < j, of either family f, and
+    among its cross pairs (x_i, y_j), counted over runs of equal points."""
+    within: Counter = Counter()
+    for fam in (ds.xs, ds.ys):
+        seen: Counter = Counter()
+        for b, run in itertools.groupby(fam):
+            k = sum(1 for _ in run)
+            for a, m in seen.items():
+                within[a, b] += m * k
+            if k > 1:
+                within[b, b] += k * (k - 1) // 2
+            seen[b] += k
+    ys = Counter(ds.ys).items()
+    cross = Counter({(a, b): m * k for a, m in Counter(ds.xs).items()
+                     for b, k in ys})
+    return within, cross
+
+
 class DistanceIndex:
     """The distances of pairs of a space's points as an index into their
     distinct values: `keys` holds one distance per distinct (type, value),
@@ -54,33 +79,46 @@ class DistanceIndex:
     the keys over `top` (by default their largest magnitude) as the
     nearest floats, so no power exceeds 1 and no gap changes sign. The
     pairs are every ordered pair of the space row by row (`power_matrix`)
-    or, given `ds`, its r(r - 1) within pairs and then its r^2 cross pairs
-    (`gap`). Each probe of an estimate, and each evaluation of a witness's
+    or, given `ds`, the distinct pairs of its r(r - 1) within pairs and
+    its r^2 cross pairs, each side held as (slot, count) (`gap`), so a
+    family of thousands of points costs no more than its distinct points.
+    Each probe of an estimate, and each evaluation of a witness's
     crossing, powers only the keys of one index built beforehand."""
 
-    __slots__ = ("pairs", "split", "slots", "take", "keys", "ratios", "low",
-                 "signed")
+    __slots__ = ("pairs", "slots", "keys", "ratios", "low", "signed",
+                 "weights", "terms", "count")
 
     def __init__(self, space, ds: DoubleSimplex | None = None,
                  top: Number | None = None):
         if ds is None:
             n = space.size
-            self.pairs, self.split = [divmod(k, n) for k in range(n * n)], 0
+            self.pairs = [divmod(k, n) for k in range(n * n)]
         else:
-            self.pairs = [(fam[i], fam[j]) for fam in (ds.xs, ds.ys)
-                          for i in range(ds.r) for j in range(i + 1, ds.r)]
-            self.split = len(self.pairs)
-            self.pairs += itertools.product(ds.xs, ds.ys)
+            sides = _pair_counts(ds)
+            self.pairs = [pair for side in sides for pair in side]
         keys: dict = {}
         self.slots = [keys.setdefault((type(d), d), len(keys))
                       for d in itertools.starmap(space.distance, self.pairs)]
-        self.take = None if ds is None else operator.itemgetter(*self.slots)
         self.keys = [d for _, d in keys]
         top = Fraction(top or max(map(abs, self.keys), default=0) or 1)
         exact = [Fraction(d) / top for d in self.keys]
         self.ratios = [float(e) for e in exact]
         self.low = any(0 < abs(e) < NORMAL_MIN for e in exact)
         self.signed = any(e < 0 for e in exact)
+        if ds is not None:
+            # each side's count of every key, and those counts split into
+            # powers of two: a power times 2^b is exact, so one fsum of the
+            # split terms is the correctly rounded sum over every pair
+            slots, self.weights = iter(self.slots), []
+            for side in sides:
+                weight: Counter = Counter()
+                for count in side.values():
+                    weight[next(slots)] += count
+                self.weights.append(list(weight.items()))
+            self.terms = [[(s, float(1 << b)) for s, w in side
+                           for b in range(w.bit_length()) if w >> b & 1]
+                          for side in self.weights]
+            self.count = ds.r * (2 * ds.r - 1)
 
     def powers(self, p) -> list[float]:
         """Each ratio's float power, 0 for 0 (0**0 = 0, as in `power`). A
@@ -109,21 +147,25 @@ class DistanceIndex:
                 for i in range(n)]
 
     def sides(self) -> tuple[list, list]:
-        """A double simplex's (within, cross) distances."""
-        dists = [self.keys[s] for s in self.slots]
-        return dists[:self.split], dists[self.split:]
+        """A double simplex's (within, cross) distances, as (distance,
+        count) for each distinct one."""
+        return tuple([(self.keys[s], w) for s, w in side]
+                     for side in self.weights)
 
     def gap(self, p) -> tuple:
         """(gap, radius, lhs, rhs) of a double simplex's float powers, each
         side one math.fsum: a single rounding, whatever the order of its
         terms. The radius scales with their magnitudes, lhs + rhs unless a
-        distance is negative (an unchecked space)."""
-        terms = self.take(self.powers(p))
-        lhs = math.fsum(terms[:self.split])
-        rhs = math.fsum(terms[self.split:])
-        mags = math.fsum(map(abs, terms)) if self.signed else lhs + rhs
+        distance is negative (an unchecked space), and adds `floor` for
+        each of the r(2r - 1) pairs."""
+        powers = self.powers(p)
+        within, cross = ([powers[s] * m for s, m in side]
+                         for side in self.terms)
+        lhs, rhs = math.fsum(within), math.fsum(cross)
+        mags = (math.fsum(map(abs, within + cross)) if self.signed
+                else lhs + rhs)
         return (rhs - lhs, gap_radius(p, 1) * mags
-                + len(terms) * self.floor(p), lhs, rhs)
+                + self.count * self.floor(p), lhs, rhs)
 
 
 def simplex_gap(space, ds: DoubleSimplex, p) -> GapResult:
@@ -132,9 +174,9 @@ def simplex_gap(space, ds: DoubleSimplex, p) -> GapResult:
     index = DistanceIndex(space, ds, 1)
     sides = index.sides()
     if p == int(p) and p >= 0 and all(isinstance(d, (int, Fraction))
-                                      for d in sides[0] + sides[1]):
+                                      for d, _ in sides[0] + sides[1]):
         # 0**0 = 0, as in `power`, with no bound on the exact power's size
-        lhs, rhs = (Fraction(sum(d ** int(p) for d in side if d))
+        lhs, rhs = (Fraction(sum(w * d ** int(p) for d, w in side if d))
                     for side in sides)
         return GapResult(int(p), lhs, rhs, True, 0)
     _, radius, lhs, rhs = index.gap(p)
@@ -152,10 +194,19 @@ def certify_violation(space, ds: DoubleSimplex, p) -> bool:
     if verdict is not None:
         return verdict
     within, cross = index.sides()
-    if sorted(d for d in within if d) == sorted(d for d in cross if d):
+    if _nonzero_multiset(within) == _nonzero_multiset(cross):
         return False
-    return settle(lambda lift: sum(power(lift(d), p) for d in cross)
-                  - sum(power(lift(d), p) for d in within), f"gap at p={p}")
+    return settle(lambda lift: sum(w * power(lift(d), p) for d, w in cross)
+                  - sum(w * power(lift(d), p) for d, w in within),
+                  f"gap at p={p}")
+
+
+def _nonzero_multiset(side: list) -> Counter:
+    multiset: Counter = Counter()
+    for d, w in side:
+        if d:
+            multiset[d] += w
+    return multiset
 
 
 def exhaustive_config_count(n_points: int, max_size: int) -> int:
@@ -240,6 +291,240 @@ def _simplex_test(space, ds: DoubleSimplex, hi: float):
     if not violates(hi):
         _recertified(space, ds, hi)
     return violates
+
+
+# the most points a family of a spectral witness may hold: each doubling
+# of the rounding scale doubles it, and the report lists every point
+WITNESS_POINTS = 2 ** 14
+
+
+def spectral_form(space, index: DistanceIndex) -> bool:
+    """Whether a listed table is symmetric, zero on its diagonal and
+    positive off it (every checked space), the form `SpectralProbe` reads;
+    `index` is the space's full `DistanceIndex`."""
+    n = space.size
+    d = [index.keys[s] for s in index.slots]
+    return (all(d[i * n + i] == 0 for i in range(n))
+            and all(0 < d[i * n + j] == d[j * n + i]
+                    for i in range(n) for j in range(i + 1, n)))
+
+
+def _dot(a, b) -> float:
+    return sum(map(operator.mul, a, b))
+
+
+def _cholesky(rows: list, shift: float) -> tuple:
+    """Float Cholesky R^T R of rows - shift I, a column at a time:
+    (R's columns above the diagonal, its diagonal, None) when every pivot
+    is positive, else (the same for the columns before the failing pivot,
+    x), where x^T (rows - shift I) x is that pivot, in exact arithmetic."""
+    cols: list = []
+    diag: list = []
+    for j, row in enumerate(rows):
+        col: list = []
+        for k in range(j):
+            col.append((row[k] - _dot(cols[k], col)) / diag[k])
+        pivot = row[j] - shift - _dot(col, col)
+        if not pivot > 0:
+            # x = (-R^-1 R^-T a_j, 1, 0, ...): back-substitution
+            x = col + [1.0] + [0.0] * (len(rows) - j - 1)
+            for k in range(j - 1, -1, -1):
+                x[k] /= diag[k]
+                for i, r in enumerate(cols[k]):
+                    x[i] -= r * x[k]
+            return cols, diag, [-t for t in x[:j]] + x[j:]
+        cols.append(col)
+        diag.append(math.sqrt(pivot))
+    return cols, diag, None
+
+
+def _solve(cols: list, diag: list, v: list) -> list:
+    """x with R^T R x = v for a complete factor."""
+    w: list = []
+    for k, col in enumerate(cols):
+        w.append((v[k] - _dot(col, w)) / diag[k])
+    for k in range(len(w) - 1, -1, -1):
+        w[k] /= diag[k]
+        for i, r in enumerate(cols[k]):
+            w[i] -= r * w[k]
+    return w
+
+
+def _form(rows: list, x: list) -> float:
+    return _dot(x, [_dot(row, x) for row in rows])
+
+
+def _rayleigh(rows: list, x: list) -> float:
+    """x^T A x / x^T x, or 0 where a back-substitution through a tiny
+    pivot left x too large for that to be a finite float."""
+    q = _form(rows, x) / _dot(x, x)
+    return q if math.isfinite(q) else 0.0
+
+
+def _psd_value(rows: list):
+    """A value that is >= 0 exactly when the symmetric matrix `rows` is
+    positive semidefinite, exact on rationals and an interval on mpmath
+    intervals: elimination on the largest remaining diagonal entry, which
+    leaves a positive semidefinite Schur complement exactly when the
+    matrix is one. Its least pivot when every pivot is positive; a
+    negative pivot; on rationals, where the largest diagonal entry left
+    is 0, 0 if every entry left is 0 (else -1); on intervals, one
+    straddling 0 where a pivot is not proven positive."""
+    rows = [list(row) for row in rows]
+    live = list(range(len(rows)))
+    least = None
+    while live:
+        k = max(live, key=lambda i: getattr(rows[i][i], "a", rows[i][i]))
+        pivot = rows[k][k]
+        if hasattr(pivot, "a"):
+            if pivot.b < 0:
+                return pivot
+            if not pivot.a > 0:
+                return pivot.ctx.mpf([-1, 1])
+        elif pivot < 0:
+            return pivot
+        elif pivot == 0:
+            return 0 if all(rows[i][j] == 0 for i in live
+                            for j in live) else -1
+        live.remove(k)
+        for i in live:
+            factor = rows[i][k] / pivot
+            for j in live:
+                rows[i][j] -= factor * rows[k][j]
+        least = pivot if least is None else min(least, pivot)
+    return 0 if least is None else least
+
+
+class SpectralProbe:
+    """The probe of a listed space in `spectral_form`, for every double
+    simplex at once. With B = (e_i - e_n), the n - 1 vectors from the last
+    point, and D^p the distance powers, c = B z is a signed multiset of
+    points summing to 0, and z^T A(p) z = -c^T D^p c is twice the gap of
+    the double simplex whose points are c's positive and negative parts.
+    So no double simplex violates at p exactly when A(p) = -B^T D^p B is
+    positive semidefinite (Schoenberg), and A(0) = I + J always is.
+
+    A probe at q factors A(q) - cI in floats (`_cholesky`) from the
+    `DistanceIndex` powers over the largest distance. Where it completes,
+    A(q) is positive definite, by Weyl's inequality: the factor is exact
+    for the matrix factored plus an error of spectral norm at most
+    gamma/(1 - gamma) times its trace, gamma = (m + 1)u/(1 - (m + 1)u)
+    for an m x m matrix (Demmel 1989; Rump 2006, BIT 46), plus subnormal
+    terms, and the float A(q) is within a row sum of its entries' radii
+    (`gap_radius`, `floor`) of the exact one; c is twice the two bounds,
+    with the rounding of the shifted diagonal. Where the
+    factorisation fails but that of A(q) + cI completes, the probe is
+    settled as a gap is (`numerics.settle`): A(q) is factored exactly
+    (`_psd_value`) in Fractions where its powers are rational, else on
+    intervals at twice PRECISION_BITS. A failure of both only steers the
+    bisection; `witness` proves a violation."""
+
+    def __init__(self, space, index: DistanceIndex):
+        self.space, self.index = space, index
+        self.m = max(space.size - 1, 0)
+        # the multiply-adds of one factorisation, sum_j j (j + 1) / 2
+        self.work = (self.m - 1) * self.m * (self.m + 1) // 6
+        self.settled = 0
+
+    def matrix(self, p) -> tuple:
+        """(A(p) in floats from the powers over the largest distance, the
+        shift c that makes a completed factorisation of A(p) - cI a
+        proof)."""
+        m, pw = self.m, self.index.power_matrix(p)
+        last = [row[m] for row in pw]
+        rows = [[(last[i] + last[j]) - pw[i][j] for j in range(m)]
+                for i in range(m)]
+        # Weyl: each entry (P_in + P_jn) - P_ij is within gap_radius(p, 1)
+        # of its three powers' sum, plus a floor each; a row sum of those
+        # bounds the spectral norm of the symmetric error
+        total = sum(last[:m])
+        error = (gap_radius(p, 1) * max(
+            (m * last[i] + total + sum(pw[i][:m]) for i in range(m)),
+            default=0.0) + 3 * m * self.index.floor(p))
+        # Cholesky: the trace term, and a subnormal ulp for every product
+        # and quotient of an entry
+        steps = (self.m + 1) * UNIT
+        gamma = steps / (1 - steps)
+        tiny = m * (m + 2) * math.ulp(0.0)
+        rounding = gamma / (1 - gamma) * (2 * total + tiny) + tiny
+        # doubled: the bound's own rounding, and fl(a_ii - c) >= a_ii - c
+        # less one rounding of a_ii
+        shift = 2 * (rounding + error) + 4 * UNIT * 2 * max(last[:m],
+                                                            default=0.0)
+        return rows, shift
+
+    def clean(self, p) -> bool:
+        """Whether no double simplex violates at p, proven."""
+        rows, shift = self.matrix(p)
+        if _cholesky(rows, shift)[2] is None:
+            return True
+        if _cholesky(rows, -shift)[2] is not None:
+            return False
+        self.settled += 1
+        index, n = self.index, self.space.size
+
+        def value(lift):
+            pw = [power(lift(d), p) for d in index.keys]
+            at = [pw[s] for s in index.slots]
+            return _psd_value([[at[i * n + n - 1] + at[j * n + n - 1]
+                                - at[i * n + j] for j in range(self.m)]
+                               for i in range(self.m)])
+
+        return not settle(value, f"spectral probe at p={p}")
+
+    def witness(self, p) -> Optional[DoubleSimplex]:
+        """A double simplex proven to violate at p, or None. The failing
+        factorisation's vector starts inverse iteration toward A(p)'s most
+        negative eigenvector, with a shift bisected below that eigenvalue
+        (a factorisation of A(p) - sI completes only for s below it); the
+        vector, scaled to largest entry 1, 2, 4, ..., is rounded to
+        integer multiplicities z of the first n - 1 points, the last one
+        taking -sum(z), until `certify_violation` proves one or a family
+        passes WITNESS_POINTS points."""
+        rows, shift = self.matrix(p)
+        x = _cholesky(rows, shift)[2]
+        if x is None:
+            return None
+        # inverse iteration converges by (lambda - lo) / (lambda_2 - lo)
+        # a step, for a shift lo below the least eigenvalue lambda; near
+        # the roundness lambda_2 >= 0, so a shift within |hi| / 8 of it,
+        # hi >= lambda, gains a factor 9 a step. The shift doubles below
+        # hi until a factorisation completes, then bisects; each failing
+        # one's vector lowers hi to its Rayleigh quotient
+        hi, lo, factor = min(-shift, _rayleigh(rows, x)), 0.0, None
+        while factor is None or hi - lo > -hi / 8:
+            mid = 2 * hi if factor is None else lo + (hi - lo) / 2
+            if factor is not None and not lo < mid < hi:
+                break
+            trial = _cholesky(rows, mid)
+            if trial[2] is None:
+                lo, factor = mid, trial
+            else:
+                hi = min(mid, _rayleigh(rows, trial[2]))
+        # converged to 2^-40, far below what a rounding at a scale within
+        # WITNESS_POINTS can see
+        v = x
+        for _ in range(100):
+            w = _solve(factor[0], factor[1], v)
+            top = max(w, key=abs)
+            w, v = v, [t / top for t in w]
+            if max(map(abs, map(operator.sub, w, v))) <= 2.0 ** -40:
+                break
+        points = self.space.size
+        for b in range(64):
+            z = [round(t * 2 ** b) for t in v]
+            z.append(-sum(z))
+            r = sum(t for t in z if t > 0)
+            if r > WITNESS_POINTS:
+                return None
+            if r < 2 or not _form(rows, z[:-1]) < 0:
+                continue
+            ds = DoubleSimplex(
+                tuple(i for i in range(points) for _ in range(z[i])),
+                tuple(i for i in range(points) for _ in range(-z[i])))
+            if certify_violation(self.space, ds, p):
+                return ds
+        return None
 
 
 def character_table(space: ProductCycleSpace,
@@ -405,6 +690,46 @@ def _close_bracket(probe, crossing, lower: float, upper: float, witness,
     return lower, upper, witness
 
 
+def _spectral_bracket(form: SpectralProbe, clean, crossing, lower: float,
+                      upper: float, tol: float, flags: list) -> tuple:
+    """`_close_bracket` for a listed space in `spectral_form`, clean at
+    lower and failing at upper: bisect on the factorisation until the
+    bracket is within tol / 4, then take a witness at lower + tol, whose
+    crossing closes the bracket to tol. Where no witness of at most
+    WITNESS_POINTS points a family is proven there, the distance above
+    lower quadruples, up to the first upper, and a bracket left wider
+    than tol is flagged; ArithmeticError where no witness is proven at
+    that upper either."""
+    cap = upper
+    while upper - lower > tol / 4:
+        mid = lower + (upper - lower) / 2
+        if not lower < mid < upper:
+            # adjacent floats, within tol / 4 only for tol under 4 ulps
+            if upper - lower > tol:
+                flags.append("tolerance below float resolution")
+            break
+        if clean(mid):
+            lower = mid
+        else:
+            upper = mid
+    span = tol
+    while True:
+        q = lower + span
+        if q - lower > span:
+            q = math.nextafter(q, lower)
+        q = min(max(q, upper), cap)
+        w = form.witness(q)
+        if w is not None:
+            upper = crossing(w, lower, q)
+            if span > tol and upper - lower > tol:
+                flags.append(f"no witness of at most {WITNESS_POINTS} points"
+                             f" per family within p_tolerance")
+            return lower, upper, w
+        if q == cap:
+            raise ArithmeticError(f"no witness proven at p={q}")
+        span *= 4
+
+
 def estimate_roundness(space, max_size: int = 3,
                        p_tolerance: float = 1e-3,
                        budget: int | None = None,
@@ -412,17 +737,23 @@ def estimate_roundness(space, max_size: int = 3,
                        ) -> RoundnessEstimate:
     """Bracket the roundness between a clean probe and a witness.
 
-    A cycle product is probed through its characters, which covers every
-    double simplex (max_size is not read); any other space by the
-    exhaustive scan of families up to max_size points, which `covers`
-    records. A clean probe at 0 is the lower end, the crossing of the
-    witness at p_cap the upper, and `_close_bracket` narrows them to
-    p_tolerance. Both ends are certified for what `covers` names: the
-    lower by a clean exhaustive scan or full character table, the upper
-    by the witness, proven there (`certify_violation`) or positive there
-    as an interval. The lower end is absolute: a roundness below
-    p_tolerance keeps it at 0, with its witness's crossing above. `budget`
-    caps the characters or scanned configurations of each probe. None
+    A cycle product is probed through its characters, and a listed space
+    that is symmetric, zero on its diagonal and positive off it (every
+    checked space) through `SpectralProbe`: both cover every double
+    simplex, and max_size is not read. Any other table (possible only
+    unchecked) is probed by the exhaustive scan of families up to
+    max_size points, which `covers` records. 0 is the lower end to start
+    with. The characters and the scan take the crossing of the witness at
+    p_cap as the upper end and `_close_bracket` narrows the two to
+    p_tolerance; the spectral probe bisects and takes one witness above
+    its last clean probe (`_spectral_bracket`). Both ends are certified
+    for what `covers` names: the lower by a clean exhaustive scan, full
+    character table or factorisation, the upper by the witness, proven
+    there (`certify_violation`) or positive there as an interval. The
+    lower end is absolute: a roundness below p_tolerance keeps it at 0,
+    with its witness's crossing above. `budget` caps the characters,
+    multiply-adds of one factorisation or scanned configurations of each
+    probe, and an over-budget probe is refused before any work. None
     means no cap on a listed space, which its size bounds, and on a cycle
     product, whose character count two integers set, as many characters
     as keep its table within TABLE_INTERVALS intervals. The tolerance and
@@ -433,28 +764,38 @@ def estimate_roundness(space, max_size: int = 3,
             raise ValueError(f"{name} must be finite and positive, got {value}")
     probes: list = []
     flags: list = []
-    table = None
+    table = form = index = None
     if isinstance(space, ProductCycleSpace):
-        covers, size, index = "every double simplex", None, None
+        mode, size = "characters", None
         if budget is None:
             # the table holds units/2 intervals per character, and there
             # are at least units/2 characters, so this bounds the kernel
             # rows too
             budget = TABLE_INTERVALS // (space.units // 2)
     else:
-        covers = f"double simplices with at most {max_size} points per family"
-        size, index = max_size, DistanceIndex(space)
+        index = DistanceIndex(space)
+        if spectral_form(space, index):
+            mode, size = "spectral", None
+            form = SpectralProbe(space, index)
+        else:
+            mode, size = "scan", max_size
+    covers = (f"double simplices with at most {max_size} points per family"
+              if mode == "scan" else "every double simplex")
 
     def probe(p: float):
-        w = (find_violation_characters(space, p, table=table)
-             if size is None
-             else _scan_violation(space, max_size, p, budget, index))
+        if mode == "spectral":
+            # the factorisation proves no witness: True stands for one
+            w = None if form.clean(p) else True
+        elif mode == "characters":
+            w = find_violation_characters(space, p, table=table)
+        else:
+            w = _scan_violation(space, max_size, p, budget, index)
         probes.append({"p": p, "violation": w is not None})
         return w
 
     def crossing(w, lo: float, hi: float) -> float:
         """Where the witness w, violating at hi, starts to violate."""
-        if size is not None:
+        if mode != "characters":
             return _crossing(_simplex_test(space, w, hi), lo, hi)
         prods = dict(table)[w]
         return _crossing(lambda p: violation(-_eigenvalue(
@@ -463,10 +804,15 @@ def estimate_roundness(space, max_size: int = 3,
     est = RoundnessEstimate(0.0, math.inf, None, None, True, covers, size,
                             p_cap, probes, flags)
     try:
-        if size is None:
+        if mode == "characters":
             # built once and dropped when the estimate returns
             table = character_table(space, budget)
-        w0 = probe(0.0)
+        elif mode == "spectral":
+            if budget is not None and form.work > budget:
+                raise BudgetExceeded(f"factorisation needs {form.work} "
+                                     f"multiply-adds", form.work)
+        # A(0) = I + J is positive definite: no spectral probe at 0
+        w0 = None if mode == "spectral" else probe(0.0)
         if w0 is not None:
             flags.append("violation at p=0")
             est.lower, est.upper = 0.0, 0.0
@@ -477,15 +823,20 @@ def estimate_roundness(space, max_size: int = 3,
                 flags.append("no violation up to p_cap")
                 est.lower = p_cap
                 return est
-            est.lower, est.upper, est.witness = _close_bracket(
-                probe, crossing, 0.0, crossing(wit, 0.0, p_cap), wit,
-                p_tolerance, flags)
+            if mode == "spectral":
+                est.lower, est.upper, est.witness = _spectral_bracket(
+                    form, lambda p: probe(p) is None, crossing, 0.0, p_cap,
+                    p_tolerance, flags)
+            else:
+                est.lower, est.upper, est.witness = _close_bracket(
+                    probe, crossing, 0.0, crossing(wit, 0.0, p_cap), wit,
+                    p_tolerance, flags)
             est.witness_p = est.upper
     except BudgetExceeded as exc:
         flags.append(f"budget exhausted: {exc}")
         est.certified = False
         return est
-    if size is not None:
+    if mode != "characters":
         # the reported witness, proven where it is reported
         _recertified(space, est.witness, est.witness_p)
     return est

@@ -15,7 +15,9 @@ pair, which `verify_mstar_isometry` decides by a scan of coordinate
 values. The dense spectra of small cycle products, and their
 eigenvalues summed over every point, decide what the character probe
 reads from closed forms. The mpmath re-sum of a gap at 320 bits, four
-times PRECISION_BITS, is the oracle of `certify_violation`. The triangle
+times PRECISION_BITS, is the oracle of `certify_violation`, and the
+smallest numpy eigenvalue of A(p) = -B^T D^p B, bisected in p, the
+oracle of the spectral value that `SpectralProbe` brackets. The triangle
 audit on the distances themselves is the one `validate_metric` ran before
 it compared integers over the common denominator. The block
 representatives at the end give `validate_metric` the zero and antipodal
@@ -215,7 +217,10 @@ def mpmath_certify_violation(space, ds, p):
     with `certify_violation`: exact for rational distances at integer p,
     else the sign of the gap summed in mpmath at four times
     PRECISION_BITS, where a gap within 2^-300 of the sums is taken as
-    the 0 it is in exact arithmetic."""
+    the 0 it is in exact arithmetic. Each distinct distance is powered
+    once, so families of hundreds of points stay quick."""
+    import functools
+
     import mpmath
 
     r = ds.r
@@ -229,6 +234,7 @@ def mpmath_certify_violation(space, ds, p):
                     for side in (within, cross))
         return rhs < lhs
 
+    @functools.lru_cache(maxsize=None)
     def power(d):
         if d == 0:
             return mpmath.mpf(0)
@@ -241,6 +247,35 @@ def mpmath_certify_violation(space, ds, p):
         lhs = mpmath.fsum(power(d) for d in within)
         rhs = mpmath.fsum(power(d) for d in cross)
         return rhs - lhs < -mpmath.mpf(2) ** -300 * (lhs + rhs)
+
+
+def spectral_value(space, lo=0.0, hi=16.0, steps=60):
+    """The spectral value of a listed space: the largest p in [lo, hi] at
+    which A(p) = -B^T D^p B, B = (e_i - e_n), is positive semidefinite,
+    bisected `steps` times on numpy's smallest eigenvalue of A(p), with D
+    the distances over the largest as floats. A float oracle, good to
+    about 1e-12 where A(p) loses its last nonnegative eigenvalue at unit
+    slope."""
+    import numpy as np
+
+    n = space.size
+    d = np.array([[float(Fraction(space.distance(i, j)))
+                   for j in range(n)] for i in range(n)])
+    d /= d.max()
+
+    def least(p):
+        dp = d ** p
+        np.fill_diagonal(dp, 0.0)
+        a = dp[:-1, -1:] + dp[-1:, :-1] - dp[:-1, :-1]
+        return np.linalg.eigvalsh(a)[0]
+
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if least(mid) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
 def enumerated_mstar_pairs(n, variant):

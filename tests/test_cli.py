@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import roundlab
+from oracles import spectral_value
 from roundlab import cli
 from roundlab.cli import COMMANDS, build_parser, command_path, main
 from roundlab.cycles import DoubleSimplex
@@ -64,7 +65,7 @@ def test_validate_ok(c4_csv, capsys):
     code, doc, _ = run(["validate", "--input", c4_csv], capsys)
     assert code == 0
     assert doc["results"]["ok"] is True
-    assert doc["schema"] == 10
+    assert doc["schema"] == 11
     assert doc["command"] == "validate"
 
 
@@ -93,24 +94,42 @@ def _relabelled(space, seed):
                                         for i in labels])
 
 
+def _pseudometric():
+    """random_rational_metric_space(8, 3) with point 8 a copy of point 0:
+    a zero off the diagonal, so only --unchecked reads it, and the scan
+    probes it."""
+    base = random_rational_metric_space(8, 3).dist
+    return FiniteMetricSpace.unchecked(
+        [list(row) + [row[0]] for row in base] + [list(base[0]) + [0]])
+
+
 @pytest.mark.parametrize("space, argv, results_sha256", [
     (lambda: random_rational_metric_space(20, 0),
      ["--max-size", "3", "--tol", "1e-3"],
-     "2e65318733b56908c3e69585e71371839836f54302e05233d23e235ca5e7882e"),
+     "3116c56c788d6ee3aee6571f1d250e9c1ca68c17a267c8dee03c11711b41b97b"),
     (lambda: _relabelled(random_rational_metric_space(20, 0), 7),
      ["--max-size", "3", "--tol", "1e-3"],
-     "b84097f38d157631bb88d792093d3b2baa9a218dc9b299bfe66ad49fd11d0943"),
+     "1b531643e565568d5231f00cb4f28d1dd103dba6300017afa1efa71f94047338"),
     (lambda: random_rational_metric_space(10, 1), ["--max-size", "4"],
-     "6bffbc437a3447fb3c6b7097653ae3c011907820a1d1db74321bb6c2603e4c08"),
+     "40fda9df021f202036538b2e2bc6704d67350bbbcdd691303a73ab2a52a07779"),
     (lambda: cycle_graph_space(5), [],
-     "b3f3a8c297a61a660bb4ff3001b3addb99479e5dcfafda665143385e636ef3c6"),
-], ids=["r20", "r20-relabelled", "r10-size4", "c5"])
+     "11e3cdc93b421b8e3e7af13c33b489b8232220fc4e4eef67f2a33b8638876c78"),
+    (_pseudometric, ["--unchecked"],
+     "d39b236c1290236c56123d12a5a3431456e8464862be1b1b1524e6ba00c7596c"),
+    (_pseudometric, ["--unchecked", "--max-size", "2", "--tol", "1e-2"],
+     "264d348a2e6333845ee757377deaf5d86a1202fa83bcc15144b7ea7f0e4d5d72"),
+], ids=["r20", "r20-relabelled", "r10-size4", "c5", "pseudometric",
+        "pseudometric-size2"])
 def test_gr_estimate_results_frozen(space, argv, results_sha256, tmp_path,
                                     capsys):
-    # digests recorded at schema 10, when every gap began to be decided
-    # against its proven float radius, so each crossing is the witness's
-    # true one to within that radius; the bracket is certified, within
-    # the tolerance, and its witness violates at witness_p
+    # digests of the listed metric spaces recorded at schema 11, when
+    # they began to be probed by the factorisation, for every double
+    # simplex, with the bracket holding the numpy oracle's spectral
+    # value; those of the pseudometric, which the scan still probes, at
+    # schema 10, when every gap began to be decided against its proven
+    # float radius, so each crossing is the witness's true one to within
+    # that radius. The bracket is certified, within the tolerance, and
+    # its witness violates at witness_p
     path = tmp_path / "space.csv"
     write_space_csv(space(), str(path))
     code, doc, _ = run(["gr", "estimate", "--input", str(path), *argv],
@@ -118,16 +137,22 @@ def test_gr_estimate_results_frozen(space, argv, results_sha256, tmp_path,
     assert code == 0
     results = doc["results"]
     max_size = results["max_simplex_size"]
-    assert results["covers"] == (f"double simplices with at most "
-                                 f"{max_size} points per family")
+    if "--unchecked" in argv:
+        assert results["covers"] == (f"double simplices with at most "
+                                     f"{max_size} points per family")
+    else:
+        assert max_size is None
+        assert results["covers"] == "every double simplex"
+        value = spectral_value(space())
+        assert results["lower"] <= value <= results["upper"]
     tol = float(doc["params"]["tol"])
     assert results["certified"] is True
     assert results["upper"] - results["lower"] <= tol
     assert results["witness_p"] == results["upper"]
     witness = DoubleSimplex(tuple(results["witness"]["xs"]),
                             tuple(results["witness"]["ys"]))
-    assert certify_violation(read_space_csv(str(path)), witness,
-                             results["witness_p"])
+    assert certify_violation(read_space_csv(str(path), checked=False),
+                             witness, results["witness_p"])
     text = json.dumps(results, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == results_sha256
 
@@ -166,8 +191,10 @@ def test_gr_estimate_deterministic(c4_csv, capsys):
     assert set(doc["params"]) == {"input", "max_size", "tol", "budget",
                                   "p_cap"}
     assert "seed" not in doc["provenance"]
-    assert doc["results"]["covers"] == ("double simplices with at most 3 "
-                                        "points per family")
+    # --max-size is recorded, and a listed metric space does not read it
+    assert doc["params"]["max_size"] == 3
+    assert doc["results"]["covers"] == "every double simplex"
+    assert doc["results"]["max_simplex_size"] is None
 
 
 def test_gr_estimate_modes_exclusive(c4_csv, capsys):
@@ -368,6 +395,23 @@ def test_obstruct_step_and_chain_past_the_float_range(capsys):
                           "builtin:identity", "--p", "1100"], capsys)
     assert (code, err) == (2, "")
     assert doc["results"]["cumulative_holds"] is False
+
+
+@pytest.mark.parametrize("delta, p, means", [
+    ("2", "100000", ("inf", "inf")), ("1", "1100", (1.0, "inf")),
+], ids=["both-means", "edge-mean"])
+def test_obstruct_step_margin_past_the_float_range(delta, p, means, capsys):
+    # with both means past the float range hi - factor * lo is inf - inf;
+    # the margin is the infinity of the settled verdict's sign, as where
+    # only the edge mean overflows, never "nan"
+    code, doc, err = run(["obstruct", "step", "--map", "builtin:identity",
+                          "--coords", "4", "--units", "8", "--delta", delta,
+                          "--support", "2", "--size", "2", "--p", p], capsys)
+    assert (code, err) == (2, "")
+    res = doc["results"]
+    assert (res["conn"]["mean"], res["edge"]["mean"]) == means
+    assert res["holds"] is False
+    assert res["margin"] == "-inf"
 
 
 def test_obstruct_step_exact_reads_class_distance_at_any_class_size(capsys):
@@ -681,77 +725,77 @@ PINNED = {
 # sha256 of the body without wall_time_s, sorted and compact
 PINNED_BODY = {
     "validate":
-        "2d3f014da31392e6bf47e7f7436dc86d877ecdd5d383ef880225b2ef56a106b0",
+        "4b8cf883ddbd52565f070ba15a1449868e2d4f1ac39fe49126136caadcd3ea30",
     "validate-budget":
-        "6b40ae8cdd92d65c72d0d535fb348c3ec9f89123aad66401bbdd6efa7abecceb",
+        "64f74c14c223b9341027251f9b4c8c52e6d0902c07ea75a3995045fbb7233460",
     "gr-estimate":
-        "74cda2f380bd2894768c3db32e67300c2b0a6ff7cd5687a3aab00f87a5b71b78",
+        "8b94170701e48b45264bbc99d4dfc6eef7cb329d87893e7b32b0624ac8b47e9f",
     "gr-estimate-r12":
-        "263d45dd90f323103ce6ed97995b784d6e497b5d4876db517d22f7c1c2c70fe3",
+        "698a64dbbf47f25b064a8ad47e612651de53a4e22aaeeb2e7f8ad7109f93fc04",
     "simplex-build":
-        "3083651a07035ce67cceedc58a2720b1b52c6c4a0ce0b5b9d889dfd8e8cafce9",
+        "f9ce6fe9913593af1d678965421f8bf6e7ac2d0ece217571dbbd167d1a16ffb5",
     "simplex-build-stage":
-        "d449fbb12c161f0d161754202f77df10b9fa8dcbfabefa28a430c304e5ae8ceb",
+        "57e2e735fb5c81898aa675a989e8731a43349795e843dd78432ff8b6a1267efe",
     "counts-pairs":
-        "b199b08870aed5493b86e9575de22164f77da6cc111d5d7b8b19c2af19c20ef7",
+        "c263c3ba6d0265f430acd419ab4df0e131200b1e027016466a3e172c5288336b",
     "counts-incidences":
-        "ec1a8d040292e4b63920bb45c6ee5b56c75b23b06e3186cb2be8792afe1dee01",
+        "68dc9b8dcbf6172439a8dbecd9ab0cef6026dba0f23282646b52044d209ec394",
     "obstruct-coarse":
-        "f487bc910413b182758ab8e2dd24840033c0b582fb4be093074030fda99c7a2a",
+        "0d6df9ebbd65d955ff6d663ab8f8de507ecde9349fbf93a4f5479910eb5a63c7",
     "obstruct-step-exact-identity":
-        "d03e1f07f79d2d10de8ddb3d3cb99dd6a565fe6c5ac916a2f9bd6d1980333ac9",
+        "a94d2ed3abb6fab2922adae9264a6e50d58d72e14f3f989721b8a77d9729cdb2",
     "obstruct-step-exact-circle":
-        "4dd975cff1b1882b1663847e7fb9ffff50d787c9f40d5ea072663766f182e724",
+        "a69e415a876bfb4cdb3b9062e5158b8e3422ddc590bb29faf38cdc9df081abd7",
     "obstruct-step-exact-constant":
-        "01f50b4fb6c0fb4c7d0ca37912ef43c84141a143e2a5d4fd16bc0ac968b46bd6",
+        "6d9228c86d8db422d871fb2e1b3471dbb71bf947c0b6cd9ef111f60b526e1533",
     "obstruct-step-exact-snowflake:1/2":
-        "3243511e2bbc9e2031324782ac982220ce4e26710cd189b87b73c165b97e76b1",
+        "df4614b126f5753f16a643d643b431f9a9f20dffe9eb92795bf74cba093a8327",
     "obstruct-step-mc-identity":
-        "c88125b4ab451db77ef81b51d6aa106ac928ed8124691c322c1cdb840c199950",
+        "64dc1f177e675ef111b13522ccf75169124280f1ecef6123fd68daaba03d31c7",
     "obstruct-step-mc-circle":
-        "31a536ec214c96d4767dfeeccacbc2e81728845770e2145bfa9f80a4e89d06cc",
+        "bbb7b7611d7a5cad81746209d6144413181a218d1eab82c0674f668ed185e591",
     "obstruct-step-mc-constant":
-        "8a51777e83ee2456288277467eed62a0e2eed9fdfc941a69416c4bd05d5c4ebd",
+        "2aff87cbb539c0afc78f571ab254497ec21f1a5544dc78845995d0d07fd21a41",
     "obstruct-step-mc-snowflake:1/2":
-        "ba9f2543e6dad4737db337284643f5908138cd2079dd280755e3c5f366bf7e3a",
+        "a60f6c9aded567611d97909309b6c4909f5988bd836654028f91fba178426c87",
     "obstruct-chain":
-        "04281c670214b89a38594eda67c9958ae7ab56f58646a38a708e74acbac72732",
+        "9f5b569434ea8eb325479df7745d2f198cf4fe28a91c8cb81e000e0702b67b87",
     "obstruct-uniform-p2":
-        "857ed340793c103620fbc800d2cdd98a975baacc9843dcaad8a3f1ff54bd05fe",
+        "d6565519ae4e6c2193861a25e8523935fed35b8a40487c2bd8e78e093cbf74e3",
     "obstruct-uniform-pinf":
-        "e2aa14c8554c7a16d0754e54e8f33609725a82c0d84da67bd361c3698269e1e0",
+        "c9fc1ca1c86b3a85c461f51c8de350e65bb5398ed44cb7df1b7e0b2581b770a4",
     "zspace-validate-literal":
-        "7d14029fff9f5c8aa3ff884baf34414ba72dea296f4fc1b05f4b89dc7bb57f04",
+        "0b9bb22a37e29aa997104b7ea095e3c0b540b35c94112f067ef47031cecd1b8c",
     "zspace-validate-corrected":
-        "692ead5dd5696cecf65782babcdf133659d06d87120766b31b0868281933d367",
+        "7dcb9a7d2eb7b7ba8a17372b9322a617532feede962d7ba035081981a4bdc38b",
     "zspace-ball":
-        "5baa42b7474f2cba2f7156b188b510e8ed1779ae1d26f7d7639c99d4fdcb98f7",
+        "4d4d7853791e411cf51ff58ba1a0e9d13df1b931ecb2193542bb7ce2ecce2659",
     "inject-build-ell0":
-        "cfa531b1298a76e7636356f9a76b7b1dca8b6a3f7e144de017bcedd997a18680",
+        "112939bfb0b2ff6cee23a32245417bd31dad0a885607d6324a26437bfd6622cb",
     "inject-build-ellp:1/2":
-        "9868825ca9b4d1e5396a8cc766b31081c83c3d390d1bb070f74d37bba697a8af",
+        "f55d21accf3144dd0b7565594c414a2b10dc7aa329e4075050c2e2fa20292f7d",
     "inject-build-ellp:2":
-        "8ef76a2fb1ce388916fd04442a1eee09136882ac7a6c8ca2be201960128e97ff",
+        "325f8135d729165b091829f2d50edbfd689c303c61cb2e0d0cfcf57e655b2d39",
     "inject-build-ballchain:intervals":
-        "099b9de12a8eb6c3b44f0330e72b6481c0a56487dee5b06f19b477fc0ca49a6c",
+        "9672d13471cd80787754c0f5c40b9894414b3912a2bf56949410b5c81dd7e58d",
     "inject-build-ballchain:cauchy":
-        "073cd248fa774c664a7cfcbdcdaa228e3b8fd6123e2050a91dfb451ffdbe9241",
+        "ba52ee28999c8acf85f48b887b2ca274ff8b2bc3866fc0247d4b49031f21f501",
     "inject-build-embedded":
-        "539e244c4715740b0eaad804d4d81b5bd608bdc9e9b245dc0ee17470c5e3c51e",
+        "9edd1fb352c13639bb034b057e5ad83eed002fe1361d2bf3e215d7d3d0104f10",
     "inject-verify":
-        "99bbcd1e06ee01061f2301f1d1252be60a0f101c085e04bca4714486909e978b",
+        "356b38cb7edc2c473a08d1dc593e625a5cf9ac7dbd918ddf23b646ee2e6e81b9",
     "inject-verify-input":
-        "bd99e849b3b25bc1b8d08378ae733d27eb57de6b4dd42fc70319d7b6e7fbbe6c",
+        "572e164ea935a35cf974cb5c8d490d0c9cad2bb843ae2c109e19d048402666f9",
     "cayley-verify-merged":
-        "ee7ed015deba43cd890bbb4895f1dfd1d9806da148e201a1b63ee44c33952807",
+        "aaa1a34f350770d7fc9a1d65cf4166084918da711d0dfea61ed62ad815f3ed7f",
     "cayley-verify-literal":
-        "f4b8e4a3644c3d21f011ad6232b67c02c83e221ad2332ef4bd175d2988676508",
+        "926e259131f523fc0370950786c4619ca846e0ba13cc00eeaea0d7b73c7d24bc",
     "cayley-roundness":
-        "2c8f1bff466afb6005fab872a373ef1b49bdf80ff99141c526dfe31950500a2c",
+        "cbbbfbfc1951f43eab4e444c9c6b77eed1c07472ac30aa8cc57551f9022eb5ed",
     "cayley-roundness-basis":
-        "62e5af0112d0117bfabd5468ace1516299951963c7c0d5a34e3bda63c5be24f7",
+        "5616f3ef0f05e8a6b7ae255668e5c46b31f4e44b7d17931b065bf0cf56043e12",
     "cayley-projection":
-        "594b9d60f2408e28390eed5017aa7e0dc903b802fc557edead80e8f43164545f",
+        "c4a4b5dd03e58d14dae3558ba0e2cbda0fca562b3898579947045fae10cd77e0",
 }
 
 # sha256 of the --map-out file
@@ -803,7 +847,7 @@ def test_pinned_bodies_cover_every_command():
 @pytest.mark.parametrize("name", PINNED)
 def test_every_command_body_pinned(name, pinned_files, capsys):
     # digests of the body as `Report.body_json` dumps it, recorded at
-    # schema 10 (the bodies other than gr estimate's are schema 9's with
+    # schema 11 (the bodies other than gr estimate's are schema 10's with
     # the schema changed); the printed text is that body and wall_time_s,
     # indented
     argv, code = PINNED[name]
@@ -1203,7 +1247,7 @@ def test_cayley_verify_proof_byte_identical(capsys):
     second = capsys.readouterr().out
     assert code1 == code2 == 0
     assert strip_wall(first) == strip_wall(second)
-    assert json.loads(first)["schema"] == 10
+    assert json.loads(first)["schema"] == 11
 
 
 def test_cayley_verify_takes_no_sampling_options(capsys):

@@ -195,20 +195,40 @@ def test_light_commands_load_neither_numpy_nor_mpmath(argv, tmp_path):
 
 
 def test_gr_estimate_loads_roundness_and_spaces(tmp_path):
-    from roundlab.spaces import cycle_graph_space, write_space_csv
+    # a listed metric space is probed by the pure-Python factorisation:
+    # neither the scan's kernels and numpy nor, outside the settle band
+    # (the 4-cycle's one probe there, at p = 1, is rational), mpmath; the
+    # 20-point space is the benchmark's, with its argv
+    from roundlab.spaces import (cycle_graph_space,
+                                 random_rational_metric_space,
+                                 write_space_csv)
 
-    path = tmp_path / "c4.csv"
-    write_space_csv(cycle_graph_space(4), str(path))
-    rc, modules = loaded_after(["gr", "estimate", "--input", str(path)],
-                               tmp_path)
+    for name, space in (("c4", cycle_graph_space(4)),
+                        ("r20", random_rational_metric_space(20, 0))):
+        path = tmp_path / f"{name}.csv"
+        write_space_csv(space, str(path))
+        rc, modules = loaded_after(["gr", "estimate", "--input", str(path),
+                                    "--max-size", "3", "--tol", "1e-3"],
+                                   tmp_path)
+        assert rc == 0
+        assert SPACE_FILE_MODULES <= modules
+        assert "dataclasses" not in modules
+        assert not {"numpy", "mpmath", "roundlab.kernels"} & modules
+        assert "roundlab.cyclic" not in modules
+
+
+def test_gr_estimate_scans_an_asymmetric_unchecked_table(tmp_path):
+    # d(1, 0) = 2 but d(0, 1) = 1: outside the spectral form, so the
+    # table takes the exhaustive scan and its numpy kernel
+    path = tmp_path / "asymmetric.csv"
+    path.write_text("4\n0 1 2 1\n2 0 1 2\n2 1 0 1\n1 2 1 0\n")
+    out = tmp_path / "report.json"
+    rc, modules = loaded_after(["gr", "estimate", "--unchecked", "--input",
+                                str(path)], tmp_path)
     assert rc == 0
-    assert SPACE_FILE_MODULES <= modules
-    assert "dataclasses" not in modules
-    # the witnesses above p = 1 are proven at fractional p in floats,
-    # against their error radius, with no interval fallback
-    assert "mpmath" not in modules
+    assert json.loads(out.read_text())["results"]["covers"] == (
+        "double simplices with at most 3 points per family")
     assert "numpy" in modules and "roundlab.kernels" in modules
-    assert "roundlab.cyclic" not in modules
 
 
 def test_product_estimate_loads_no_numpy():

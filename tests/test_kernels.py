@@ -177,7 +177,7 @@ def test_min_gap_scan_finds_first_violation():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_min_gap_scan_matches_reference(seed):
+def test_min_gap_scan_matches_reference(seed, scan_only):
     # the last probes sit where the smallest gaps are nearest their
     # radius, so a reassociated sum would flip decisions there
     space = random_rational_metric_space(6 + seed, seed)
@@ -278,7 +278,7 @@ def test_min_gap_scan_first_violation_inside_a_later_block(monkeypatch):
     assert witness == ((0, 3, 5), (4, 4, 4)) and scanned == 1083
 
 
-def test_min_gap_scan_counts_per_probe_frozen(monkeypatch):
+def test_min_gap_scan_counts_per_probe_frozen(monkeypatch, scan_only):
     # configs scanned by each probe of the 20-point space, less the clean
     # p = 0 probe, which does not scan: every violating probe moves the
     # upper end to its witness's crossing and the one clean scan, at

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from roundlab import cyclic, parallel
+from roundlab import cyclic, obstruction, parallel
 from roundlab.cyclic import (CycleSpace, PairClass,
                              ProductCycleSpace, SimplexClass,
                              count_pairs_closed, sample_pairs_sparse, stage_pair_class,
@@ -562,3 +562,13 @@ def test_coarse_at_a_huge_exponent_settles_on_intervals():
     rep = coarse_obstruction_report(moduli, 1e15, n_range=range(1, 3))
     assert not rep.found
     assert [row["lhs"] for row in rep.scanned] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("sign, margin", [(1, math.inf), (-1, -math.inf),
+                                          (0, math.inf)])
+def test_margin_of_two_infinite_terms_is_the_verdicts_infinity(sign, margin):
+    # inf - inf is NaN, which no float rule decides: the settled value's
+    # sign picks the infinity, and a settled 0 holds
+    assert obstruction._margin(math.inf, math.inf, 0.5, 1e-15,
+                               lambda lift: lift(sign), "margin") \
+        == (margin, sign >= 0)

@@ -13,13 +13,13 @@ import pytest
 
 from oracles import (character_quotient, dense_top_eigenvalue,
                      interval_character_eigenvalue, mpmath_certify_violation,
-                     reference_power_matrix)
+                     reference_power_matrix, spectral_value)
 from roundlab import kernels, roundness
 from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
                              ProductCycleSpace, stage_space)
 from roundlab.metric import FiniteMetricSpace, snowflake
-from roundlab.roundness import (DistanceIndex, certify_violation,
-                                estimate_roundness,
+from roundlab.roundness import (DistanceIndex, SpectralProbe,
+                                certify_violation, estimate_roundness,
                                 exhaustive_config_count,
                                 find_violation_characters,
                                 find_violation_exhaustive, simplex_gap)
@@ -70,7 +70,8 @@ def test_certify_violation_paths():
 
 
 def _crossings(space, max_size, monkeypatch):
-    """(witness, crossing) for every violating probe of an estimate."""
+    """(witness, crossing) for every violating probe of an estimate: the
+    one spectral witness, or each of the scan's."""
     witnesses, crossings = [], []
     test, crossing = roundness._simplex_test, roundness._crossing
 
@@ -89,9 +90,12 @@ def _crossings(space, max_size, monkeypatch):
     return est, list(zip(witnesses, crossings, strict=True))
 
 
-@pytest.mark.parametrize("n, seed, max_size", [
+CERTIFIER_CASES = pytest.mark.parametrize("n, seed, max_size", [
     (6, 3, 3), (8, 2, 3), (10, 1, 4), (20, 0, 3),
 ], ids=["r6", "r8", "r10-size4", "r20"])
+
+
+@CERTIFIER_CASES
 def test_decimal_certifier_matches_mpmath_reference(n, seed, max_size,
                                                     monkeypatch):
     # every witness an estimate finds, re-tested at every fractional probe
@@ -99,7 +103,19 @@ def test_decimal_certifier_matches_mpmath_reference(n, seed, max_size,
     # and 1e-10 of it, where the distances are rational and the sums
     # inexact: the certifier (once a decimal re-sum, now the float radius
     # and its interval fallback) and the 320-bit mpmath re-sum give one
-    # verdict, and each witness violates at its crossing
+    # verdict, and each witness violates at its crossing. The one
+    # spectral witness holds dozens to hundreds of points a family
+    _certifier_matches_reference(n, seed, max_size, monkeypatch)
+
+
+@CERTIFIER_CASES
+def test_decimal_certifier_matches_mpmath_reference_on_scan_witnesses(
+        n, seed, max_size, monkeypatch, scan_only):
+    # as above, on each witness of the scan, of at most max_size points
+    _certifier_matches_reference(n, seed, max_size, monkeypatch)
+
+
+def _certifier_matches_reference(n, seed, max_size, monkeypatch):
     space = random_rational_metric_space(n, seed)
     est, found = _crossings(space, max_size, monkeypatch)
     assert found and found[-1] == (est.witness, est.upper)
@@ -133,7 +149,8 @@ def test_find_violation_exhaustive():
     random_rational_metric_space(20, 0),
 ], ids=["c4", "c5", "r8", "r20"])
 def test_zero_probe_scans_nothing(space, monkeypatch):
-    # off the diagonal D^0 is all ones, so no gap is negative at p = 0
+    # off the diagonal D^0 is all ones, so no gap is negative at p = 0;
+    # a listed metric space takes the spectral probe and never scans
     scan = kernels.min_gap_scan
     index = DistanceIndex(space)
     assert scan(index.power_matrix(0.0), 3, 0.0, index.floor(0.0),
@@ -148,6 +165,9 @@ def test_zero_probe_scans_nothing(space, monkeypatch):
     monkeypatch.setattr(kernels, "min_gap_scan", spy)
     assert find_violation_exhaustive(space, 3, 0.0) is None
     assert calls == []
+    assert estimate_roundness(space, max_size=3).certified
+    assert calls == []
+    monkeypatch.setattr(roundness, "spectral_form", lambda space, index: False)
     est = estimate_roundness(space, max_size=3)
     assert est.probes[0] == {"p": 0.0, "violation": False}
     assert len(calls) == len(est.probes) - 1
@@ -266,17 +286,28 @@ def test_estimate_c4_brackets_one():
 
 
 def _c5_roundness(bits=320):
-    """log2(8/3), the roundness of the 5-cycle, to `bits` bits: its
-    witness (0, 0, 2; 1, 1, 4) has gap 8 - 3 * 2^p."""
+    """log2(8/3), the roundness of the 5-cycle over families of at most 3
+    points, to `bits` bits: its witness (0, 0, 2; 1, 1, 4) has gap
+    8 - 3 * 2^p."""
     import mpmath
 
     with mpmath.workprec(bits):
         return mpmath.log(mpmath.mpf(8) / 3, 2)
 
 
+def _c5_spectral_value(bits=320):
+    """2 log2 of the golden ratio, the roundness of the 5-cycle: the
+    circulant eigenvalue 2 cos(4 pi / 5) + 2^(p+1) cos(8 pi / 5) of D^p
+    changes sign where 2^p = phi^2."""
+    import mpmath
+
+    with mpmath.workprec(bits):
+        return 2 * mpmath.log((1 + mpmath.sqrt(5)) / 2, 2)
+
+
 @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-12, 1e-14,
                                  2 * math.ulp(math.log2(8 / 3))])
-def test_c5_bracket_holds_its_roundness_at_every_tolerance(tol):
+def test_c5_bracket_holds_its_roundness_at_every_tolerance(tol, scan_only):
     # a clean probe is proven clean, so the lower end cannot pass the
     # witness's crossing however fine the tolerance, down to the finest
     # above float resolution
@@ -285,6 +316,30 @@ def test_c5_bracket_holds_its_roundness_at_every_tolerance(tol):
     assert est.certified and est.flags == []
     assert est.lower <= _c5_roundness() <= est.upper
     assert est.upper - est.lower <= tol
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9, 1e-12, 1e-14,
+                                 2 * math.ulp(1.3884838272612348)])
+def test_c5_bracket_holds_its_spectral_value_at_every_tolerance(tol):
+    # the lower end is proven clean at every tolerance and closes to
+    # within tol / 4 of the spectral value; the upper end is a witness's
+    # crossing, whose families grow as tol^(-1/2): past WITNESS_POINTS
+    # (tol below about 1e-9 here) the bracket stays wider than tol and
+    # says so
+    pytest.importorskip("mpmath")
+    value = _c5_spectral_value()
+    est = estimate_roundness(cycle_graph_space(5), 3, tol)
+    assert est.certified
+    assert est.lower <= value <= est.upper
+    assert value - est.lower <= tol
+    assert certify_violation(cycle_graph_space(5), est.witness, est.upper)
+    if tol >= 1e-9:
+        assert est.flags == [] and est.upper - est.lower <= tol
+    else:
+        assert est.flags == [f"no witness of at most "
+                             f"{roundness.WITNESS_POINTS} points per family "
+                             f"within p_tolerance"]
+        assert est.witness.r <= roundness.WITNESS_POINTS
 
 
 def test_c4_bracket_holds_one_below_float_resolution():
@@ -336,10 +391,25 @@ def test_planar_points_clean_at_two():
     assert find_violation_exhaustive(space, 3, 2.0) is None
 
 
-def test_estimate_budget_partial_results():
+def test_estimate_budget_partial_results(scan_only):
     est = estimate_roundness(C4, max_size=3, budget=10)
     assert not est.certified
     assert any("budget exhausted" in f for f in est.flags)
+
+
+@pytest.mark.parametrize("n, work", [(4, 4), (20, 1140), (64, 41664)])
+def test_spectral_budget_counts_one_factorisation(n, work, monkeypatch):
+    # (m - 1) m (m + 1) / 6 multiply-adds for m = n - 1: one short is
+    # refused before any power is taken
+    space = C4 if n == 4 else random_rational_metric_space(n, 0)
+    monkeypatch.setattr(DistanceIndex, "powers", None)
+    est = estimate_roundness(space, budget=work - 1)
+    assert not est.certified and est.probes == []
+    assert est.flags == [f"budget exhausted: factorisation needs {work} "
+                         f"multiply-adds"]
+    monkeypatch.undo()
+    if n < 64:
+        assert estimate_roundness(space, budget=work).certified
 
 
 @pytest.mark.parametrize("make", [
@@ -485,16 +555,31 @@ def test_z4_products_closed_form():
         assert find_violation_characters(space, q * (1 + 1e-6)) is not None
 
 
-def test_character_bracket_below_listed_scan():
-    # the scan covers families of at most 3 points, the characters all
+def test_character_bracket_below_listed_scan(monkeypatch):
+    # the scan covers families of at most 3 points, the characters all;
+    # listed, the product takes the spectral probe, which covers all too,
+    # so the two brackets hold its one spectral value
     product = ProductCycleSpace(2, CycleSpace(4))
     points = list(itertools.product(range(product.units),
                                     repeat=product.coords))
     listed = FiniteMetricSpace.from_rows(
         [[product.distance(x, y) for y in points] for x in points])
     chars = estimate_roundness(product)
+    spectral = estimate_roundness(listed, max_size=3)
+    assert chars.certified and spectral.certified
+    assert spectral.covers == chars.covers == "every double simplex"
+    # log2(1 + 3^(1 - c)) at c = 2, where A(p) turns singular, so the
+    # float oracle of the listed space is good only to a few ulps
+    assert abs(spectral_value(listed) - math.log2(4 / 3)) < 1e-12
+    import mpmath
+
+    with mpmath.workprec(320):
+        value = mpmath.log(mpmath.mpf(4) / 3, 2)
+        for est in (chars, spectral):
+            assert est.lower <= value <= est.upper
+    monkeypatch.setattr(roundness, "spectral_form", lambda space, index: False)
     scan = estimate_roundness(listed, max_size=3)
-    assert chars.certified and scan.certified
+    assert scan.certified
     assert chars.lower <= scan.lower and chars.upper <= scan.upper
 
 
@@ -576,7 +661,8 @@ def test_small_roundness_gets_its_crossing_as_upper_end(make, low, high):
     assert roundness._eigenvalue(weights, row).a > 0
 
 
-def test_estimate_recertifies_only_the_reported_witness(monkeypatch):
+def test_estimate_recertifies_only_the_reported_witness(monkeypatch,
+                                                        scan_only):
     # intermediate witnesses steer the probes; the certifier runs
     # once, on the witness reported, at the upper end
     calls, certify = [], roundness.certify_violation
@@ -593,11 +679,182 @@ def test_estimate_recertifies_only_the_reported_witness(monkeypatch):
     assert est.witness_p == est.upper
 
 
+def test_spectral_estimate_certifies_at_one_point(monkeypatch):
+    # the spectral probe certifies only the roundings of one vector, all
+    # at the one p above the last clean probe, and then the witness it
+    # reports at its crossing; every rounding but the last fails
+    calls, certify = [], roundness.certify_violation
+
+    def recording(space, ds, p):
+        calls.append((ds, p, certify(space, ds, p)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(roundness, "certify_violation", recording)
+    est = estimate_roundness(random_rational_metric_space(20, 0))
+    *search, (ds, p, verdict) = calls
+    assert (ds, p, verdict) == (est.witness, est.upper, True)
+    assert len({q for _, q, _ in search}) == 1
+    assert [v for _, _, v in search] == [False] * (len(search) - 1) + [True]
+    assert search[-1][0] == est.witness
+    assert est.lower < est.upper <= search[-1][1] <= est.lower + 1e-3
+
+
 def test_failed_recertification_is_an_error(monkeypatch):
     # find_violation_exhaustive keeps its contract: a witness the
-    # certifier does not confirm is an error, and so is a reported one
+    # certifier does not confirm is an error, and so is a reported one;
+    # the spectral probe finds none to report
     monkeypatch.setattr(roundness, "certify_violation", lambda *args: False)
     with pytest.raises(ArithmeticError, match="failed recertification"):
         find_violation_exhaustive(C4, 3, 1.5)
+    with pytest.raises(ArithmeticError, match="no witness proven at p=16.0"):
+        estimate_roundness(C4, max_size=3)
+    monkeypatch.setattr(roundness, "spectral_form", lambda space, index: False)
     with pytest.raises(ArithmeticError, match="failed recertification"):
         estimate_roundness(C4, max_size=3)
+
+
+SPECTRAL_SPACES = {
+    "c5": lambda: cycle_graph_space(5),
+    **{f"r20-{k}": (lambda k=k: random_rational_metric_space(20, k))
+       for k in range(8)},
+    "r64": lambda: random_rational_metric_space(64, 0),
+}
+
+
+@pytest.mark.parametrize("make", SPECTRAL_SPACES.values(),
+                         ids=SPECTRAL_SPACES)
+def test_spectral_bracket_contains_the_spectral_value(make):
+    # a listed metric space is bracketed for every double simplex: the
+    # clean end below the numpy oracle's value, the witness's crossing
+    # above it, within the tolerance, and the witness recertifies there
+    space = make()
+    est = estimate_roundness(space, max_size=3, p_tolerance=1e-3)
+    assert est.certified and est.flags == []
+    assert est.covers == "every double simplex"
+    assert est.max_simplex_size is None
+    assert est.lower <= spectral_value(space) <= est.upper
+    assert est.upper - est.lower <= 1e-3
+    assert est.witness_p == est.upper
+    assert certify_violation(space, est.witness, est.witness_p)
+    assert est.witness.xs == tuple(sorted(est.witness.xs))
+    assert not set(est.witness.xs) & set(est.witness.ys)
+
+
+def _exact_gram(space, p) -> list:
+    """A(p) in Fractions, at integer p."""
+    n = space.size
+    d = [[Fraction(space.distance(i, j)) ** p for j in range(n)]
+         for i in range(n)]
+    return [[d[i][-1] + d[j][-1] - d[i][j] for j in range(n - 1)]
+            for i in range(n - 1)]
+
+
+def _exact_positive_definite(space, p) -> bool:
+    """A(p) in Fractions, LDL^T without pivoting: positive definite
+    exactly when every pivot is positive."""
+    n = space.size
+    a = _exact_gram(space, p)
+    for k in range(n - 1):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n - 1):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, n - 1):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+def test_clean_factorisation_never_contradicts_exact_ldlt():
+    # at integer p the powers of rational distances are exact: wherever
+    # the float factorisation of A(p) - cI completes, A(p) is positive
+    # definite in Fractions, and the probe's verdict is the exact one,
+    # semidefinite (some planar-like spaces are singular at p = 2)
+    verdicts = []
+    for n in (4, 6, 9, 12, 16):
+        for seed in range(8):
+            space = random_rational_metric_space(n, seed)
+            probe = SpectralProbe(space, DistanceIndex(space))
+            for p in (1, 2):
+                rows, shift = probe.matrix(p)
+                factored = roundness._cholesky(rows, shift)[2] is None
+                exact = _exact_positive_definite(space, p)
+                assert exact or not factored, (n, seed, p)
+                semidefinite = exact or roundness._psd_value(
+                    _exact_gram(space, p)) >= 0
+                assert probe.clean(p) is semidefinite, (n, seed, p)
+                verdicts.append(factored)
+    assert True in verdicts and False in verdicts
+
+
+def test_spectral_probe_settles_its_band():
+    # A(1) of the 4-cycle is singular: neither shifted factorisation
+    # decides it, and the Fraction LDL^T proves it semidefinite; one float
+    # above, the 160-bit intervals prove a negative pivot
+    probe = SpectralProbe(C4, DistanceIndex(C4))
+    assert probe.clean(1.0) and probe.settled == 1
+    assert not probe.clean(math.nextafter(1.0, 2.0)) and probe.settled == 2
+    assert probe.clean(0.999) and not probe.clean(1.001)
+    assert probe.settled == 2
+
+
+@pytest.mark.parametrize("rows, psd", [
+    ([[Fraction(1), 1, 0], [1, 2, 1], [0, 1, 1]], True),
+    ([[Fraction(0), 0], [0, 0]], True),
+    ([[Fraction(0), 1], [1, 0]], False),
+    ([[Fraction(1), 2], [2, 1]], False),
+    ([[Fraction(2), -1], [-1, 2]], True),
+], ids=["singular", "zero", "zero-diagonal", "indefinite", "definite"])
+def test_psd_value_decides_exactly(rows, psd):
+    assert (roundness._psd_value(rows) >= 0) is psd
+
+
+def _expanded_gap(space, ds, p):
+    """`DistanceIndex.gap` over every pair of ds listed once each, as the
+    index summed before it counted pairs."""
+    within = [space.distance(f[i], f[j]) for f in (ds.xs, ds.ys)
+              for i in range(ds.r) for j in range(i + 1, ds.r)]
+    cross = [space.distance(x, y) for x in ds.xs for y in ds.ys]
+    top = Fraction(max(map(abs, within + cross)) or 1)
+
+    def pw(d):
+        e = float(Fraction(d) / top)
+        return float(e ** p) if e else 0.0
+
+    within, cross = [pw(d) for d in within], [pw(d) for d in cross]
+    lhs, rhs = math.fsum(within), math.fsum(cross)
+    radius = (roundness.gap_radius(p, 1) * (lhs + rhs)
+              + len(within + cross) * DistanceIndex(space).floor(p))
+    return rhs - lhs, radius, lhs, rhs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_weighted_gap_matches_every_pair_summed(seed):
+    # counting each distinct pair changes no bit of the gap, its radius
+    # or its sides: a power times a power of two is exact, so one fsum
+    # of the split counts is the correctly rounded sum over every pair,
+    # also for unsorted families with runs of repeated points
+    rng = random.Random(seed)
+    space = random_rational_metric_space(7, seed)
+    for r in (2, 3, 17, 60):
+        xs = tuple(rng.choice(range(7)) for _ in range(r))
+        ys = tuple(rng.choice(range(7)) for _ in range(r))
+        ds = DoubleSimplex(xs, ys)
+        for p in (0.0, 0.5, 1.3, 2.0, 7.25):
+            assert (repr(DistanceIndex(space, ds).gap(p))
+                    == repr(_expanded_gap(space, ds, p)))
+        assert (certify_violation(space, ds, 1.3)
+                is mpmath_certify_violation(space, ds, 1.3))
+
+
+def test_unfit_tables_keep_the_scan():
+    # asymmetric, a zero off the diagonal: the scan, which records its
+    # family size
+    for space in (_asymmetric_unchecked(7, 5), FiniteMetricSpace.unchecked(
+            [[0, 0, 1], [0, 0, 0], [1, 0, 0]])):
+        index = DistanceIndex(space)
+        assert not roundness.spectral_form(space, index)
+        est = estimate_roundness(space, max_size=3)
+        assert est.covers == ("double simplices with at most 3 points "
+                              "per family")
+        assert est.max_simplex_size == 3
+    assert roundness.spectral_form(C4, DistanceIndex(C4))
