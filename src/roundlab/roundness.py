@@ -369,7 +369,11 @@ def _psd_value(rows: list):
     matrix is one. Its least pivot when every pivot is positive; a
     negative pivot; on rationals, where the largest diagonal entry left
     is 0, 0 if every entry left is 0 (else -1); on intervals, one
-    straddling 0 where a pivot is not proven positive."""
+    straddling 0 where a pivot is not proven positive. Where any entry is
+    a float, which an inexact power leaves among rationals, its sign
+    proves nothing: nan, which `violation` leaves undecided."""
+    if any(isinstance(t, float) for row in rows for t in row):
+        return math.nan
     rows = [list(row) for row in rows]
     live = list(range(len(rows)))
     least = None
@@ -415,7 +419,7 @@ class SpectralProbe:
     with the rounding of the shifted diagonal. Where the
     factorisation fails but that of A(q) + cI completes, the probe is
     settled as a gap is (`numerics.settle`): A(q) is factored exactly
-    (`_psd_value`) in Fractions where its powers are rational, else on
+    (`_psd_value`) in Fractions where every power is rational, else on
     intervals at twice PRECISION_BITS. A failure of both only steers the
     bisection; `witness` proves a violation."""
 
@@ -424,7 +428,6 @@ class SpectralProbe:
         self.m = max(space.size - 1, 0)
         # the multiply-adds of one factorisation, sum_j j (j + 1) / 2
         self.work = (self.m - 1) * self.m * (self.m + 1) // 6
-        self.settled = 0
 
     def matrix(self, p) -> tuple:
         """(A(p) in floats from the powers over the largest distance, the
@@ -460,7 +463,6 @@ class SpectralProbe:
             return True
         if _cholesky(rows, -shift)[2] is not None:
             return False
-        self.settled += 1
         index, n = self.index, self.space.size
 
         def value(lift):
@@ -690,17 +692,28 @@ def _close_bracket(probe, crossing, lower: float, upper: float, witness,
     return lower, upper, witness
 
 
-def _spectral_bracket(form: SpectralProbe, clean, crossing, lower: float,
-                      upper: float, tol: float, flags: list) -> tuple:
-    """`_close_bracket` for a listed space in `spectral_form`, clean at
-    lower and failing at upper: bisect on the factorisation until the
+def _spectral_bracket(form: SpectralProbe, crossing, cap: float,
+                      tol: float, probes: list, flags: list) -> tuple:
+    """The bracket (lower, upper, witness) of a listed space in
+    `spectral_form` between 0, where A(0) = I + J is positive definite,
+    and cap, each `form.clean` probe listed in `probes`: (cap, inf, None)
+    where cap probes clean. Else bisect on the factorisation until the
     bracket is within tol / 4, then take a witness at lower + tol, whose
     crossing closes the bracket to tol. Where no witness of at most
     WITNESS_POINTS points a family is proven there, the distance above
-    lower quadruples, up to the first upper, and a bracket left wider
-    than tol is flagged; ArithmeticError where no witness is proven at
-    that upper either."""
-    cap = upper
+    lower quadruples, up to cap, and a bracket left wider than tol is
+    flagged. Where none is proven at cap either, the failing probes only
+    steered: (lower, inf, None), flagged."""
+
+    def clean(p: float) -> bool:
+        verdict = form.clean(p)
+        probes.append({"p": p, "violation": not verdict})
+        return verdict
+
+    if clean(cap):
+        flags.append("no violation up to p_cap")
+        return cap, math.inf, None
+    lower, upper = 0.0, cap
     while upper - lower > tol / 4:
         mid = lower + (upper - lower) / 2
         if not lower < mid < upper:
@@ -726,7 +739,8 @@ def _spectral_bracket(form: SpectralProbe, clean, crossing, lower: float,
                              f" per family within p_tolerance")
             return lower, upper, w
         if q == cap:
-            raise ArithmeticError(f"no witness proven at p={q}")
+            flags.append("no witness proven up to p_cap")
+            return lower, math.inf, None
         span *= 4
 
 
@@ -749,7 +763,9 @@ def estimate_roundness(space, max_size: int = 3,
     its last clean probe (`_spectral_bracket`). Both ends are certified
     for what `covers` names: the lower by a clean exhaustive scan, full
     character table or factorisation, the upper by the witness, proven
-    there (`certify_violation`) or positive there as an interval. The
+    there (`certify_violation`) or positive there as an interval. A
+    spectral probe that fails with no witness proven up to p_cap keeps
+    its clean lower end and an unbounded upper one, flagged. The
     lower end is absolute: a roundness below p_tolerance keeps it at 0,
     with its witness's crossing above. `budget` caps the characters,
     multiply-adds of one factorisation or scanned configurations of each
@@ -783,10 +799,7 @@ def estimate_roundness(space, max_size: int = 3,
               if mode == "scan" else "every double simplex")
 
     def probe(p: float):
-        if mode == "spectral":
-            # the factorisation proves no witness: True stands for one
-            w = None if form.clean(p) else True
-        elif mode == "characters":
+        if mode == "characters":
             w = find_violation_characters(space, p, table=table)
         else:
             w = _scan_violation(space, max_size, p, budget, index)
@@ -807,31 +820,27 @@ def estimate_roundness(space, max_size: int = 3,
         if mode == "characters":
             # built once and dropped when the estimate returns
             table = character_table(space, budget)
-        elif mode == "spectral":
+        if mode == "spectral":
             if budget is not None and form.work > budget:
                 raise BudgetExceeded(f"factorisation needs {form.work} "
                                      f"multiply-adds", form.work)
-        # A(0) = I + J is positive definite: no spectral probe at 0
-        w0 = None if mode == "spectral" else probe(0.0)
-        if w0 is not None:
+            est.lower, est.upper, est.witness = _spectral_bracket(
+                form, crossing, p_cap, p_tolerance, probes, flags)
+            if est.witness is None:
+                return est
+        elif (w0 := probe(0.0)) is not None:
             flags.append("violation at p=0")
-            est.lower, est.upper = 0.0, 0.0
-            est.witness, est.witness_p = w0, 0.0
+            est.lower, est.upper, est.witness = 0.0, 0.0, w0
         else:
             wit = probe(p_cap)
             if wit is None:
                 flags.append("no violation up to p_cap")
                 est.lower = p_cap
                 return est
-            if mode == "spectral":
-                est.lower, est.upper, est.witness = _spectral_bracket(
-                    form, lambda p: probe(p) is None, crossing, 0.0, p_cap,
-                    p_tolerance, flags)
-            else:
-                est.lower, est.upper, est.witness = _close_bracket(
-                    probe, crossing, 0.0, crossing(wit, 0.0, p_cap), wit,
-                    p_tolerance, flags)
-            est.witness_p = est.upper
+            est.lower, est.upper, est.witness = _close_bracket(
+                probe, crossing, 0.0, crossing(wit, 0.0, p_cap), wit,
+                p_tolerance, flags)
+        est.witness_p = est.upper
     except BudgetExceeded as exc:
         flags.append(f"budget exhausted: {exc}")
         est.certified = False

@@ -87,6 +87,22 @@ def test_gr_estimate_cycle(c4_csv, capsys):
     assert "wall_time_s" in doc
 
 
+def test_gr_estimate_cap_without_witness_reports_clean_end(tmp_path,
+                                                          capsys):
+    # p_cap 1e-11 above the 5-cycle's roundness 2 log2 phi: no witness is
+    # proven there, so the body keeps the proven lower end, unbounded
+    path = tmp_path / "c5.csv"
+    write_space_csv(cycle_graph_space(5), str(path))
+    code, doc, _ = run(["gr", "estimate", "--input", str(path),
+                        "--p-cap", "1.38848382727"], capsys)
+    assert code == 0
+    res = doc["results"]
+    assert res["certified"] is True and res["unbounded"] is True
+    assert res["flags"] == ["no witness proven up to p_cap"]
+    assert res["lower"] <= spectral_value(cycle_graph_space(5))
+    assert res["upper"] is res["witness"] is None
+
+
 def _relabelled(space, seed):
     labels = list(range(space.size))
     random.Random(seed).shuffle(labels)

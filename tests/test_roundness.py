@@ -18,6 +18,7 @@ from roundlab import kernels, roundness
 from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
                              ProductCycleSpace, stage_space)
 from roundlab.metric import FiniteMetricSpace, snowflake
+from roundlab.numerics import settle
 from roundlab.roundness import (DistanceIndex, SpectralProbe,
                                 certify_violation, estimate_roundness,
                                 exhaustive_config_count,
@@ -340,6 +341,21 @@ def test_c5_bracket_holds_its_spectral_value_at_every_tolerance(tol):
                              f"{roundness.WITNESS_POINTS} points per family "
                              f"within p_tolerance"]
         assert est.witness.r <= roundness.WITNESS_POINTS
+
+
+def test_c5_failing_cap_without_witness_keeps_its_clean_end():
+    # p_cap 1e-11 above 2 log2 phi fails the factorisation, and no witness
+    # of at most WITNESS_POINTS points a family violates that close: the
+    # bisection's clean end is kept, with no upper end, flagged
+    pytest.importorskip("mpmath")
+    value = _c5_spectral_value()
+    est = estimate_roundness(cycle_graph_space(5), 3, 1e-3,
+                             p_cap=1.38848382727)
+    assert value < est.p_cap
+    assert est.certified and est.flags == ["no witness proven up to p_cap"]
+    assert value - 1e-3 / 4 <= est.lower <= value
+    assert est.upper == math.inf and est.witness is est.witness_p is None
+    assert est.probes[0] == {"p": est.p_cap, "violation": True}
 
 
 def test_c4_bracket_holds_one_below_float_resolution():
@@ -702,12 +718,15 @@ def test_spectral_estimate_certifies_at_one_point(monkeypatch):
 def test_failed_recertification_is_an_error(monkeypatch):
     # find_violation_exhaustive keeps its contract: a witness the
     # certifier does not confirm is an error, and so is a reported one;
-    # the spectral probe finds none to report
+    # the spectral probe finds none to report, and its failing probes
+    # prove nothing: the clean lower end stays, the upper one is unbounded
     monkeypatch.setattr(roundness, "certify_violation", lambda *args: False)
     with pytest.raises(ArithmeticError, match="failed recertification"):
         find_violation_exhaustive(C4, 3, 1.5)
-    with pytest.raises(ArithmeticError, match="no witness proven at p=16.0"):
-        estimate_roundness(C4, max_size=3)
+    est = estimate_roundness(C4, max_size=3)
+    assert est.flags == ["no witness proven up to p_cap"]
+    assert est.certified and 1 - 1e-3 <= est.lower <= 1
+    assert est.upper == math.inf and est.witness is est.witness_p is None
     monkeypatch.setattr(roundness, "spectral_form", lambda space, index: False)
     with pytest.raises(ArithmeticError, match="failed recertification"):
         estimate_roundness(C4, max_size=3)
@@ -786,15 +805,44 @@ def test_clean_factorisation_never_contradicts_exact_ldlt():
     assert True in verdicts and False in verdicts
 
 
-def test_spectral_probe_settles_its_band():
+def test_spectral_probe_settles_its_band(monkeypatch):
     # A(1) of the 4-cycle is singular: neither shifted factorisation
     # decides it, and the Fraction LDL^T proves it semidefinite; one float
     # above, the 160-bit intervals prove a negative pivot
+    values = []
+
+    def spy(evaluate, what):
+        values.append(evaluate(Fraction))
+        return settle(evaluate, what)
+
+    monkeypatch.setattr(roundness, "settle", spy)
     probe = SpectralProbe(C4, DistanceIndex(C4))
-    assert probe.clean(1.0) and probe.settled == 1
-    assert not probe.clean(math.nextafter(1.0, 2.0)) and probe.settled == 2
+    assert probe.clean(1.0) and len(values) == 1
+    assert values[0] == 0
+    assert not probe.clean(math.nextafter(1.0, 2.0)) and len(values) == 2
+    # 2^p is a float among rational powers: no exact verdict from it
+    assert math.isnan(values[1])
     assert probe.clean(0.999) and not probe.clean(1.001)
-    assert probe.settled == 2
+    assert len(values) == 2
+
+
+def test_psd_value_of_float_entries_decides_nothing():
+    # [[2.0, 2.0], [2.0, 2.0]] leaves an exact 0.0 after one float step:
+    # its sign is rounding's, so settle goes on to the intervals, where
+    # the singular matrix stays undecided rather than proven either way
+    assert math.isnan(roundness._psd_value([[2.0, 2.0], [2.0, 2.0]]))
+    assert math.isnan(roundness._psd_value([[Fraction(2), 2.0], [2, 1]]))
+    lifts = []
+
+    def evaluate(lift):
+        lifts.append(lift)
+        if lift is Fraction:
+            return roundness._psd_value([[2.0, 2.0], [2.0, 2.0]])
+        return roundness._psd_value([[lift(2), lift(2)], [lift(2), lift(2)]])
+
+    with pytest.raises(ArithmeticError, match="undecided"):
+        settle(evaluate, "float band")
+    assert lifts[0] is Fraction and lifts[1] is not Fraction
 
 
 @pytest.mark.parametrize("rows, psd", [
