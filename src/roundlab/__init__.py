@@ -5,7 +5,8 @@ Cayley-graph checks, all backed by exact arithmetic where it matters.
 Public names are imported from their submodule on first access, so
 `import roundlab` loads no submodule and a command pays only for the code
 it runs. The few names every layer shares (`Record`, `BudgetExceeded`,
-`BACKEND`) are defined here, which every submodule loads anyway."""
+`BACKEND`, `DoubleSimplex`) are defined here, which every submodule loads
+anyway."""
 
 import importlib
 
@@ -125,3 +126,23 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
                            for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+class DoubleSimplex(Record):
+    """Two equal-size families of points; repetition permitted. Defined
+    here, not with the cycle vocabulary, because listed spaces take
+    witnesses too: `gr estimate` then loads no cycle code."""
+
+    __slots__ = ("xs", "ys")
+
+    def __init__(self, xs: tuple, ys: tuple):
+        if len(xs) != len(ys):
+            raise ValueError("families must have equal size")
+        if len(xs) < 2:
+            raise ValueError("families must have >= 2 members")
+        self.xs = xs
+        self.ys = ys
+
+    @property
+    def r(self) -> int:
+        return len(self.xs)

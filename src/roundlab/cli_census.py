@@ -5,14 +5,14 @@ what a command runs of the census loads it, and with it `kernels`:
 from __future__ import annotations
 
 from . import cli
-from .cli import (_add_class_args, _add_space_args, _class_params,
-                  _resolve_simplex_class, _resolve_space,
-                  _resolve_stage_class)
+from .cycle_args import (add_class_args, add_space_args, class_params,
+                         resolve_simplex_class, resolve_space,
+                         resolve_stage_class)
 from .cycles import PairClass, count_pairs_closed, stage_pair_class
 
 
 def _resolve_pair_class(args) -> PairClass:
-    cls = _resolve_stage_class(args, stage_pair_class)
+    cls = resolve_stage_class(args, stage_pair_class)
     if cls is not None:
         return cls
     if args.delta is None or args.support is None:
@@ -23,8 +23,8 @@ def _resolve_pair_class(args) -> PairClass:
 def _cmd_simplex_build(args) -> tuple:
     from .cyclic import build_simplex, is_simplex
 
-    space = _resolve_space(args)
-    scls = _resolve_simplex_class(args)
+    space = resolve_space(args)
+    scls = resolve_simplex_class(args)
     ds = build_simplex(space, scls)
     verified = is_simplex(space, ds, scls)
     if not verified:
@@ -40,11 +40,11 @@ def _cmd_simplex_build(args) -> tuple:
         "ys": [list(y) for y in ds.ys],
         "verified": verified,
     }
-    return _class_params(args, space, scls), results, True
+    return class_params(args, space, scls), results, True
 
 
 def _cmd_counts_pairs(args) -> tuple:
-    space = _resolve_space(args)
+    space = resolve_space(args)
     cls = _resolve_pair_class(args)
     closed = count_pairs_closed(space, cls)
     results = {"delta": cls.delta, "support": cls.support,
@@ -56,12 +56,12 @@ def _cmd_counts_pairs(args) -> tuple:
         if seen != closed:
             raise ArithmeticError(
                 f"enumeration found {seen} pairs, closed form {closed}")
-    return _class_params(args, space, cls), results, True
+    return class_params(args, space, cls), results, True
 
 
 def _cmd_counts_incidences(args) -> tuple:
-    space = _resolve_space(args)
-    scls = _resolve_simplex_class(args)
+    space = resolve_space(args)
+    scls = resolve_simplex_class(args)
     inc = cli.count_incidences(space, scls, budget=args.budget)
     results = {
         "delta": inc.delta, "support": inc.support, "families": inc.families,
@@ -74,24 +74,24 @@ def _cmd_counts_incidences(args) -> tuple:
         "conn_identity": "S*r^2 == N_conn*L",
         "ratio_identity_holds": inc.ratio_identity_holds(),
     }
-    return _class_params(args, space, scls), results, True
+    return class_params(args, space, scls), results, True
 
 
 def _simplex_build_args(p) -> None:
-    _add_space_args(p)
-    _add_class_args(p, simplex=True)
+    add_space_args(p)
+    add_class_args(p, simplex=True)
 
 
 def _counts_pairs_args(p) -> None:
-    _add_space_args(p)
-    _add_class_args(p, simplex=False)
+    add_space_args(p)
+    add_class_args(p, simplex=False)
     p.add_argument("--enumerate-budget", type=int, default=None,
                    help="cross-check by enumeration up to this budget")
 
 
 def _counts_incidences_args(p) -> None:
-    _add_space_args(p)
-    _add_class_args(p, simplex=True)
+    add_space_args(p)
+    add_class_args(p, simplex=True)
     p.add_argument("--budget", type=int, default=10 ** 8,
                    help="max column transitions per counting DP")
 

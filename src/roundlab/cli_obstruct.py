@@ -7,9 +7,9 @@ from __future__ import annotations
 import json
 import math
 
-from .cli import (_add_class_args, _add_space_args, _class_params,
-                  _parse_int_list, _resolve_simplex_class, _resolve_space,
-                  vars_params)
+from .cli import _parse_int_list, vars_params
+from .cycle_args import (add_class_args, add_space_args, class_params,
+                         resolve_simplex_class, resolve_space)
 from .numerics import parse_fraction
 
 
@@ -67,24 +67,24 @@ def _cmd_obstruct_uniform(args) -> tuple:
 def _cmd_obstruct_step(args) -> tuple:
     from .obstruction import resolve_builtin_map, verify_step_inequality
 
-    space = _resolve_space(args)
-    scls = _resolve_simplex_class(args)
+    space = resolve_space(args)
+    scls = resolve_simplex_class(args)
     emap = resolve_builtin_map(args.map, space)
     rep = verify_step_inequality(emap, scls, args.p, mode=args.mode,
                                  samples=args.samples)
-    return _class_params(args, space, scls), rep, rep.holds
+    return class_params(args, space, scls), rep, rep.holds
 
 
 def _cmd_obstruct_chain(args) -> tuple:
     from .obstruction import resolve_builtin_map, verify_chain_inequality
 
-    space = _resolve_space(args)
-    scls = _resolve_simplex_class(args)
+    space = resolve_space(args)
+    scls = resolve_simplex_class(args)
     emap = resolve_builtin_map(args.map, space)
     rep = verify_chain_inequality(emap, scls, args.levels, args.p,
                                   mode=args.mode, samples=args.samples)
     ok = rep.cumulative_holds and all(s["holds"] for s in rep.steps)
-    return _class_params(args, space, scls), rep, ok
+    return class_params(args, space, scls), rep, ok
 
 
 def _obstruct_coarse_args(p) -> None:
@@ -108,8 +108,8 @@ def _obstruct_uniform_args(p) -> None:
 
 
 def _obstruct_step_args(p) -> None:
-    _add_space_args(p)
-    _add_class_args(p, simplex=True)
+    add_space_args(p)
+    add_class_args(p, simplex=True)
     p.add_argument("--map", required=True)
     p.add_argument("--p", type=_parse_p, required=True)
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
@@ -117,8 +117,8 @@ def _obstruct_step_args(p) -> None:
 
 
 def _obstruct_chain_args(p) -> None:
-    _add_space_args(p)
-    _add_class_args(p, simplex=True)
+    add_space_args(p)
+    add_class_args(p, simplex=True)
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--p", type=_parse_p, required=True)

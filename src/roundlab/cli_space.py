@@ -1,6 +1,7 @@
 """The commands that read a space file: `validate`, `gr estimate` and
 `inject`. `spaces`, and through it `metric`, load when the file is read;
-`roundness` only in `gr estimate`."""
+`roundness` only in `gr estimate`, and `probes` only for a table outside
+its spectral form."""
 
 from __future__ import annotations
 
@@ -67,9 +68,9 @@ def _validate_args(p) -> None:
 def _gr_estimate_args(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--max-size", type=int, default=3,
-                   help="family size of the scan, which only an "
-                   "--unchecked table that is asymmetric or not positive off "
-                   "its diagonal takes")
+                   help="family size of the scan, which only a symmetric "
+                   "--unchecked table that is not positive off its diagonal "
+                   "takes; an asymmetric one is refused")
     p.add_argument("--tol", type=float, default=1e-3,
                    help="bracket width in the exponent")
     p.add_argument("--budget", type=int, default=None,

@@ -1,5 +1,7 @@
 """The vocabulary of cyclic-product spaces: spaces, pair and simplex
-classes, double simplices, stage-form instances and closed class counts.
+classes, stage-form instances and closed class counts. Double simplices,
+which listed spaces take too, are the package's own (`roundlab`); this
+module re-exports them.
 
 Distances live in integer quanta (one cycle step); a space's quantum converts
 them to real units. Pair classes (delta, support) collect the point pairs
@@ -18,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from . import Record
+from . import DoubleSimplex, Record  # noqa: F401
 
 CyclePoint = tuple[int, ...]
 
@@ -155,24 +157,6 @@ class SimplexClass(Record):
     def validate_for(self, space: ProductCycleSpace) -> None:
         self.edge_class().validate_for(space)
         self.conn_class().validate_for(space)
-
-
-class DoubleSimplex(Record):
-    """Two equal-size families of points; repetition permitted."""
-
-    __slots__ = ("xs", "ys")
-
-    def __init__(self, xs: tuple, ys: tuple):
-        if len(xs) != len(ys):
-            raise ValueError("families must have equal size")
-        if len(xs) < 2:
-            raise ValueError("families must have >= 2 members")
-        self.xs = xs
-        self.ys = ys
-
-    @property
-    def r(self) -> int:
-        return len(self.xs)
 
 
 # ---------------------------------------------------------------------------

@@ -47,14 +47,12 @@ class FiniteMetricSpace(Record):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], labels: Sequence[str] = ()) -> "FiniteMetricSpace":
-        dist = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        return cls(dist, tuple(labels))
+        return cls(_fractions(rows), tuple(labels))
 
     @classmethod
     def unchecked(cls, rows: Sequence[Sequence], labels: Sequence[str] = ()) -> "FiniteMetricSpace":
         """Hold possibly non-metric data without auditing it."""
-        dist = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        return cls(dist, tuple(labels), _skip_checks=True)
+        return cls(_fractions(rows), tuple(labels), _skip_checks=True)
 
     @property
     def size(self) -> int:
@@ -62,6 +60,13 @@ class FiniteMetricSpace(Record):
 
     def distance(self, a: int, b: int) -> Fraction:
         return self.dist[a][b]
+
+
+def _fractions(rows: Sequence[Sequence]) -> tuple:
+    """The rows as tuples of Fractions, keeping those already built (a
+    parsed space file's)."""
+    return tuple(tuple(v if type(v) is Fraction else Fraction(v)
+                       for v in row) for row in rows)
 
 
 class ValidationReport(Record):
@@ -74,9 +79,9 @@ def validate_metric(space, budget: int | None = None) -> ValidationReport:
 
     A violation (x, y, z) means dist(x, z) > dist(x, y) + dist(y, z), checked
     in exact arithmetic when distances are rational: when every distance
-    is an int or a Fraction, the triangles are compared on integers over
-    the common denominator, and a violation's `slack` is then taken from
-    the distances themselves. The triple scan runs in canonical (x, z, y)
+    is an int or a Fraction, the axioms are decided on integers over the
+    common denominator, and a violation's `slack` is then taken from the
+    distances themselves. The triple scan runs in canonical (x, z, y)
     order and stops at the budget; `exhaustive` reports whether it covered
     everything.
     """
@@ -85,13 +90,13 @@ def validate_metric(space, budget: int | None = None) -> ValidationReport:
         raise TypeError("oracle lacks an enumerator (no size)")
     d = [[space.distance(i, j) for j in range(n)] for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    identity_ok = all(d[i][i] == 0 for i in range(n))
-    symmetry_ok = all(d[i][j] == d[j][i] for i, j in pairs)
-    positivity_ok = all(d[i][j] > 0 for i, j in pairs)
     m = d
     if all(isinstance(v, (int, Fraction)) for row in d for v in row):
         den = math.lcm(*(v.denominator for row in d for v in row))
         m = [[v.numerator * (den // v.denominator) for v in row] for row in d]
+    identity_ok = all(m[i][i] == 0 for i in range(n))
+    symmetry_ok = all(m[i][j] == m[j][i] for i, j in pairs)
+    positivity_ok = all(m[i][j] > 0 for i, j in pairs)
     cols = list(zip(*m))
     violations = []
     checked = 0

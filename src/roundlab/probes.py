@@ -1,0 +1,296 @@
+"""The roundness probes other than the spectral one, and the bracket they
+close: a cycle product's characters, and the exhaustive scan of families
+up to a given size on a listed table outside `roundness.spectral_form`
+(possible only unchecked). `roundness.estimate_roundness` imports this
+module only for those two, so a listed metric space compiles neither.
+
+Certification, witness crossings and the estimate record are
+`roundness`'s, looked up on that module at each call.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from math import comb
+from typing import Optional
+
+from . import BudgetExceeded, DoubleSimplex, roundness
+from .numerics import PRECISION_BITS, intervals, violation
+
+# the intervals a cycle product's character table may hold when the
+# caller of `estimate_roundness` sets no budget: about 10 s and 100 MiB
+# to build (measured at 8 coordinates of Z_16, 102,952 intervals in
+# 5.3 s and 52 MiB), and 50 times the 3,952 of stage 2
+TABLE_INTERVALS = 2 * 10 ** 5
+
+
+def character_table(space, budget: int | None = None) -> tuple:
+    """For each nontrivial folded frequency multiset xi in {0..units/2}
+    (combinations_with_replacement order), the intervals prod_i D_k(xi_i),
+    k = 1..units/2, at PRECISION_BITS. D_k is one cycle's character sum
+    over |g| < k: sin(pi(2k-1)v/units) / sin(pi v/units), and 2k - 1 at
+    v = 0. Over `budget` characters raise BudgetExceeded before any is
+    built."""
+    units, coords = space.units, space.coords
+    need = comb(units // 2 + coords, coords) - 1
+    if budget is not None and need > budget:
+        raise BudgetExceeded(f"character probe needs {need} characters", need)
+    iv, half = intervals(PRECISION_BITS), units // 2
+    kernel = [[iv.sin(iv.pi * (2 * k - 1) * v / units)
+               / iv.sin(iv.pi * v / units) if v else iv.mpf(2 * k - 1)
+               for v in range(half + 1)] for k in range(1, half + 1)]
+    chars = itertools.combinations_with_replacement(range(half + 1), coords)
+    next(chars)  # the trivial character
+    return tuple((xi, tuple(math.prod(row[v] for v in xi) for row in kernel))
+                 for xi in chars)
+
+
+def _eigenvalue_vanishes(units: int, xi: tuple, p) -> bool:
+    """Whether the eigenvalue at xi is exactly 0, decided only at integer
+    p. With zeta = exp(2 pi i / units), D_k(v) sums zeta^(v g) over
+    |g| < k, so the eigenvalue is a(zeta) for an integer polynomial a
+    modulo x^units - 1, and its Galois conjugates are the a(zeta^j) with
+    gcd(j, units) = 1. It is 0 exactly when sum_j |a(zeta^j)|^2, that is
+    sum_{s,t} a_s a_t c(s - t), is, where each Ramanujan sum c(m), the sum
+    of cos(2 pi j m / units) over those j, is an integer that rounding its
+    float sum gets exactly (the error is below units * 2^-50)."""
+    if p != int(p):
+        return False
+    a = [0] * units
+    for k in range(1, units // 2 + 1):
+        prod = [1] + [0] * (units - 1)
+        for v in xi:
+            prod = [sum(prod[(e - v * g) % units] for g in range(1 - k, k))
+                    for e in range(units)]
+        w = k ** int(p) - (k - 1) ** int(p) if k > 1 else 1
+        a = [t + w * c for t, c in zip(a, prod)]
+    c = [round(math.fsum(math.cos(2 * math.pi * (j * m % units) / units)
+                         for j in range(units) if math.gcd(j, units) == 1))
+         for m in range(units)]
+    return not sum(a[s] * a[t] * c[s - t] for s in range(units)
+                   for t in range(units))
+
+
+def find_violation_characters(space, p, budget: int | None = None, *,
+                              table: tuple | None = None
+                              ) -> Optional[tuple]:
+    """The first nontrivial character of a cycle product whose eigenvalue
+    in [d(x, y)^p] is positive, as its folded frequency multiset, or None.
+
+    The sup metric is translation invariant, so the characters diagonalise
+    [d(x, y)^p] and the nontrivial ones span the sum-zero vectors: no
+    double simplex of any size violates at p exactly when every nontrivial
+    eigenvalue is <= 0 (Schoenberg). With quantum q, d^p is q^p sum_k w_k
+    [d >= kq], w_k = k^p - (k-1)^p and 0^p = 0 as in `power`, so the
+    eigenvalue at xi is -q^p sum_k w_k prod_i D_k(xi_i), evaluated as an
+    interval at PRECISION_BITS and decided by `numerics.violation`. One it
+    leaves undecided, with none positive, must be proven 0
+    (`_eigenvalue_vanishes`), else ArithmeticError.
+    `table` is the space's `character_table`, built here under `budget`
+    when not given.
+    """
+    if table is None:
+        table = character_table(space, budget)
+    units = space.units
+    weights = _weights(units, p)
+    undecided = []
+    for xi, prods in table:
+        verdict = violation(-_eigenvalue(weights, prods))
+        if verdict:
+            return xi
+        if verdict is None:
+            undecided.append(xi)
+    for xi in undecided:
+        if not _eigenvalue_vanishes(units, xi, p):
+            raise ArithmeticError(f"eigenvalue at character {list(xi)} "
+                                  f"undecided at p={p}; raise precision")
+    return None
+
+
+def _weights(units: int, p) -> list:
+    """The intervals w_k = k^p - (k-1)^p, k = 1..units/2: units/2 interval
+    powers at PRECISION_BITS."""
+    iv = intervals(PRECISION_BITS)
+    pw = [iv.mpf(k) ** iv.mpf(p) for k in range(1, units // 2 + 1)]
+    return [pw[0]] + [b - a for a, b in zip(pw, pw[1:])]
+
+
+def _eigenvalue(weights: list, prods: tuple):
+    """The eigenvalue at a character in quanta^p, as an interval, from its
+    `character_table` row."""
+    return -sum(w * d for w, d in zip(weights, prods))
+
+
+def exhaustive_config_count(n_points: int, max_size: int) -> int:
+    total = 0
+    for k in range(2, max_size + 1):
+        m = comb(n_points + k - 1, k)
+        total += m * (m + 1) // 2
+    return total
+
+
+def refuse_asymmetric(space, index) -> None:
+    """ValueError where d(x, y) != d(y, x) for some pair of the space
+    (`index` its full `DistanceIndex`): the scan takes each pair of
+    families in one orientation, which gives both gaps only on a
+    symmetric table. Called where a scan is entered, before any probe."""
+    pair = roundness.asymmetric_pair(space, index)
+    if pair is not None:
+        raise ValueError(f"distance matrix fails symmetry at "
+                         f"({pair[0]},{pair[1]}): the scan needs "
+                         f"d(x, y) = d(y, x)")
+
+
+def _scan_violation(space, max_size: int, p, budget: int | None,
+                    index) -> Optional[DoubleSimplex]:
+    """`roundness.find_violation_exhaustive` without the
+    recertification: the first double simplex the scan proves violating,
+    or None, on the space's `DistanceIndex`, a symmetric table's
+    (`refuse_asymmetric`)."""
+    n = space.size
+    if max_size < 2:
+        raise ValueError("max_size must be at least 2")
+    if budget is not None:
+        need = exhaustive_config_count(n, max_size)
+        if need > budget:
+            raise BudgetExceeded(
+                f"exhaustive scan needs {need} configurations", need)
+    if p == 0 and all(index.keys[s] != 0 for (i, j), s
+                      in zip(index.pairs, index.slots) if i != j):
+        # D^0 is all ones off the diagonal, so with c the signed member
+        # counts, twice every gap is sum_k (1 - D^0_kk) c_k^2 plus the
+        # diagonal entries of the members: an integer >= 0, exact in
+        # floats, never a violation (|c|^2 / 2 on a zero diagonal)
+        return None
+    from . import kernels
+
+    witness, _, _ = kernels.min_gap_scan(
+        index.power_matrix(p), max_size, p, index.floor(p),
+        lambda xs, ys: roundness.certify_violation(
+            space, DoubleSimplex(xs, ys), p))
+    if witness is None:
+        return None
+    return DoubleSimplex(tuple(witness[0]), tuple(witness[1]))
+
+
+def _halvings(lower: float, upper: float, tol: float) -> int:
+    """ceil(log2((upper - lower) / tol)): how many halvings take the
+    bracket to tol."""
+    return max(0, math.ceil(math.log2(upper - lower) - math.log2(tol)))
+
+
+def _close_bracket(probe, crossing, lower: float, upper: float, witness,
+                   tol: float, flags: list) -> tuple:
+    """Narrow [lower, upper] to at most `tol`, where `lower` probed clean
+    and `witness` violates at `upper`; returns (lower, upper, witness).
+
+    Each probe sits `step` below upper, never below the midpoint. A
+    violating probe at q moves upper to crossing(w, lower, q), where its
+    witness w starts to violate; a clean one becomes the lower end and
+    starts a new run at step tol, so a clean probe at upper - tol closes
+    the bracket. Each violating probe past a run's first 2L doubles the
+    step, L the halvings from the bracket at the run's start to tol.
+
+    Bound: at most 2L(L+1) probes, for tol no finer than the float
+    spacing at upper. A run makes at most 2L + 1 probes at step tol and
+    L - 2 at doubled steps before it reaches the midpoint, where each
+    probe halves the bracket; its clean probe leaves at least 2 halvings
+    fewer (1 at the midpoint). Without the doubling the bound is only
+    (upper - lower) / tol, met when each crossing lands just over tol
+    below the last. Where no float lies strictly between the ends the
+    loop stops and flags it."""
+    step, run, halvings = tol, 0, _halvings(lower, upper, tol)
+    while upper - lower > tol:
+        q = upper - step
+        if upper - q > step:
+            # rounded down: a clean probe at q must leave at most step
+            q = math.nextafter(q, upper)
+        q = max(min(q, math.nextafter(upper, lower)),
+                lower + (upper - lower) / 2)
+        if not lower < q < upper:
+            # adjacent floats: the bracket cannot narrow any further
+            flags.append("tolerance below float resolution")
+            break
+        w = probe(q)
+        if w is None:
+            lower, step, run = q, tol, 0
+            halvings = _halvings(lower, upper, tol)
+        else:
+            upper, witness, run = crossing(w, lower, q), w, run + 1
+            if run > 2 * halvings:
+                step *= 2
+    return lower, upper, witness
+
+
+def bracket(space, index, max_size: int, p_tolerance: float,
+            budget: int | None, p_cap: float):
+    """`roundness.estimate_roundness` of a cycle product (`index` None)
+    through its characters, or of a table outside the spectral form
+    (`index` its `DistanceIndex`) by the scan of families up to max_size
+    points. A witness at 0 ends the estimate, a clean probe at p_cap too;
+    else the witness's crossing at p_cap is the upper end to start with
+    and `_close_bracket` narrows it to p_tolerance. The scan's reported
+    witness is recertified where it is reported; an over-budget probe
+    leaves the estimate uncertified and flagged."""
+    probes: list = []
+    flags: list = []
+    table = None
+    if index is None:
+        mode, size = "characters", None
+        if budget is None:
+            # the table holds units/2 intervals per character, and there
+            # are at least units/2 characters, so this bounds the kernel
+            # rows too
+            budget = TABLE_INTERVALS // (space.units // 2)
+        covers = "every double simplex"
+    else:
+        mode, size = "scan", max_size
+        refuse_asymmetric(space, index)
+        covers = (f"double simplices with at most {max_size} points per "
+                  f"family")
+
+    def probe(p: float):
+        if mode == "characters":
+            w = find_violation_characters(space, p, table=table)
+        else:
+            w = _scan_violation(space, max_size, p, budget, index)
+        probes.append({"p": p, "violation": w is not None})
+        return w
+
+    def crossing(w, lo: float, hi: float) -> float:
+        """Where the witness w, violating at hi, starts to violate."""
+        if mode != "characters":
+            return roundness._crossing(
+                roundness._simplex_test(space, w, hi), lo, hi)
+        prods = dict(table)[w]
+        return roundness._crossing(lambda p: violation(-_eigenvalue(
+            _weights(space.units, p), prods)) is True, lo, hi)
+
+    est = roundness.RoundnessEstimate(0.0, math.inf, None, None, True,
+                                      covers, size, p_cap, probes, flags)
+    try:
+        if mode == "characters":
+            # built once and dropped when the estimate returns
+            table = character_table(space, budget)
+        if (w0 := probe(0.0)) is not None:
+            flags.append("violation at p=0")
+            est.lower, est.upper, est.witness = 0.0, 0.0, w0
+        else:
+            wit = probe(p_cap)
+            if wit is None:
+                flags.append("no violation up to p_cap")
+                est.lower = p_cap
+                return est
+            est.lower, est.upper, est.witness = _close_bracket(
+                probe, crossing, 0.0, crossing(wit, 0.0, p_cap), wit,
+                p_tolerance, flags)
+        est.witness_p = est.upper
+    except BudgetExceeded as exc:
+        flags.append(f"budget exhausted: {exc}")
+        est.certified = False
+        return est
+    if mode == "scan":
+        # the reported witness, proven where it is reported
+        roundness._recertified(space, est.witness, est.witness_p)
+    return est

@@ -14,7 +14,8 @@ one clean probe below and one violating witness above bracket it. A
 probe covers every double simplex on a listed metric space
 (`SpectralProbe`, a proven factorisation of -B^T D^p B) and on a cycle
 product (its characters), and families up to a given size on any other
-table (the exhaustive scan).
+table (the exhaustive scan). The last two live in `probes`, which only
+they load.
 """
 
 from __future__ import annotations
@@ -22,21 +23,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from collections import Counter
 from fractions import Fraction
-from math import comb
 from typing import Optional
 
-from . import BudgetExceeded, Record
-from .cycles import DoubleSimplex, ProductCycleSpace
-from .numerics import (NORMAL_MIN, PRECISION_BITS, UNIT, Number,
-                       gap_radius, intervals, power, settle, violation)
-
-# the intervals a cycle product's character table may hold when the
-# caller of `estimate_roundness` sets no budget: about 10 s and 100 MiB
-# to build (measured at 8 coordinates of Z_16, 102,952 intervals in
-# 5.3 s and 52 MiB), and 50 times the 3,952 of stage 2
-TABLE_INTERVALS = 2 * 10 ** 5
+from . import DoubleSimplex, Record
+from .numerics import (NORMAL_MIN, UNIT, Number, gap_radius, power, settle,
+                       violation)
 
 
 class GapResult(Record):
@@ -72,6 +66,9 @@ def _pair_counts(ds: DoubleSimplex) -> tuple[Counter, Counter]:
     return within, cross
 
 
+_NORMAL_MIN_RATIO = NORMAL_MIN.as_integer_ratio()
+
+
 class DistanceIndex:
     """The distances of pairs of a space's points as an index into their
     distinct values: `keys` holds one distance per distinct (type, value),
@@ -83,7 +80,13 @@ class DistanceIndex:
     its r^2 cross pairs, each side held as (slot, count) (`gap`), so a
     family of thousands of points costs no more than its distinct points.
     Each probe of an estimate, and each evaluation of a witness's
-    crossing, powers only the keys of one index built beforehand."""
+    crossing, powers only the keys of one index built beforehand.
+
+    The ratios are int / int true divisions of the keys' and `top`'s
+    (positive) exact integer ratios over one common denominator, whatever
+    their number type: Python rounds those correctly, so each is the
+    float of the exact ratio, and `low` and `signed` are decided on the
+    same integers."""
 
     __slots__ = ("pairs", "slots", "keys", "ratios", "low", "signed",
                  "weights", "terms", "count")
@@ -100,11 +103,18 @@ class DistanceIndex:
         self.slots = [keys.setdefault((type(d), d), len(keys))
                       for d in itertools.starmap(space.distance, self.pairs)]
         self.keys = [d for _, d in keys]
-        top = Fraction(top or max(map(abs, self.keys), default=0) or 1)
-        exact = [Fraction(d) / top for d in self.keys]
-        self.ratios = [float(e) for e in exact]
-        self.low = any(0 < abs(e) < NORMAL_MIN for e in exact)
-        self.signed = any(e < 0 for e in exact)
+        top = top or max(map(abs, self.keys), default=0) or 1
+        # top and each key as an exact (numerator, denominator)
+        (a, b), *exact = (d.as_integer_ratio() for d in (top, *self.keys))
+        den = math.lcm(b, *(q for _, q in exact))
+        nums = [x * (den // q) for x, q in exact]
+        scale = a * (den // b)
+        self.ratios = [x / scale for x in nums]
+        # 0 < |x| / scale < NORMAL_MIN, exactly
+        below = scale * _NORMAL_MIN_RATIO[0]
+        self.low = any(0 < abs(x) * _NORMAL_MIN_RATIO[1] < below
+                       for x in nums)
+        self.signed = any(x < 0 for x in nums)
         if ds is not None:
             # each side's count of every key, and those counts split into
             # powers of two: a power times 2^b is exact, so one fsum of the
@@ -183,13 +193,16 @@ def simplex_gap(space, ds: DoubleSimplex, p) -> GapResult:
     return GapResult(p, lhs, rhs, False, radius)
 
 
-def certify_violation(space, ds: DoubleSimplex, p) -> bool:
+def certify_violation(space, ds: DoubleSimplex, p,
+                      index: DistanceIndex | None = None) -> bool:
     """Whether ds violates at p, proven: its float gap on the distances
     over their largest, against the gap's radius. Where that leaves it
     undecided, not at all when both sides' nonzero distances are one
     multiset, which makes the gap 0 at every p (every X = Y
-    configuration), else as `numerics.settle` decides it."""
-    index = DistanceIndex(space, ds)
+    configuration), else as `numerics.settle` decides it. `index` is
+    ds's `DistanceIndex` where the caller holds one, built here if not."""
+    if index is None:
+        index = DistanceIndex(space, ds)
     verdict = violation(*index.gap(p)[:2])
     if verdict is not None:
         return verdict
@@ -209,45 +222,9 @@ def _nonzero_multiset(side: list) -> Counter:
     return multiset
 
 
-def exhaustive_config_count(n_points: int, max_size: int) -> int:
-    total = 0
-    for k in range(2, max_size + 1):
-        m = comb(n_points + k - 1, k)
-        total += m * (m + 1) // 2
-    return total
-
-
-def _scan_violation(space, max_size: int, p, budget: int | None,
-                    index: DistanceIndex) -> Optional[DoubleSimplex]:
-    """`find_violation_exhaustive` without the recertification: the first
-    double simplex the scan proves violating, or None."""
-    n = space.size
-    if max_size < 2:
-        raise ValueError("max_size must be at least 2")
-    if budget is not None:
-        need = exhaustive_config_count(n, max_size)
-        if need > budget:
-            raise BudgetExceeded(
-                f"exhaustive scan needs {need} configurations", need)
-    if p == 0 and all(index.keys[s] != 0 for (i, j), s
-                      in zip(index.pairs, index.slots) if i != j):
-        # D^0 is all ones off the diagonal, so with c the signed member
-        # counts, twice every gap is sum_k (1 - D^0_kk) c_k^2 plus the
-        # diagonal entries of the members: an integer >= 0, exact in
-        # floats, never a violation (|c|^2 / 2 on a zero diagonal)
-        return None
-    from . import kernels
-
-    witness, _, _ = kernels.min_gap_scan(
-        index.power_matrix(p), max_size, p, index.floor(p),
-        lambda xs, ys: certify_violation(space, DoubleSimplex(xs, ys), p))
-    if witness is None:
-        return None
-    return DoubleSimplex(tuple(witness[0]), tuple(witness[1]))
-
-
-def _recertified(space, ds: DoubleSimplex, p) -> DoubleSimplex:
-    if not certify_violation(space, ds, p):
+def _recertified(space, ds: DoubleSimplex, p,
+                 index: DistanceIndex | None = None) -> DoubleSimplex:
+    if not certify_violation(space, ds, p, index=index):
         raise ArithmeticError(
             f"scan witness failed recertification at p={p}")
     return ds
@@ -258,8 +235,14 @@ def find_violation_exhaustive(space, max_size: int, p,
                               ) -> Optional[DoubleSimplex]:
     """First violating double simplex over all index multisets of sizes
     2..max_size, or None, scanned on a `DistanceIndex` of the space built
-    per call. Witnesses are certified before being returned."""
-    ds = _scan_violation(space, max_size, p, budget, DistanceIndex(space))
+    per call (`probes._scan_violation`). An asymmetric table is refused
+    with ValueError (`probes.refuse_asymmetric`). Witnesses are certified
+    before being returned."""
+    from .probes import _scan_violation, refuse_asymmetric
+
+    index = DistanceIndex(space)
+    refuse_asymmetric(space, index)
+    ds = _scan_violation(space, max_size, p, budget, index)
     return None if ds is None else _recertified(space, ds, p)
 
 
@@ -277,25 +260,36 @@ def _crossing(violates, lo: float, hi: float) -> float:
             lo = mid
 
 
-def _simplex_test(space, ds: DoubleSimplex, hi: float):
-    """Whether `ds`, which the scan found violating at hi, is proven to
-    violate at p > 0 by its float gap and radius, on a `DistanceIndex` of
-    its points built once: the test `certify_violation` makes first, so
-    it agrees wherever this holds. Where even hi is not proven in floats,
-    `certify_violation` must prove hi, which then stays the crossing."""
-    index = DistanceIndex(space, ds)
+def _simplex_test(space, ds: DoubleSimplex, hi: float,
+                  index: DistanceIndex | None = None):
+    """Whether `ds`, which a probe found violating at hi, is proven to
+    violate at p > 0 by its float gap and radius, on its `DistanceIndex`
+    (`index`, or one built here): the test `certify_violation` makes
+    first, so it agrees wherever this holds. Where even hi is not proven
+    in floats, `certify_violation` must prove hi, which then stays the
+    crossing."""
+    if index is None:
+        index = DistanceIndex(space, ds)
 
     def violates(p):
         return violation(*index.gap(p)[:2]) is True
 
     if not violates(hi):
-        _recertified(space, ds, hi)
+        _recertified(space, ds, hi, index)
     return violates
 
 
 # the most points a family of a spectral witness may hold: each doubling
 # of the rounding scale doubles it, and the report lists every point
 WITNESS_POINTS = 2 ** 14
+
+
+def asymmetric_pair(space, index: DistanceIndex) -> Optional[tuple]:
+    """The first pair i < j with d(i, j) != d(j, i), or None; `index` is
+    the space's full `DistanceIndex`."""
+    n, keys, slots = space.size, index.keys, index.slots
+    return next(((i, j) for i, j in itertools.combinations(range(n), 2)
+                 if keys[slots[i * n + j]] != keys[slots[j * n + i]]), None)
 
 
 def spectral_form(space, index: DistanceIndex) -> bool:
@@ -305,8 +299,9 @@ def spectral_form(space, index: DistanceIndex) -> bool:
     n = space.size
     d = [index.keys[s] for s in index.slots]
     return (all(d[i * n + i] == 0 for i in range(n))
-            and all(0 < d[i * n + j] == d[j * n + i]
-                    for i in range(n) for j in range(i + 1, n)))
+            and all(d[i * n + j] > 0
+                    for i, j in itertools.combinations(range(n), 2))
+            and asymmetric_pair(space, index) is None)
 
 
 def _dot(a, b) -> float:
@@ -474,8 +469,9 @@ class SpectralProbe:
 
         return not settle(value, f"spectral probe at p={p}")
 
-    def witness(self, p) -> Optional[DoubleSimplex]:
-        """A double simplex proven to violate at p, or None. The failing
+    def witness(self, p) -> Optional[tuple]:
+        """A double simplex proven to violate at p, with the
+        `DistanceIndex` that proved it, or None. The failing
         factorisation's vector starts inverse iteration toward A(p)'s most
         negative eigenvector, with a shift bisected below that eigenvalue
         (a factorisation of A(p) - sI completes only for s below it); the
@@ -524,108 +520,10 @@ class SpectralProbe:
             ds = DoubleSimplex(
                 tuple(i for i in range(points) for _ in range(z[i])),
                 tuple(i for i in range(points) for _ in range(-z[i])))
-            if certify_violation(self.space, ds, p):
-                return ds
+            index = DistanceIndex(self.space, ds)
+            if certify_violation(self.space, ds, p, index=index):
+                return ds, index
         return None
-
-
-def character_table(space: ProductCycleSpace,
-                    budget: int | None = None) -> tuple:
-    """For each nontrivial folded frequency multiset xi in {0..units/2}
-    (combinations_with_replacement order), the intervals prod_i D_k(xi_i),
-    k = 1..units/2, at PRECISION_BITS. D_k is one cycle's character sum
-    over |g| < k: sin(pi(2k-1)v/units) / sin(pi v/units), and 2k - 1 at
-    v = 0. Over `budget` characters raise BudgetExceeded before any is
-    built."""
-    units, coords = space.units, space.coords
-    need = comb(units // 2 + coords, coords) - 1
-    if budget is not None and need > budget:
-        raise BudgetExceeded(f"character probe needs {need} characters", need)
-    iv, half = intervals(PRECISION_BITS), units // 2
-    kernel = [[iv.sin(iv.pi * (2 * k - 1) * v / units)
-               / iv.sin(iv.pi * v / units) if v else iv.mpf(2 * k - 1)
-               for v in range(half + 1)] for k in range(1, half + 1)]
-    chars = itertools.combinations_with_replacement(range(half + 1), coords)
-    next(chars)  # the trivial character
-    return tuple((xi, tuple(math.prod(row[v] for v in xi) for row in kernel))
-                 for xi in chars)
-
-
-def _eigenvalue_vanishes(units: int, xi: tuple, p) -> bool:
-    """Whether the eigenvalue at xi is exactly 0, decided only at integer
-    p. With zeta = exp(2 pi i / units), D_k(v) sums zeta^(v g) over
-    |g| < k, so the eigenvalue is a(zeta) for an integer polynomial a
-    modulo x^units - 1, and its Galois conjugates are the a(zeta^j) with
-    gcd(j, units) = 1. It is 0 exactly when sum_j |a(zeta^j)|^2, that is
-    sum_{s,t} a_s a_t c(s - t), is, where each Ramanujan sum c(m), the sum
-    of cos(2 pi j m / units) over those j, is an integer that rounding its
-    float sum gets exactly (the error is below units * 2^-50)."""
-    if p != int(p):
-        return False
-    a = [0] * units
-    for k in range(1, units // 2 + 1):
-        prod = [1] + [0] * (units - 1)
-        for v in xi:
-            prod = [sum(prod[(e - v * g) % units] for g in range(1 - k, k))
-                    for e in range(units)]
-        w = k ** int(p) - (k - 1) ** int(p) if k > 1 else 1
-        a = [t + w * c for t, c in zip(a, prod)]
-    c = [round(math.fsum(math.cos(2 * math.pi * (j * m % units) / units)
-                         for j in range(units) if math.gcd(j, units) == 1))
-         for m in range(units)]
-    return not sum(a[s] * a[t] * c[s - t] for s in range(units)
-                   for t in range(units))
-
-
-def find_violation_characters(space: ProductCycleSpace, p,
-                              budget: int | None = None, *,
-                              table: tuple | None = None
-                              ) -> Optional[tuple]:
-    """The first nontrivial character of a cycle product whose eigenvalue
-    in [d(x, y)^p] is positive, as its folded frequency multiset, or None.
-
-    The sup metric is translation invariant, so the characters diagonalise
-    [d(x, y)^p] and the nontrivial ones span the sum-zero vectors: no
-    double simplex of any size violates at p exactly when every nontrivial
-    eigenvalue is <= 0 (Schoenberg). With quantum q, d^p is q^p sum_k w_k
-    [d >= kq], w_k = k^p - (k-1)^p and 0^p = 0 as in `power`, so the
-    eigenvalue at xi is -q^p sum_k w_k prod_i D_k(xi_i), evaluated as an
-    interval at PRECISION_BITS and decided by `numerics.violation`. One it
-    leaves undecided, with none positive, must be proven 0
-    (`_eigenvalue_vanishes`), else ArithmeticError.
-    `table` is the space's `character_table`, built here under `budget`
-    when not given.
-    """
-    if table is None:
-        table = character_table(space, budget)
-    units = space.units
-    weights = _weights(units, p)
-    undecided = []
-    for xi, prods in table:
-        verdict = violation(-_eigenvalue(weights, prods))
-        if verdict:
-            return xi
-        if verdict is None:
-            undecided.append(xi)
-    for xi in undecided:
-        if not _eigenvalue_vanishes(units, xi, p):
-            raise ArithmeticError(f"eigenvalue at character {list(xi)} "
-                                  f"undecided at p={p}; raise precision")
-    return None
-
-
-def _weights(units: int, p) -> list:
-    """The intervals w_k = k^p - (k-1)^p, k = 1..units/2: units/2 interval
-    powers at PRECISION_BITS."""
-    iv = intervals(PRECISION_BITS)
-    pw = [iv.mpf(k) ** iv.mpf(p) for k in range(1, units // 2 + 1)]
-    return [pw[0]] + [b - a for a, b in zip(pw, pw[1:])]
-
-
-def _eigenvalue(weights: list, prods: tuple):
-    """The eigenvalue at a character in quanta^p, as an interval, from its
-    `character_table` row."""
-    return -sum(w * d for w, d in zip(weights, prods))
 
 
 class RoundnessEstimate(Record):
@@ -643,63 +541,15 @@ class RoundnessEstimate(Record):
                 "unbounded": unbounded}
 
 
-def _halvings(lower: float, upper: float, tol: float) -> int:
-    """ceil(log2((upper - lower) / tol)): how many halvings take the
-    bracket to tol."""
-    return max(0, math.ceil(math.log2(upper - lower) - math.log2(tol)))
-
-
-def _close_bracket(probe, crossing, lower: float, upper: float, witness,
-                   tol: float, flags: list) -> tuple:
-    """Narrow [lower, upper] to at most `tol`, where `lower` probed clean
-    and `witness` violates at `upper`; returns (lower, upper, witness).
-
-    Each probe sits `step` below upper, never below the midpoint. A
-    violating probe at q moves upper to crossing(w, lower, q), where its
-    witness w starts to violate; a clean one becomes the lower end and
-    starts a new run at step tol, so a clean probe at upper - tol closes
-    the bracket. Each violating probe past a run's first 2L doubles the
-    step, L the halvings from the bracket at the run's start to tol.
-
-    Bound: at most 2L(L+1) probes, for tol no finer than the float
-    spacing at upper. A run makes at most 2L + 1 probes at step tol and
-    L - 2 at doubled steps before it reaches the midpoint, where each
-    probe halves the bracket; its clean probe leaves at least 2 halvings
-    fewer (1 at the midpoint). Without the doubling the bound is only
-    (upper - lower) / tol, met when each crossing lands just over tol
-    below the last. Where no float lies strictly between the ends the
-    loop stops and flags it."""
-    step, run, halvings = tol, 0, _halvings(lower, upper, tol)
-    while upper - lower > tol:
-        q = upper - step
-        if upper - q > step:
-            # rounded down: a clean probe at q must leave at most step
-            q = math.nextafter(q, upper)
-        q = max(min(q, math.nextafter(upper, lower)),
-                lower + (upper - lower) / 2)
-        if not lower < q < upper:
-            # adjacent floats: the bracket cannot narrow any further
-            flags.append("tolerance below float resolution")
-            break
-        w = probe(q)
-        if w is None:
-            lower, step, run = q, tol, 0
-            halvings = _halvings(lower, upper, tol)
-        else:
-            upper, witness, run = crossing(w, lower, q), w, run + 1
-            if run > 2 * halvings:
-                step *= 2
-    return lower, upper, witness
-
-
-def _spectral_bracket(form: SpectralProbe, crossing, cap: float,
-                      tol: float, probes: list, flags: list) -> tuple:
-    """The bracket (lower, upper, witness) of a listed space in
-    `spectral_form` between 0, where A(0) = I + J is positive definite,
-    and cap, each `form.clean` probe listed in `probes`: (cap, inf, None)
-    where cap probes clean. Else bisect on the factorisation until the
-    bracket is within tol / 4, then take a witness at lower + tol, whose
-    crossing closes the bracket to tol. Where no witness of at most
+def _spectral_bracket(form: SpectralProbe, cap: float, tol: float,
+                      probes: list, flags: list) -> tuple:
+    """The bracket (lower, upper, (witness, its DistanceIndex)) of a
+    listed space in `spectral_form` between 0, where A(0) = I + J is
+    positive definite, and cap, each `form.clean` probe listed in
+    `probes`: (cap, inf, None) where cap probes clean. Else bisect on the
+    factorisation until the bracket is within tol / 4, then take a
+    witness at lower + tol, whose crossing, on the index that proved it
+    there, closes the bracket to tol. Where no witness of at most
     WITNESS_POINTS points a family is proven there, the distance above
     lower quadruples, up to cap, and a bracket left wider than tol is
     flagged. Where none is proven at cap either, the failing probes only
@@ -731,13 +581,15 @@ def _spectral_bracket(form: SpectralProbe, crossing, cap: float,
         if q - lower > span:
             q = math.nextafter(q, lower)
         q = min(max(q, upper), cap)
-        w = form.witness(q)
-        if w is not None:
-            upper = crossing(w, lower, q)
+        found = form.witness(q)
+        if found is not None:
+            ds, index = found
+            upper = _crossing(_simplex_test(form.space, ds, q, index),
+                              lower, q)
             if span > tol and upper - lower > tol:
                 flags.append(f"no witness of at most {WITNESS_POINTS} points"
                              f" per family within p_tolerance")
-            return lower, upper, w
+            return lower, upper, found
         if q == cap:
             flags.append("no witness proven up to p_cap")
             return lower, math.inf, None
@@ -757,9 +609,9 @@ def estimate_roundness(space, max_size: int = 3,
     simplex, and max_size is not read. Any other table (possible only
     unchecked) is probed by the exhaustive scan of families up to
     max_size points, which `covers` records. 0 is the lower end to start
-    with. The characters and the scan take the crossing of the witness at
-    p_cap as the upper end and `_close_bracket` narrows the two to
-    p_tolerance; the spectral probe bisects and takes one witness above
+    with. The characters and the scan (`probes.bracket`) take the
+    crossing of the witness at p_cap as the upper end and narrow the two
+    to p_tolerance; the spectral probe bisects and takes one witness above
     its last clean probe (`_spectral_bracket`). Both ends are certified
     for what `covers` names: the lower by a clean exhaustive scan, full
     character table or factorisation, the upper by the witness, proven
@@ -772,80 +624,39 @@ def estimate_roundness(space, max_size: int = 3,
     probe, and an over-budget probe is refused before any work. None
     means no cap on a listed space, which its size bounds, and on a cycle
     product, whose character count two integers set, as many characters
-    as keep its table within TABLE_INTERVALS intervals. The tolerance and
-    p_cap must be finite and positive.
+    as keep its table within `probes.TABLE_INTERVALS` intervals. The scan
+    refuses an asymmetric table with ValueError. The tolerance and p_cap
+    must be finite and positive.
     """
     for name, value in (("p_tolerance", p_tolerance), ("p_cap", p_cap)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
+    # a cycle product exists only once its module has loaded, and a listed
+    # space loads neither it nor the other probes (`probes`)
+    cycles = sys.modules.get(f"{__package__}.cycles")
+    product = cycles is not None and isinstance(space,
+                                                cycles.ProductCycleSpace)
+    index = None if product else DistanceIndex(space)
+    if product or not spectral_form(space, index):
+        from .probes import bracket
+
+        return bracket(space, index, max_size, p_tolerance, budget, p_cap)
     probes: list = []
     flags: list = []
-    table = form = index = None
-    if isinstance(space, ProductCycleSpace):
-        mode, size = "characters", None
-        if budget is None:
-            # the table holds units/2 intervals per character, and there
-            # are at least units/2 characters, so this bounds the kernel
-            # rows too
-            budget = TABLE_INTERVALS // (space.units // 2)
-    else:
-        index = DistanceIndex(space)
-        if spectral_form(space, index):
-            mode, size = "spectral", None
-            form = SpectralProbe(space, index)
-        else:
-            mode, size = "scan", max_size
-    covers = (f"double simplices with at most {max_size} points per family"
-              if mode == "scan" else "every double simplex")
-
-    def probe(p: float):
-        if mode == "characters":
-            w = find_violation_characters(space, p, table=table)
-        else:
-            w = _scan_violation(space, max_size, p, budget, index)
-        probes.append({"p": p, "violation": w is not None})
-        return w
-
-    def crossing(w, lo: float, hi: float) -> float:
-        """Where the witness w, violating at hi, starts to violate."""
-        if mode != "characters":
-            return _crossing(_simplex_test(space, w, hi), lo, hi)
-        prods = dict(table)[w]
-        return _crossing(lambda p: violation(-_eigenvalue(
-            _weights(space.units, p), prods)) is True, lo, hi)
-
-    est = RoundnessEstimate(0.0, math.inf, None, None, True, covers, size,
-                            p_cap, probes, flags)
-    try:
-        if mode == "characters":
-            # built once and dropped when the estimate returns
-            table = character_table(space, budget)
-        if mode == "spectral":
-            if budget is not None and form.work > budget:
-                raise BudgetExceeded(f"factorisation needs {form.work} "
-                                     f"multiply-adds", form.work)
-            est.lower, est.upper, est.witness = _spectral_bracket(
-                form, crossing, p_cap, p_tolerance, probes, flags)
-            if est.witness is None:
-                return est
-        elif (w0 := probe(0.0)) is not None:
-            flags.append("violation at p=0")
-            est.lower, est.upper, est.witness = 0.0, 0.0, w0
-        else:
-            wit = probe(p_cap)
-            if wit is None:
-                flags.append("no violation up to p_cap")
-                est.lower = p_cap
-                return est
-            est.lower, est.upper, est.witness = _close_bracket(
-                probe, crossing, 0.0, crossing(wit, 0.0, p_cap), wit,
-                p_tolerance, flags)
-        est.witness_p = est.upper
-    except BudgetExceeded as exc:
-        flags.append(f"budget exhausted: {exc}")
+    form = SpectralProbe(space, index)
+    est = RoundnessEstimate(0.0, math.inf, None, None, True,
+                            "every double simplex", None, p_cap, probes,
+                            flags)
+    if budget is not None and form.work > budget:
+        flags.append(f"budget exhausted: factorisation needs {form.work} "
+                     f"multiply-adds")
         est.certified = False
         return est
-    if mode != "characters":
+    est.lower, est.upper, found = _spectral_bracket(
+        form, p_cap, p_tolerance, probes, flags)
+    if found is not None:
+        est.witness, index = found
+        est.witness_p = est.upper
         # the reported witness, proven where it is reported
-        _recertified(space, est.witness, est.witness_p)
+        _recertified(space, est.witness, est.witness_p, index)
     return est

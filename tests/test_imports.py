@@ -111,6 +111,11 @@ CLI_IMPORT_MODULES = ["roundlab", "roundlab.cli", "roundlab.report"]
 # the census and its kernels, which no obstruct command runs
 CENSUS_MODULES = {"roundlab.cyclic", "roundlab.kernels"}
 
+# what a listed space's `gr estimate` and `validate` never run: the cycle
+# vocabulary, the character and scan probes, the cycle-space options
+NOT_ON_A_LISTED_SPACE = {"roundlab.cycles", "roundlab.probes",
+                         "roundlab.cycle_args"}
+
 
 def assert_no_heavy_imports(modules: set) -> None:
     assert "numpy" not in modules
@@ -132,6 +137,8 @@ def test_exact_commands_load_neither_numpy_nor_mpmath(argv, tmp_path):
     assert rc == (2 if "builtin:identity" in argv else 0)
     assert_no_heavy_imports(modules)
     assert not modules & SPACE_FILE_MODULES
+    # the space and class options the census and obstruct share
+    assert "roundlab.cycle_args" in modules
     if argv[0] == "counts":
         assert "roundlab.obstruction" not in modules
     else:
@@ -192,6 +199,8 @@ def test_light_commands_load_neither_numpy_nor_mpmath(argv, tmp_path):
     rc, modules = loaded_after([a.format(**paths) for a in argv], tmp_path)
     assert rc == 0
     assert_no_heavy_imports(modules)
+    if argv[0] == "validate":
+        assert not modules & NOT_ON_A_LISTED_SPACE
 
 
 def test_gr_estimate_loads_roundness_and_spaces(tmp_path):
@@ -215,20 +224,25 @@ def test_gr_estimate_loads_roundness_and_spaces(tmp_path):
         assert "dataclasses" not in modules
         assert not {"numpy", "mpmath", "roundlab.kernels"} & modules
         assert "roundlab.cyclic" not in modules
+        assert not modules & NOT_ON_A_LISTED_SPACE
 
 
-def test_gr_estimate_scans_an_asymmetric_unchecked_table(tmp_path):
-    # d(1, 0) = 2 but d(0, 1) = 1: outside the spectral form, so the
-    # table takes the exhaustive scan and its numpy kernel
+def test_gr_estimate_refuses_an_asymmetric_unchecked_table(tmp_path):
+    # d(1, 0) = 2 but d(0, 1) = 1: outside the spectral form, and the scan
+    # covers symmetric tables only, so the table is refused with exit 1
+    # before any scan, loading neither the scan's kernel nor numpy
     path = tmp_path / "asymmetric.csv"
     path.write_text("4\n0 1 2 1\n2 0 1 2\n2 1 0 1\n1 2 1 0\n")
-    out = tmp_path / "report.json"
-    rc, modules = loaded_after(["gr", "estimate", "--unchecked", "--input",
-                                str(path)], tmp_path)
-    assert rc == 0
-    assert json.loads(out.read_text())["results"]["covers"] == (
-        "double simplices with at most 3 points per family")
-    assert "numpy" in modules and "roundlab.kernels" in modules
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, "gr", "estimate", "--unchecked",
+         "--input", str(path)], capture_output=True, text=True,
+        env=suite_env())
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["rc"] == 1
+    assert proc.stderr == ("error: distance matrix fails symmetry at (0,1): "
+                           "the scan needs d(x, y) = d(y, x)\n")
+    assert not {"numpy", "roundlab.kernels"} & set(result["modules"])
 
 
 def test_product_estimate_loads_no_numpy():
@@ -245,6 +259,7 @@ def test_product_estimate_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
     modules = set(json.loads(proc.stdout))
     assert "roundlab.roundness" in modules and "mpmath" in modules
+    assert "roundlab.probes" in modules
     assert "numpy" not in modules
 
 

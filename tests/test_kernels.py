@@ -10,8 +10,8 @@ from roundlab import kernels, roundness
 from roundlab.cyclic import DoubleSimplex
 from roundlab.metric import FiniteMetricSpace
 from roundlab.numerics import gap_radius, violation
-from roundlab.roundness import (DistanceIndex, estimate_roundness,
-                                exhaustive_config_count, simplex_gap)
+from roundlab.probes import exhaustive_config_count
+from roundlab.roundness import DistanceIndex, estimate_roundness, simplex_gap
 from roundlab.spaces import (cycle_graph_space, path_graph_space,
                              random_rational_metric_space)
 

@@ -7,6 +7,7 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,15 +15,14 @@ import pytest
 from oracles import (character_quotient, dense_top_eigenvalue,
                      interval_character_eigenvalue, mpmath_certify_violation,
                      reference_power_matrix, spectral_value)
-from roundlab import kernels, roundness
+from roundlab import kernels, probes, roundness
 from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
                              ProductCycleSpace, stage_space)
 from roundlab.metric import FiniteMetricSpace, snowflake
-from roundlab.numerics import settle
+from roundlab.numerics import NORMAL_MIN, settle
+from roundlab.probes import exhaustive_config_count, find_violation_characters
 from roundlab.roundness import (DistanceIndex, SpectralProbe,
                                 certify_violation, estimate_roundness,
-                                exhaustive_config_count,
-                                find_violation_characters,
                                 find_violation_exhaustive, simplex_gap)
 from roundlab.spaces import (cycle_graph_space, equilateral_space,
                              planar_points_space, random_rational_metric_space)
@@ -76,9 +76,9 @@ def _crossings(space, max_size, monkeypatch):
     witnesses, crossings = [], []
     test, crossing = roundness._simplex_test, roundness._crossing
 
-    def recording_test(space, ds, hi):
+    def recording_test(space, ds, hi, *index):
         witnesses.append(ds)
-        return test(space, ds, hi)
+        return test(space, ds, hi, *index)
 
     def recording_crossing(violates, lo, hi):
         crossings.append(crossing(violates, lo, hi))
@@ -262,6 +262,104 @@ def test_power_matrix_takes_one_dpow_per_distinct_distance(make, distinct,
     assert sorted(index.keys, key=repr) == sorted((d for _, d in keys),
                                                   key=repr)
     assert calls == [index.ratios] and len(calls[0]) == len(keys)
+
+
+class _Table:
+    """A square table of the given entries, row by row, read unaudited."""
+
+    def __init__(self, entries):
+        self.size = math.isqrt(len(entries))
+        self._entries = entries
+
+    def distance(self, a, b):
+        return self._entries[a * self.size + b]
+
+
+# ratios a few ulps either side of NORMAL_MIN (2^52 ulps of 2^-1074), and
+# subnormal ones: exact floats, one between two, one a tie to even, and
+# one a third of an ulp
+EDGE_RATIOS = ([Fraction(2 ** 52 + k, 2 ** 1074) for k in range(-3, 4)]
+               + [Fraction(3 * 2 ** 52 + k, 3 * 2 ** 1074) for k in (-1, 1)]
+               + [Fraction(1, 2 ** 1074), Fraction(3, 2 ** 1075),
+                  Fraction(5, 2 ** 1075), Fraction(1, 3 * 2 ** 1074),
+                  Fraction(7, 3 * 2 ** 1060)])
+
+
+def _edge_table(seed):
+    """Nine entries: 1 (the largest), a zero, and seven of EDGE_RATIOS,
+    signed at random."""
+    rng = random.Random(seed)
+    picks = [rng.choice((1, -1)) * rng.choice(EDGE_RATIOS) for _ in range(7)]
+    return _Table([1, 0, *picks])
+
+
+def _seeded_table(seed):
+    """Sixteen seeded ints and Fractions, signed, some zero."""
+    rng = random.Random(seed)
+    return _Table([rng.choice((rng.randint(-9, 9),
+                               Fraction(rng.randint(-99, 99),
+                                        rng.randint(1, 12))))
+                   for _ in range(16)])
+
+
+def _mixed_table(seed):
+    """Sixteen seeded floats, ints and Fractions, signed: floats of every
+    magnitude, subnormal ones among them, beside small rationals."""
+    rng = random.Random(seed)
+    return _Table([rng.choice((rng.choice((1, -1)) * rng.uniform(0, 2)
+                               * 2.0 ** rng.randint(-1074, 1000),
+                               rng.randint(-9, 9),
+                               Fraction(rng.randint(-99, 99),
+                                        rng.randint(1, 12))))
+                   for _ in range(16)])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_integer_ratios_match_the_fraction_rule(seed):
+    # the ratios, `low` and `signed` of the ints over one denominator are
+    # those of each key as a Fraction over top, with top the largest
+    # magnitude or given, on rational, float and mixed tables alike
+    for space, top in ((_seeded_table(seed), None), (_edge_table(seed), None),
+                       (_seeded_table(seed), Fraction(7, 3)),
+                       (_edge_table(seed), 1), (_mixed_table(seed), None),
+                       (_mixed_table(seed), 0.75),
+                       (planar_points_space(6, seed), None),
+                       (_MixedTypes(), None)):
+        index = DistanceIndex(space, top=top)
+        scale = Fraction(top or max(map(abs, index.keys)) or 1)
+        exact = [Fraction(d) / scale for d in index.keys]
+        assert repr(index.ratios) == repr([float(e) for e in exact])
+        assert index.low is any(0 < abs(e) < NORMAL_MIN for e in exact)
+        assert index.signed is any(e < 0 for e in exact)
+
+
+def test_integer_ratios_meet_both_sides_of_normal_min():
+    # NORMAL_MIN itself is not low, one ulp under it is, as is a ratio
+    # that rounds up to it
+    for ratio, low in ((Fraction(2 ** 52, 2 ** 1074), False),
+                       (Fraction(2 ** 52 - 1, 2 ** 1074), True),
+                       (Fraction(2 ** 52 + 1, 2 ** 1074), False),
+                       (Fraction(2 ** 53 - 1, 2 ** 1075), True)):
+        index = DistanceIndex(_Table([0, ratio, 1, 0]))
+        assert index.low is low
+        assert index.ratios == [0.0, float(ratio), 1.0]
+    assert float(Fraction(2 ** 53 - 1, 2 ** 1075)) == NORMAL_MIN
+
+
+def test_listed_estimate_builds_each_witness_index_once(monkeypatch):
+    # the witness's DistanceIndex, built where the probe proves it, serves
+    # its crossing and its recertification too (it was built three times)
+    built, init = Counter(), DistanceIndex.__init__
+
+    def counting(self, space, ds=None, top=None):
+        built[ds] += 1
+        init(self, space, ds, top)
+
+    monkeypatch.setattr(DistanceIndex, "__init__", counting)
+    est = estimate_roundness(random_rational_metric_space(20, 0))
+    assert est.certified and est.witness is not None
+    assert built[None] == 1 and built[est.witness] == 1
+    assert max(built.values()) == 1
 
 
 def test_monotonicity_of_violations():
@@ -454,27 +552,27 @@ def test_search_finds_planted_violation():
     xi = find_violation_characters(space, 3.0, budget=44)
     assert xi is not None
     assert character_quotient(space, xi, 3.0) > 1.0
-    table = roundness.character_table(space)
+    table = probes.character_table(space)
     assert find_violation_characters(space, 3.0, table=table) == xi
 
 
 def test_estimate_builds_one_character_table(monkeypatch):
     space = ProductCycleSpace(2, CycleSpace(16))
-    built, build = [], roundness.character_table
+    built, build = [], probes.character_table
 
     def counted(*args):
         built.append(args)
         return build(*args)
 
-    monkeypatch.setattr(roundness, "character_table", counted)
+    monkeypatch.setattr(probes, "character_table", counted)
     est = estimate_roundness(space, p_tolerance=1e-2)
     # the default budget: TABLE_INTERVALS over units/2 intervals a row
     assert len(est.probes) > 2
-    assert built == [(space, roundness.TABLE_INTERVALS // 8)]
+    assert built == [(space, probes.TABLE_INTERVALS // 8)]
     # over budget: refused before any interval is computed, with the flag
     # the probe used to raise
     built.clear()
-    monkeypatch.setattr(roundness, "intervals", None)
+    monkeypatch.setattr(probes, "intervals", None)
     est = estimate_roundness(space, budget=43)
     assert built == [(space, 43)]
     assert est.probes == [] and not est.certified
@@ -546,16 +644,16 @@ def test_exact_zero_eigenvalues_match_dense(units, coords, p):
                                                     coords)
     next(chars)  # the trivial character
     for xi in chars:
-        vanishes = roundness._eigenvalue_vanishes(units, xi, p)
+        vanishes = probes._eigenvalue_vanishes(units, xi, p)
         assert vanishes == (abs(character_quotient(space, xi, p)) < 1e-9)
-    assert not roundness._eigenvalue_vanishes(units, (0,) * (coords - 1)
+    assert not probes._eigenvalue_vanishes(units, (0,) * (coords - 1)
                                               + (2,), 1.5)
 
 
 def test_undecided_eigenvalue_raises(monkeypatch):
     # at 8 bits the eigenvalue near the root of (Z_4)^2 straddles 0, and a
     # fractional p cannot be decided exactly
-    monkeypatch.setattr(roundness, "PRECISION_BITS", 8)
+    monkeypatch.setattr(probes, "PRECISION_BITS", 8)
     with pytest.raises(ArithmeticError, match="undecided"):
         find_violation_characters(ProductCycleSpace(2, CycleSpace(4)),
                                   math.log2(4 / 3))
@@ -640,22 +738,22 @@ def test_close_bracket_probe_bound(target, tol):
     # each crossing moves the upper end just over the step: closing at
     # upper - tol alone would take about (16 - target) / tol probes, the
     # doubling guard at most 2L(L+1), L the halvings from 16 to tol
-    probes = []
+    probed = []
 
     def probe(q):
-        probes.append(q)
+        probed.append(q)
         return None if q <= target else "witness"
 
     def crossing(w, lo, hi):
         return max(hi - tol / 1000, math.nextafter(target, math.inf))
 
-    halvings = roundness._halvings(0.0, 16.0, tol)
+    halvings = probes._halvings(0.0, 16.0, tol)
     flags = []
-    lower, upper, _ = roundness._close_bracket(probe, crossing, 0.0, 16.0,
-                                               "witness", tol, flags)
+    lower, upper, _ = probes._close_bracket(probe, crossing, 0.0, 16.0,
+                                            "witness", tol, flags)
     assert lower <= target < upper and upper - lower <= tol
     assert flags == []
-    assert len(probes) <= 2 * halvings * (halvings + 1)
+    assert len(probed) <= 2 * halvings * (halvings + 1)
 
 
 @pytest.mark.parametrize("make, low, high", [
@@ -672,9 +770,9 @@ def test_small_roundness_gets_its_crossing_as_upper_end(make, low, high):
     est = estimate_roundness(space)
     assert est.certified and est.lower == 0.0
     assert low <= est.upper <= high and est.witness_p == est.upper
-    row = dict(roundness.character_table(space))[est.witness]
-    weights = roundness._weights(space.units, est.upper)
-    assert roundness._eigenvalue(weights, row).a > 0
+    row = dict(probes.character_table(space))[est.witness]
+    weights = probes._weights(space.units, est.upper)
+    assert probes._eigenvalue(weights, row).a > 0
 
 
 def test_estimate_recertifies_only_the_reported_witness(monkeypatch,
@@ -683,9 +781,9 @@ def test_estimate_recertifies_only_the_reported_witness(monkeypatch,
     # once, on the witness reported, at the upper end
     calls, certify = [], roundness.certify_violation
 
-    def recording(space, ds, p):
+    def recording(space, ds, p, **index):
         calls.append((ds, p))
-        return certify(space, ds, p)
+        return certify(space, ds, p, **index)
 
     monkeypatch.setattr(roundness, "certify_violation", recording)
     est = estimate_roundness(random_rational_metric_space(20, 0),
@@ -701,8 +799,8 @@ def test_spectral_estimate_certifies_at_one_point(monkeypatch):
     # reports at its crossing; every rounding but the last fails
     calls, certify = [], roundness.certify_violation
 
-    def recording(space, ds, p):
-        calls.append((ds, p, certify(space, ds, p)))
+    def recording(space, ds, p, **index):
+        calls.append((ds, p, certify(space, ds, p, **index)))
         return calls[-1][2]
 
     monkeypatch.setattr(roundness, "certify_violation", recording)
@@ -720,7 +818,8 @@ def test_failed_recertification_is_an_error(monkeypatch):
     # certifier does not confirm is an error, and so is a reported one;
     # the spectral probe finds none to report, and its failing probes
     # prove nothing: the clean lower end stays, the upper one is unbounded
-    monkeypatch.setattr(roundness, "certify_violation", lambda *args: False)
+    monkeypatch.setattr(roundness, "certify_violation",
+                        lambda *args, **index: False)
     with pytest.raises(ArithmeticError, match="failed recertification"):
         find_violation_exhaustive(C4, 3, 1.5)
     est = estimate_roundness(C4, max_size=3)
@@ -895,14 +994,36 @@ def test_weighted_gap_matches_every_pair_summed(seed):
 
 
 def test_unfit_tables_keep_the_scan():
-    # asymmetric, a zero off the diagonal: the scan, which records its
-    # family size
-    for space in (_asymmetric_unchecked(7, 5), FiniteMetricSpace.unchecked(
-            [[0, 0, 1], [0, 0, 0], [1, 0, 0]])):
-        index = DistanceIndex(space)
-        assert not roundness.spectral_form(space, index)
-        est = estimate_roundness(space, max_size=3)
-        assert est.covers == ("double simplices with at most 3 points "
-                              "per family")
-        assert est.max_simplex_size == 3
+    # a zero off the diagonal: the scan, which records its family size;
+    # an asymmetric table is outside the spectral form too, but the scan
+    # takes each pair of families in one orientation, so it is refused
+    zero = FiniteMetricSpace.unchecked([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+    asymmetric = _asymmetric_unchecked(7, 5)
+    for space in (zero, asymmetric):
+        assert not roundness.spectral_form(space, DistanceIndex(space))
+    est = estimate_roundness(zero, max_size=3)
+    assert est.covers == ("double simplices with at most 3 points "
+                          "per family")
+    assert est.max_simplex_size == 3
+    with pytest.raises(ValueError, match="fails symmetry at"):
+        estimate_roundness(asymmetric, max_size=3)
     assert roundness.spectral_form(C4, DistanceIndex(C4))
+
+
+def test_asymmetric_table_is_refused_before_any_scan(monkeypatch):
+    # one mirror entry of a metric space raised by 1: the scan would cover
+    # one orientation of each pair of families and return its witness in
+    # the other, which then failed recertification; now both entry points
+    # refuse the table, naming symmetry, and no configuration is scanned
+    rows = [list(row) for row in random_rational_metric_space(8, 3).dist]
+    rows[0][1] += 1
+    space = FiniteMetricSpace.unchecked(rows)
+
+    def no_scan(*args):
+        raise AssertionError("scanned an asymmetric table")
+
+    monkeypatch.setattr(kernels, "min_gap_scan", no_scan)
+    with pytest.raises(ValueError, match=r"fails symmetry at \(0,1\)"):
+        estimate_roundness(space)
+    with pytest.raises(ValueError, match=r"fails symmetry at \(0,1\)"):
+        find_violation_exhaustive(space, 2, 2.0)
