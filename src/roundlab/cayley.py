@@ -30,8 +30,7 @@ import itertools
 import operator
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from . import Record
-from .cycles import DoubleSimplex
+from . import DoubleSimplex, Record
 
 if TYPE_CHECKING:
     import numpy as np

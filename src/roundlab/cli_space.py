@@ -1,7 +1,6 @@
 """The commands that read a space file: `validate`, `gr estimate` and
 `inject`. `spaces`, and through it `metric`, load when the file is read;
-`roundness` only in `gr estimate`, and `probes` only for a table outside
-its spectral form."""
+`roundness` only in `gr estimate`."""
 
 from __future__ import annotations
 
@@ -21,9 +20,8 @@ def _cmd_validate(args) -> tuple:
 
 def _cmd_gr_estimate(args) -> tuple:
     space = cli.read_space_csv(args.input, checked=not args.unchecked)
-    est = cli.estimate_roundness(
-        space, max_size=args.max_size, p_tolerance=args.tol,
-        budget=args.budget, p_cap=args.p_cap)
+    est = cli.estimate_roundness(space, p_tolerance=args.tol,
+                                 budget=args.budget, p_cap=args.p_cap)
     params = {"input": args.input, "max_size": args.max_size,
               "tol": args.tol, "budget": args.budget, "p_cap": args.p_cap}
     return params, est, True
@@ -68,14 +66,12 @@ def _validate_args(p) -> None:
 def _gr_estimate_args(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--max-size", type=int, default=3,
-                   help="family size of the scan, which only a symmetric "
-                   "--unchecked table that is not positive off its diagonal "
-                   "takes; an asymmetric one is refused")
+                   help="accepted and recorded in the params, never read: "
+                   "every table is probed for every double simplex")
     p.add_argument("--tol", type=float, default=1e-3,
                    help="bracket width in the exponent")
     p.add_argument("--budget", type=int, default=None,
-                   help="max multiply-adds of one factorisation, or "
-                   "configurations of one scan")
+                   help="max multiply-adds of one factorisation")
     p.add_argument("--p-cap", type=float, default=16.0)
     p.add_argument("--unchecked", action="store_true",
                    help="skip axiom validation of the input")

@@ -1,4 +1,4 @@
-"""Computational kernels, Python and numpy.
+"""Computational kernels, in pure Python.
 
 Points are tuples of residues, classes are (delta, support) in quanta. These
 are the hot loops: the full-space difference census, the simplex and
@@ -14,26 +14,10 @@ its states are those of half the depth: r=4 on (8, 8, delta=1, s=2) takes
 10,720 / 4,760 / 10,050 column transitions for S / K / L (104,048 /
 16,596 / 97,545 in one pass), and r=6 on (12, 16, 1, 2) 68,034,432 /
 19,467,392 / 66,971,394, within the default budget of 10^8 per count.
-
-The gap scan is vectorised with numpy but keeps the summation order of a
-scalar loop, so every gap is bit-identical to that loop's. Each sum is a
-chain of elementwise IEEE adds starting from 0.0, never a BLAS product or
-a reassociating reduction:
-
-- within[X] adds d^p(x_i, x_j) over the pairs i < j in lexicographic order;
-- cs[v, X] adds d^p(v, x) over the members x of X in order;
-- rhs adds cs[y, X] over the members y of Y in order, and
-  lhs = within[X] + within[Y].
-
-A term passes at most max(n(n-1)/2, 2n-2) rounded additions, which
-bounds the gap's error (`numerics.gap_radius`). rhs is the sum over Y's
-first n-1 members, plus cs[last member]: the left-to-right sum passes
-through that partial sum, so families sharing a prefix share it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -42,10 +26,6 @@ from collections import Counter
 # without running a kernel find them too
 from . import BACKEND, BudgetExceeded  # noqa: F401
 from .numerics import gap_radius, violation
-
-# gaps computed per block of the exhaustive scan; at 0.25 MiB per array
-# the two block arrays stay in a core's L2 cache
-GAP_BLOCK = 32_768
 
 
 def pair_census(coords: int, units: int) -> tuple[dict, int]:
@@ -261,134 +241,68 @@ def simplex_count_r2(coords, units, delta, support):
     return simplex_count(coords, units, delta, support, 2)
 
 
-@functools.lru_cache(maxsize=8)
-def _family_index(npts: int, n: int):
-    """The p-independent index of the size-n families on npts points, read
-    by every probe of one space: the members of each family in canonical
-    order as an [n, m] array, the (n-1)-prefix families as an [n-1, q]
-    array, and for each family the index of its prefix. Canonical order
-    lists a prefix's families together, last member ascending from the
-    prefix's last member, so prefix k has npts - pre[-1, k] families."""
-    import numpy as np
-
-    def members(k):
-        count = math.comb(npts + k - 1, k)
-        flat = np.fromiter(itertools.chain.from_iterable(
-            itertools.combinations_with_replacement(range(npts), k)),
-            dtype=np.intp, count=count * k)
-        return np.ascontiguousarray(flat.reshape(count, k).T)
-
-    fam, pre = members(n), members(n - 1)
-    prefix = np.repeat(np.arange(pre.shape[1]), npts - pre[-1])
-    for a in (fam, pre, prefix):
-        a.flags.writeable = False
-    return fam, pre, prefix
-
-
 def min_gap_scan(dp, max_size: int, p, floor: float, resolve):
     """Scan all double simplices (multiset families, sizes 2..max_size)
     for the first proven violation.
 
-    dp holds finite float powers at p, each of the float nearest a base in
-    [0, 1] (`roundness.DistanceIndex.power_matrix`) and off by at most
-    `floor` beyond the relative error `numerics.gap_radius` bounds. Each
-    gap is decided against its radius by `numerics.violation`, and
-    resolve(xs, ys) decides one left undecided ahead of the first proven
-    violation. With a zero diagonal X = Y gaps are exactly 0 and never
-    decided. Canonical order: family size ascending from 2, then both
-    families in combinations_with_replacement order with the second
-    starting at the first (swap-symmetric dedup). Returns (first violating
-    (xs, ys) or None, least gap outside X = Y or None, configs scanned).
+    dp holds finite float powers at p, 0 on the diagonal, each of the float
+    nearest a base in [0, 1] (`roundness.DistanceIndex.power_matrix` of a
+    table `roundness.refuse_unfit` admits) and off by at most `floor`
+    beyond the relative error `numerics.gap_radius` bounds. Each gap is
+    decided against its radius by `numerics.violation`, and resolve(xs,
+    ys) decides one left undecided ahead of the first proven violation.
+    X = Y gaps are exactly 0 and never decided. Canonical order: family
+    size ascending from 2, then both families in
+    combinations_with_replacement order with the second starting at the
+    first (swap-symmetric dedup). Returns (first violating (xs, ys) or
+    None, least gap outside X = Y or None, configs scanned).
 
-    First families X are taken in blocks of at most GAP_BLOCK gaps against
-    every second family Y at or after the block's first X, held as a
-    [Y, X] array so that every gather copies whole rows. A block whose
-    least gap is at least `clear`, above the radius of every gap of its
-    size, is clean; in any other the gaps below `clear` are decided in
-    (X, Y) order, the loop's.
+    Every sum is a left-to-right chain of float adds from 0.0: within[X]
+    over the pairs i < j in lexicographic order, cs[v] over the members of
+    X, rhs over cs[y] for the members y of Y, and lhs = within[X] +
+    within[Y]. A term passes at most max(n(n-1)/2, 2n-2) rounded
+    additions, which bounds the gap's error (`numerics.gap_radius`).
     """
-    import numpy as np
-
-    npts = len(dp)
-    d = np.asarray(dp, dtype=np.float64).reshape(npts, npts)
-    if not np.isfinite(d).all():
+    if not all(math.isfinite(v) for row in dp for v in row):
         raise ValueError("power matrix entries must be finite")
-    # X = Y configurations sit on the diagonal of a block's first rows
-    band = -1 if not d.diagonal().any() else 0
-    # with a negative entry (an unchecked space) lhs + rhs no longer adds
-    # up the terms' magnitudes; the largest magnitude bounds each instead
-    largest = float(np.abs(d).max(initial=0.0)) if (d < 0).any() else None
+    npts = len(dp)
     min_gap = None
     scanned = 0
     for n in range(2, max_size + 1):
-        fam, pre, prefix = _family_index(npts, n)
-        m = fam.shape[1]
-        last = fam[-1]
-        within = np.zeros(m)
-        for i in range(n):
-            for j in range(i + 1, n):
-                within += d[fam[i], fam[j]]
         rel = gap_radius(p, max(n * (n - 1) // 2, 2 * n - 2))
-        terms = 2 * n * n - n
-        absolute = terms * floor
-        # a gap at or above `clear` is at least its radius: rel is at most
-        # 1/2, and every lhs at most 2 max(within, 0)
-        bound = (4 * float(np.fmax.reduce(within, initial=0.0))
-                 if largest is None else terms * largest)
-        clear = 2 * (rel * bound + absolute) if rel < math.inf else math.inf
-        # a block holds at most max(GAP_BLOCK, m) gaps
-        size = max(GAP_BLOCK, m)
-        gap_buf, lhs_buf = np.empty(size), np.empty(size)
-        x0 = 0
-        while x0 < m:
-            cols = m - x0
-            x1 = min(m, x0 + max(1, GAP_BLOCK // cols))
-            rows = x1 - x0
-            cs = np.zeros((npts, rows))
-            for k in range(n):
-                cs += d.take(fam[k, x0:x1], axis=1)
-            partial = np.zeros((pre.shape[1], rows))
-            for k in range(n - 1):
-                partial += cs.take(pre[k], axis=0)
-            gap = gap_buf[:cols * rows].reshape(cols, rows)
-            lhs = lhs_buf[:cols * rows].reshape(cols, rows)
-            # rhs = partial[prefix] + cs[last member], the lhs buffer
-            # holding the cs rows; mode="clip" (the indices are in range)
-            # spares take's buffered copy of `out`
-            partial.take(prefix[x0:], axis=0, out=gap, mode="clip")
-            cs.take(last[x0:], axis=0, out=lhs, mode="clip")
-            gap += lhs
-            np.add(within[x0:, None], within[x0:x1], out=lhs)
-            gap -= lhs
-            # pairs with the second family before the first are not
-            # scanned, and X = Y ones not decided
-            gap[:rows][~np.tri(rows, rows, band, dtype=bool)] = np.nan
-            low = np.fmin.reduce(gap, axis=None)
-            if low < clear:
-                ys, xs = np.nonzero(gap < clear)
-                g = gap[ys, xs]
-                mags = (2 * lhs[ys, xs] + g if largest is None
-                        else np.full(len(g), terms * largest))
-                radius = rel * mags + absolute
-                for k in np.lexsort((ys, xs)):
-                    r, c = int(xs[k]), int(ys[k])
-                    verdict = violation(float(g[k]), float(radius[k]))
-                    if verdict is None:
-                        verdict = resolve(tuple(fam[:, x0 + r].tolist()),
-                                          tuple(fam[:, x0 + c].tolist()))
-                    if verdict:
-                        seen = np.concatenate((gap[:, :r].ravel(),
-                                               gap[:c + 1, r]))
-                        scanned += r * cols - r * (r - 1) // 2 + c - r + 1
-                        low = np.fmin.reduce(seen)
-                        if low < (math.inf if min_gap is None else min_gap):
-                            min_gap = float(low)
-                        return ((tuple(fam[:, x0 + r].tolist()),
-                                 tuple(fam[:, x0 + c].tolist())),
-                                min_gap, scanned)
-            scanned += rows * cols - rows * (rows - 1) // 2
-            # NaN, a block of masked gaps only, never enters the minimum
-            if low < (math.inf if min_gap is None else min_gap):
-                min_gap = float(low)
-            x0 = x1
+        absolute = (2 * n * n - n) * floor
+        families = list(itertools.combinations_with_replacement(range(npts),
+                                                                n))
+        within = []
+        for fam in families:
+            s = 0.0
+            for i in range(n):
+                for j in range(i + 1, n):
+                    s += dp[fam[i]][fam[j]]
+            within.append(s)
+        for xi, xs in enumerate(families):
+            sx = within[xi]
+            cs = []
+            for dv in dp:
+                s = 0.0
+                for u in xs:
+                    s += dv[u]
+                cs.append(s)
+            for yi in range(xi, len(families)):
+                lhs = sx + within[yi]
+                rhs = 0.0
+                for u in families[yi]:
+                    rhs += cs[u]
+                gap = rhs - lhs
+                scanned += 1
+                if yi == xi:
+                    continue
+                if min_gap is None or gap < min_gap:
+                    min_gap = gap
+                # lhs + rhs, the terms' magnitudes, all nonnegative
+                verdict = violation(gap, rel * (2 * lhs + gap) + absolute)
+                if verdict is None:
+                    verdict = resolve(xs, families[yi])
+                if verdict:
+                    return (xs, families[yi]), min_gap, scanned
     return None, min_gap, scanned

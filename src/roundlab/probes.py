@@ -1,11 +1,9 @@
-"""The roundness probes other than the spectral one, and the bracket they
-close: a cycle product's characters, and the exhaustive scan of families
-up to a given size on a listed table outside `roundness.spectral_form`
-(possible only unchecked). `roundness.estimate_roundness` imports this
-module only for those two, so a listed metric space compiles neither.
+"""The character probe of a cycle product, and the bracket it closes.
+`roundness.estimate_roundness` imports this module only for a cycle
+product, so a listed space never compiles it.
 
-Certification, witness crossings and the estimate record are
-`roundness`'s, looked up on that module at each call.
+Witness crossings and the estimate record are `roundness`'s, looked up
+on that module at each call.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import math
 from math import comb
 from typing import Optional
 
-from . import BudgetExceeded, DoubleSimplex, roundness
+from . import BudgetExceeded, roundness
 from .numerics import PRECISION_BITS, intervals, violation
 
 # the intervals a cycle product's character table may hold when the
@@ -122,58 +120,6 @@ def _eigenvalue(weights: list, prods: tuple):
     return -sum(w * d for w, d in zip(weights, prods))
 
 
-def exhaustive_config_count(n_points: int, max_size: int) -> int:
-    total = 0
-    for k in range(2, max_size + 1):
-        m = comb(n_points + k - 1, k)
-        total += m * (m + 1) // 2
-    return total
-
-
-def refuse_asymmetric(space, index) -> None:
-    """ValueError where d(x, y) != d(y, x) for some pair of the space
-    (`index` its full `DistanceIndex`): the scan takes each pair of
-    families in one orientation, which gives both gaps only on a
-    symmetric table. Called where a scan is entered, before any probe."""
-    pair = roundness.asymmetric_pair(space, index)
-    if pair is not None:
-        raise ValueError(f"distance matrix fails symmetry at "
-                         f"({pair[0]},{pair[1]}): the scan needs "
-                         f"d(x, y) = d(y, x)")
-
-
-def _scan_violation(space, max_size: int, p, budget: int | None,
-                    index) -> Optional[DoubleSimplex]:
-    """`roundness.find_violation_exhaustive` without the
-    recertification: the first double simplex the scan proves violating,
-    or None, on the space's `DistanceIndex`, a symmetric table's
-    (`refuse_asymmetric`)."""
-    n = space.size
-    if max_size < 2:
-        raise ValueError("max_size must be at least 2")
-    if budget is not None:
-        need = exhaustive_config_count(n, max_size)
-        if need > budget:
-            raise BudgetExceeded(
-                f"exhaustive scan needs {need} configurations", need)
-    if p == 0 and all(index.keys[s] != 0 for (i, j), s
-                      in zip(index.pairs, index.slots) if i != j):
-        # D^0 is all ones off the diagonal, so with c the signed member
-        # counts, twice every gap is sum_k (1 - D^0_kk) c_k^2 plus the
-        # diagonal entries of the members: an integer >= 0, exact in
-        # floats, never a violation (|c|^2 / 2 on a zero diagonal)
-        return None
-    from . import kernels
-
-    witness, _, _ = kernels.min_gap_scan(
-        index.power_matrix(p), max_size, p, index.floor(p),
-        lambda xs, ys: roundness.certify_violation(
-            space, DoubleSimplex(xs, ys), p))
-    if witness is None:
-        return None
-    return DoubleSimplex(tuple(witness[0]), tuple(witness[1]))
-
-
 def _halvings(lower: float, upper: float, tol: float) -> int:
     """ceil(log2((upper - lower) / tol)): how many halvings take the
     bracket to tol."""
@@ -223,56 +169,37 @@ def _close_bracket(probe, crossing, lower: float, upper: float, witness,
     return lower, upper, witness
 
 
-def bracket(space, index, max_size: int, p_tolerance: float,
-            budget: int | None, p_cap: float):
-    """`roundness.estimate_roundness` of a cycle product (`index` None)
-    through its characters, or of a table outside the spectral form
-    (`index` its `DistanceIndex`) by the scan of families up to max_size
-    points. A witness at 0 ends the estimate, a clean probe at p_cap too;
-    else the witness's crossing at p_cap is the upper end to start with
-    and `_close_bracket` narrows it to p_tolerance. The scan's reported
-    witness is recertified where it is reported; an over-budget probe
-    leaves the estimate uncertified and flagged."""
+def bracket(space, p_tolerance: float, budget: int | None, p_cap: float):
+    """`roundness.estimate_roundness` of a cycle product through its
+    characters. A witness at 0 ends the estimate, a clean probe at p_cap
+    too; else the witness's crossing at p_cap is the upper end to start
+    with and `_close_bracket` narrows it to p_tolerance. An over-budget
+    probe leaves the estimate uncertified and flagged."""
     probes: list = []
     flags: list = []
     table = None
-    if index is None:
-        mode, size = "characters", None
-        if budget is None:
-            # the table holds units/2 intervals per character, and there
-            # are at least units/2 characters, so this bounds the kernel
-            # rows too
-            budget = TABLE_INTERVALS // (space.units // 2)
-        covers = "every double simplex"
-    else:
-        mode, size = "scan", max_size
-        refuse_asymmetric(space, index)
-        covers = (f"double simplices with at most {max_size} points per "
-                  f"family")
+    if budget is None:
+        # the table holds units/2 intervals per character, and there are at
+        # least units/2 characters, so this bounds the kernel rows too
+        budget = TABLE_INTERVALS // (space.units // 2)
 
     def probe(p: float):
-        if mode == "characters":
-            w = find_violation_characters(space, p, table=table)
-        else:
-            w = _scan_violation(space, max_size, p, budget, index)
+        w = find_violation_characters(space, p, table=table)
         probes.append({"p": p, "violation": w is not None})
         return w
 
     def crossing(w, lo: float, hi: float) -> float:
-        """Where the witness w, violating at hi, starts to violate."""
-        if mode != "characters":
-            return roundness._crossing(
-                roundness._simplex_test(space, w, hi), lo, hi)
+        """Where the character w, violating at hi, starts to violate."""
         prods = dict(table)[w]
         return roundness._crossing(lambda p: violation(-_eigenvalue(
             _weights(space.units, p), prods)) is True, lo, hi)
 
     est = roundness.RoundnessEstimate(0.0, math.inf, None, None, True,
-                                      covers, size, p_cap, probes, flags)
+                                      "every double simplex", p_cap, probes,
+                                      flags)
     try:
-        if mode == "characters":
-            # built once and dropped when the estimate returns
-            table = character_table(space, budget)
+        # built once and dropped when the estimate returns
+        table = character_table(space, budget)
         if (w0 := probe(0.0)) is not None:
             flags.append("violation at p=0")
             est.lower, est.upper, est.witness = 0.0, 0.0, w0
@@ -289,8 +216,4 @@ def bracket(space, index, max_size: int, p_tolerance: float,
     except BudgetExceeded as exc:
         flags.append(f"budget exhausted: {exc}")
         est.certified = False
-        return est
-    if mode == "scan":
-        # the reported witness, proven where it is reported
-        roundness._recertified(space, est.witness, est.witness_p)
     return est

@@ -11,7 +11,7 @@ import json
 import math
 from fractions import Fraction
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 
 def sanitize(obj):

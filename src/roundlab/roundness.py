@@ -11,11 +11,11 @@ a clean probe are both proven. The roundness of a
 space is the supremum of exponents admitting no violation; the set of
 good exponents is an interval starting at 0 (Lennard-Tonge-Weston), so
 one clean probe below and one violating witness above bracket it. A
-probe covers every double simplex on a listed metric space
-(`SpectralProbe`, a proven factorisation of -B^T D^p B) and on a cycle
-product (its characters), and families up to a given size on any other
-table (the exhaustive scan). The last two live in `probes`, which only
-they load.
+probe covers every double simplex: on a listed table through
+`SpectralProbe`, a proven factorisation of -B^T D^p B, and on a cycle
+product through its characters, which live in `probes`, loaded only for
+one. `find_violation_exhaustive` scans the families up to a given size
+instead, as library API.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
-from . import DoubleSimplex, Record
+from . import BudgetExceeded, DoubleSimplex, Record
 from .numerics import (NORMAL_MIN, UNIT, Number, gap_radius, power, settle,
                        violation)
 
@@ -226,24 +226,50 @@ def _recertified(space, ds: DoubleSimplex, p,
                  index: DistanceIndex | None = None) -> DoubleSimplex:
     if not certify_violation(space, ds, p, index=index):
         raise ArithmeticError(
-            f"scan witness failed recertification at p={p}")
+            f"witness failed recertification at p={p}")
     return ds
+
+
+def exhaustive_config_count(n_points: int, max_size: int) -> int:
+    total = 0
+    for k in range(2, max_size + 1):
+        m = math.comb(n_points + k - 1, k)
+        total += m * (m + 1) // 2
+    return total
 
 
 def find_violation_exhaustive(space, max_size: int, p,
                               budget: int | None = None
                               ) -> Optional[DoubleSimplex]:
     """First violating double simplex over all index multisets of sizes
-    2..max_size, or None, scanned on a `DistanceIndex` of the space built
-    per call (`probes._scan_violation`). An asymmetric table is refused
-    with ValueError (`probes.refuse_asymmetric`). Witnesses are certified
-    before being returned."""
-    from .probes import _scan_violation, refuse_asymmetric
-
+    2..max_size, or None, scanned (`kernels.min_gap_scan`) on a
+    `DistanceIndex` of the space built per call, each gap the scan leaves
+    undecided settled by `certify_violation`. A table `refuse_unfit`
+    refuses raises ValueError, and a scan of more than `budget`
+    configurations BudgetExceeded, both before any power. The witness is
+    certified again before it is returned."""
     index = DistanceIndex(space)
-    refuse_asymmetric(space, index)
-    ds = _scan_violation(space, max_size, p, budget, index)
-    return None if ds is None else _recertified(space, ds, p)
+    refuse_unfit(space, index)
+    if max_size < 2:
+        raise ValueError("max_size must be at least 2")
+    if budget is not None:
+        need = exhaustive_config_count(space.size, max_size)
+        if need > budget:
+            raise BudgetExceeded(
+                f"exhaustive scan needs {need} configurations", need)
+    if p == 0 and all(index.keys[s] != 0 for (i, j), s
+                      in zip(index.pairs, index.slots) if i != j):
+        # D^0 is all ones off the diagonal and 0 on it, so with c the
+        # signed member counts every gap is |c|^2 / 2: exact in floats,
+        # never a violation
+        return None
+    from . import kernels
+
+    witness, _, _ = kernels.min_gap_scan(
+        index.power_matrix(p), max_size, p, index.floor(p),
+        lambda xs, ys: certify_violation(space, DoubleSimplex(xs, ys), p))
+    return None if witness is None else _recertified(
+        space, DoubleSimplex(*witness), p)
 
 
 def _crossing(violates, lo: float, hi: float) -> float:
@@ -284,24 +310,59 @@ def _simplex_test(space, ds: DoubleSimplex, hi: float,
 WITNESS_POINTS = 2 ** 14
 
 
-def asymmetric_pair(space, index: DistanceIndex) -> Optional[tuple]:
-    """The first pair i < j with d(i, j) != d(j, i), or None; `index` is
-    the space's full `DistanceIndex`."""
-    n, keys, slots = space.size, index.keys, index.slots
-    return next(((i, j) for i, j in itertools.combinations(range(n), 2)
-                 if keys[slots[i * n + j]] != keys[slots[j * n + i]]), None)
-
-
-def spectral_form(space, index: DistanceIndex) -> bool:
-    """Whether a listed table is symmetric, zero on its diagonal and
-    positive off it (every checked space), the form `SpectralProbe` reads;
-    `index` is the space's full `DistanceIndex`."""
+def refuse_unfit(space, index: DistanceIndex) -> None:
+    """ValueError naming the axiom and the first pair that fails it where a
+    listed table is not zero on its diagonal (identity), the same both
+    ways (symmetry) or nonnegative (nonnegativity), decided on the keys of
+    its full `DistanceIndex` before any power. Every other table is a
+    pseudometric's up to the triangle inequality, which no probe needs."""
     n = space.size
     d = [index.keys[s] for s in index.slots]
-    return (all(d[i * n + i] == 0 for i in range(n))
-            and all(d[i * n + j] > 0
-                    for i, j in itertools.combinations(range(n), 2))
-            and asymmetric_pair(space, index) is None)
+    pairs = itertools.combinations(range(n), 2)
+    for axiom, failing in (
+            ("identity", ((i, i) for i in range(n) if d[i * n + i] != 0)),
+            ("symmetry", ((i, j) for i, j in pairs
+                          if d[i * n + j] != d[j * n + i])),
+            ("nonnegativity", (divmod(k, n) for k, v in enumerate(d)
+                               if v < 0))):
+        pair = next(failing, None)
+        if pair is not None:
+            raise ValueError(f"distance matrix fails {axiom} at "
+                             f"({pair[0]},{pair[1]})")
+
+
+def _merged(space, index: DistanceIndex) -> tuple:
+    """(kept, zeros) for a table `refuse_unfit` admits: the points kept
+    when each point at distance 0 from an earlier kept one, with an equal
+    row (compared on the keys of the full `index`), merges into it, and
+    whether a zero still lies off the diagonal between two kept points.
+    Every double simplex keeps its distances under the merge, so the
+    roundness is the kept points'."""
+    n, keys, slots = space.size, index.keys, index.slots
+    zero = {s for s, d in enumerate(keys) if d == 0}
+
+    def row(i):
+        return [keys[s] for s in slots[i * n:(i + 1) * n]]
+
+    kept, zeros = [], False
+    for j in range(n):
+        twins = [i for i in kept if slots[i * n + j] in zero]
+        if not any(row(i) == row(j) for i in twins):
+            zeros = zeros or bool(twins)
+            kept.append(j)
+    return kept, zeros
+
+
+class _Kept:
+    """The points `kept` of a space, as points 0..len(kept) - 1."""
+
+    __slots__ = ("space", "kept", "size")
+
+    def __init__(self, space, kept: list):
+        self.space, self.kept, self.size = space, kept, len(kept)
+
+    def distance(self, a: int, b: int):
+        return self.space.distance(self.kept[a], self.kept[b])
 
 
 def _dot(a, b) -> float:
@@ -395,13 +456,15 @@ def _psd_value(rows: list):
 
 
 class SpectralProbe:
-    """The probe of a listed space in `spectral_form`, for every double
-    simplex at once. With B = (e_i - e_n), the n - 1 vectors from the last
-    point, and D^p the distance powers, c = B z is a signed multiset of
-    points summing to 0, and z^T A(p) z = -c^T D^p c is twice the gap of
-    the double simplex whose points are c's positive and negative parts.
-    So no double simplex violates at p exactly when A(p) = -B^T D^p B is
-    positive semidefinite (Schoenberg), and A(0) = I + J always is.
+    """The probe of a listed table `refuse_unfit` admits, with no point
+    repeated (`_merged`), for every double simplex at once. With
+    B = (e_i - e_n), the n - 1 vectors from the last point, and D^p the
+    distance powers, c = B z is a signed multiset of points summing to 0,
+    and z^T A(p) z = -c^T D^p c is twice the gap of the double simplex
+    whose points are c's positive and negative parts, whatever the signs
+    of the distances. So no double simplex violates at p exactly when
+    A(p) = -B^T D^p B is positive semidefinite (Schoenberg), and
+    A(0) = I + J is where no zero lies off the diagonal (0^0 = 0).
 
     A probe at q factors A(q) - cI in floats (`_cholesky`) from the
     `DistanceIndex` powers over the largest distance. Where it completes,
@@ -530,7 +593,7 @@ class RoundnessEstimate(Record):
     # the witness is a double simplex, or on a cycle product a character's
     # folded frequency multiset
     __slots__ = ("lower", "upper", "witness", "witness_p", "certified",
-                 "covers", "max_simplex_size", "p_cap", "probes", "flags")
+                 "covers", "p_cap", "probes", "flags")
 
     def fields(self) -> dict:
         fields = super().fields()
@@ -542,24 +605,34 @@ class RoundnessEstimate(Record):
 
 
 def _spectral_bracket(form: SpectralProbe, cap: float, tol: float,
-                      probes: list, flags: list) -> tuple:
+                      probes: list, flags: list, zeros: bool) -> tuple:
     """The bracket (lower, upper, (witness, its DistanceIndex)) of a
-    listed space in `spectral_form` between 0, where A(0) = I + J is
-    positive definite, and cap, each `form.clean` probe listed in
-    `probes`: (cap, inf, None) where cap probes clean. Else bisect on the
-    factorisation until the bracket is within tol / 4, then take a
-    witness at lower + tol, whose crossing, on the index that proved it
-    there, closes the bracket to tol. Where no witness of at most
-    WITNESS_POINTS points a family is proven there, the distance above
-    lower quadruples, up to cap, and a bracket left wider than tol is
-    flagged. Where none is proven at cap either, the failing probes only
-    steered: (lower, inf, None), flagged."""
+    listed table between 0 and cap, each `form.clean` probe listed in
+    `probes`. With a zero off the diagonal (`zeros`), A(0) is probed
+    first: where it fails, a witness there ends the bracket at
+    (0, 0), flagged as a violation at p=0. Else A(0) is positive
+    semidefinite, and the bracket is (cap, inf, None) where cap probes
+    clean. Else bisect on the factorisation until the bracket is within
+    tol / 4, then take a witness at lower + tol, whose crossing, on the
+    index that proved it there, closes the bracket to tol. Where no
+    witness of at most WITNESS_POINTS points a family is proven there,
+    the distance above lower quadruples, up to cap, and a bracket left
+    wider than tol is flagged. Where none is proven at cap (or at 0)
+    either, the failing probes only steered: (lower, inf, None),
+    flagged."""
 
     def clean(p: float) -> bool:
         verdict = form.clean(p)
         probes.append({"p": p, "violation": not verdict})
         return verdict
 
+    if zeros and not clean(0.0):
+        found = form.witness(0.0)
+        if found is None:
+            flags.append("no witness proven at p=0")
+            return 0.0, math.inf, None
+        flags.append("violation at p=0")
+        return 0.0, 0.0, found
     if clean(cap):
         flags.append("no violation up to p_cap")
         return cap, math.inf, None
@@ -596,67 +669,73 @@ def _spectral_bracket(form: SpectralProbe, cap: float, tol: float,
         span *= 4
 
 
-def estimate_roundness(space, max_size: int = 3,
-                       p_tolerance: float = 1e-3,
+def estimate_roundness(space, p_tolerance: float = 1e-3,
                        budget: int | None = None,
                        p_cap: float = 16.0
                        ) -> RoundnessEstimate:
-    """Bracket the roundness between a clean probe and a witness.
+    """Bracket the roundness between a clean probe and a witness, for
+    every double simplex.
 
-    A cycle product is probed through its characters, and a listed space
-    that is symmetric, zero on its diagonal and positive off it (every
-    checked space) through `SpectralProbe`: both cover every double
-    simplex, and max_size is not read. Any other table (possible only
-    unchecked) is probed by the exhaustive scan of families up to
-    max_size points, which `covers` records. 0 is the lower end to start
-    with. The characters and the scan (`probes.bracket`) take the
-    crossing of the witness at p_cap as the upper end and narrow the two
-    to p_tolerance; the spectral probe bisects and takes one witness above
-    its last clean probe (`_spectral_bracket`). Both ends are certified
-    for what `covers` names: the lower by a clean exhaustive scan, full
-    character table or factorisation, the upper by the witness, proven
-    there (`certify_violation`) or positive there as an interval. A
-    spectral probe that fails with no witness proven up to p_cap keeps
-    its clean lower end and an unbounded upper one, flagged. The
-    lower end is absolute: a roundness below p_tolerance keeps it at 0,
-    with its witness's crossing above. `budget` caps the characters,
-    multiply-adds of one factorisation or scanned configurations of each
-    probe, and an over-budget probe is refused before any work. None
-    means no cap on a listed space, which its size bounds, and on a cycle
-    product, whose character count two integers set, as many characters
-    as keep its table within `probes.TABLE_INTERVALS` intervals. The scan
-    refuses an asymmetric table with ValueError. The tolerance and p_cap
-    must be finite and positive.
+    A cycle product is probed through its characters (`probes.bracket`):
+    a witness at p_cap gives the upper end at its crossing, and probes
+    below it narrow the bracket to p_tolerance. A listed table is probed
+    through `SpectralProbe` (`_spectral_bracket`): it must be zero on
+    its diagonal, symmetric and nonnegative, else ValueError names the
+    axiom and the pair (`refuse_unfit`), and each point at distance 0
+    from an earlier one with an equal row is merged into it first
+    (`_merged`); the reported witness names the table's own points and
+    is proven on it. 0 is the lower end to start with; the spectral
+    probe bisects and takes one witness above its last clean probe.
+    Both ends are certified: the lower by a full character table or
+    factorisation, the upper by the witness, proven there
+    (`certify_violation`) or positive there as an interval. A spectral
+    probe that fails with no witness proven up to p_cap keeps its clean
+    lower end and an unbounded upper one, flagged. The lower end is
+    absolute: a roundness below p_tolerance keeps it at 0, with its
+    witness's crossing above. `budget` caps the characters or the
+    multiply-adds of one factorisation, and an over-budget probe is
+    refused before any work. None means no cap on a listed space, which
+    its size bounds, and on a cycle product, whose character count two
+    integers set, as many characters as keep its table within
+    `probes.TABLE_INTERVALS` intervals. The tolerance and p_cap must be
+    finite and positive.
     """
     for name, value in (("p_tolerance", p_tolerance), ("p_cap", p_cap)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
     # a cycle product exists only once its module has loaded, and a listed
-    # space loads neither it nor the other probes (`probes`)
+    # space loads neither it nor the character probe (`probes`)
     cycles = sys.modules.get(f"{__package__}.cycles")
-    product = cycles is not None and isinstance(space,
-                                                cycles.ProductCycleSpace)
-    index = None if product else DistanceIndex(space)
-    if product or not spectral_form(space, index):
+    if cycles is not None and isinstance(space, cycles.ProductCycleSpace):
         from .probes import bracket
 
-        return bracket(space, index, max_size, p_tolerance, budget, p_cap)
+        return bracket(space, p_tolerance, budget, p_cap)
+    index = DistanceIndex(space)
+    refuse_unfit(space, index)
+    kept, zeros = _merged(space, index)
+    points = space
+    if len(kept) < space.size:
+        points = _Kept(space, kept)
+        index = DistanceIndex(points)
     probes: list = []
     flags: list = []
-    form = SpectralProbe(space, index)
+    form = SpectralProbe(points, index)
     est = RoundnessEstimate(0.0, math.inf, None, None, True,
-                            "every double simplex", None, p_cap, probes,
-                            flags)
+                            "every double simplex", p_cap, probes, flags)
     if budget is not None and form.work > budget:
         flags.append(f"budget exhausted: factorisation needs {form.work} "
                      f"multiply-adds")
         est.certified = False
         return est
     est.lower, est.upper, found = _spectral_bracket(
-        form, p_cap, p_tolerance, probes, flags)
+        form, p_cap, p_tolerance, probes, flags, zeros)
     if found is not None:
-        est.witness, index = found
-        est.witness_p = est.upper
+        ds, index = found
+        if points is not space:
+            # the merged points' labels, and a proof on the table itself
+            ds, index = DoubleSimplex(*(tuple(kept[i] for i in fam)
+                                        for fam in (ds.xs, ds.ys))), None
+        est.witness, est.witness_p = ds, est.upper
         # the reported witness, proven where it is reported
-        _recertified(space, est.witness, est.witness_p, index)
+        _recertified(space, ds, est.witness_p, index)
     return est

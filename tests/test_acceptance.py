@@ -175,8 +175,7 @@ def test_criterion_06_product_factor():
 
 @criterion(7, "roundness estimator brackets and clean-set checks", 300)
 def test_criterion_07_roundness_estimator():
-    est = estimate_roundness(cycle_graph_space(4), max_size=3,
-                             p_tolerance=1e-3)
+    est = estimate_roundness(cycle_graph_space(4), p_tolerance=1e-3)
     assert est.lower <= 1.0 <= est.upper
     assert est.upper - est.lower <= 1e-3
     assert est.certified
@@ -211,7 +210,7 @@ def test_criterion_07_roundness_estimator():
     assert (ds.xs, ds.ys) == ((3, 4, 10), (5, 5, 9))
 
     snow = estimate_roundness(snowflake(cycle_graph_space(4), Fraction(1, 2)),
-                              max_size=3, p_tolerance=1e-3)
+                              p_tolerance=1e-3)
     assert snow.lower <= 2.0 <= snow.upper
     assert snow.upper - snow.lower <= 1e-3
 

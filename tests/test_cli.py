@@ -65,7 +65,7 @@ def test_validate_ok(c4_csv, capsys):
     code, doc, _ = run(["validate", "--input", c4_csv], capsys)
     assert code == 0
     assert doc["results"]["ok"] is True
-    assert doc["schema"] == 11
+    assert doc["schema"] == 12
     assert doc["command"] == "validate"
 
 
@@ -112,8 +112,8 @@ def _relabelled(space, seed):
 
 def _pseudometric():
     """random_rational_metric_space(8, 3) with point 8 a copy of point 0:
-    a zero off the diagonal, so only --unchecked reads it, and the scan
-    probes it."""
+    a zero off the diagonal, so only --unchecked reads it, and the
+    estimate merges the copy into point 0."""
     base = random_rational_metric_space(8, 3).dist
     return FiniteMetricSpace.unchecked(
         [list(row) + [row[0]] for row in base] + [list(base[0]) + [0]])
@@ -122,45 +122,41 @@ def _pseudometric():
 @pytest.mark.parametrize("space, argv, results_sha256", [
     (lambda: random_rational_metric_space(20, 0),
      ["--max-size", "3", "--tol", "1e-3"],
-     "3116c56c788d6ee3aee6571f1d250e9c1ca68c17a267c8dee03c11711b41b97b"),
+     "c4b2a5422a040add47d5293daf83d74e26ca7571d3f2af44adfc473408475917"),
     (lambda: _relabelled(random_rational_metric_space(20, 0), 7),
      ["--max-size", "3", "--tol", "1e-3"],
-     "1b531643e565568d5231f00cb4f28d1dd103dba6300017afa1efa71f94047338"),
+     "528f20545c85eab6519a273721eabc4fe1f20e7c646384fb6f85b5c4987aa7bd"),
     (lambda: random_rational_metric_space(10, 1), ["--max-size", "4"],
-     "40fda9df021f202036538b2e2bc6704d67350bbbcdd691303a73ab2a52a07779"),
+     "d6aa9284daf5f3f9ea5b1c97109bc81e602b2fa4f05b7ee6943c06c2801019da"),
     (lambda: cycle_graph_space(5), [],
-     "11e3cdc93b421b8e3e7af13c33b489b8232220fc4e4eef67f2a33b8638876c78"),
+     "c0d3d2947ed20a13d961898a5c09b7c0ba7158fad2067f6322d817d99e32619f"),
     (_pseudometric, ["--unchecked"],
-     "d39b236c1290236c56123d12a5a3431456e8464862be1b1b1524e6ba00c7596c"),
+     "3162a842eb7fbd2c819c2000f9d9c8208bc02a9d65b5ab42ca6dbae4c43968be"),
     (_pseudometric, ["--unchecked", "--max-size", "2", "--tol", "1e-2"],
-     "264d348a2e6333845ee757377deaf5d86a1202fa83bcc15144b7ea7f0e4d5d72"),
+     "b571902aca6b0d1bfa224ecec5bfbff27b7f6ae0058a6366ecdcd46aedf8f147"),
 ], ids=["r20", "r20-relabelled", "r10-size4", "c5", "pseudometric",
         "pseudometric-size2"])
 def test_gr_estimate_results_frozen(space, argv, results_sha256, tmp_path,
                                     capsys):
-    # digests of the listed metric spaces recorded at schema 11, when
-    # they began to be probed by the factorisation, for every double
-    # simplex, with the bracket holding the numpy oracle's spectral
-    # value; those of the pseudometric, which the scan still probes, at
-    # schema 10, when every gap began to be decided against its proven
-    # float radius, so each crossing is the witness's true one to within
-    # that radius. The bracket is certified, within the tolerance, and
-    # its witness violates at witness_p
+    # digests recorded at schema 12, when max_simplex_size left the
+    # results; the bodies are schema 11's, when listed metric spaces began
+    # to be probed by the factorisation, for every double simplex, with
+    # the bracket holding the numpy oracle's spectral value. The bracket
+    # is certified, within the tolerance, and its witness violates at
+    # witness_p. The pseudometric's digests are recorded at schema 12,
+    # when its copy of point 0 began to be merged away, so --max-size goes
+    # unread and its spectral value is the 8-point space's
     path = tmp_path / "space.csv"
     write_space_csv(space(), str(path))
     code, doc, _ = run(["gr", "estimate", "--input", str(path), *argv],
                        capsys)
     assert code == 0
     results = doc["results"]
-    max_size = results["max_simplex_size"]
-    if "--unchecked" in argv:
-        assert results["covers"] == (f"double simplices with at most "
-                                     f"{max_size} points per family")
-    else:
-        assert max_size is None
-        assert results["covers"] == "every double simplex"
-        value = spectral_value(space())
-        assert results["lower"] <= value <= results["upper"]
+    assert "max_simplex_size" not in results
+    assert results["covers"] == "every double simplex"
+    value = spectral_value(random_rational_metric_space(8, 3)
+                           if space is _pseudometric else space())
+    assert results["lower"] <= value <= results["upper"]
     tol = float(doc["params"]["tol"])
     assert results["certified"] is True
     assert results["upper"] - results["lower"] <= tol
@@ -186,15 +182,72 @@ def test_gr_estimate_rejects_bad_tol_and_cap(c4_csv, capsys, flag, value):
 
 def test_gr_estimate_unchecked_negative_distance_is_an_error(tmp_path,
                                                              capsys):
-    # d(0, 1) = -1 has no real power at the first fractional probe
+    # d(0, 1) = -1 is refused before any power, naming the axiom
     path = tmp_path / "negative.csv"
     path.write_text("3\n0 -1 2\n-1 0 1\n2 1 0\n")
     code, doc, err = run(["gr", "estimate", "--unchecked",
                           "--input", str(path)], capsys)
     assert code == 1
     assert doc is None
-    assert err == ("error: distance between points 0 and 1 is negative "
-                   "(-1): no real power at p=2.5\n")
+    assert err == "error: distance matrix fails nonnegativity at (0,1)\n"
+
+
+@pytest.mark.parametrize("text, err", [
+    ("3\n0 1 2\n1 0 1\n2 1 2\n", "identity at (2,2)"),
+    ("3\n0 1 2\n1 0 1\n2 3 0\n", "symmetry at (1,2)"),
+], ids=["identity", "symmetry"])
+def test_gr_estimate_refuses_an_unfit_unchecked_table(text, err, tmp_path,
+                                                      capsys):
+    path = tmp_path / "unfit.csv"
+    path.write_text(text)
+    code, doc, got = run(["gr", "estimate", "--unchecked",
+                          "--input", str(path)], capsys)
+    assert (code, doc) == (1, None)
+    assert got == f"error: distance matrix fails {err}\n"
+
+
+def _estimate_results(space, argv, tmp_path, capsys, name="space.csv"):
+    path = tmp_path / name
+    write_space_csv(space, str(path))
+    code, doc, _ = run(["gr", "estimate", "--input", str(path), *argv],
+                       capsys)
+    assert code == 0
+    return doc["results"], path
+
+
+def test_gr_estimate_merges_a_repeated_point(tmp_path, capsys):
+    # the copy of point 0 merges into it, so the pseudometric reports the
+    # 8-point space's results byte for byte, whatever --max-size, and
+    # holds its spectral value
+    base = random_rational_metric_space(8, 3)
+    want, _ = _estimate_results(base, [], tmp_path, capsys, "base.csv")
+    for argv in ([], ["--max-size", "2"]):
+        got, _ = _estimate_results(_pseudometric(), ["--unchecked", *argv],
+                                   tmp_path, capsys)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want,
+                                                             sort_keys=True)
+    assert abs(spectral_value(base) - 1.408375) < 1e-6
+    assert got["lower"] <= spectral_value(base) <= got["upper"]
+
+
+def test_gr_estimate_zero_table_violates_at_zero(tmp_path, capsys):
+    zero = FiniteMetricSpace.unchecked([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+    res, path = _estimate_results(zero, ["--unchecked"], tmp_path, capsys)
+    assert (res["lower"], res["upper"], res["witness_p"]) == (0.0, 0.0, 0.0)
+    assert res["flags"] == ["violation at p=0"] and res["certified"]
+    witness = DoubleSimplex(tuple(res["witness"]["xs"]),
+                            tuple(res["witness"]["ys"]))
+    assert certify_violation(read_space_csv(str(path), checked=False),
+                             witness, 0.0)
+
+
+def test_gr_estimate_copies_of_one_point(tmp_path, capsys):
+    one, _ = _estimate_results(FiniteMetricSpace.from_rows([[0]]), [],
+                               tmp_path, capsys, "one.csv")
+    three, _ = _estimate_results(FiniteMetricSpace.unchecked([[0] * 3] * 3),
+                                 ["--unchecked"], tmp_path, capsys)
+    assert three == one
+    assert one["flags"] == ["no violation up to p_cap"]
 
 
 def test_gr_estimate_deterministic(c4_csv, capsys):
@@ -210,7 +263,7 @@ def test_gr_estimate_deterministic(c4_csv, capsys):
     # --max-size is recorded, and a listed metric space does not read it
     assert doc["params"]["max_size"] == 3
     assert doc["results"]["covers"] == "every double simplex"
-    assert doc["results"]["max_simplex_size"] is None
+    assert "max_simplex_size" not in doc["results"]
 
 
 def test_gr_estimate_modes_exclusive(c4_csv, capsys):
@@ -741,77 +794,77 @@ PINNED = {
 # sha256 of the body without wall_time_s, sorted and compact
 PINNED_BODY = {
     "validate":
-        "4b8cf883ddbd52565f070ba15a1449868e2d4f1ac39fe49126136caadcd3ea30",
+        "ef6787c8c896e3540914b92f984ada425bc9ec615d11be63f93c0320d617c9c3",
     "validate-budget":
-        "64f74c14c223b9341027251f9b4c8c52e6d0902c07ea75a3995045fbb7233460",
+        "a477249d1649c600a5f8de8e09dd50fb18381d5337837d999d104efb0ec919f5",
     "gr-estimate":
-        "8b94170701e48b45264bbc99d4dfc6eef7cb329d87893e7b32b0624ac8b47e9f",
+        "5b9d1ed3cc7022bedb9752aa1746e459d1bd82d7235f8eea87bb61ae5dc3fe33",
     "gr-estimate-r12":
-        "698a64dbbf47f25b064a8ad47e612651de53a4e22aaeeb2e7f8ad7109f93fc04",
+        "23a66e4fe9a4ef138e039ca902564a1916b878a64754e55bb02705785ad5a205",
     "simplex-build":
-        "f9ce6fe9913593af1d678965421f8bf6e7ac2d0ece217571dbbd167d1a16ffb5",
+        "fb764859cbeb56b5f2993d84efe1ac3da513153762988f50bdba25041802267a",
     "simplex-build-stage":
-        "57e2e735fb5c81898aa675a989e8731a43349795e843dd78432ff8b6a1267efe",
+        "9ac51b15f6ba4109bd1d1b7153e9146797a83301bf6fb82181e1a94472fb7c26",
     "counts-pairs":
-        "c263c3ba6d0265f430acd419ab4df0e131200b1e027016466a3e172c5288336b",
+        "dc0116b9c7d08653ebb42c275973963397786ac09f2bbb72199320e530c0b4cc",
     "counts-incidences":
-        "68dc9b8dcbf6172439a8dbecd9ab0cef6026dba0f23282646b52044d209ec394",
+        "454f1fde874242b0fe0714eb30c3b72b0e72781657d6cd4717b53fd2bdd4ea0f",
     "obstruct-coarse":
-        "0d6df9ebbd65d955ff6d663ab8f8de507ecde9349fbf93a4f5479910eb5a63c7",
+        "dabfe73825cf23f1643b03a1d68533fe0de209ade3a8c722071a383744a4033e",
     "obstruct-step-exact-identity":
-        "a94d2ed3abb6fab2922adae9264a6e50d58d72e14f3f989721b8a77d9729cdb2",
+        "ff20d9febddd69034715c886a1b9ad6f8a59f9720781e61fb24136be2970e683",
     "obstruct-step-exact-circle":
-        "a69e415a876bfb4cdb3b9062e5158b8e3422ddc590bb29faf38cdc9df081abd7",
+        "c6d18e75467e3a8b666204e009ea28a914a0add8134dd14571f28dc5985d1dc3",
     "obstruct-step-exact-constant":
-        "6d9228c86d8db422d871fb2e1b3471dbb71bf947c0b6cd9ef111f60b526e1533",
+        "49936c774f15b952a12d9c3efcad7a9f557f7dadbd80e2111dcc45091c8cfc03",
     "obstruct-step-exact-snowflake:1/2":
-        "df4614b126f5753f16a643d643b431f9a9f20dffe9eb92795bf74cba093a8327",
+        "e353aa5cf16843cb20f8cc8704bbeda457194b6d3d748929a5bd4cfafa53ee66",
     "obstruct-step-mc-identity":
-        "64dc1f177e675ef111b13522ccf75169124280f1ecef6123fd68daaba03d31c7",
+        "0171d02a21f1f02d9399e475e72e998c1a797b69307d808710022dd9137b461f",
     "obstruct-step-mc-circle":
-        "bbb7b7611d7a5cad81746209d6144413181a218d1eab82c0674f668ed185e591",
+        "97adc55482439ae46a0b00f7872b4445881148f4709cbd9b03c1019848e1431c",
     "obstruct-step-mc-constant":
-        "2aff87cbb539c0afc78f571ab254497ec21f1a5544dc78845995d0d07fd21a41",
+        "ae4f8e33e3e4b491c0038a1a300383cdfb46a0fa83667d39800751b3ab03cef7",
     "obstruct-step-mc-snowflake:1/2":
-        "a60f6c9aded567611d97909309b6c4909f5988bd836654028f91fba178426c87",
+        "c39e5312b907f1e91988a8d38de52c09eeda60ebf23d569fb9994b716e39ada4",
     "obstruct-chain":
-        "9f5b569434ea8eb325479df7745d2f198cf4fe28a91c8cb81e000e0702b67b87",
+        "89f0e0edb828aae4836a7e7eb92a902b3d3371ea619653cd60bacf4d4531e05d",
     "obstruct-uniform-p2":
-        "d6565519ae4e6c2193861a25e8523935fed35b8a40487c2bd8e78e093cbf74e3",
+        "c36e5bddb35d1484bc03a668761eaae0daf5796a113caafa6df9758b2b42c7e6",
     "obstruct-uniform-pinf":
-        "c9fc1ca1c86b3a85c461f51c8de350e65bb5398ed44cb7df1b7e0b2581b770a4",
+        "b306b8b307c7f7caad176cf2f20119a2091d55325f9c57c3ddbe64f8d29b1add",
     "zspace-validate-literal":
-        "0b9bb22a37e29aa997104b7ea095e3c0b540b35c94112f067ef47031cecd1b8c",
+        "1e077049208784678c4528c35b7ef2638fd598be86a5034772fd123f43fda9f7",
     "zspace-validate-corrected":
-        "7dcb9a7d2eb7b7ba8a17372b9322a617532feede962d7ba035081981a4bdc38b",
+        "42767903a10c287e51759cb48b8863a5848ea694d18cebb424e716658458a66f",
     "zspace-ball":
-        "4d4d7853791e411cf51ff58ba1a0e9d13df1b931ecb2193542bb7ce2ecce2659",
+        "a5d1408b7352802190f58e078c3d473dd7682c314217830d605ce043ae5afc46",
     "inject-build-ell0":
-        "112939bfb0b2ff6cee23a32245417bd31dad0a885607d6324a26437bfd6622cb",
+        "10fa21f9f3ec01ffa69633403c6b87c180bdef20ca2477aea1cb0700ca34153b",
     "inject-build-ellp:1/2":
-        "f55d21accf3144dd0b7565594c414a2b10dc7aa329e4075050c2e2fa20292f7d",
+        "1a8799e4e603fad9297335517323c6ef4f6a6701c3a44242e429d72c1dc2edb8",
     "inject-build-ellp:2":
-        "325f8135d729165b091829f2d50edbfd689c303c61cb2e0d0cfcf57e655b2d39",
+        "444ce0ff45f68de1cd5500fd52a45f40d67b77403e643b311028f93b68b1abb3",
     "inject-build-ballchain:intervals":
-        "9672d13471cd80787754c0f5c40b9894414b3912a2bf56949410b5c81dd7e58d",
+        "b489e04bb2fe666394d075b9380d69ce6bf1e84e4d507ae2aa3fb3479181cca6",
     "inject-build-ballchain:cauchy":
-        "ba52ee28999c8acf85f48b887b2ca274ff8b2bc3866fc0247d4b49031f21f501",
+        "d1bff785757c5bcff60e3736760b0bb740593f23c0af29803bf2ae509a909db6",
     "inject-build-embedded":
-        "9edd1fb352c13639bb034b057e5ad83eed002fe1361d2bf3e215d7d3d0104f10",
+        "6e1ab02e40437ecc1a8a3718adf8f902ac20114f94f4cafacdf8278011fba4fa",
     "inject-verify":
-        "356b38cb7edc2c473a08d1dc593e625a5cf9ac7dbd918ddf23b646ee2e6e81b9",
+        "3aa60799f8332e2ccb65b034a3ed5a519331877b9a10e0b7cd8e40faa31a6320",
     "inject-verify-input":
-        "572e164ea935a35cf974cb5c8d490d0c9cad2bb843ae2c109e19d048402666f9",
+        "e794be00b0cb1cf7e400ae901e53da68dc912ae859db0119e4936916fc11f353",
     "cayley-verify-merged":
-        "aaa1a34f350770d7fc9a1d65cf4166084918da711d0dfea61ed62ad815f3ed7f",
+        "fd29bb4de29660abac4f41094faa4ea1daf2b97aea03f7ff5d069255e4ed13dd",
     "cayley-verify-literal":
-        "926e259131f523fc0370950786c4619ca846e0ba13cc00eeaea0d7b73c7d24bc",
+        "96e20dfe44fae83c1da023157811c0a964894a0baf58e868d688cc2dee4fef73",
     "cayley-roundness":
-        "cbbbfbfc1951f43eab4e444c9c6b77eed1c07472ac30aa8cc57551f9022eb5ed",
+        "f496aa4462435e43ceda7b5e87b15e5d8738e7c0d902a4f64faa8e33c9992938",
     "cayley-roundness-basis":
-        "5616f3ef0f05e8a6b7ae255668e5c46b31f4e44b7d17931b065bf0cf56043e12",
+        "378a5f1c52076d528968dbd2cf1190bed27473d60e359da7b77ac19ffd7e8865",
     "cayley-projection":
-        "c4a4b5dd03e58d14dae3558ba0e2cbda0fca562b3898579947045fae10cd77e0",
+        "d3b843c6c23c32a29a4b1544950e614e633bc68a4e66752ce80a4bd9456515e9",
 }
 
 # sha256 of the --map-out file
@@ -863,9 +916,9 @@ def test_pinned_bodies_cover_every_command():
 @pytest.mark.parametrize("name", PINNED)
 def test_every_command_body_pinned(name, pinned_files, capsys):
     # digests of the body as `Report.body_json` dumps it, recorded at
-    # schema 11 (the bodies other than gr estimate's are schema 10's with
-    # the schema changed); the printed text is that body and wall_time_s,
-    # indented
+    # schema 12 (every body is schema 11's with the schema changed, less
+    # max_simplex_size in gr estimate's); the printed text is that body
+    # and wall_time_s, indented
     argv, code = PINNED[name]
     assert main(argv) == code
     out, _ = capsys.readouterr()
@@ -1263,7 +1316,7 @@ def test_cayley_verify_proof_byte_identical(capsys):
     second = capsys.readouterr().out
     assert code1 == code2 == 0
     assert strip_wall(first) == strip_wall(second)
-    assert json.loads(first)["schema"] == 11
+    assert json.loads(first)["schema"] == 12
 
 
 def test_cayley_verify_takes_no_sampling_options(capsys):

@@ -112,7 +112,7 @@ CLI_IMPORT_MODULES = ["roundlab", "roundlab.cli", "roundlab.report"]
 CENSUS_MODULES = {"roundlab.cyclic", "roundlab.kernels"}
 
 # what a listed space's `gr estimate` and `validate` never run: the cycle
-# vocabulary, the character and scan probes, the cycle-space options
+# vocabulary, the character probe, the cycle-space options
 NOT_ON_A_LISTED_SPACE = {"roundlab.cycles", "roundlab.probes",
                          "roundlab.cycle_args"}
 
@@ -205,7 +205,7 @@ def test_light_commands_load_neither_numpy_nor_mpmath(argv, tmp_path):
 
 def test_gr_estimate_loads_roundness_and_spaces(tmp_path):
     # a listed metric space is probed by the pure-Python factorisation:
-    # neither the scan's kernels and numpy nor, outside the settle band
+    # neither the kernels and numpy nor, outside the settle band
     # (the 4-cycle's one probe there, at p = 1, is rational), mpmath; the
     # 20-point space is the benchmark's, with its argv
     from roundlab.spaces import (cycle_graph_space,
@@ -228,9 +228,8 @@ def test_gr_estimate_loads_roundness_and_spaces(tmp_path):
 
 
 def test_gr_estimate_refuses_an_asymmetric_unchecked_table(tmp_path):
-    # d(1, 0) = 2 but d(0, 1) = 1: outside the spectral form, and the scan
-    # covers symmetric tables only, so the table is refused with exit 1
-    # before any scan, loading neither the scan's kernel nor numpy
+    # d(1, 0) = 2 but d(0, 1) = 1: refused with exit 1 before any power,
+    # loading neither the kernels nor numpy
     path = tmp_path / "asymmetric.csv"
     path.write_text("4\n0 1 2 1\n2 0 1 2\n2 1 0 1\n1 2 1 0\n")
     proc = subprocess.run(
@@ -240,9 +239,52 @@ def test_gr_estimate_refuses_an_asymmetric_unchecked_table(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["rc"] == 1
-    assert proc.stderr == ("error: distance matrix fails symmetry at (0,1): "
-                           "the scan needs d(x, y) = d(y, x)\n")
+    assert proc.stderr == "error: distance matrix fails symmetry at (0,1)\n"
     assert not {"numpy", "roundlab.kernels"} & set(result["modules"])
+
+
+def test_gr_estimate_unchecked_tables_take_the_spectral_probe(tmp_path):
+    # a repeated point merged and a zero left off the diagonal: both go
+    # through the factorisation, so neither loads numpy, the kernels or
+    # the character probe
+    from roundlab.metric import FiniteMetricSpace
+    from roundlab.spaces import write_space_csv
+    from test_cli import _pseudometric
+
+    zero = FiniteMetricSpace.unchecked([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+    for name, space in (("pseudometric", _pseudometric()), ("zero", zero)):
+        path = tmp_path / f"{name}.csv"
+        write_space_csv(space, str(path))
+        rc, modules = loaded_after(["gr", "estimate", "--unchecked",
+                                    "--input", str(path)], tmp_path)
+        assert rc == 0
+        assert not {"numpy", "roundlab.kernels", "roundlab.probes"} & modules
+
+
+def test_exhaustive_scan_loads_no_numpy():
+    # acceptance criterion 7's 12-point scan, on the pure-Python loop
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "from roundlab.roundness import find_violation_exhaustive\n"
+         "from roundlab.spaces import planar_points_space\n"
+         "ds = find_violation_exhaustive(planar_points_space(12, seed=2), "
+         "3, 2.0)\n"
+         "assert (ds.xs, ds.ys) == ((3, 4, 10), (5, 5, 9)), ds\n"
+         "print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=suite_env())
+    assert proc.returncode == 0, proc.stderr
+    modules = set(json.loads(proc.stdout))
+    assert "roundlab.kernels" in modules
+    assert "numpy" not in modules
+
+
+def test_cayley_roundness_loads_no_cycle_vocabulary(tmp_path):
+    # `DoubleSimplex` comes from the package, so the cycle spaces, classes
+    # and counts of `cycles` do not compile
+    rc, modules = loaded_after(LIGHT["cayley-roundness"], tmp_path)
+    assert rc == 0
+    assert "roundlab.cycles" not in modules
 
 
 def test_product_estimate_loads_no_numpy():

@@ -1,77 +1,20 @@
 """The hot-loop kernels: census, class partners, r=2 counts, gap scan."""
 
+import hashlib
 import itertools
 import math
-import random
 
 import pytest
 
 from roundlab import kernels, roundness
 from roundlab.cyclic import DoubleSimplex
-from roundlab.metric import FiniteMetricSpace
-from roundlab.numerics import gap_radius, violation
-from roundlab.probes import exhaustive_config_count
-from roundlab.roundness import DistanceIndex, estimate_roundness, simplex_gap
+from roundlab.roundness import (DistanceIndex, exhaustive_config_count,
+                                simplex_gap)
 from roundlab.spaces import (cycle_graph_space, path_graph_space,
                              random_rational_metric_space)
 
 
 FLOOR = 2.0 ** -1072
-
-
-def reference_min_gap_scan(dp, max_size: int, p, floor, resolve):
-    """The scalar loop the vectorised gap scan replaced, kept as its oracle:
-    each gap, in canonical order, decided by `numerics.violation` against
-    its radius, and `resolve` asked wherever that leaves it undecided.
-
-    The loop summed cs[v] with `sum()`, which adds floats left to right up
-    to Python 3.11 (3.12 compensates); the explicit loop keeps that order.
-    """
-    npts = len(dp)
-    zero_diagonal = all(dp[i][i] == 0 for i in range(npts))
-    largest = (max(abs(v) for row in dp for v in row)
-               if any(v < 0 for row in dp for v in row) else None)
-    min_gap = None
-    scanned = 0
-    for n in range(2, max_size + 1):
-        rel = gap_radius(p, max(n * (n - 1) // 2, 2 * n - 2))
-        terms = 2 * n * n - n
-        absolute = terms * floor
-        families = list(itertools.combinations_with_replacement(range(npts), n))
-        within = []
-        for fam in families:
-            s = 0.0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    s += dp[fam[i]][fam[j]]
-            within.append(s)
-        for xi, xs in enumerate(families):
-            sx = within[xi]
-            cs = [0.0] * npts
-            for v in range(npts):
-                dv = dp[v]
-                s = 0.0
-                for u in xs:
-                    s += dv[u]
-                cs[v] = s
-            for yi in range(xi, len(families)):
-                lhs = sx + within[yi]
-                rhs = 0.0
-                for u in families[yi]:
-                    rhs += cs[u]
-                gap = rhs - lhs
-                scanned += 1
-                if yi == xi and zero_diagonal:
-                    continue
-                if not math.isnan(gap) and (min_gap is None or gap < min_gap):
-                    min_gap = gap
-                mags = 2 * lhs + gap if largest is None else terms * largest
-                verdict = violation(gap, rel * mags + absolute)
-                if verdict is None:
-                    verdict = resolve(xs, families[yi])
-                if verdict:
-                    return (xs, families[yi]), min_gap, scanned
-    return None, min_gap, scanned
 
 
 def dp_matrix(space, p):
@@ -83,22 +26,9 @@ def parity(xs, ys):
     return sum(xs) % 2 == 1
 
 
-def assert_same_scan(dp, max_size, p, resolve=parity):
-    calls = {}
-    for name, scan in (("kernel", kernels.min_gap_scan),
-                       ("loop", reference_min_gap_scan)):
-        asked = calls[name] = []
-
-        def recording(xs, ys):
-            asked.append((xs, ys))
-            return resolve(xs, ys)
-
-        calls[name + "-result"] = scan(dp, max_size, p, FLOOR, recording)
-    got = calls["kernel-result"]
-    # repr is exact for floats, ints and tuples of them, and it also
-    # matches a NaN min_gap, which == never does
-    assert repr(got) == repr(calls["loop-result"])
-    assert calls["kernel"] == calls["loop"]
+def checked_scan(dp, max_size, p, resolve=parity):
+    """`kernels.min_gap_scan` at FLOOR, the types of its result checked."""
+    got = kernels.min_gap_scan(dp, max_size, p, FLOOR, resolve)
     witness, min_gap, scanned = got
     assert type(scanned) is int
     assert min_gap is None or type(min_gap) is float
@@ -154,7 +84,7 @@ def test_min_gap_scan_no_violation():
         asked.append((xs, ys))
         return exact_resolve(space, 1)(xs, ys)
 
-    witness, min_gap, scanned = assert_same_scan(dp_matrix(space, 1), 3, 1,
+    witness, min_gap, scanned = checked_scan(dp_matrix(space, 1), 3, 1,
                                                  resolve)
     assert witness is None
     assert min_gap == 0.0
@@ -170,23 +100,71 @@ def test_min_gap_scan_finds_first_violation():
     # witness in canonical order
     d = [[0, 1, 4, 1], [1, 0, 1, 4], [4, 1, 0, 1], [1, 4, 1, 0]]
     dp = [[float(v) for v in row] for row in d]
-    witness, min_gap, scanned = assert_same_scan(dp, 2, 1.0)
+    witness, min_gap, scanned = checked_scan(dp, 2, 1.0)
     assert witness == ((0, 2), (1, 3))
     assert min_gap == 4.0 * 1.0 - (4.0 + 4.0)
     assert scanned == 10 + 9 + 5  # stops at families 2 and 6 of cwr(4,2)
 
 
+def test_min_gap_scan_first_violation_inside_a_later_block():
+    # the first violation sits deep in the size-3 families, and neither its
+    # first family is the first of its size nor its second family is: the
+    # first hit is taken in (X, Y) order wherever it lies
+    dp = dp_matrix(random_rational_metric_space(6, 0), 2.0)
+    witness, _, scanned = checked_scan(dp, 3, 2.0)
+    families = list(itertools.combinations_with_replacement(range(6), 3))
+    xi, yi = families.index(witness[0]), families.index(witness[1])
+    assert 0 < xi < yi
+    assert witness == ((0, 3, 5), (4, 4, 4)) and scanned == 1083
+
+
+# the last four probes the scan bracket of families up to 3 points took
+# at p_tolerance 1e-4 when `estimate_roundness` still scanned, where the
+# smallest gaps sit nearest their radius
+SCAN_PROBES = {
+    0: [2.073882658884571, 2.063770638964913, 2.021251331999618,
+        1.7653359647087978],
+    1: [2.023043382048949, 2.0049209297688773, 1.2321088527883663,
+        1.1444487085329682],
+    2: [1.3794346475679982, 1.3668090909603188, 1.3613156764543641,
+        1.326800312050377],
+    3: [1.0533819781686509, 0.9999000000000042, 0.9857225593332493,
+        0.9348879404911757],
+    4: [1.5978227771490032, 1.5642260270660697, 1.3095781178470323,
+        1.127699101489006],
+}
+
+# sha256 of the results and resolve calls of the scans below, recorded
+# from the numpy block kernel, which summed every gap in this order
+SCAN_DIGESTS = {
+    0: "9bb316511861110c35964b8be18bf722a9736609c3d0fe05bfb8575e568ecc74",
+    1: "b9dd14a49ddef1f55131831e10ab8d0987948e358580495eb12bf5cb641e8c70",
+    2: "bc640a86029e1f01572415cca1b05352a6369a7e6e4a02cf2fc56e9e76ebdee7",
+    3: "77ae092ea8bc8c9255b3b5b3caa4077175e67bf59f0936848fa303c4106e1b23",
+    4: "d7caec46ec78b28a3accd0b83b3731583e0e1bcf60f6d03b829c806bb3a2b022",
+}
+
+
 @pytest.mark.parametrize("seed", range(5))
-def test_min_gap_scan_matches_reference(seed, scan_only):
-    # the last probes sit where the smallest gaps are nearest their
-    # radius, so a reassociated sum would flip decisions there
+def test_min_gap_scan_matches_reference(seed):
+    # a reassociated sum would flip decisions at these probes: every
+    # witness, least gap (by repr, so bit for bit), count and resolve
+    # call is the block kernel's
     space = random_rational_metric_space(6 + seed, seed)
-    probes = [pr["p"] for pr in
-              estimate_roundness(space, max_size=3, p_tolerance=1e-4).probes]
-    for p in sorted(set(probes[-4:] + [0.5, 1.0, 2.5])):
+    text = []
+    for p in sorted(set(SCAN_PROBES[seed] + [0.5, 1.0, 2.5])):
         dp = dp_matrix(space, p)
         for max_size in (2, 3, 4):
-            assert_same_scan(dp, max_size, p)
+            asked = []
+
+            def recording(xs, ys):
+                asked.append((xs, ys))
+                return parity(xs, ys)
+
+            text.append(repr((checked_scan(dp, max_size, p, recording),
+                              asked)))
+    digest = hashlib.sha256("\n".join(text).encode()).hexdigest()
+    assert digest == SCAN_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -211,10 +189,10 @@ def test_min_gap_scan_agrees_with_exact_gaps(seed):
 
 
 def test_min_gap_scan_small_inputs():
-    assert assert_same_scan([], 4, 1.0) == (None, None, 0)
+    assert checked_scan([], 4, 1.0) == (None, None, 0)
     # one point: one all-zero configuration per family size, X = Y, so no
     # gap is decided and none is the least
-    assert assert_same_scan([[0.0]], 4, 1.0) == (None, None, 3)
+    assert checked_scan([[0.0]], 4, 1.0) == (None, None, 3)
 
 
 def test_min_gap_scan_refuses_infinite_entries():
@@ -226,97 +204,10 @@ def test_min_gap_scan_refuses_infinite_entries():
             kernels.min_gap_scan(dp, 3, 1.0, FLOOR, parity)
 
 
-def _gap_block_of(npts, n, x_index):
-    """First family of the block holding first family `x_index`, stepping
-    through the size-n blocks as the scan does."""
-    m = math.comb(npts + n - 1, n)
-    x0 = 0
-    while True:
-        x1 = min(m, x0 + max(1, kernels.GAP_BLOCK // (m - x0)))
-        if x_index < x1:
-            return x0
-        x0 = x1
-
-
-@pytest.mark.parametrize("block", [1, 37, 500])
-def test_min_gap_scan_matches_reference_across_blocks(block, monkeypatch):
-    # the cases above each fit one default block; small blocks split every
-    # scan into many
-    monkeypatch.setattr(kernels, "GAP_BLOCK", block)
-    # a negative diagonal e puts the first gap, X = Y, at 2e: past 0 and
-    # on it; a nonzero diagonal leaves X = Y gaps to be decided, and the
-    # scan reads any matrix as the loop does, so asymmetric ones tell the
-    # scanned pairs from their swaps
-    for e in (-0.05, -5e-324, -0.0):
-        assert_same_scan([[e, 1.0], [1.0, 0.0]], 3, 1.0)
-    rng = random.Random(block)
-    for npts in (3, 4, 5, 6):
-        dp = [[rng.choice((0.0, 0.5, 1.0, 2.0, 3.0)) for _ in range(npts)]
-              for _ in range(npts)]
-        for p in (1.0, 2.0):
-            assert_same_scan(dp, 3, p)
-    # gaps of exactly 0 off X = Y are undecided: the 4-cycle has them
-    assert_same_scan(dp_matrix(cycle_graph_space(4), 1), 3, 1)
-    for npts, seed, p in ((5, 5, 2.5), (6, 0, 2.0), (6, 0, 3.0), (6, 6, 2.5),
-                          (7, 4, 2.0), (8, 0, 1.5)):
-        dp = dp_matrix(random_rational_metric_space(npts, seed), p)
-        for max_size in (2, 3):
-            assert_same_scan(dp, max_size, p)
-
-
-def test_min_gap_scan_first_violation_inside_a_later_block(monkeypatch):
-    # the first violation sits in the second block, and neither its first
-    # family is the block's first nor its second family is: the first hit
-    # of a block is taken in (X, Y) order wherever it lies in the block
-    monkeypatch.setattr(kernels, "GAP_BLOCK", 500)
-    dp = dp_matrix(random_rational_metric_space(6, 0), 2.0)
-    witness, _, scanned = assert_same_scan(dp, 3, 2.0)
-    families = list(itertools.combinations_with_replacement(range(6), 3))
-    xi, yi = families.index(witness[0]), families.index(witness[1])
-    x0 = _gap_block_of(6, 3, xi)
-    assert x0 > 0 and xi > x0 and yi > x0
-    assert witness == ((0, 3, 5), (4, 4, 4)) and scanned == 1083
-
-
-def test_min_gap_scan_counts_per_probe_frozen(monkeypatch, scan_only):
-    # configs scanned by each probe of the 20-point space, less the clean
-    # p = 0 probe, which does not scan: every violating probe moves the
-    # upper end to its witness's crossing and the one clean scan, at
-    # upper - tol, closes the bracket; one more scan of 20 points reuses
-    # the cached family index. No gap outside X = Y lies within its
-    # radius, so no probe resolves one
-    scans = []
-    scan = kernels.min_gap_scan
-    resolved = []
-
-    def recording(dp, max_size, p, floor, resolve):
-        def counting(xs, ys):
-            resolved.append((xs, ys))
-            return resolve(xs, ys)
-        result = scan(dp, max_size, p, floor, counting)
-        scans.append(result[2])
-        return result
-
-    monkeypatch.setattr(kernels, "min_gap_scan", recording)
-    space = random_rational_metric_space(20, 0)
-    est = estimate_roundness(space, max_size=3, p_tolerance=1e-3)
-    clean = exhaustive_config_count(20, 3)
-    assert clean == 1208725
-    assert scans == [30, 64, 74, 273, 304, 1313, 1329, 6516, 14182, 63993,
-                     64249, 187614, 407362, 519915, clean]
-    assert scans.count(clean) == 1
-    assert resolved == []
-    assert [probe["violation"] for probe in est.probes[1:]] \
-        == [True] * 14 + [False]
-    misses = kernels._family_index.cache_info().misses
-    scan(dp_matrix(space, 1.0), 3, 1.0, FLOOR, parity)
-    assert kernels._family_index.cache_info().misses == misses
-
-
 def test_min_gap_scan_clean_scans_everything():
     # subsets of the line have roundness 2, so p=1.5 never violates
     space = path_graph_space(8)
-    witness, min_gap, scanned = assert_same_scan(
+    witness, min_gap, scanned = checked_scan(
         dp_matrix(space, 1.5), 4, 1.5,
         lambda xs, ys: roundness.certify_violation(
             space, DoubleSimplex(xs, ys), 1.5))

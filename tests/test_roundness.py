@@ -20,9 +20,10 @@ from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
                              ProductCycleSpace, stage_space)
 from roundlab.metric import FiniteMetricSpace, snowflake
 from roundlab.numerics import NORMAL_MIN, settle
-from roundlab.probes import exhaustive_config_count, find_violation_characters
+from roundlab.probes import find_violation_characters
 from roundlab.roundness import (DistanceIndex, SpectralProbe,
                                 certify_violation, estimate_roundness,
+                                exhaustive_config_count,
                                 find_violation_exhaustive, simplex_gap)
 from roundlab.spaces import (cycle_graph_space, equilateral_space,
                              planar_points_space, random_rational_metric_space)
@@ -70,9 +71,8 @@ def test_certify_violation_paths():
     assert not certify_violation(C4, DIAG, 0.5)
 
 
-def _crossings(space, max_size, monkeypatch):
-    """(witness, crossing) for every violating probe of an estimate: the
-    one spectral witness, or each of the scan's."""
+def _crossings(space, monkeypatch):
+    """(witness, crossing) for the one witness of an estimate."""
     witnesses, crossings = [], []
     test, crossing = roundness._simplex_test, roundness._crossing
 
@@ -86,7 +86,7 @@ def _crossings(space, max_size, monkeypatch):
 
     monkeypatch.setattr(roundness, "_simplex_test", recording_test)
     monkeypatch.setattr(roundness, "_crossing", recording_crossing)
-    est = estimate_roundness(space, max_size=max_size)
+    est = estimate_roundness(space)
     monkeypatch.undo()
     return est, list(zip(witnesses, crossings, strict=True))
 
@@ -106,20 +106,31 @@ def test_decimal_certifier_matches_mpmath_reference(n, seed, max_size,
     # and its interval fallback) and the 320-bit mpmath re-sum give one
     # verdict, and each witness violates at its crossing. The one
     # spectral witness holds dozens to hundreds of points a family
-    _certifier_matches_reference(n, seed, max_size, monkeypatch)
+    # (max_size is read by the scan-witness test below)
+    space = random_rational_metric_space(n, seed)
+    est, found = _crossings(space, monkeypatch)
+    assert found and found[-1] == (est.witness, est.upper)
+    _certifier_matches_reference(space, est, found)
 
 
 @CERTIFIER_CASES
 def test_decimal_certifier_matches_mpmath_reference_on_scan_witnesses(
-        n, seed, max_size, monkeypatch, scan_only):
-    # as above, on each witness of the scan, of at most max_size points
-    _certifier_matches_reference(n, seed, max_size, monkeypatch)
-
-
-def _certifier_matches_reference(n, seed, max_size, monkeypatch):
+        n, seed, max_size, monkeypatch):
+    # as above, on the witnesses of at most max_size points that
+    # find_violation_exhaustive returns at p = 4 and 16, each with its
+    # crossing above the estimate's clean lower end
     space = random_rational_metric_space(n, seed)
-    est, found = _crossings(space, max_size, monkeypatch)
-    assert found and found[-1] == (est.witness, est.upper)
+    est = estimate_roundness(space)
+    found = []
+    for p in (4.0, 16.0):
+        ds = find_violation_exhaustive(space, max_size, p)
+        assert ds.r <= max_size
+        found.append((ds, roundness._crossing(
+            roundness._simplex_test(space, ds, p), est.lower, p)))
+    _certifier_matches_reference(space, est, found)
+
+
+def _certifier_matches_reference(space, est, found):
     ps = [probe["p"] for probe in est.probes if probe["p"] != int(probe["p"])]
     verdicts = []
     for ds, c in found:
@@ -166,12 +177,10 @@ def test_zero_probe_scans_nothing(space, monkeypatch):
     monkeypatch.setattr(kernels, "min_gap_scan", spy)
     assert find_violation_exhaustive(space, 3, 0.0) is None
     assert calls == []
-    assert estimate_roundness(space, max_size=3).certified
-    assert calls == []
-    monkeypatch.setattr(roundness, "spectral_form", lambda space, index: False)
-    est = estimate_roundness(space, max_size=3)
-    assert est.probes[0] == {"p": 0.0, "violation": False}
-    assert len(calls) == len(est.probes) - 1
+    est = estimate_roundness(space)
+    assert est.certified and calls == []
+    # no zero off the diagonal: A(0) = I + J is not probed
+    assert all(probe["p"] > 0 for probe in est.probes)
     # the budget is still checked before the probe returns
     with pytest.raises(BudgetExceeded):
         find_violation_exhaustive(space, 3, 0.0, budget=10)
@@ -184,7 +193,7 @@ def test_zero_probe_scans_a_space_with_zero_distances():
     assert simplex_gap(space, DoubleSimplex((0, 2), (1, 1)), 0).gap == -1
     ds = find_violation_exhaustive(space, 3, 0.0)
     assert ds is not None and certify_violation(space, ds, 0.0)
-    est = estimate_roundness(space, max_size=3)
+    est = estimate_roundness(space)
     assert est.flags == ["violation at p=0"]
     assert (est.lower, est.upper, est.witness_p) == (0.0, 0.0, 0.0)
 
@@ -375,7 +384,7 @@ def test_monotonicity_of_violations():
 
 
 def test_estimate_c4_brackets_one():
-    est = estimate_roundness(C4, max_size=3, p_tolerance=1e-3)
+    est = estimate_roundness(C4, p_tolerance=1e-3)
     assert est.certified
     assert est.lower <= 1.0 <= est.upper
     assert est.upper - est.lower <= 1e-3
@@ -406,15 +415,20 @@ def _c5_spectral_value(bits=320):
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-12, 1e-14,
                                  2 * math.ulp(math.log2(8 / 3))])
-def test_c5_bracket_holds_its_roundness_at_every_tolerance(tol, scan_only):
-    # a clean probe is proven clean, so the lower end cannot pass the
-    # witness's crossing however fine the tolerance, down to the finest
-    # above float resolution
+def test_c5_bracket_holds_its_roundness_at_every_tolerance(tol):
+    # the scan's verdicts are proven, so a clean scan tol / 2 below the
+    # roundness over families of at most 3 points and a witness tol / 2
+    # above it, whose crossing lies between, bracket it however fine the
+    # tolerance, down to the finest above float resolution
     pytest.importorskip("mpmath")
-    est = estimate_roundness(cycle_graph_space(5), 3, tol)
-    assert est.certified and est.flags == []
-    assert est.lower <= _c5_roundness() <= est.upper
-    assert est.upper - est.lower <= tol
+    space, value = cycle_graph_space(5), _c5_roundness()
+    lower, upper = float(value) - tol / 2, float(value) + tol / 2
+    assert lower < value < upper
+    assert find_violation_exhaustive(space, 3, lower) is None
+    ds = find_violation_exhaustive(space, 3, upper)
+    crossing = roundness._crossing(roundness._simplex_test(space, ds, upper),
+                                   lower, upper)
+    assert lower < crossing <= upper
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9, 1e-12, 1e-14,
@@ -427,7 +441,7 @@ def test_c5_bracket_holds_its_spectral_value_at_every_tolerance(tol):
     # says so
     pytest.importorskip("mpmath")
     value = _c5_spectral_value()
-    est = estimate_roundness(cycle_graph_space(5), 3, tol)
+    est = estimate_roundness(cycle_graph_space(5), tol)
     assert est.certified
     assert est.lower <= value <= est.upper
     assert value - est.lower <= tol
@@ -447,7 +461,7 @@ def test_c5_failing_cap_without_witness_keeps_its_clean_end():
     # bisection's clean end is kept, with no upper end, flagged
     pytest.importorskip("mpmath")
     value = _c5_spectral_value()
-    est = estimate_roundness(cycle_graph_space(5), 3, 1e-3,
+    est = estimate_roundness(cycle_graph_space(5), 1e-3,
                              p_cap=1.38848382727)
     assert value < est.p_cap
     assert est.certified and est.flags == ["no witness proven up to p_cap"]
@@ -457,7 +471,7 @@ def test_c5_failing_cap_without_witness_keeps_its_clean_end():
 
 
 def test_c4_bracket_holds_one_below_float_resolution():
-    est = estimate_roundness(C4, 3, 1e-20)
+    est = estimate_roundness(C4, 1e-20)
     assert est.certified
     assert est.flags == ["tolerance below float resolution"]
     assert est.lower <= 1.0 <= est.upper
@@ -478,21 +492,21 @@ def test_scaled_space_reports_its_unscaled_bracket(make):
     # at p_cap 200 nor 10^-300 overflows or underflows: the gap's sign,
     # and with it the bracket, does not change under scaling
     space = make()
-    est = estimate_roundness(space, 3, p_cap=200.0)
+    est = estimate_roundness(space, p_cap=200.0)
     for factor in (1000, Fraction(1, 10 ** 300)):
-        assert estimate_roundness(_scaled(space, factor), 3,
+        assert estimate_roundness(_scaled(space, factor),
                                   p_cap=200.0) == est
 
 
 def test_estimate_snowflake_doubles():
     half = snowflake(C4, Fraction(1, 2))
-    est = estimate_roundness(half, max_size=3, p_tolerance=1e-3)
+    est = estimate_roundness(half, p_tolerance=1e-3)
     assert est.lower <= 2.0 <= est.upper
     assert est.upper - est.lower <= 1e-3
 
 
 def test_estimate_equilateral_unbounded():
-    est = estimate_roundness(equilateral_space(5), max_size=3)
+    est = estimate_roundness(equilateral_space(5))
     assert math.isinf(est.upper)
     assert est.lower == est.p_cap
     assert "no violation up to p_cap" in est.flags
@@ -505,8 +519,9 @@ def test_planar_points_clean_at_two():
     assert find_violation_exhaustive(space, 3, 2.0) is None
 
 
-def test_estimate_budget_partial_results(scan_only):
-    est = estimate_roundness(C4, max_size=3, budget=10)
+def test_estimate_budget_partial_results():
+    # one factorisation of the 4-cycle's A(p) takes 4 multiply-adds
+    est = estimate_roundness(C4, budget=3)
     assert not est.certified
     assert any("budget exhausted" in f for f in est.flags)
 
@@ -607,13 +622,12 @@ def test_estimate_search_mode_on_product_space():
     est = estimate_roundness(space, p_tolerance=1e-6)
     assert est.certified
     assert est.covers == "every double simplex"
-    assert est.max_simplex_size is None
     assert est.lower <= 1.6849e-4 <= est.upper
     assert est.upper - est.lower <= 1e-6
     assert est.witness_p == est.upper
     doc = est.to_dict()
     assert doc["witness"] == {"character": list(est.witness)}
-    assert doc["max_simplex_size"] is None
+    assert "max_simplex_size" not in doc
 
 
 @pytest.mark.parametrize("units, coords",
@@ -669,17 +683,18 @@ def test_z4_products_closed_form():
         assert find_violation_characters(space, q * (1 + 1e-6)) is not None
 
 
-def test_character_bracket_below_listed_scan(monkeypatch):
-    # the scan covers families of at most 3 points, the characters all;
-    # listed, the product takes the spectral probe, which covers all too,
-    # so the two brackets hold its one spectral value
+def test_character_bracket_below_listed_scan():
+    # the scan covers families of at most 3 points, the characters all, so
+    # the scan is clean at their lower end; listed, the product takes the
+    # spectral probe, which covers all too, so the two brackets hold its
+    # one spectral value
     product = ProductCycleSpace(2, CycleSpace(4))
     points = list(itertools.product(range(product.units),
                                     repeat=product.coords))
     listed = FiniteMetricSpace.from_rows(
         [[product.distance(x, y) for y in points] for x in points])
     chars = estimate_roundness(product)
-    spectral = estimate_roundness(listed, max_size=3)
+    spectral = estimate_roundness(listed)
     assert chars.certified and spectral.certified
     assert spectral.covers == chars.covers == "every double simplex"
     # log2(1 + 3^(1 - c)) at c = 2, where A(p) turns singular, so the
@@ -691,10 +706,7 @@ def test_character_bracket_below_listed_scan(monkeypatch):
         value = mpmath.log(mpmath.mpf(4) / 3, 2)
         for est in (chars, spectral):
             assert est.lower <= value <= est.upper
-    monkeypatch.setattr(roundness, "spectral_form", lambda space, index: False)
-    scan = estimate_roundness(listed, max_size=3)
-    assert scan.certified
-    assert chars.lower <= scan.lower and chars.upper <= scan.upper
+    assert find_violation_exhaustive(listed, 3, chars.lower) is None
 
 
 def test_product_roundness_falls_with_coordinates():
@@ -721,11 +733,11 @@ def test_estimate_rejects_bad_tolerance_and_cap(kwargs):
     # a zero tolerance would probe forever; an infinite cap would report
     # lower=inf as certified, a negative one lower=-1
     with pytest.raises(ValueError, match="finite and positive"):
-        estimate_roundness(C4, max_size=2, **kwargs)
+        estimate_roundness(C4, **kwargs)
 
 
 def test_estimate_tolerance_below_float_resolution_stops():
-    est = estimate_roundness(C4, max_size=2, p_tolerance=1e-300)
+    est = estimate_roundness(C4, p_tolerance=1e-300)
     assert "tolerance below float resolution" in est.flags
     assert est.certified
     assert est.lower < est.upper == math.nextafter(est.lower, math.inf)
@@ -775,22 +787,26 @@ def test_small_roundness_gets_its_crossing_as_upper_end(make, low, high):
     assert probes._eigenvalue(weights, row).a > 0
 
 
-def test_estimate_recertifies_only_the_reported_witness(monkeypatch,
-                                                        scan_only):
-    # intermediate witnesses steer the probes; the certifier runs
-    # once, on the witness reported, at the upper end
+def test_estimate_recertifies_only_the_reported_witness(monkeypatch):
+    # a repeated point is merged before the probes, so the witnesses they
+    # try are of the merged points; the certifier runs once on the table
+    # itself, on the witness reported in its labels, at the upper end
     calls, certify = [], roundness.certify_violation
 
     def recording(space, ds, p, **index):
-        calls.append((ds, p))
+        calls.append((space, ds, p))
         return certify(space, ds, p, **index)
 
+    rows = [list(row) for row in random_rational_metric_space(20, 0).dist]
+    rows = [row[:5] + [row[2]] + row[5:] for row in rows]
+    space = FiniteMetricSpace.unchecked(rows[:5] + [rows[2]] + rows[5:])
     monkeypatch.setattr(roundness, "certify_violation", recording)
-    est = estimate_roundness(random_rational_metric_space(20, 0),
-                             max_size=3)
+    est = estimate_roundness(space)
     assert len(est.probes) > 3
-    assert calls == [(est.witness, est.upper)]
+    assert [call for call in calls if call[0] is space] \
+        == [(space, est.witness, est.upper)]
     assert est.witness_p == est.upper
+    assert 5 not in est.witness.xs + est.witness.ys
 
 
 def test_spectral_estimate_certifies_at_one_point(monkeypatch):
@@ -822,13 +838,10 @@ def test_failed_recertification_is_an_error(monkeypatch):
                         lambda *args, **index: False)
     with pytest.raises(ArithmeticError, match="failed recertification"):
         find_violation_exhaustive(C4, 3, 1.5)
-    est = estimate_roundness(C4, max_size=3)
+    est = estimate_roundness(C4)
     assert est.flags == ["no witness proven up to p_cap"]
     assert est.certified and 1 - 1e-3 <= est.lower <= 1
     assert est.upper == math.inf and est.witness is est.witness_p is None
-    monkeypatch.setattr(roundness, "spectral_form", lambda space, index: False)
-    with pytest.raises(ArithmeticError, match="failed recertification"):
-        estimate_roundness(C4, max_size=3)
 
 
 SPECTRAL_SPACES = {
@@ -846,10 +859,9 @@ def test_spectral_bracket_contains_the_spectral_value(make):
     # clean end below the numpy oracle's value, the witness's crossing
     # above it, within the tolerance, and the witness recertifies there
     space = make()
-    est = estimate_roundness(space, max_size=3, p_tolerance=1e-3)
+    est = estimate_roundness(space, p_tolerance=1e-3)
     assert est.certified and est.flags == []
     assert est.covers == "every double simplex"
-    assert est.max_simplex_size is None
     assert est.lower <= spectral_value(space) <= est.upper
     assert est.upper - est.lower <= 1e-3
     assert est.witness_p == est.upper
@@ -993,21 +1005,72 @@ def test_weighted_gap_matches_every_pair_summed(seed):
                 is mpmath_certify_violation(space, ds, 1.3))
 
 
-def test_unfit_tables_keep_the_scan():
-    # a zero off the diagonal: the scan, which records its family size;
-    # an asymmetric table is outside the spectral form too, but the scan
-    # takes each pair of families in one orientation, so it is refused
-    zero = FiniteMetricSpace.unchecked([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
-    asymmetric = _asymmetric_unchecked(7, 5)
-    for space in (zero, asymmetric):
-        assert not roundness.spectral_form(space, DistanceIndex(space))
-    est = estimate_roundness(zero, max_size=3)
-    assert est.covers == ("double simplices with at most 3 points "
-                          "per family")
-    assert est.max_simplex_size == 3
-    with pytest.raises(ValueError, match="fails symmetry at"):
-        estimate_roundness(asymmetric, max_size=3)
-    assert roundness.spectral_form(C4, DistanceIndex(C4))
+@pytest.mark.parametrize("rows, axiom, pair", [
+    ([[0, 1], [1, 1]], "identity", (1, 1)),
+    ([[0, 1, 2], [1, 0, 1], [3, 1, 0]], "symmetry", (0, 2)),
+    ([[0, -1, 2], [-1, 0, 1], [2, 1, 0]], "nonnegativity", (0, 1)),
+], ids=["identity", "symmetry", "nonnegativity"])
+def test_unfit_tables_are_refused_before_any_power(rows, axiom, pair,
+                                                   monkeypatch):
+    # a table outside a pseudometric's form names the axiom and the first
+    # pair that fails it, in the estimate and the scan alike, and no
+    # distance is powered
+    space = FiniteMetricSpace.unchecked(rows)
+    monkeypatch.setattr(DistanceIndex, "powers", None)
+    message = rf"^distance matrix fails {axiom} at \({pair[0]},{pair[1]}\)$"
+    with pytest.raises(ValueError, match=message):
+        estimate_roundness(space)
+    with pytest.raises(ValueError, match=message):
+        find_violation_exhaustive(space, 3, 1.0)
+    # the seeded unaudited table fails identity first, as a checked space
+    # is audited
+    with pytest.raises(ValueError, match="fails identity at"):
+        estimate_roundness(_asymmetric_unchecked(7, 5))
+
+
+def test_zero_table_probes_zero_first(monkeypatch):
+    # [[0,0,1],[0,0,0],[1,0,0]] keeps a zero off the diagonal, where 0^0 = 0
+    # leaves D^0 the 0/1 pattern of nonzero distances: A(0) is [[2, 1],
+    # [1, 0]], whose determinant -1 makes it indefinite, so some signed
+    # multiset, and with it a double simplex, has a negative gap at p = 0.
+    # The estimate probes 0 first and reports its witness there
+    space = FiniteMetricSpace.unchecked([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+    probe = SpectralProbe(space, DistanceIndex(space))
+    assert probe.matrix(0.0)[0] == [[2.0, 1.0], [1.0, 0.0]]
+    assert roundness._psd_value([[Fraction(2), 1], [1, 0]]) < 0
+    est = estimate_roundness(space)
+    assert est.probes == [{"p": 0.0, "violation": True}]
+    assert est.flags == ["violation at p=0"]
+    assert (est.lower, est.upper, est.witness_p) == (0.0, 0.0, 0.0)
+    assert simplex_gap(space, est.witness, 0).gap < 0
+    # with no witness proven there, the failing probe only steered
+    monkeypatch.setattr(SpectralProbe, "witness", lambda self, p: None)
+    est = estimate_roundness(space)
+    assert est.flags == ["no witness proven at p=0"]
+    assert (est.lower, est.upper, est.witness) == (0.0, math.inf, None)
+
+
+@pytest.mark.parametrize("labels", [
+    [*range(8), 0], [5, *range(8)], [0, 1, 2, 3, 3, 4, 5, 6, 3, 7, 7],
+], ids=["last", "first", "repeated"])
+def test_repeated_points_merge_into_their_first(labels):
+    # a point at distance 0 from an earlier one with the same row merges
+    # into it: the estimate of the table, whose k-th point is point
+    # labels[k] of the space, is that of the table without its later
+    # copies, with its witness in the table's labels, proven on the table
+    base = random_rational_metric_space(8, 3)
+    rows = [[base.dist[a][b] for b in labels] for a in labels]
+    space = FiniteMetricSpace.unchecked(rows)
+    kept = [k for k, a in enumerate(labels) if labels.index(a) == k]
+    est = estimate_roundness(space)
+    plain = estimate_roundness(FiniteMetricSpace.unchecked(
+        [[rows[i][j] for j in kept] for i in kept]))
+    assert est.witness == DoubleSimplex(
+        *(tuple(kept[i] for i in fam) for fam in (plain.witness.xs,
+                                                  plain.witness.ys)))
+    assert est.fields() == {**plain.fields(), "witness": est.witness}
+    assert certify_violation(space, est.witness, est.witness_p)
+    assert est.lower <= spectral_value(base) <= est.upper
 
 
 def test_asymmetric_table_is_refused_before_any_scan(monkeypatch):
