@@ -724,6 +724,55 @@ def test_product_roundness_falls_with_coordinates():
     assert stage.upper - stage.lower <= 1e-7
 
 
+PRODUCT_SPACES = {
+    "stage-2": lambda: stage_space(2),
+    "Z4^3": lambda: ProductCycleSpace(3, CycleSpace(4)),
+    "Z8^4": lambda: ProductCycleSpace(4, CycleSpace(8)),
+    "Z8^10": lambda: ProductCycleSpace(10, CycleSpace(8)),
+    "Z4^30": lambda: ProductCycleSpace(30, CycleSpace(4)),
+}
+
+
+@pytest.mark.parametrize("name, kwargs, sha256", [
+    ("stage-2", {"p_tolerance": 1e-3},
+     "28584da1d439bd7a84104292216a08a27b27a6b87bed76442c62ddd886352e9e"),
+    ("stage-2", {"p_tolerance": 1e-9},
+     "505c242301b6fe8c53ce2b85951e39f9dfc8a03ffa1093f0691e671b1b71d2a8"),
+    ("Z4^3", {"p_tolerance": 1e-3},
+     "31a51624c959a0b5d0f4ba6171064028d16c2a934fe72994fb1706b7d55d87dd"),
+    ("Z4^3", {"p_tolerance": 1e-9},
+     "55d219bf5e46e7bbca26599f64a72329e87c55376781099f4e300fd555535813"),
+    ("Z8^4", {"p_tolerance": 1e-3},
+     "a11a465e3858f616e984c30bca7c1d95a02aa26b995dcacfc401c8f9828a94ef"),
+    ("Z8^4", {"p_tolerance": 1e-9},
+     "e7b81b771e75784849de407bced153661eeb2458018b5a9aeb58687a604ce920"),
+    ("Z8^10", {"p_tolerance": 1e-3},
+     "ab24ec69948d18b3ce1642be935b7ec9dabf006ee5c55361569922be06676490"),
+    ("Z8^10", {"p_tolerance": 1e-9},
+     "2ba67092a4936cb1d15d3c8570f6f332c99b26503548727aaa939d55be38eb6f"),
+    ("Z4^30", {"p_tolerance": 1e-3},
+     "0498b460d98dab9d37d2a3edd6d0391773ce76d21b4ec10da1602fe96f585d51"),
+    ("Z4^30", {"p_tolerance": 1e-9},
+     "0498b460d98dab9d37d2a3edd6d0391773ce76d21b4ec10da1602fe96f585d51"),
+    ("stage-2", {"budget": 1},
+     "18a5d84510a9b24c60c6a22795b5f8bc6938c2dd5f4836d70c512cde0d8fc142"),
+], ids=[f"{name}-{tol}" for name in PRODUCT_SPACES
+        for tol in ("1e-3", "1e-9")] + ["stage-2-budget1"])
+def test_product_estimates_frozen(name, kwargs, sha256):
+    # no CLI body covers a cycle product, so its estimates are pinned
+    # through the API, probes and flags included: the digests of the
+    # sanitized records, recorded before the character engine moved onto
+    # the one bracket loop of both engines
+    import hashlib
+    import json
+
+    from roundlab.report import sanitize
+
+    est = estimate_roundness(PRODUCT_SPACES[name](), **kwargs)
+    body = json.dumps(sanitize(est), sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == sha256
+
+
 @pytest.mark.parametrize("kwargs", [
     {"p_tolerance": 0.0}, {"p_tolerance": -1e-3}, {"p_tolerance": math.nan},
     {"p_tolerance": math.inf}, {"p_cap": math.inf}, {"p_cap": -1.0},
