@@ -1,9 +1,9 @@
-"""The character probe of a cycle product, and the bracket it closes.
+"""The character probe of a cycle product, for `roundness.bracket`.
 `roundness.estimate_roundness` imports this module only for a cycle
 product, so a listed space never compiles it.
 
-Witness crossings and the estimate record are `roundness`'s, looked up
-on that module at each call.
+Witness crossings are `roundness._crossing`, looked up on that module at
+each call.
 """
 
 from __future__ import annotations
@@ -169,51 +169,41 @@ def _close_bracket(probe, crossing, lower: float, upper: float, witness,
     return lower, upper, witness
 
 
-def bracket(space, p_tolerance: float, budget: int | None, p_cap: float):
-    """`roundness.estimate_roundness` of a cycle product through its
-    characters. A witness at 0 ends the estimate, a clean probe at p_cap
-    too; else the witness's crossing at p_cap is the upper end to start
-    with and `_close_bracket` narrows it to p_tolerance. An over-budget
-    probe leaves the estimate uncertified and flagged."""
-    probes: list = []
-    flags: list = []
-    table = None
-    if budget is None:
-        # the table holds units/2 intervals per character, and there are at
-        # least units/2 characters, so this bounds the kernel rows too
-        budget = TABLE_INTERVALS // (space.units // 2)
+class CharacterProbe:
+    """The probe of a cycle product for `roundness.bracket`: its
+    characters, in one `character_table` built under the budget (`plan`)
+    and dropped with the probe, and `found`, the first violating one (or
+    None) at each p probed. `narrow` is `_close_bracket` from the
+    crossing of the witness at cap, where its own eigenvalue turns."""
 
-    def probe(p: float):
-        w = find_violation_characters(space, p, table=table)
-        probes.append({"p": p, "violation": w is not None})
-        return w
+    zeros = True
 
-    def crossing(w, lo: float, hi: float) -> float:
+    def __init__(self, space):
+        self.space, self.table, self.found = space, None, {}
+
+    def plan(self, budget: int | None) -> None:
+        if budget is None:
+            # the table holds units/2 intervals per character, and there are
+            # at least units/2 characters, so this bounds the kernel rows too
+            budget = TABLE_INTERVALS // (self.space.units // 2)
+        self.table = character_table(self.space, budget)
+
+    def clean(self, p) -> bool:
+        self.found[p] = find_violation_characters(self.space, p,
+                                                  table=self.table)
+        return self.found[p] is None
+
+    def witness(self, p):
+        return self.found[p]
+
+    def crossing(self, w, lo: float, hi: float) -> float:
         """Where the character w, violating at hi, starts to violate."""
-        prods = dict(table)[w]
+        prods = dict(self.table)[w]
         return roundness._crossing(lambda p: violation(-_eigenvalue(
-            _weights(space.units, p), prods)) is True, lo, hi)
+            _weights(self.space.units, p), prods)) is True, lo, hi)
 
-    est = roundness.RoundnessEstimate(0.0, math.inf, None, None, True,
-                                      "every double simplex", p_cap, probes,
-                                      flags)
-    try:
-        # built once and dropped when the estimate returns
-        table = character_table(space, budget)
-        if (w0 := probe(0.0)) is not None:
-            flags.append("violation at p=0")
-            est.lower, est.upper, est.witness = 0.0, 0.0, w0
-        else:
-            wit = probe(p_cap)
-            if wit is None:
-                flags.append("no violation up to p_cap")
-                est.lower = p_cap
-                return est
-            est.lower, est.upper, est.witness = _close_bracket(
-                probe, crossing, 0.0, crossing(wit, 0.0, p_cap), wit,
-                p_tolerance, flags)
-        est.witness_p = est.upper
-    except BudgetExceeded as exc:
-        flags.append(f"budget exhausted: {exc}")
-        est.certified = False
-    return est
+    def narrow(self, clean, cap: float, tol: float, flags: list) -> tuple:
+        w = self.found[cap]
+        return _close_bracket(lambda q: None if clean(q) else self.found[q],
+                              self.crossing, 0.0, self.crossing(w, 0.0, cap),
+                              w, tol, flags)

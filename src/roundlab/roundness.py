@@ -7,15 +7,14 @@ A double simplex (x_1..x_r; y_1..y_r) violates at exponent p when
 Every gap is decided by `numerics.violation`: as a float with its proven
 error radius on a `DistanceIndex` of the points, and where that leaves it
 undecided by `numerics.settle` (`certify_violation`), so a violation and
-a clean probe are both proven. The roundness of a
-space is the supremum of exponents admitting no violation; the set of
-good exponents is an interval starting at 0 (Lennard-Tonge-Weston), so
-one clean probe below and one violating witness above bracket it. A
-probe covers every double simplex: on a listed table through
-`SpectralProbe`, a proven factorisation of -B^T D^p B, and on a cycle
-product through its characters, which live in `probes`, loaded only for
-one. `find_violation_exhaustive` scans the families up to a given size
-instead, as library API.
+a clean probe are both proven. The roundness of a space is the supremum
+of exponents admitting no violation; the set of good exponents is an
+interval starting at 0 (Lennard-Tonge-Weston), so one clean probe below
+and one violating witness above bracket it (`bracket`). A probe covers
+every double simplex: on a listed table `SpectralProbe`, a proven
+factorisation of -B^T D^p B, and on a cycle product its characters
+(`probes.CharacterProbe`, loaded only for one). As library API,
+`find_violation_exhaustive` scans the families up to a given size.
 """
 
 from __future__ import annotations
@@ -71,7 +70,8 @@ _NORMAL_MIN_RATIO = NORMAL_MIN.as_integer_ratio()
 
 class DistanceIndex:
     """The distances of pairs of a space's points as an index into their
-    distinct values: `keys` holds one distance per distinct (type, value),
+    distinct values: `keys` holds the first of each distinct (type, value)
+    (a Fraction's by numerator and denominator: no pair pays its hash),
     `slots[k]` the position of the k-th pair's among them, and `ratios`
     the keys over `top` (by default their largest magnitude) as the
     nearest floats, so no power exceeds 1 and no gap changes sign. The
@@ -99,10 +99,12 @@ class DistanceIndex:
         else:
             sides = _pair_counts(ds)
             self.pairs = [pair for side in sides for pair in side]
-        keys: dict = {}
-        self.slots = [keys.setdefault((type(d), d), len(keys))
-                      for d in itertools.starmap(space.distance, self.pairs)]
-        self.keys = [d for _, d in keys]
+        first: dict = {}
+        self.slots = [first.setdefault(
+            (d.numerator, d.denominator) if type(d) is Fraction
+            else (type(d), d), (len(first), d))[0]
+            for d in itertools.starmap(space.distance, self.pairs)]
+        self.keys = [d for _, d in first.values()]
         top = top or max(map(abs, self.keys), default=0) or 1
         # top and each key as an exact (numerator, denominator)
         (a, b), *exact = (d.as_integer_ratio() for d in (top, *self.keys))
@@ -314,17 +316,21 @@ def refuse_unfit(space, index: DistanceIndex) -> None:
     """ValueError naming the axiom and the first pair that fails it where a
     listed table is not zero on its diagonal (identity), the same both
     ways (symmetry) or nonnegative (nonnegativity), decided on the keys of
-    its full `DistanceIndex` before any power. Every other table is a
-    pseudometric's up to the triangle inequality, which no probe needs."""
-    n = space.size
-    d = [index.keys[s] for s in index.slots]
+    its full `DistanceIndex` before any power, values compared only where
+    slots differ. Every other table is a pseudometric's up to the triangle
+    inequality, which no probe needs."""
+    n, keys, slots = space.size, index.keys, index.slots
     pairs = itertools.combinations(range(n), 2)
+    negative = {s for s, d in enumerate(keys) if d < 0}
     for axiom, failing in (
-            ("identity", ((i, i) for i in range(n) if d[i * n + i] != 0)),
+            ("identity", ((i, i) for i in range(n)
+                          if keys[slots[i * n + i]] != 0)),
             ("symmetry", ((i, j) for i, j in pairs
-                          if d[i * n + j] != d[j * n + i])),
-            ("nonnegativity", (divmod(k, n) for k, v in enumerate(d)
-                               if v < 0))):
+                          if slots[i * n + j] != slots[j * n + i]
+                          and keys[slots[i * n + j]]
+                          != keys[slots[j * n + i]])),
+            ("nonnegativity", (divmod(k, n) for k, s in enumerate(slots)
+                               if s in negative))):
         pair = next(failing, None)
         if pair is not None:
             raise ValueError(f"distance matrix fails {axiom} at "
@@ -334,20 +340,18 @@ def refuse_unfit(space, index: DistanceIndex) -> None:
 def _merged(space, index: DistanceIndex) -> tuple:
     """(kept, zeros) for a table `refuse_unfit` admits: the points kept
     when each point at distance 0 from an earlier kept one, with an equal
-    row (compared on the keys of the full `index`), merges into it, and
-    whether a zero still lies off the diagonal between two kept points.
-    Every double simplex keeps its distances under the merge, so the
-    roundness is the kept points'."""
+    row (its slots in the full `index`, or where they differ its keys),
+    merges into it, and whether a zero still lies off the diagonal between
+    two kept points. Every double simplex keeps its distances under the
+    merge, so the roundness is the kept points'."""
     n, keys, slots = space.size, index.keys, index.slots
     zero = {s for s, d in enumerate(keys) if d == 0}
-
-    def row(i):
-        return [keys[s] for s in slots[i * n:(i + 1) * n]]
-
+    rows = [slots[i * n:(i + 1) * n] for i in range(n)]
     kept, zeros = [], False
     for j in range(n):
-        twins = [i for i in kept if slots[i * n + j] in zero]
-        if not any(row(i) == row(j) for i in twins):
+        twins = [i for i in kept if rows[i][j] in zero]
+        if not any(rows[i] == rows[j] or [keys[s] for s in rows[i]]
+                   == [keys[s] for s in rows[j]] for i in twins):
             zeros = zeros or bool(twins)
             kept.append(j)
     return kept, zeros
@@ -464,7 +468,8 @@ class SpectralProbe:
     whose points are c's positive and negative parts, whatever the signs
     of the distances. So no double simplex violates at p exactly when
     A(p) = -B^T D^p B is positive semidefinite (Schoenberg), and
-    A(0) = I + J is where no zero lies off the diagonal (0^0 = 0).
+    A(0) = I + J where no zero lies off the diagonal (0^0 = 0), so
+    `bracket` probes 0 first only with one (`zeros`).
 
     A probe at q factors A(q) - cI in floats (`_cholesky`) from the
     `DistanceIndex` powers over the largest distance. Where it completes,
@@ -481,11 +486,16 @@ class SpectralProbe:
     intervals at twice PRECISION_BITS. A failure of both only steers the
     bisection; `witness` proves a violation."""
 
-    def __init__(self, space, index: DistanceIndex):
-        self.space, self.index = space, index
-        self.m = max(space.size - 1, 0)
+    def __init__(self, space, index: DistanceIndex, zeros: bool = False):
+        self.space, self.index, self.zeros = space, index, zeros
+        self.m, self.proof = max(space.size - 1, 0), None
+
+    def plan(self, budget: int | None) -> None:
         # the multiply-adds of one factorisation, sum_j j (j + 1) / 2
-        self.work = (self.m - 1) * self.m * (self.m + 1) // 6
+        work = (self.m - 1) * self.m * (self.m + 1) // 6
+        if budget is not None and work > budget:
+            raise BudgetExceeded(f"factorisation needs {work} multiply-adds",
+                                 work)
 
     def matrix(self, p) -> tuple:
         """(A(p) in floats from the powers over the largest distance, the
@@ -532,16 +542,15 @@ class SpectralProbe:
 
         return not settle(value, f"spectral probe at p={p}")
 
-    def witness(self, p) -> Optional[tuple]:
-        """A double simplex proven to violate at p, with the
-        `DistanceIndex` that proved it, or None. The failing
-        factorisation's vector starts inverse iteration toward A(p)'s most
-        negative eigenvector, with a shift bisected below that eigenvalue
-        (a factorisation of A(p) - sI completes only for s below it); the
-        vector, scaled to largest entry 1, 2, 4, ..., is rounded to
-        integer multiplicities z of the first n - 1 points, the last one
-        taking -sum(z), until `certify_violation` proves one or a family
-        passes WITNESS_POINTS points."""
+    def witness(self, p) -> Optional[DoubleSimplex]:
+        """A double simplex proven to violate at p, its `DistanceIndex`
+        kept as `proof`, or None. The failing factorisation's vector starts
+        inverse iteration toward A(p)'s most negative eigenvector, with a
+        shift bisected below that eigenvalue (a factorisation of A(p) - sI
+        completes only for s below it); the vector, scaled to largest entry
+        1, 2, 4, ..., is rounded to integer multiplicities z of the first
+        n - 1 points, the last one taking -sum(z), until `certify_violation`
+        proves one or a family passes WITNESS_POINTS points."""
         rows, shift = self.matrix(p)
         x = _cholesky(rows, shift)[2]
         if x is None:
@@ -583,10 +592,47 @@ class SpectralProbe:
             ds = DoubleSimplex(
                 tuple(i for i in range(points) for _ in range(z[i])),
                 tuple(i for i in range(points) for _ in range(-z[i])))
-            index = DistanceIndex(self.space, ds)
-            if certify_violation(self.space, ds, p, index=index):
-                return ds, index
+            self.proof = DistanceIndex(self.space, ds)
+            if certify_violation(self.space, ds, p, index=self.proof):
+                return ds
         return None
+
+    def narrow(self, clean, cap: float, tol: float, flags: list) -> tuple:
+        """Bisect on the factorisation to within tol / 4, then close the
+        bracket to tol at the crossing, on its `proof`, of a witness at
+        lower + tol: a rounded eigenvector crosses above the roundness by
+        its rounding, so no witness steers the bisection. Where none of at
+        most WITNESS_POINTS points a family is proven there, the span above
+        lower quadruples up to cap, a bracket left wider than tol flagged."""
+        lower, upper = 0.0, cap
+        while upper - lower > tol / 4:
+            mid = lower + (upper - lower) / 2
+            if not lower < mid < upper:
+                # adjacent floats, within tol / 4 only for tol under 4 ulps
+                if upper - lower > tol:
+                    flags.append("tolerance below float resolution")
+                break
+            if clean(mid):
+                lower = mid
+            else:
+                upper = mid
+        span = tol
+        while True:
+            q = lower + span
+            if q - lower > span:
+                q = math.nextafter(q, lower)
+            q = min(max(q, upper), cap)
+            ds = self.witness(q)
+            if ds is not None:
+                upper = _crossing(_simplex_test(self.space, ds, q, self.proof),
+                                  lower, q)
+                if span > tol and upper - lower > tol:
+                    flags.append(f"no witness of at most {WITNESS_POINTS} points"
+                                 f" per family within p_tolerance")
+                return lower, upper, ds
+            if q == cap:
+                return lower, math.inf, None
+            span *= 4
 
 
 class RoundnessEstimate(Record):
@@ -604,69 +650,49 @@ class RoundnessEstimate(Record):
                 "unbounded": unbounded}
 
 
-def _spectral_bracket(form: SpectralProbe, cap: float, tol: float,
-                      probes: list, flags: list, zeros: bool) -> tuple:
-    """The bracket (lower, upper, (witness, its DistanceIndex)) of a
-    listed table between 0 and cap, each `form.clean` probe listed in
-    `probes`. With a zero off the diagonal (`zeros`), A(0) is probed
-    first: where it fails, a witness there ends the bracket at
-    (0, 0), flagged as a violation at p=0. Else A(0) is positive
-    semidefinite, and the bracket is (cap, inf, None) where cap probes
-    clean. Else bisect on the factorisation until the bracket is within
-    tol / 4, then take a witness at lower + tol, whose crossing, on the
-    index that proved it there, closes the bracket to tol. Where no
-    witness of at most WITNESS_POINTS points a family is proven there,
-    the distance above lower quadruples, up to cap, and a bracket left
-    wider than tol is flagged. Where none is proven at cap (or at 0)
-    either, the failing probes only steered: (lower, inf, None),
-    flagged."""
+def bracket(probe, cap: float, tol: float,
+            budget: int | None = None) -> RoundnessEstimate:
+    """The estimate of every engine between 0 and cap, each `probe.clean`
+    listed in `probes`: uncertified before any work where
+    `probe.plan(budget)` refuses. With `probe.zeros`, 0 is probed first,
+    and a witness there ends the bracket at (0, 0). Else it is (cap, inf)
+    where cap probes clean, else `probe.narrow` closes it to tol by its
+    own rule to (lower, upper, witness), upper inf with no witness. A
+    witness violates at `witness_p`, the upper end; a bracket without one
+    is flagged."""
+    est = RoundnessEstimate(0.0, math.inf, None, None, True,
+                            "every double simplex", cap, [], [])
+    flags = est.flags
+    try:
+        probe.plan(budget)
+    except BudgetExceeded as exc:
+        flags.append(f"budget exhausted: {exc}")
+        est.certified = False
+        return est
 
     def clean(p: float) -> bool:
-        verdict = form.clean(p)
-        probes.append({"p": p, "violation": not verdict})
+        verdict = probe.clean(p)
+        est.probes.append({"p": p, "violation": not verdict})
         return verdict
 
-    if zeros and not clean(0.0):
-        found = form.witness(0.0)
-        if found is None:
-            flags.append("no witness proven at p=0")
-            return 0.0, math.inf, None
-        flags.append("violation at p=0")
-        return 0.0, 0.0, found
-    if clean(cap):
+    if probe.zeros and not clean(0.0):
+        est.witness, missing = probe.witness(0.0), "no witness proven at p=0"
+        if est.witness is not None:
+            flags.append("violation at p=0")
+            est.upper = 0.0
+    elif clean(cap):
         flags.append("no violation up to p_cap")
-        return cap, math.inf, None
-    lower, upper = 0.0, cap
-    while upper - lower > tol / 4:
-        mid = lower + (upper - lower) / 2
-        if not lower < mid < upper:
-            # adjacent floats, within tol / 4 only for tol under 4 ulps
-            if upper - lower > tol:
-                flags.append("tolerance below float resolution")
-            break
-        if clean(mid):
-            lower = mid
-        else:
-            upper = mid
-    span = tol
-    while True:
-        q = lower + span
-        if q - lower > span:
-            q = math.nextafter(q, lower)
-        q = min(max(q, upper), cap)
-        found = form.witness(q)
-        if found is not None:
-            ds, index = found
-            upper = _crossing(_simplex_test(form.space, ds, q, index),
-                              lower, q)
-            if span > tol and upper - lower > tol:
-                flags.append(f"no witness of at most {WITNESS_POINTS} points"
-                             f" per family within p_tolerance")
-            return lower, upper, found
-        if q == cap:
-            flags.append("no witness proven up to p_cap")
-            return lower, math.inf, None
-        span *= 4
+        est.lower = cap
+        return est
+    else:
+        est.lower, est.upper, est.witness = probe.narrow(clean, cap, tol,
+                                                         flags)
+        missing = "no witness proven up to p_cap"
+    if est.witness is None:
+        flags.append(missing)
+    else:
+        est.witness_p = est.upper
+    return est
 
 
 def estimate_roundness(space, p_tolerance: float = 1e-3,
@@ -674,29 +700,21 @@ def estimate_roundness(space, p_tolerance: float = 1e-3,
                        p_cap: float = 16.0
                        ) -> RoundnessEstimate:
     """Bracket the roundness between a clean probe and a witness, for
-    every double simplex.
-
-    A cycle product is probed through its characters (`probes.bracket`):
-    a witness at p_cap gives the upper end at its crossing, and probes
-    below it narrow the bracket to p_tolerance. A listed table is probed
-    through `SpectralProbe` (`_spectral_bracket`): it must be zero on
-    its diagonal, symmetric and nonnegative, else ValueError names the
-    axiom and the pair (`refuse_unfit`), and each point at distance 0
-    from an earlier one with an equal row is merged into it first
-    (`_merged`); the reported witness names the table's own points and
-    is proven on it. 0 is the lower end to start with; the spectral
-    probe bisects and takes one witness above its last clean probe.
+    every double simplex, by `bracket`: on a cycle product through its
+    characters (`probes.CharacterProbe`), on a listed table through
+    `SpectralProbe`. A listed table must be zero on its diagonal,
+    symmetric and nonnegative, else ValueError names the axiom and the
+    pair (`refuse_unfit`), and each point at distance 0 from an earlier
+    one with an equal row is merged into it first (`_merged`); the
+    reported witness names the table's own points and is proven on it.
     Both ends are certified: the lower by a full character table or
     factorisation, the upper by the witness, proven there
-    (`certify_violation`) or positive there as an interval. A spectral
-    probe that fails with no witness proven up to p_cap keeps its clean
-    lower end and an unbounded upper one, flagged. The lower end is
-    absolute: a roundness below p_tolerance keeps it at 0, with its
+    (`certify_violation`) or positive there as an interval. The lower end
+    is absolute: a roundness below p_tolerance keeps it at 0, with its
     witness's crossing above. `budget` caps the characters or the
-    multiply-adds of one factorisation, and an over-budget probe is
-    refused before any work. None means no cap on a listed space, which
-    its size bounds, and on a cycle product, whose character count two
-    integers set, as many characters as keep its table within
+    multiply-adds of one factorisation. None means no cap on a listed
+    space, which its size bounds, and on a cycle product, whose character
+    count two integers set, as many characters as keep its table within
     `probes.TABLE_INTERVALS` intervals. The tolerance and p_cap must be
     finite and positive.
     """
@@ -707,9 +725,9 @@ def estimate_roundness(space, p_tolerance: float = 1e-3,
     # space loads neither it nor the character probe (`probes`)
     cycles = sys.modules.get(f"{__package__}.cycles")
     if cycles is not None and isinstance(space, cycles.ProductCycleSpace):
-        from .probes import bracket
+        from .probes import CharacterProbe
 
-        return bracket(space, p_tolerance, budget, p_cap)
+        return bracket(CharacterProbe(space), p_cap, p_tolerance, budget)
     index = DistanceIndex(space)
     refuse_unfit(space, index)
     kept, zeros = _merged(space, index)
@@ -717,25 +735,15 @@ def estimate_roundness(space, p_tolerance: float = 1e-3,
     if len(kept) < space.size:
         points = _Kept(space, kept)
         index = DistanceIndex(points)
-    probes: list = []
-    flags: list = []
-    form = SpectralProbe(points, index)
-    est = RoundnessEstimate(0.0, math.inf, None, None, True,
-                            "every double simplex", p_cap, probes, flags)
-    if budget is not None and form.work > budget:
-        flags.append(f"budget exhausted: factorisation needs {form.work} "
-                     f"multiply-adds")
-        est.certified = False
-        return est
-    est.lower, est.upper, found = _spectral_bracket(
-        form, p_cap, p_tolerance, probes, flags, zeros)
-    if found is not None:
-        ds, index = found
+    form = SpectralProbe(points, index, zeros)
+    est = bracket(form, p_cap, p_tolerance, budget)
+    if est.witness is not None:
+        index = form.proof
         if points is not space:
             # the merged points' labels, and a proof on the table itself
-            ds, index = DoubleSimplex(*(tuple(kept[i] for i in fam)
-                                        for fam in (ds.xs, ds.ys))), None
-        est.witness, est.witness_p = ds, est.upper
+            est.witness, index = DoubleSimplex(*(
+                tuple(kept[i] for i in fam)
+                for fam in (est.witness.xs, est.witness.ys))), None
         # the reported witness, proven where it is reported
-        _recertified(space, ds, est.witness_p, index)
+        _recertified(space, est.witness, est.witness_p, index)
     return est

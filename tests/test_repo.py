@@ -142,3 +142,24 @@ def test_one_power_rule():
         assert not (defined | imported) & retired, path.name
         assert ("exact_int_root" not in called | imported
                 or path.name == "numerics.py"), path.name
+
+
+def test_one_bracket_loop():
+    # every roundness engine is a probe of `roundness.bracket`, the one
+    # place that builds an estimate and writes its end-game flags: a
+    # second loop would construct RoundnessEstimate or flag them again
+    import ast
+
+    built, flagged = [], []
+    texts = ("budget exhausted", "violation at p=0", "no violation up to p_cap")
+    for path in sorted((ROOT / "src" / "roundlab").glob("*.py")):
+        source = path.read_text()
+        built += [(path.name, node.lineno) for node in ast.walk(ast.parse(
+            source)) if isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None))
+            == "RoundnessEstimate"]
+        flagged += [(path.name, text) for text in texts
+                    for _ in range(source.count(text))]
+    assert [name for name, _ in built] == ["roundness.py"], built
+    assert sorted(flagged) == [("roundness.py", text)
+                               for text in sorted(texts)], flagged

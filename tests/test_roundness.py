@@ -21,7 +21,7 @@ from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
 from roundlab.metric import FiniteMetricSpace, snowflake
 from roundlab.numerics import NORMAL_MIN, settle
 from roundlab.probes import find_violation_characters
-from roundlab.roundness import (DistanceIndex, SpectralProbe,
+from roundlab.roundness import (DistanceIndex, SpectralProbe, bracket,
                                 certify_violation, estimate_roundness,
                                 exhaustive_config_count,
                                 find_violation_exhaustive, simplex_gap)
@@ -771,6 +771,113 @@ def test_product_estimates_frozen(name, kwargs, sha256):
     est = estimate_roundness(PRODUCT_SPACES[name](), **kwargs)
     body = json.dumps(sanitize(est), sort_keys=True)
     assert hashlib.sha256(body.encode()).hexdigest() == sha256
+
+
+class FakeProbe:
+    """A probe for `bracket` whose clean set is [0, value] (empty for a
+    negative value) and whose witness, where it `proves` one, crosses at
+    value; each call to it is logged in `calls`."""
+
+    def __init__(self, value, zeros=False, work=0, proves=True):
+        self.value, self.zeros, self.work, self.proves = (value, zeros, work,
+                                                          proves)
+        self.calls = []
+
+    def plan(self, budget):
+        self.calls.append(("plan", budget))
+        if budget is not None and self.work > budget:
+            raise BudgetExceeded(f"fake probe needs {self.work} units",
+                                 self.work)
+
+    def clean(self, p):
+        self.calls.append(("clean", p))
+        return p <= self.value
+
+    def witness(self, p):
+        self.calls.append(("witness", p))
+        return ("crosses at", self.value) if self.proves else None
+
+    def narrow(self, clean, cap, tol, flags):
+        # bisect to tol, then the witness's crossing is the upper end
+        lower, upper = 0.0, cap
+        while upper - lower > tol:
+            mid = lower + (upper - lower) / 2
+            if clean(mid):
+                lower = mid
+            else:
+                upper = mid
+        w = self.witness(upper)
+        return (lower, math.inf, None) if w is None else (lower, self.value,
+                                                          w)
+
+
+def test_bracket_narrows_through_its_probe():
+    # p_cap fails, so `narrow` closes the bracket and its witness
+    # violates at the upper end; every clean call is listed, in order
+    probe = FakeProbe(0.7)
+    est = bracket(probe, 16.0, 1e-3)
+    assert est.certified and est.flags == []
+    assert est.lower <= 0.7 == est.upper == est.witness_p
+    assert est.upper - est.lower <= 1e-3
+    assert est.witness == ("crosses at", 0.7)
+    assert probe.calls[:2] == [("plan", None), ("clean", 16.0)]
+    assert [{"p": p, "violation": p > 0.7} for call, p in probe.calls
+            if call == "clean"] == est.probes
+    assert est.fields()["unbounded"] is False
+
+
+def test_bracket_refuses_an_over_budget_probe_before_any_clean():
+    probe = FakeProbe(0.7, zeros=True, work=10)
+    est = bracket(probe, 16.0, 1e-3, budget=9)
+    assert probe.calls == [("plan", 9)]
+    assert not est.certified and est.probes == []
+    assert est.flags == ["budget exhausted: fake probe needs 10 units"]
+    assert (est.lower, est.upper, est.witness, est.witness_p) == (
+        0.0, math.inf, None, None)
+    assert bracket(FakeProbe(0.7, work=10), 16.0, 1e-3, budget=10).certified
+
+
+@pytest.mark.parametrize("proves", [True, False])
+def test_bracket_failing_at_zero_ends_there(proves):
+    # a probe with `zeros` is probed at 0 first; where 0 fails, its
+    # witness there ends the bracket at (0, 0), and with none proven the
+    # failing probe only steered: (0, inf), flagged
+    probe = FakeProbe(-1.0, zeros=True, proves=proves)
+    est = bracket(probe, 16.0, 1e-3)
+    assert probe.calls == [("plan", None), ("clean", 0.0), ("witness", 0.0)]
+    assert est.certified and est.probes == [{"p": 0.0, "violation": True}]
+    if proves:
+        assert est.flags == ["violation at p=0"]
+        assert (est.lower, est.upper, est.witness_p) == (0.0, 0.0, 0.0)
+        assert est.witness == ("crosses at", -1.0)
+    else:
+        assert est.flags == ["no witness proven at p=0"]
+        assert (est.lower, est.upper, est.witness, est.witness_p) == (
+            0.0, math.inf, None, None)
+    # a clean 0 goes on to p_cap
+    est = bracket(FakeProbe(0.7, zeros=True), 16.0, 1e-3)
+    assert est.probes[:2] == [{"p": 0.0, "violation": False},
+                              {"p": 16.0, "violation": True}]
+
+
+def test_bracket_clean_at_cap_is_unbounded():
+    probe = FakeProbe(20.0)
+    est = bracket(probe, 16.0, 1e-3)
+    assert probe.calls == [("plan", None), ("clean", 16.0)]
+    assert est.certified and est.flags == ["no violation up to p_cap"]
+    assert est.probes == [{"p": 16.0, "violation": False}]
+    assert (est.lower, est.upper, est.witness, est.witness_p) == (
+        16.0, math.inf, None, None)
+    assert est.fields()["unbounded"] is True
+
+
+def test_bracket_without_a_witness_keeps_its_clean_end():
+    # `narrow` proves no witness: the clean lower end stays, the upper one
+    # is unbounded, and the bracket says so
+    est = bracket(FakeProbe(0.7, proves=False), 16.0, 1e-3)
+    assert est.certified and est.flags == ["no witness proven up to p_cap"]
+    assert 0.7 - 1e-3 <= est.lower <= 0.7
+    assert (est.upper, est.witness, est.witness_p) == (math.inf, None, None)
 
 
 @pytest.mark.parametrize("kwargs", [
