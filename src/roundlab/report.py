@@ -11,7 +11,7 @@ import json
 import math
 from fractions import Fraction
 
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
 
 
 def sanitize(obj):

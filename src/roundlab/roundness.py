@@ -46,22 +46,22 @@ class GapResult(Record):
 
 
 def _pair_counts(ds: DoubleSimplex) -> tuple[Counter, Counter]:
-    """How often each ordered pair of points occurs among a double
-    simplex's within pairs (f_i, f_j), i < j, of either family f, and
-    among its cross pairs (x_i, y_j), counted over runs of equal points."""
+    """How often each pair of points occurs among a double simplex's
+    within pairs (f_i, f_j), i < j, of either family f, and among its
+    cross pairs (x_i, y_j), from how often each point occurs in each
+    family: m_a m_b for two distinct points of one family, m_a(m_a - 1)/2
+    for a point with itself, m_a k_b for a cross pair. A within pair is
+    held under its points' first occurrences, which on a symmetric table
+    (`refuse_unfit`) reads the distance of either order."""
+    counts = Counter(ds.xs), Counter(ds.ys)
     within: Counter = Counter()
-    for fam in (ds.xs, ds.ys):
-        seen: Counter = Counter()
-        for b, run in itertools.groupby(fam):
-            k = sum(1 for _ in run)
-            for a, m in seen.items():
-                within[a, b] += m * k
-            if k > 1:
-                within[b, b] += k * (k - 1) // 2
-            seen[b] += k
-    ys = Counter(ds.ys).items()
-    cross = Counter({(a, b): m * k for a, m in Counter(ds.xs).items()
-                     for b, k in ys})
+    for fam in counts:
+        within.update({(a, b): m * k for (a, m), (b, k)
+                       in itertools.combinations(fam.items(), 2)})
+        within.update({(a, a): m * (m - 1) // 2 for a, m in fam.items()
+                       if m > 1})
+    cross = Counter({(a, b): m * k for a, m in counts[0].items()
+                     for b, k in counts[1].items()})
     return within, cross
 
 
@@ -76,20 +76,21 @@ class DistanceIndex:
     the keys over `top` (by default their largest magnitude) as the
     nearest floats, so no power exceeds 1 and no gap changes sign. The
     pairs are every ordered pair of the space row by row (`power_matrix`)
-    or, given `ds`, the distinct pairs of its r(r - 1) within pairs and
-    its r^2 cross pairs, each side held as (slot, count) (`gap`), so a
-    family of thousands of points costs no more than its distinct points.
-    Each probe of an estimate, and each evaluation of a witness's
-    crossing, powers only the keys of one index built beforehand.
+    or, given `ds`, the distinct pairs `_pair_counts` counts from its
+    points' counts, each side held as (slot, count) (`gap`), so a family
+    of thousands of points costs no more than its distinct points. Given
+    `ds`, the pairs' distances must pass `refuse_unfit`, else ValueError
+    before any power. Each probe of an estimate, and each evaluation of a
+    witness's crossing, powers only the keys of one index built
+    beforehand.
 
     The ratios are int / int true divisions of the keys' and `top`'s
     (positive) exact integer ratios over one common denominator, whatever
     their number type: Python rounds those correctly, so each is the
-    float of the exact ratio, and `low` and `signed` are decided on the
-    same integers."""
+    float of the exact ratio, and `low` is decided on the same integers."""
 
-    __slots__ = ("pairs", "slots", "keys", "ratios", "low", "signed",
-                 "weights", "terms", "count")
+    __slots__ = ("pairs", "slots", "keys", "ratios", "low", "weights",
+                 "terms", "count")
 
     def __init__(self, space, ds: DoubleSimplex | None = None,
                  top: Number | None = None):
@@ -116,8 +117,8 @@ class DistanceIndex:
         below = scale * _NORMAL_MIN_RATIO[0]
         self.low = any(0 < abs(x) * _NORMAL_MIN_RATIO[1] < below
                        for x in nums)
-        self.signed = any(x < 0 for x in nums)
         if ds is not None:
+            refuse_unfit(space, self)
             # each side's count of every key, and those counts split into
             # powers of two: a power times 2^b is exact, so one fsum of the
             # split terms is the correctly rounded sum over every pair
@@ -133,17 +134,8 @@ class DistanceIndex:
             self.count = ds.r * (2 * ds.r - 1)
 
     def powers(self, p) -> list[float]:
-        """Each ratio's float power, 0 for 0 (0**0 = 0, as in `power`). A
-        negative distance (an unchecked space) at fractional p has no real
-        power and raises ValueError naming its first pair."""
-        try:
-            return [float(e ** p) if e else 0.0 for e in self.ratios]
-        except TypeError:
-            # float() refuses the complex power of a negative base
-            k = next(k for k, s in enumerate(self.slots) if self.keys[s] < 0)
-            (i, j), d = self.pairs[k], self.keys[self.slots[k]]
-            raise ValueError(f"distance between points {i} and {j} is negative"
-                             f" ({d}): no real power at p={p}") from None
+        """Each ratio's float power, 0 for 0 (0**0 = 0, as in `power`)."""
+        return [float(e ** p) if e else 0.0 for e in self.ratios]
 
     def floor(self, p) -> float:
         """A power's error beyond `gap_radius`: a few subnormal ulps, or
@@ -167,22 +159,21 @@ class DistanceIndex:
     def gap(self, p) -> tuple:
         """(gap, radius, lhs, rhs) of a double simplex's float powers, each
         side one math.fsum: a single rounding, whatever the order of its
-        terms. The radius scales with their magnitudes, lhs + rhs unless a
-        distance is negative (an unchecked space), and adds `floor` for
-        each of the r(2r - 1) pairs."""
+        terms. The radius scales with their magnitude lhs + rhs, and adds
+        `floor` for each of the r(2r - 1) pairs."""
         powers = self.powers(p)
-        within, cross = ([powers[s] * m for s, m in side]
-                         for side in self.terms)
-        lhs, rhs = math.fsum(within), math.fsum(cross)
-        mags = (math.fsum(map(abs, within + cross)) if self.signed
-                else lhs + rhs)
-        return (rhs - lhs, gap_radius(p, 1) * mags
+        lhs, rhs = (math.fsum([powers[s] * m for s, m in side])
+                    for side in self.terms)
+        return (rhs - lhs, gap_radius(p, 1) * (lhs + rhs)
                 + self.count * self.floor(p), lhs, rhs)
 
 
 def simplex_gap(space, ds: DoubleSimplex, p) -> GapResult:
     """Exact Fractions when every distance is rational and p a nonnegative
-    integer; float sums, with the gap's radius, otherwise."""
+    integer; float sums, with the gap's radius, otherwise. Each side sums
+    count x power over ds's distinct pairs (`DistanceIndex`), whose
+    distances must pass `refuse_unfit`, else ValueError before any
+    power."""
     index = DistanceIndex(space, ds, 1)
     sides = index.sides()
     if p == int(p) and p >= 0 and all(isinstance(d, (int, Fraction))
@@ -202,7 +193,8 @@ def certify_violation(space, ds: DoubleSimplex, p,
     undecided, not at all when both sides' nonzero distances are one
     multiset, which makes the gap 0 at every p (every X = Y
     configuration), else as `numerics.settle` decides it. `index` is
-    ds's `DistanceIndex` where the caller holds one, built here if not."""
+    ds's `DistanceIndex` where the caller holds one, built here if not:
+    either way only distances `refuse_unfit` admits are powered."""
     if index is None:
         index = DistanceIndex(space, ds)
     verdict = violation(*index.gap(p)[:2])
@@ -314,22 +306,28 @@ WITNESS_POINTS = 2 ** 14
 
 def refuse_unfit(space, index: DistanceIndex) -> None:
     """ValueError naming the axiom and the first pair that fails it where a
-    listed table is not zero on its diagonal (identity), the same both
-    ways (symmetry) or nonnegative (nonnegativity), decided on the keys of
-    its full `DistanceIndex` before any power, values compared only where
-    slots differ. Every other table is a pseudometric's up to the triangle
-    inequality, which no probe needs."""
-    n, keys, slots = space.size, index.keys, index.slots
-    pairs = itertools.combinations(range(n), 2)
+    distance among the pairs of `index` (a listed table's every ordered
+    pair, or a double simplex's) is not zero from a point to itself
+    (identity), the same both ways (symmetry) or nonnegative
+    (nonnegativity), decided on its keys before any power, values compared
+    only where slots differ, and a mirror the index does not hold read
+    from the space. Every other table is a pseudometric's up to the
+    triangle inequality, which no probe needs."""
+    keys = index.keys
+    slot = dict(zip(index.pairs, index.slots))
     negative = {s for s, d in enumerate(keys) if d < 0}
+
+    def asymmetric(i, j, s):
+        t = slot.get((j, i))
+        return t != s and keys[s] != (space.distance(j, i) if t is None
+                                      else keys[t])
+
     for axiom, failing in (
-            ("identity", ((i, i) for i in range(n)
-                          if keys[slots[i * n + i]] != 0)),
-            ("symmetry", ((i, j) for i, j in pairs
-                          if slots[i * n + j] != slots[j * n + i]
-                          and keys[slots[i * n + j]]
-                          != keys[slots[j * n + i]])),
-            ("nonnegativity", (divmod(k, n) for k, s in enumerate(slots)
+            ("identity", ((i, j) for (i, j), s in slot.items()
+                          if i == j and keys[s] != 0)),
+            ("symmetry", ((i, j) for (i, j), s in slot.items()
+                          if i != j and asymmetric(i, j, s))),
+            ("nonnegativity", (pair for pair, s in slot.items()
                                if s in negative))):
         pair = next(failing, None)
         if pair is not None:
@@ -639,7 +637,7 @@ class RoundnessEstimate(Record):
     # the witness is a double simplex, or on a cycle product a character's
     # folded frequency multiset
     __slots__ = ("lower", "upper", "witness", "witness_p", "certified",
-                 "covers", "p_cap", "probes", "flags")
+                 "p_cap", "probes", "flags")
 
     def fields(self) -> dict:
         fields = super().fields()
@@ -660,8 +658,7 @@ def bracket(probe, cap: float, tol: float,
     own rule to (lower, upper, witness), upper inf with no witness. A
     witness violates at `witness_p`, the upper end; a bracket without one
     is flagged."""
-    est = RoundnessEstimate(0.0, math.inf, None, None, True,
-                            "every double simplex", cap, [], [])
+    est = RoundnessEstimate(0.0, math.inf, None, None, True, cap, [], [])
     flags = est.flags
     try:
         probe.plan(budget)

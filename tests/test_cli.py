@@ -65,7 +65,7 @@ def test_validate_ok(c4_csv, capsys):
     code, doc, _ = run(["validate", "--input", c4_csv], capsys)
     assert code == 0
     assert doc["results"]["ok"] is True
-    assert doc["schema"] == 12
+    assert doc["schema"] == 13
     assert doc["command"] == "validate"
 
 
@@ -122,38 +122,38 @@ def _pseudometric():
 @pytest.mark.parametrize("space, argv, results_sha256", [
     (lambda: random_rational_metric_space(20, 0),
      ["--max-size", "3", "--tol", "1e-3"],
-     "c4b2a5422a040add47d5293daf83d74e26ca7571d3f2af44adfc473408475917"),
+     "03e0053b32895ef2ed358dcea0ad10aba7a8008538c61763318a1d5b04b5427c"),
     (lambda: _relabelled(random_rational_metric_space(20, 0), 7),
      ["--max-size", "3", "--tol", "1e-3"],
-     "528f20545c85eab6519a273721eabc4fe1f20e7c646384fb6f85b5c4987aa7bd"),
+     "815d16565a860980f36181fb0bf91cf47440009b669c373d9f9b687ea86333b6"),
     (lambda: random_rational_metric_space(10, 1), ["--max-size", "4"],
-     "d6aa9284daf5f3f9ea5b1c97109bc81e602b2fa4f05b7ee6943c06c2801019da"),
+     "663c4edeada950c197e7feb9989f0f7b5e2ae042bc5e471c1670be5c2cba5c07"),
     (lambda: cycle_graph_space(5), [],
-     "c0d3d2947ed20a13d961898a5c09b7c0ba7158fad2067f6322d817d99e32619f"),
+     "2710b696e67001bcd554c341fda26b0bbf74486a4efcf2529ccb99cb62df9f49"),
     (_pseudometric, ["--unchecked"],
-     "3162a842eb7fbd2c819c2000f9d9c8208bc02a9d65b5ab42ca6dbae4c43968be"),
+     "92f644d590cbfb611f1223b2f65c281676cfc5139f24ba452d42f95d8579e760"),
     (_pseudometric, ["--unchecked", "--max-size", "2", "--tol", "1e-2"],
-     "b571902aca6b0d1bfa224ecec5bfbff27b7f6ae0058a6366ecdcd46aedf8f147"),
+     "5c1b0706c1a6b4cd901d2c01bf2c52b4679de70c43502e05eca0c737bf8a16e5"),
 ], ids=["r20", "r20-relabelled", "r10-size4", "c5", "pseudometric",
         "pseudometric-size2"])
 def test_gr_estimate_results_frozen(space, argv, results_sha256, tmp_path,
                                     capsys):
-    # digests recorded at schema 12, when max_simplex_size left the
-    # results; the bodies are schema 11's, when listed metric spaces began
-    # to be probed by the factorisation, for every double simplex, with
-    # the bracket holding the numpy oracle's spectral value. The bracket
-    # is certified, within the tolerance, and its witness violates at
-    # witness_p. The pseudometric's digests are recorded at schema 12,
-    # when its copy of point 0 began to be merged away, so --max-size goes
-    # unread and its spectral value is the 8-point space's
+    # digests recorded at schema 13, when the constant covers left the
+    # results; the bodies are otherwise schema 12's, and schema 11's less
+    # max_simplex_size, when listed metric spaces began to be probed by
+    # the factorisation, for every double simplex, with the bracket
+    # holding the numpy oracle's spectral value. The bracket is
+    # certified, within the tolerance, and its witness violates at
+    # witness_p. The pseudometric's bodies date from schema 12, when its
+    # copy of point 0 began to be merged away, so --max-size goes unread
+    # and its spectral value is the 8-point space's
     path = tmp_path / "space.csv"
     write_space_csv(space(), str(path))
     code, doc, _ = run(["gr", "estimate", "--input", str(path), *argv],
                        capsys)
     assert code == 0
     results = doc["results"]
-    assert "max_simplex_size" not in results
-    assert results["covers"] == "every double simplex"
+    assert "max_simplex_size" not in results and "covers" not in results
     value = spectral_value(random_rational_metric_space(8, 3)
                            if space is _pseudometric else space())
     assert results["lower"] <= value <= results["upper"]
@@ -262,7 +262,7 @@ def test_gr_estimate_deterministic(c4_csv, capsys):
     assert "seed" not in doc["provenance"]
     # --max-size is recorded, and a listed metric space does not read it
     assert doc["params"]["max_size"] == 3
-    assert doc["results"]["covers"] == "every double simplex"
+    assert "covers" not in doc["results"]
     assert "max_simplex_size" not in doc["results"]
 
 
@@ -794,77 +794,77 @@ PINNED = {
 # sha256 of the body without wall_time_s, sorted and compact
 PINNED_BODY = {
     "validate":
-        "ef6787c8c896e3540914b92f984ada425bc9ec615d11be63f93c0320d617c9c3",
+        "3b5bf6032cf3e157449d93e34a0ff45eda837cdf0308eb53cf2f8aaef3b085ad",
     "validate-budget":
-        "a477249d1649c600a5f8de8e09dd50fb18381d5337837d999d104efb0ec919f5",
+        "3bd7197eef52c6ea81ba5838aef43dc09f65f154722b2f1800df20690af27ed7",
     "gr-estimate":
-        "5b9d1ed3cc7022bedb9752aa1746e459d1bd82d7235f8eea87bb61ae5dc3fe33",
+        "0fe42d4bec8550af3459033112bfebd8885072005a0f5fdd49c795167939bfbd",
     "gr-estimate-r12":
-        "23a66e4fe9a4ef138e039ca902564a1916b878a64754e55bb02705785ad5a205",
+        "04c51ea7bbfcc7ee2309677991584d21f26f2ca6a33649391591063a421a16d3",
     "simplex-build":
-        "fb764859cbeb56b5f2993d84efe1ac3da513153762988f50bdba25041802267a",
+        "0eedc651005cc829dab4ea6439f07f380a500650a15d237f4f00a0be3ee2905c",
     "simplex-build-stage":
-        "9ac51b15f6ba4109bd1d1b7153e9146797a83301bf6fb82181e1a94472fb7c26",
+        "dc5f36f19b8bb79334b9f527b4ac5f206e25fdc06a4f4e4ef1ecaf439642cc07",
     "counts-pairs":
-        "dc0116b9c7d08653ebb42c275973963397786ac09f2bbb72199320e530c0b4cc",
+        "2319cd745fd02c29e5762dd8a9c937a2bf08f432cb927528505862886e5bba31",
     "counts-incidences":
-        "454f1fde874242b0fe0714eb30c3b72b0e72781657d6cd4717b53fd2bdd4ea0f",
+        "2f9879950d70c0efb2d8d2ddc115385d0d05995176147cbd7c7a4cc13faf5997",
     "obstruct-coarse":
-        "dabfe73825cf23f1643b03a1d68533fe0de209ade3a8c722071a383744a4033e",
+        "27500872ddd75c329c48334e28690b44ffd098003592ba50d92fe70aac49d292",
     "obstruct-step-exact-identity":
-        "ff20d9febddd69034715c886a1b9ad6f8a59f9720781e61fb24136be2970e683",
+        "509f17eb3de607caec724376f1315c42a940a8b50890f154f5177454cd25079a",
     "obstruct-step-exact-circle":
-        "c6d18e75467e3a8b666204e009ea28a914a0add8134dd14571f28dc5985d1dc3",
+        "6d8d34c2a422f5affa32487ad2d67956a7262e48957e18c5dfa2008df1bcb76b",
     "obstruct-step-exact-constant":
-        "49936c774f15b952a12d9c3efcad7a9f557f7dadbd80e2111dcc45091c8cfc03",
+        "faeb70f6ae4bf539ea9194f4c799fd39cbe88a2e6d6f5d3de0683e94fe56970a",
     "obstruct-step-exact-snowflake:1/2":
-        "e353aa5cf16843cb20f8cc8704bbeda457194b6d3d748929a5bd4cfafa53ee66",
+        "b3f28ca629156f0679ee5847f90ad2c63c38ac08363eca3c97560358897b923a",
     "obstruct-step-mc-identity":
-        "0171d02a21f1f02d9399e475e72e998c1a797b69307d808710022dd9137b461f",
+        "4eecb5fa7e17f6c3ca26aa7fce30e4c5ed6a84319457a7488afad162c9ad3f9b",
     "obstruct-step-mc-circle":
-        "97adc55482439ae46a0b00f7872b4445881148f4709cbd9b03c1019848e1431c",
+        "d0d36f72fc7cbab6d86aa32c18d8a4ba09d970359d0bb9ab7248e5cea4c0ad78",
     "obstruct-step-mc-constant":
-        "ae4f8e33e3e4b491c0038a1a300383cdfb46a0fa83667d39800751b3ab03cef7",
+        "4de303765508bad71d4fade58bbf64bf2989eddfb848e5f61ef53360dbf234d7",
     "obstruct-step-mc-snowflake:1/2":
-        "c39e5312b907f1e91988a8d38de52c09eeda60ebf23d569fb9994b716e39ada4",
+        "62c12f3b46bd5183dd2160c8d11c71c654f124544a0b22e591b6f5695b593c3a",
     "obstruct-chain":
-        "89f0e0edb828aae4836a7e7eb92a902b3d3371ea619653cd60bacf4d4531e05d",
+        "2f2be74502f6482274f09bb5c5bed563f3f48aa263fba49d0257d96b639a701f",
     "obstruct-uniform-p2":
-        "c36e5bddb35d1484bc03a668761eaae0daf5796a113caafa6df9758b2b42c7e6",
+        "53d97315769d3b13f0bd0cfdc6810531f4250e28e239fe64539fbebac6a64651",
     "obstruct-uniform-pinf":
-        "b306b8b307c7f7caad176cf2f20119a2091d55325f9c57c3ddbe64f8d29b1add",
+        "d8085feffa2418cc5b5f2ed402f270e853acd797eab89ac27440e7661177fe45",
     "zspace-validate-literal":
-        "1e077049208784678c4528c35b7ef2638fd598be86a5034772fd123f43fda9f7",
+        "26a012d476d4bdcc0ba20d39225680d5a603544a9243c9d7e0d31286568bacc0",
     "zspace-validate-corrected":
-        "42767903a10c287e51759cb48b8863a5848ea694d18cebb424e716658458a66f",
+        "f266a4f111fa10fdd3bf380492265e88c2e86005ea2d5cc511dc1e87a960a8a0",
     "zspace-ball":
-        "a5d1408b7352802190f58e078c3d473dd7682c314217830d605ce043ae5afc46",
+        "de235ba08e688074dc18907f56c17862e65e09834d1d94b17a7796eb99ae45dc",
     "inject-build-ell0":
-        "10fa21f9f3ec01ffa69633403c6b87c180bdef20ca2477aea1cb0700ca34153b",
+        "c20636e834cc615160d2470ec8ffa45c7f01e2f19d20a6671496167c55824617",
     "inject-build-ellp:1/2":
-        "1a8799e4e603fad9297335517323c6ef4f6a6701c3a44242e429d72c1dc2edb8",
+        "27a5e44a0229c50502bf269823af7a1d55061f48b619451153bd8d1f4d1a8cd4",
     "inject-build-ellp:2":
-        "444ce0ff45f68de1cd5500fd52a45f40d67b77403e643b311028f93b68b1abb3",
+        "95a6e6098f43400e0acd42721eeebe51c16b18f8c3806c1e72ff44b05bc07ec8",
     "inject-build-ballchain:intervals":
-        "b489e04bb2fe666394d075b9380d69ce6bf1e84e4d507ae2aa3fb3479181cca6",
+        "f289e600b9e43cfd1eb6b6c4d585b14bb3caee16619168cde714d3a012bf364b",
     "inject-build-ballchain:cauchy":
-        "d1bff785757c5bcff60e3736760b0bb740593f23c0af29803bf2ae509a909db6",
+        "bdb20794fcd390813c42180753a0197ea85d6085c522ec85929699e775f26401",
     "inject-build-embedded":
-        "6e1ab02e40437ecc1a8a3718adf8f902ac20114f94f4cafacdf8278011fba4fa",
+        "8343047f232fd076ca115bc7e46fc9bb401f276c676c825b0d2df34301491dc8",
     "inject-verify":
-        "3aa60799f8332e2ccb65b034a3ed5a519331877b9a10e0b7cd8e40faa31a6320",
+        "78d9fd2d1a06172a65a108018ac8f130e8fb884bf0089653a50ef7df1940de24",
     "inject-verify-input":
-        "e794be00b0cb1cf7e400ae901e53da68dc912ae859db0119e4936916fc11f353",
+        "11d4f4d6fc8f2cf5fc293a3f0d6e4ff19ad276f63af4dde665cdc41081bd7178",
     "cayley-verify-merged":
-        "fd29bb4de29660abac4f41094faa4ea1daf2b97aea03f7ff5d069255e4ed13dd",
+        "3d32f5f61b2e0560ec63ed66694659ff372fba1d557967c32072bed97b6370d5",
     "cayley-verify-literal":
-        "96e20dfe44fae83c1da023157811c0a964894a0baf58e868d688cc2dee4fef73",
+        "c68af912fba4704910f43f8c10b9972085ed2140f400ea78b5cd52df8620c498",
     "cayley-roundness":
-        "f496aa4462435e43ceda7b5e87b15e5d8738e7c0d902a4f64faa8e33c9992938",
+        "d766736cf3d43a187d76d9707c81fef388b55c41e6a5d053c80f49e6fc4cbebe",
     "cayley-roundness-basis":
-        "378a5f1c52076d528968dbd2cf1190bed27473d60e359da7b77ac19ffd7e8865",
+        "faeae309468ea27f6bbd8e039103ba532c92be660b72107c610cb11224e26ef8",
     "cayley-projection":
-        "d3b843c6c23c32a29a4b1544950e614e633bc68a4e66752ce80a4bd9456515e9",
+        "2f4a35e8e18e833f3bc52f4beeaa6a3d499aef1b18c7ffb3f8061b0bfd58d32c",
 }
 
 # sha256 of the --map-out file
@@ -916,9 +916,9 @@ def test_pinned_bodies_cover_every_command():
 @pytest.mark.parametrize("name", PINNED)
 def test_every_command_body_pinned(name, pinned_files, capsys):
     # digests of the body as `Report.body_json` dumps it, recorded at
-    # schema 12 (every body is schema 11's with the schema changed, less
-    # max_simplex_size in gr estimate's); the printed text is that body
-    # and wall_time_s, indented
+    # schema 13 (every body is schema 12's with the schema changed, less
+    # covers in gr estimate's); the printed text is that body and
+    # wall_time_s, indented
     argv, code = PINNED[name]
     assert main(argv) == code
     out, _ = capsys.readouterr()
@@ -1316,7 +1316,7 @@ def test_cayley_verify_proof_byte_identical(capsys):
     second = capsys.readouterr().out
     assert code1 == code2 == 0
     assert strip_wall(first) == strip_wall(second)
-    assert json.loads(first)["schema"] == 12
+    assert json.loads(first)["schema"] == 13
 
 
 def test_cayley_verify_takes_no_sampling_options(capsys):

@@ -104,8 +104,8 @@ RECORDS = {
          r"\(1,\) present without its inverse"),
         ((1, frozenset({(1, 1), (-1, -1)})), ValueError,
          "vector has length 2, expected 1")]),
-    RoundnessEstimate: ((0.5, math.inf, (1, 0), 1.0, True, "every double "
-                         "simplex", 16.0, (), ("a flag",)), (1, 1.0), []),
+    RoundnessEstimate: ((0.5, math.inf, (1, 0), 1.0, True, 16.0, (),
+                         ("a flag",)), (1, 1.0), []),
     InjectionReport: (("ell0", True, None, F(3, 8), (0, 1), (), 6,
                        "identity", None), (3, 0.5), []),
     InjectionTable: (("ellp", (SeqVector(((1, F(1, 2)),)), SeqVector()),

@@ -325,7 +325,7 @@ def _mixed_table(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_integer_ratios_match_the_fraction_rule(seed):
-    # the ratios, `low` and `signed` of the ints over one denominator are
+    # the ratios and `low` of the ints over one denominator are
     # those of each key as a Fraction over top, with top the largest
     # magnitude or given, on rational, float and mixed tables alike
     for space, top in ((_seeded_table(seed), None), (_edge_table(seed), None),
@@ -339,7 +339,6 @@ def test_integer_ratios_match_the_fraction_rule(seed):
         exact = [Fraction(d) / scale for d in index.keys]
         assert repr(index.ratios) == repr([float(e) for e in exact])
         assert index.low is any(0 < abs(e) < NORMAL_MIN for e in exact)
-        assert index.signed is any(e < 0 for e in exact)
 
 
 def test_integer_ratios_meet_both_sides_of_normal_min():
@@ -621,7 +620,6 @@ def test_estimate_search_mode_on_product_space():
     space = ProductCycleSpace(6, CycleSpace(8, Fraction(1)))
     est = estimate_roundness(space, p_tolerance=1e-6)
     assert est.certified
-    assert est.covers == "every double simplex"
     assert est.lower <= 1.6849e-4 <= est.upper
     assert est.upper - est.lower <= 1e-6
     assert est.witness_p == est.upper
@@ -696,7 +694,6 @@ def test_character_bracket_below_listed_scan():
     chars = estimate_roundness(product)
     spectral = estimate_roundness(listed)
     assert chars.certified and spectral.certified
-    assert spectral.covers == chars.covers == "every double simplex"
     # log2(1 + 3^(1 - c)) at c = 2, where A(p) turns singular, so the
     # float oracle of the listed space is good only to a few ulps
     assert abs(spectral_value(listed) - math.log2(4 / 3)) < 1e-12
@@ -735,34 +732,35 @@ PRODUCT_SPACES = {
 
 @pytest.mark.parametrize("name, kwargs, sha256", [
     ("stage-2", {"p_tolerance": 1e-3},
-     "28584da1d439bd7a84104292216a08a27b27a6b87bed76442c62ddd886352e9e"),
+     "87d488768a5ce5d3a51765cd245ce3c7e16f2afe5f80ae2449ba4239dd5ce4f0"),
     ("stage-2", {"p_tolerance": 1e-9},
-     "505c242301b6fe8c53ce2b85951e39f9dfc8a03ffa1093f0691e671b1b71d2a8"),
+     "722e049d61c2b7ae62b0486e3282fd1f357a0c8bd205fe8bee6dca5e6c50563c"),
     ("Z4^3", {"p_tolerance": 1e-3},
-     "31a51624c959a0b5d0f4ba6171064028d16c2a934fe72994fb1706b7d55d87dd"),
+     "e7034672c12e51247e8ae7032c4b34720143b0f4f758bd6cde167b3d98541cf2"),
     ("Z4^3", {"p_tolerance": 1e-9},
-     "55d219bf5e46e7bbca26599f64a72329e87c55376781099f4e300fd555535813"),
+     "0bd1da166972266d3dde8f0ae16aec23c87e8b3eee5ba090aca3ae14afac995f"),
     ("Z8^4", {"p_tolerance": 1e-3},
-     "a11a465e3858f616e984c30bca7c1d95a02aa26b995dcacfc401c8f9828a94ef"),
+     "294ea4072c10d417cd074e23a927cf74d62f12c369eb5d822ce1c12e6a9cc691"),
     ("Z8^4", {"p_tolerance": 1e-9},
-     "e7b81b771e75784849de407bced153661eeb2458018b5a9aeb58687a604ce920"),
+     "20ad118f6c88e2734889329862b310bbbdf7f014c9d1821917712c201f3a8225"),
     ("Z8^10", {"p_tolerance": 1e-3},
-     "ab24ec69948d18b3ce1642be935b7ec9dabf006ee5c55361569922be06676490"),
+     "ce1d7477ce3c82b1137df35c5c446d7fa9580d5ebfbbb5612c9a3351ccc3404c"),
     ("Z8^10", {"p_tolerance": 1e-9},
-     "2ba67092a4936cb1d15d3c8570f6f332c99b26503548727aaa939d55be38eb6f"),
+     "53cb67a2d54ed8ac1d4419480232354bb0d58d93c42f0a4a9ebbc04950dd0333"),
     ("Z4^30", {"p_tolerance": 1e-3},
-     "0498b460d98dab9d37d2a3edd6d0391773ce76d21b4ec10da1602fe96f585d51"),
+     "565817c8c2d4be42dcc923cd4e71db4543d3a1560300c7d54a50f2f5c0f4580e"),
     ("Z4^30", {"p_tolerance": 1e-9},
-     "0498b460d98dab9d37d2a3edd6d0391773ce76d21b4ec10da1602fe96f585d51"),
+     "565817c8c2d4be42dcc923cd4e71db4543d3a1560300c7d54a50f2f5c0f4580e"),
     ("stage-2", {"budget": 1},
-     "18a5d84510a9b24c60c6a22795b5f8bc6938c2dd5f4836d70c512cde0d8fc142"),
+     "aa5a01c9206c3d21e3710ec547d45a1f917acd5c7ffa4834907b4afac4fd40b1"),
 ], ids=[f"{name}-{tol}" for name in PRODUCT_SPACES
         for tol in ("1e-3", "1e-9")] + ["stage-2-budget1"])
 def test_product_estimates_frozen(name, kwargs, sha256):
     # no CLI body covers a cycle product, so its estimates are pinned
     # through the API, probes and flags included: the digests of the
-    # sanitized records, recorded before the character engine moved onto
-    # the one bracket loop of both engines
+    # sanitized records, recorded when the constant covers left them (the
+    # records are otherwise those from before the character engine moved
+    # onto the one bracket loop of both engines)
     import hashlib
     import json
 
@@ -1017,7 +1015,6 @@ def test_spectral_bracket_contains_the_spectral_value(make):
     space = make()
     est = estimate_roundness(space, p_tolerance=1e-3)
     assert est.certified and est.flags == []
-    assert est.covers == "every double simplex"
     assert est.lower <= spectral_value(space) <= est.upper
     assert est.upper - est.lower <= 1e-3
     assert est.witness_p == est.upper
@@ -1123,12 +1120,17 @@ def test_psd_value_decides_exactly(rows, psd):
     assert (roundness._psd_value(rows) >= 0) is psd
 
 
+def _every_pair(space, ds):
+    """The distances of ds's within and cross pairs, each listed once."""
+    within = [space.distance(f[i], f[j]) for f in (ds.xs, ds.ys)
+              for i in range(ds.r) for j in range(i + 1, ds.r)]
+    return within, [space.distance(x, y) for x in ds.xs for y in ds.ys]
+
+
 def _expanded_gap(space, ds, p):
     """`DistanceIndex.gap` over every pair of ds listed once each, as the
     index summed before it counted pairs."""
-    within = [space.distance(f[i], f[j]) for f in (ds.xs, ds.ys)
-              for i in range(ds.r) for j in range(i + 1, ds.r)]
-    cross = [space.distance(x, y) for x in ds.xs for y in ds.ys]
+    within, cross = _every_pair(space, ds)
     top = Fraction(max(map(abs, within + cross)) or 1)
 
     def pw(d):
@@ -1147,9 +1149,12 @@ def test_weighted_gap_matches_every_pair_summed(seed):
     # counting each distinct pair changes no bit of the gap, its radius
     # or its sides: a power times a power of two is exact, so one fsum
     # of the split counts is the correctly rounded sum over every pair,
-    # also for unsorted families with runs of repeated points
+    # also for unsorted families with runs of repeated points. At integer
+    # p the exact sides are the Fraction sums over every pair, also where
+    # Y shares X's points in shuffled order
     rng = random.Random(seed)
     space = random_rational_metric_space(7, seed)
+    families = []
     for r in (2, 3, 17, 60):
         xs = tuple(rng.choice(range(7)) for _ in range(r))
         ys = tuple(rng.choice(range(7)) for _ in range(r))
@@ -1159,6 +1164,59 @@ def test_weighted_gap_matches_every_pair_summed(seed):
                     == repr(_expanded_gap(space, ds, p)))
         assert (certify_violation(space, ds, 1.3)
                 is mpmath_certify_violation(space, ds, 1.3))
+        families.append(ds)
+    for ds in list(families):
+        # X against a shuffle of itself, and a shuffle of X's first half
+        # with Y's second against X
+        same = rng.sample(ds.xs, ds.r)
+        mixed = rng.sample(ds.xs[:ds.r // 2] + ds.ys[ds.r // 2:], ds.r)
+        families += [DoubleSimplex(ds.xs, tuple(same)),
+                     DoubleSimplex(tuple(mixed), ds.xs)]
+    for ds in families:
+        for p in (0.5, 1.3):
+            assert (repr(DistanceIndex(space, ds).gap(p))
+                    == repr(_expanded_gap(space, ds, p)))
+        for p in (0, 1, 2, 3):
+            # 0^0 = 0, as in `power`
+            lhs, rhs = (sum((Fraction(d) ** p for d in side if d),
+                            Fraction(0))
+                        for side in _every_pair(space, ds))
+            got = simplex_gap(space, ds, p)
+            assert got.exact
+            assert (got.lhs, got.rhs, got.gap) == (lhs, rhs, rhs - lhs)
+            if sorted(ds.xs) == sorted(ds.ys):
+                assert got.gap == 0
+
+
+@pytest.mark.parametrize("rows, ds, axiom, pair", [
+    ([[0, -1, 2], [-1, 0, 1], [2, 1, 0]], ((0, 1), (2, 2)),
+     "nonnegativity", (0, 1)),
+    ([[0, -1, 2], [-1, 0, 1], [2, 1, 0]], ((2, 2), (1, 0)),
+     "nonnegativity", (1, 0)),
+    (None, ((1, 3), (2, 5)), "symmetry", (1, 3)),
+    (None, ((2, 3), (5, 1)), "symmetry", (2, 1)),
+], ids=["negative", "negative-shuffled", "asymmetric-within",
+        "asymmetric-cross"])
+def test_gaps_refuse_unfit_pairs_before_any_power(rows, ds, axiom, pair,
+                                                  monkeypatch):
+    # simplex_gap and certify_violation admit a double simplex by the
+    # rule of the estimate and the scan, decided on the pairs it reads;
+    # a mirror the index does not hold (d(1, 2) for the cross pair
+    # (2, 1)) is read from the space. None of _asymmetric_unchecked's
+    # nonzero diagonal is read, so symmetry fails first
+    def unpowered(index, p):
+        raise AssertionError(f"a distance powered at p={p}")
+
+    monkeypatch.setattr(DistanceIndex, "powers", unpowered)
+    space = (_asymmetric_unchecked(7, 5) if rows is None
+             else FiniteMetricSpace.unchecked(rows))
+    ds = DoubleSimplex(*ds)
+    message = rf"^distance matrix fails {axiom} at \({pair[0]},{pair[1]}\)$"
+    for p in (2, 1.5):
+        with pytest.raises(ValueError, match=message):
+            simplex_gap(space, ds, p)
+        with pytest.raises(ValueError, match=message):
+            certify_violation(space, ds, p)
 
 
 @pytest.mark.parametrize("rows, axiom, pair", [
