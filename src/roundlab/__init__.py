@@ -20,8 +20,8 @@ _EXPORTS = {
                "build_simplex", "count_incidences", "count_pairs_closed",
                "enumerate_pairs", "is_pair", "is_simplex", "stage_pair_class",
                "stage_simplex_class", "stage_space", "transport_pair"),
-    "metric": ("FiniteMetricSpace", "ModulusEnvelope", "empirical_moduli",
-               "snowflake", "validate_metric"),
+    "metric": ("FiniteMetricSpace", "validate_metric"),
+    "moduli": ("ModulusEnvelope", "empirical_moduli", "snowflake"),
     "roundness": ("GapResult", "RoundnessEstimate", "estimate_roundness",
                   "find_violation_exhaustive", "simplex_gap"),
     "obstruction": ("CircleEmbeddingMap", "IdentityMap", "euler_factor",
@@ -34,7 +34,7 @@ _EXPORTS = {
     "cayley": ("FamilyGenerators", "cayley_roundness_upper",
                "verify_mstar_isometry"),
     # helper submodules, public because the modules above import them
-    "kernels": (), "numerics": (), "parallel": (),
+    "exact": (), "kernels": (), "numerics": (), "parallel": (),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items()
            for name in (module, *names)}

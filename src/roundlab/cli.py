@@ -21,12 +21,13 @@ import time
 
 # Module level binds only the dispatcher's needs and the report writer.
 # Each command family's handlers and option builders live in a module of
-# their own (`cli_space`, `cli_census`, `cli_obstruct`, `cli_blocks`),
-# which `build_parser` imports only for the command it builds, and each
-# handler imports what it runs, so a request compiles and loads only its
-# own command's code: numpy or mpmath only if its computation needs them,
-# the census and `kernels` only if it counts or enumerates, the space and
-# class options (`cycle_args`) only for a census or obstruct command.
+# their own (`cli_space`, `cli_inject`, `cli_census`, `cli_obstruct`,
+# `cli_blocks`), which `build_parser` imports only for the command it
+# builds, and each handler imports what it runs, so a request compiles
+# and loads only its own command's code: numpy or mpmath only if its
+# computation needs them, the census and `kernels` only if it counts or
+# enumerates, the space and class options (`cycle_args`) only for a
+# census or obstruct command.
 from . import BACKEND, BudgetExceeded, __version__
 from .report import Report
 
@@ -35,7 +36,7 @@ from .report import Report
 # resolves on lookup (`__getattr__` below) and handlers call them through
 # this module, so a patched wrapper is what runs
 _LAZY = {"count_incidences": "cyclic", "enumerate_pairs": "cyclic",
-         "estimate_roundness": "roundness", "read_space_csv": "spaces"}
+         "estimate_roundness": "roundness", "read_space_csv": "metric"}
 
 
 def __getattr__(name: str):
@@ -98,8 +99,8 @@ COMMANDS = {
         "ball": ("ball census around a point", "blocks"),
     }),
     "inject": ("Lipschitz injections", {
-        "build": ("build an injection table", "space"),
-        "verify": ("re-check an injection table", "space"),
+        "build": ("build an injection table", "inject"),
+        "verify": ("re-check an injection table", "inject"),
     }),
     "cayley": ("Cayley graph checks", {
         "verify": ("cyclic sup metric vs word metric", "blocks"),

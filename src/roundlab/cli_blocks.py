@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 
 from .cli import _parse_int_list, vars_params
-from .numerics import parse_fraction
+from .exact import parse_fraction
 
 
 def _cmd_zspace_validate(args) -> tuple:

@@ -1,6 +1,6 @@
 """The `obstruct` commands. Every one runs `obstruction`, which reads a
 map's closed-form class distance and so loads neither the census nor
-`kernels`; `obstruct coarse` also loads `metric`."""
+`kernels`; `obstruct coarse` also loads `moduli`."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import math
 from .cli import _parse_int_list, vars_params
 from .cycle_args import (add_class_args, add_space_args, class_params,
                          resolve_simplex_class, resolve_space)
-from .numerics import parse_fraction
+from .exact import parse_fraction
 
 
 def _parse_p(text: str) -> float:
@@ -23,7 +23,7 @@ def _parse_p(text: str) -> float:
 
 
 def _load_moduli(path):
-    from .metric import empirical_moduli
+    from .moduli import empirical_moduli
 
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)

@@ -12,7 +12,7 @@ from .cli import vars_params
 
 
 def add_space_args(p) -> None:
-    from .numerics import parse_fraction
+    from .exact import parse_fraction
 
     p.add_argument("--coords", type=int, help="number of cycle coordinates")
     p.add_argument("--units", type=int, help="units per cycle (even)")

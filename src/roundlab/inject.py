@@ -17,8 +17,8 @@ from typing import Optional
 
 from . import Record
 from .metric import FiniteMetricSpace
-from .numerics import (Number, exact_sum, json_int, parse_fraction, power,
-                       settle, violation)
+from .exact import exact_sum, json_int, parse_fraction, power, settle
+from .numerics import Number, violation
 from .report import sanitize
 
 
@@ -341,7 +341,7 @@ RATIO_RADIUS = 2.0 ** -40
 
 def _settled(table: InjectionTable, i: int, j: int, d, q) -> bool:
     """Whether images i and j lie farther apart than d^(1/q), both sides
-    raised to the image exponent e, as `numerics.settle` decides it."""
+    raised to the image exponent e, as `exact.settle` decides it."""
     def slack(lift):
         s, e = _image_power(table.target, table.p, table.images[i],
                             table.images[j], lift)

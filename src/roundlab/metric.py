@@ -1,15 +1,14 @@
-"""Exact-arithmetic finite metric spaces, the metric-axiom audit, the
-snowflake transform, and empirical embedding moduli."""
+"""Exact-arithmetic finite metric spaces, the metric-axiom audit, and the
+reader of a space file: first line the point count n, then n rows of n
+whitespace-separated rationals (`a/b` or plain integers)."""
 
 from __future__ import annotations
 
-import bisect
 import math
 from fractions import Fraction
 from typing import Sequence
 
 from . import Record
-from .numerics import Number, power
 
 
 class FiniteMetricSpace(Record):
@@ -118,67 +117,34 @@ def validate_metric(space, budget: int | None = None) -> ValidationReport:
                             violations, checked, exhaustive)
 
 
-class SnowflakeOracle(Record):
-    """Distances raised to a power alpha in (0, 1]; still a metric by
-    concavity. Exact where the root is exact, declared-precision otherwise."""
+def parse_space_text(text: str, checked: bool = True) -> FiniteMetricSpace:
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("empty space file")
+    n = int(tokens[0])
+    if n < 1:
+        raise ValueError("point count must be positive")
+    body = tokens[1:]
+    if len(body) != n * n:
+        raise ValueError(f"expected {n * n} entries, found {len(body)}")
+    try:
+        # each distinct entry once, in the order of first occurrence, so
+        # an error names the first bad entry in row-major order
+        value = {token: Fraction(token) for token in dict.fromkeys(body)}
+    except ZeroDivisionError:
+        from .exact import parse_fraction
 
-    __slots__ = ("base", "alpha")
-
-    @property
-    def size(self) -> int:
-        return self.base.size
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return getattr(self.base, "labels", tuple(str(i) for i in range(self.size)))
-
-    def distance(self, a: int, b: int) -> Number:
-        return power(self.base.distance(a, b), self.alpha)
-
-
-def snowflake(space, alpha) -> SnowflakeOracle:
-    alpha = Fraction(alpha)
-    if not (0 < alpha <= 1):
-        raise ValueError("alpha must lie in (0, 1]")
-    return SnowflakeOracle(space, alpha)
-
-
-class ModulusEnvelope(Record):
-    """Tightest non-decreasing envelopes around (domain, image) samples.
-
-    rho1 is the largest non-decreasing function below all samples (suffix
-    minimum over distance-sorted samples), rho2 the smallest one above
-    (prefix maximum); both are right-continuous step functions.
-    """
-
-    __slots__ = ("domains", "images", "suffix_min", "prefix_max")
-
-    def rho1(self, t) -> Number | None:
-        """min image over samples with domain >= t; None beyond the data."""
-        i = bisect.bisect_left(self.domains, t)
-        return self.suffix_min[i] if i < len(self.domains) else None
-
-    def rho2(self, t) -> Number | None:
-        """max image over samples with domain <= t; None below the data."""
-        i = bisect.bisect_right(self.domains, t) - 1
-        return self.prefix_max[i] if i >= 0 else None
+        # parsing again names the first entry with a zero denominator
+        for token in body:
+            parse_fraction(token)
+        raise
+    rows = [[value[token] for token in body[i * n:(i + 1) * n]]
+            for i in range(n)]
+    if checked:
+        return FiniteMetricSpace.from_rows(rows)
+    return FiniteMetricSpace.unchecked(rows)
 
 
-def empirical_moduli(samples: Sequence[tuple]) -> ModulusEnvelope:
-    if not samples:
-        raise ValueError("at least one sample required")
-    ordered = sorted(samples, key=lambda s: s[0])
-    domains = tuple(s[0] for s in ordered)
-    images = tuple(s[1] for s in ordered)
-    n = len(ordered)
-    suffix = [None] * n
-    acc = None
-    for i in range(n - 1, -1, -1):
-        acc = images[i] if acc is None or images[i] < acc else acc
-        suffix[i] = acc
-    prefix = [None] * n
-    acc = None
-    for i in range(n):
-        acc = images[i] if acc is None or images[i] > acc else acc
-        prefix[i] = acc
-    return ModulusEnvelope(domains, images, tuple(suffix), tuple(prefix))
+def read_space_csv(path, checked: bool = True) -> FiniteMetricSpace:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_space_text(fh.read(), checked=checked)

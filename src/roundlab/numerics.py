@@ -1,18 +1,14 @@
-"""Shared numeric conventions: exact rationals where possible, floats
-with a proven error radius or mpmath intervals elsewhere, one power rule
-(`power`) over all three, one rule (`violation`) that decides an
-inequality from any of them, and one settlement (`settle`) of a value
-the float rule leaves undecided."""
+"""Shared numeric conventions, the float rule: one rule (`violation`) that
+decides an inequality from an exact value, a float with a proven error
+radius (`gap_radius`) or an mpmath interval. The exact and interval half,
+the one power rule and the one settlement of a value this rule leaves
+undecided, is `exact`."""
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Union
-
-if TYPE_CHECKING:
-    import mpmath
+from typing import Optional, Union
 
 Number = Union[int, Fraction, float]
 
@@ -21,38 +17,6 @@ UNIT, NORMAL_MIN = 2.0 ** -53, 2.0 ** -1022
 # mpmath working precision of inexact fractional powers and character
 # intervals; an undecided gap is re-decided at twice this
 PRECISION_BITS = 80
-# the most bits of an exact power's numerator or denominator in `power`:
-# Fraction arithmetic takes about 0.1 s on 2^18 bits, 1 s on 2^20
-EXACT_POWER_BITS = 2 ** 18
-
-
-def json_int(value, entry: str) -> int:
-    """`value` if it is an integer; a float (4.0 as well as 1.5) or a
-    boolean read from JSON is refused with ValueError naming `entry`, not
-    rounded."""
-    if type(value) is not int:
-        raise ValueError(f"{entry} must be an integer, got {value!r}")
-    return value
-
-
-def parse_fraction(text) -> Fraction:
-    """Fraction(text) for a rational given as text (or an int); a zero
-    denominator is refused with a ValueError naming the text, the error
-    argparse reports as a usage error."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def to_mpf(d: Number, ctx=None):
-    """d in the mpmath context `ctx`: mpmath itself by default, or an
-    interval context of `intervals`. A float converts exactly."""
-    if ctx is None:
-        import mpmath as ctx
-    if isinstance(d, Fraction):
-        return ctx.mpf(d.numerator) / d.denominator
-    return ctx.mpf(d)
 
 
 def violation(value, radius: float = 0.0) -> Optional[bool]:
@@ -80,97 +44,3 @@ def gap_radius(p, additions: int) -> float:
     theta / (1 - theta) and the radius's own rounding while theta < 1/4."""
     theta = math.expm1((p + additions + 3) * UNIT)
     return 2 * theta if theta < 0.25 else math.inf
-
-
-def settle(evaluate, what: str) -> bool:
-    """`violation` of a value the float rule left undecided, proven, with
-    evaluate(lift) computing it from inputs each passed through lift: in
-    Fractions (a float converts exactly) where it comes out rational, else
-    on intervals at twice PRECISION_BITS; ArithmeticError naming `what`
-    where those leave it undecided."""
-    try:
-        value = evaluate(Fraction)
-    except OverflowError:
-        # an exact power past the float range met an inexact one, which
-        # Python rounds to a float first: the value is not rational
-        value = None
-    if not isinstance(value, (int, Fraction)):
-        value = evaluate(functools.partial(
-            to_mpf, ctx=intervals(2 * PRECISION_BITS)))
-    verdict = violation(value)
-    if verdict is None:
-        raise ArithmeticError(f"{what} undecided at {2 * PRECISION_BITS} bits")
-    return verdict
-
-
-@functools.lru_cache(maxsize=2)
-def intervals(bits: int):
-    """An mpmath interval context of its own at `bits` of precision, so no
-    caller sets the precision of the shared `mpmath.iv`."""
-    from mpmath.ctx_iv import MPIntervalContext
-
-    iv = MPIntervalContext()
-    iv.prec = bits
-    return iv
-
-
-def exact_int_root(x: int, k: int) -> int | None:
-    """Integer k-th root of x when exact, else None; integer Newton steps
-    from a power of two above the root, so x may pass the float range."""
-    if k <= 0:
-        return None
-    if k == 1 or x in (0, 1):
-        return x
-    # for x >= 2 with 2^k > x the only candidate root is 1, and 1^k < x
-    if x < 0 or k >= x.bit_length():
-        return None
-    r = 1 << -(-x.bit_length() // k)
-    while (s := ((k - 1) * r + x // r ** (k - 1)) // k) < r:
-        r = s
-    return r if r ** k == x else None
-
-
-def power(d: Number, p) -> Number:
-    """d**p for d >= 0, the one power rule. 0 stays 0 in its own type (the
-    counting convention 0**0 = 0; any other d**0 is 1), and an mpmath
-    interval gives an interval. A rational d gives the exact Fraction when
-    the b-th roots of its numerator and denominator exist, for p = a/b
-    read exactly (a float p too), and |a| * (their larger bit length) <=
-    EXACT_POWER_BITS * b, checked before any root or power is taken; any
-    other rational d gives the float of its PRECISION_BITS value. A float
-    d gives float(d) ** float(p), inf past the float range."""
-    if d == 0:
-        return d
-    if not isinstance(d, (int, Fraction)):
-        if not isinstance(d, float) and hasattr(d, "a"):
-            return d ** to_mpf(p, d.ctx)
-        base, exponent = float(d), float(p)
-        try:
-            return base ** exponent
-        except OverflowError:
-            return math.inf
-    q = Fraction(p)
-    a, b = q.numerator, q.denominator
-    n, m = d.as_integer_ratio()
-    if abs(a) * max(n.bit_length(), m.bit_length()) <= EXACT_POWER_BITS * b:
-        # with gcd(a, b) = 1, n^a is a b-th power exactly when n is, so the
-        # roots come first and only roots that exist are raised to a
-        rn, rm = exact_int_root(n, b), exact_int_root(m, b)
-        if rn is not None and rm is not None:
-            return Fraction(rn, rm) ** a
-    import mpmath
-
-    with mpmath.workprec(PRECISION_BITS):
-        return float(to_mpf(d) ** to_mpf(q))
-
-
-def exact_sum(terms) -> Number:
-    """The sum of `terms`: a Fraction when every term is rational
-    (Fraction(0) for no terms), an interval when one is an mpmath
-    interval, else math.fsum of their floats."""
-    terms = list(terms)
-    if all(isinstance(t, (int, Fraction)) for t in terms):
-        return sum(terms, Fraction(0))
-    if all(isinstance(t, (int, Fraction, float)) for t in terms):
-        return math.fsum(float(t) for t in terms)
-    return sum(terms)

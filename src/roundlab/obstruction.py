@@ -21,14 +21,14 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import Record
 from .cycles import (PairClass, ProductCycleSpace, SimplexClass,
                      count_pairs_closed, stage_pair_class, stage_space)
-from .numerics import (NORMAL_MIN, gap_radius, parse_fraction, power,
-                       settle, violation)
+from .exact import parse_fraction, power, settle
+from .numerics import NORMAL_MIN, gap_radius, violation
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .cyclic import SparsePairBatch
-    from .metric import ModulusEnvelope
+    from .moduli import ModulusEnvelope
 
 # no average reads these three names: only the benchmark harness looks
 # them up here, to trace them, so the census and the pool module load
@@ -241,7 +241,7 @@ def _declared(emap, name: str = "class_distance",
 def level_average(emap, cls: PairClass, p: float, mode: str = "exact",
                   samples: int = 100_000) -> LevelAverage:
     """Average of image distance^p over one pair class, d^p counting
-    0**0 as 0 (`numerics.power`).
+    0**0 as 0 (`exact.power`).
 
     The map must declare `class_distance` d (every built-in map does;
     ValueError otherwise): it sends the whole class to d, so in both modes

@@ -14,7 +14,8 @@ from math import comb
 from typing import Optional
 
 from . import BudgetExceeded, roundness
-from .numerics import PRECISION_BITS, intervals, violation
+from .exact import intervals
+from .numerics import PRECISION_BITS, violation
 
 # the intervals a cycle product's character table may hold when the
 # caller of `estimate_roundness` sets no budget: about 10 s and 100 MiB

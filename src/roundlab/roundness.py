@@ -6,8 +6,9 @@ A double simplex (x_1..x_r; y_1..y_r) violates at exponent p when
 
 Every gap is decided by `numerics.violation`: as a float with its proven
 error radius on a `DistanceIndex` of the points, and where that leaves it
-undecided by `numerics.settle` (`certify_violation`), so a violation and
-a clean probe are both proven. The roundness of a space is the supremum
+undecided by `exact.settle` (`certify_violation`), so a violation and a
+clean probe are both proven; `exact` loads only for such a gap or probe.
+The roundness of a space is the supremum
 of exponents admitting no violation; the set of good exponents is an
 interval starting at 0 (Lennard-Tonge-Weston), so one clean probe below
 and one violating witness above bracket it (`bracket`). A probe covers
@@ -28,8 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import BudgetExceeded, DoubleSimplex, Record
-from .numerics import (NORMAL_MIN, UNIT, Number, gap_radius, power, settle,
-                       violation)
+from .numerics import NORMAL_MIN, UNIT, Number, gap_radius, violation
 
 
 class GapResult(Record):
@@ -192,7 +192,7 @@ def certify_violation(space, ds: DoubleSimplex, p,
     over their largest, against the gap's radius. Where that leaves it
     undecided, not at all when both sides' nonzero distances are one
     multiset, which makes the gap 0 at every p (every X = Y
-    configuration), else as `numerics.settle` decides it. `index` is
+    configuration), else as `exact.settle` decides it. `index` is
     ds's `DistanceIndex` where the caller holds one, built here if not:
     either way only distances `refuse_unfit` admits are powered."""
     if index is None:
@@ -203,6 +203,8 @@ def certify_violation(space, ds: DoubleSimplex, p,
     within, cross = index.sides()
     if _nonzero_multiset(within) == _nonzero_multiset(cross):
         return False
+    from .exact import power, settle
+
     return settle(lambda lift: sum(w * power(lift(d), p) for d, w in cross)
                   - sum(w * power(lift(d), p) for d, w in within),
                   f"gap at p={p}")
@@ -419,44 +421,6 @@ def _rayleigh(rows: list, x: list) -> float:
     return q if math.isfinite(q) else 0.0
 
 
-def _psd_value(rows: list):
-    """A value that is >= 0 exactly when the symmetric matrix `rows` is
-    positive semidefinite, exact on rationals and an interval on mpmath
-    intervals: elimination on the largest remaining diagonal entry, which
-    leaves a positive semidefinite Schur complement exactly when the
-    matrix is one. Its least pivot when every pivot is positive; a
-    negative pivot; on rationals, where the largest diagonal entry left
-    is 0, 0 if every entry left is 0 (else -1); on intervals, one
-    straddling 0 where a pivot is not proven positive. Where any entry is
-    a float, which an inexact power leaves among rationals, its sign
-    proves nothing: nan, which `violation` leaves undecided."""
-    if any(isinstance(t, float) for row in rows for t in row):
-        return math.nan
-    rows = [list(row) for row in rows]
-    live = list(range(len(rows)))
-    least = None
-    while live:
-        k = max(live, key=lambda i: getattr(rows[i][i], "a", rows[i][i]))
-        pivot = rows[k][k]
-        if hasattr(pivot, "a"):
-            if pivot.b < 0:
-                return pivot
-            if not pivot.a > 0:
-                return pivot.ctx.mpf([-1, 1])
-        elif pivot < 0:
-            return pivot
-        elif pivot == 0:
-            return 0 if all(rows[i][j] == 0 for i in live
-                            for j in live) else -1
-        live.remove(k)
-        for i in live:
-            factor = rows[i][k] / pivot
-            for j in live:
-                rows[i][j] -= factor * rows[k][j]
-        least = pivot if least is None else min(least, pivot)
-    return 0 if least is None else least
-
-
 class SpectralProbe:
     """The probe of a listed table `refuse_unfit` admits, with no point
     repeated (`_merged`), for every double simplex at once. With
@@ -479,8 +443,8 @@ class SpectralProbe:
     (`gap_radius`, `floor`) of the exact one; c is twice the two bounds,
     with the rounding of the shifted diagonal. Where the
     factorisation fails but that of A(q) + cI completes, the probe is
-    settled as a gap is (`numerics.settle`): A(q) is factored exactly
-    (`_psd_value`) in Fractions where every power is rational, else on
+    settled as a gap is (`exact.settle`): A(q) is factored exactly
+    (`exact._psd_value`) in Fractions where every power is rational, else on
     intervals at twice PRECISION_BITS. A failure of both only steers the
     bisection; `witness` proves a violation."""
 
@@ -529,6 +493,8 @@ class SpectralProbe:
             return True
         if _cholesky(rows, -shift)[2] is not None:
             return False
+        from .exact import _psd_value, power, settle
+
         index, n = self.index, self.space.size
 
         def value(lift):

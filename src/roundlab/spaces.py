@@ -1,7 +1,6 @@
-"""Ready-made finite spaces and the whitespace CSV interchange format.
-
-File format: first line holds the point count n, then n rows of n
-whitespace-separated rationals (`a/b` or plain integers).
+"""Ready-made finite spaces and the writer of the whitespace CSV
+interchange format. Its reader is `metric.read_space_csv`, named here too,
+so a command that only reads a space file compiles none of this module.
 """
 
 from __future__ import annotations
@@ -12,36 +11,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import Record
-from .metric import FiniteMetricSpace
-from .numerics import parse_fraction
-
-
-def parse_space_text(text: str, checked: bool = True) -> FiniteMetricSpace:
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty space file")
-    n = int(tokens[0])
-    if n < 1:
-        raise ValueError("point count must be positive")
-    body = tokens[1:]
-    if len(body) != n * n:
-        raise ValueError(f"expected {n * n} entries, found {len(body)}")
-    try:
-        rows = [[Fraction(body[i * n + j]) for j in range(n)]
-                for i in range(n)]
-    except ZeroDivisionError:
-        # parsing again names the first entry with a zero denominator
-        for token in body:
-            parse_fraction(token)
-        raise
-    if checked:
-        return FiniteMetricSpace.from_rows(rows)
-    return FiniteMetricSpace.unchecked(rows)
-
-
-def read_space_csv(path, checked: bool = True) -> FiniteMetricSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_space_text(fh.read(), checked=checked)
+from .metric import (FiniteMetricSpace, parse_space_text,  # noqa: F401
+                     read_space_csv)
 
 
 def space_to_text(space: FiniteMetricSpace) -> str:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import Record
 from .cycles import cyclic_distance, stage_space
-from .numerics import json_int
+from .exact import json_int
 
 VARIANTS = ("literal", "corrected")
 DENSE_COORD_LIMIT = 4096

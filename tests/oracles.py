@@ -31,7 +31,8 @@ from fractions import Fraction
 
 from roundlab import BudgetExceeded, kernels
 from roundlab.cyclic import enumerate_pairs, is_pair
-from roundlab.numerics import PRECISION_BITS, power
+from roundlab.exact import power
+from roundlab.numerics import PRECISION_BITS
 
 
 def _partners(space, cls, point):

@@ -27,7 +27,8 @@ from roundlab.cyclic import (CycleSpace, PairClass, ProductCycleSpace,
 from roundlab.inject import (build_ballchain_injection, build_ell0_injection,
                              build_ellp_injection, cauchy_sequence_target,
                              interval_chain_target, verify_injection)
-from roundlab.metric import FiniteMetricSpace, snowflake
+from roundlab.metric import FiniteMetricSpace
+from roundlab.moduli import snowflake
 from roundlab.obstruction import (CircleEmbeddingMap, IdentityMap,
                                   euler_factor, euler_factor_exact,
                                   euler_factors, verify_chain_inequality,

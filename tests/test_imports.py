@@ -8,6 +8,7 @@ import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,9 @@ from roundlab.cli import COMMANDS
 from test_cli import suite_env
 
 # roundlab.__all__ as it stood when the package imported every submodule,
-# less find_violation_search, which went with the greedy search
+# less find_violation_search, which went with the greedy search, plus
+# `exact` and `moduli`, the halves of `numerics` and `metric` that a
+# listed space's `gr estimate` does not run
 SEED_ALL = [
     "BudgetExceeded", "CircleEmbeddingMap", "CycleSpace", "DoubleSimplex",
     "FamilyGenerators", "FiniteMetricSpace", "GapResult", "IdentityMap",
@@ -27,9 +30,10 @@ SEED_ALL = [
     "cayley_roundness_upper", "certify_corrected",
     "coarse_obstruction_report", "count_incidences", "count_pairs_closed",
     "cyclic", "empirical_moduli", "enumerate_pairs", "estimate_roundness",
-    "euler_factor", "find_violation_exhaustive", "inject", "is_pair",
-    "is_simplex", "kernels", "level_average", "metric", "numerics",
-    "obstruction", "parallel", "roundness", "simplex_gap", "snowflake",
+    "euler_factor", "exact", "find_violation_exhaustive", "inject",
+    "is_pair", "is_simplex", "kernels", "level_average", "metric",
+    "moduli", "numerics", "obstruction", "parallel", "roundness",
+    "simplex_gap", "snowflake",
     "stage_pair_class", "stage_simplex_class", "stage_space",
     "transport_pair", "uniform_obstruction_report", "validate_metric",
     "verify_chain_inequality", "verify_injection", "verify_mstar_isometry",
@@ -100,9 +104,15 @@ def loaded_after(argv, tmp_path) -> tuple[int, set]:
 
 
 # what `gr estimate` loads to read and scan a space file (`validate` and
-# `inject` load the last two)
-SPACE_FILE_MODULES = {"roundlab.roundness", "roundlab.spaces",
-                      "roundlab.metric"}
+# `inject` load `metric`, the reader)
+SPACE_FILE_MODULES = {"roundlab.roundness", "roundlab.metric"}
+
+# all the roundlab code the benchmark's 20-point `gr estimate` loads: not
+# the generators and writer of `spaces`, the exact half of the numerics
+# (`exact`), which no probe there needs, nor the moduli of `moduli`
+R20_ESTIMATE_MODULES = {"roundlab", "roundlab.cli", "roundlab.report",
+                        "roundlab.cli_space", "roundlab.metric",
+                        "roundlab.numerics", "roundlab.roundness"}
 
 # `import roundlab.cli` loads these and no other roundlab module: the
 # dispatcher and the report writer
@@ -153,6 +163,7 @@ def test_mc_and_uniform_load_neither_numpy_nor_pool(argv, tmp_path):
     assert_no_heavy_imports(modules)
     assert not modules & SPACE_FILE_MODULES
     assert not modules & CENSUS_MODULES
+    assert "roundlab.moduli" not in modules
 
 
 @pytest.mark.parametrize("variant, rc", [("merged", 0), ("literal", 2)])
@@ -201,13 +212,29 @@ def test_light_commands_load_neither_numpy_nor_mpmath(argv, tmp_path):
     assert_no_heavy_imports(modules)
     if argv[0] == "validate":
         assert not modules & NOT_ON_A_LISTED_SPACE
+    if argv[0] == "inject":
+        # its own command module, and neither the estimate nor the
+        # generators and writer of `spaces`
+        assert {m for m in modules if m.startswith("roundlab.cli_")} \
+            == {"roundlab.cli_inject"}
+        assert not {"roundlab.roundness", "roundlab.spaces"} & modules
 
 
-def test_gr_estimate_loads_roundness_and_spaces(tmp_path):
+def source_lines(modules: set) -> int:
+    """The lines of source of the roundlab modules among `modules`, each
+    of which a request compiles."""
+    root = Path(roundlab.__file__).parent
+    return sum(len((root / f"{m.partition('.')[2] or '__init__'}.py")
+                   .read_text(encoding="utf-8").splitlines())
+               for m in modules if m.split(".")[0] == "roundlab")
+
+
+def test_gr_estimate_loads_roundness_and_metric(tmp_path):
     # a listed metric space is probed by the pure-Python factorisation:
     # neither the kernels and numpy nor, outside the settle band
-    # (the 4-cycle's one probe there, at p = 1, is rational), mpmath; the
-    # 20-point space is the benchmark's, with its argv
+    # (the 4-cycle's one probe there, at p = 1, is rational, and settled
+    # by `exact`), mpmath; the 20-point space is the benchmark's, with its
+    # argv, and no probe of it falls in the band
     from roundlab.spaces import (cycle_graph_space,
                                  random_rational_metric_space,
                                  write_space_csv)
@@ -225,6 +252,29 @@ def test_gr_estimate_loads_roundness_and_spaces(tmp_path):
         assert not {"numpy", "mpmath", "roundlab.kernels"} & modules
         assert "roundlab.cyclic" not in modules
         assert not modules & NOT_ON_A_LISTED_SPACE
+        roundlab_modules = {m for m in modules
+                            if m.split(".")[0] == "roundlab"}
+        if name == "c4":
+            assert roundlab_modules == R20_ESTIMATE_MODULES | {
+                "roundlab.exact"}
+        else:
+            assert roundlab_modules == R20_ESTIMATE_MODULES
+            # 1,824 lines while the reader sat in `spaces` and the exact
+            # half in `numerics`
+            assert source_lines(modules) <= 1450
+
+
+def test_obstruct_coarse_loads_moduli_not_metric(tmp_path):
+    # the modulus envelope is apart from the space-file reader, and no
+    # other obstruct command loads it (test_mc_and_uniform_...)
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps([[1, 1], [2, 1], [4, 1]]))
+    rc, modules = loaded_after(["obstruct", "coarse", "--moduli", str(path),
+                                "--p", "1"], tmp_path)
+    assert rc == 0
+    assert "roundlab.moduli" in modules
+    assert not modules & {"roundlab.metric", "roundlab.spaces"}
+    assert_no_heavy_imports(modules)
 
 
 def test_gr_estimate_refuses_an_asymmetric_unchecked_table(tmp_path):
@@ -355,10 +405,12 @@ def test_run_partitions_resolves_on_lookup():
 
 
 def test_cli_space_file_names_resolve_on_lookup():
-    from roundlab import cli, cyclic, roundness, spaces
+    from roundlab import cli, cyclic, metric, roundness, spaces
 
     assert cli.estimate_roundness is roundness.estimate_roundness
-    assert cli.read_space_csv is spaces.read_space_csv
+    assert cli.read_space_csv is metric.read_space_csv
+    # the name the generators' callers import it by
+    assert spaces.read_space_csv is metric.read_space_csv
     assert cli.count_incidences is cyclic.count_incidences
     assert cli.enumerate_pairs is cyclic.enumerate_pairs
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):

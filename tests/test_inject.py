@@ -15,7 +15,7 @@ from roundlab.inject import (RATIO_RADIUS, SeqVector, ballchain_level,
                              interval_chain_target, point_gaps,
                              resolve_modulus, verify_injection, InjectionTable)
 from roundlab.metric import FiniteMetricSpace
-from roundlab.numerics import to_mpf
+from roundlab.exact import to_mpf
 from roundlab.spaces import (cycle_graph_space, random_rational_metric_space,
                              two_point_space)
 

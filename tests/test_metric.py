@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roundlab.metric import (FiniteMetricSpace, ModulusEnvelope,
-                             empirical_moduli, snowflake, validate_metric)
+from roundlab.metric import FiniteMetricSpace, validate_metric
+from roundlab.moduli import ModulusEnvelope, empirical_moduli, snowflake
 from roundlab.spaces import cycle_graph_space, random_rational_metric_space
 
 from oracles import reference_validate_metric

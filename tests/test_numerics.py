@@ -26,9 +26,8 @@ import pytest
 from oracles import mpmath_certify_violation
 from roundlab.cyclic import (CycleSpace, DoubleSimplex, ProductCycleSpace,
                              SimplexClass)
-from roundlab.numerics import (PRECISION_BITS, exact_int_root, exact_sum,
-                               gap_radius, intervals, power, settle,
-                               violation)
+from roundlab.exact import exact_int_root, exact_sum, intervals, power, settle
+from roundlab.numerics import PRECISION_BITS, gap_radius, violation
 from roundlab.obstruction import IdentityMap, verify_step_inequality
 from roundlab.roundness import DistanceIndex, GapResult, certify_violation
 

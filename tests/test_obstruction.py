@@ -12,8 +12,8 @@ from roundlab.cyclic import (CycleSpace, PairClass,
                              ProductCycleSpace, SimplexClass,
                              count_pairs_closed, sample_pairs_sparse, stage_pair_class,
                              stage_space)
-from roundlab.metric import empirical_moduli
-from roundlab.numerics import power
+from roundlab.exact import power
+from roundlab.moduli import empirical_moduli
 from roundlab.obstruction import (CircleEmbeddingMap, ConstantMap,
                                   IdentityMap, SnowflakeMap, chain_classes,
                                   class_extremes, coarse_obstruction_report,

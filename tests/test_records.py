@@ -18,8 +18,8 @@ from roundlab.cyclic import (CycleSpace, DoubleSimplex, IncidenceCounts,
                              SimplexClass, SparsePairBatch)
 from roundlab.inject import (BallChainTarget, InjectionReport,
                              InjectionTable, LevelStructure, SeqVector)
-from roundlab.metric import (FiniteMetricSpace, ModulusEnvelope,
-                             SnowflakeOracle, ValidationReport)
+from roundlab.metric import FiniteMetricSpace, ValidationReport
+from roundlab.moduli import ModulusEnvelope, SnowflakeOracle
 from roundlab.obstruction import (ChainReport, CircleEmbeddingMap,
                                   CoarseObstructionReport, ConstantMap,
                                   IdentityMap, LevelAverage, SnowflakeMap,

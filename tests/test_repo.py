@@ -93,8 +93,8 @@ def test_bench_files_record_their_setup():
 def test_one_certainty_rule():
     # gaps, ratios and margins are decided by `numerics.violation` alone:
     # no module re-sums in `decimal` or keeps a float band (REL_TOL), and
-    # only numerics.py builds the interval context at twice PRECISION_BITS
-    # that `numerics.settle`, the one settlement, decides on
+    # only exact.py builds the interval context at twice PRECISION_BITS
+    # that `exact.settle`, the one settlement, decides on
     import ast
 
     def precision(node) -> bool:
@@ -122,11 +122,11 @@ def test_one_certainty_rule():
                     getattr(n, "value", None) == 2 for n in sides))
         assert "decimal" not in imported, path.name
         assert "REL_TOL" not in named, path.name
-        assert not doubled or path.name == "numerics.py", path.name
+        assert not doubled or path.name == "exact.py", path.name
 
 def test_one_power_rule():
-    # every power of a distance goes through `numerics.power`: no module
-    # defines or imports the rules it replaced, and only numerics.py takes
+    # every power of a distance goes through `exact.power`: no module
+    # defines or imports the rules it replaced, and only exact.py takes
     # the exact roots that decide whether a power is rational
     import ast
 
@@ -141,7 +141,7 @@ def test_one_power_rule():
                   for node in ast.walk(tree) if isinstance(node, ast.Call)}
         assert not (defined | imported) & retired, path.name
         assert ("exact_int_root" not in called | imported
-                or path.name == "numerics.py"), path.name
+                or path.name == "exact.py"), path.name
 
 
 def test_one_bracket_loop():

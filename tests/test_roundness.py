@@ -18,8 +18,10 @@ from oracles import (character_quotient, dense_top_eigenvalue,
 from roundlab import kernels, probes, roundness
 from roundlab.cyclic import (BudgetExceeded, CycleSpace, DoubleSimplex,
                              ProductCycleSpace, stage_space)
-from roundlab.metric import FiniteMetricSpace, snowflake
-from roundlab.numerics import NORMAL_MIN, settle
+from roundlab.exact import _psd_value, settle
+from roundlab.metric import FiniteMetricSpace
+from roundlab.moduli import snowflake
+from roundlab.numerics import NORMAL_MIN
 from roundlab.probes import find_violation_characters
 from roundlab.roundness import (DistanceIndex, SpectralProbe, bracket,
                                 certify_violation, estimate_roundness,
@@ -1062,7 +1064,7 @@ def test_clean_factorisation_never_contradicts_exact_ldlt():
                 factored = roundness._cholesky(rows, shift)[2] is None
                 exact = _exact_positive_definite(space, p)
                 assert exact or not factored, (n, seed, p)
-                semidefinite = exact or roundness._psd_value(
+                semidefinite = exact or _psd_value(
                     _exact_gram(space, p)) >= 0
                 assert probe.clean(p) is semidefinite, (n, seed, p)
                 verdicts.append(factored)
@@ -1079,7 +1081,7 @@ def test_spectral_probe_settles_its_band(monkeypatch):
         values.append(evaluate(Fraction))
         return settle(evaluate, what)
 
-    monkeypatch.setattr(roundness, "settle", spy)
+    monkeypatch.setattr("roundlab.exact.settle", spy)
     probe = SpectralProbe(C4, DistanceIndex(C4))
     assert probe.clean(1.0) and len(values) == 1
     assert values[0] == 0
@@ -1094,15 +1096,15 @@ def test_psd_value_of_float_entries_decides_nothing():
     # [[2.0, 2.0], [2.0, 2.0]] leaves an exact 0.0 after one float step:
     # its sign is rounding's, so settle goes on to the intervals, where
     # the singular matrix stays undecided rather than proven either way
-    assert math.isnan(roundness._psd_value([[2.0, 2.0], [2.0, 2.0]]))
-    assert math.isnan(roundness._psd_value([[Fraction(2), 2.0], [2, 1]]))
+    assert math.isnan(_psd_value([[2.0, 2.0], [2.0, 2.0]]))
+    assert math.isnan(_psd_value([[Fraction(2), 2.0], [2, 1]]))
     lifts = []
 
     def evaluate(lift):
         lifts.append(lift)
         if lift is Fraction:
-            return roundness._psd_value([[2.0, 2.0], [2.0, 2.0]])
-        return roundness._psd_value([[lift(2), lift(2)], [lift(2), lift(2)]])
+            return _psd_value([[2.0, 2.0], [2.0, 2.0]])
+        return _psd_value([[lift(2), lift(2)], [lift(2), lift(2)]])
 
     with pytest.raises(ArithmeticError, match="undecided"):
         settle(evaluate, "float band")
@@ -1117,7 +1119,7 @@ def test_psd_value_of_float_entries_decides_nothing():
     ([[Fraction(2), -1], [-1, 2]], True),
 ], ids=["singular", "zero", "zero-diagonal", "indefinite", "definite"])
 def test_psd_value_decides_exactly(rows, psd):
-    assert (roundness._psd_value(rows) >= 0) is psd
+    assert (_psd_value(rows) >= 0) is psd
 
 
 def _every_pair(space, ds):
@@ -1251,7 +1253,7 @@ def test_zero_table_probes_zero_first(monkeypatch):
     space = FiniteMetricSpace.unchecked([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
     probe = SpectralProbe(space, DistanceIndex(space))
     assert probe.matrix(0.0)[0] == [[2.0, 1.0], [1.0, 0.0]]
-    assert roundness._psd_value([[Fraction(2), 1], [1, 0]]) < 0
+    assert _psd_value([[Fraction(2), 1], [1, 0]]) < 0
     est = estimate_roundness(space)
     assert est.probes == [{"p": 0.0, "violation": True}]
     assert est.flags == ["violation at p=0"]
