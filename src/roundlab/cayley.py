@@ -4,8 +4,9 @@ The generator families pair unit moves with jumps of size J on each
 coordinate. The merged family {0, +-1, +-J}^dim lets one step mix units
 and jumps across coordinates, and its word metric matches the sup of
 per-coordinate costs; the literal family (all-jump or all-unit steps)
-does not. Word distances come from an exact per-coordinate exchange
-argument, cross-checked against BFS in tests.
+does not. `FamilyGenerators.distance` gives either word metric in closed
+form on Python integers, exact at any size, cross-checked against BFS in
+tests.
 
 `verify_mstar_isometry` compares the word metric with the cyclic sup
 metric of (Z_P)^C, P = C = n^n and J = P - 1, by scanning coordinate
@@ -28,12 +29,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from . import DoubleSimplex, Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 GroupVector = tuple[int, ...]
 
@@ -47,6 +45,20 @@ def _check_vector(v: Sequence[int], dim: int) -> GroupVector:
     if len(vec) != dim:
         raise ValueError(f"vector has length {len(vec)}, expected {dim}")
     return vec
+
+
+def _merged_cost(a: int, jump: int) -> int:
+    """min over b >= 0 of b + |a - jump*b|: the cost is piecewise linear
+    in b, so b = a // jump or the next one is optimal."""
+    q, r = divmod(a, jump)
+    return min(q + r, q + 1 + jump - r)
+
+
+def _residual(a: int, jump: int, k: int) -> int:
+    """The units a >= 0 still needs after k jump steps, min over b <= k of
+    |a - jump*b|."""
+    q, r = divmod(a, jump)
+    return a - jump * k if k <= q else min(r, jump - r)
 
 
 class FamilyGenerators(Record):
@@ -83,6 +95,19 @@ class FamilyGenerators(Record):
         if self.variant == "merged":
             return 5 ** self.dim - 1
         return (3 ** self.dim - 1) * 2
+
+    def distance(self, w: Sequence[int]) -> int:
+        """Word distance from 0 to w. merged: one step moves every
+        coordinate on its own, so it is the max of `_merged_cost`. literal:
+        each step is all-jump or all-unit, so it is min over k jump steps of
+        k + max_c `_residual`. From any k outside {0} and {q_c, q_c + 1},
+        one step toward them costs no more, so those k suffice."""
+        a = [abs(x) for x in _check_vector(w, self.dim)]
+        j = self.jump
+        if self.variant == "merged":
+            return max(_merged_cost(x, j) for x in a)
+        ks = {0}.union(*((x // j, x // j + 1) for x in a))
+        return min(k + max(_residual(x, j, k) for x in a) for k in ks)
 
     def enumerate(self) -> list[GroupVector]:
         if self.count() > ENUM_LIMIT:
@@ -148,38 +173,6 @@ def standard_basis_generators(dim: int) -> ExplicitGenerators:
     return ExplicitGenerators.make(dim, vecs)
 
 
-def family_word_distances(diffs: np.ndarray, jump: int, variant: str) -> np.ndarray:
-    """Exact word distances for a batch of difference vectors.
-
-    merged: one step sets every coordinate independently, so the distance
-    is the max over coordinates of min_b (|b| + |w - jump*b|). literal:
-    each step is all-jump or all-unit; with k2 jump steps coordinate c can
-    shed min_{|b| <= k2} |w_c - jump*b| to units, so the distance is
-    min over k2 of (k2 + max_c residual_c(k2)).
-    """
-    import numpy as np
-
-    a = np.abs(np.asarray(diffs, dtype=np.int64))
-    if a.ndim != 2:
-        raise ValueError("diffs must be a 2d batch")
-    if a.size == 0:
-        return np.zeros(a.shape[0], dtype=np.int64)
-    bmax = int(a.max()) // jump + 1
-    if variant == "merged":
-        cost = a.copy()
-        for b in range(1, bmax + 1):
-            cost = np.minimum(cost, b + np.abs(a - b * jump))
-        return cost.max(axis=1)
-    if variant != "literal":
-        raise ValueError(f"unknown variant {variant!r}")
-    residual = a.copy()
-    best = residual.max(axis=1)
-    for k2 in range(1, bmax + 1):
-        residual = np.minimum(residual, np.abs(a - k2 * jump))
-        best = np.minimum(best, k2 + residual.max(axis=1))
-    return best
-
-
 def bfs_ball(gens: Iterable[Sequence[int]], radius: int) -> dict:
     """Distances from the origin out to the radius. Returns {vector:
     distance}; each depth holds the sums v + g over the last depth and the
@@ -227,30 +220,38 @@ def verify_mstar_isometry(n: int, variant: str = "merged") -> MStarReport:
     """Compare the cyclic sup metric of (Z_P)^P, P = n^n, with the word
     metric of the chosen family with jump P - 1, by the coordinate scan in
     the module docstring: the P values of |w_0| for merged, the P^2
-    patterns (|w_0|, |w_1|) for literal. Mismatches list the first 20
-    patterns in lexicographic order. A scan of more than ENUM_LIMIT
-    patterns is refused before anything is allocated."""
+    patterns (|w_0|, |w_1|) for literal. Below P every a // J is at most
+    1 and k = 2 jump steps shed nothing more than k = 1, so a literal
+    pattern costs min(max(a, b), 1 + max(R(a), R(b))), R = `_residual` at
+    k = 1. Mismatches list the first 20 patterns in lexicographic order. A
+    scan of more than ENUM_LIMIT patterns is refused before any of it."""
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
-    if variant not in ("merged", "literal"):
-        raise ValueError(f"unknown variant {variant!r}")
     support = 1 if variant == "merged" else 2
     period = n ** n
+    jump = FamilyGenerators(support, period - 1, variant).jump
     size = period ** support
     if size > ENUM_LIMIT:
         raise ValueError(
             f"{variant} scan of {size} difference patterns at n = {n} "
             f"exceeds the limit of {ENUM_LIMIT}")
-    import numpy as np
-
-    patterns = np.indices((period,) * support).reshape(support, -1).T
-    word = family_word_distances(patterns, period - 1, variant)
-    cyc = np.minimum(patterns, period - patterns).max(axis=1)
-    bad = np.nonzero(word != cyc)[0]
-    mism = [{"abs_diff": patterns[k].tolist(), "cyclic": int(cyc[k]),
-             "word": int(word[k])} for k in bad[:20]]
-    return MStarReport(n, variant, support, size, len(bad), mism,
-                       int(word.max()))
+    values = range(period)
+    cyc = [min(a, period - a) for a in values]
+    if support == 1:
+        scan = (((a,), _merged_cost(a, jump), cyc[a]) for a in values)
+    else:
+        res = [_residual(a, jump, 1) for a in values]
+        scan = (((a, b), min(max(a, b), 1 + max(res[a], res[b])),
+                 max(cyc[a], cyc[b])) for a in values for b in values)
+    mism, count, top = [], 0, 0
+    for diff, word, cyclic in scan:
+        top = max(top, word)
+        if word != cyclic:
+            count += 1
+            if count <= 20:
+                mism.append({"abs_diff": list(diff), "cyclic": cyclic,
+                             "word": word})
+    return MStarReport(n, variant, support, size, count, mism, top)
 
 
 def projection_generators(dims: Sequence[int], jumps: Sequence[int],

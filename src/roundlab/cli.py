@@ -24,8 +24,8 @@ import time
 # their own (`cli_space`, `cli_inject`, `cli_census`, `cli_obstruct`,
 # `cli_blocks`), which `build_parser` imports only for the command it
 # builds, and each handler imports what it runs, so a request compiles
-# and loads only its own command's code: numpy or mpmath only if its
-# computation needs them, the census and `kernels` only if it counts or
+# and loads only its own command's code: no numpy, mpmath only if its
+# computation needs it, the census and `kernels` only if it counts or
 # enumerates, the space and class options (`cycle_args`) only for a
 # census or obstruct command.
 from . import BACKEND, BudgetExceeded, __version__

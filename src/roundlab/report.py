@@ -16,9 +16,9 @@ SCHEMA_VERSION = 13
 
 def sanitize(obj):
     """Make a structure JSON-safe and deterministic: Fractions become `a/b`
-    strings, non-finite floats become tagged strings, numpy scalars and
-    tuples collapse to built-ins, and a record becomes its `fields()`,
-    each value encoded once."""
+    strings, non-finite floats become tagged strings, tuples and sets
+    become lists, and a record becomes its `fields()`, each value encoded
+    once."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, bool) or obj is None:
@@ -38,8 +38,6 @@ def sanitize(obj):
     if isinstance(obj, (list, tuple, set, frozenset)):
         seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
         return [sanitize(v) for v in seq]
-    if hasattr(obj, "item"):
-        return sanitize(obj.item())
     if hasattr(obj, "fields"):
         return sanitize(obj.fields())
     raise TypeError(f"cannot serialize {type(obj).__name__}")

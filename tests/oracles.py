@@ -284,10 +284,12 @@ def enumerated_mstar_pairs(n, variant):
     1..P, with its word distance under the family of jump P - 1 and its
     cyclic sup distance, as arrays u, v, word, cyclic: the pair comparison
     `verify_mstar_isometry` made before the coordinate scan. Only n = 2
-    (256 points, 32,640 pairs) is small enough."""
+    (256 points, 32,640 pairs) is small enough. Word distances are BFS
+    depths: every difference lies in {-3..3}^4, which the radius-2 ball
+    of either family holds."""
     import numpy as np
 
-    from roundlab.cayley import family_word_distances
+    from roundlab.cayley import FamilyGenerators, bfs_ball
 
     period = n ** n
     if period ** period > 4096:
@@ -297,7 +299,10 @@ def enumerated_mstar_pairs(n, variant):
                    dtype=np.int64)
     iu, iv = np.triu_indices(len(pts), k=1)
     u, v = pts[iu], pts[iv]
-    word = family_word_distances(v - u, period - 1, variant)
+    ball = bfs_ball(FamilyGenerators(period, period - 1, variant).enumerate(),
+                    2)
+    word = np.array([ball[tuple(d)] for d in (v - u).tolist()],
+                    dtype=np.int64)
     ad = np.abs(v - u)
     cyc = np.minimum(ad, period - ad).max(axis=1)
     return u, v, word, cyc

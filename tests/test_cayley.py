@@ -4,14 +4,13 @@ block projection check."""
 import hashlib
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from roundlab import cayley
 from roundlab.cayley import (ExplicitGenerators, FamilyGenerators, bfs_ball,
                              block_projection_check, cayley_roundness_upper,
-                             family_word_distances, projection_generators,
-                             standard_basis_generators, verify_mstar_isometry)
+                             projection_generators, standard_basis_generators,
+                             verify_mstar_isometry)
 from roundlab.cycles import cyclic_distance
 
 from oracles import enumerated_mstar_pairs
@@ -66,25 +65,46 @@ def test_word_distance_explicit_bfs():
 
 def test_word_distance_family_solver():
     # jump 5 plus two units
-    assert family_word_distances([[7]], 5, "merged").tolist() == [3]
-    assert family_word_distances([[50]], 5, "merged").tolist() == [10]
+    assert FamilyGenerators(1, 5, "merged").distance([7]) == 3
+    assert FamilyGenerators(1, 5, "merged").distance([50]) == 10
+    # exact at any size, with no walk over |w| / jump: the floor-and-ceiling
+    # candidates alone, so 10**30 and 2**70 return at once
+    for variant in ("merged", "literal"):
+        gens = FamilyGenerators(1, 3, variant)
+        assert gens.distance([10 ** 30]) == (10 ** 30 - 1) // 3 + 1
+        assert gens.distance([-2 ** 70]) == (2 ** 70 - 1) // 3 + 1
+    # 2**70 jumps plus one unit: merged mixes the unit into a jump step,
+    # literal spends a step on it
+    assert FamilyGenerators(2, 3, "merged").distance([3 * 2 ** 70, 1]) \
+        == 2 ** 70
+    assert FamilyGenerators(2, 3, "literal").distance([3 * 2 ** 70, 1]) \
+        == 2 ** 70 + 1
+    for variant in ("merged", "literal"):
+        with pytest.raises(ValueError, match="length 3, expected 2"):
+            FamilyGenerators(2, 3, variant).distance([1, 2, 3])
+
+
+# (dim, radius): each ball stays inside SUM_LIMIT for jumps 2-6
+_BALL_RADII = ((1, 12), (2, 6), (3, 3))
 
 
 @pytest.mark.parametrize("variant", ["merged", "literal"])
 def test_family_solver_matches_bfs(variant):
-    gens = FamilyGenerators(3, 4, variant)
-    ball = bfs_ball(gens.enumerate(), 3)
-    states = np.array(list(ball), dtype=np.int64)
-    depths = np.array([ball[tuple(s)] for s in states.tolist()])
-    solved = family_word_distances(states, 4, variant)
-    assert np.array_equal(solved, depths)
+    # every state of every ball, 87,366 in all
+    states = 0
+    for dim, radius in _BALL_RADII:
+        for jump in range(2, 7):
+            gens = FamilyGenerators(dim, jump, variant)
+            ball = bfs_ball(gens.enumerate(), radius)
+            assert {s: gens.distance(s) for s in ball} == ball, (dim, jump)
+            states += len(ball)
+    assert states == {"merged": 55_027, "literal": 32_339}[variant]
 
 
 def test_family_solver_merged_vs_literal_diverge():
     # one mixed step suffices merged; literal pays for the unit separately
-    d = np.array([[1, 3]], dtype=np.int64)
-    assert family_word_distances(d, 3, "merged")[0] == 1
-    assert family_word_distances(d, 3, "literal")[0] == 2
+    assert FamilyGenerators(2, 3, "merged").distance((1, 3)) == 1
+    assert FamilyGenerators(2, 3, "literal").distance((1, 3)) == 2
 
 
 def test_bfs_ball_diamond():
@@ -130,17 +150,27 @@ def test_bfs_ball_order_frozen(gens, radius, size, digest):
 def test_mstar_space_shape(monkeypatch):
     # n = 2 compares (Z_4)^4 with the family of jump P - 1 = 3: a merged
     # scan reads the P = 4 values of |w_0|, a literal one P^2 patterns
-    jumps, solve = [], family_word_distances
+    # from a table of the P residuals
+    jumps = []
 
-    def spy(diffs, jump, variant):
-        jumps.append(jump)
-        return solve(diffs, jump, variant)
+    def spy(name):
+        real = getattr(cayley, name)
 
-    monkeypatch.setattr(cayley, "family_word_distances", spy)
+        def helper(a, jump, *k):
+            jumps.append((name, jump))
+            return real(a, jump, *k)
+        monkeypatch.setattr(cayley, name, helper)
+
+    spy("_merged_cost")
+    spy("_residual")
     assert verify_mstar_isometry(2).values_scanned == 4
+    assert jumps == [("_merged_cost", 3)] * 4
+    jumps.clear()
     assert verify_mstar_isometry(2, "literal").values_scanned == 16
+    assert jumps == [("_residual", 3)] * 4
+    jumps.clear()
     assert verify_mstar_isometry(4).values_scanned == 256
-    assert jumps == [3, 3, 255]
+    assert jumps == [("_merged_cost", 255)] * 256
     for n in (3, 0, -2):
         with pytest.raises(ValueError, match=r"^n must be even and >= 2$"):
             verify_mstar_isometry(n, "jitter")
@@ -189,7 +219,8 @@ def test_mstar_scan_over_enum_limit_refused(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no scan expected")
 
-    monkeypatch.setattr(cayley, "family_word_distances", refuse)
+    monkeypatch.setattr(cayley, "_merged_cost", refuse)
+    monkeypatch.setattr(cayley, "_residual", refuse)
     for n, variant, size in ((8, "merged", 8 ** 8), (6, "literal", 6 ** 12)):
         tracemalloc.start()
         try:
@@ -199,8 +230,10 @@ def test_mstar_scan_over_enum_limit_refused(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, (n, variant, peak)
-    with pytest.raises(ValueError, match="unknown variant"):
-        verify_mstar_isometry(2, "jitter")
+    # the variant is checked before the size, even past the limit
+    for n in (2, 8):
+        with pytest.raises(ValueError, match="unknown variant 'jitter'"):
+            verify_mstar_isometry(n, "jitter")
     with pytest.raises(ValueError):
         verify_mstar_isometry(3)
 

@@ -167,11 +167,12 @@ def test_mc_and_uniform_load_neither_numpy_nor_pool(argv, tmp_path):
 
 
 @pytest.mark.parametrize("variant, rc", [("merged", 0), ("literal", 2)])
-def test_cayley_verify_loads_no_pool(variant, rc, tmp_path):
+def test_cayley_verify_loads_neither_numpy_nor_pool(variant, rc, tmp_path):
+    # the word metric's closed form scans Python integers
     got, modules = loaded_after(["cayley", "verify", "--n", "4",
                                  "--variant", variant], tmp_path)
     assert got == rc
-    assert "numpy" in modules
+    assert not {"numpy", "mpmath"} & modules
     assert "roundlab.parallel" not in modules
     assert "concurrent.futures.process" not in modules
     assert "dataclasses" not in modules
